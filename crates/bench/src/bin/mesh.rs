@@ -504,7 +504,10 @@ fn cmd_route(args: &Args) {
 
     // For the extra reports we need the live sim, so route manually for
     // engine algorithms; fall back to the API for §6.
-    let out = mesh_routing::route_with_cap(algo, &pb, cap);
+    let out = mesh_routing::try_route_with_cap(algo, &pb, cap).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2);
+    });
     if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&out).unwrap());
     } else {

@@ -1,6 +1,6 @@
 //! One-call routing API over every algorithm in the reproduction.
 
-use crate::section6::{Section6Report, Section6Router};
+use crate::section6::{Section6Error, Section6Report, Section6Router};
 use mesh_engine::{
     DirectorySink, Dx, MemorySink, Sim, SimConfig, SimError, Snapshot, SteadyConfig, SteadyReport,
 };
@@ -117,10 +117,23 @@ pub fn route(algorithm: Algorithm, problem: &RoutingProblem) -> RouteOutcome {
 }
 
 /// [`route`] with an explicit step cap (ignored by §6, which always
-/// terminates by construction).
+/// terminates by construction). Panics on input [`try_route_with_cap`]
+/// rejects.
 pub fn route_with_cap(algorithm: Algorithm, problem: &RoutingProblem, cap: u64) -> RouteOutcome {
+    try_route_with_cap(algorithm, problem, cap)
+        .unwrap_or_else(|e| panic!("cannot route with {}: {e}", algorithm.name()))
+}
+
+/// [`route_with_cap`], with a problem the algorithm cannot route reported as
+/// an error. Only the §6 schedulers reject input: they need a static problem
+/// on a mesh whose side is a power of 3.
+pub fn try_route_with_cap(
+    algorithm: Algorithm,
+    problem: &RoutingProblem,
+    cap: u64,
+) -> Result<RouteOutcome, Section6Error> {
     let topo = Mesh::new(problem.n);
-    match algorithm {
+    Ok(match algorithm {
         Algorithm::DimOrder { k } => engine_route(
             algorithm,
             Sim::new(&topo, Dx::new(DimOrder::new(k)), problem),
@@ -176,7 +189,7 @@ pub fn route_with_cap(algorithm: Algorithm, problem: &RoutingProblem, cap: u64) 
             } else {
                 Section6Router::improved()
             };
-            let r = router.route(problem);
+            let r = router.try_route(problem)?;
             RouteOutcome {
                 algorithm: algorithm.name(),
                 workload: problem.label.clone(),
@@ -191,7 +204,7 @@ pub fn route_with_cap(algorithm: Algorithm, problem: &RoutingProblem, cap: u64) 
                 section6: Some(r),
             }
         }
-    }
+    })
 }
 
 fn engine_route<R: mesh_engine::Router>(

@@ -25,9 +25,9 @@ pub mod section6;
 
 pub use api::{
     resume_route, resume_steady_route, route, route_checkpointed, route_with_cap, steady_route,
-    steady_route_checkpointed, Algorithm, RouteOutcome, SteadyOutcome,
+    steady_route_checkpointed, try_route_with_cap, Algorithm, RouteOutcome, SteadyOutcome,
 };
-pub use section6::{Section6Config, Section6Report, Section6Router};
+pub use section6::{Section6Config, Section6Error, Section6Report, Section6Router};
 
 // Re-export the substrate crates under stable names.
 pub use mesh_adversary as adversary;

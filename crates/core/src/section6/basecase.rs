@@ -4,72 +4,63 @@
 //! two rows and two columns of its destination, so this takes at most 14
 //! steps with at most 9 packets per node (Lemma 32 / Lemma 28).
 
+use super::scratch::Scratch;
 use super::state::S6State;
 use mesh_topo::Coord;
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Routes the given packets to completion with farthest-first dimension
 /// order (row first, then column; per outlink, the packet with the farthest
 /// to go in that dimension wins). Returns the number of steps.
-pub fn run_base_case(st: &mut S6State, class_pkts: &[u32]) -> u64 {
-    let mut remaining: Vec<u32> = class_pkts
-        .iter()
-        .copied()
-        .filter(|&p| !st.delivered[p as usize])
-        .collect();
+pub fn run_base_case(st: &mut S6State, sc: &mut Scratch, class_pkts: &[u32]) -> u64 {
+    sc.buckets.fill(st, st.live(class_pkts).map(|(p, ..)| p));
     let mut steps = 0u64;
-    while !remaining.is_empty() {
-        // Group by node; per node, per outlink, pick farthest-first.
-        let mut by_node: HashMap<Coord, Vec<u32>> = HashMap::new();
-        for &p in &remaining {
-            by_node.entry(st.pos[p as usize]).or_default().push(p);
+    loop {
+        // Occupied nodes, ascending.
+        sc.work.clear();
+        sc.work
+            .extend(st.live(class_pkts).map(|(_, at, _)| (at.x, at.y)));
+        if sc.work.is_empty() {
+            return steps;
         }
-        let mut moves: Vec<(u32, Coord)> = Vec::new();
-        let mut nodes: Vec<Coord> = by_node.keys().copied().collect();
-        nodes.sort_unstable();
-        for node in nodes {
-            // Desired direction per packet: dimension order (row first).
-            // Direction slots: 0 = E, 1 = W, 2 = N, 3 = S.
-            let mut best: [Option<(u32, u32)>; 4] = [None; 4]; // (dist, pkt)
-            for &p in &by_node[&node] {
-                let dst = st.dst[p as usize];
-                let (slot, dist) = if dst.x > node.x {
-                    (0, dst.x - node.x)
-                } else if dst.x < node.x {
-                    (1, node.x - dst.x)
-                } else if dst.y > node.y {
-                    (2, dst.y - node.y)
-                } else {
-                    (3, node.y - dst.y)
-                };
-                let better = match best[slot] {
-                    None => true,
-                    Some((bd, bp)) => dist > bd || (dist == bd && p < bp),
-                };
-                if better {
-                    best[slot] = Some((dist, p));
-                }
+        sc.work.sort_unstable();
+        sc.work.dedup();
+        sc.moves.clear();
+        for &(x, y) in &sc.work {
+            let node = Coord::new(x, y);
+            // Per outlink, the farthest to go; ties to the lowest index.
+            let mut best: [Option<(u32, Reverse<u32>)>; 4] = [None; 4];
+            for p in sc.buckets.iter(st.node_index(node)) {
+                let (slot, dist, _) = next_hop(node, st.dst[p as usize]);
+                best[slot] = best[slot].max(Some((dist, Reverse(p))));
             }
-            for (slot, b) in best.iter().enumerate() {
-                if let Some((_, p)) = b {
-                    let to = match slot {
-                        0 => Coord::new(node.x + 1, node.y),
-                        1 => Coord::new(node.x - 1, node.y),
-                        2 => Coord::new(node.x, node.y + 1),
-                        _ => Coord::new(node.x, node.y - 1),
-                    };
-                    moves.push((*p, to));
-                }
+            sc.moves
+                .extend(best.iter().flatten().map(|&(_, Reverse(p))| p));
+        }
+        for &p in &sc.moves {
+            let (_, _, to) = next_hop(st.pos[p as usize], st.dst[p as usize]);
+            sc.buckets.remove(st.node_of(p), p);
+            if !st.move_packet(p as usize, to) {
+                sc.buckets.push(st.node_of(p), p);
             }
         }
-        debug_assert!(!moves.is_empty(), "undelivered packets but no moves");
-        for (p, to) in moves {
-            st.move_packet(p as usize, to);
-        }
-        remaining.retain(|&p| !st.delivered[p as usize]);
         steps += 1;
     }
-    steps
+}
+
+/// Dimension order (row first) for a packet at `at` bound for `dst`: the
+/// outlink slot it wants (0 = E, 1 = W, 2 = N, 3 = S), its distance to go in
+/// that dimension, and the neighbor across that link.
+fn next_hop(at: Coord, dst: Coord) -> (usize, u32, Coord) {
+    if dst.x > at.x {
+        (0, dst.x - at.x, Coord::new(at.x + 1, at.y))
+    } else if dst.x < at.x {
+        (1, at.x - dst.x, Coord::new(at.x - 1, at.y))
+    } else if dst.y > at.y {
+        (2, dst.y - at.y, Coord::new(at.x, at.y + 1))
+    } else {
+        (3, at.y - dst.y, Coord::new(at.x, at.y - 1))
+    }
 }
 
 #[cfg(test)]
@@ -101,7 +92,8 @@ mod tests {
         assert!(pb.is_permutation());
         let mut st = S6State::new(&pb);
         let all: Vec<u32> = (0..pb.len() as u32).collect();
-        let steps = run_base_case(&mut st, &all);
+        let mut sc = Scratch::new(pb.n as usize, pb.len(), pb.len());
+        let steps = run_base_case(&mut st, &mut sc, &all);
         assert!(st.done());
         assert!(steps <= 14, "Lemma 32: took {steps}");
         assert!(
@@ -124,7 +116,8 @@ mod tests {
         );
         let mut st = S6State::new(&pb);
         let all: Vec<u32> = (0..pb.len() as u32).collect();
-        let steps = run_base_case(&mut st, &all);
+        let mut sc = Scratch::new(pb.n as usize, pb.len(), pb.len());
+        let steps = run_base_case(&mut st, &mut sc, &all);
         assert!(st.done());
         assert!(steps <= 10, "took {steps}");
         assert_eq!(st.moves, pb.total_work(), "paths stay minimal");
@@ -145,7 +138,8 @@ mod tests {
         // case must still handle multi-packet nodes (Lemma 28 allows 9).
         let mut st = S6State::new(&pb);
         let all: Vec<u32> = (0..pb.len() as u32).collect();
-        let steps = run_base_case(&mut st, &all);
+        let mut sc = Scratch::new(pb.n as usize, pb.len(), pb.len());
+        let steps = run_base_case(&mut st, &mut sc, &all);
         assert!(st.done());
         // Packet 1 goes east (dimension order) while packet 0 goes north:
         // no contention at all; 6 steps for packet 1.

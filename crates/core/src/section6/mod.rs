@@ -24,12 +24,14 @@
 
 pub mod basecase;
 pub mod phase;
+pub mod scratch;
 pub mod state;
 pub mod virt;
 
-use mesh_topo::{Tiling, TilingSet};
-use mesh_traffic::{Quadrant, RoutingProblem};
-use phase::PhaseDurations;
+use mesh_topo::TilingSet;
+use mesh_traffic::quadrant::ALL_QUADRANTS;
+use mesh_traffic::{Packet, Quadrant, RoutingProblem};
+use scratch::Scratch;
 use serde::{Deserialize, Serialize};
 use state::S6State;
 use virt::Transform;
@@ -89,6 +91,29 @@ impl Section6Report {
     }
 }
 
+/// Why a problem cannot be routed by the §6 algorithm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Section6Error {
+    /// The mesh side is not a power of 3 (the paper's simplifying
+    /// assumption, which the tilings rely on).
+    NotPowerOfThree { n: u32 },
+    /// Some packet is injected after step 0.
+    NotStatic,
+}
+
+impl std::fmt::Display for Section6Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Section6Error::NotPowerOfThree { n } => {
+                write!(f, "the §6 algorithm assumes n is a power of 3 (got {n})")
+            }
+            Section6Error::NotStatic => write!(f, "the §6 algorithm routes static problems"),
+        }
+    }
+}
+
+impl std::error::Error for Section6Error {}
+
 /// The §6 router.
 #[derive(Clone, Debug, Default)]
 pub struct Section6Router {
@@ -113,83 +138,85 @@ impl Section6Router {
 
     /// Routes a static problem. `problem.n` must be a power of 3 (the
     /// paper's simplifying assumption); problems on `n < 27` run the base
-    /// case directly.
+    /// case directly. Panics on input [`try_route`](Self::try_route) rejects.
     ///
     /// The problem should be a partial permutation for the Theorem 34
     /// guarantees to apply; other problems are routed on a best-effort basis
     /// (assertions are relaxed).
     pub fn route(&self, problem: &RoutingProblem) -> Section6Report {
+        self.try_route(problem)
+            .unwrap_or_else(|e| panic!("cannot route with the §6 algorithm: {e}"))
+    }
+
+    /// [`route`](Self::route), with unroutable input reported as an error.
+    pub fn try_route(&self, problem: &RoutingProblem) -> Result<Section6Report, Section6Error> {
         let n = problem.n;
-        assert!(
-            is_power_of_3(n),
-            "the §6 algorithm assumes n is a power of 3 (got {n})"
-        );
-        assert!(
-            problem.is_static(),
-            "the §6 algorithm routes static problems"
-        );
+        if !is_power_of_3(n) {
+            return Err(Section6Error::NotPowerOfThree { n });
+        }
+        if !problem.is_static() {
+            return Err(Section6Error::NotStatic);
+        }
         let is_perm = problem.is_partial_permutation();
         let mut st = S6State::new(problem);
-
-        let mut report = Section6Report {
-            n,
-            scheduled_steps: 0,
-            quiescent_steps: 0,
-            max_node_load: 0,
-            total_moves: 0,
-            delivered: 0,
-            total_packets: problem.len(),
-            iterations: 0,
-            per_class: [PassStats::default(); 4],
+        // Classes are routed one at a time: the largest sizes the scratch.
+        let class_of = |p: &Packet| Quadrant::of(p.src, p.dst);
+        let size = |q| {
+            problem
+                .packets
+                .iter()
+                .filter(|p| class_of(p) == Some(q))
+                .count()
         };
+        let largest = ALL_QUADRANTS.map(size).into_iter().max().unwrap_or(0);
+        let mut sc = Scratch::new(n as usize, problem.len(), largest);
+        let mut class_pkts = Vec::with_capacity(largest);
 
-        for (ci, q) in [Quadrant::NE, Quadrant::NW, Quadrant::SE, Quadrant::SW]
-            .into_iter()
-            .enumerate()
-        {
-            let stats = self.route_class(&mut st, q, is_perm, &mut report.iterations);
-            report.scheduled_steps += stats.scheduled_steps;
-            report.quiescent_steps += stats.quiescent_steps;
-            report.per_class[ci] = stats;
+        let mut per_class = [PassStats::default(); 4];
+        for (stats, q) in per_class.iter_mut().zip(ALL_QUADRANTS) {
+            class_pkts.clear();
+            class_pkts.extend((0..st.pos.len() as u32).filter(|&p| {
+                !st.delivered[p as usize]
+                    && Quadrant::of(st.pos[p as usize], st.dst[p as usize]) == Some(q)
+            }));
+            *stats = self.route_class(&mut st, &mut sc, q, &class_pkts, is_perm);
         }
 
         assert!(st.done(), "section 6 router failed to deliver all packets");
-        report.max_node_load = st.max_load as u32;
-        report.total_moves = st.moves;
-        report.delivered = st.delivered_count;
+        let report = Section6Report {
+            n,
+            scheduled_steps: per_class.iter().map(|s| s.scheduled_steps).sum(),
+            quiescent_steps: per_class.iter().map(|s| s.quiescent_steps).sum(),
+            max_node_load: st.max_load as u32,
+            total_moves: st.moves,
+            delivered: st.delivered_count,
+            total_packets: problem.len(),
+            iterations: iterations(n),
+            per_class,
+        };
         if is_perm {
             // Theorem 34 (with the paper's constants).
             let bound = if self.config.improved_q { 564 } else { 972 } as u64;
+            let (steps, load) = (report.scheduled_steps, report.max_node_load);
             assert!(
-                report.scheduled_steps <= bound * n as u64,
-                "Theorem 34 violated: {} > {}n",
-                report.scheduled_steps,
-                bound
+                steps <= bound * n as u64,
+                "Theorem 34 violated: {steps} > {bound}n"
             );
-            assert!(
-                report.max_node_load <= 834,
-                "Lemma 28 violated: node load {}",
-                report.max_node_load
-            );
+            assert!(load <= 834, "Lemma 28 violated: node load {load}");
         }
-        report
+        Ok(report)
     }
 
     /// Routes one movement class to completion.
     fn route_class(
         &self,
         st: &mut S6State,
+        sc: &mut Scratch,
         class: Quadrant,
+        class_pkts: &[u32],
         is_perm: bool,
-        iterations_out: &mut u32,
     ) -> PassStats {
         let n = st.n;
-        let class_pkts: Vec<u32> = (0..st.pos.len() as u32)
-            .filter(|&p| {
-                !st.delivered[p as usize]
-                    && Quadrant::of(st.pos[p as usize], st.dst[p as usize]) == Some(class)
-            })
-            .collect();
         let mut stats = PassStats {
             packets: class_pkts.len(),
             ..Default::default()
@@ -198,58 +225,54 @@ impl Section6Router {
         let tf_v = Transform::vertical(n, class);
         let tf_h = Transform::horizontal(n, class);
 
-        let mut t_side = n;
-        let mut j = 0u32;
-        while t_side >= 27 {
+        for j in 0..iterations(n) {
+            let t_side = n / 3u32.pow(j);
             let d = t_side / 27;
             let q = if j >= 1 && self.config.improved_q {
                 Q_IMPROVED
             } else {
                 Q_BASE
             };
-            let tilings: Vec<Tiling> = if j == 0 {
-                vec![Tiling::new(t_side, 0)]
-            } else {
-                TilingSet::new(t_side).tilings.to_vec()
-            };
+            let set = TilingSet::new(t_side);
+            // Iteration 0 has one tile, the mesh; later ones use all three.
+            let tilings = &set.tilings[..if j == 0 { 1 } else { 3 }];
+            // Lemma 19: entering iteration j ≥ 1, every class packet shares
+            // a tile with its destination in one of the three tilings, in
+            // the virtual frame of either axis — so some phase picks it up.
+            if j >= 1 && is_perm {
+                for (p, pos, dst) in st.live(class_pkts) {
+                    for tf in [&tf_v, &tf_h] {
+                        let (vp, vd) = (tf.to_virtual(pos.x, pos.y), tf.to_virtual(dst.x, dst.y));
+                        assert!(
+                            set.common_tile(vp.into(), vd.into()).is_some(),
+                            "Lemma 19 violated entering iteration {j}: packet {p} at {pos} dst {dst} (tile {t_side})"
+                        );
+                    }
+                }
+            }
             // Vertical Phases, then Horizontal Phases (Figure 7: V1 V2 V3 H1 H2 H3).
-            for (tf, _vertical) in [(&tf_v, true), (&tf_h, false)] {
-                for tiling in &tilings {
-                    let dur: PhaseDurations = phase::run_phase(
-                        st,
-                        tf,
-                        tiling,
-                        d,
-                        q,
-                        &class_pkts,
-                        self.config.check_lemma16,
-                    );
+            let scheduled = phase::scheduled_durations(d as u64, q as u64, t_side as u64).total();
+            for tf in [&tf_v, &tf_h] {
+                for tiling in tilings {
+                    let check = self.config.check_lemma16;
+                    let dur = phase::run_phase(st, sc, tf, tiling, q, class_pkts, check);
                     stats.quiescent_steps += dur.total();
-                    stats.scheduled_steps +=
-                        phase::scheduled_durations(d as u64, q as u64, t_side as u64).total();
+                    stats.scheduled_steps += scheduled;
                 }
             }
             // Lemma 18 + Lemma 19 invariant: at iteration end every class
             // packet is within 3d−1 of its destination in both dimensions.
             if is_perm {
-                for &p in &class_pkts {
-                    let pi = p as usize;
-                    if st.delivered[pi] {
-                        continue;
-                    }
-                    let (pos, dst) = (st.pos[pi], st.dst[pi]);
+                for (p, pos, dst) in st.live(class_pkts) {
                     assert!(
                         pos.dx(dst) < 3 * d && pos.dy(dst) < 3 * d,
                         "Lemma 18 violated after iteration {j}: packet {p} at {pos} dst {dst} (d={d})"
                     );
                 }
             }
-            t_side /= 3;
-            j += 1;
         }
-        *iterations_out = j;
 
-        let bc = basecase::run_base_case(st, &class_pkts);
+        let bc = basecase::run_base_case(st, sc, class_pkts);
         stats.base_case_steps = bc;
         stats.quiescent_steps += bc;
         // Lemma 32: at most 14 steps — applicable when the iterations ran
@@ -264,15 +287,16 @@ impl Section6Router {
     }
 }
 
-/// True if `n` is a power of three.
-pub fn is_power_of_3(mut n: u32) -> bool {
-    if n == 0 {
-        return false;
-    }
-    while n.is_multiple_of(3) {
-        n /= 3;
-    }
-    n == 1
+/// True if `n` is a power of three: those are the divisors of `3²⁰`, the
+/// largest one a `u32` holds.
+pub fn is_power_of_3(n: u32) -> bool {
+    n > 0 && 3u32.pow(20).is_multiple_of(n)
+}
+
+/// Iterations a side-`n` mesh runs per class: iteration `j` works on tiles
+/// of side `n/3ʲ`, while that is at least 27.
+fn iterations(n: u32) -> u32 {
+    n.ilog(3).saturating_sub(2)
 }
 
 #[cfg(test)]
@@ -289,6 +313,19 @@ mod tests {
         assert!(!is_power_of_3(0));
         assert!(!is_power_of_3(2));
         assert!(!is_power_of_3(81 * 2));
+    }
+
+    #[test]
+    fn try_route_rejects_unroutable_input() {
+        let router = Section6Router::new();
+        let pb = workloads::random_permutation(64, 1);
+        let err = router.try_route(&pb).unwrap_err();
+        assert_eq!(err, Section6Error::NotPowerOfThree { n: 64 });
+        assert!(err.to_string().contains("power of 3 (got 64)"));
+
+        let mut pb = workloads::random_permutation(27, 1);
+        pb.packets[0].inject_at = 5;
+        assert_eq!(router.try_route(&pb).unwrap_err(), Section6Error::NotStatic);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! faithful synchronous step counts. Stage durations are also checked
 //! against the paper's scheduled bounds (Lemmas 29–31).
 
+use super::scratch::{Buckets, Scratch, TilePkt, NIL};
 use super::state::S6State;
 use super::virt::Transform;
 use mesh_topo::{Coord, Rect, Tiling};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Durations (in steps) of the four stages of one phase for one tiling,
 /// maximized over the tiling's tiles (tiles run in parallel).
@@ -47,88 +48,72 @@ pub fn scheduled_durations(d: u64, q: u64, t: u64) -> PhaseDurations {
 /// (Lemma 16) on every tile — O(area·d) work, for tests.
 pub fn run_phase(
     st: &mut S6State,
+    sc: &mut Scratch,
     tf: &Transform,
     tiling: &Tiling,
-    d: u32,
     q: u32,
     class_pkts: &[u32],
     check_lemma16: bool,
 ) -> PhaseDurations {
-    let n = st.n;
     let t_side = tiling.tile;
+    let d = t_side / 27; // strip height
     debug_assert_eq!(t_side, 27 * d);
 
-    // Group participants by tile: a packet participates iff its (virtual)
-    // position and destination lie in the same tile.
-    let mut groups: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-    for &p in class_pkts {
-        let pi = p as usize;
-        if st.delivered[pi] {
-            continue;
-        }
-        let vp = tf.to_virtual(st.pos[pi].x, st.pos[pi].y);
-        let vd = tf.to_virtual(st.dst[pi].x, st.dst[pi].y);
-        let tp = tiling.tile_containing(mesh_topo::Coord::new(vp.0, vp.1));
-        let td = tiling.tile_containing(mesh_topo::Coord::new(vd.0, vd.1));
-        if tp == td {
-            groups.entry((tp.x0, tp.y0)).or_default().push(p);
+    // A packet participates iff its (virtual) position and destination lie
+    // in the same tile, and is active iff it then starts the phase at least
+    // 3 strips south of its destination strip. Sorting groups the actives
+    // by tile, tiles ascending by origin, packets ascending within a tile.
+    let mut tile_pkts = std::mem::take(&mut sc.tile_pkts);
+    tile_pkts.clear();
+    for (p, pos, dst) in st.live(class_pkts) {
+        let vp = tf.to_virtual(pos.x, pos.y);
+        let vd = tf.to_virtual(dst.x, dst.y);
+        let tile = tiling.tile_containing(vp.into());
+        let strip = |vy: u32| (vy as i64 - tile.y0) as u32 / d;
+        if tile.contains(vd.into()) && strip(vp.1) + 3 <= strip(vd.1) {
+            tile_pkts.push((tile.x0, tile.y0, p));
         }
     }
+    tile_pkts.sort_unstable();
 
     let mut dur = PhaseDurations::default();
-    let mut keys: Vec<(i64, i64)> = groups.keys().copied().collect();
-    keys.sort_unstable(); // determinism
-    for key in keys {
-        let pkts = &groups[&key];
-        let tile = Rect::new(
-            key.0,
-            key.1,
-            key.0 + t_side as i64 - 1,
-            key.1 + t_side as i64 - 1,
-        );
-        let mut sim = TilePhase::new(st, tf, tile, d, q, n);
-        // Active: at least 3 strips south of the destination strip, at the
-        // beginning of the phase.
-        let actives: Vec<u32> = pkts
-            .iter()
-            .copied()
-            .filter(|&p| {
-                let pi = p as usize;
-                let vp = tf.to_virtual(st.pos[pi].x, st.pos[pi].y);
-                let vd = tf.to_virtual(st.dst[pi].x, st.dst[pi].y);
-                sim.strip_of(vp.1) + 3 <= sim.strip_of(vd.1)
-            })
-            .collect();
-        if actives.is_empty() {
-            continue;
-        }
-        dur.march = dur.march.max(sim.march(st, &actives));
-        dur.ss_even = dur.ss_even.max(sim.sort_smooth(st, &actives, 0));
-        dur.ss_odd = dur.ss_odd.max(sim.sort_smooth(st, &actives, 1));
+    for actives in tile_pkts.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (x0, y0, _) = actives[0];
+        let tile = Rect::new(x0, y0, x0 + t_side as i64 - 1, y0 + t_side as i64 - 1);
+        let (tf, n) = (*tf, st.n);
+        let sim = TilePhase { tf, tile, d, q, n };
+        let pkts = || actives.iter().map(|a| a.2);
+        // How many strips south of its destination strip every active sits.
+        let all_short_by =
+            |st: &S6State, k| pkts().all(|p| sim.dst_strip(st, p) == sim.pos_strip(st, p) + k);
+        sc.buckets.fill(st, pkts());
+        dur.march = dur.march.max(sim.march(st, sc, actives));
+        debug_assert!(all_short_by(st, 3), "the March ends in strip i−3");
+        // Sort and Smooth takes every active out of the index as it enters
+        // strip i−2, so a strip i−3 bucket never mixes destination strips.
+        dur.ss_even = dur.ss_even.max(sim.sort_smooth(st, sc, actives, 0));
+        dur.ss_odd = dur.ss_odd.max(sim.sort_smooth(st, sc, actives, 1));
+        debug_assert!(all_short_by(st, 2), "Sort and Smooth ends in strip i−2");
+        debug_assert!(pkts().all(|p| sc.buckets.is_empty(st.node_of(p))));
+        sc.buckets.fill(st, pkts());
         if check_lemma16 {
-            sim.check_lemma16(st, &actives);
+            sim.check_lemma16(st, &sc.buckets);
         }
-        dur.balance = dur.balance.max(sim.balance(st, &actives));
+        dur.balance = dur.balance.max(sim.balance(st, sc, actives));
+        sc.buckets.clear(st, pkts());
     }
+    sc.tile_pkts = tile_pkts;
 
     // Lemmas 29–31: actual durations never exceed the scheduled ones.
     let sched = scheduled_durations(d as u64, q as u64, t_side as u64);
-    assert!(
-        dur.march <= sched.march,
-        "Lemma 29 violated: {} > {}",
-        dur.march,
-        sched.march
-    );
-    assert!(
-        dur.ss_even <= sched.ss_even && dur.ss_odd <= sched.ss_odd,
-        "Lemma 30 violated"
-    );
-    assert!(
-        dur.balance <= sched.balance,
-        "Lemma 31 violated: {} > {}",
-        dur.balance,
-        sched.balance
-    );
+    for (lemma, took, bound) in [
+        (29, dur.march, sched.march),
+        (30, dur.ss_even, sched.ss_even),
+        (30, dur.ss_odd, sched.ss_odd),
+        (31, dur.balance, sched.balance),
+    ] {
+        assert!(took <= bound, "Lemma {lemma} violated: {took} > {bound}");
+    }
     dur
 }
 
@@ -142,16 +127,6 @@ struct TilePhase {
 }
 
 impl TilePhase {
-    fn new(_st: &S6State, tf: &Transform, tile: Rect, d: u32, q: u32, n: u32) -> TilePhase {
-        TilePhase {
-            tf: *tf,
-            tile,
-            d,
-            q,
-            n,
-        }
-    }
-
     /// Strip number (1..=27) of a virtual row.
     #[inline]
     fn strip_of(&self, vy: u32) -> u32 {
@@ -171,25 +146,34 @@ impl TilePhase {
         self.tf.to_virtual(c.x, c.y)
     }
 
-    /// Moves packet `p` one step north in virtual space.
-    #[inline]
-    fn move_north(&self, st: &mut S6State, p: u32) {
-        let (vx, vy) = self.vpos(st, p);
-        let (rx, ry) = self.tf.to_real((vx, vy + 1));
-        let delivered = st.move_packet(p as usize, Coord::new(rx, ry));
-        debug_assert!(
-            !delivered,
-            "phase moves never deliver (destinations are ≥ d+1 away)"
-        );
+    fn pos_strip(&self, st: &S6State, p: u32) -> u32 {
+        self.strip_of(self.vpos(st, p).1)
     }
 
-    /// Moves packet `p` one step east in virtual space.
-    #[inline]
-    fn move_east(&self, st: &mut S6State, p: u32) {
+    fn dst_strip(&self, st: &S6State, p: u32) -> u32 {
+        self.strip_of(self.vdst(st, p).1)
+    }
+
+    /// Real node index of a virtual position.
+    fn node(&self, vx: u32, vy: u32) -> usize {
+        let (rx, ry) = self.tf.to_real((vx, vy));
+        (ry * self.n + rx) as usize
+    }
+
+    /// Moves packet `p` one step north (`(0, 1)`) or east (`(1, 0)`) in
+    /// virtual space.
+    fn hop(&self, st: &mut S6State, p: u32, (dx, dy): (u32, u32)) {
         let (vx, vy) = self.vpos(st, p);
-        let (rx, ry) = self.tf.to_real((vx + 1, vy));
+        let (rx, ry) = self.tf.to_real((vx + dx, vy + dy));
         let delivered = st.move_packet(p as usize, Coord::new(rx, ry));
-        debug_assert!(!delivered, "balancing never delivers");
+        debug_assert!(!delivered, "destinations stay ≥ d+1 rows away");
+    }
+
+    /// The packet at `node` with the farthest east to go from column `vx`;
+    /// ties to the lowest index.
+    fn farthest_east(&self, st: &S6State, buckets: &Buckets, node: usize, vx: u32) -> u32 {
+        let key = |&p: &u32| (self.vdst(st, p).0 - vx, Reverse(p));
+        buckets.iter(node).max_by_key(key).expect("occupied node")
     }
 
     /// Stage 2 — the March: every active packet moves north, via column
@@ -197,165 +181,110 @@ impl TilePhase {
     /// A node in strip `i−3` refuses dst-strip-`i` packets once it holds `q`
     /// of them; nodes prefer forwarding the packet received from the south
     /// on the previous step (the Lemma 29 priority).
-    fn march(&mut self, st: &mut S6State, actives: &[u32]) -> u64 {
-        // Group actives by virtual column.
-        let mut by_col: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &p in actives {
-            by_col.entry(self.vpos(st, p).0).or_default().push(p);
-        }
-        let t = self.tile.width() as usize;
-        // Reusable per-column buffers, indexed by local row.
-        let mut pools: Vec<Vec<u32>> = (0..t).map(|_| Vec::new()).collect();
-        let mut stop_cnt: Vec<u32> = vec![0; t];
-        let mut from_south: Vec<(u32, u64)> = vec![(u32::MAX, 0); t];
+    fn march(&self, st: &mut S6State, sc: &mut Scratch, actives: &[TilePkt]) -> u64 {
+        // Columns ascending; within a column, packets ascending.
+        sc.keys.clear();
+        sc.keys
+            .extend(actives.iter().map(|a| (self.vpos(st, a.2).0, a.2)));
+        sc.keys.sort_unstable();
+        let rows = self.tile.y0.max(0) as usize..(self.tile.y1 + 1).min(self.n as i64) as usize;
         let mut max_steps = 0u64;
 
-        let mut cols: Vec<u32> = by_col.keys().copied().collect();
-        cols.sort_unstable();
-        for col in cols {
-            let pkts = &by_col[&col];
-            let mut touched: Vec<usize> = Vec::new();
-            let mut work: Vec<usize> = Vec::new();
-            let mut in_work = vec![false; t];
-            for &p in pkts {
-                let ly = (self.vpos(st, p).1 as i64 - self.tile.y0) as usize;
-                if pools[ly].is_empty() {
-                    touched.push(ly);
-                }
-                pools[ly].push(p);
+        for pkts in sc.keys.chunk_by(|a, b| a.0 == b.0) {
+            let col = pkts[0].0;
+            sc.work.clear();
+            for &(_, p) in pkts {
+                let vy = self.vpos(st, p).1;
                 // Initial stop counts: packets already settled in strip i-3.
-                if self.strip_of(self.vpos(st, p).1) + 3 == self.strip_of(self.vdst(st, p).1) {
-                    stop_cnt[ly] += 1;
+                if self.strip_of(vy) + 3 == self.dst_strip(st, p) {
+                    sc.stop_cnt[vy as usize] += 1;
                 }
-                if !in_work[ly] {
-                    in_work[ly] = true;
-                    work.push(ly);
+                if !sc.in_work[vy as usize] {
+                    sc.in_work[vy as usize] = true;
+                    sc.work.push((col, vy));
                 }
             }
 
             let mut steps = 0u64;
-            let mut moves: Vec<(usize, u32)> = Vec::new(); // (from_ly, pkt)
             loop {
-                moves.clear();
-                let mut next_work: Vec<usize> = Vec::new();
-                #[allow(clippy::needless_range_loop)]
-                for wi in 0..work.len() {
-                    let ly = work[wi];
-                    in_work[ly] = false;
-                    // Pick the packet to send north from this node.
-                    let pref = {
-                        let (p, s) = from_south[ly];
-                        (s == steps).then_some(p)
-                    };
-                    let mut chosen: Option<u32> = None;
-                    for &p in &pools[ly] {
-                        if !self.march_eligible(st, p, ly, &stop_cnt) {
-                            continue;
-                        }
-                        if Some(p) == pref {
-                            chosen = Some(p);
-                            break;
-                        }
-                        if chosen.is_none_or(|c| Some(c) != pref && p < c) {
-                            chosen = Some(p);
-                        }
-                    }
+                sc.moves.clear();
+                sc.next_work.clear();
+                for &(_, vy) in &sc.work {
+                    sc.in_work[vy as usize] = false;
+                    // Pick the packet to send north from this node: the one
+                    // that arrived from the south this step if it may move,
+                    // else the lowest index that may.
+                    let (from_south, arrived) = sc.from_south[vy as usize];
+                    let chosen = sc
+                        .buckets
+                        .iter(self.node(col, vy))
+                        .filter(|&p| self.march_eligible(st, p, &sc.stop_cnt))
+                        .min_by_key(|&p| (arrived != steps || p != from_south, p));
                     if let Some(p) = chosen {
-                        moves.push((ly, p));
+                        sc.moves.push(p);
                         // Node may still have eligible packets next step.
-                        if !in_work[ly] {
-                            in_work[ly] = true;
-                            next_work.push(ly);
-                        }
+                        sc.in_work[vy as usize] = true;
+                        sc.next_work.push((col, vy));
                     }
                     // Nodes with no eligible packet leave the worklist; they
                     // re-enter only when they receive a packet (a node's
                     // blocking conditions never relax otherwise: stop counts
                     // only grow).
                 }
-                if moves.is_empty() {
-                    work = next_work; // empty
+                if sc.moves.is_empty() {
                     break;
                 }
-                for &(ly, p) in &moves {
-                    let pool = &mut pools[ly];
-                    let ix = pool.iter().position(|&x| x == p).unwrap();
-                    pool.swap_remove(ix);
-                    let i_dst = self.strip_of(self.vdst(st, p).1);
-                    if self.strip_of(self.vpos(st, p).1) + 3 == i_dst {
+                for &p in &sc.moves {
+                    let vy = self.vpos(st, p).1;
+                    let i_dst = self.dst_strip(st, p);
+                    if self.strip_of(vy) + 3 == i_dst {
                         // A settled packet moving further north within strip
                         // i−3 frees a slot: wake the southern neighbor, whose
-                        // packets may have been blocked on this node's count.
-                        stop_cnt[ly] -= 1;
-                        if ly > 0 && !in_work[ly - 1] && !pools[ly - 1].is_empty() {
-                            in_work[ly - 1] = true;
-                            next_work.push(ly - 1);
+                        // packets may have been blocked on this node's count
+                        // (a row outside the tile has an empty bucket).
+                        sc.stop_cnt[vy as usize] -= 1;
+                        if vy > 0
+                            && !sc.in_work[vy as usize - 1]
+                            && !sc.buckets.is_empty(self.node(col, vy - 1))
+                        {
+                            sc.in_work[vy as usize - 1] = true;
+                            sc.next_work.push((col, vy - 1));
                         }
                     }
-                    self.move_north(st, p);
-                    let nly = ly + 1;
-                    if pools[nly].is_empty() {
-                        touched.push(nly);
+                    sc.buckets.remove(st.node_of(p), p);
+                    self.hop(st, p, (0, 1));
+                    sc.buckets.push(st.node_of(p), p);
+                    let nvy = vy + 1;
+                    if self.strip_of(nvy) + 3 == i_dst {
+                        sc.stop_cnt[nvy as usize] += 1;
                     }
-                    pools[nly].push(p);
-                    if self.strip_of(self.vpos(st, p).1) + 3 == i_dst {
-                        stop_cnt[nly] += 1;
-                    }
-                    from_south[nly] = (p, steps + 1);
-                    if !in_work[nly] {
-                        in_work[nly] = true;
-                        next_work.push(nly);
+                    sc.from_south[nvy as usize] = (p, steps + 1);
+                    if !sc.in_work[nvy as usize] {
+                        sc.in_work[nvy as usize] = true;
+                        sc.next_work.push((col, nvy));
                     }
                 }
-                work = next_work;
+                std::mem::swap(&mut sc.work, &mut sc.next_work);
                 steps += 1;
             }
-
-            // Post-condition: every active of this column sits in strip i−3.
-            #[cfg(debug_assertions)]
-            for &p in pkts {
-                let s = self.strip_of(self.vpos(st, p).1);
-                let i = self.strip_of(self.vdst(st, p).1);
-                debug_assert_eq!(
-                    s + 3,
-                    i,
-                    "March left packet {p} in strip {s}, dst strip {i}"
-                );
-            }
-
             max_steps = max_steps.max(steps);
-            // Reset buffers for the next column.
-            for &ly in &touched {
-                pools[ly].clear();
-                stop_cnt[ly] = 0;
-                from_south[ly] = (u32::MAX, 0);
-            }
+            // Reset the per-row buffers for the next column.
+            sc.stop_cnt[rows.clone()].fill(0);
+            sc.from_south[rows.clone()].fill((NIL, 0));
         }
         max_steps
     }
 
-    /// Whether packet `p`, at local row `ly` of its column, may move north
-    /// this step.
+    /// Whether packet `p` may move north this step, given the per-row stop
+    /// counts of its column: freely while the row above (which exists, the
+    /// destination strip being on-grid) is south of strip `i−3`, under the
+    /// `q` bound when it is in strip `i−3`, and never into strip `i−2`.
     #[inline]
-    fn march_eligible(&self, st: &S6State, p: u32, ly: usize, stop_cnt: &[u32]) -> bool {
-        let vy = self.vpos(st, p).1;
-        let s = self.strip_of(vy);
-        let i = self.strip_of(self.vdst(st, p).1);
-        if s + 3 > i {
-            return false; // already in (or past) strip i−3: settled
-        }
-        // The destination strip is on-grid, so the row above exists.
-        let above = vy + 1;
+    fn march_eligible(&self, st: &S6State, p: u32, stop_cnt: &[u32]) -> bool {
+        let above = self.vpos(st, p).1 + 1;
         debug_assert!(above < self.n);
-        let ts = self.strip_of(above);
-        if ts + 3 < i {
-            true // passing through, south of strip i−3
-        } else if ts + 3 == i {
-            // Entering / moving within strip i−3: subject to the q bound.
-            stop_cnt[ly + 1] < self.q
-        } else {
-            false // would enter strip i−2: the March stops at i−3
-        }
+        let (ts, i) = (self.strip_of(above), self.dst_strip(st, p));
+        ts + 3 < i || (ts + 3 == i && stop_cnt[above as usize] < self.q)
     }
 
     /// Stage 3 — Sort and Smooth, for destination strips of the given
@@ -363,67 +292,57 @@ impl TilePhase {
     /// strip `i−3` to strip `i−2`, streamed in decreasing order of
     /// horizontal distance-to-go; the `t`-th node from the strip's north end
     /// holds every `t`-th packet it receives.
-    fn sort_smooth(&mut self, st: &mut S6State, actives: &[u32], parity: u32) -> u64 {
-        // Group by (column, destination strip).
-        let mut by_ci: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for &p in actives {
-            let i = self.strip_of(self.vdst(st, p).1);
-            if i % 2 != parity {
-                continue;
+    fn sort_smooth(
+        &self,
+        st: &mut S6State,
+        sc: &mut Scratch,
+        actives: &[TilePkt],
+        parity: u32,
+    ) -> u64 {
+        // Groups (column, destination strip), ascending.
+        sc.keys.clear();
+        for &(_, _, p) in actives {
+            let i = self.dst_strip(st, p);
+            if i % 2 == parity {
+                sc.keys.push((self.vpos(st, p).0, i));
             }
-            by_ci.entry((self.vpos(st, p).0, i)).or_default().push(p);
         }
-        let mut keys: Vec<(u32, u32)> = by_ci.keys().copied().collect();
-        keys.sort_unstable();
+        sc.keys.sort_unstable();
+        sc.keys.dedup();
         let d = self.d as usize;
+        let (received, passing) = (&mut sc.received[..d], &mut sc.passing[..d]);
         let mut max_steps = 0u64;
-        for key in keys {
-            let (_, i) = key;
-            let group = &by_ci[&key];
+        for &(col, i) in &sc.keys {
             // Local rows 0..d = strip i−3 (south→north), d..2d = strip i−2.
-            let base = self.tile.y0 + ((i - 3 - 1) * self.d) as i64;
-            let lrow = |vy: u32| (vy as i64 - base) as usize;
-            let mut pools: Vec<Vec<u32>> = vec![Vec::new(); d]; // strip i−3
-            for &p in group {
-                let r = lrow(self.vpos(st, p).1);
-                debug_assert!(r < d, "packet not in strip i-3 after March");
-                pools[r].push(p);
-            }
-            // Strip i−2 state: received counters and at most one passing
-            // packet per node.
-            let mut received = vec![0u64; d];
-            let mut passing: Vec<Option<u32>> = vec![None; d];
+            // After the March the strip i−3 buckets of this column hold
+            // exactly the group; strip i−2 is tracked by received counters
+            // and at most one passing packet per node.
+            let base = (self.tile.y0 + ((i - 3 - 1) * self.d) as i64) as u32;
+            received.fill(0);
+            passing.fill(None);
             let mut steps = 0u64;
             loop {
                 // Decisions from pre-step state.
-                let mut sends: Vec<(usize, u32)> = Vec::new(); // strip i−3 source row, pkt
-                for (r, pool) in pools.iter().enumerate() {
-                    // Node r is (r+1)-th from the southernmost: transmits on
-                    // steps >= r+1 (1-based), i.e. step index >= r.
-                    if steps < r as u64 || pool.is_empty() {
+                sc.moves.clear();
+                let mut left_below = false;
+                for r in 0..d {
+                    let node = self.node(col, base + r as u32);
+                    if sc.buckets.is_empty(node) {
                         continue;
                     }
-                    // Farthest east to go; ties to the lowest index.
-                    let p = *pool
-                        .iter()
-                        .max_by_key(|&&p| {
-                            let (vx, _) = self.vpos(st, p);
-                            (self.vdst(st, p).0 - vx, std::cmp::Reverse(p))
-                        })
-                        .unwrap();
-                    sends.push((r, p));
-                }
-                let mut forwards: Vec<usize> = Vec::new(); // strip i−2 rows with passing pkt
-                for (r, slot) in passing.iter().enumerate() {
-                    if slot.is_some() {
-                        forwards.push(r);
+                    left_below = true;
+                    // Node r is (r+1)-th from the southernmost: transmits on
+                    // steps >= r+1 (1-based), i.e. step index >= r.
+                    if steps >= r as u64 {
+                        let p = self.farthest_east(st, &sc.buckets, node, col);
+                        sc.moves.push(p);
                     }
                 }
-                if sends.is_empty() && forwards.is_empty() {
+                if sc.moves.is_empty() && passing.iter().all(Option::is_none) {
                     // Finished only once everything is held in strip i−2:
                     // nodes deeper in strip i−3 start sending at later steps,
                     // so an idle step is not yet quiescence.
-                    if pools.iter().all(Vec::is_empty) {
+                    if !left_below {
                         break;
                     }
                     steps += 1;
@@ -433,27 +352,25 @@ impl TilePhase {
                     );
                     continue;
                 }
-                // Apply strip i−2 forwards first (they move into rows above).
-                for &r in forwards.iter().rev() {
-                    let p = passing[r].take().unwrap();
-                    self.move_north(st, p);
+                // Apply strip i−2 forwards first, north to south (they move
+                // into rows above, which have already been vacated).
+                for r in (0..d).rev() {
+                    let Some(p) = passing[r].take() else { continue };
+                    self.hop(st, p, (0, 1));
                     let nr = r + 1;
                     debug_assert!(nr < d, "packet passed the top of strip i-2");
                     received[nr] += 1;
                     // Node nr is (d - nr)-th from the northernmost.
-                    let t_from_north = (d - nr) as u64;
-                    if !received[nr].is_multiple_of(t_from_north) {
+                    if !received[nr].is_multiple_of((d - nr) as u64) {
                         passing[nr] = Some(p);
                     }
                 }
-                // Apply strip i−3 sends.
-                for &(r, p) in &sends {
-                    let pool = &mut pools[r];
-                    let ix = pool.iter().position(|&x| x == p).unwrap();
-                    pool.swap_remove(ix);
-                    self.move_north(st, p);
-                    if r + 1 < d {
-                        pools[r + 1].push(p);
+                // Apply strip i−3 sends, by ascending row.
+                for &p in &sc.moves {
+                    sc.buckets.remove(st.node_of(p), p);
+                    self.hop(st, p, (0, 1));
+                    if self.pos_strip(st, p) == i - 3 {
+                        sc.buckets.push(st.node_of(p), p);
                     } else {
                         // Crossed into the bottom node of strip i−2, which is
                         // d-th from the northernmost.
@@ -465,65 +382,49 @@ impl TilePhase {
                 }
                 steps += 1;
             }
-            // Post-condition: every group packet now sits in strip i−2.
-            #[cfg(debug_assertions)]
-            for &p in group {
-                let s = self.strip_of(self.vpos(st, p).1);
-                debug_assert_eq!(s, i - 2, "Sort&Smooth left packet {p} in strip {s}");
-            }
             max_steps = max_steps.max(steps);
         }
         max_steps
     }
 
+    /// Whether the 2-rule fires at a node: it holds more than two actives.
+    fn overloaded(&self, buckets: &Buckets, (vx, vy): (u32, u32)) -> bool {
+        buckets.iter(self.node(vx, vy)).nth(2).is_some()
+    }
+
     /// Stage 4 — Balancing via the 2-rule: any node holding more than two
     /// active packets sends east the one with the farthest east to go.
-    fn balance(&mut self, st: &mut S6State, actives: &[u32]) -> u64 {
-        let mut at: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for &p in actives {
-            at.entry(self.vpos(st, p)).or_default().push(p);
-        }
-        let mut work: Vec<(u32, u32)> = at
-            .iter()
-            .filter(|(_, v)| v.len() > 2)
-            .map(|(&k, _)| k)
-            .collect();
-        work.sort_unstable();
+    fn balance(&self, st: &mut S6State, sc: &mut Scratch, actives: &[TilePkt]) -> u64 {
+        sc.work.clear();
+        let at = actives.iter().map(|a| self.vpos(st, a.2));
+        sc.work
+            .extend(at.filter(|&v| self.overloaded(&sc.buckets, v)));
+        sc.work.sort_unstable();
+        sc.work.dedup();
         let mut steps = 0u64;
-        while !work.is_empty() {
+        while !sc.work.is_empty() {
             // Choose moves from pre-step state.
-            let mut moves: Vec<((u32, u32), u32)> = Vec::new();
-            for &node in &work {
-                let pool = &at[&node];
-                debug_assert!(pool.len() > 2);
-                let p = *pool
-                    .iter()
-                    .max_by_key(|&&p| (self.vdst(st, p).0 - node.0, std::cmp::Reverse(p)))
-                    .unwrap();
+            sc.moves.clear();
+            for &(vx, vy) in &sc.work {
+                let p = self.farthest_east(st, &sc.buckets, self.node(vx, vy), vx);
                 // Lemma 17 guarantees an overloaded node holds a packet with
                 // east still to go.
-                debug_assert!(self.vdst(st, p).0 > node.0, "2-rule would overshoot");
-                moves.push((node, p));
+                debug_assert!(self.vdst(st, p).0 > vx, "2-rule would overshoot");
+                sc.moves.push(p);
             }
-            let mut dirty: Vec<(u32, u32)> = Vec::new();
-            for &(node, p) in &moves {
-                let pool = at.get_mut(&node).unwrap();
-                let ix = pool.iter().position(|&x| x == p).unwrap();
-                pool.swap_remove(ix);
-                self.move_east(st, p);
-                let to = (node.0 + 1, node.1);
-                at.entry(to).or_default().push(p);
-                dirty.push(node);
-                dirty.push(to);
+            // Only a step's sources and targets can be overloaded after it.
+            sc.next_work.clear();
+            for &p in &sc.moves {
+                let (vx, vy) = self.vpos(st, p);
+                sc.buckets.remove(st.node_of(p), p);
+                self.hop(st, p, (1, 0));
+                sc.buckets.push(st.node_of(p), p);
+                sc.next_work.extend([(vx, vy), (vx + 1, vy)]);
             }
-            dirty.sort_unstable();
-            dirty.dedup();
-            work = dirty
-                .into_iter()
-                .filter(|k| at.get(k).is_some_and(|v| v.len() > 2))
-                .collect();
-            // Also retain previously overloaded nodes that stayed overloaded.
-            // (They were sources this step; covered by `dirty`.)
+            sc.next_work.sort_unstable();
+            sc.next_work.dedup();
+            sc.next_work.retain(|&v| self.overloaded(&sc.buckets, v));
+            std::mem::swap(&mut sc.work, &mut sc.next_work);
             steps += 1;
         }
         steps
@@ -532,21 +433,19 @@ impl TilePhase {
     /// Lemma 16 check: immediately after Sort and Smooth, for any column `c`,
     /// row `r`, and `s ≥ 1`, at most `2s` active packets with destination
     /// column ≤ `c` occupy the `s` nodes of `r` at columns `c−s+1..=c`.
-    fn check_lemma16(&self, st: &S6State, actives: &[u32]) {
-        let mut rows: HashMap<u32, Vec<(u32, u32)>> = HashMap::new(); // vy -> (vx, dstx)
-        for &p in actives {
-            let (vx, vy) = self.vpos(st, p);
-            rows.entry(vy).or_default().push((vx, self.vdst(st, p).0));
-        }
-        for (vy, pkts) in rows {
-            let x0 = self.tile.x0.max(0) as u32;
-            let x1 = (self.tile.x1.min(self.n as i64 - 1)) as u32;
+    fn check_lemma16(&self, st: &S6State, buckets: &Buckets) {
+        let clip = |lo: i64, hi: i64| lo.max(0) as u32..=hi.min(self.n as i64 - 1) as u32;
+        for vy in clip(self.tile.y0, self.tile.y1) {
+            let (x0, x1) = clip(self.tile.x0, self.tile.x1).into_inner();
             for c in x0..=x1 {
                 let mut count = 0u64;
                 let mut s = 0u64;
                 for x in (x0..=c).rev() {
                     s += 1;
-                    count += pkts.iter().filter(|&&(px, dx)| px == x && dx <= c).count() as u64;
+                    count += buckets
+                        .iter(self.node(x, vy))
+                        .filter(|&p| self.vdst(st, p).0 <= c)
+                        .count() as u64;
                     assert!(
                         count <= 2 * s,
                         "Lemma 16 violated at row {vy}, col {c}, s={s}: {count} packets"

@@ -16,7 +16,10 @@ pub struct S6State {
     pub delivered: Vec<bool>,
     /// Packets per real node (all classes), for the queue-bound metric.
     pub load: Vec<u16>,
-    /// Highest load any node ever reached.
+    /// Highest load any node ever reached. Updated inside
+    /// [`move_packet`](Self::move_packet), so it includes intra-step
+    /// transients (a node that receives before it sends within one step):
+    /// an upper bound on the step-boundary load Lemma 28 speaks of.
     pub max_load: u16,
     /// Total link traversals.
     pub moves: u64,
@@ -57,11 +60,32 @@ impl S6State {
         (c.y * self.n + c.x) as usize
     }
 
+    /// Index of the node packet `p` currently sits at.
+    #[inline]
+    pub fn node_of(&self, p: u32) -> usize {
+        self.node_index(self.pos[p as usize])
+    }
+
+    /// The undelivered packets among `pkts`, each with its position and
+    /// destination.
+    pub fn live<'a>(&'a self, pkts: &'a [u32]) -> impl Iterator<Item = (u32, Coord, Coord)> + 'a {
+        let undelivered = pkts.iter().filter(|&&p| !self.delivered[p as usize]);
+        undelivered.map(|&p| (p, self.pos[p as usize], self.dst[p as usize]))
+    }
+
     /// Moves packet `p` to the adjacent node `to`. Panics (debug) if the
     /// move is not a single grid hop or moves the packet away from its
     /// destination — §6 is minimal adaptive (Theorem 20), so any violation
     /// is an implementation bug. Delivers the packet if `to` is its
     /// destination. Returns `true` on delivery.
+    ///
+    /// Because `max_load` is sampled here, mid-step, the reported figure
+    /// depends on the order a step's moves are applied in. The stages fix
+    /// it: March in worklist push order; Sort and Smooth strip `i−2`
+    /// forwards north to south, then strip `i−3` sends by ascending row;
+    /// Balancing by ascending virtual `(x, y)`; the base case by ascending
+    /// `Coord`; tiles by ascending origin, columns and `(column, strip)`
+    /// groups ascending.
     pub fn move_packet(&mut self, p: usize, to: Coord) -> bool {
         let from = self.pos[p];
         debug_assert!(!self.delivered[p], "moving a delivered packet");

@@ -89,8 +89,8 @@ fn section6_reports_match_golden_fixture() {
             report: router.route(&pb),
         })
         .collect();
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/golden_section6.json");
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden_section6.json");
     let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
     if std::env::var_os("GOLDEN_RECORD").is_some() {
         std::fs::write(&path, &rendered).expect("write fixture");
