@@ -1,8 +1,10 @@
 //! Golden-run regression fixtures: the engine's observable behavior is
 //! frozen across refactors.
 //!
-//! Four scenarios on a 16×16 mesh — a partial permutation, a transpose, one
-//! faulty run, and one reliable-transport run — each recorded as a JSON
+//! Scenarios on a 16×16 mesh — a partial permutation and a transpose under
+//! Theorem 15, the same two under hot-potato, alt-adaptive, farthest-first
+//! and bounded-deflect, two faulty runs, and one reliable-transport run —
+//! plus a dense 64×64 permutation, each recorded as a JSON
 //! fixture holding the final [`SimReport`] plus the *complete* per-step
 //! delivery/loss event streams. The test regenerates each scenario and
 //! asserts the serialized document is **byte-identical** to the committed
@@ -22,6 +24,7 @@
 //! ```
 
 use mesh_routing::prelude::*;
+use mesh_routing::routers::{alt_adaptive, hot_potato, BoundedDeflect};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -297,6 +300,88 @@ fn golden_faulty() {
         let (outcome, events) = step_and_record(&mut sim, 5_000);
         GoldenDoc {
             scenario: "faulty".into(),
+            outcome,
+            report: sim.report(),
+            events,
+        }
+    });
+}
+
+/// The routers beyond dim-order/Theorem 15, each frozen on the two n = 16
+/// workloads the first fixtures use: a random partial permutation and the
+/// transpose. Their policies read packet state words, sources, ids and (for
+/// farthest-first) destinations, so these records pin every tie-break a
+/// policy rewrite could perturb. Bounded central queues may wedge a run;
+/// the step budget then records it as `capped`, which is just as frozen.
+fn check_router_on_both_workloads<R: Router>(name: &str, mk: impl Fn() -> R) {
+    let workloads = [
+        (
+            "partial_perm",
+            workloads::random_partial_permutation(16, 0.5, 2024),
+        ),
+        ("transpose", workloads::transpose(16)),
+    ];
+    for (workload, pb) in workloads {
+        check_sequential_and_tiled(|config| {
+            let topo = Mesh::new(16);
+            let mut sim = Sim::with_config(&topo, mk(), &pb, config);
+            let (outcome, events) = step_and_record(&mut sim, 5_000);
+            GoldenDoc {
+                scenario: format!("{name}_{workload}"),
+                outcome,
+                report: sim.report(),
+                events,
+            }
+        });
+    }
+}
+
+#[test]
+fn golden_hot_potato() {
+    check_router_on_both_workloads("hot_potato", || hot_potato(16));
+}
+
+#[test]
+fn golden_alt_adaptive() {
+    check_router_on_both_workloads("alt_adaptive", || alt_adaptive(2));
+}
+
+#[test]
+fn golden_farthest_first() {
+    check_router_on_both_workloads("farthest_first", || FarthestFirst::new(2));
+}
+
+#[test]
+fn golden_bounded_deflect() {
+    check_router_on_both_workloads("bounded_deflect", || {
+        Dx::new(BoundedDeflect::new(16, 2, 1))
+    });
+}
+
+/// `golden_faulty`'s fault plan under a router whose policies read packet
+/// state: the wrapper's masking reaches the outqueue, inqueue *and*
+/// end-of-step policies, and its capacity guard runs on a non-empty table.
+#[test]
+fn golden_faulty_alt_adaptive() {
+    check_sequential_and_tiled(|config| {
+        let n = 16;
+        let topo = Mesh::new(n);
+        let pb = workloads::random_partial_permutation(n, 0.5, 2024);
+        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
+        let config = SimConfig {
+            watchdog: Some(8 * n as u64),
+            ..config
+        };
+        let mut sim = Sim::with_faults(
+            &topo,
+            FaultAware::new(alt_adaptive(4), Arc::clone(&faults)),
+            &pb,
+            config,
+            faults.as_ref().clone(),
+        );
+        let (outcome, events) = step_and_record(&mut sim, 5_000);
+        GoldenDoc {
+            scenario: "faulty_alt_adaptive".into(),
             outcome,
             report: sim.report(),
             events,
