@@ -6,7 +6,7 @@
 use crate::hook::HookCtx;
 use crate::router::Router;
 use crate::sim::{Loc, Sim, SimConfig, SimError};
-use crate::view::Arrival;
+use crate::view::{DxArrivals, DxResidents, PackedArrival, PackedView};
 use mesh_topo::{Coord, Dir, Topology};
 use mesh_traffic::PacketId;
 
@@ -14,7 +14,6 @@ mod tests {
     use super::*;
     use crate::queue::QueueArch;
     use crate::router::{Dx, DxRouter};
-    use crate::view::DxView;
     use mesh_topo::Mesh;
     use mesh_traffic::RoutingProblem;
 
@@ -41,15 +40,15 @@ mod tests {
             _step: u64,
             _node: Coord,
             _state: &mut (),
-            pkts: &[DxView],
+            pkts: &[PackedView],
+            _cold: &DxResidents<'_>,
             out: &mut [Option<usize>; 4],
         ) {
-            // Oldest packet first; each packet takes its first profitable
-            // direction whose outlink is still free.
-            let mut order: Vec<usize> = (0..pkts.len()).collect();
-            order.sort_by_key(|&i| pkts[i].pos);
-            for i in order {
-                if let Some(d) = pkts[i].profitable.iter().find(|d| out[d.index()].is_none()) {
+            // Oldest packet first (a central queue is offered in that
+            // order); each packet takes its first profitable direction
+            // whose outlink is still free.
+            for (i, p) in pkts.iter().enumerate() {
+                if let Some(d) = p.profitable().iter().find(|d| out[d.index()].is_none()) {
                     out[d.index()] = Some(i);
                 }
             }
@@ -60,17 +59,13 @@ mod tests {
             _step: u64,
             _node: Coord,
             _state: &mut (),
-            residents: &[DxView],
-            arrivals: &[Arrival<DxView>],
+            queue_lens: &[u32],
+            _arrivals: &[PackedArrival],
+            _cold: &DxArrivals<'_>,
             accept: &mut [bool],
         ) {
-            let mut room = (self.k as usize).saturating_sub(residents.len());
-            for (i, _a) in arrivals.iter().enumerate() {
-                if room > 0 {
-                    accept[i] = true;
-                    room -= 1;
-                }
-            }
+            let room = self.k.saturating_sub(queue_lens[0]) as usize;
+            accept.iter_mut().take(room).for_each(|a| *a = true);
         }
     }
 
@@ -251,11 +246,12 @@ mod tests {
                 _s: u64,
                 _n: Coord,
                 _st: &mut (),
-                pkts: &[DxView],
+                pkts: &[PackedView],
+                _c: &DxResidents<'_>,
                 out: &mut [Option<usize>; 4],
             ) {
                 for (i, p) in pkts.iter().enumerate() {
-                    if let Some(d) = p.profitable.iter().find(|d| out[d.index()].is_none()) {
+                    if let Some(d) = p.profitable().iter().find(|d| out[d.index()].is_none()) {
                         out[d.index()] = Some(i);
                     }
                 }
@@ -265,8 +261,9 @@ mod tests {
                 _s: u64,
                 _n: Coord,
                 _st: &mut (),
-                _r: &[DxView],
-                _a: &[Arrival<DxView>],
+                _l: &[u32],
+                _a: &[PackedArrival],
+                _c: &DxArrivals<'_>,
                 accept: &mut [bool],
             ) {
                 accept.iter_mut().for_each(|f| *f = true);
@@ -726,7 +723,6 @@ mod chaos_tests {
     use super::*;
     use crate::queue::QueueArch;
     use crate::router::{Dx, DxRouter};
-    use crate::view::DxView;
     use mesh_topo::{Mesh, ALL_DIRS};
     use mesh_traffic::workloads;
 
@@ -759,23 +755,29 @@ mod chaos_tests {
             step: u64,
             node: Coord,
             state: &mut u64,
-            pkts: &[DxView],
+            pkts: &[PackedView],
+            cold: &DxResidents<'_>,
             out: &mut [Option<usize>; 4],
         ) {
             *state = hash(*state ^ step);
             for (i, p) in pkts.iter().enumerate() {
-                let dirs: Vec<_> = p.profitable.iter().collect();
+                let dirs = p.profitable();
                 if dirs.is_empty() {
                     continue;
                 }
                 let h = hash(
-                    self.seed ^ step ^ ((node.x as u64) << 32) ^ node.y as u64 ^ p.id.0 as u64,
+                    self.seed
+                        ^ step
+                        ^ ((node.x as u64) << 32)
+                        ^ node.y as u64
+                        ^ cold.id(i).0 as u64,
                 );
                 // Sometimes refuse to schedule at all.
                 if h.is_multiple_of(5) {
                     continue;
                 }
-                let d = dirs[(h as usize / 7) % dirs.len()];
+                let pick = (h as usize / 7) % dirs.len() as usize;
+                let d = dirs.iter().nth(pick).expect("pick < len");
                 if out[d.index()].is_none() {
                     out[d.index()] = Some(i);
                 }
@@ -787,17 +789,22 @@ mod chaos_tests {
             step: u64,
             node: Coord,
             _state: &mut u64,
-            residents: &[DxView],
-            arrivals: &[crate::view::Arrival<DxView>],
+            queue_lens: &[u32],
+            _arrivals: &[PackedArrival],
+            cold: &DxArrivals<'_>,
             accept: &mut [bool],
         ) {
-            let mut room = (self.k as usize).saturating_sub(residents.len());
-            for (i, a) in arrivals.iter().enumerate() {
+            let mut room = self.k.saturating_sub(queue_lens[0]);
+            for (i, a) in accept.iter_mut().enumerate() {
                 let h = hash(
-                    self.seed ^ step ^ node.x as u64 ^ ((node.y as u64) << 16) ^ a.view.id.0 as u64,
+                    self.seed
+                        ^ step
+                        ^ node.x as u64
+                        ^ ((node.y as u64) << 16)
+                        ^ cold.id(i).0 as u64,
                 );
                 if room > 0 && !h.is_multiple_of(3) {
-                    accept[i] = true;
+                    *a = true;
                     room -= 1;
                 }
             }
@@ -808,7 +815,8 @@ mod chaos_tests {
             step: u64,
             _node: Coord,
             _state: &mut u64,
-            _residents: &[DxView],
+            _pkts: &[PackedView],
+            _cold: &DxResidents<'_>,
             states: &mut [u64],
         ) {
             for s in states.iter_mut() {

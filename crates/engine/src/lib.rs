@@ -26,12 +26,13 @@
 //! decisions may depend only on packet **states**, **source addresses**, and
 //! **profitable outlinks** — never on the destination itself. The engine
 //! encodes this restriction in the [`DxRouter`] trait, whose policy methods
-//! receive [`DxView`]s that simply contain no destination field. Any
-//! `DxRouter` is run through the [`Dx`] adapter, which projects the full
-//! packet information down to the permitted view. Lemma 10 of the paper
-//! (exchanges are invisible to the algorithm) therefore holds for every
-//! `DxRouter` by parametricity — and is additionally checked empirically in
-//! tests.
+//! read a packet's cold columns through a handle ([`DxResidents`],
+//! [`DxArrivals`]) that simply has no destination accessor. Any `DxRouter`
+//! is run through the [`Dx`] adapter, which passes the engine's
+//! full-information handle down as the restricted one. Lemma 10 of the
+//! paper (exchanges are invisible to the algorithm) therefore holds for
+//! every `DxRouter` by parametricity — and is additionally checked
+//! empirically in tests.
 //!
 //! Algorithms that legitimately use full destinations (the farthest-first
 //! outqueue policy of §5, the §6 algorithm's base case) implement the
@@ -85,4 +86,4 @@ pub use steady::{SteadyConfig, SteadyReport, WindowFrame};
 // `mesh-faults` directly.
 pub use mesh_faults as faults;
 pub use stats::{DeliveryCurve, Distribution, NodeField, Summary};
-pub use view::{Arrival, DxView, FullView, PackedArrival, PackedView};
+pub use view::{DxArrivals, DxResidents, FullArrivals, FullResidents, PackedArrival, PackedView};

@@ -24,7 +24,7 @@
 use crate::hook::{HookCtx, ScheduledMove, StepHook};
 use crate::router::Router;
 use crate::storage::{Loc, NodeGrid, PacketStore};
-use crate::view::{Arrival, FullView, PackedArrival, PackedView};
+use crate::view::{FullArrivals, FullResidents, PackedArrival, PackedView};
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, DirSet, Topology, ALL_DIRS};
 use mesh_traffic::PacketId;
@@ -211,8 +211,6 @@ pub(crate) struct EventLog {
 /// allocation in the hot loop — every phase works in place).
 #[derive(Default)]
 pub(crate) struct StepBufs {
-    pub(crate) views: Vec<FullView>,
-    pub(crate) arrivals: Vec<Arrival<FullView>>,
     pub(crate) accept: Vec<bool>,
     pub(crate) schedule: Vec<ScheduledMove>,
     pub(crate) order: Vec<u32>,
@@ -229,10 +227,9 @@ pub(crate) struct StepBufs {
     pub(crate) groups: Vec<(u32, u32)>,
     /// Staged end-of-step packet-state writes `(packet, new state)`.
     pub(crate) state_writes: Vec<(PacketId, u64)>,
-    /// Bit-packed resident descriptors for mask-capable routers (the fast
-    /// path's replacement for `views`).
+    /// Bit-packed resident descriptors of the node being routed or updated.
     pub(crate) masks: Vec<PackedView>,
-    /// Bit-packed arrival descriptors for mask-capable routers.
+    /// Bit-packed arrival descriptors of the group being accepted.
     pub(crate) arr_packed: Vec<PackedArrival>,
     /// Per-target move counts for the counting group-by in `accept_prep`.
     /// Sized `n²` on first use and kept all-zero between steps (only the
@@ -264,9 +261,8 @@ pub(crate) struct StepCtx<'a, 't, T: Topology, R: Router> {
 }
 
 /// Builds the bit-packed descriptors of all packets queued at node `ni`,
-/// in the same flattened slot order as [`build_views`] — one `u32` per
-/// packet instead of a 40-byte view struct. The grid's slot index is the
-/// packed slot index by construction (Central: 0; PerInlink: `0..4` =
+/// in flattened slot order — one `u32` per packet. The grid's slot index is
+/// the packed slot index by construction (Central: 0; PerInlink: `0..4` =
 /// inlinks, 4 = injection).
 pub(crate) fn build_packed<T: Topology>(
     topo: &T,
@@ -286,34 +282,6 @@ pub(crate) fn build_packed<T: Topology>(
                 "cached profitable mask out of sync at {node:?}"
             );
             out.push(PackedView::new(mask, slot, pos as u32));
-        }
-    }
-}
-
-/// Builds the views of all packets queued at node `ni`, reading straight
-/// from the [`PacketStore`] and [`NodeGrid`] — no intermediate copies.
-pub(crate) fn build_views<T: Topology>(
-    topo: &T,
-    store: &PacketStore,
-    grid: &NodeGrid,
-    ni: usize,
-    node: Coord,
-    out: &mut Vec<FullView>,
-) {
-    out.clear();
-    for (slot, q) in grid.node_queues(ni) {
-        let kind = grid.slot_kind(slot);
-        for (pos, pid) in q.iter().enumerate() {
-            let i = pid.index();
-            out.push(FullView {
-                id: *pid,
-                src: store.src[i],
-                dst: store.dst[i],
-                state: store.state[i],
-                profitable: topo.profitable(node, store.dst[i]),
-                queue: kind,
-                pos: pos as u32,
-            });
         }
     }
 }
@@ -538,7 +506,6 @@ pub(crate) fn route_node<T: Topology, R: Router>(
     grid: &NodeGrid,
     ni: usize,
     state: &mut R::NodeState,
-    views: &mut Vec<FullView>,
     masks: &mut Vec<PackedView>,
     emit: &mut impl FnMut(ScheduledMove),
 ) {
@@ -555,40 +522,32 @@ pub(crate) fn route_node<T: Topology, R: Router>(
     }
     let mut out = [None::<usize>; 4];
     let mut single = None;
-    let packed = router.mask_capable();
-    let len = if packed {
-        // Fast path: one u32 per resident, no per-packet view structs. The
-        // packed policy is contractually decision-identical to the view
-        // policy (cross-checked by the differential battery), so the moves
-        // emitted below are byte-identical either way.
-        if grid.node_load(ni) == 1 {
-            // Small-node fast path — the overwhelmingly common case once a
-            // run spreads out: the lone resident's descriptor comes
-            // straight off the occupancy bitmask, skipping the slot walk
-            // and per-slot enumerate. The router policy still runs (node
-            // state must advance identically); only descriptor-building
-            // machinery is bypassed.
-            let slot = grid.occ_mask(ni).trailing_zeros() as usize;
-            let pid = grid.queue(ni, slot)[0];
-            let mask = DirSet::from_bits(store.mask[pid.index()]);
-            debug_assert_eq!(
-                mask,
-                topo.profitable(node, store.dst[pid.index()]),
-                "cached profitable mask out of sync at {node:?}"
-            );
-            masks.clear();
-            masks.push(PackedView::new(mask, slot, 0));
-            single = Some(pid);
-        } else {
-            build_packed(topo, store, grid, ni, node, masks);
-        }
-        router.outqueue_packed(t0, node, state, masks, &mut out);
-        masks.len()
+    // One u32 per resident; whatever else a policy reads (id, source,
+    // state, destination) it fetches through the handle, per packet, on
+    // demand.
+    if grid.node_load(ni) == 1 {
+        // Small-node fast path — the overwhelmingly common case once a
+        // run spreads out: the lone resident's descriptor comes straight
+        // off the occupancy bitmask, skipping the slot walk and per-slot
+        // enumerate. The router policy still runs (node state must advance
+        // identically); only descriptor-building machinery is bypassed.
+        let slot = grid.occ_mask(ni).trailing_zeros() as usize;
+        let pid = grid.queue(ni, slot)[0];
+        let mask = DirSet::from_bits(store.mask[pid.index()]);
+        debug_assert_eq!(
+            mask,
+            topo.profitable(node, store.dst[pid.index()]),
+            "cached profitable mask out of sync at {node:?}"
+        );
+        masks.clear();
+        masks.push(PackedView::new(mask, slot, 0));
+        single = Some(pid);
     } else {
-        build_views(topo, store, grid, ni, node, views);
-        router.outqueue(t0, node, state, views, &mut out);
-        views.len()
-    };
+        build_packed(topo, store, grid, ni, node, masks);
+    }
+    let cold = FullResidents::new(store, grid, ni);
+    router.outqueue(t0, node, state, masks, &cold, &mut out);
+    let len = masks.len();
     if validate {
         #[allow(clippy::needless_range_loop)]
         for a in 0..4 {
@@ -610,14 +569,10 @@ pub(crate) fn route_node<T: Topology, R: Router>(
     }
     for d in ALL_DIRS {
         if let Some(i) = out[d.index()] {
-            let (pkt, profitable) = if packed {
-                // The small-node fast path already holds the lone resident;
-                // multi-packet nodes index the arena's occupancy walk.
-                let pkt = single.unwrap_or_else(|| grid.nth_packet(ni, i));
-                (pkt, masks[i].profitable())
-            } else {
-                (views[i].id, views[i].profitable)
-            };
+            // The small-node fast path already holds the lone resident;
+            // multi-packet nodes index the arena's occupancy walk.
+            let pkt = single.unwrap_or_else(|| grid.nth_packet(ni, i));
+            let profitable = masks[i].profitable();
             let to = topo.neighbor(node, d).unwrap_or_else(|| {
                 panic!(
                     "{}: scheduled {pkt:?} on missing {d} outlink of {node}",
@@ -650,7 +605,6 @@ pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     ctx.bufs.lost_moves.clear();
     ctx.grid.drain_active_into(&mut ctx.bufs.snapshot);
     let StepBufs {
-        views,
         schedule,
         snapshot,
         masks,
@@ -668,7 +622,6 @@ pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
             ctx.grid,
             ni,
             &mut ctx.node_state[ni],
-            views,
             masks,
             &mut |m| schedule.push(m),
         );
@@ -747,8 +700,6 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
     start: usize,
     end: usize,
     state: &mut R::NodeState,
-    views: &mut Vec<FullView>,
-    arrivals: &mut Vec<Arrival<FullView>>,
     arr_packed: &mut Vec<PackedArrival>,
     accept: &mut Vec<bool>,
     emit: &mut impl FnMut(u32, bool),
@@ -764,55 +715,29 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
     }
     accept.clear();
     accept.resize(end - start, false);
-    if router.mask_capable() {
-        // Fast path: residents collapse to the arena's own per-slot length
-        // row (handed to the policy as-is, no copy) and each arrival to
-        // one byte.
-        let queue_lens = grid.queue_lens_of(ni);
-        arr_packed.clear();
-        for gi in start..end {
-            let m = schedule[order[gi] as usize];
-            // §2: profitable outlinks of scheduled packets are measured
-            // from the node they are coming from — which is exactly where
-            // the packet still sits, so its cached mask is that set.
-            let mask = DirSet::from_bits(store.mask[m.pkt.index()]);
-            debug_assert_eq!(
-                mask,
-                topo.profitable(m.from, store.dst[m.pkt.index()]),
-                "cached profitable mask out of sync at {:?}",
-                m.from
-            );
-            arr_packed.push(PackedArrival::new(mask, m.travel));
-        }
-        router.inqueue_packed(t0, target, state, queue_lens, arr_packed, accept);
-    } else {
-        build_views(topo, store, grid, ni, target, views);
-        arrivals.clear();
-        for gi in start..end {
-            let m = schedule[order[gi] as usize];
-            let i = m.pkt.index();
-            arrivals.push(Arrival {
-                view: FullView {
-                    id: m.pkt,
-                    src: store.src[i],
-                    dst: store.dst[i],
-                    state: store.state[i],
-                    // §2: profitable outlinks of scheduled packets are
-                    // measured from the node they are coming from.
-                    profitable: topo.profitable(m.from, store.dst[i]),
-                    queue: grid.arch().arrival_queue(m.travel),
-                    pos: u32::MAX,
-                },
-                travel: m.travel,
-            });
-        }
-        router.inqueue(t0, target, state, views, arrivals, accept);
+    // Residents collapse to the arena's own per-slot length row (handed to
+    // the policy as-is, no copy) and each arrival to one byte.
+    let queue_lens = grid.queue_lens_of(ni);
+    arr_packed.clear();
+    for gi in start..end {
+        let m = schedule[order[gi] as usize];
+        // §2: profitable outlinks of scheduled packets are measured from
+        // the node they are coming from — which is exactly where the
+        // packet still sits, so its cached mask is that set.
+        let mask = DirSet::from_bits(store.mask[m.pkt.index()]);
+        debug_assert_eq!(
+            mask,
+            topo.profitable(m.from, store.dst[m.pkt.index()]),
+            "cached profitable mask out of sync at {:?}",
+            m.from
+        );
+        arr_packed.push(PackedArrival::new(mask, m.travel));
     }
+    let cold = FullArrivals::new(store, grid, ni, schedule, &order[start..end]);
+    router.inqueue(t0, target, state, queue_lens, arr_packed, &cold, accept);
     // Queue degradation: clamp what a (degradation-unaware) router
-    // accepted down to the reduced capacity. Written against the schedule
-    // and the packet store (not the arrival views), so both policy paths
-    // share one clamp: the exemption `dst == target` and the arrival slot
-    // are exactly what the view-based arrivals used to carry.
+    // accepted down to the reduced capacity, read off the schedule and the
+    // packet store: the exemption is `dst == target`.
     if let Some(f) = faults {
         let lost = f.degraded_slots(t0, target);
         if lost > 0 {
@@ -917,8 +842,6 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let t0 = ctx.t0;
     accept_prep(ctx.grid.n(), ctx.bufs);
     let StepBufs {
-        views,
-        arrivals,
         arr_packed,
         accept,
         schedule,
@@ -942,8 +865,6 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
             start as usize,
             end as usize,
             &mut ctx.node_state[ni],
-            views,
-            arrivals,
             arr_packed,
             accept,
             &mut |mi, a| accepted[mi as usize] = a,
@@ -1097,7 +1018,7 @@ pub(crate) fn update_node<T: Topology, R: Router>(
     grid: &NodeGrid,
     ni: usize,
     state: &mut R::NodeState,
-    views: &mut Vec<FullView>,
+    masks: &mut Vec<PackedView>,
     states: &mut Vec<u64>,
     emit: &mut impl FnMut(PacketId, u64),
 ) {
@@ -1105,22 +1026,23 @@ pub(crate) fn update_node<T: Topology, R: Router>(
         return;
     }
     let node = grid.coord_of(ni);
-    build_views(topo, store, grid, ni, node, views);
+    build_packed(topo, store, grid, ni, node, masks);
     states.clear();
-    states.extend(views.iter().map(|v| v.state));
-    router.end_of_step(t0, node, state, views, states);
-    for (v, s) in views.iter().zip(states.iter()) {
-        emit(v.id, *s);
+    states.extend(grid.packets_at(node).map(|p| store.state[p.index()]));
+    let cold = FullResidents::new(store, grid, ni);
+    router.end_of_step(t0, node, state, masks, &cold, states);
+    for (pid, s) in grid.packets_at(node).zip(states.iter()) {
+        emit(pid, *s);
     }
 }
 
 /// §2 (e): the end-of-step state update for every loaded active node.
 /// Routers whose `end_of_step` is the inherited no-op declare so via
-/// `uses_end_of_step`, and the whole pass — view building included — is
-/// skipped: every write it would stage is an identity write.
+/// `uses_end_of_step`, and the whole pass is skipped: every write it would
+/// stage is an identity write.
 pub(crate) fn update_state<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let StepBufs {
-        views,
+        masks,
         states,
         state_writes,
         ..
@@ -1139,7 +1061,7 @@ pub(crate) fn update_state<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, 
             ctx.grid,
             ni,
             &mut ctx.node_state[ni],
-            views,
+            masks,
             states,
             &mut |p, s| state_writes.push((p, s)),
         );

@@ -92,7 +92,7 @@ impl QueueArch {
     /// The [`QueueKind`] stored at a dense slot index — the inverse of
     /// [`QueueKind::slot`] and the single source of the slot↔kind mapping
     /// the queue arena indexes by.
-    pub(crate) fn slot_kind(self, slot: usize) -> QueueKind {
+    pub fn slot_kind(self, slot: usize) -> QueueKind {
         match (self, slot) {
             (QueueArch::Central { .. }, _) => QueueKind::Central,
             (QueueArch::PerInlink { .. }, 4) => QueueKind::Injection,
@@ -100,15 +100,20 @@ impl QueueArch {
         }
     }
 
-    /// Initial arena capacity of a slot: bounded queues get exactly `k`
-    /// inline cells (they can never legally exceed it), and the unbounded
-    /// injection queue starts at `k` cells — the arena rebuilds itself
-    /// with a doubled slot if open-system staging ever outruns that.
-    pub(crate) fn initial_slot_cap(self, slot: usize) -> u32 {
-        self.capacity(self.slot_kind(slot))
-            .unwrap_or_else(|| self.k())
+    /// Initial arena capacity of every slot: `min(k, INLINE_CELLS)` inline
+    /// cells, whatever the slot's kind. A queue that outgrows them — the
+    /// unbounded injection queue under open-system staging, or a bounded
+    /// queue whose `k` is larger — makes the arena rebuild itself with that
+    /// slot doubled, so memory follows the occupancy a run reaches, not the
+    /// bound it declares (`k = n²` is a legal way to say "unbounded").
+    pub(crate) fn initial_slot_cap(self) -> u32 {
+        self.k().min(INLINE_CELLS)
     }
 }
+
+/// Cells every queue slot starts with in the arena (when `k` allows that
+/// many). Every `k ≤ 4` configuration is sized exactly by its bound.
+const INLINE_CELLS: u32 = 4;
 
 #[cfg(test)]
 mod tests {

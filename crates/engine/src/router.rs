@@ -1,16 +1,23 @@
 //! The two routing-algorithm interfaces: unrestricted [`Router`] and
 //! destination-exchangeable [`DxRouter`], plus the [`Dx`] adapter.
+//!
+//! Both traits have the same three policy methods over the same arguments
+//! (see [`crate::view`]): bit-packed descriptors for what every policy
+//! reads, and a borrowed handle for the cold columns. They differ only in
+//! the handle's privilege — a [`DxRouter`] policy is given one that has no
+//! `dst` accessor.
 
 use crate::queue::QueueArch;
-use crate::view::{Arrival, DxView, FullView, PackedArrival, PackedView};
+use crate::view::{
+    DxArrivals, DxResidents, FullArrivals, FullResidents, PackedArrival, PackedView,
+};
 use mesh_topo::Coord;
-use std::cell::Cell;
 
 /// A deterministic routing algorithm with **full** information: its policies
 /// may inspect complete destination addresses. Implemented directly only by
 /// algorithms the paper explicitly places outside the destination-
 /// exchangeable class (farthest-first dimension order in §5; the §6
-/// algorithm's base case).
+/// algorithm's base case) and by wrappers around other routers.
 ///
 /// All policy methods are deterministic functions of their arguments; the
 /// engine stores one `NodeState` per node and threads it through. Policies
@@ -18,12 +25,17 @@ use std::cell::Cell;
 /// within the information the model grants them, so any state so computed is
 /// expressible in the paper's "state update at end of step" formulation.
 ///
+/// The descriptor slices are the engine's per-node scratch, rebuilt for
+/// every call, which is why this trait hands them out mutably: a wrapper
+/// edits them in place before delegating (`FaultAware` clears down outlinks
+/// from every profitable set) instead of copying them.
+///
 /// Routers are `Sync` (and node states `Send`): the tile-sharded engine
 /// shares one router across its worker threads, each invoking policies on
 /// the node states of its own tiles. Policies already had to be pure
 /// functions of their arguments, so the bound costs implementations nothing
-/// beyond keeping scratch space off `self` (use thread-locals, as
-/// [`Dx`] does).
+/// beyond keeping scratch space off `self` (a node never holds more than
+/// four arrivals or outlinks, so fixed arrays on the stack do).
 pub trait Router: Sync {
     /// Per-node algorithm state (the paper's "state of a node").
     type NodeState: Clone + Default + Send;
@@ -41,107 +53,74 @@ pub trait Router: Sync {
         true
     }
 
-    /// Step (a): choose at most one resident packet per outlink.
-    /// `out[d]` is an index into `pkts`; a packet may appear at most once.
+    /// Step (a): choose at most one resident packet per outlink. `pkts`
+    /// describes the node's residents in flattened slot order, oldest first
+    /// within a slot; `cold` reads the same packets' id, source, state and
+    /// destination by the same index. `out[d]` is an index into `pkts`, all
+    /// `None` on entry; a packet may appear at most once.
     fn outqueue(
         &self,
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        pkts: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         out: &mut [Option<usize>; 4],
     );
 
-    /// Step (c): decide which scheduled arrivals to accept. `accept` has one
-    /// flag per entry of `arrivals`, all initially `false`. The policy must
-    /// not accept more packets than its queues can hold by the end of the
-    /// step (the engine verifies and panics on overflow).
+    /// Step (c): decide which scheduled arrivals to accept. Residents are
+    /// summarized as per-slot occupancy (`queue_lens[s]` = packets in slot
+    /// `s` of this node at the beginning of the step, indexed per the
+    /// router's declared arch; `cold.residents()` reads more); `arrivals`
+    /// describes the offered packets in offer order and `cold` reads their
+    /// cold columns by the same index. `accept` has one flag per arrival,
+    /// all initially `false`. The policy must not accept more packets than
+    /// its queues can hold by the end of the step (the engine verifies and
+    /// panics on overflow).
+    #[allow(clippy::too_many_arguments)]
     fn inqueue(
         &self,
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
-        arrivals: &[Arrival<FullView>],
+        queue_lens: &[u32],
+        arrivals: &mut [PackedArrival],
+        cold: &FullArrivals<'_>,
         accept: &mut [bool],
     );
 
     /// Step (e): update node state and resident packets' state words after
-    /// transmission. `states[i]` is the mutable state word of `residents[i]`.
+    /// transmission. `states[i]` is the mutable state word of `pkts[i]`.
     /// Default: no-op.
     fn end_of_step(
         &self,
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         states: &mut [u64],
     ) {
-        let _ = (step, node, state, residents, states);
-    }
-
-    /// True when this router implements the bit-packed fast-path policies
-    /// ([`Router::outqueue_packed`] and [`Router::inqueue_packed`]) and
-    /// guarantees they make exactly the same decisions, packet for packet,
-    /// as the view-based methods. The engine then skips building per-packet
-    /// view vectors on the hot path; the differential battery cross-checks
-    /// the promise against the view-based oracle.
-    fn mask_capable(&self) -> bool {
-        false
-    }
-
-    /// Fast-path step (a): like [`Router::outqueue`], but over bit-packed
-    /// resident descriptors (`pkts[i]` describes the same packet, in the
-    /// same order, as the `pkts[i]` the view-based method would see). Only
-    /// called when [`Router::mask_capable`] returns `true`.
-    fn outqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        pkts: &[PackedView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        let _ = (step, node, state, pkts, out);
-        unreachable!("outqueue_packed called on a router that is not mask_capable");
-    }
-
-    /// Fast-path step (c): like [`Router::inqueue`], but residents are
-    /// summarized as per-slot occupancy counts (`queue_lens[s]` = packets
-    /// currently in slot `s` of this node, indexed per the router's declared
-    /// arch) and arrivals as [`PackedArrival`]s in the same order the
-    /// view-based method would see them. Only called when
-    /// [`Router::mask_capable`] returns `true`.
-    fn inqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        queue_lens: &[u32],
-        arrivals: &[PackedArrival],
-        accept: &mut [bool],
-    ) {
-        let _ = (step, node, state, queue_lens, arrivals, accept);
-        unreachable!("inqueue_packed called on a router that is not mask_capable");
+        let _ = (step, node, state, pkts, cold, states);
     }
 
     /// Whether step (e) can do anything. Routers whose `end_of_step` is the
     /// inherited no-op return `false`, letting the engine skip the
-    /// UpdateState view-building pass entirely (the skipped writes are
-    /// identity writes, so skipping is byte-identical). Conservative default:
-    /// `true`.
+    /// UpdateState pass entirely (the skipped writes are identity writes,
+    /// so skipping is byte-identical). Conservative default: `true`.
     fn uses_end_of_step(&self) -> bool {
         true
     }
 }
 
 /// A deterministic **destination-exchangeable** routing algorithm (§2): its
-/// policies see packets only through [`DxView`]s — state, source address,
-/// and profitable outlinks. The destination never reaches the policy, so the
-/// exchange-invariance Lemma 10 holds for every implementation by
+/// policies see packets only through the profitable-outlink descriptors and
+/// a [`DxResidents`]/[`DxArrivals`] handle — state, source address, and
+/// profitable outlinks. The handle has no accessor for the destination, so
+/// the exchange-invariance Lemma 10 holds for every implementation by
 /// construction.
 ///
-/// Run a `DxRouter` by wrapping it: `Dx(MyRouter)`.
+/// Run a `DxRouter` by wrapping it: `Dx::new(MyRouter)`.
 pub trait DxRouter: Sync {
     /// Per-node algorithm state.
     type NodeState: Clone + Default + Send;
@@ -160,8 +139,7 @@ pub trait DxRouter: Sync {
         true
     }
 
-    /// Step (a): choose at most one resident packet per outlink; indices
-    /// into `pkts`.
+    /// Step (a); see [`Router::outqueue`].
     ///
     /// For a minimal algorithm every scheduled direction must be profitable
     /// for its packet (engine-enforced).
@@ -170,67 +148,35 @@ pub trait DxRouter: Sync {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    );
-
-    /// Step (c): decide which scheduled arrivals to accept.
-    fn inqueue(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    );
-
-    /// Step (e): update node state and resident packet states. The mutable
-    /// state access is mediated: the callback receives the restricted views
-    /// plus a parallel slice of state words to rewrite.
-    fn end_of_step(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        residents: &[DxView],
-        states: &mut [u64],
-    ) {
-        let _ = (step, node, state, residents, states);
-    }
-
-    /// See [`Router::mask_capable`]. A [`PackedView`] carries strictly less
-    /// than a [`DxView`] (no id, source, or state word), so a packed policy
-    /// is destination-exchangeable by construction.
-    fn mask_capable(&self) -> bool {
-        false
-    }
-
-    /// See [`Router::outqueue_packed`].
-    fn outqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
         pkts: &[PackedView],
+        cold: &DxResidents<'_>,
         out: &mut [Option<usize>; 4],
-    ) {
-        let _ = (step, node, state, pkts, out);
-        unreachable!("outqueue_packed called on a router that is not mask_capable");
-    }
+    );
 
-    /// See [`Router::inqueue_packed`].
-    fn inqueue_packed(
+    /// Step (c); see [`Router::inqueue`].
+    #[allow(clippy::too_many_arguments)]
+    fn inqueue(
         &self,
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
         queue_lens: &[u32],
         arrivals: &[PackedArrival],
+        cold: &DxArrivals<'_>,
         accept: &mut [bool],
+    );
+
+    /// Step (e); see [`Router::end_of_step`].
+    fn end_of_step(
+        &self,
+        step: u64,
+        node: Coord,
+        state: &mut Self::NodeState,
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
+        states: &mut [u64],
     ) {
-        let _ = (step, node, state, queue_lens, arrivals, accept);
-        unreachable!("inqueue_packed called on a router that is not mask_capable");
+        let _ = (step, node, state, pkts, cold, states);
     }
 
     /// See [`Router::uses_end_of_step`].
@@ -239,21 +185,12 @@ pub trait DxRouter: Sync {
     }
 }
 
-/// Adapter running a [`DxRouter`] as a [`Router`] by projecting every view
-/// down to the destination-free [`DxView`]. The engine stays monomorphic;
-/// the restriction is purely in what crosses this boundary.
+/// Adapter running a [`DxRouter`] as a [`Router`]. Nothing is projected or
+/// copied: the descriptors pass through, and the full handle derefs to the
+/// destination-free one. The engine stays monomorphic; the restriction is
+/// purely in what crosses this boundary.
 pub struct Dx<R> {
     pub inner: R,
-}
-
-// Projection scratch lives per *thread*, not per adapter: the tile-sharded
-// engine shares one `Dx` across workers, and each worker projects views for
-// its own tiles. `Cell` + take/set (instead of `RefCell`) keeps nested
-// adapters reentrant: an inner call simply sees an empty buffer and the
-// outer one wins the put-back.
-thread_local! {
-    static DX_RESIDENTS: Cell<Vec<DxView>> = const { Cell::new(Vec::new()) };
-    static DX_ARRIVALS: Cell<Vec<Arrival<DxView>>> = const { Cell::new(Vec::new()) };
 }
 
 impl<R> Dx<R> {
@@ -283,14 +220,11 @@ impl<R: DxRouter> Router for Dx<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        pkts: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
-        let mut buf = DX_RESIDENTS.take();
-        buf.clear();
-        buf.extend(pkts.iter().map(FullView::dx));
-        self.inner.outqueue(step, node, state, &buf, out);
-        DX_RESIDENTS.set(buf);
+        self.inner.outqueue(step, node, state, pkts, cold, out);
     }
 
     fn inqueue(
@@ -298,22 +232,13 @@ impl<R: DxRouter> Router for Dx<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
-        arrivals: &[Arrival<FullView>],
+        queue_lens: &[u32],
+        arrivals: &mut [PackedArrival],
+        cold: &FullArrivals<'_>,
         accept: &mut [bool],
     ) {
-        let mut rbuf = DX_RESIDENTS.take();
-        rbuf.clear();
-        rbuf.extend(residents.iter().map(FullView::dx));
-        let mut abuf = DX_ARRIVALS.take();
-        abuf.clear();
-        abuf.extend(arrivals.iter().map(|a| Arrival {
-            view: a.view.dx(),
-            travel: a.travel,
-        }));
-        self.inner.inqueue(step, node, state, &rbuf, &abuf, accept);
-        DX_RESIDENTS.set(rbuf);
-        DX_ARRIVALS.set(abuf);
+        self.inner
+            .inqueue(step, node, state, queue_lens, arrivals, cold, accept);
     }
 
     fn end_of_step(
@@ -321,46 +246,12 @@ impl<R: DxRouter> Router for Dx<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         states: &mut [u64],
     ) {
-        let mut rbuf = DX_RESIDENTS.take();
-        rbuf.clear();
-        rbuf.extend(residents.iter().map(FullView::dx));
-        self.inner.end_of_step(step, node, state, &rbuf, states);
-        DX_RESIDENTS.set(rbuf);
-    }
-
-    // The packed fast path forwards without any projection: a PackedView is
-    // already destination-free, so there is nothing to strip and no
-    // thread-local copy to pay for.
-
-    fn mask_capable(&self) -> bool {
-        self.inner.mask_capable()
-    }
-
-    fn outqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        pkts: &[PackedView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        self.inner.outqueue_packed(step, node, state, pkts, out);
-    }
-
-    fn inqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        queue_lens: &[u32],
-        arrivals: &[PackedArrival],
-        accept: &mut [bool],
-    ) {
         self.inner
-            .inqueue_packed(step, node, state, queue_lens, arrivals, accept);
+            .end_of_step(step, node, state, pkts, cold, states);
     }
 
     fn uses_end_of_step(&self) -> bool {

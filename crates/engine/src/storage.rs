@@ -155,9 +155,10 @@ pub(crate) struct NodeGrid {
     /// `queue_lens` slice a router's accept policy receives points
     /// straight into this array.
     lens: Vec<u32>,
-    /// Inline capacity of each slot (identical for every node). Bounded
-    /// queues hold exactly `k` cells; the unbounded injection slot starts
-    /// at `k` and [`grow_slot`](Self::grow_slot) doubles it on demand.
+    /// Inline capacity of each slot (identical for every node). Every slot
+    /// starts at `min(k, 4)` cells and [`grow_slot`](Self::grow_slot)
+    /// doubles it on demand; a bounded queue's *legal* length is still `k`,
+    /// checked where it always was (accept and audit), not here.
     caps: [u32; 5],
     /// Cell offset of each slot within a node's region (prefix sums of
     /// `caps[..slots]`).
@@ -198,9 +199,7 @@ impl NodeGrid {
         let nodes = (n * n) as usize;
         let slots = arch.num_slots();
         let mut caps = [0u32; 5];
-        for (s, cap) in caps.iter_mut().enumerate().take(slots) {
-            *cap = arch.initial_slot_cap(s);
-        }
+        caps[..slots].fill(arch.initial_slot_cap());
         let (slot_off, stride) = geometry(&caps, slots);
         NodeGrid {
             n,
@@ -226,14 +225,15 @@ impl NodeGrid {
         ni * self.stride as usize + self.slot_off[slot] as usize
     }
 
-    /// Rebuilds the slab with a doubled capacity for `slot`. Only the
-    /// unbounded injection slot ever grows in practice (bounded slots are
-    /// capacity-checked before every push by the accept machinery), and
-    /// doubling makes the rebuild cost amortized O(1) per staged packet.
-    /// Never called while [`GridRaw`] pointers are live: all pushes happen
-    /// coordinator-side (injection precedes the tiled step's shared frame;
-    /// arrival commits run while workers are parked at a barrier, and
-    /// workers only dequeue).
+    /// Rebuilds the slab with a doubled capacity for `slot`: the unbounded
+    /// injection slot under open-system staging, or a bounded slot whose
+    /// `k` exceeds its inline cells the first time a node fills them.
+    /// Doubling makes the rebuild cost amortized O(1) per pushed packet.
+    /// Never called while [`GridRaw`] pointers are in use: all pushes
+    /// happen coordinator-side (injection precedes the tiled step's shared
+    /// frame; arrival commits run after the step's last worker dequeue,
+    /// while workers are parked at a barrier, and the next step takes its
+    /// raw pointers afresh).
     #[cold]
     fn grow_slot(&mut self, slot: usize) {
         let mut caps = self.caps;
@@ -316,8 +316,8 @@ impl NodeGrid {
     }
 
     /// Appends a packet to a node's queue: two word writes plus a bitmask
-    /// set in the common case (the slab only rebuilds when the unbounded
-    /// injection slot outgrows its inline cells).
+    /// set in the common case (the slab only rebuilds when a slot outgrows
+    /// its inline cells).
     pub(crate) fn push(&mut self, c: Coord, kind: QueueKind, pid: PacketId) {
         let ni = self.node_index(c);
         let s = kind.slot();
@@ -592,9 +592,7 @@ impl NodeGrid {
             ));
         }
         let mut caps = [0u32; 5];
-        for (s, cap) in caps.iter_mut().enumerate().take(slots) {
-            *cap = arch.initial_slot_cap(s);
-        }
+        caps[..slots].fill(arch.initial_slot_cap());
         for (li, &len) in lens.iter().enumerate() {
             let s = li % slots;
             caps[s] = caps[s].max(len);
@@ -679,8 +677,9 @@ impl NodeGrid {
     /// workers dequeue packets of their own (disjoint) node sets through
     /// these while the coordinator is parked at a barrier. Everything is a
     /// scalar array into the slab — no per-queue `Vec` indirection — and
-    /// the slab never reallocates while these are live, because only the
-    /// coordinator pushes (see [`grow_slot`](Self::grow_slot)).
+    /// the slab never reallocates before the step's last dequeue, because
+    /// only the coordinator pushes, and only after it (see
+    /// [`grow_slot`](Self::grow_slot)).
     pub(crate) fn raw(&mut self) -> GridRaw {
         GridRaw {
             slab: self.slab.as_mut_ptr(),

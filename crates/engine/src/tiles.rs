@@ -62,7 +62,7 @@ use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{Sim, SimConfig};
 use crate::storage::{GridRaw, Loc, NodeGrid, PacketStore};
-use crate::view::{Arrival, FullView, PackedArrival, PackedView};
+use crate::view::{PackedArrival, PackedView};
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
@@ -128,10 +128,7 @@ struct Staged {
 /// entry; the coordinator reads all of them after the closing barrier.
 #[derive(Default)]
 struct WorkerOut {
-    views: Vec<FullView>,
-    arrivals: Vec<Arrival<FullView>>,
-    /// Bit-packed counterparts of `views`/`arrivals` for mask-capable
-    /// routers (the per-node fast path picks which pair it fills).
+    /// Bit-packed resident / arrival descriptors of the node in hand.
     masks: Vec<PackedView>,
     arr_packed: Vec<PackedArrival>,
     accept: Vec<bool>,
@@ -455,7 +452,6 @@ unsafe fn worker_route<T: Topology, R: Router>(shared: &Shared<T, R>, w: usize) 
             grid,
             ni as usize,
             shared.state_of(ni as usize),
-            &mut out.views,
             &mut out.masks,
             &mut |m| row.push((idx as u32, m)),
         );
@@ -480,11 +476,7 @@ unsafe fn worker_accept<T: Topology, R: Router>(shared: &Shared<T, R>, w: usize)
     let groups = std::slice::from_raw_parts(f.groups, f.groups_len);
     let out = shared.out(w);
     let WorkerOut {
-        views,
-        arrivals,
-        arr_packed,
-        accept,
-        ..
+        arr_packed, accept, ..
     } = out;
     for &(start, end) in groups {
         let target = schedule[order[start as usize] as usize].to;
@@ -505,8 +497,6 @@ unsafe fn worker_accept<T: Topology, R: Router>(shared: &Shared<T, R>, w: usize)
             start as usize,
             end as usize,
             shared.state_of(ni),
-            views,
-            arrivals,
             arr_packed,
             accept,
             &mut |mi, a| *f.accepted.add(mi as usize) = a,
@@ -601,7 +591,7 @@ unsafe fn worker_audit_update<T: Topology, R: Router>(shared: &Shared<T, R>, w: 
         return;
     }
     let WorkerOut {
-        views,
+        masks,
         states,
         state_writes,
         ..
@@ -620,7 +610,7 @@ unsafe fn worker_audit_update<T: Topology, R: Router>(shared: &Shared<T, R>, w: 
             grid,
             ni,
             shared.state_of(ni),
-            views,
+            masks,
             states,
             &mut |p, s| state_writes.push((p, s)),
         );
@@ -957,6 +947,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 mod tests {
     use super::*;
     use crate::sim::SimConfig;
+    use crate::view::{FullArrivals, FullResidents};
     use mesh_topo::Mesh;
     use mesh_traffic::RoutingProblem;
 
@@ -983,13 +974,13 @@ mod tests {
             _step: u64,
             _node: Coord,
             _state: &mut (),
-            pkts: &[FullView],
+            pkts: &mut [PackedView],
+            _cold: &FullResidents<'_>,
             out: &mut [Option<usize>; 4],
         ) {
-            let mut order: Vec<usize> = (0..pkts.len()).collect();
-            order.sort_by_key(|&i| pkts[i].pos);
-            for i in order {
-                if let Some(d) = pkts[i].profitable.iter().find(|d| out[d.index()].is_none()) {
+            // A central queue is offered oldest first.
+            for (i, p) in pkts.iter().enumerate() {
+                if let Some(d) = p.profitable().iter().find(|d| out[d.index()].is_none()) {
                     out[d.index()] = Some(i);
                 }
             }
@@ -1000,17 +991,13 @@ mod tests {
             _step: u64,
             _node: Coord,
             _state: &mut (),
-            residents: &[FullView],
-            arrivals: &[Arrival<FullView>],
+            queue_lens: &[u32],
+            _arrivals: &mut [PackedArrival],
+            _cold: &FullArrivals<'_>,
             accept: &mut [bool],
         ) {
-            let mut room = (self.k as usize).saturating_sub(residents.len());
-            for (i, _a) in arrivals.iter().enumerate() {
-                if room > 0 {
-                    accept[i] = true;
-                    room -= 1;
-                }
-            }
+            let room = self.k.saturating_sub(queue_lens[0]) as usize;
+            accept.iter_mut().take(room).for_each(|a| *a = true);
         }
     }
 

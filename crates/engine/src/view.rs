@@ -1,71 +1,25 @@
-//! Packet views: what the two classes of routing algorithms may see.
+//! What a routing policy sees of a node: bit-packed per-packet descriptors
+//! plus borrowed handles that read the cold packet columns on demand.
+//!
+//! §2 fixes the information a policy may use — packet state, source
+//! address and profitable outlinks, plus queue and age; the destination
+//! only outside the destination-exchangeable class. The engine hands a
+//! policy the hot part as plain words ([`PackedView`] per resident,
+//! [`PackedArrival`] per offered packet, the arena's per-slot occupancy
+//! row) and the cold part as a handle over the packet table: nothing is
+//! copied that the policy does not ask for. The handles come in two
+//! privilege levels. [`DxResidents`]/[`DxArrivals`] read `id`, `src` and
+//! `state`; [`FullResidents`]/[`FullArrivals`] deref to them and add `dst`
+//! (and the sender of an arrival). A destination-exchangeable policy is
+//! given the former, so it has no expression that yields a destination.
 
-use crate::queue::QueueKind;
+use crate::hook::ScheduledMove;
+use crate::storage::{NodeGrid, PacketStore};
 use mesh_topo::{Coord, Dir, DirSet};
 use mesh_traffic::PacketId;
+use std::ops::Deref;
 
-/// Full information about a packet in (or scheduled into) a node, available
-/// to unrestricted [`Router`](crate::Router) policies.
-#[derive(Clone, Copy, Debug)]
-pub struct FullView {
-    pub id: PacketId,
-    /// Source address.
-    pub src: Coord,
-    /// Destination address. **Absent** from [`DxView`].
-    pub dst: Coord,
-    /// The packet's mutable state word.
-    pub state: u64,
-    /// Profitable outlinks. For residents: measured from the holding node.
-    /// For arrivals: measured from the *sending* node (§2: "profitable
-    /// outlinks of scheduled packets are measured as profitable from the node
-    /// from which they are coming").
-    pub profitable: DirSet,
-    /// Which queue holds the packet.
-    pub queue: QueueKind,
-    /// Arrival-order position within its queue (0 = oldest). FIFO policies
-    /// serve position 0 first.
-    pub pos: u32,
-}
-
-/// The restricted view available to destination-exchangeable policies (§2):
-/// state, source address, and profitable outlinks — and nothing else about
-/// the destination. The absence of a `dst` field is the point.
-#[derive(Clone, Copy, Debug)]
-pub struct DxView {
-    pub id: PacketId,
-    pub src: Coord,
-    pub state: u64,
-    pub profitable: DirSet,
-    pub queue: QueueKind,
-    pub pos: u32,
-}
-
-impl FullView {
-    /// Projects the full view down to the destination-exchangeable view.
-    #[inline]
-    pub fn dx(&self) -> DxView {
-        DxView {
-            id: self.id,
-            src: self.src,
-            state: self.state,
-            profitable: self.profitable,
-            queue: self.queue,
-            pos: self.pos,
-        }
-    }
-}
-
-/// A packet scheduled to enter a node, as seen by the inqueue policy.
-#[derive(Clone, Copy, Debug)]
-pub struct Arrival<V> {
-    /// The packet (profitable outlinks measured from the sender, per §2).
-    pub view: V,
-    /// Its direction of travel (it enters across the `travel.opposite()`
-    /// side of the accepting node).
-    pub travel: Dir,
-}
-
-/// Bit-packed resident descriptor for the mask-capable router fast path.
+/// Bit-packed resident descriptor.
 ///
 /// Layout (low to high): bits `0..4` the profitable-outlink mask (indexed by
 /// `Dir as u8`), bits `4..8` the holding queue *slot* under the router's own
@@ -78,10 +32,8 @@ pub struct Arrival<V> {
 /// inline cells (DESIGN.md §14), so building a descriptor from the grid is
 /// an occupancy-bitmask walk — no `QueueKind` round-trip in the hot path.
 ///
-/// This deliberately carries *less* than [`DxView`]: no id, no source, no
-/// state word. It is therefore destination-exchangeable by construction — a
-/// router that declares `mask_capable` promises its policy depends only on
-/// these three fields plus its own node state.
+/// It carries no id, source, state word or destination: a policy that
+/// needs one asks the handle passed beside the descriptors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedView(u32);
 
@@ -112,9 +64,16 @@ impl PackedView {
     pub fn pos(self) -> u32 {
         self.0 >> 8
     }
+
+    /// The same descriptor with its profitable set replaced (wrappers
+    /// narrow it to hide outlinks from the policy they wrap).
+    #[inline]
+    pub fn with_profitable(self, profitable: DirSet) -> PackedView {
+        PackedView((self.0 & !0xF) | profitable.bits() as u32)
+    }
 }
 
-/// Bit-packed arrival descriptor for the mask-capable inqueue fast path.
+/// Bit-packed arrival descriptor.
 ///
 /// Bits `0..4`: profitable mask measured from the *sending* node (§2). Bits
 /// `4..6`: the direction of travel (`Dir as u8`). The arrival queue on the
@@ -140,5 +99,184 @@ impl PackedArrival {
     #[inline]
     pub fn travel(self) -> Dir {
         Dir::from_index(((self.0 >> 4) & 0b11) as usize)
+    }
+
+    /// The same descriptor with its profitable set replaced.
+    #[inline]
+    pub fn with_profitable(self, profitable: DirSet) -> PackedArrival {
+        PackedArrival((self.0 & !0xF) | profitable.bits())
+    }
+}
+
+/// The cold columns of one node's residents, read on demand. Index `i`
+/// names the same packet as `pkts[i]` of the descriptor slice handed to the
+/// policy (flattened slot order, oldest first within a slot).
+#[derive(Clone, Copy)]
+pub struct DxResidents<'a> {
+    store: &'a PacketStore,
+    grid: &'a NodeGrid,
+    ni: usize,
+}
+
+impl<'a> DxResidents<'a> {
+    /// Packets queued at the node.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.grid.node_load(self.ni) as usize
+    }
+
+    /// True when the node holds no packet.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The packet's identity.
+    #[inline]
+    pub fn id(&self, i: usize) -> PacketId {
+        self.grid.nth_packet(self.ni, i)
+    }
+
+    /// The packet's source address.
+    #[inline]
+    pub fn src(&self, i: usize) -> Coord {
+        self.store.src[self.id(i).index()]
+    }
+
+    /// The packet's state word, as of the end of the previous step.
+    #[inline]
+    pub fn state(&self, i: usize) -> u64 {
+        self.store.state[self.id(i).index()]
+    }
+
+    /// The packet's descriptor, for policies that are not handed the slice
+    /// (an inqueue policy sees only per-slot occupancy of its residents).
+    pub fn packed(&self, i: usize) -> PackedView {
+        let mut rest = i;
+        for (slot, q) in self.grid.node_queues(self.ni) {
+            if let Some(pid) = q.get(rest) {
+                let mask = DirSet::from_bits(self.store.mask[pid.index()]);
+                return PackedView::new(mask, slot, rest as u32);
+            }
+            rest -= q.len();
+        }
+        panic!("resident index {i} out of range");
+    }
+}
+
+/// [`DxResidents`] plus the destination column: the handle of the
+/// unrestricted [`Router`](crate::Router) class.
+#[derive(Clone, Copy)]
+pub struct FullResidents<'a>(DxResidents<'a>);
+
+impl<'a> FullResidents<'a> {
+    pub(crate) fn new(store: &'a PacketStore, grid: &'a NodeGrid, ni: usize) -> Self {
+        FullResidents(DxResidents { store, grid, ni })
+    }
+
+    /// The packet's destination address.
+    #[inline]
+    pub fn dst(&self, i: usize) -> Coord {
+        self.0.store.dst[self.0.id(i).index()]
+    }
+}
+
+impl<'a> Deref for FullResidents<'a> {
+    type Target = DxResidents<'a>;
+
+    #[inline]
+    fn deref(&self) -> &DxResidents<'a> {
+        &self.0
+    }
+}
+
+/// The cold columns of the packets offered to one node this step, read on
+/// demand. Index `i` names the same packet as `arrivals[i]` of the
+/// descriptor slice handed to the inqueue policy.
+#[derive(Clone, Copy)]
+pub struct DxArrivals<'a> {
+    residents: DxResidents<'a>,
+    schedule: &'a [ScheduledMove],
+    /// Schedule indices of this node's arrival group, in offer order.
+    group: &'a [u32],
+}
+
+impl<'a> DxArrivals<'a> {
+    #[inline]
+    fn mv(&self, i: usize) -> &'a ScheduledMove {
+        &self.schedule[self.group[i] as usize]
+    }
+
+    /// The offered packet's identity.
+    #[inline]
+    pub fn id(&self, i: usize) -> PacketId {
+        self.mv(i).pkt
+    }
+
+    /// The offered packet's source address.
+    #[inline]
+    pub fn src(&self, i: usize) -> Coord {
+        self.residents.store.src[self.id(i).index()]
+    }
+
+    /// The offered packet's state word.
+    #[inline]
+    pub fn state(&self, i: usize) -> u64 {
+        self.residents.store.state[self.id(i).index()]
+    }
+
+    /// The accepting node's own residents, as of the beginning of the step.
+    #[inline]
+    pub fn residents(&self) -> DxResidents<'a> {
+        self.residents
+    }
+}
+
+/// [`DxArrivals`] plus destinations and senders: the handle of the
+/// unrestricted [`Router`](crate::Router) class.
+#[derive(Clone, Copy)]
+pub struct FullArrivals<'a>(DxArrivals<'a>);
+
+impl<'a> FullArrivals<'a> {
+    pub(crate) fn new(
+        store: &'a PacketStore,
+        grid: &'a NodeGrid,
+        ni: usize,
+        schedule: &'a [ScheduledMove],
+        group: &'a [u32],
+    ) -> Self {
+        FullArrivals(DxArrivals {
+            residents: DxResidents { store, grid, ni },
+            schedule,
+            group,
+        })
+    }
+
+    /// The offered packet's destination address.
+    #[inline]
+    pub fn dst(&self, i: usize) -> Coord {
+        self.0.residents.store.dst[self.0.id(i).index()]
+    }
+
+    /// The node the packet is coming from (§2 measures its profitable
+    /// outlinks there).
+    #[inline]
+    pub fn from(&self, i: usize) -> Coord {
+        self.0.mv(i).from
+    }
+
+    /// The accepting node's own residents, destinations included.
+    #[inline]
+    pub fn residents(&self) -> FullResidents<'a> {
+        FullResidents(self.0.residents)
+    }
+}
+
+impl<'a> Deref for FullArrivals<'a> {
+    type Target = DxArrivals<'a>;
+
+    #[inline]
+    fn deref(&self) -> &DxArrivals<'a> {
+        &self.0
     }
 }

@@ -11,9 +11,10 @@
 //! own identity in state updates — doing so never lets a policy distinguish
 //! exchanged packets, which is all destination-exchangeability requires).
 
-use crate::common::{Axis, RoundRobin};
-use mesh_engine::{Arrival, DxRouter, DxView, QueueArch};
-use mesh_topo::{Coord, ALL_DIRS};
+use crate::common::{round_robin_accept, view_round_robin_accept, Axis, RoundRobin};
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
+use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
 /// Alternating minimal-adaptive router on a central queue of capacity `k`.
 #[derive(Clone, Debug)]
@@ -41,12 +42,19 @@ fn position_key(node: Coord) -> u64 {
     (((node.y as u64) << 24 | node.x as u64) + 1) << 1
 }
 
-/// The direction this packet wants: its preferred axis if profitable there,
-/// otherwise the other axis.
-fn desired_dir(p: &DxView) -> Option<mesh_topo::Dir> {
-    let axis = preferred_axis(p.state);
-    axis.profitable_dir(p.profitable)
-        .or_else(|| axis.other().profitable_dir(p.profitable))
+/// The direction a packet wants: its preferred axis if profitable there,
+/// otherwise the other axis. The state word only matters to a packet with a
+/// profitable direction on both axes, so it is fetched only for those.
+fn desired_dir(profitable: DirSet, state: impl FnOnce() -> u64) -> Option<Dir> {
+    let h = Axis::Horizontal.profitable_dir(profitable);
+    let v = Axis::Vertical.profitable_dir(profitable);
+    match (h, v) {
+        (Some(_), Some(_)) => match preferred_axis(state()) {
+            Axis::Horizontal => h,
+            Axis::Vertical => v,
+        },
+        _ => h.or(v),
+    }
 }
 
 impl DxRouter for AltAdaptive {
@@ -65,17 +73,20 @@ impl DxRouter for AltAdaptive {
         _step: u64,
         _node: Coord,
         _state: &mut RoundRobin,
-        pkts: &[DxView],
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
-        for d in ALL_DIRS {
-            let mut best: Option<usize> = None;
-            for (i, p) in pkts.iter().enumerate() {
-                if desired_dir(p) == Some(d) && best.is_none_or(|b| pkts[b].pos > p.pos) {
-                    best = Some(i);
+        // For each outlink: the FIFO-oldest packet that wants it. A packet
+        // wants exactly one direction, so one pass suffices.
+        let mut best_pos = [u32::MAX; 4];
+        for (i, p) in pkts.iter().enumerate() {
+            if let Some(d) = desired_dir(p.profitable(), || cold.state(i)) {
+                if p.pos() < best_pos[d.index()] {
+                    best_pos[d.index()] = p.pos();
+                    out[d.index()] = Some(i);
                 }
             }
-            out[d.index()] = best;
         }
     }
 
@@ -84,24 +95,74 @@ impl DxRouter for AltAdaptive {
         _step: u64,
         _node: Coord,
         state: &mut RoundRobin,
+        queue_lens: &[u32],
+        arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn end_of_step(
+        &self,
+        _step: u64,
+        node: Coord,
+        _state: &mut RoundRobin,
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
+        states: &mut [u64],
+    ) {
+        let here = position_key(node);
+        for (i, (p, s)) in pkts.iter().zip(states.iter_mut()).enumerate() {
+            // A fresh packet (state 0) is "at its source": the model lets the
+            // initial packet state encode the source address (§2).
+            let was = if *s == 0 {
+                position_key(cold.src(i))
+            } else {
+                *s & !1
+            };
+            // Same node as last step with somewhere profitable to go: the
+            // packet was blocked — alternate its preferred axis.
+            let blocked = was == here && !p.profitable().is_empty();
+            *s = here | ((*s & 1) ^ blocked as u64);
+        }
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl DxViewPolicy for AltAdaptive {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut RoundRobin,
+        pkts: &[DxView],
+        out: &mut [Option<usize>; 4],
+    ) {
+        for d in ALL_DIRS {
+            let mut best: Option<usize> = None;
+            for (i, p) in pkts.iter().enumerate() {
+                if view_desired_dir(p) == Some(d) && best.is_none_or(|b| pkts[b].pos > p.pos) {
+                    best = Some(i);
+                }
+            }
+            out[d.index()] = best;
+        }
+    }
+
+    fn view_inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        state: &mut RoundRobin,
         residents: &[DxView],
         arrivals: &[Arrival<DxView>],
         accept: &mut [bool],
     ) {
-        let mut room = (self.k as usize).saturating_sub(residents.len());
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
-        for i in order {
-            if room == 0 {
-                break;
-            }
-            accept[i] = true;
-            room -= 1;
-        }
-        state.advance();
+        view_round_robin_accept(self.k, state, residents, arrivals, accept);
     }
 
-    fn end_of_step(
+    fn view_end_of_step(
         &self,
         _step: u64,
         node: Coord,
@@ -130,11 +191,19 @@ impl DxRouter for AltAdaptive {
     }
 }
 
+/// [`desired_dir`] in its reference form: preferred axis first, then the
+/// other.
+fn view_desired_dir(p: &DxView) -> Option<Dir> {
+    let axis = preferred_axis(p.state);
+    axis.profitable_dir(p.profitable)
+        .or_else(|| axis.other().profitable_dir(p.profitable))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mesh_engine::{Dx, Loc, Sim};
-    use mesh_topo::{Dir, DirSet, Mesh};
+    use mesh_topo::Mesh;
     use mesh_traffic::{workloads, PacketId, RoutingProblem};
 
     #[test]
@@ -147,8 +216,11 @@ mod tests {
             queue: mesh_engine::QueueKind::Central,
             pos: 0,
         };
-        assert_eq!(desired_dir(&mk(0)), Some(Dir::East));
-        assert_eq!(desired_dir(&mk(1)), Some(Dir::North));
+        for (state, want) in [(0, Dir::East), (1, Dir::North)] {
+            let v = mk(state);
+            assert_eq!(view_desired_dir(&v), Some(want));
+            assert_eq!(desired_dir(v.profitable, || v.state), Some(want));
+        }
     }
 
     #[test]

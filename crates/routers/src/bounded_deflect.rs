@@ -20,9 +20,12 @@
 //!
 //! [`AltAdaptive`]: crate::AltAdaptive
 
-use crate::common::{Axis, RoundRobin};
-use mesh_engine::{Arrival, DxRouter, DxView, QueueArch};
-use mesh_topo::{Coord, Dir, ALL_DIRS};
+use crate::common::{
+    mesh_link_exists, round_robin_accept, view_round_robin_accept, Axis, RoundRobin,
+};
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
+use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
 /// δ-bounded deflecting router on a central queue of capacity `k`.
 #[derive(Clone, Debug)]
@@ -99,39 +102,88 @@ mod packstate {
 }
 
 impl BoundedDeflect {
-    /// The directions this packet may be scheduled on, best first.
-    fn choices(&self, node: Coord, p: &DxView) -> Vec<Dir> {
-        let axis = if packstate::axis_bit(p.state) == 0 {
+    /// The directions a packet may be scheduled on, best first, as a
+    /// prefix of the returned array (a direction appears at most once, so
+    /// four cells always suffice).
+    fn choices(&self, node: Coord, profitable: DirSet, state: u64) -> ([Dir; 4], usize) {
+        let axis = if packstate::axis_bit(state) == 0 {
             Axis::Horizontal
         } else {
             Axis::Vertical
         };
-        let mut dirs: Vec<Dir> = Vec::with_capacity(4);
-        if let Some(d) = axis.profitable_dir(p.profitable) {
-            dirs.push(d);
+        let mut dirs = [Dir::North; 4];
+        let mut cnt = 0;
+        let mut push = |d: Dir| {
+            dirs[cnt] = d;
+            cnt += 1;
+        };
+        if let Some(d) = axis.profitable_dir(profitable) {
+            push(d);
         }
-        if let Some(d) = axis.other().profitable_dir(p.profitable) {
-            dirs.push(d);
+        if let Some(d) = axis.other().profitable_dir(profitable) {
+            push(d);
         }
         // Deflection: only after sustained blocking, only with budget, only
         // along existing links.
-        if packstate::blocked(p.state) >= 2 {
+        if packstate::blocked(state) >= 2 {
             for d in ALL_DIRS {
-                if p.profitable.contains(d) || packstate::used(p.state, d) >= self.delta as u64 {
+                if profitable.contains(d) || packstate::used(state, d) >= self.delta as u64 {
                     continue;
                 }
-                let exists = match d {
-                    Dir::West => node.x > 0,
-                    Dir::South => node.y > 0,
-                    Dir::East => node.x + 1 < self.n,
-                    Dir::North => node.y + 1 < self.n,
-                };
-                if exists {
-                    dirs.push(d);
+                if mesh_link_exists(self.n, node, d) {
+                    push(d);
                 }
             }
         }
-        dirs
+        (dirs, cnt)
+    }
+
+    /// The end-of-step state word of a packet now at `node` — a function of
+    /// its old word, source, position and profitable set alone, so the
+    /// packed and the reference end-of-step policies share it. The source
+    /// is only consulted for a packet that has not moved yet.
+    fn next_state(
+        &self,
+        s: u64,
+        src: impl FnOnce() -> Coord,
+        node: Coord,
+        profitable: DirSet,
+    ) -> u64 {
+        let prev_pos = packstate::prev_pos(s).unwrap_or_else(src);
+        let mut used = [
+            packstate::used(s, Dir::North),
+            packstate::used(s, Dir::East),
+            packstate::used(s, Dir::South),
+            packstate::used(s, Dir::West),
+        ];
+        let mut axis = packstate::axis_bit(s);
+        let mut blocked = packstate::blocked(s);
+        if prev_pos == node {
+            // Did not move: blocked (if it had anywhere to go).
+            if !profitable.is_empty() {
+                blocked += 1;
+                axis ^= 1; // alternate like AltAdaptive
+            }
+        } else {
+            // Moved: charge budget if the hop was unprofitable.
+            let moved: Dir = ALL_DIRS
+                .into_iter()
+                .find(|d| {
+                    let (dx, dy) = d.delta();
+                    prev_pos.x as i64 + dx == node.x as i64
+                        && prev_pos.y as i64 + dy == node.y as i64
+                })
+                .expect("packets move one hop per step");
+            if !packstate::prev_profitable(s).contains(moved) && s >> 24 != 0 {
+                used[moved.index()] += 1;
+                debug_assert!(
+                    used[moved.index()] <= self.delta as u64,
+                    "deviation budget exceeded"
+                );
+            }
+            blocked = 0;
+        }
+        packstate::pack(axis, blocked, used, profitable, node)
     }
 }
 
@@ -155,18 +207,17 @@ impl DxRouter for BoundedDeflect {
         _step: u64,
         node: Coord,
         _state: &mut RoundRobin,
-        pkts: &[DxView],
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
-        // FIFO order; each packet takes its best still-free choice.
-        let mut order: Vec<usize> = (0..pkts.len()).collect();
-        order.sort_by_key(|&i| pkts[i].pos);
-        for i in order {
-            for d in self.choices(node, &pkts[i]) {
-                if out[d.index()].is_none() {
-                    out[d.index()] = Some(i);
-                    break;
-                }
+        // FIFO order (a central queue is offered oldest first, so pos *is*
+        // the index); each packet takes its best still-free choice.
+        for (i, p) in pkts.iter().enumerate() {
+            debug_assert_eq!(p.pos() as usize, i, "central queue offers in pos order");
+            let (dirs, cnt) = self.choices(node, p.profitable(), cold.state(i));
+            if let Some(d) = dirs[..cnt].iter().find(|d| out[d.index()].is_none()) {
+                out[d.index()] = Some(i);
             }
         }
     }
@@ -176,24 +227,96 @@ impl DxRouter for BoundedDeflect {
         _step: u64,
         _node: Coord,
         state: &mut RoundRobin,
+        queue_lens: &[u32],
+        arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn end_of_step(
+        &self,
+        _step: u64,
+        node: Coord,
+        _state: &mut RoundRobin,
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
+        states: &mut [u64],
+    ) {
+        for (i, (p, s)) in pkts.iter().zip(states.iter_mut()).enumerate() {
+            *s = self.next_state(*s, || cold.src(i), node, p.profitable());
+        }
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl BoundedDeflect {
+    /// The directions this packet may be scheduled on, best first.
+    fn view_choices(&self, node: Coord, p: &DxView) -> Vec<Dir> {
+        let axis = if packstate::axis_bit(p.state) == 0 {
+            Axis::Horizontal
+        } else {
+            Axis::Vertical
+        };
+        let mut dirs: Vec<Dir> = Vec::with_capacity(4);
+        if let Some(d) = axis.profitable_dir(p.profitable) {
+            dirs.push(d);
+        }
+        if let Some(d) = axis.other().profitable_dir(p.profitable) {
+            dirs.push(d);
+        }
+        // Deflection: only after sustained blocking, only with budget, only
+        // along existing links.
+        if packstate::blocked(p.state) >= 2 {
+            for d in ALL_DIRS {
+                if p.profitable.contains(d) || packstate::used(p.state, d) >= self.delta as u64 {
+                    continue;
+                }
+                if mesh_link_exists(self.n, node, d) {
+                    dirs.push(d);
+                }
+            }
+        }
+        dirs
+    }
+}
+
+impl DxViewPolicy for BoundedDeflect {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        node: Coord,
+        _state: &mut RoundRobin,
+        pkts: &[DxView],
+        out: &mut [Option<usize>; 4],
+    ) {
+        // FIFO order; each packet takes its best still-free choice.
+        let mut order: Vec<usize> = (0..pkts.len()).collect();
+        order.sort_by_key(|&i| pkts[i].pos);
+        for i in order {
+            for d in self.view_choices(node, &pkts[i]) {
+                if out[d.index()].is_none() {
+                    out[d.index()] = Some(i);
+                    break;
+                }
+            }
+        }
+    }
+
+    fn view_inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        state: &mut RoundRobin,
         residents: &[DxView],
         arrivals: &[Arrival<DxView>],
         accept: &mut [bool],
     ) {
-        let mut room = (self.k as usize).saturating_sub(residents.len());
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
-        for i in order {
-            if room == 0 {
-                break;
-            }
-            accept[i] = true;
-            room -= 1;
-        }
-        state.advance();
+        view_round_robin_accept(self.k, state, residents, arrivals, accept);
     }
 
-    fn end_of_step(
+    fn view_end_of_step(
         &self,
         _step: u64,
         node: Coord,
@@ -202,41 +325,7 @@ impl DxRouter for BoundedDeflect {
         states: &mut [u64],
     ) {
         for (p, s) in residents.iter().zip(states.iter_mut()) {
-            let prev_pos = packstate::prev_pos(*s).unwrap_or(p.src);
-            let mut used = [
-                packstate::used(*s, Dir::North),
-                packstate::used(*s, Dir::East),
-                packstate::used(*s, Dir::South),
-                packstate::used(*s, Dir::West),
-            ];
-            let mut axis = packstate::axis_bit(*s);
-            let mut blocked = packstate::blocked(*s);
-            if prev_pos == node {
-                // Did not move: blocked (if it had anywhere to go).
-                if !p.profitable.is_empty() {
-                    blocked += 1;
-                    axis ^= 1; // alternate like AltAdaptive
-                }
-            } else {
-                // Moved: charge budget if the hop was unprofitable.
-                let moved: Dir = ALL_DIRS
-                    .into_iter()
-                    .find(|d| {
-                        let (dx, dy) = d.delta();
-                        prev_pos.x as i64 + dx == node.x as i64
-                            && prev_pos.y as i64 + dy == node.y as i64
-                    })
-                    .expect("packets move one hop per step");
-                if !packstate::prev_profitable(*s).contains(moved) && *s >> 24 != 0 {
-                    used[moved.index()] += 1;
-                    debug_assert!(
-                        used[moved.index()] <= self.delta as u64,
-                        "deviation budget exceeded"
-                    );
-                }
-                blocked = 0;
-            }
-            *s = packstate::pack(axis, blocked, used, p.profitable, node);
+            *s = self.next_state(*s, || p.src, node, p.profitable);
         }
     }
 }

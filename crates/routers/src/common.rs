@@ -1,7 +1,8 @@
 //! Shared policy building blocks.
 
+use crate::oracle::{Arrival, DxView};
 use mesh_engine::PackedArrival;
-use mesh_topo::{Dir, DirSet};
+use mesh_topo::{Coord, Dir, DirSet};
 
 /// A movement axis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,6 +40,19 @@ pub fn dim_order_dir(profitable: DirSet, first: Axis) -> Option<Dir> {
         .or_else(|| first.other().profitable_dir(profitable))
 }
 
+/// Does the `d` outlink of `node` exist on a side-`n` mesh? A profitable
+/// direction always has a link; a deflecting router must additionally keep
+/// off the mesh edge, which a node can tell from its own position and the
+/// grid side (static machine configuration — no destination involved).
+pub fn mesh_link_exists(n: u32, node: Coord, d: Dir) -> bool {
+    match d {
+        Dir::West => node.x > 0,
+        Dir::South => node.y > 0,
+        Dir::East => node.x + 1 < n,
+        Dir::North => node.y + 1 < n,
+    }
+}
+
 /// A round-robin arbitration pointer over the four inlink sides: the
 /// "round-robin inqueue policy" example of §2. Stored in node state;
 /// serializable so checkpoints can carry it.
@@ -64,10 +78,10 @@ impl RoundRobin {
 /// strict headroom available at the beginning of the step (`k` minus the
 /// central queue's occupancy), arbitrating competing inlinks round-robin.
 ///
-/// Decision-identical to the view-based form (`sort_by_key(rank)` then
-/// accept-while-room): visiting ranks `0..4` in order, arrivals in offer
-/// order within a rank, is exactly the stable sort's iteration order — and
-/// there is at most one arrival per inlink anyway.
+/// Decision-identical to [`view_round_robin_accept`] (`sort_by_key(rank)`
+/// then accept-while-room): visiting ranks `0..4` in order, arrivals in
+/// offer order within a rank, is exactly the stable sort's iteration order
+/// — and there is at most one arrival per inlink anyway.
 pub fn round_robin_accept(
     k: u32,
     occupied: u32,
@@ -98,6 +112,28 @@ pub fn round_robin_accept(
                 room -= 1;
             }
         }
+    }
+    state.advance();
+}
+
+/// Reference form of [`round_robin_accept`], over views: the inqueue view
+/// policy every central-queue router here shares.
+pub fn view_round_robin_accept(
+    k: u32,
+    state: &mut RoundRobin,
+    residents: &[DxView],
+    arrivals: &[Arrival<DxView>],
+    accept: &mut [bool],
+) {
+    let mut room = (k as usize).saturating_sub(residents.len());
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
+    for i in order {
+        if room == 0 {
+            break;
+        }
+        accept[i] = true;
+        room -= 1;
     }
     state.advance();
 }

@@ -7,8 +7,9 @@
 //! destination-exchangeable algorithm (§2) and the target of the §5
 //! `Ω(n²/k)` dimension-order lower bound.
 
-use crate::common::{dim_order_dir, round_robin_accept, Axis, RoundRobin};
-use mesh_engine::{Arrival, DxRouter, DxView, PackedArrival, PackedView, QueueArch};
+use crate::common::{dim_order_dir, round_robin_accept, view_round_robin_accept, Axis, RoundRobin};
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, ALL_DIRS};
 
 /// Dimension-order router on a central queue of capacity `k`.
@@ -61,6 +62,53 @@ impl DxRouter for DimOrder {
         _step: u64,
         _node: Coord,
         _state: &mut RoundRobin,
+        pkts: &[PackedView],
+        _cold: &DxResidents<'_>,
+        out: &mut [Option<usize>; 4],
+    ) {
+        // For each outlink: the FIFO-oldest packet that wants it. Each
+        // packet wants exactly one direction (`dim_order_dir` is a function
+        // of its profitable set), so one pass tracking the minimum-pos
+        // packet per direction picks the winner of every per-direction scan.
+        let mut best_pos = [u32::MAX; 4];
+        for (i, p) in pkts.iter().enumerate() {
+            if let Some(d) = dim_order_dir(p.profitable(), self.first) {
+                if p.pos() < best_pos[d.index()] {
+                    best_pos[d.index()] = p.pos();
+                    out[d.index()] = Some(i);
+                }
+            }
+        }
+    }
+
+    fn inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        state: &mut RoundRobin,
+        queue_lens: &[u32],
+        arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        // Accept into the strict headroom available at the beginning of the
+        // step, arbitrating competing inlinks round-robin (§2's example).
+        // Central arch: every resident lives in slot 0.
+        round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn uses_end_of_step(&self) -> bool {
+        false
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl DxViewPolicy for DimOrder {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut RoundRobin,
         pkts: &[DxView],
         out: &mut [Option<usize>; 4],
     ) {
@@ -78,7 +126,7 @@ impl DxRouter for DimOrder {
         }
     }
 
-    fn inqueue(
+    fn view_inqueue(
         &self,
         _step: u64,
         _node: Coord,
@@ -87,67 +135,7 @@ impl DxRouter for DimOrder {
         arrivals: &[Arrival<DxView>],
         accept: &mut [bool],
     ) {
-        // Accept into the strict headroom available at the beginning of the
-        // step, arbitrating competing inlinks round-robin (§2's example).
-        let mut room = (self.k as usize).saturating_sub(residents.len());
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
-        for i in order {
-            if room == 0 {
-                break;
-            }
-            accept[i] = true;
-            room -= 1;
-        }
-        state.advance();
-    }
-
-    // Bit-packed fast path: same decisions, no per-packet view structs.
-    // Both policies read only profitable masks, positions, and occupancy —
-    // exactly what PackedView/queue_lens carry.
-
-    fn mask_capable(&self) -> bool {
-        true
-    }
-
-    fn outqueue_packed(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut RoundRobin,
-        pkts: &[PackedView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // Single pass instead of one scan per direction: each packet wants
-        // exactly one direction (`dim_order_dir` is a function of its
-        // profitable set), so tracking the minimum-pos packet per direction
-        // as we go picks the same winner the per-direction scans did.
-        let mut best_pos = [u32::MAX; 4];
-        for (i, p) in pkts.iter().enumerate() {
-            if let Some(d) = dim_order_dir(p.profitable(), self.first) {
-                if p.pos() < best_pos[d.index()] {
-                    best_pos[d.index()] = p.pos();
-                    out[d.index()] = Some(i);
-                }
-            }
-        }
-    }
-
-    fn inqueue_packed(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        queue_lens: &[u32],
-        arrivals: &[PackedArrival],
-        accept: &mut [bool],
-    ) {
-        // Central arch: every resident lives in slot 0.
-        round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
-    }
-
-    fn uses_end_of_step(&self) -> bool {
-        false
+        view_round_robin_accept(self.k, state, residents, arrivals, accept);
     }
 }
 

@@ -7,7 +7,8 @@
 //! destination addresses and "is not destination-exchangeable" (§5).
 
 use crate::common::{dim_order_dir, Axis};
-use mesh_engine::{Arrival, FullView, QueueArch, Router};
+use crate::oracle::{Arrival, FullView, ViewPolicy};
+use mesh_engine::{FullArrivals, FullResidents, PackedArrival, PackedView, QueueArch, Router};
 use mesh_topo::{Coord, Dir, ALL_DIRS};
 
 /// Farthest-first dimension-order router on a central queue of capacity `k`.
@@ -57,6 +58,65 @@ impl Router for FarthestFirst {
         _step: u64,
         node: Coord,
         _state: &mut (),
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
+        out: &mut [Option<usize>; 4],
+    ) {
+        // Per outlink: the packet with the farthest to go in that dimension
+        // ("farthest-first", §5); ties broken by queue age. A packet wants
+        // exactly one direction, so one pass suffices; and a destination is
+        // only read once two packets contend for an outlink.
+        let mut best = [(None::<u32>, u32::MAX); 4]; // (distance if known, pos)
+        for (i, p) in pkts.iter().enumerate() {
+            let Some(d) = dim_order_dir(p.profitable(), Axis::Horizontal) else {
+                continue;
+            };
+            let (bd, bp) = &mut best[d.index()];
+            if let Some(b) = out[d.index()] {
+                let held = *bd.get_or_insert_with(|| dim_distance(node, cold.dst(b), d));
+                let dist = dim_distance(node, cold.dst(i), d);
+                if dist < held || (dist == held && p.pos() >= *bp) {
+                    continue;
+                }
+                *bd = Some(dist);
+            }
+            *bp = p.pos();
+            out[d.index()] = Some(i);
+        }
+    }
+
+    fn inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut (),
+        queue_lens: &[u32],
+        _arrivals: &mut [PackedArrival],
+        _cold: &FullArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        // Accept into strict headroom, in fixed inlink order. §5's
+        // farthest-first lower bound assumes only the *outqueue* policy
+        // reads distances; a distance-dependent inqueue would break the
+        // exchange-commutation argument (we verified this empirically: a
+        // farthest-total-distance acceptance rule makes the Lemma 12 replay
+        // equivalence fail at k ≥ 2).
+        let room = self.k.saturating_sub(queue_lens[0]) as usize;
+        accept.iter_mut().take(room).for_each(|a| *a = true);
+    }
+
+    fn uses_end_of_step(&self) -> bool {
+        false
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl ViewPolicy for FarthestFirst {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        node: Coord,
+        _state: &mut (),
         pkts: &[FullView],
         out: &mut [Option<usize>; 4],
     ) {
@@ -82,7 +142,7 @@ impl Router for FarthestFirst {
         }
     }
 
-    fn inqueue(
+    fn view_inqueue(
         &self,
         _step: u64,
         _node: Coord,
@@ -91,12 +151,7 @@ impl Router for FarthestFirst {
         arrivals: &[Arrival<FullView>],
         accept: &mut [bool],
     ) {
-        // Accept into strict headroom, in fixed inlink order. §5's
-        // farthest-first lower bound assumes only the *outqueue* policy
-        // reads distances; a distance-dependent inqueue would break the
-        // exchange-commutation argument (we verified this empirically: a
-        // farthest-total-distance acceptance rule makes the Lemma 12 replay
-        // equivalence fail at k ≥ 2).
+        // Accept into strict headroom, in fixed inlink order.
         let mut room = (self.k as usize).saturating_sub(residents.len());
         for (i, _a) in arrivals.iter().enumerate() {
             if room == 0 {
@@ -106,10 +161,6 @@ impl Router for FarthestFirst {
             room -= 1;
         }
     }
-
-    fn is_minimal(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +168,7 @@ mod tests {
     use super::*;
     use mesh_engine::Sim;
     use mesh_topo::Mesh;
-    use mesh_traffic::workloads;
+    use mesh_traffic::{workloads, RoutingProblem};
 
     #[test]
     fn unbounded_routes_any_permutation_in_2n_minus_2() {
@@ -178,6 +229,22 @@ mod tests {
             "queues grew: {}",
             sim.report().max_queue
         );
+    }
+
+    #[test]
+    fn unbounded_on_a_large_mesh_is_sized_by_occupancy() {
+        // k = n² at n = 256 used to ask the queue arena for n⁴ cells (17 GB)
+        // and abort; the arena now starts every slot small and grows it.
+        let n = 256;
+        let topo = Mesh::new(n);
+        let pb = RoutingProblem::from_pairs(
+            n,
+            "diagonal-64",
+            (0..64).map(|i| (Coord::new(4 * i, 0), Coord::new(255 - 4 * i, 255 - i))),
+        );
+        let mut sim = Sim::new(&topo, FarthestFirst::unbounded(n), &pb);
+        sim.run(10 * n as u64).unwrap();
+        assert_eq!(sim.report().delivered, 64);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`FaultAware`] wraps any [`Router`] and masks outlinks that the shared
 //! [`CompiledFaults`] table says are down *right now* out of every packet
-//! view the inner router sees. The inner algorithm needs no changes: to
+//! descriptor the inner router sees. The inner algorithm needs no changes: to
 //! dimension order, west-first, or the Theorem 15 router, a faulted East
 //! link simply looks like East not being profitable, and their ordinary
 //! direction fallback does the rerouting.
@@ -22,10 +22,9 @@
 //! steer) loses the move but stays correct. Masking merely lets the router
 //! spend its step on a link that works.
 
-use mesh_engine::{Arrival, FullView, PackedArrival, PackedView, QueueArch, Router};
+use mesh_engine::{FullArrivals, FullResidents, PackedArrival, PackedView, QueueArch, Router};
 use mesh_faults::CompiledFaults;
-use mesh_topo::Coord;
-use std::cell::Cell;
+use mesh_topo::{Coord, DirSet, ALL_DIRS};
 use std::sync::Arc;
 
 /// A [`Router`] adapter that hides faulted outlinks from the inner router.
@@ -33,18 +32,16 @@ use std::sync::Arc;
 /// Share one compiled fault table between the wrapper and
 /// [`Sim::with_faults`](mesh_engine::Sim::with_faults) so the router's view
 /// of the network and the engine's enforcement always agree.
+///
+/// The mask is applied in place to the descriptors the engine hands over
+/// (its per-node scratch, rebuilt for every call), so wrapping copies
+/// nothing. With an empty table every method is a plain pass-through.
+/// Only what is handed over is masked: an inqueue policy that looks up its
+/// own residents' descriptors through `cold.residents()` reads them
+/// unmasked (none here does — acceptance reads occupancy).
 pub struct FaultAware<R> {
     inner: R,
     faults: Arc<CompiledFaults>,
-}
-
-// Masking scratch is per thread, not per wrapper: `Router` is `Sync` so the
-// tile-sharded engine can share one wrapper across workers. Take/set on a
-// `Cell` (rather than `RefCell` borrows) stays reentrant under nesting — an
-// inner wrapper just sees an empty buffer.
-thread_local! {
-    static FA_RESIDENTS: Cell<Vec<FullView>> = const { Cell::new(Vec::new()) };
-    static FA_ARRIVALS: Cell<Vec<Arrival<FullView>>> = const { Cell::new(Vec::new()) };
 }
 
 impl<R> FaultAware<R> {
@@ -58,29 +55,20 @@ impl<R> FaultAware<R> {
         &self.inner
     }
 
-    /// A resident view with the node's down outlinks masked out.
-    fn mask_at(&self, step: u64, node: Coord, mut view: FullView) -> FullView {
-        for d in view.profitable.iter() {
+    /// `profitable` minus the outlinks of `node` that are down at `step`.
+    fn mask_at(&self, step: u64, node: Coord, mut profitable: DirSet) -> DirSet {
+        for d in profitable.iter() {
             if self.faults.link_down(step, node, d) {
-                view.profitable.remove(d);
+                profitable.remove(d);
             }
         }
-        view
+        profitable
     }
 
-    /// An arrival view, masked at the node it is coming *from* (§2 measures
-    /// a scheduled packet's profitable outlinks from its sender).
-    fn mask_arrival(
-        &self,
-        step: u64,
-        node: Coord,
-        arrival: Arrival<FullView>,
-    ) -> Arrival<FullView> {
-        let (dx, dy) = arrival.travel.delta();
-        let from = Coord::new((node.x as i64 - dx) as u32, (node.y as i64 - dy) as u32);
-        Arrival {
-            view: self.mask_at(step, from, arrival.view),
-            travel: arrival.travel,
+    /// Masks every resident descriptor at the holding node.
+    fn mask_residents(&self, step: u64, node: Coord, pkts: &mut [PackedView]) {
+        for p in pkts.iter_mut() {
+            *p = p.with_profitable(self.mask_at(step, node, p.profitable()));
         }
     }
 }
@@ -105,24 +93,20 @@ impl<R: Router> Router for FaultAware<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        pkts: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
         if self.faults.is_empty() {
-            return self.inner.outqueue(step, node, state, pkts, out);
+            return self.inner.outqueue(step, node, state, pkts, cold, out);
         }
-        {
-            let mut buf = FA_RESIDENTS.take();
-            buf.clear();
-            buf.extend(pkts.iter().map(|&v| self.mask_at(step, node, v)));
-            self.inner.outqueue(step, node, state, &buf, out);
-            FA_RESIDENTS.set(buf);
-        }
+        self.mask_residents(step, node, pkts);
+        self.inner.outqueue(step, node, state, pkts, cold, out);
         // Belt and braces: a nonminimal inner router may still have picked a
         // down link (the mask only edits *profitable* sets). Clear it — the
         // engine would drop the move anyway.
         for (di, slot) in out.iter_mut().enumerate() {
-            if slot.is_some() && self.faults.link_down(step, node, mesh_topo::ALL_DIRS[di]) {
+            if slot.is_some() && self.faults.link_down(step, node, ALL_DIRS[di]) {
                 *slot = None;
             }
         }
@@ -133,24 +117,25 @@ impl<R: Router> Router for FaultAware<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
-        arrivals: &[Arrival<FullView>],
+        queue_lens: &[u32],
+        arrivals: &mut [PackedArrival],
+        cold: &FullArrivals<'_>,
         accept: &mut [bool],
     ) {
         if self.faults.is_empty() {
             return self
                 .inner
-                .inqueue(step, node, state, residents, arrivals, accept);
+                .inqueue(step, node, state, queue_lens, arrivals, cold, accept);
         }
-        let mut rbuf = FA_RESIDENTS.take();
-        rbuf.clear();
-        rbuf.extend(residents.iter().map(|&v| self.mask_at(step, node, v)));
-        let mut abuf = FA_ARRIVALS.take();
-        abuf.clear();
-        abuf.extend(arrivals.iter().map(|&a| self.mask_arrival(step, node, a)));
-        self.inner.inqueue(step, node, state, &rbuf, &abuf, accept);
-        FA_RESIDENTS.set(rbuf);
-        FA_ARRIVALS.set(abuf);
+        // An arrival is masked at the node it is coming *from* (§2 measures
+        // a scheduled packet's profitable outlinks from its sender). The
+        // sender is the schedule's, not `node - travel`: across a torus seam
+        // the two differ.
+        for (i, a) in arrivals.iter_mut().enumerate() {
+            *a = a.with_profitable(self.mask_at(step, cold.from(i), a.profitable()));
+        }
+        self.inner
+            .inqueue(step, node, state, queue_lens, arrivals, cold, accept);
         // Capacity guard: some acceptance rules assume fault-free progress
         // invariants (e.g. Theorem 15's vertical queues always accept
         // because a vertical packet always departs next step). Faults void
@@ -158,16 +143,16 @@ impl<R: Router> Router for FaultAware<R> {
         // queue — the sender keeps the packet and backpressure replaces
         // overflow.
         let arch = self.inner.queue_arch();
-        let mut extra = [0usize; 5];
+        let mut extra = [0u32; 5];
         for (i, a) in arrivals.iter().enumerate() {
-            if !accept[i] || a.view.dst == node {
+            if !accept[i] || cold.dst(i) == node {
                 continue; // rejected, or delivered on arrival (no slot used)
             }
-            let kind = arch.arrival_queue(a.travel);
+            let kind = arch.arrival_queue(a.travel());
             if let Some(cap) = arch.capacity(kind) {
-                let len = residents.iter().filter(|r| r.queue == kind).count() + extra[kind.slot()];
-                if len < cap as usize {
-                    extra[kind.slot()] += 1;
+                let slot = kind.slot();
+                if queue_lens[slot] + extra[slot] < cap {
+                    extra[slot] += 1;
                 } else {
                     accept[i] = false;
                 }
@@ -180,54 +165,19 @@ impl<R: Router> Router for FaultAware<R> {
         step: u64,
         node: Coord,
         state: &mut Self::NodeState,
-        residents: &[FullView],
+        pkts: &mut [PackedView],
+        cold: &FullResidents<'_>,
         states: &mut [u64],
     ) {
-        if self.faults.is_empty() {
-            return self.inner.end_of_step(step, node, state, residents, states);
+        if !self.faults.is_empty() {
+            self.mask_residents(step, node, pkts);
         }
-        let mut rbuf = FA_RESIDENTS.take();
-        rbuf.clear();
-        rbuf.extend(residents.iter().map(|&v| self.mask_at(step, node, v)));
-        self.inner.end_of_step(step, node, state, &rbuf, states);
-        FA_RESIDENTS.set(rbuf);
-    }
-
-    /// An empty fault table makes every view method a pure pass-through
-    /// (the masks and guards above are all behind `is_empty` early
-    /// returns), so the packed fast path can be forwarded verbatim. With
-    /// faults present the wrapper must edit views, which the packed path
-    /// cannot express — it stays off and the view path masks as before.
-    fn mask_capable(&self) -> bool {
-        self.faults.is_empty() && self.inner.mask_capable()
-    }
-
-    fn outqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        pkts: &[PackedView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        self.inner.outqueue_packed(step, node, state, pkts, out);
-    }
-
-    fn inqueue_packed(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        queue_lens: &[u32],
-        arrivals: &[PackedArrival],
-        accept: &mut [bool],
-    ) {
         self.inner
-            .inqueue_packed(step, node, state, queue_lens, arrivals, accept);
+            .end_of_step(step, node, state, pkts, cold, states);
     }
 
     /// Masking never changes whether the *inner* end-of-step does anything:
-    /// if it is the no-op, masked views feed a no-op all the same.
+    /// if it is the no-op, masked descriptors feed a no-op all the same.
     fn uses_end_of_step(&self) -> bool {
         self.inner.uses_end_of_step()
     }
@@ -239,7 +189,7 @@ mod tests {
     use crate::DimOrder;
     use mesh_engine::{Dx, Sim, SimConfig, SimError};
     use mesh_faults::FaultPlan;
-    use mesh_topo::{Dir, Mesh};
+    use mesh_topo::{Dir, Mesh, Torus};
     use mesh_traffic::{workloads, RoutingProblem};
 
     fn wrapped_dim_order(k: u32, faults: &Arc<CompiledFaults>) -> FaultAware<Dx<DimOrder>> {
@@ -361,6 +311,31 @@ mod tests {
         assert!(wrapped.done());
         assert_eq!(wrapped.delivered(), pb.len());
         assert!(steps < 1_000_000);
+    }
+
+    /// An arrival across a torus seam is masked at the node it really
+    /// comes from. Deriving the sender as `node - travel` gave `u32::MAX`
+    /// there, and the fault-table lookup overflowed (debug builds) or
+    /// consulted a wrong link (release). Any non-empty table turns the
+    /// masking on; this one's link is nowhere near the packet.
+    #[test]
+    fn torus_seam_arrival_is_masked_at_its_sender() {
+        let topo = Torus::new(8);
+        let pb = RoutingProblem::from_pairs(8, "seam", [(Coord::new(6, 1), Coord::new(1, 1))]);
+        let faults = Arc::new(
+            FaultPlan::none(8)
+                .link_down(Coord::new(3, 5), Dir::North, 0, None)
+                .compile(),
+        );
+        let mut sim = Sim::with_faults(
+            &topo,
+            wrapped_dim_order(4, &faults),
+            &pb,
+            SimConfig::default(),
+            faults.as_ref().clone(),
+        );
+        let steps = sim.run(100).expect("delivers across the seam");
+        assert_eq!(steps, 3, "6 → 7 → 0 → 1, eastward over the wrap-around");
     }
 
     /// Wrapped name advertises the wrapper.

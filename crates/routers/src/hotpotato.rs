@@ -19,7 +19,11 @@
 //! per inlink, so queues never exceed one — the extreme of bounded-queue
 //! routing, at the price of nonminimal paths.
 
-use mesh_engine::{Arrival, DxRouter, DxView, QueueArch, QueueKind};
+use crate::common::mesh_link_exists;
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{
+    DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch, QueueKind,
+};
 use mesh_topo::{Coord, Dir, ALL_DIRS};
 
 /// Greedy deflection router (queues: one slot per inlink).
@@ -64,22 +68,124 @@ impl DxRouter for HotPotato {
         _step: u64,
         node: Coord,
         _state: &mut (),
+        pkts: &[PackedView],
+        cold: &DxResidents<'_>,
+        out: &mut [Option<usize>; 4],
+    ) {
+        // Transit packets (inlink buffers: PerInlink slots `0..4`, by `Dir`
+        // index) MUST leave. One buffer slot per inlink bounds them at
+        // four, so the whole policy runs on arrays.
+        let mut transit = [0usize; 4];
+        let mut nt = 0;
+        let mut own = None;
+        for (i, p) in pkts.iter().enumerate() {
+            if p.slot() != QueueKind::Injection.slot() {
+                assert!(nt < 4, "hot-potato: more transit packets than inlinks");
+                transit[nt] = i;
+                nt += 1;
+            } else if own.is_none() {
+                own = Some(i);
+            }
+        }
+        // Order them oldest first (ties: lower id — all destination-blind).
+        // A lone transit packet needs no key, so its state is never read.
+        if nt > 1 {
+            let mut ages = [0u64; 4];
+            for (a, &i) in ages.iter_mut().zip(&transit[..nt]) {
+                *a = cold.state(i);
+            }
+            for hi in 1..nt {
+                let mut j = hi;
+                while j > 0
+                    && (ages[j] > ages[j - 1]
+                        || (ages[j] == ages[j - 1]
+                            && cold.id(transit[j]) < cold.id(transit[j - 1])))
+                {
+                    ages.swap(j, j - 1);
+                    transit.swap(j, j - 1);
+                    j -= 1;
+                }
+            }
+        }
+
+        let mut used = [false; 4];
+        let mut pending = [0usize; 4];
+        let mut np = 0;
+        for &i in &transit[..nt] {
+            match pkts[i].profitable().iter().find(|d| !used[d.index()]) {
+                Some(d) => {
+                    used[d.index()] = true;
+                    out[d.index()] = Some(i);
+                }
+                None => {
+                    pending[np] = i;
+                    np += 1;
+                }
+            }
+        }
+        // Deflect the rest onto any free existing outlink. Every direction a
+        // packet arrived from has a link back (its opposite side's link), so
+        // a valid assignment always exists (in-degree = out-degree).
+        for &i in &pending[..np] {
+            let back = Dir::from_index(pkts[i].slot()); // link toward that neighbor exists
+            let d = ALL_DIRS
+                .into_iter()
+                .find(|&d| !used[d.index()] && (d == back || mesh_link_exists(self.n, node, d)))
+                .unwrap_or(back);
+            assert!(!used[d.index()], "deflection assignment failed");
+            used[d.index()] = true;
+            out[d.index()] = Some(i);
+        }
+
+        // Inject the node's own packet if a profitable outlink is free.
+        if let Some(i) = own {
+            if let Some(d) = pkts[i].profitable().iter().find(|d| !used[d.index()]) {
+                out[d.index()] = Some(i);
+            }
+        }
+    }
+
+    fn inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut (),
+        _queue_lens: &[u32],
+        _arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        // Hot potato: always accept — every buffered packet leaves each
+        // step, so each one-slot inlink buffer is free again.
+        accept.fill(true);
+    }
+
+    fn end_of_step(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut (),
+        _pkts: &[PackedView],
+        _cold: &DxResidents<'_>,
+        states: &mut [u64],
+    ) {
+        // Age every packet still in the network (deflection priority).
+        for s in states.iter_mut() {
+            *s += 1;
+        }
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl DxViewPolicy for HotPotato {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        node: Coord,
+        _state: &mut (),
         pkts: &[DxView],
         out: &mut [Option<usize>; 4],
     ) {
-        // Which outlinks exist here? A profitable direction always has a
-        // link; deflections must additionally avoid the mesh edge, which a
-        // node can tell from its own position and the grid side.
-        let n = self.n;
-        let link_exists = |d: Dir| -> bool {
-            match d {
-                Dir::West => node.x > 0,
-                Dir::South => node.y > 0,
-                Dir::East => node.x + 1 < n,
-                Dir::North => node.y + 1 < n,
-            }
-        };
-
         // Transit packets (inlink buffers) MUST leave; order them oldest
         // first (ties: lower queue slot, then lower id — all
         // destination-blind).
@@ -110,7 +216,7 @@ impl DxRouter for HotPotato {
             };
             let d = ALL_DIRS
                 .into_iter()
-                .find(|&d| !used[d.index()] && (d == back || link_exists(d)))
+                .find(|&d| !used[d.index()] && (d == back || mesh_link_exists(self.n, node, d)))
                 .unwrap_or(back);
             assert!(!used[d.index()], "deflection assignment failed");
             used[d.index()] = true;
@@ -125,7 +231,7 @@ impl DxRouter for HotPotato {
         }
     }
 
-    fn inqueue(
+    fn view_inqueue(
         &self,
         _step: u64,
         _node: Coord,
@@ -139,7 +245,7 @@ impl DxRouter for HotPotato {
         accept.iter_mut().for_each(|a| *a = true);
     }
 
-    fn end_of_step(
+    fn view_end_of_step(
         &self,
         _step: u64,
         _node: Coord,

@@ -16,11 +16,21 @@
 //!
 //! All are deterministic. The destination-exchangeable ones implement
 //! [`mesh_engine::DxRouter`] and therefore *cannot* consult destinations —
-//! the trait's views contain none.
+//! the handle their policies read packets through has no accessor for one.
+//!
+//! Every router has its policies twice. The `DxRouter`/`Router` impl is
+//! what runs: bit-packed descriptors, cold columns fetched per packet on
+//! demand, `[_; 4]` arrays for scratch, no allocation. The
+//! `DxViewPolicy`/`ViewPolicy` impl below it is the same policy over one
+//! materialized view struct per packet — the form the algorithm was first
+//! written in, kept as the reference [`oracle::ViewOracle`] runs
+//! and `tests/packed_equivalence.rs` checks the first against, decision
+//! for decision.
 //!
 //! Any of them can be made fault-tolerant by wrapping in [`FaultAware`],
-//! which masks currently-down outlinks from the inner router's view so its
-//! ordinary direction fallback routes around injected faults.
+//! which masks currently-down outlinks out of the descriptors the inner
+//! router is handed so its ordinary direction fallback routes around
+//! injected faults.
 
 pub mod alt_adaptive;
 pub mod bounded_deflect;
@@ -29,6 +39,7 @@ pub mod dimorder;
 pub mod farthest;
 pub mod fault_aware;
 pub mod hotpotato;
+pub mod oracle;
 pub mod theorem15;
 pub mod west_first;
 

@@ -20,7 +20,10 @@
 //! being tested.
 
 use crate::common::{dim_order_dir, Axis};
-use mesh_engine::{Arrival, DxRouter, DxView, PackedArrival, PackedView, QueueArch, QueueKind};
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{
+    DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch, QueueKind,
+};
 use mesh_topo::{Coord, Dir, ALL_DIRS};
 
 /// The Theorem 15 bounded-queue dimension-order router.
@@ -36,25 +39,25 @@ impl Theorem15 {
     }
 }
 
-/// Outqueue priority class (lower wins).
-fn class(p: &DxView, d: Dir) -> u8 {
-    match p.queue {
-        // Straight: continuing the direction of travel that brought it here.
-        QueueKind::Inlink(side) if side == d.opposite() => 0,
-        QueueKind::Injection => 1,
-        _ => 2, // turning
-    }
-}
-
-/// [`class`] from a packed slot index: under the PerInlink arch, slots
-/// `0..4` are the inlink queues (by `Dir` index) and slot 4 is injection.
-fn class_packed(slot: usize, d: Dir) -> u8 {
+/// Outqueue priority class (lower wins) from a packed slot index: under
+/// the PerInlink arch, slots `0..4` are the inlink queues (by `Dir` index)
+/// and slot 4 is injection.
+fn class(slot: usize, d: Dir) -> u8 {
     if slot == d.opposite().index() {
-        0 // straight
+        0 // straight: continuing the direction of travel that brought it here
     } else if slot == 4 {
         1 // injection
     } else {
         2 // turning
+    }
+}
+
+/// [`class`] in its reference form, over a view's queue kind.
+fn view_class(p: &DxView, d: Dir) -> u8 {
+    match p.queue {
+        QueueKind::Inlink(side) if side == d.opposite() => 0,
+        QueueKind::Injection => 1,
+        _ => 2,
     }
 }
 
@@ -74,6 +77,58 @@ impl DxRouter for Theorem15 {
         _step: u64,
         _node: Coord,
         _state: &mut (),
+        pkts: &[PackedView],
+        _cold: &DxResidents<'_>,
+        out: &mut [Option<usize>; 4],
+    ) {
+        // Each packet wants exactly one direction, so one pass tracking the
+        // best (class, pos) key per direction — strict comparison,
+        // first-seen wins ties — picks the winner of every per-direction
+        // scan.
+        let mut best = [(u8::MAX, u32::MAX); 4]; // (class, pos)
+        for (i, p) in pkts.iter().enumerate() {
+            let Some(d) = dim_order_dir(p.profitable(), Axis::Horizontal) else {
+                continue;
+            };
+            let c = class(p.slot(), d);
+            let (bc, bp) = best[d.index()];
+            if c < bc || (c == bc && p.pos() < bp) {
+                best[d.index()] = (c, p.pos());
+                out[d.index()] = Some(i);
+            }
+        }
+    }
+
+    fn inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut (),
+        queue_lens: &[u32],
+        arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
+        accept: &mut [bool],
+    ) {
+        for (i, a) in arrivals.iter().enumerate() {
+            let t = a.travel();
+            // North/South queues always accept; East/West accept iff
+            // strictly under k at the beginning of the step.
+            accept[i] = t.is_vertical() || queue_lens[t.opposite().index()] < self.k;
+        }
+    }
+
+    fn uses_end_of_step(&self) -> bool {
+        false
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl DxViewPolicy for Theorem15 {
+    fn view_outqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        _state: &mut (),
         pkts: &[DxView],
         out: &mut [Option<usize>; 4],
     ) {
@@ -83,7 +138,7 @@ impl DxRouter for Theorem15 {
                 if dim_order_dir(p.profitable, Axis::Horizontal) != Some(d) {
                     continue;
                 }
-                let c = class(p, d);
+                let c = view_class(p, d);
                 let better = match best {
                     None => true,
                     Some((bc, bp, _)) => c < bc || (c == bc && p.pos < bp),
@@ -96,7 +151,7 @@ impl DxRouter for Theorem15 {
         }
     }
 
-    fn inqueue(
+    fn view_inqueue(
         &self,
         _step: u64,
         _node: Coord,
@@ -117,61 +172,6 @@ impl DxRouter for Theorem15 {
                 accept[i] = len < self.k as usize;
             }
         }
-    }
-
-    // Bit-packed fast path: identical decisions. The inqueue policy gets
-    // the occupancy of the relevant inlink queue directly from the per-slot
-    // counts instead of scanning every resident.
-
-    fn mask_capable(&self) -> bool {
-        true
-    }
-
-    fn outqueue_packed(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        pkts: &[PackedView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // Single pass instead of one scan per direction: each packet wants
-        // exactly one direction, so tracking the best (class, pos) key per
-        // direction as we go — strict comparison, first-seen wins ties —
-        // picks the same winner the ascending per-direction scans did.
-        let mut best = [(u8::MAX, u32::MAX); 4]; // (class, pos)
-        for (i, p) in pkts.iter().enumerate() {
-            let Some(d) = dim_order_dir(p.profitable(), Axis::Horizontal) else {
-                continue;
-            };
-            let c = class_packed(p.slot(), d);
-            let (bc, bp) = best[d.index()];
-            if c < bc || (c == bc && p.pos() < bp) {
-                best[d.index()] = (c, p.pos());
-                out[d.index()] = Some(i);
-            }
-        }
-    }
-
-    fn inqueue_packed(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        queue_lens: &[u32],
-        arrivals: &[PackedArrival],
-        accept: &mut [bool],
-    ) {
-        for (i, a) in arrivals.iter().enumerate() {
-            let t = a.travel();
-            // North/South queues always accept; East/West accept iff
-            // strictly under k at the beginning of the step.
-            accept[i] = t.is_vertical() || queue_lens[t.opposite().index()] < self.k;
-        }
-    }
-
-    fn uses_end_of_step(&self) -> bool {
-        false
     }
 }
 

@@ -16,8 +16,9 @@
 //! same practical stalls) — it exists to show the bound's universality
 //! across the §2-cited adaptive family.
 
-use crate::common::{round_robin_accept, RoundRobin};
-use mesh_engine::{Arrival, DxRouter, DxView, PackedArrival, PackedView, QueueArch};
+use crate::common::{round_robin_accept, view_round_robin_accept, RoundRobin};
+use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
 /// West-first minimal adaptive router on a central queue of capacity `k`.
@@ -44,7 +45,7 @@ fn allowed_mask(profitable: DirSet) -> DirSet {
     }
 }
 
-/// Directions this packet may take, in preference order.
+/// Directions this packet may take, in preference order (reference form).
 fn choices(p: &DxView) -> impl Iterator<Item = Dir> + '_ {
     allowed_mask(p.profitable).iter()
 }
@@ -65,68 +66,12 @@ impl DxRouter for WestFirst {
         step: u64,
         _node: Coord,
         _state: &mut RoundRobin,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // FIFO order. Adaptive packets rotate their first choice by step
-        // parity so contention spreads over the allowed directions.
-        let mut order: Vec<usize> = (0..pkts.len()).collect();
-        order.sort_by_key(|&i| pkts[i].pos);
-        for i in order {
-            let opts: Vec<Dir> = choices(&pkts[i]).collect();
-            if opts.is_empty() {
-                continue;
-            }
-            let start = (step as usize) % opts.len();
-            for off in 0..opts.len() {
-                let d = opts[(start + off) % opts.len()];
-                if out[d.index()].is_none() {
-                    out[d.index()] = Some(i);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        let mut room = (self.k as usize).saturating_sub(residents.len());
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
-        for i in order {
-            if room == 0 {
-                break;
-            }
-            accept[i] = true;
-            room -= 1;
-        }
-        state.advance();
-    }
-
-    // Bit-packed fast path: identical decisions, no allocation. The view
-    // outqueue sorts by pos, but on the Central arch packets live in one
-    // queue and are offered in queue order, so pos *is* the index — the
-    // sort was the identity permutation.
-
-    fn mask_capable(&self) -> bool {
-        true
-    }
-
-    fn outqueue_packed(
-        &self,
-        step: u64,
-        _node: Coord,
-        _state: &mut RoundRobin,
         pkts: &[PackedView],
+        _cold: &DxResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
+        // FIFO order: on the Central arch packets live in one queue and are
+        // offered in queue order, so pos *is* the index.
         for (i, p) in pkts.iter().enumerate() {
             debug_assert_eq!(p.pos() as usize, i, "central queue offers in pos order");
             let mask = allowed_mask(p.profitable());
@@ -154,13 +99,14 @@ impl DxRouter for WestFirst {
         }
     }
 
-    fn inqueue_packed(
+    fn inqueue(
         &self,
         _step: u64,
         _node: Coord,
         state: &mut RoundRobin,
         queue_lens: &[u32],
         arrivals: &[PackedArrival],
+        _cold: &DxArrivals<'_>,
         accept: &mut [bool],
     ) {
         round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
@@ -168,6 +114,49 @@ impl DxRouter for WestFirst {
 
     fn uses_end_of_step(&self) -> bool {
         false
+    }
+}
+
+/// Reference view policies (see [`crate::oracle`]).
+impl DxViewPolicy for WestFirst {
+    fn view_outqueue(
+        &self,
+        step: u64,
+        _node: Coord,
+        _state: &mut RoundRobin,
+        pkts: &[DxView],
+        out: &mut [Option<usize>; 4],
+    ) {
+        // FIFO order. Adaptive packets rotate their first choice by step
+        // parity so contention spreads over the allowed directions.
+        let mut order: Vec<usize> = (0..pkts.len()).collect();
+        order.sort_by_key(|&i| pkts[i].pos);
+        for i in order {
+            let opts: Vec<Dir> = choices(&pkts[i]).collect();
+            if opts.is_empty() {
+                continue;
+            }
+            let start = (step as usize) % opts.len();
+            for off in 0..opts.len() {
+                let d = opts[(start + off) % opts.len()];
+                if out[d.index()].is_none() {
+                    out[d.index()] = Some(i);
+                    break;
+                }
+            }
+        }
+    }
+
+    fn view_inqueue(
+        &self,
+        _step: u64,
+        _node: Coord,
+        state: &mut RoundRobin,
+        residents: &[DxView],
+        arrivals: &[Arrival<DxView>],
+        accept: &mut [bool],
+    ) {
+        view_round_robin_accept(self.k, state, residents, arrivals, accept);
     }
 }
 

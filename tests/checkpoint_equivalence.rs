@@ -268,6 +268,35 @@ proptest! {
     }
 }
 
+/// A central queue whose bound exceeds the arena's inline cells starts
+/// small and grows by slab rebuilds. Checkpoints taken while a queue sits
+/// in grown cells must restore into a grid that holds it — and resume
+/// bit-identically, sequentially or tiled.
+#[test]
+fn grown_central_queue_resumes_bit_identically() {
+    let n = 16;
+    let topo = Mesh::new(n);
+    let pb = workloads::column_funnel(n);
+    let mk = || Dx::new(DimOrder::new(n * n));
+    let mut probe = Sim::new(&topo, mk(), &pb);
+    probe.run(1_000).unwrap();
+    assert!(
+        probe.report().max_queue > 4,
+        "the funnel must outgrow the inline cells"
+    );
+    let tiled = SimConfig {
+        tile_threads: 2,
+        ..SimConfig::default()
+    };
+    for kill_at in [3, 6, 9, 12, 18] {
+        for resume_config in [SimConfig::default(), tiled] {
+            let run_config = SimConfig::default();
+            check_raw_resume(&topo, mk, &pb, None, run_config, resume_config, 1, kill_at)
+                .unwrap_or_else(|e| panic!("kill at {kill_at}: {e:?}"));
+        }
+    }
+}
+
 /// Satellite: a checkpoint taken *between* an ARQ data loss and its
 /// retransmission resumes to exactly-once delivery with the identical
 /// transport report. The scenario is pinned: the payload's first crossing

@@ -276,11 +276,10 @@ fn golden_dense64() {
     });
 }
 
-/// The faulty scenario mirrors a chaos-soak cell: seeded random faults, a
+/// A faulty scenario mirrors a chaos-soak cell: seeded random faults, a
 /// fault-aware router, manual stepping so the event stream (not just the
 /// verdict) is part of the frozen record.
-#[test]
-fn golden_faulty() {
+fn check_faulty<R: Router>(scenario: &str, inner: impl Fn() -> R) {
     check_sequential_and_tiled(|config| {
         let n = 16;
         let topo = Mesh::new(n);
@@ -292,19 +291,32 @@ fn golden_faulty() {
         };
         let mut sim = Sim::with_faults(
             &topo,
-            FaultAware::new(Dx::new(DimOrder::new(4)), Arc::clone(&faults)),
+            FaultAware::new(inner(), Arc::clone(&faults)),
             &pb,
             config,
             faults.as_ref().clone(),
         );
         let (outcome, events) = step_and_record(&mut sim, 5_000);
         GoldenDoc {
-            scenario: "faulty".into(),
+            scenario: scenario.into(),
             outcome,
             report: sim.report(),
             events,
         }
     });
+}
+
+#[test]
+fn golden_faulty() {
+    check_faulty("faulty", || Dx::new(DimOrder::new(4)));
+}
+
+/// The same fault plan under a router whose policies read packet state: the
+/// wrapper's masking reaches the outqueue, inqueue *and* end-of-step
+/// policies, and its capacity guard runs on a non-empty table.
+#[test]
+fn golden_faulty_alt_adaptive() {
+    check_faulty("faulty_alt_adaptive", || alt_adaptive(4));
 }
 
 /// The routers beyond dim-order/Theorem 15, each frozen on the two n = 16
@@ -353,40 +365,7 @@ fn golden_farthest_first() {
 
 #[test]
 fn golden_bounded_deflect() {
-    check_router_on_both_workloads("bounded_deflect", || {
-        Dx::new(BoundedDeflect::new(16, 2, 1))
-    });
-}
-
-/// `golden_faulty`'s fault plan under a router whose policies read packet
-/// state: the wrapper's masking reaches the outqueue, inqueue *and*
-/// end-of-step policies, and its capacity guard runs on a non-empty table.
-#[test]
-fn golden_faulty_alt_adaptive() {
-    check_sequential_and_tiled(|config| {
-        let n = 16;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_partial_permutation(n, 0.5, 2024);
-        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
-        let config = SimConfig {
-            watchdog: Some(8 * n as u64),
-            ..config
-        };
-        let mut sim = Sim::with_faults(
-            &topo,
-            FaultAware::new(alt_adaptive(4), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "faulty_alt_adaptive".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    check_router_on_both_workloads("bounded_deflect", || Dx::new(BoundedDeflect::new(16, 2, 1)));
 }
 
 /// A [`ProtocolHook`] adapter recording each step's events before

@@ -1,80 +1,60 @@
-//! Differential battery for the bit-packed router fast path: a
-//! mask-capable router's packed policies (`outqueue_packed` /
-//! `inqueue_packed` over `PackedView` descriptors and per-slot occupancy
-//! counts) must make **identical** decisions to its per-packet-view
-//! policies. The oracle is the router itself behind a wrapper that reports
-//! `mask_capable() == false`, forcing the engine down the view path — so
-//! both sims run the same policy logic and differ only in the hot-path
-//! representation. Any divergence in per-step event streams, packet
-//! trajectories, reports, or diagnostics is a fast-path bug.
+//! Differential battery for the policy surface: every shipped router's
+//! packed policies (`PackedView`/`PackedArrival` descriptors, per-slot
+//! occupancy counts, cold columns read through a handle) must make
+//! **identical** decisions to its reference view policies. The oracle is
+//! the router itself behind [`ViewOracle`], which materializes one view
+//! struct per packet through the handle's accessors and runs the view
+//! policy — so both sims run on the same engine and differ only in the
+//! policy representation. Any divergence in per-step event streams, packet
+//! trajectories, end-of-step state words, reports, or diagnostics is a
+//! policy-port bug.
 //!
-//! Coverage axes: all three mask-capable routers × random workloads
-//! (static partial permutations and dynamic Bernoulli) × every admission
-//! policy × random fault plans (stalls, link faults, queue degradation —
-//! exercising the engine-side acceptance clamp shared by both paths) ×
-//! tile geometries and thread counts.
+//! Coverage axes: all seven routers, bare and under `FaultAware` with a
+//! non-empty fault table, × random workloads (static partial permutations
+//! and dynamic Bernoulli) × every admission policy × random fault plans
+//! (stalls, link faults, queue degradation — exercising the engine-side
+//! acceptance clamp) × tile geometries and thread counts.
 
-use mesh_routing::engine::{Arrival, DxView, QueueArch};
 use mesh_routing::prelude::*;
+use mesh_routing::routers::oracle::{DxViewPolicy, ViewOracle};
+use mesh_routing::routers::{BoundedDeflect, HotPotato};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Forces the per-packet-view slow path for any inner router by inheriting
-/// the trait default `mask_capable() == false` (and `uses_end_of_step() ==
-/// true`, so the oracle also runs the UpdateState pass the fast path skips
-/// for no-op routers — proving the skip is an identity).
-struct ViewOracle<R>(R);
+/// A check to run on one (packed, oracle) router pair.
+trait PairCheck {
+    fn check<RA: Router, RB: Router>(&self, fast: RA, oracle: RB) -> Result<(), TestCaseError>;
+}
 
-impl<R: DxRouter> DxRouter for ViewOracle<R> {
-    type NodeState = R::NodeState;
+fn dx_pair<R: DxViewPolicy>(
+    check: &impl PairCheck,
+    mk: impl Fn() -> R,
+) -> Result<(), TestCaseError> {
+    check.check(Dx::new(mk()), Dx::new(ViewOracle(mk())))
+}
 
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn queue_arch(&self) -> QueueArch {
-        self.0.queue_arch()
-    }
-
-    fn is_minimal(&self) -> bool {
-        self.0.is_minimal()
-    }
-
-    fn outqueue(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        self.0.outqueue(step, node, state, pkts, out);
-    }
-
-    fn inqueue(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        self.0
-            .inqueue(step, node, state, residents, arrivals, accept);
-    }
-
-    fn end_of_step(
-        &self,
-        step: u64,
-        node: Coord,
-        state: &mut Self::NodeState,
-        residents: &[DxView],
-        states: &mut [u64],
-    ) {
-        self.0.end_of_step(step, node, state, residents, states);
+/// The router axis: runs `check` on router number `which` of the seven,
+/// sized for a side-`n` grid with queue bound `k`.
+fn for_router(which: usize, n: u32, k: u32, check: &impl PairCheck) -> Result<(), TestCaseError> {
+    match which {
+        0 => dx_pair(check, || DimOrder::new(k)),
+        1 => dx_pair(check, || WestFirst::new(k)),
+        2 => dx_pair(check, || AltAdaptive::new(k)),
+        3 => dx_pair(check, || BoundedDeflect::new(n, k, 1)),
+        4 => check.check(FarthestFirst::new(k), ViewOracle(FarthestFirst::new(k))),
+        5 => dx_pair(check, || Theorem15::new(k)),
+        _ => dx_pair(check, || HotPotato::new(n)),
     }
 }
+
+/// Routers `0..CONSERVATIVE` accept only into strict headroom, so they
+/// survive an arbitrary fault plan unwrapped. Theorem 15's always-accept
+/// vertical queues and hot-potato's always-accept buffers rely on
+/// guaranteed ejection, which a link fault breaks — the queue overflows
+/// (identically in both sims) and the capacity audit panics. Guarding that
+/// is `FaultAware`'s job; the wrapped combination is property 3.
+const CONSERVATIVE: usize = 5;
+const ROUTERS: usize = 7;
 
 /// An arbitrary partial permutation on a side-`n` grid (same construction
 /// as `tests/properties.rs`).
@@ -135,7 +115,8 @@ fn tile_config(n: u32) -> impl Strategy<Value = (Option<(u32, u32)>, usize)> {
 }
 
 /// Steps the fast (packed) and oracle (view) sims in lockstep, checking
-/// after every step that the observable state is identical.
+/// after every step that the observable state — state words included — is
+/// identical.
 fn assert_lockstep_identical<T: Topology, RA: Router, RB: Router>(
     fast: &mut Sim<'_, T, RA>,
     oracle: &mut Sim<'_, T, RB>,
@@ -172,151 +153,34 @@ fn assert_lockstep_identical<T: Topology, RA: Router, RB: Router>(
     Ok(())
 }
 
-/// Builds the fast/oracle pair for a fault-free problem under an admission
-/// policy and tile configuration, and runs the lockstep comparison.
-fn check_fault_free<R: DxRouter>(
-    pb: &RoutingProblem,
-    mk: impl Fn() -> R,
-    adm: AdmissionPolicy,
-    tiles: Option<(u32, u32)>,
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    let topo = Mesh::new(pb.n);
-    let config = SimConfig {
-        admission: adm,
-        tile_threads: threads,
-        tiles,
-        ..SimConfig::default()
-    };
-    let mut fast = Sim::with_config(&topo, Dx::new(mk()), pb, config);
-    let mut oracle = Sim::with_config(&topo, Dx::new(ViewOracle(mk())), pb, config);
-    assert_lockstep_identical(&mut fast, &mut oracle, 3_000)
+/// Property 1's check: a fault-free problem, stepped in lockstep.
+struct FaultFree<'a> {
+    pb: &'a RoutingProblem,
+    config: SimConfig,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Property 1: every mask-capable router is decision-identical through
-    /// its packed and view policies, for arbitrary workloads, admission
-    /// policies, tile geometries, and thread counts.
-    #[test]
-    fn packed_path_is_bit_identical_fault_free(
-        pb in workload(16),
-        adm in admission(),
-        tc in tile_config(16),
-        k in 1u32..4,
-        router in 0usize..3,
-    ) {
-        prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
-        match router {
-            0 => check_fault_free(&pb, || DimOrder::new(k), adm, tiles, threads)?,
-            1 => check_fault_free(&pb, || Theorem15::new(k), adm, tiles, threads)?,
-            _ => check_fault_free(&pb, || WestFirst::new(k), adm, tiles, threads)?,
-        }
+impl PairCheck for FaultFree<'_> {
+    fn check<RA: Router, RB: Router>(&self, fast: RA, oracle: RB) -> Result<(), TestCaseError> {
+        let topo = Mesh::new(self.pb.n);
+        let mut fast = Sim::with_config(&topo, fast, self.pb, self.config);
+        let mut oracle = Sim::with_config(&topo, oracle, self.pb, self.config);
+        assert_lockstep_identical(&mut fast, &mut oracle, 1_500)
     }
+}
 
-    /// Property 2: equivalence under arbitrary fault plans with the
-    /// watchdog armed. The routers here are *unwrapped* (no FaultAware),
-    /// so the engine's own fault machinery carries the whole burden: the
-    /// packed path must agree with the view path through stalled-node
-    /// gates and the engine-side degradation clamp (which now reads the
-    /// schedule and packet store instead of the arrival views). The whole
-    /// run outcome must match, not just the happy path.
-    ///
-    /// Only the conservative-acceptance routers run unwrapped: Theorem15's
-    /// always-accept vertical queues rely on guaranteed ejection, which a
-    /// link fault breaks — the queue overflows (identically in both paths)
-    /// and the capacity audit panics. Masking that is FaultAware's job;
-    /// the wrapped combination is property 3.
-    #[test]
-    fn packed_path_is_bit_identical_under_faults(
-        pb in partial_permutation(12),
-        adm in admission(),
-        tc in tile_config(12),
-        k in 1u32..4,
-        rate_permille in 0u64..=200,
-        fault_seed in 0u64..10_000,
-        router in 0usize..2,
-    ) {
-        prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
-        let n = 12u32;
-        let topo = Mesh::new(n);
-        let rate = rate_permille as f64 / 1000.0;
-        let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
-        let config = SimConfig {
-            watchdog: Some(8 * n as u64),
-            admission: adm,
-            tile_threads: threads,
-            tiles,
-            ..SimConfig::default()
-        };
-        macro_rules! pair_check {
-            ($mk:expr) => {{
-                let mk = $mk;
-                let mut fast = Sim::with_faults(
-                    &topo, Dx::new(mk()), &pb, config, faults.as_ref().clone(),
-                );
-                let mut oracle = Sim::with_faults(
-                    &topo, Dx::new(ViewOracle(mk())), &pb, config, faults.as_ref().clone(),
-                );
-                let res_fast = fast.run(20_000);
-                let res_oracle = oracle.run(20_000);
-                prop_assert!(
-                    res_fast == res_oracle,
-                    "run outcomes diverged: {:?} vs {:?}",
-                    res_fast,
-                    res_oracle
-                );
-                prop_assert_eq!(
-                    serde_json::to_string(&fast.report()).unwrap(),
-                    serde_json::to_string(&oracle.report()).unwrap()
-                );
-                prop_assert_eq!(fast.packet_snapshot(), oracle.packet_snapshot());
-                prop_assert_eq!(fast.diagnostics(), oracle.diagnostics());
-            }};
-        }
-        match router {
-            0 => pair_check!(|| DimOrder::new(k)),
-            _ => pair_check!(|| WestFirst::new(k)),
-        }
-    }
+/// Property 2's check: a fault plan with the watchdog armed, run to its
+/// verdict — the whole outcome must match, not just the happy path.
+struct UnderFaults<'a> {
+    pb: &'a RoutingProblem,
+    config: SimConfig,
+    faults: &'a CompiledFaults,
+}
 
-    /// Property 3: the empty-fault-table FaultAware wrapper forwards the
-    /// fast path (it is a pure pass-through then), and a *non-empty* table
-    /// switches it off — either way the wrapped run matches the oracle
-    /// wrapped the same way.
-    #[test]
-    fn fault_aware_wrapper_forwards_packed_path_soundly(
-        pb in partial_permutation(12),
-        k in 1u32..4,
-        rate_permille in 0u64..=150,
-        fault_seed in 0u64..10_000,
-    ) {
-        prop_assume!(!pb.is_empty());
-        let n = 12u32;
-        let topo = Mesh::new(n);
-        let rate = rate_permille as f64 / 1000.0;
-        let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
-        let config = SimConfig {
-            watchdog: Some(8 * n as u64),
-            ..SimConfig::default()
-        };
-        let mut fast = Sim::with_faults(
-            &topo,
-            FaultAware::new(Dx::new(Theorem15::new(k)), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let mut oracle = Sim::with_faults(
-            &topo,
-            FaultAware::new(Dx::new(ViewOracle(Theorem15::new(k))), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
+impl PairCheck for UnderFaults<'_> {
+    fn check<RA: Router, RB: Router>(&self, fast: RA, oracle: RB) -> Result<(), TestCaseError> {
+        let topo = Mesh::new(self.pb.n);
+        let mut fast = Sim::with_faults(&topo, fast, self.pb, self.config, self.faults.clone());
+        let mut oracle = Sim::with_faults(&topo, oracle, self.pb, self.config, self.faults.clone());
         let res_fast = fast.run(20_000);
         let res_oracle = oracle.run(20_000);
         prop_assert!(
@@ -325,7 +189,117 @@ proptest! {
             res_fast,
             res_oracle
         );
+        prop_assert_eq!(
+            serde_json::to_string(&fast.report()).unwrap(),
+            serde_json::to_string(&oracle.report()).unwrap()
+        );
         prop_assert_eq!(fast.packet_snapshot(), oracle.packet_snapshot());
         prop_assert_eq!(fast.diagnostics(), oracle.diagnostics());
+        Ok(())
+    }
+}
+
+/// Property 3's check: both routers behind `FaultAware` over the same
+/// non-empty table the engine enforces, stepped in lockstep.
+struct Wrapped<'a> {
+    pb: &'a RoutingProblem,
+    faults: &'a Arc<CompiledFaults>,
+}
+
+impl Wrapped<'_> {
+    fn sim<'t, R: Router>(&self, topo: &'t Mesh, router: R) -> Sim<'t, Mesh, FaultAware<R>> {
+        Sim::with_faults(
+            topo,
+            FaultAware::new(router, Arc::clone(self.faults)),
+            self.pb,
+            SimConfig::default(),
+            self.faults.as_ref().clone(),
+        )
+    }
+}
+
+impl PairCheck for Wrapped<'_> {
+    fn check<RA: Router, RB: Router>(&self, fast: RA, oracle: RB) -> Result<(), TestCaseError> {
+        let topo = Mesh::new(self.pb.n);
+        let mut fast = self.sim(&topo, fast);
+        let mut oracle = self.sim(&topo, oracle);
+        assert_lockstep_identical(&mut fast, &mut oracle, 1_000)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 1: every router is decision-identical through its packed
+    /// and view policies, for arbitrary workloads, admission policies, tile
+    /// geometries, and thread counts.
+    #[test]
+    fn packed_path_is_bit_identical_fault_free(
+        pb in workload(16),
+        adm in admission(),
+        tc in tile_config(16),
+        k in 1u32..4,
+        router in 0usize..ROUTERS,
+    ) {
+        prop_assume!(!pb.is_empty());
+        let (tiles, threads) = tc;
+        let config = SimConfig {
+            admission: adm,
+            tile_threads: threads,
+            tiles,
+            ..SimConfig::default()
+        };
+        for_router(router, pb.n, k, &FaultFree { pb: &pb, config })?;
+    }
+
+    /// Property 2: equivalence under arbitrary fault plans with the
+    /// watchdog armed. The routers here are *unwrapped* (no FaultAware),
+    /// so the engine's own fault machinery carries the whole burden: the
+    /// packed policies must agree with the view policies through
+    /// stalled-node gates and the engine-side degradation clamp.
+    #[test]
+    fn packed_path_is_bit_identical_under_faults(
+        pb in partial_permutation(12),
+        adm in admission(),
+        tc in tile_config(12),
+        k in 1u32..4,
+        rate_permille in 0u64..=200,
+        fault_seed in 0u64..10_000,
+        router in 0usize..CONSERVATIVE,
+    ) {
+        prop_assume!(!pb.is_empty());
+        let (tiles, threads) = tc;
+        let n = 12u32;
+        let rate = rate_permille as f64 / 1000.0;
+        let faults = FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile();
+        let config = SimConfig {
+            watchdog: Some(8 * n as u64),
+            admission: adm,
+            tile_threads: threads,
+            tiles,
+            ..SimConfig::default()
+        };
+        for_router(router, n, k, &UnderFaults { pb: &pb, config, faults: &faults })?;
+    }
+
+    /// Property 3: `FaultAware` over a **non-empty** table masks the packed
+    /// descriptors in place (residents at the holding node, arrivals at
+    /// their sender) and guards capacity off `queue_lens`; every router
+    /// wrapped that way matches its oracle wrapped the same way, so the
+    /// oracle's views are built from the masked descriptors.
+    #[test]
+    fn fault_aware_wrapper_forwards_packed_path_soundly(
+        pb in partial_permutation(12),
+        k in 1u32..4,
+        rate_permille in 20u64..=150,
+        fault_seed in 0u64..10_000,
+        router in 0usize..ROUTERS,
+    ) {
+        prop_assume!(!pb.is_empty());
+        let n = 12u32;
+        let rate = rate_permille as f64 / 1000.0;
+        let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
+        prop_assume!(!faults.is_empty());
+        for_router(router, n, k, &Wrapped { pb: &pb, faults: &faults })?;
     }
 }
