@@ -14,7 +14,8 @@ mod tests {
     use super::*;
     use crate::queue::QueueArch;
     use crate::router::{Dx, DxRouter};
-    use mesh_topo::Mesh;
+    use crate::view::{FullArrivals, FullResidents};
+    use mesh_topo::{DirSet, Mesh};
     use mesh_traffic::RoutingProblem;
 
     /// Minimal destination-exchangeable test router: greedy "first profitable
@@ -281,6 +282,55 @@ mod tests {
             ],
         );
         let mut sim = Sim::new(&topo, Dx::new(Overflower), &pb);
+        let _ = sim.run(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-minimal move")]
+    fn minimality_check_ignores_router_edits_to_the_descriptors() {
+        /// A broken wrapper: widens every profitable set in the slice it was
+        /// handed mutably, then lets greedy route on the widened sets.
+        struct Widener(Dx<Greedy>);
+        impl Router for Widener {
+            type NodeState = ();
+            fn name(&self) -> String {
+                "widener".into()
+            }
+            fn queue_arch(&self) -> QueueArch {
+                self.0.queue_arch()
+            }
+            fn outqueue(
+                &self,
+                s: u64,
+                n: Coord,
+                st: &mut (),
+                pkts: &mut [PackedView],
+                c: &FullResidents<'_>,
+                out: &mut [Option<usize>; 4],
+            ) {
+                for p in pkts.iter_mut() {
+                    *p = p.with_profitable(DirSet::ALL);
+                }
+                self.0.outqueue(s, n, st, pkts, c, out);
+            }
+            fn inqueue(
+                &self,
+                s: u64,
+                n: Coord,
+                st: &mut (),
+                l: &[u32],
+                a: &mut [PackedArrival],
+                c: &FullArrivals<'_>,
+                accept: &mut [bool],
+            ) {
+                self.0.inqueue(s, n, st, l, a, c, accept);
+            }
+        }
+        // Only East is profitable; greedy's canonical order takes North
+        // first once the set is widened.
+        let topo = Mesh::new(4);
+        let pb = RoutingProblem::from_pairs(4, "widen", [(Coord::new(1, 1), Coord::new(3, 1))]);
+        let mut sim = Sim::new(&topo, Widener(greedy(2)), &pb);
         let _ = sim.run(10);
     }
 

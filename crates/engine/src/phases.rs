@@ -572,7 +572,6 @@ pub(crate) fn route_node<T: Topology, R: Router>(
             // The small-node fast path already holds the lone resident;
             // multi-packet nodes index the arena's occupancy walk.
             let pkt = single.unwrap_or_else(|| grid.nth_packet(ni, i));
-            let profitable = masks[i].profitable();
             let to = topo.neighbor(node, d).unwrap_or_else(|| {
                 panic!(
                     "{}: scheduled {pkt:?} on missing {d} outlink of {node}",
@@ -580,6 +579,9 @@ pub(crate) fn route_node<T: Topology, R: Router>(
                 )
             });
             if validate && router.is_minimal() {
+                // Checked against the store's own mask column, not `masks`:
+                // the router was handed that slice mutably.
+                let profitable = DirSet::from_bits(store.mask[pkt.index()]);
                 assert!(
                     profitable.contains(d),
                     "{}: non-minimal move {pkt:?} {d} from {node} (profitable {profitable:?}) step {t0}",

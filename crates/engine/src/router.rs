@@ -28,7 +28,9 @@ use mesh_topo::Coord;
 /// The descriptor slices are the engine's per-node scratch, rebuilt for
 /// every call, which is why this trait hands them out mutably: a wrapper
 /// edits them in place before delegating (`FaultAware` clears down outlinks
-/// from every profitable set) instead of copying them.
+/// from every profitable set) instead of copying them. The engine never
+/// reads them back — its minimality check consults the packet table's own
+/// mask column — so an edit can mislead only the policy it is passed to.
 ///
 /// Routers are `Sync` (and node states `Send`): the tile-sharded engine
 /// shares one router across its worker threads, each invoking policies on
@@ -71,12 +73,11 @@ pub trait Router: Sync {
     /// Step (c): decide which scheduled arrivals to accept. Residents are
     /// summarized as per-slot occupancy (`queue_lens[s]` = packets in slot
     /// `s` of this node at the beginning of the step, indexed per the
-    /// router's declared arch; `cold.residents()` reads more); `arrivals`
-    /// describes the offered packets in offer order and `cold` reads their
-    /// cold columns by the same index. `accept` has one flag per arrival,
-    /// all initially `false`. The policy must not accept more packets than
-    /// its queues can hold by the end of the step (the engine verifies and
-    /// panics on overflow).
+    /// router's declared arch); `arrivals` describes the offered packets in
+    /// offer order and `cold` reads their cold columns by the same index.
+    /// `accept` has one flag per arrival, all initially `false`. The policy
+    /// must not accept more packets than its queues can hold by the end of
+    /// the step (the engine verifies and panics on overflow).
     #[allow(clippy::too_many_arguments)]
     fn inqueue(
         &self,

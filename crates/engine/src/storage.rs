@@ -428,9 +428,11 @@ impl NodeGrid {
     }
 
     /// The `i`-th packet at node `ni` in flattened slot order — the same
-    /// order `build_views`/`build_packed` enumerate, so an index returned
-    /// by an outqueue policy resolves to its packet without materializing
-    /// per-packet views. At most four lookups happen per node per step.
+    /// order `build_packed` enumerates, so a descriptor index resolves to
+    /// its packet on demand: the route phase resolves the (at most four)
+    /// indices an outqueue policy returns, and every `id`/`src`/`state`/
+    /// `dst` read through a residents handle comes here first. The walk is
+    /// over occupied slots only (one for a central queue, at most five).
     #[inline]
     pub(crate) fn nth_packet(&self, ni: usize, mut i: usize) -> PacketId {
         let mut o = self.occ[ni];

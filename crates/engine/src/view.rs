@@ -119,13 +119,16 @@ pub struct DxResidents<'a> {
 }
 
 impl<'a> DxResidents<'a> {
-    /// Packets queued at the node.
+    /// Packets queued at the node. Reference-oracle support (policies are
+    /// handed the descriptor slice, whose length this is).
+    #[doc(hidden)]
     #[inline]
     pub fn len(&self) -> usize {
         self.grid.node_load(self.ni) as usize
     }
 
-    /// True when the node holds no packet.
+    /// True when the node holds no packet. Reference-oracle support.
+    #[doc(hidden)]
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -149,8 +152,10 @@ impl<'a> DxResidents<'a> {
         self.store.state[self.id(i).index()]
     }
 
-    /// The packet's descriptor, for policies that are not handed the slice
-    /// (an inqueue policy sees only per-slot occupancy of its residents).
+    /// The packet's descriptor, rebuilt from the grid. Reference-oracle
+    /// support: an inqueue *view* policy is handed its residents as views,
+    /// where a shipped inqueue policy reads only per-slot occupancy.
+    #[doc(hidden)]
     pub fn packed(&self, i: usize) -> PackedView {
         let mut rest = i;
         for (slot, q) in self.grid.node_queues(self.ni) {
@@ -225,7 +230,9 @@ impl<'a> DxArrivals<'a> {
         self.residents.store.state[self.id(i).index()]
     }
 
-    /// The accepting node's own residents, as of the beginning of the step.
+    /// The accepting node's own residents, as of the beginning of the
+    /// step. Reference-oracle support (see [`DxResidents::packed`]).
+    #[doc(hidden)]
     #[inline]
     pub fn residents(&self) -> DxResidents<'a> {
         self.residents
@@ -266,6 +273,8 @@ impl<'a> FullArrivals<'a> {
     }
 
     /// The accepting node's own residents, destinations included.
+    /// Reference-oracle support.
+    #[doc(hidden)]
     #[inline]
     pub fn residents(&self) -> FullResidents<'a> {
         FullResidents(self.0.residents)

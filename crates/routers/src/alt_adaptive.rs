@@ -11,8 +11,8 @@
 //! own identity in state updates — doing so never lets a policy distinguish
 //! exchanged packets, which is all destination-exchangeability requires).
 
-use crate::common::{round_robin_accept, view_round_robin_accept, Axis, RoundRobin};
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use crate::common::{round_robin_accept, Axis, RoundRobin};
+use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -129,7 +129,7 @@ impl DxRouter for AltAdaptive {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl DxViewPolicy for AltAdaptive {
     fn view_outqueue(
         &self,

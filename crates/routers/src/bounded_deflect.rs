@@ -20,10 +20,8 @@
 //!
 //! [`AltAdaptive`]: crate::AltAdaptive
 
-use crate::common::{
-    mesh_link_exists, round_robin_accept, view_round_robin_accept, Axis, RoundRobin,
-};
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use crate::common::{mesh_link_exists, round_robin_accept, Axis, RoundRobin};
+use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -139,9 +137,9 @@ impl BoundedDeflect {
     }
 
     /// The end-of-step state word of a packet now at `node` — a function of
-    /// its old word, source, position and profitable set alone, so the
-    /// packed and the reference end-of-step policies share it. The source
-    /// is only consulted for a packet that has not moved yet.
+    /// its old word, source, position and profitable set alone. The source
+    /// is only consulted for a packet that has not moved yet, so it is
+    /// fetched lazily.
     fn next_state(
         &self,
         s: u64,
@@ -250,7 +248,7 @@ impl DxRouter for BoundedDeflect {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl BoundedDeflect {
     /// The directions this packet may be scheduled on, best first.
     fn view_choices(&self, node: Coord, p: &DxView) -> Vec<Dir> {
@@ -324,8 +322,44 @@ impl DxViewPolicy for BoundedDeflect {
         residents: &[DxView],
         states: &mut [u64],
     ) {
+        // Deliberately not `next_state`: the reference keeps its own copy of
+        // the state update so the differential battery checks the port.
         for (p, s) in residents.iter().zip(states.iter_mut()) {
-            *s = self.next_state(*s, || p.src, node, p.profitable);
+            let prev_pos = packstate::prev_pos(*s).unwrap_or(p.src);
+            let mut used = [
+                packstate::used(*s, Dir::North),
+                packstate::used(*s, Dir::East),
+                packstate::used(*s, Dir::South),
+                packstate::used(*s, Dir::West),
+            ];
+            let mut axis = packstate::axis_bit(*s);
+            let mut blocked = packstate::blocked(*s);
+            if prev_pos == node {
+                // Did not move: blocked (if it had anywhere to go).
+                if !p.profitable.is_empty() {
+                    blocked += 1;
+                    axis ^= 1; // alternate like AltAdaptive
+                }
+            } else {
+                // Moved: charge budget if the hop was unprofitable.
+                let moved: Dir = ALL_DIRS
+                    .into_iter()
+                    .find(|d| {
+                        let (dx, dy) = d.delta();
+                        prev_pos.x as i64 + dx == node.x as i64
+                            && prev_pos.y as i64 + dy == node.y as i64
+                    })
+                    .expect("packets move one hop per step");
+                if !packstate::prev_profitable(*s).contains(moved) && *s >> 24 != 0 {
+                    used[moved.index()] += 1;
+                    debug_assert!(
+                        used[moved.index()] <= self.delta as u64,
+                        "deviation budget exceeded"
+                    );
+                }
+                blocked = 0;
+            }
+            *s = packstate::pack(axis, blocked, used, p.profitable, node);
         }
     }
 }

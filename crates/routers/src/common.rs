@@ -1,6 +1,5 @@
 //! Shared policy building blocks.
 
-use crate::oracle::{Arrival, DxView};
 use mesh_engine::PackedArrival;
 use mesh_topo::{Coord, Dir, DirSet};
 
@@ -78,10 +77,11 @@ impl RoundRobin {
 /// strict headroom available at the beginning of the step (`k` minus the
 /// central queue's occupancy), arbitrating competing inlinks round-robin.
 ///
-/// Decision-identical to [`view_round_robin_accept`] (`sort_by_key(rank)`
-/// then accept-while-room): visiting ranks `0..4` in order, arrivals in
-/// offer order within a rank, is exactly the stable sort's iteration order
-/// — and there is at most one arrival per inlink anyway.
+/// Decision-identical to the reference `oracle::view_round_robin_accept`
+/// (`sort_by_key(rank)` then accept-while-room): visiting ranks `0..4` in
+/// order, arrivals in offer order within a rank, is exactly the stable
+/// sort's iteration order — and there is at most one arrival per inlink
+/// anyway.
 pub fn round_robin_accept(
     k: u32,
     occupied: u32,
@@ -112,28 +112,6 @@ pub fn round_robin_accept(
                 room -= 1;
             }
         }
-    }
-    state.advance();
-}
-
-/// Reference form of [`round_robin_accept`], over views: the inqueue view
-/// policy every central-queue router here shares.
-pub fn view_round_robin_accept(
-    k: u32,
-    state: &mut RoundRobin,
-    residents: &[DxView],
-    arrivals: &[Arrival<DxView>],
-    accept: &mut [bool],
-) {
-    let mut room = (k as usize).saturating_sub(residents.len());
-    let mut order: Vec<usize> = (0..arrivals.len()).collect();
-    order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
-    for i in order {
-        if room == 0 {
-            break;
-        }
-        accept[i] = true;
-        room -= 1;
     }
     state.advance();
 }

@@ -7,8 +7,8 @@
 //! destination-exchangeable algorithm (§2) and the target of the §5
 //! `Ω(n²/k)` dimension-order lower bound.
 
-use crate::common::{dim_order_dir, round_robin_accept, view_round_robin_accept, Axis, RoundRobin};
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use crate::common::{dim_order_dir, round_robin_accept, Axis, RoundRobin};
+use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, ALL_DIRS};
 
@@ -102,7 +102,7 @@ impl DxRouter for DimOrder {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl DxViewPolicy for DimOrder {
     fn view_outqueue(
         &self,

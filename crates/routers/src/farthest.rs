@@ -110,7 +110,7 @@ impl Router for FarthestFirst {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl ViewPolicy for FarthestFirst {
     fn view_outqueue(
         &self,

@@ -36,9 +36,8 @@ use std::sync::Arc;
 /// The mask is applied in place to the descriptors the engine hands over
 /// (its per-node scratch, rebuilt for every call), so wrapping copies
 /// nothing. With an empty table every method is a plain pass-through.
-/// Only what is handed over is masked: an inqueue policy that looks up its
-/// own residents' descriptors through `cold.residents()` reads them
-/// unmasked (none here does — acceptance reads occupancy).
+/// Only what is handed over is masked: an inqueue policy sees its own
+/// residents as per-slot occupancy, which no mask applies to.
 pub struct FaultAware<R> {
     inner: R,
     faults: Arc<CompiledFaults>,

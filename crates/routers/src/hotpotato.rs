@@ -176,7 +176,7 @@ impl DxRouter for HotPotato {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl DxViewPolicy for HotPotato {
     fn view_outqueue(
         &self,

@@ -23,7 +23,7 @@
 //! demand, `[_; 4]` arrays for scratch, no allocation. The
 //! `DxViewPolicy`/`ViewPolicy` impl below it is the same policy over one
 //! materialized view struct per packet — the form the algorithm was first
-//! written in, kept as the reference [`oracle::ViewOracle`] runs
+//! written in, kept as the reference `oracle::ViewOracle` runs
 //! and `tests/packed_equivalence.rs` checks the first against, decision
 //! for decision.
 //!
@@ -39,6 +39,9 @@ pub mod dimorder;
 pub mod farthest;
 pub mod fault_aware;
 pub mod hotpotato;
+/// Test support: the reference view policies and the adapter that runs
+/// them. Not part of the documented API.
+#[doc(hidden)]
 pub mod oracle;
 pub mod theorem15;
 pub mod west_first;

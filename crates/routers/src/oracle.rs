@@ -10,6 +10,7 @@
 //! exists so `tests/packed_equivalence.rs` can drive packed and view
 //! policies in lockstep.
 
+use crate::common::RoundRobin;
 use mesh_engine::{
     DxArrivals, DxResidents, DxRouter, FullArrivals, FullResidents, PackedArrival, PackedView,
     QueueArch, QueueKind, Router,
@@ -148,6 +149,29 @@ pub trait ViewPolicy: Router {
     ) {
         let _ = (step, node, state, residents, states);
     }
+}
+
+/// Reference form of [`round_robin_accept`](crate::common::round_robin_accept),
+/// over views: the inqueue view policy every central-queue router here
+/// shares.
+pub fn view_round_robin_accept(
+    k: u32,
+    state: &mut RoundRobin,
+    residents: &[DxView],
+    arrivals: &[Arrival<DxView>],
+    accept: &mut [bool],
+) {
+    let mut room = (k as usize).saturating_sub(residents.len());
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by_key(|&i| state.rank(arrivals[i].travel.opposite()));
+    for i in order {
+        if room == 0 {
+            break;
+        }
+        accept[i] = true;
+        room -= 1;
+    }
+    state.advance();
 }
 
 /// Runs `R`'s *view* policies as a [`DxRouter`] (for a [`DxViewPolicy`]) or

@@ -122,7 +122,7 @@ impl DxRouter for Theorem15 {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl DxViewPolicy for Theorem15 {
     fn view_outqueue(
         &self,

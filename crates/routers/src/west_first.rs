@@ -16,8 +16,8 @@
 //! same practical stalls) — it exists to show the bound's universality
 //! across the §2-cited adaptive family.
 
-use crate::common::{round_robin_accept, view_round_robin_accept, RoundRobin};
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
+use crate::common::{round_robin_accept, RoundRobin};
+use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -117,7 +117,7 @@ impl DxRouter for WestFirst {
     }
 }
 
-/// Reference view policies (see [`crate::oracle`]).
+/// Reference view policies (see `crate::oracle`).
 impl DxViewPolicy for WestFirst {
     fn view_outqueue(
         &self,
