@@ -23,6 +23,8 @@
 //! exchanges and confirms Theorem 13 (undelivered packets at the bound) and
 //! Lemma 12 (replay reaches the construction's exact final configuration).
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod constants;
 pub mod dimorder;

@@ -3,21 +3,19 @@
 //!
 //! ```sh
 //! experiments [--full] [--csv DIR] [--jobs N] [--threads N] [--trials N]
-//!             [--tile-threads N] [--json-out [DIR]] [all | e1 e2 … a3]
+//!             [--json-out [DIR]] [all | e1 e2 … a3]
 //! ```
 //!
 //! `--jobs` parallelises *across* experiments; `--threads` sizes the
-//! per-experiment trial pool (see `mesh_bench::runner`); `--tile-threads`
-//! runs each simulation's step pipeline tile-sharded across N worker
-//! threads (perf/chaos/reliable). `BENCH_<id>.json` is byte-identical for
-//! any `--threads` *and* any `--tile-threads`; wall-clock goes to the
+//! per-experiment trial pool (see `mesh_bench::runner`). `BENCH_<id>.json`
+//! is byte-identical for any `--threads`; wall-clock goes to the
 //! `BENCH_<id>.timing.json` sidecar.
 
 use mesh_bench::experiments;
 use mesh_bench::runner::{run_experiment, ExperimentRun, RunnerConfig};
 use mesh_bench::Table;
-use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 struct JobResult {
     table: Table,
@@ -40,7 +38,6 @@ fn main() {
     let mut json_dir: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
     let mut threads: usize = 1;
-    let mut tile_threads: usize = 1;
     let mut trials: u64 = 1;
     let mut ids: Vec<String> = Vec::new();
 
@@ -76,13 +73,6 @@ fn main() {
                     .filter(|&t| t >= 1)
                     .unwrap_or_else(|| usage_error("--threads needs a number >= 1"))
             }
-            "--tile-threads" => {
-                tile_threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| usage_error("--tile-threads needs a number >= 1"))
-            }
             "--trials" => {
                 trials = args
                     .next()
@@ -91,6 +81,7 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--trials needs a number >= 1"))
             }
             "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
             other => {
                 if experiments::ALL.contains(&other) {
                     ids.push(other.to_string());
@@ -107,7 +98,7 @@ fn main() {
     if ids.is_empty() {
         eprintln!(
             "usage: experiments [--full] [--csv DIR] [--jobs N] [--threads N] \
-             [--trials N] [--tile-threads N] [--json-out [DIR]] [all | e1 … a3]"
+             [--trials N] [--json-out [DIR]] [all | e1 … a3]"
         );
         std::process::exit(2);
     }
@@ -131,49 +122,57 @@ fn main() {
     // pool size), print in requested order.
     let results: Mutex<Vec<Option<JobResult>>> = Mutex::new((0..ids.len()).map(|_| None).collect());
     let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..jobs.max(1).min(ids.len()) {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= ids.len() {
-                    break;
-                }
-                let id = &ids[i];
-                let t0 = std::time::Instant::now();
-                let outcome = std::panic::catch_unwind(|| {
-                    let exp =
-                        experiments::build_with(id, full, tile_threads).expect("validated id");
-                    run_experiment(exp, &config)
-                });
-                match outcome {
-                    Ok(run) => {
-                        eprintln!("[{id} done in {:.1?}]", t0.elapsed());
-                        results.lock()[i] = Some(JobResult {
-                            table: run.table.clone(),
-                            run: want_json.then_some(run),
-                        });
-                    }
-                    Err(_) => {
-                        eprintln!("[{id} FAILED after {:.1?}]", t0.elapsed());
-                        let mut t = Table::new(
-                            id,
-                            "EXPERIMENT FAILED",
-                            "a panic occurred; see stderr",
-                            &["status"],
-                        );
-                        t.row(vec!["failed".to_string()]);
-                        results.lock()[i] = Some(JobResult {
-                            table: t,
-                            run: None,
-                        });
-                    }
-                }
-            });
+    let put = |i: usize, result: JobResult| {
+        results
+            .lock()
+            .expect("no worker panics holding the results lock")[i] = Some(result);
+    };
+    let worker = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if i >= ids.len() {
+            break;
         }
-    })
-    .expect("experiment thread panicked");
+        let id = &ids[i];
+        let t0 = std::time::Instant::now();
+        let outcome = std::panic::catch_unwind(|| {
+            let exp = experiments::build(id, full).expect("validated id");
+            run_experiment(exp, &config)
+        });
+        match outcome {
+            Ok(run) => {
+                eprintln!("[{id} done in {:.1?}]", t0.elapsed());
+                let table = run.table.clone();
+                let run = want_json.then_some(run);
+                put(i, JobResult { table, run });
+            }
+            Err(_) => {
+                eprintln!("[{id} FAILED after {:.1?}]", t0.elapsed());
+                let mut table = Table::new(
+                    id,
+                    "EXPERIMENT FAILED",
+                    "a panic occurred; see stderr",
+                    &["status"],
+                );
+                table.row(vec!["failed".to_string()]);
+                put(i, JobResult { table, run: None });
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..jobs.max(1).min(ids.len()))
+            .map(|_| s.spawn(worker))
+            .collect();
+        for w in workers {
+            w.join().expect("experiment thread panicked");
+        }
+    });
 
-    for result in results.into_inner().into_iter().flatten() {
+    for result in results
+        .into_inner()
+        .expect("no worker panics holding the results lock")
+        .into_iter()
+        .flatten()
+    {
         println!("{}", result.table.markdown());
         if let Some(dir) = &csv_dir {
             result.table.write_csv(dir).expect("csv write");

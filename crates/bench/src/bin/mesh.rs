@@ -24,15 +24,20 @@ fn usage() -> ! {
     exit(2);
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    exit(2);
+}
+
 const USAGE: &str = "usage:
   mesh workload  <kind> --n N [--seed S] [--h H] [--load F] [-o FILE]
   mesh route     <algorithm> (--problem FILE | --workload KIND --n N | --resume-from CKPT) \\
-                 [--k K] [--seed S] [--cap STEPS] [--json] [--latency] [--heatmap] \\
+                 [--k K] [--seed S] [--h H] [--load F] [--cap STEPS] [--json] [--latency] [--heatmap] \\
                  [--checkpoint-every N [--checkpoint-dir DIR] [--halt-at S]]
   mesh route     <algorithm> --lambda F --n N [--seed S] [--k K] [--json] \\
                  [--admission defer|reject-new|drop-oldest|deadline] \\
                  [--deadline TTL] [--max-deferred M] \\
-                 [--warmup S] [--window S] [--windows W] [--watchdog S] [--tile-threads T] \\
+                 [--warmup S] [--window S] [--windows W] [--watchdog S] \\
                  [--checkpoint-every N [--checkpoint-dir DIR] [--halt-at S] | --resume-from CKPT]
   mesh construct <general|dimorder|farthest> --n N --k K [--victim ALGO] [--h H] [-o FILE] [--check]
 
@@ -49,6 +54,36 @@ Steady checkpoints record their environment (lambda, schedule, admission),
 so `mesh route <algorithm> --resume-from CKPT` alone resumes a steady soak;
 re-passed steady flags are cross-checked against the snapshot and refused
 on disagreement.";
+
+/// The flags each subcommand accepts — the sets `USAGE` lists (`-o` is
+/// stored as `out`).
+const WORKLOAD_FLAGS: &[&str] = &["n", "seed", "h", "load", "out"];
+const ROUTE_FLAGS: &[&str] = &[
+    "problem",
+    "workload",
+    "n",
+    "resume-from",
+    "k",
+    "seed",
+    "h",
+    "load",
+    "cap",
+    "json",
+    "latency",
+    "heatmap",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "halt-at",
+    "lambda",
+    "admission",
+    "deadline",
+    "max-deferred",
+    "warmup",
+    "window",
+    "windows",
+    "watchdog",
+];
+const CONSTRUCT_FLAGS: &[&str] = &["n", "k", "victim", "h", "out", "check"];
 
 struct Args {
     positional: Vec<String>,
@@ -76,11 +111,31 @@ fn parse_args() -> Args {
 }
 
 impl Args {
+    /// A numeric flag: `None` when absent, a usage error when present but
+    /// unparseable.
+    fn num_flag<N: std::str::FromStr>(&self, name: &str) -> Option<N> {
+        self.flags.get(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage_error(&format!("--{name} needs a number (got '{v}')")))
+        })
+    }
     fn u32_flag(&self, name: &str) -> Option<u32> {
-        self.flags.get(name).and_then(|v| v.parse().ok())
+        self.num_flag(name)
     }
     fn u64_flag(&self, name: &str) -> Option<u64> {
-        self.flags.get(name).and_then(|v| v.parse().ok())
+        self.num_flag(name)
+    }
+    /// Rejects any flag outside `allowed`, the subcommand's set.
+    fn reject_unknown(&self, subcommand: &str, allowed: &[&str]) {
+        let mut unknown: Vec<&String> = self
+            .flags
+            .keys()
+            .filter(|f| !allowed.contains(&f.as_str()))
+            .collect();
+        unknown.sort();
+        if let Some(flag) = unknown.first() {
+            usage_error(&format!("unknown flag '--{flag}' for 'mesh {subcommand}'"));
+        }
     }
     fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
@@ -96,11 +151,7 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
     match kind {
         "random" => workloads::random_permutation(n, seed),
         "partial" => {
-            let load: f64 = args
-                .flags
-                .get("load")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.5);
+            let load: f64 = args.num_flag("load").unwrap_or(0.5);
             workloads::random_partial_permutation(n, load, seed)
         }
         "transpose" => workloads::transpose(n),
@@ -273,14 +324,7 @@ fn cmd_steady(args: &Args, algo: Algorithm) {
         cmd_steady_resume(args, algo, path, snap);
         return;
     }
-    let lambda: f64 = args
-        .flags
-        .get("lambda")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("--lambda must be a number (packets per node per step)");
-            usage()
-        });
+    let lambda: f64 = args.num_flag("lambda").unwrap_or_else(|| usage());
     let schedule = SteadyConfig {
         warmup: args.u64_flag("warmup").unwrap_or(128),
         window: args.u64_flag("window").unwrap_or(64),
@@ -378,7 +422,6 @@ fn steady_sim_config(args: &Args, admission: AdmissionPolicy, window: u64) -> Si
     SimConfig {
         admission,
         watchdog: Some(args.u64_flag("watchdog").unwrap_or((2 * window).max(256))),
-        tile_threads: args.u32_flag("tile-threads").unwrap_or(1) as usize,
         checkpoint_every: args.u64_flag("checkpoint-every"),
         ..SimConfig::default()
     }
@@ -648,10 +691,15 @@ fn cmd_construct(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    match args.positional.first().map(String::as_str) {
-        Some("workload") => cmd_workload(&args),
-        Some("route") => cmd_route(&args),
-        Some("construct") => cmd_construct(&args),
+    let Some(subcommand) = args.positional.first().map(String::as_str) else {
+        usage()
+    };
+    let (allowed, run): (&[&str], fn(&Args)) = match subcommand {
+        "workload" => (WORKLOAD_FLAGS, cmd_workload),
+        "route" => (ROUTE_FLAGS, cmd_route),
+        "construct" => (CONSTRUCT_FLAGS, cmd_construct),
         _ => usage(),
-    }
+    };
+    args.reject_unknown(subcommand, allowed);
+    run(&args);
 }

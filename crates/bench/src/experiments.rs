@@ -890,25 +890,21 @@ pub fn e13(full: bool) -> Experiment {
     e
 }
 
-/// PERF — engine throughput rows for the tile-sharded executor. Every cell
-/// is a fixed (unseeded) workload routed under a fixed step cap, so the
-/// deterministic document is a pure function of the experiment id — the
-/// tile-thread count changes only *how fast* the rows are produced (see the
-/// timing sidecar), never their contents. The quick tier ends at n = 256
-/// (the row CI's perf-ratchet job gates on); `--full` adds the n = 512 and
-/// 1024 scaling rows quoted in EXPERIMENTS.md.
+/// PERF — fixed routing workloads with deterministic rows. Every cell is a
+/// fixed (unseeded) workload routed under a fixed step cap, so the
+/// deterministic document is a pure function of the experiment id. The
+/// quick tier ends at n = 256; `--full` adds the n = 512 and 1024 rows.
+/// Wall-clock per cell goes to the timing sidecar, but speed claims are
+/// made by the repo benchmark (`BENCHMARK.json`), not from here.
 ///
-/// Small-n cells finish in single-digit milliseconds cold, so a single
-/// run's wall-clock is mostly scheduler noise: each cell repeats its
-/// (identical, deterministic) run `reps = max(256/n, 1)` times and the
-/// timing sidecar measures the whole warm loop. Throughput is therefore
-/// `reps x steps / wall_ms`; at n >= 256 `reps` is 1 and the old formula
-/// still holds (the ratchet job's n = 256 row is unaffected).
-pub fn perf(full: bool, tile_threads: usize) -> Experiment {
+/// Small-n cells finish in single-digit milliseconds cold: each cell
+/// repeats its (identical, deterministic) run `reps = max(256/n, 1)` times
+/// so the sidecar times a warm loop. At n >= 256 `reps` is 1.
+pub fn perf(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "perf",
-        "Engine throughput: fixed routing workloads under tile-sharded execution",
-        "rows are byte-identical for every --tile-threads value (parallelism is an execution strategy, not a semantics change); wall-clock per cell lives in the timing sidecar, where large-n rows speed up with threads; small-n cells loop reps times so their ksteps/s is stable enough to ratchet",
+        "Engine workloads: fixed routing problems under a 16n step cap",
+        "rows are a pure function of the experiment id (steps, deliveries, moves and max queue per router and n); wall-clock per cell lives in the timing sidecar, and speed claims come from the repo benchmark (BENCHMARK.json), not from this table",
         &[
             "n",
             "router",
@@ -929,15 +925,11 @@ pub fn perf(full: bool, tile_threads: usize) -> Experiment {
         let reps = (256 / n).max(1);
         let topo = Mesh::new(n);
         let pb = workloads::random_permutation(n, 2024);
-        let config = SimConfig {
-            tile_threads,
-            ..SimConfig::default()
-        };
         macro_rules! perf_with {
             ($r:expr) => {{
                 let mut last = None;
                 for _ in 0..reps {
-                    let mut sim = Sim::with_config(&topo, $r, &pb, config);
+                    let mut sim = Sim::new(&topo, $r, &pb);
                     let res = sim.run(16 * n as u64);
                     let rep = sim.report();
                     last = Some((res.is_ok(), rep));
@@ -980,7 +972,7 @@ pub fn perf(full: bool, tile_threads: usize) -> Experiment {
 /// delivered fraction, and the stretch (link traversals per unit of L1
 /// distance, over delivered packets). Every cell is fully determined by the
 /// trial seed, so the table is byte-identical across `--threads` settings.
-pub fn chaos(full: bool, tile_threads: usize) -> Experiment {
+pub fn chaos(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "chaos",
         "Chaos soak: fault density × router × workload under the livelock watchdog",
@@ -1028,7 +1020,6 @@ pub fn chaos(full: bool, tile_threads: usize) -> Experiment {
                         );
                         let config = SimConfig {
                             watchdog: Some(8 * n as u64),
-                            tile_threads,
                             ..SimConfig::default()
                         };
                         macro_rules! soak {
@@ -1115,7 +1106,7 @@ pub fn chaos(full: bool, tile_threads: usize) -> Experiment {
 /// every payload exactly once via ACKs and deterministic retransmission,
 /// sweeping the backoff policy. Every cell is a pure function of the trial
 /// seed, so the table is byte-identical across `--threads` settings.
-pub fn reliable(full: bool, tile_threads: usize) -> Experiment {
+pub fn reliable(full: bool) -> Experiment {
     use mesh_routing::reliable::{BackoffPolicy, Transport};
 
     let mut e = Experiment::new(
@@ -1170,7 +1161,6 @@ pub fn reliable(full: bool, tile_threads: usize) -> Experiment {
                             // gap (cap + jitter), or quiet timer waits would
                             // read as starvation.
                             watchdog: Some(1024.max(8 * n as u64)),
-                            tile_threads,
                             ..SimConfig::default()
                         };
                         let mut sim = Sim::with_faults(
@@ -1245,7 +1235,7 @@ pub fn reliable(full: bool, tile_threads: usize) -> Experiment {
 /// protocol slot), and run to completion. A row passes only if **every**
 /// resumed run reproduces the uninterrupted run byte-for-byte — same
 /// outcome, same rendered report, same per-packet trajectories.
-pub fn crashrec(full: bool, tile_threads: usize) -> Experiment {
+pub fn crashrec(full: bool) -> Experiment {
     use mesh_routing::engine::{MemorySink, Snapshot, SnapshotHook};
     use mesh_routing::reliable::{BackoffPolicy, Transport};
 
@@ -1285,7 +1275,6 @@ pub fn crashrec(full: bool, tile_threads: usize) -> Experiment {
                         );
                         let config = SimConfig {
                             watchdog: Some(1024.max(8 * n as u64)),
-                            tile_threads,
                             checkpoint_every: Some(cadence),
                             ..SimConfig::default()
                         };
@@ -1414,7 +1403,6 @@ fn overload_run(
     lambda: f64,
     schedule: SteadyConfig,
     admission: AdmissionPolicy,
-    tile_threads: usize,
     seed: u64,
 ) -> (Result<SteadyReport, SimError>, SimReport) {
     let topo = Mesh::new(n);
@@ -1422,7 +1410,6 @@ fn overload_run(
     let config = SimConfig {
         admission,
         watchdog: Some((4 * schedule.window).max(8 * n as u64)),
-        tile_threads,
         ..SimConfig::default()
     };
     macro_rules! drive {
@@ -1474,7 +1461,6 @@ fn overload_sustained(
     n: u32,
     lambda: f64,
     schedule: SteadyConfig,
-    tile_threads: usize,
     seed: u64,
 ) -> bool {
     let (res, _) = overload_run(
@@ -1483,7 +1469,6 @@ fn overload_sustained(
         lambda,
         schedule,
         AdmissionPolicy::DeferIndefinitely,
-        tile_threads,
         seed,
     );
     match res {
@@ -1500,20 +1485,14 @@ fn overload_sustained(
 /// (packets per node per step) the router sustains. Random traffic on an
 /// n-mesh is bisection-limited near 4/n per node, so `[0, 1]` brackets
 /// every router here; 7 halvings resolve λ* to under 1% of the bracket.
-fn saturation_lambda(
-    router: &'static str,
-    n: u32,
-    schedule: SteadyConfig,
-    tile_threads: usize,
-    seed: u64,
-) -> f64 {
-    if overload_sustained(router, n, 1.0, schedule, tile_threads, seed) {
+fn saturation_lambda(router: &'static str, n: u32, schedule: SteadyConfig, seed: u64) -> f64 {
+    if overload_sustained(router, n, 1.0, schedule, seed) {
         return 1.0;
     }
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     for _ in 0..7 {
         let mid = 0.5 * (lo + hi);
-        if overload_sustained(router, n, mid, schedule, tile_threads, seed) {
+        if overload_sustained(router, n, mid, schedule, seed) {
             lo = mid;
         } else {
             hi = mid;
@@ -1529,7 +1508,7 @@ fn saturation_lambda(
 /// throughput–latency point at `x·λ*` under a shedding admission policy;
 /// `vs-l*` is the goodput ratio against the same policy's run at λ*
 /// itself, so degradation past saturation is read directly off the row.
-pub fn overload(full: bool, tile_threads: usize) -> Experiment {
+pub fn overload(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "overload",
         "Open-system overload: saturation point lambda* per router, throughput-latency curves, graceful degradation under admission control",
@@ -1573,15 +1552,14 @@ pub fn overload(full: bool, tile_threads: usize) -> Experiment {
             for &x in multiples {
                 e.seeded(format!("{router} {policy} x={x}"), move |trial| {
                     let seed = derive_seed(8001, trial);
-                    let lstar = saturation_lambda(router, n, schedule, tile_threads, seed);
+                    let lstar = saturation_lambda(router, n, schedule, seed);
                     let admission = overload_policy(policy, n);
                     let lambda = x * lstar;
-                    let (res, rep) =
-                        overload_run(router, n, lambda, schedule, admission, tile_threads, seed);
+                    let (res, rep) = overload_run(router, n, lambda, schedule, admission, seed);
                     let base_goodput = if x == 1.0 {
                         res.as_ref().ok().map(SteadyReport::goodput)
                     } else {
-                        overload_run(router, n, lstar, schedule, admission, tile_threads, seed)
+                        overload_run(router, n, lstar, schedule, admission, seed)
                             .0
                             .ok()
                             .map(|r| r.goodput())
@@ -1654,16 +1632,6 @@ pub const ALL: &[&str] = &[
 
 /// Builds the experiment (its cells) by id, without running anything.
 pub fn build(id: &str, full: bool) -> Option<Experiment> {
-    build_with(id, full, 1)
-}
-
-/// Builds the experiment with an explicit tile-thread count for the
-/// simulation-heavy experiments (`perf`, `chaos`, `reliable`, `crashrec`,
-/// `overload`). The
-/// deterministic `BENCH_<id>.json` contents are the same for every value —
-/// that is the tiled engine's contract, re-checked by the determinism tests
-/// and the CI byte-compares.
-pub fn build_with(id: &str, full: bool, tile_threads: usize) -> Option<Experiment> {
     Some(match id {
         "e1" => e1(full),
         "e2" => e2(full),
@@ -1681,11 +1649,11 @@ pub fn build_with(id: &str, full: bool, tile_threads: usize) -> Option<Experimen
         "a1" => a1(full),
         "a2" => a2(full),
         "a3" => a3(full),
-        "perf" => perf(full, tile_threads),
-        "chaos" => chaos(full, tile_threads),
-        "reliable" => reliable(full, tile_threads),
-        "crashrec" => crashrec(full, tile_threads),
-        "overload" => overload(full, tile_threads),
+        "perf" => perf(full),
+        "chaos" => chaos(full),
+        "reliable" => reliable(full),
+        "crashrec" => crashrec(full),
+        "overload" => overload(full),
         _ => return None,
     })
 }

@@ -12,8 +12,8 @@
 //! cargo run --release -p mesh-bench --bin experiments -- --full e1
 //! ```
 //!
-//! Criterion wall-clock benches of the *simulator itself* live in
-//! `benches/`.
+//! Wall-clock and memory of the *simulator itself* are measured by the
+//! repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
 //!
 //! ## The parallel trial runner
 //!
@@ -38,6 +38,8 @@
 //!   cell — machine-dependent, hence a sidecar).
 //!
 //! See [`runner::BenchDoc`] / [`runner::TimingDoc`] for the schemas.
+
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod runner;

@@ -2,7 +2,7 @@
 //!
 //! Every experiment is a flat list of **cells** — independent
 //! `(algorithm, workload, n, …)` points, each with a closure that runs one
-//! trial. The runner fans `(cell, trial)` units across a crossbeam scoped
+//! trial. The runner fans `(cell, trial)` units across a scoped
 //! thread pool and collects outputs into slots indexed by `(cell, trial)`,
 //! so results are **bit-identical regardless of thread count or
 //! scheduling**: no trial ever observes another's RNG or ordering.
@@ -24,9 +24,9 @@
 
 use crate::table::Table;
 use mesh_routing::engine::{ReportAggregate, SimReport};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What one trial of one cell produced: a table row, and optionally the
@@ -160,21 +160,25 @@ pub fn run_cells(cells: Vec<Cell>, config: &RunnerConfig) -> Vec<CellResult> {
     } else {
         let shared = Mutex::new(&mut slots);
         let next = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
-                    }
-                    let (ci, trial) = units[i];
-                    let t0 = Instant::now();
-                    let out = (cells[ci].run)(trial);
-                    shared.lock()[i] = Some((out, t0.elapsed()));
-                });
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= units.len() {
+                break;
             }
-        })
-        .expect("trial worker panicked");
+            let (ci, trial) = units[i];
+            let t0 = Instant::now();
+            let out = (cells[ci].run)(trial);
+            let mut slots = shared
+                .lock()
+                .expect("no worker panics holding the slot lock");
+            slots[i] = Some((out, t0.elapsed()));
+        };
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+            for w in workers {
+                w.join().expect("trial worker panicked");
+            }
+        });
     }
 
     // Fold flat slots back into per-cell results, preserving both orders.
@@ -398,6 +402,20 @@ mod tests {
             // The unseeded cell ran exactly once despite trials = 3.
             assert_eq!(results[5].trials.len(), 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "trial worker panicked")]
+    fn a_panicking_trial_fails_the_pooled_run() {
+        let mut e = counting_experiment();
+        e.fixed("boom", |_| panic!("trial blew up"));
+        run_cells(
+            e.cells,
+            &RunnerConfig {
+                threads: 2,
+                trials: 1,
+            },
+        );
     }
 
     #[test]

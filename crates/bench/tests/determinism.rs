@@ -126,30 +126,6 @@ fn reliable_experiment_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn experiment_json_is_byte_identical_across_tile_threads() {
-    // Tile-sharded execution of the simulation itself (SimConfig's
-    // `tile_threads`, threaded through `--tile-threads`) is a pure
-    // execution strategy: the deterministic document must not change by a
-    // byte when the step pipeline runs across worker threads. Checked on
-    // every experiment that constructs sims with it.
-    for id in ["perf", "chaos", "reliable"] {
-        let render = |tile_threads: usize| {
-            let exp = mesh_bench::experiments::build_with(id, false, tile_threads).unwrap();
-            let run = run_experiment(exp, &RunnerConfig::serial());
-            serde_json::to_string_pretty(&run.doc).unwrap()
-        };
-        let serial = render(1);
-        for tile_threads in [2, 4] {
-            assert_eq!(
-                serial,
-                render(tile_threads),
-                "{id} JSON diverged at tile_threads={tile_threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn table_equals_historical_serial_run() {
     // Trial 0 of every cell must reproduce the serial single-trial table
     // regardless of parallelism, so the recorded EXPERIMENTS.md values are

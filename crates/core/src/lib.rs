@@ -20,6 +20,8 @@
 //! assert!(outcome.max_queue <= 834); // Theorem 34's queue bound
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod section6;
 

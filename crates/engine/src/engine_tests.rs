@@ -879,34 +879,28 @@ mod chaos_tests {
     fn engine_invariants_hold_under_arbitrary_policies() {
         for seed in 0..8u64 {
             for k in [1u32, 2, 5] {
-                for tile_threads in [1usize, 4] {
-                    let topo = Mesh::new(9);
-                    let pb = workloads::random_partial_permutation(9, 0.6, seed);
-                    let config = SimConfig {
-                        tile_threads,
-                        ..SimConfig::default()
-                    };
-                    let mut sim = Sim::with_config(&topo, Dx::new(Chaos { seed, k }), &pb, config);
-                    // Chaos may never finish; run a bounded window. The
-                    // engine's internal validation (capacity, minimality, one
-                    // packet per link) panics on any violation — and the
-                    // occupancy-within-capacity audit must hold after *every*
-                    // step, not just at the end.
-                    for _ in 0..600 {
-                        let done = sim.step();
-                        sim.assert_queue_invariants();
-                        if done {
-                            break;
-                        }
+                let topo = Mesh::new(9);
+                let pb = workloads::random_partial_permutation(9, 0.6, seed);
+                let mut sim = Sim::new(&topo, Dx::new(Chaos { seed, k }), &pb);
+                // Chaos may never finish; run a bounded window. The
+                // engine's internal validation (capacity, minimality, one
+                // packet per link) panics on any violation — and the
+                // occupancy-within-capacity audit must hold after *every*
+                // step, not just at the end.
+                for _ in 0..600 {
+                    let done = sim.step();
+                    sim.assert_queue_invariants();
+                    if done {
+                        break;
                     }
-                    let r = sim.report();
-                    assert!(r.max_queue <= k, "seed={seed} k={k}");
-                    assert!(r.delivered <= r.total_packets);
-                    // Moves of delivered packets are exactly their distances
-                    // (minimal moves only) — undelivered ones are en route,
-                    // so total moves never exceeds total work.
-                    assert!(r.total_moves <= pb.total_work());
                 }
+                let r = sim.report();
+                assert!(r.max_queue <= k, "seed={seed} k={k}");
+                assert!(r.delivered <= r.total_packets);
+                // Moves of delivered packets are exactly their distances
+                // (minimal moves only) — undelivered ones are en route,
+                // so total moves never exceeds total work.
+                assert!(r.total_moves <= pb.total_work());
             }
         }
     }
@@ -1406,41 +1400,6 @@ mod steady_tests {
             Err(crate::snapshot::SnapshotError::Mismatch(_)) => {}
             Err(other) => panic!("wrong error kind: {other}"),
             Ok(_) => panic!("restore must reject an admission-policy mismatch"),
-        }
-    }
-
-    #[test]
-    fn tiled_steady_run_is_byte_identical_to_sequential() {
-        let topo = Mesh::new(8);
-        let cfg = SteadyConfig {
-            warmup: 24,
-            window: 24,
-            windows: 3,
-        };
-        let pb = workloads::open_bernoulli(8, 1.2, cfg.horizon(), 17);
-        let mut base: Option<String> = None;
-        for tile_threads in [1usize, 2, 4] {
-            let mut sim = Sim::with_config(
-                &topo,
-                Dx::new(tests::Greedy { k: 2 }),
-                &pb,
-                SimConfig {
-                    admission: AdmissionPolicy::DropOldestDeferred { max_deferred: 3 },
-                    watchdog: Some(64),
-                    tile_threads,
-                    ..SimConfig::default()
-                },
-            );
-            let rep = sim.run_steady(cfg).expect("steady run");
-            let j = format!(
-                "{}|{}",
-                serde_json::to_string(&rep).unwrap(),
-                serde_json::to_string(&sim.report()).unwrap()
-            );
-            match &base {
-                None => base = Some(j),
-                Some(b) => assert_eq!(&j, b, "tile_threads={tile_threads} diverged"),
-            }
         }
     }
 }

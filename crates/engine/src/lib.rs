@@ -20,6 +20,10 @@
 //! 5. **(e) State update** — node and packet states update as a function of
 //!    the information the model permits.
 //!
+//! [`Sim::step_with_hook`] dispatching [`STEP_PIPELINE`] is the only step
+//! loop: the schedule order it produces is the only observable order, and
+//! there is no second executor to keep equal to it.
+//!
 //! ## Destination exchangeability, enforced by types
 //!
 //! The lower bound applies to *destination-exchangeable* algorithms: routing
@@ -45,6 +49,8 @@
 //! `k` each (the Theorem 15 model). In both cases queues need not be FIFO —
 //! order is the policies' business; the engine only enforces capacity.
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 mod driver;
 pub mod hook;
@@ -58,7 +64,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod steady;
 mod storage;
-mod tiles;
 pub mod view;
 mod watchdog;
 

@@ -77,9 +77,7 @@ pub const STEP_PIPELINE: [Phase; 8] = [
 /// edge decision. [`DeadlineExpiry`](AdmissionPolicy::DeadlineExpiry) goes
 /// one step further and expires stale packets *inside* the network too —
 /// edge-only shedding cannot un-fill internal queues once they gridlock.
-/// The whole seam runs inside the inject phase, which executes on the
-/// coordinator even under tile-sharded execution — every policy is
-/// therefore byte-identical across `--tile-threads` by construction.
+/// The whole seam runs inside the inject phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Closed-system default: staged packets wait outside the network
@@ -222,8 +220,7 @@ pub(crate) struct StepBufs {
     /// Scratch for the inject phase's pending-node sweep.
     pub(crate) inject_nodes: Vec<u32>,
     /// Acceptance groups: `(start, end)` ranges into `order`, one per target
-    /// node, in target-node order. Computed by the accept phase; read by the
-    /// tile workers.
+    /// node, in target-node order.
     pub(crate) groups: Vec<(u32, u32)>,
     /// Staged end-of-step packet-state writes `(packet, new state)`.
     pub(crate) state_writes: Vec<(PacketId, u64)>,
@@ -264,7 +261,7 @@ pub(crate) struct StepCtx<'a, 't, T: Topology, R: Router> {
 /// in flattened slot order — one `u32` per packet. The grid's slot index is
 /// the packed slot index by construction (Central: 0; PerInlink: `0..4` =
 /// inlinks, 4 = injection).
-pub(crate) fn build_packed<T: Topology>(
+fn build_packed<T: Topology>(
     topo: &T,
     store: &PacketStore,
     grid: &NodeGrid,
@@ -492,30 +489,21 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
 }
 
 /// §2 (a) for a single node: a loaded, unstalled node's outqueue policy
-/// schedules at most one packet per outlink; moves are emitted in
-/// [`ALL_DIRS`] order. Shared verbatim by the sequential route phase and
-/// the tile workers, so both produce identical per-node schedules.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_node<T: Topology, R: Router>(
-    t0: u64,
-    topo: &T,
-    router: &R,
-    validate: bool,
-    faults: Option<&CompiledFaults>,
-    store: &PacketStore,
-    grid: &NodeGrid,
-    ni: usize,
-    state: &mut R::NodeState,
-    masks: &mut Vec<PackedView>,
-    emit: &mut impl FnMut(ScheduledMove),
-) {
+/// schedules at most one packet per outlink; its moves go onto
+/// `bufs.schedule` in [`ALL_DIRS`] order.
+fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
+    let (t0, topo, router, validate) = (ctx.t0, ctx.topo, ctx.router, ctx.validate);
+    let (store, grid) = (&*ctx.store, &*ctx.grid);
+    let StepBufs {
+        schedule, masks, ..
+    } = &mut *ctx.bufs;
     if grid.node_load(ni) == 0 {
         return;
     }
     let node = grid.coord_of(ni);
     // A stalled node sends nothing this step (its packets stay put;
     // the active-set rebuild in transmit keeps it scheduled for later).
-    if let Some(f) = faults {
+    if let Some(f) = ctx.faults {
         if f.node_stalled(t0, node) {
             return;
         }
@@ -546,7 +534,7 @@ pub(crate) fn route_node<T: Topology, R: Router>(
         build_packed(topo, store, grid, ni, node, masks);
     }
     let cold = FullResidents::new(store, grid, ni);
-    router.outqueue(t0, node, state, masks, &cold, &mut out);
+    router.outqueue(t0, node, &mut ctx.node_state[ni], masks, &cold, &mut out);
     let len = masks.len();
     if validate {
         #[allow(clippy::needless_range_loop)]
@@ -588,7 +576,7 @@ pub(crate) fn route_node<T: Topology, R: Router>(
                     router.name()
                 );
             }
-            emit(ScheduledMove {
+            schedule.push(ScheduledMove {
                 pkt,
                 from: node,
                 to,
@@ -602,31 +590,12 @@ pub(crate) fn route_node<T: Topology, R: Router>(
 /// most one packet per outlink. Fills `bufs.schedule` in deterministic
 /// node-then-direction order; validation panics on malformed schedules.
 pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let t0 = ctx.t0;
     ctx.bufs.schedule.clear();
     ctx.bufs.lost_moves.clear();
     ctx.grid.drain_active_into(&mut ctx.bufs.snapshot);
-    let StepBufs {
-        schedule,
-        snapshot,
-        masks,
-        ..
-    } = &mut *ctx.bufs;
-    for &sn in snapshot.iter() {
-        let ni = sn as usize;
-        route_node(
-            t0,
-            ctx.topo,
-            ctx.router,
-            ctx.validate,
-            ctx.faults,
-            ctx.store,
-            ctx.grid,
-            ni,
-            &mut ctx.node_state[ni],
-            masks,
-            &mut |m| schedule.push(m),
-        );
+    for idx in 0..ctx.bufs.snapshot.len() {
+        let ni = ctx.bufs.snapshot[idx] as usize;
+        route_node(ctx, ni);
     }
 }
 
@@ -676,7 +645,7 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
 /// Refreshes the cached profitable masks of packets whose destinations the
 /// adversary exchanged. A packet outside the network keeps mask 0 — it is
 /// recomputed at injection anyway.
-pub(crate) fn refresh_masks<T: Topology>(topo: &T, store: &mut PacketStore, dirty: &[PacketId]) {
+fn refresh_masks<T: Topology>(topo: &T, store: &mut PacketStore, dirty: &[PacketId]) {
     for &pid in dirty {
         if let Loc::At(c) = store.loc[pid.index()] {
             store.mask[pid.index()] = topo.profitable(c, store.dst[pid.index()]).bits();
@@ -686,31 +655,24 @@ pub(crate) fn refresh_masks<T: Topology>(topo: &T, store: &mut PacketStore, dirt
 
 /// §2 (c) for one target node: the inqueue policy of the (unstalled)
 /// target of moves `order[start..end]` accepts or rejects each offer;
-/// degraded nodes are clamped to their reduced capacity. Decisions are
-/// emitted as `(schedule index, accepted)`. Shared verbatim by the
-/// sequential accept phase and the tile workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accept_group<T: Topology, R: Router>(
-    t0: u64,
-    topo: &T,
-    router: &R,
-    faults: Option<&CompiledFaults>,
-    store: &PacketStore,
-    grid: &NodeGrid,
-    schedule: &[ScheduledMove],
-    order: &[u32],
-    start: usize,
-    end: usize,
-    state: &mut R::NodeState,
-    arr_packed: &mut Vec<PackedArrival>,
-    accept: &mut Vec<bool>,
-    emit: &mut impl FnMut(u32, bool),
-) {
+/// degraded nodes are clamped to their reduced capacity. Decisions land in
+/// `bufs.accepted`, indexed like the schedule.
+fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: usize, end: usize) {
+    let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
+    let (store, grid) = (&*ctx.store, &*ctx.grid);
+    let StepBufs {
+        arr_packed,
+        accept,
+        schedule,
+        order,
+        accepted,
+        ..
+    } = &mut *ctx.bufs;
     let target = schedule[order[start] as usize].to;
     let ni = grid.node_index(target);
     // A stalled node accepts nothing: the whole arrival group stays
     // rejected and its router never observes the offered packets.
-    if let Some(f) = faults {
+    if let Some(f) = ctx.faults {
         if f.node_stalled(t0, target) {
             return;
         }
@@ -736,11 +698,12 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
         arr_packed.push(PackedArrival::new(mask, m.travel));
     }
     let cold = FullArrivals::new(store, grid, ni, schedule, &order[start..end]);
+    let state = &mut ctx.node_state[ni];
     router.inqueue(t0, target, state, queue_lens, arr_packed, &cold, accept);
     // Queue degradation: clamp what a (degradation-unaware) router
     // accepted down to the reduced capacity, read off the schedule and the
     // packet store: the exemption is `dst == target`.
-    if let Some(f) = faults {
+    if let Some(f) = ctx.faults {
         let lost = f.degraded_slots(t0, target);
         if lost > 0 {
             let mut room = [usize::MAX; 5];
@@ -766,21 +729,20 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
         }
     }
     for (j, gi) in (start..end).enumerate() {
-        emit(order[gi], accept[j]);
+        accepted[order[gi] as usize] = accept[j];
     }
 }
 
 /// Groups the schedule by target node into `bufs.order` and records the
 /// per-target group ranges in `bufs.groups` (ascending target id, stable
 /// in schedule order within a group — provably the same permutation the
-/// old stable sort-by-target produced). Shared by the sequential accept
-/// phase and the tiled step's coordinator.
+/// old stable sort-by-target produced).
 ///
 /// This is a counting group-by over the persistent `counts` arena instead
 /// of a comparison sort: two linear passes over the schedule plus a sort
 /// of the *distinct* targets only (at most one comparison-sorted element
 /// per loaded node instead of one per move).
-pub(crate) fn accept_prep(n: u32, bufs: &mut StepBufs) {
+fn accept_prep(n: u32, bufs: &mut StepBufs) {
     let nn = (n as usize) * (n as usize);
     if bufs.counts.len() < nn {
         bufs.counts.resize(nn, 0);
@@ -841,36 +803,10 @@ pub(crate) fn accept_prep(n: u32, bufs: &mut StepBufs) {
 /// clamp; residents already over the reduced capacity are not evicted —
 /// they drain naturally.
 pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let t0 = ctx.t0;
     accept_prep(ctx.grid.n(), ctx.bufs);
-    let StepBufs {
-        arr_packed,
-        accept,
-        schedule,
-        order,
-        accepted,
-        groups,
-        ..
-    } = &mut *ctx.bufs;
-    for &(start, end) in groups.iter() {
-        let target = schedule[order[start as usize] as usize].to;
-        let ni = ctx.grid.node_index(target);
-        accept_group(
-            t0,
-            ctx.topo,
-            ctx.router,
-            ctx.faults,
-            ctx.store,
-            ctx.grid,
-            schedule,
-            order,
-            start as usize,
-            end as usize,
-            &mut ctx.node_state[ni],
-            arr_packed,
-            accept,
-            &mut |mi, a| accepted[mi as usize] = a,
-        );
+    for gi in 0..ctx.bufs.groups.len() {
+        let (start, end) = ctx.bufs.groups[gi];
+        accept_group(ctx, start as usize, end as usize);
     }
 }
 
@@ -944,97 +880,75 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
     }
 }
 
-/// One node's audit result: its total load and its largest bounded-queue
-/// length.
-pub(crate) struct NodeAudit {
-    pub(crate) load: u32,
-    pub(crate) max_bounded: u32,
-}
-
-/// Capacity validation plus occupancy measurement for one node. Shared by
-/// the sequential audit phase and the tile workers; overflow panics here
-/// are router implementation bugs, not runtime conditions.
-pub(crate) fn audit_node<R: Router>(
-    t0: u64,
-    router: &R,
-    validate: bool,
-    grid: &NodeGrid,
-    ni: usize,
-) -> NodeAudit {
-    // The load total comes straight off the arena's load index; only the
-    // occupied slots (occupancy bitmask) are visited for the capacity
-    // check and the bounded maximum. Unbounded (injection) queues count
-    // toward node load but are skipped for max_queue tracking.
-    let load = grid.node_load(ni);
-    let mut max_bounded = 0u32;
-    let lens = grid.queue_lens_of(ni);
-    let mut o = grid.occ_mask(ni);
-    while o != 0 {
-        let slot = o.trailing_zeros() as usize;
-        o &= o - 1;
-        let len = lens[slot];
-        let kind = grid.slot_kind(slot);
-        if let Some(cap) = grid.arch().capacity(kind) {
-            if validate {
-                assert!(
-                    len <= cap,
-                    "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
-                    router.name(),
-                    grid.coord_of(ni)
-                );
-            }
-            max_bounded = max_bounded.max(len);
-        }
-    }
-    debug_assert_eq!(
-        load,
-        lens.iter().sum::<u32>(),
-        "occupancy index out of sync"
-    );
-    NodeAudit { load, max_bounded }
-}
-
 /// Capacity validation plus occupancy metrics over the active nodes.
+/// Overflow panics here are router implementation bugs, not runtime
+/// conditions.
 pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let t0 = ctx.t0;
     for idx in 0..ctx.grid.active_len() {
         let ni = ctx.grid.active_at(idx);
-        let a = audit_node(t0, ctx.router, ctx.validate, ctx.grid, ni);
-        ctx.progress.max_queue = ctx.progress.max_queue.max(a.max_bounded);
-        ctx.progress.max_node_load = ctx.progress.max_node_load.max(a.load);
-        ctx.grid.note_peak(ni, a.load as u16);
+        let grid = &*ctx.grid;
+        // The load total comes straight off the arena's load index; only the
+        // occupied slots (occupancy bitmask) are visited for the capacity
+        // check and the bounded maximum. Unbounded (injection) queues count
+        // toward node load but are skipped for max_queue tracking.
+        let load = grid.node_load(ni);
+        let mut max_bounded = 0u32;
+        let lens = grid.queue_lens_of(ni);
+        let mut o = grid.occ_mask(ni);
+        while o != 0 {
+            let slot = o.trailing_zeros() as usize;
+            o &= o - 1;
+            let len = lens[slot];
+            let kind = grid.slot_kind(slot);
+            if let Some(cap) = grid.arch().capacity(kind) {
+                if ctx.validate {
+                    assert!(
+                        len <= cap,
+                        "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
+                        ctx.router.name(),
+                        grid.coord_of(ni)
+                    );
+                }
+                max_bounded = max_bounded.max(len);
+            }
+        }
+        debug_assert_eq!(
+            load,
+            lens.iter().sum::<u32>(),
+            "occupancy index out of sync"
+        );
+        ctx.progress.max_queue = ctx.progress.max_queue.max(max_bounded);
+        ctx.progress.max_node_load = ctx.progress.max_node_load.max(load);
+        ctx.grid.note_peak(ni, load as u16);
     }
 }
 
 /// §2 (e) for one loaded node: runs the router's end-of-step policy and
-/// emits the resulting packet-state rewrites as `(packet, state)` pairs.
+/// stages the resulting packet-state rewrites in `bufs.state_writes`.
 /// A packet resides at exactly one node, so the rewrites of distinct nodes
-/// are disjoint and their application order is immaterial. Shared verbatim
-/// by the sequential update phase and the tile workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_node<T: Topology, R: Router>(
-    t0: u64,
-    topo: &T,
-    router: &R,
-    store: &PacketStore,
-    grid: &NodeGrid,
-    ni: usize,
-    state: &mut R::NodeState,
-    masks: &mut Vec<PackedView>,
-    states: &mut Vec<u64>,
-    emit: &mut impl FnMut(PacketId, u64),
-) {
+/// are disjoint and their application order is immaterial.
+fn update_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
+    let (store, grid) = (&*ctx.store, &*ctx.grid);
+    let StepBufs {
+        masks,
+        states,
+        state_writes,
+        ..
+    } = &mut *ctx.bufs;
     if grid.node_load(ni) == 0 {
         return;
     }
     let node = grid.coord_of(ni);
-    build_packed(topo, store, grid, ni, node, masks);
+    build_packed(ctx.topo, store, grid, ni, node, masks);
     states.clear();
     states.extend(grid.packets_at(node).map(|p| store.state[p.index()]));
     let cold = FullResidents::new(store, grid, ni);
-    router.end_of_step(t0, node, state, masks, &cold, states);
+    let state = &mut ctx.node_state[ni];
+    ctx.router
+        .end_of_step(ctx.t0, node, state, masks, &cold, states);
     for (pid, s) in grid.packets_at(node).zip(states.iter()) {
-        emit(pid, *s);
+        state_writes.push((pid, *s));
     }
 }
 
@@ -1043,32 +957,15 @@ pub(crate) fn update_node<T: Topology, R: Router>(
 /// `uses_end_of_step`, and the whole pass is skipped: every write it would
 /// stage is an identity write.
 pub(crate) fn update_state<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let StepBufs {
-        masks,
-        states,
-        state_writes,
-        ..
-    } = &mut *ctx.bufs;
-    state_writes.clear();
+    ctx.bufs.state_writes.clear();
     if !ctx.router.uses_end_of_step() {
         return;
     }
     for idx in 0..ctx.grid.active_len() {
         let ni = ctx.grid.active_at(idx);
-        update_node(
-            ctx.t0,
-            ctx.topo,
-            ctx.router,
-            ctx.store,
-            ctx.grid,
-            ni,
-            &mut ctx.node_state[ni],
-            masks,
-            states,
-            &mut |p, s| state_writes.push((p, s)),
-        );
+        update_node(ctx, ni);
     }
-    for &(p, s) in state_writes.iter() {
+    for &(p, s) in ctx.bufs.state_writes.iter() {
         ctx.store.state[p.index()] = s;
     }
 }

@@ -31,16 +31,9 @@ use mesh_topo::Coord;
 /// from every profitable set) instead of copying them. The engine never
 /// reads them back — its minimality check consults the packet table's own
 /// mask column — so an edit can mislead only the policy it is passed to.
-///
-/// Routers are `Sync` (and node states `Send`): the tile-sharded engine
-/// shares one router across its worker threads, each invoking policies on
-/// the node states of its own tiles. Policies already had to be pure
-/// functions of their arguments, so the bound costs implementations nothing
-/// beyond keeping scratch space off `self` (a node never holds more than
-/// four arrivals or outlinks, so fixed arrays on the stack do).
-pub trait Router: Sync {
+pub trait Router {
     /// Per-node algorithm state (the paper's "state of a node").
-    type NodeState: Clone + Default + Send;
+    type NodeState: Clone + Default;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;
@@ -122,9 +115,9 @@ pub trait Router: Sync {
 /// construction.
 ///
 /// Run a `DxRouter` by wrapping it: `Dx::new(MyRouter)`.
-pub trait DxRouter: Sync {
+pub trait DxRouter {
     /// Per-node algorithm state.
-    type NodeState: Clone + Default + Send;
+    type NodeState: Clone + Default;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;

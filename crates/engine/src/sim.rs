@@ -42,17 +42,11 @@ pub struct SimConfig {
     /// disarm it). `None` (the default) disables it: runs are then
     /// bit-for-bit identical to the pre-watchdog engine.
     pub watchdog: Option<u64>,
-    /// Worker threads for tile-sharded intra-step parallelism. `1` (the
-    /// default) runs the plain sequential pipeline. Any value produces
-    /// **bit-identical** results — reports, per-step event streams,
-    /// diagnostics — for any thread count and tile geometry; parallelism
-    /// is purely an execution strategy (see the `tiles` module).
+    /// Inert, like `tiles`: every configuration runs the one step loop and is
+    /// bit-identical by construction. Kept until `benchmark/` stops naming them.
+    #[doc(hidden)]
     pub tile_threads: usize,
-    /// Explicit tile geometry `(tx, ty)`: the mesh splits into `tx`
-    /// columns × `ty` rows of rectangular tiles (values clamp to `[1, n]`).
-    /// `None` derives one horizontal band per thread. Setting this with
-    /// `tile_threads = 1` still exercises the tiled execution path (the
-    /// staging/merge machinery on one worker) — useful for tests.
+    #[doc(hidden)]
     pub tiles: Option<(u32, u32)>,
     /// Checkpoint cadence, in steps. When set, the checkpointing run
     /// drivers ([`Sim::run_checkpointed`],
@@ -156,8 +150,6 @@ pub struct Sim<'t, T: Topology, R: Router> {
     pub(crate) timers: Timers,
     pub(crate) events: EventLog,
     pub(crate) bufs: StepBufs,
-    /// Tile-sharded execution runtime; `None` = sequential dispatch.
-    pub(crate) tile: Option<Box<crate::tiles::TileRt>>,
 }
 
 impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
@@ -224,7 +216,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             timers: Timers::default(),
             events: EventLog::default(),
             bufs: StepBufs::default(),
-            tile: crate::tiles::TileRt::new(n, &config).map(Box::new),
         };
         phases::inject(&mut sim.step_ctx(0));
         sim
@@ -252,9 +243,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// [`STEP_PIPELINE`] in order. Returns `true` when every packet has
     /// been delivered (in which case nothing was simulated).
     pub fn step_with_hook<H: StepHook>(&mut self, hook: &mut H) -> bool {
-        if self.tile.is_some() {
-            return self.step_tiled_with_hook(hook);
-        }
         if self.done() {
             return true;
         }
@@ -755,9 +743,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// offered == delivered + lost + shed + expired + in_network + staged
     /// ```
     ///
-    /// Debug builds check this after every step (both the sequential and
-    /// the tile-sharded tails); tests call it directly under any
-    /// λ/policy/geometry.
+    /// Debug builds check this after every step; tests call it directly
+    /// under any λ and admission policy.
     pub fn assert_conservation(&self) {
         let t = self.progress.steps;
         let (mut at, mut delivered, mut lost, mut shed, mut expired, mut pending) =

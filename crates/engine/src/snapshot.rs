@@ -9,8 +9,8 @@
 //! watchdog timers, per-node router state, last-step event buffers, and
 //! an opaque protocol-state slot for [`SnapshotHook`] layers (the ARQ
 //! transport). Restoring a snapshot and continuing produces a run
-//! bit-identical to one that never stopped — sequential or tile-sharded,
-//! fault-free or faulty, raw or under a protocol.
+//! bit-identical to one that never stopped — fault-free or faulty, raw
+//! or under a protocol.
 //!
 //! What a snapshot deliberately does *not* carry, because it is
 //! reconstructible or caller-supplied:
@@ -21,8 +21,7 @@
 //! - the [`CompiledFaults`] plan — a pure function of the step with no
 //!   run-time state; a fingerprint (emptiness, loss-presence, last
 //!   transition) is recorded so a mismatched plan is rejected;
-//! - the tile runtime and the step scratch buffers, which are per-step
-//!   scratch rebuilt from `(n, &SimConfig)`.
+//! - the step scratch buffers, which every step refills before reading.
 //!
 //! The format is self-describing JSON with a leading
 //! `format_version` field; [`Snapshot::from_json`] checks the version
@@ -226,8 +225,8 @@ pub struct Snapshot {
     pub algorithm: String,
     pub workload: String,
     pub faults: FaultFingerprint,
-    /// Admission policy the run executes under. Unlike tile threads or
-    /// checkpoint cadence this *does* affect simulated state, so restore
+    /// Admission policy the run executes under. Unlike the checkpoint
+    /// cadence this *does* affect simulated state, so restore
     /// rejects a config whose policy disagrees. Absent in pre-admission
     /// snapshots; those deserialize to the closed-system default.
     pub admission: AdmissionPolicy,
@@ -361,9 +360,9 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// it left off. The caller re-supplies the topology, router, config,
     /// and fault plan — they must match what the snapshot was taken under
     /// (side, queue architecture, algorithm name, fault fingerprint), or a
-    /// [`SnapshotError::Mismatch`] is returned. Execution-strategy config
-    /// (tile threads, checkpoint cadence, watchdog) may differ freely:
-    /// none of it affects simulated state.
+    /// [`SnapshotError::Mismatch`] is returned. Observer config
+    /// (checkpoint cadence, watchdog) may differ freely: none of it
+    /// affects simulated state.
     ///
     /// Every restore re-validates the full queue-invariant set; a snapshot
     /// that passes cannot trip [`Sim::assert_queue_invariants`], which is
@@ -491,7 +490,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 lost: snap.events.lost.clone(),
             },
             bufs: StepBufs::default(),
-            tile: crate::tiles::TileRt::new(n, &config).map(Box::new),
         };
         // Backstop: a snapshot that passed validation cannot trip this,
         // but a restore must *never* hand back a sim that would fail

@@ -229,11 +229,6 @@ impl NodeGrid {
     /// injection slot under open-system staging, or a bounded slot whose
     /// `k` exceeds its inline cells the first time a node fills them.
     /// Doubling makes the rebuild cost amortized O(1) per pushed packet.
-    /// Never called while [`GridRaw`] pointers are in use: all pushes
-    /// happen coordinator-side (injection precedes the tiled step's shared
-    /// frame; arrival commits run after the step's last worker dequeue,
-    /// while workers are parked at a barrier, and the next step takes its
-    /// raw pointers afresh).
     #[cold]
     fn grow_slot(&mut self, slot: usize) {
         let mut caps = self.caps;
@@ -674,39 +669,6 @@ impl NodeGrid {
             peak_load,
         })
     }
-
-    /// Raw base pointers into the queue arena for the tile-sharded step:
-    /// workers dequeue packets of their own (disjoint) node sets through
-    /// these while the coordinator is parked at a barrier. Everything is a
-    /// scalar array into the slab — no per-queue `Vec` indirection — and
-    /// the slab never reallocates before the step's last dequeue, because
-    /// only the coordinator pushes, and only after it (see
-    /// [`grow_slot`](Self::grow_slot)).
-    pub(crate) fn raw(&mut self) -> GridRaw {
-        GridRaw {
-            slab: self.slab.as_mut_ptr(),
-            lens: self.lens.as_mut_ptr(),
-            load: self.load.as_mut_ptr(),
-            occ: self.occ.as_mut_ptr(),
-            slots: self.slots,
-            stride: self.stride,
-            slot_off: self.slot_off,
-        }
-    }
-}
-
-/// Raw parts of a [`NodeGrid`]'s queue arena (see [`NodeGrid::raw`]):
-/// scalar base pointers plus the slab geometry needed to locate any
-/// `(node, slot)` region without touching the grid itself.
-#[derive(Clone, Copy)]
-pub(crate) struct GridRaw {
-    pub(crate) slab: *mut PacketId,
-    pub(crate) lens: *mut u32,
-    pub(crate) load: *mut u32,
-    pub(crate) occ: *mut u8,
-    pub(crate) slots: usize,
-    pub(crate) stride: u32,
-    pub(crate) slot_off: [u32; 5],
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@
 //! transmissions *before* the hook observes the schedule, so the exchanger
 //! only ever sees moves that can actually happen.
 
+#![forbid(unsafe_code)]
+
 pub mod compiled;
 pub mod error;
 pub mod plan;

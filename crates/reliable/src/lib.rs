@@ -23,6 +23,8 @@
 //! [`Sim::run_with_protocol`](mesh_engine::Sim::run_with_protocol). See
 //! `DESIGN.md` §8 for the state machine and the watchdog interplay.
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod transport;
 

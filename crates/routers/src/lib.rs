@@ -32,6 +32,8 @@
 //! router is handed so its ordinary direction fallback routes around
 //! injected faults.
 
+#![forbid(unsafe_code)]
+
 pub mod alt_adaptive;
 pub mod bounded_deflect;
 pub mod common;

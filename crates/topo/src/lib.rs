@@ -21,6 +21,8 @@
 //!   strips, tiles).
 //! * [`tiling`] — the three 1/3-offset tilings of §6 (Lemma 19 of the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod dir;
 pub mod link;

@@ -14,6 +14,8 @@
 //!   rotations, hotspots, random destinations, h-h, and dynamic injection.
 //! * [`Quadrant`] — the NE/NW/SE/SW movement classes of the §6 algorithm.
 
+#![forbid(unsafe_code)]
+
 pub mod packet;
 pub mod problem;
 pub mod quadrant;

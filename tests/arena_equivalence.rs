@@ -8,7 +8,7 @@
 //! removal/retain/expiry (survivors keep their relative order, arrivals
 //! append at the tail), and bitmask ↔ `queue_lens` ↔ load-index
 //! agreement (via `Sim::assert_queue_invariants`), across routers ×
-//! fault plans × admission policies × tile geometries.
+//! fault plans × admission policies.
 
 use mesh_routing::engine::QueueKind;
 use mesh_routing::prelude::*;
@@ -141,22 +141,6 @@ fn workload(n: u32) -> impl Strategy<Value = RoutingProblem> {
     )
 }
 
-/// Tile geometry × worker threads, degenerate cases included (same
-/// spectrum as `tests/tiling_equivalence.rs`): the tiled step dequeues
-/// through raw arena pointers, so the shadow must hold under every
-/// geometry too.
-fn tile_config(n: u32) -> impl Strategy<Value = (Option<(u32, u32)>, usize)> {
-    (0u32..4, 1u32..=n, 1u32..=n, 0usize..4).prop_map(move |(which, tx, ty, ti)| {
-        let geometry = match which {
-            0 => None,
-            1 => Some((1, 1)),
-            2 => Some((n, n)),
-            _ => Some((tx, ty)),
-        };
-        (geometry, [1usize, 2, 4, 8][ti])
-    })
-}
-
 /// The four admission policies, by index (no `prop_oneof` in the shim).
 fn admission(which: u32, n: u32) -> AdmissionPolicy {
     match which {
@@ -171,23 +155,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arena vs shadow across the router spectrum (central-queue and
-    /// per-inlink architectures) and tile geometries, fault-free.
+    /// per-inlink architectures), fault-free.
     #[test]
     fn arena_matches_shadow_across_routers(
         pb in workload(12),
-        tc in tile_config(12),
         k in 1u32..4,
         router in 0usize..4,
     ) {
         prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
         let topo = Mesh::new(12);
-        let config = SimConfig { tile_threads: threads, tiles, ..SimConfig::default() };
         match router {
-            0 => run_shadowed(&mut Sim::with_config(&topo, Dx::new(DimOrder::new(k)), &pb, config), 12, 2_000)?,
-            1 => run_shadowed(&mut Sim::with_config(&topo, Dx::new(Theorem15::new(k)), &pb, config), 12, 2_000)?,
-            2 => run_shadowed(&mut Sim::with_config(&topo, Dx::new(WestFirst::new(k)), &pb, config), 12, 2_000)?,
-            _ => run_shadowed(&mut Sim::with_config(&topo, Dx::new(HotPotato::new(12)), &pb, config), 12, 2_000)?,
+            0 => run_shadowed(&mut Sim::new(&topo, Dx::new(DimOrder::new(k)), &pb), 12, 2_000)?,
+            1 => run_shadowed(&mut Sim::new(&topo, Dx::new(Theorem15::new(k)), &pb), 12, 2_000)?,
+            2 => run_shadowed(&mut Sim::new(&topo, Dx::new(WestFirst::new(k)), &pb), 12, 2_000)?,
+            _ => run_shadowed(&mut Sim::new(&topo, Dx::new(HotPotato::new(12)), &pb), 12, 2_000)?,
         }
     }
 
@@ -226,17 +207,13 @@ proptest! {
         which in 0u32..4,
         rate_permille in 50u64..=900,
         seed in 0u64..5_000,
-        tc in tile_config(8),
     ) {
         let n = 8u32;
-        let (tiles, threads) = tc;
         let pb = workloads::dynamic_bernoulli(n, rate_permille as f64 / 1000.0, 6 * n as u64, seed);
         prop_assume!(!pb.is_empty());
         let topo = Mesh::new(n);
         let config = SimConfig {
             admission: admission(which, n),
-            tile_threads: threads,
-            tiles,
             ..SimConfig::default()
         };
         let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(1)), &pb, config);

@@ -85,16 +85,12 @@ where
 /// reference to completion recording streams and checkpoints, "kill" at
 /// `kill_at`, restore from the last checkpoint at or before the kill
 /// (after a JSON round-trip, so the serialized format itself is under
-/// test), resume — possibly under a different execution strategy
-/// (`resume_config`) — and demand the identical tail.
-#[allow(clippy::too_many_arguments)]
+/// test), resume, and demand the identical tail.
 fn check_raw_resume<T: Topology, R: Router>(
     topo: &T,
     mk: impl Fn() -> R,
     pb: &RoutingProblem,
     faults: Option<CompiledFaults>,
-    run_config: SimConfig,
-    resume_config: SimConfig,
     cadence: u64,
     kill_at: u64,
 ) -> Result<(), TestCaseError>
@@ -102,15 +98,15 @@ where
     R::NodeState: Serialize + Deserialize,
 {
     let mut reference = match &faults {
-        Some(f) => Sim::with_faults(topo, mk(), pb, run_config, f.clone()),
-        None => Sim::with_config(topo, mk(), pb, run_config),
+        Some(f) => Sim::with_faults(topo, mk(), pb, SimConfig::default(), f.clone()),
+        None => Sim::new(topo, mk(), pb),
     };
     let (streams, snaps) = run_recording(&mut reference, cadence, 3_000);
     let Some(snap) = snaps.iter().rev().find(|s| s.step <= kill_at) else {
         return Ok(()); // killed before the first checkpoint: nothing to resume
     };
     let snap = Snapshot::from_json(&snap.to_json()).expect("snapshot JSON round-trip");
-    let mut resumed = Sim::restore(topo, mk(), resume_config, faults, &snap)
+    let mut resumed = Sim::restore(topo, mk(), SimConfig::default(), faults, &snap)
         .expect("a snapshot the engine wrote must restore");
     prop_assert_eq!(resumed.steps(), snap.step);
     let mut i = snap.step as usize;
@@ -143,37 +139,26 @@ proptest! {
 
     /// Tentpole property, fault-free: for arbitrary workloads, routers,
     /// checkpoint cadences, and kill steps, a resumed run is
-    /// bit-identical — including when the resumed run uses a different
-    /// tile-thread count than the original (execution strategy is not
-    /// simulated state).
+    /// bit-identical.
     #[test]
     fn resumed_runs_are_bit_identical_fault_free(
         pb in workload(12),
         cadence in 1u64..24,
         kill_at in 0u64..200,
         router in 0usize..3,
-        threads in 0usize..3,
     ) {
         prop_assume!(!pb.is_empty());
         let topo = Mesh::new(pb.n);
-        let resume_config = SimConfig {
-            tile_threads: [1usize, 2, 4][threads],
-            ..SimConfig::default()
-        };
         match router {
-            0 => check_raw_resume(&topo, || Dx::new(DimOrder::new(2)), &pb, None,
-                SimConfig::default(), resume_config, cadence, kill_at)?,
-            1 => check_raw_resume(&topo, || Dx::new(Theorem15::new(2)), &pb, None,
-                SimConfig::default(), resume_config, cadence, kill_at)?,
-            _ => check_raw_resume(&topo, || Dx::new(WestFirst::new(2)), &pb, None,
-                SimConfig::default(), resume_config, cadence, kill_at)?,
+            0 => check_raw_resume(&topo, || Dx::new(DimOrder::new(2)), &pb, None, cadence, kill_at)?,
+            1 => check_raw_resume(&topo, || Dx::new(Theorem15::new(2)), &pb, None, cadence, kill_at)?,
+            _ => check_raw_resume(&topo, || Dx::new(WestFirst::new(2)), &pb, None, cadence, kill_at)?,
         }
     }
 
-    /// Tentpole property, faults active and the original run tiled: the
-    /// checkpoint must carry fault-dependent state (losses, stalls,
-    /// deferred injections) and the fingerprint must accept the
-    /// re-supplied plan.
+    /// Tentpole property, faults active: the checkpoint must carry
+    /// fault-dependent state (losses, stalls, deferred injections) and the
+    /// fingerprint must accept the re-supplied plan.
     #[test]
     fn resumed_runs_are_bit_identical_under_faults(
         pb in partial_permutation(10),
@@ -181,24 +166,17 @@ proptest! {
         kill_at in 0u64..300,
         rate_permille in 0u64..=150,
         fault_seed in 0u64..10_000,
-        threads in 0usize..3,
     ) {
         prop_assume!(!pb.is_empty());
         let n = 10u32;
         let topo = Mesh::new(n);
         let rate = rate_permille as f64 / 1000.0;
         let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
-        let run_config = SimConfig {
-            tile_threads: [1usize, 2, 4][threads],
-            ..SimConfig::default()
-        };
         check_raw_resume(
             &topo,
             || FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
             &pb,
             Some(faults.as_ref().clone()),
-            run_config,
-            SimConfig::default(),
             cadence,
             kill_at,
         )?;
@@ -271,7 +249,7 @@ proptest! {
 /// A central queue whose bound exceeds the arena's inline cells starts
 /// small and grows by slab rebuilds. Checkpoints taken while a queue sits
 /// in grown cells must restore into a grid that holds it — and resume
-/// bit-identically, sequentially or tiled.
+/// bit-identically.
 #[test]
 fn grown_central_queue_resumes_bit_identically() {
     let n = 16;
@@ -284,16 +262,9 @@ fn grown_central_queue_resumes_bit_identically() {
         probe.report().max_queue > 4,
         "the funnel must outgrow the inline cells"
     );
-    let tiled = SimConfig {
-        tile_threads: 2,
-        ..SimConfig::default()
-    };
     for kill_at in [3, 6, 9, 12, 18] {
-        for resume_config in [SimConfig::default(), tiled] {
-            let run_config = SimConfig::default();
-            check_raw_resume(&topo, mk, &pb, None, run_config, resume_config, 1, kill_at)
-                .unwrap_or_else(|e| panic!("kill at {kill_at}: {e:?}"));
-        }
+        check_raw_resume(&topo, mk, &pb, None, 1, kill_at)
+            .unwrap_or_else(|e| panic!("kill at {kill_at}: {e:?}"));
     }
 }
 

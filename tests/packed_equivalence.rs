@@ -13,7 +13,7 @@
 //! non-empty fault table, × random workloads (static partial permutations
 //! and dynamic Bernoulli) × every admission policy × random fault plans
 //! (stalls, link faults, queue degradation — exercising the engine-side
-//! acceptance clamp) × tile geometries and thread counts.
+//! acceptance clamp).
 
 use mesh_routing::prelude::*;
 use mesh_routing::routers::oracle::{DxViewPolicy, ViewOracle};
@@ -98,19 +98,6 @@ fn admission() -> impl Strategy<Value = AdmissionPolicy> {
         1 => AdmissionPolicy::RejectNew,
         2 => AdmissionPolicy::DropOldestDeferred { max_deferred },
         _ => AdmissionPolicy::DeadlineExpiry { ttl },
-    })
-}
-
-/// Tile geometry × worker threads (sequential included).
-fn tile_config(n: u32) -> impl Strategy<Value = (Option<(u32, u32)>, usize)> {
-    (0u32..4, 1u32..=n, 1u32..=n, 0usize..4).prop_map(move |(which, tx, ty, ti)| {
-        let geometry = match which {
-            0 => None,
-            1 => Some((1, 1)),
-            2 => Some((n, n)),
-            _ => Some((tx, ty)),
-        };
-        (geometry, [1usize, 2, 4, 8][ti])
     })
 }
 
@@ -249,22 +236,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Property 1: every router is decision-identical through its packed
-    /// and view policies, for arbitrary workloads, admission policies, tile
-    /// geometries, and thread counts.
+    /// and view policies, for arbitrary workloads and admission policies.
     #[test]
     fn packed_path_is_bit_identical_fault_free(
         pb in workload(16),
         adm in admission(),
-        tc in tile_config(16),
         k in 1u32..4,
         router in 0usize..ROUTERS,
     ) {
         prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
         let config = SimConfig {
             admission: adm,
-            tile_threads: threads,
-            tiles,
             ..SimConfig::default()
         };
         for_router(router, pb.n, k, &FaultFree { pb: &pb, config })?;
@@ -279,22 +261,18 @@ proptest! {
     fn packed_path_is_bit_identical_under_faults(
         pb in partial_permutation(12),
         adm in admission(),
-        tc in tile_config(12),
         k in 1u32..4,
         rate_permille in 0u64..=200,
         fault_seed in 0u64..10_000,
         router in 0usize..CONSERVATIVE,
     ) {
         prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
         let n = 12u32;
         let rate = rate_permille as f64 / 1000.0;
         let faults = FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile();
         let config = SimConfig {
             watchdog: Some(8 * n as u64),
             admission: adm,
-            tile_threads: threads,
-            tiles,
             ..SimConfig::default()
         };
         for_router(router, n, k, &UnderFaults { pb: &pb, config, faults: &faults })?;

@@ -2,8 +2,9 @@
 //! delivery + minimality on arbitrary problems, exchange-invariance of
 //! destination-exchangeable routers (Lemma 10), tiling coverage (Lemma 19),
 //! quadrant/geometry algebra, and the open-system overload seam
-//! (per-step packet conservation and queue caps under any offered load,
-//! admission policy, and tile geometry; overload watchdog liveness).
+//! (per-step packet conservation and queue caps under any offered load
+//! and admission policy; overload watchdog liveness), and the per-step
+//! queue invariants under random fault plans.
 
 use mesh_routing::prelude::*;
 use mesh_routing::Section6Router;
@@ -30,6 +31,20 @@ fn partial_permutation(n: u32) -> impl Strategy<Value = RoutingProblem> {
                 .map(|(&s, &d)| (Coord::new(s % n, s / n), Coord::new(d % n, d / n)));
             RoutingProblem::from_pairs(n, "prop", pairs)
         })
+}
+
+/// Static partial permutations or dynamic Bernoulli arrivals. (The
+/// vendored proptest shim has no `prop_oneof`; select by index.)
+fn workload(n: u32) -> impl Strategy<Value = RoutingProblem> {
+    (0u32..2, partial_permutation(n), (1u64..=50, 0u64..5_000)).prop_map(
+        move |(which, pp, (rate_permille, seed))| {
+            if which == 0 {
+                pp
+            } else {
+                workloads::dynamic_bernoulli(n, rate_permille as f64 / 1000.0, 4 * n as u64, seed)
+            }
+        },
+    )
 }
 
 proptest! {
@@ -423,13 +438,12 @@ proptest! {
         seed in 0u64..10_000,
         k in 1u32..4,
         arch_sel in 0u8..2,
-        tile_sel in 0u8..4,
     ) {
         // The overload seam's accounting identity — injected == delivered +
         // in-flight + shed + expired + lost — and the §2 queue-capacity
         // contract must hold after *every* step, for any offered load
-        // (including far past saturation), any admission policy, and any
-        // tile geometry, not just at quiescence.
+        // (including far past saturation) and any admission policy, not
+        // just at quiescence.
         let n = 6;
         let rate = rate_permille as f64 / 1000.0;
         let pb = workloads::open_bernoulli(n, rate, 6 * n as u64, seed);
@@ -441,16 +455,8 @@ proptest! {
             2 => AdmissionPolicy::DropOldestDeferred { max_deferred },
             _ => AdmissionPolicy::DeadlineExpiry { ttl },
         };
-        let (tile_threads, tiles) = match tile_sel {
-            0 => (1, None),
-            1 => (2, None),
-            2 => (1, Some((2, 2))),
-            _ => (4, Some((3, 2))),
-        };
         let config = SimConfig {
             admission,
-            tile_threads,
-            tiles,
             ..SimConfig::default()
         };
         macro_rules! check {
@@ -469,6 +475,39 @@ proptest! {
         }
         check!(Dx::new(DimOrder::new(k)), k);
         check!(Dx::new(Theorem15::new(k)), k);
+    }
+
+    #[test]
+    fn queue_invariants_hold_every_step_under_faults(
+        pb in workload(12),
+        k in 1u32..4,
+        rate_permille in 0u64..=150,
+        fault_seed in 0u64..10_000,
+    ) {
+        // Every bounded queue within capacity, the occupancy index in sync,
+        // packet location records consistent — after *every* step of a
+        // fault-aware run under a random fault plan (stalls, link faults,
+        // queue degradation), not merely at the end of the run.
+        prop_assume!(!pb.is_empty());
+        let n = 12u32;
+        let topo = Mesh::new(n);
+        let rate = rate_permille as f64 / 1000.0;
+        let faults =
+            std::sync::Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
+        let mut sim = Sim::with_faults(
+            &topo,
+            FaultAware::new(Dx::new(DimOrder::new(k)), std::sync::Arc::clone(&faults)),
+            &pb,
+            SimConfig::default(),
+            faults.as_ref().clone(),
+        );
+        for _ in 0..1_500 {
+            let done = sim.step();
+            sim.assert_queue_invariants();
+            if done {
+                break;
+            }
+        }
     }
 
     #[test]
