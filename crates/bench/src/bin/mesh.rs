@@ -1,17 +1,8 @@
-//! `mesh` — command-line front end to the reproduction.
-//!
-//! ```text
-//! mesh workload  <kind> --n N [--seed S] [--h H] [--load F] [-o FILE]
-//! mesh route     <algorithm> (--problem FILE | --workload KIND --n N [--seed S])
-//!                [--k K] [--cap STEPS] [--json] [--latency] [--heatmap]
-//! mesh construct <general|dimorder|farthest> --n N --k K
-//!                [--victim ALGO] [--h H] [-o FILE] [--check]
-//! ```
-//!
-//! Workload kinds: `random`, `partial`, `transpose`, `bit-reversal`,
-//! `rotation`, `hotspot`, `funnel`, `random-dst`, `hh`.
-//! Algorithms: `dim-order`, `dim-order-yx`, `alt-adaptive`, `theorem15`,
-//! `farthest-first`, `greedy`, `hot-potato`, `section6`, `section6-improved`.
+//! `mesh` — command-line front end to the reproduction: generate a
+//! workload, route it (closed-system, checkpointed, resumed, or as an
+//! open-system steady-state soak), or run an adversary construction. The
+//! subcommands, flags, workload kinds and algorithm names are listed once,
+//! in [`USAGE`].
 
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::adversary::farthest::FarthestFirstConstruction;
@@ -152,10 +143,20 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
         "random" => workloads::random_permutation(n, seed),
         "partial" => {
             let load: f64 = args.num_flag("load").unwrap_or(0.5);
+            if !(0.0..=1.0).contains(&load) {
+                usage_error(&format!("--load must lie in [0, 1] (got {load})"));
+            }
             workloads::random_partial_permutation(n, load, seed)
         }
         "transpose" => workloads::transpose(n),
-        "bit-reversal" => workloads::bit_reversal(n),
+        "bit-reversal" => {
+            if !n.is_power_of_two() {
+                usage_error(&format!(
+                    "--n must be a power of two for bit-reversal (got {n})"
+                ));
+            }
+            workloads::bit_reversal(n)
+        }
         "rotation" => workloads::rotation(n, n / 2, n / 3),
         "hotspot" => workloads::hotspot(n, (n / 6).max(2), seed),
         "funnel" => workloads::column_funnel(n),
@@ -243,6 +244,16 @@ fn print_route(args: &Args, out: &RouteOutcome) {
             out.delivered,
             out.total_packets
         );
+        if let Some(s6) = &out.section6 {
+            println!(
+                "  section6: scheduled={} ({:.1}n)  quiescent={} ({:.1}n)  iterations={}",
+                s6.scheduled_steps,
+                s6.steps_per_n(),
+                s6.quiescent_steps,
+                s6.quiescent_steps as f64 / s6.n as f64,
+                s6.iterations
+            );
+        }
     }
 }
 
@@ -319,11 +330,6 @@ fn print_steady(args: &Args, out: &mesh_routing::SteadyOutcome) {
 
 /// `mesh route <algo> --lambda F`: the open-system steady-state harness.
 fn cmd_steady(args: &Args, algo: Algorithm) {
-    if let Some(path) = args.flags.get("resume-from") {
-        let snap = load_snapshot(path);
-        cmd_steady_resume(args, algo, path, snap);
-        return;
-    }
     let lambda: f64 = args.num_flag("lambda").unwrap_or_else(|| usage());
     let schedule = SteadyConfig {
         warmup: args.u64_flag("warmup").unwrap_or(128),
@@ -340,19 +346,15 @@ fn cmd_steady(args: &Args, algo: Algorithm) {
     });
     let seed = args.u64_flag("seed").unwrap_or(1);
     let pb = mesh_routing::traffic::workloads::open_bernoulli(n, lambda, schedule.horizon(), seed);
-    let result = if config.checkpoint_every.is_some() {
-        mesh_routing::steady_route_checkpointed(
-            algo,
-            &pb,
-            lambda,
-            schedule,
-            config,
-            std::path::Path::new(dir),
-            halt_at,
-        )
-    } else {
-        mesh_routing::steady_route(algo, &pb, lambda, schedule, config).map(|o| (Some(o), None))
-    };
+    let result = mesh_routing::steady_route(
+        algo,
+        &pb,
+        lambda,
+        schedule,
+        config,
+        std::path::Path::new(dir),
+        halt_at,
+    );
     report_steady(args, result);
 }
 
@@ -369,9 +371,8 @@ fn cmd_steady_resume(
 ) {
     let Some(env) = snap.steady else {
         eprintln!(
-            "snapshot {path} records no steady-state environment (a closed-system run, or a \
-             checkpoint older than format v2); re-run with the original steady flags or resume \
-             it as a plain route"
+            "snapshot {path} records no steady-state environment (a closed-system run); re-run \
+             with the original steady flags or resume it as a plain route"
         );
         exit(1);
     };
@@ -441,16 +442,7 @@ fn load_snapshot(path: &str) -> mesh_routing::engine::Snapshot {
     })
 }
 
-fn report_steady(
-    args: &Args,
-    result: Result<
-        (
-            Option<mesh_routing::SteadyOutcome>,
-            Option<std::path::PathBuf>,
-        ),
-        String,
-    >,
-) {
+fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>) {
     match result {
         Ok((Some(out), last)) => {
             if let Some(p) = last {
@@ -478,23 +470,29 @@ fn cmd_route(args: &Args) {
     let k = args.u32_flag("k").unwrap_or(4);
     let algo = make_algorithm(algo_name, k);
 
-    // Open-system steady-state harness: --lambda switches the run shape
-    // entirely (continuous injection, windowed measurement, admission
-    // control at the edge).
-    if args.has("lambda") {
-        cmd_steady(args, algo);
-        return;
+    // The extra reports read the live simulation of a plain closed-system
+    // run; the other run shapes hand back their outcome only.
+    let stats = args.has("latency") || args.has("heatmap");
+    if stats
+        && ["lambda", "resume-from", "checkpoint-every"]
+            .iter()
+            .any(|f| args.has(f))
+    {
+        usage_error(
+            "--latency/--heatmap need a plain closed-system run: not with --lambda, \
+             --checkpoint-every or --resume-from",
+        );
     }
 
     // Crash recovery: restore a checkpoint and drive it to completion. The
     // problem is not re-read — the snapshot carries the full run state —
     // and the result is byte-identical to the uninterrupted run's. A
-    // steady-state checkpoint carries its own environment block (format
-    // v2), so `--resume-from` alone routes back into the steady harness
-    // without re-passing --lambda or the window schedule.
+    // steady-state checkpoint carries its own environment block, so
+    // `--resume-from` alone routes back into the steady harness without
+    // re-passing --lambda or the window schedule.
     if let Some(path) = args.flags.get("resume-from") {
         let snap = load_snapshot(path);
-        if snap.steady.is_some() {
+        if snap.steady.is_some() || args.has("lambda") {
             cmd_steady_resume(args, algo, path, snap);
             return;
         }
@@ -506,6 +504,14 @@ fn cmd_route(args: &Args) {
         });
         eprintln!("resumed from {path} at step {}", snap.step);
         print_route(args, &out);
+        return;
+    }
+
+    // Open-system steady-state harness: --lambda switches the run shape
+    // entirely (continuous injection, windowed measurement, admission
+    // control at the edge).
+    if args.has("lambda") {
+        cmd_steady(args, algo);
         return;
     }
 
@@ -525,11 +531,7 @@ fn cmd_route(args: &Args) {
     // in --checkpoint-dir. --halt-at simulates the crash by capping the
     // run at that step; resume later with --resume-from.
     if let Some(every) = args.u64_flag("checkpoint-every") {
-        let dir = args
-            .flags
-            .get("checkpoint-dir")
-            .map(String::as_str)
-            .unwrap_or("checkpoints");
+        let dir = checkpoint_dir(args);
         let cap = args.u64_flag("halt-at").unwrap_or(cap);
         let (out, last) =
             mesh_routing::route_checkpointed(algo, &pb, cap, every, std::path::Path::new(dir))
@@ -545,81 +547,32 @@ fn cmd_route(args: &Args) {
         return;
     }
 
-    // For the extra reports we need the live sim, so route manually for
-    // engine algorithms; fall back to the API for §6.
-    let out = mesh_routing::try_route_with_cap(algo, &pb, cap).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2);
-    });
-    if args.has("json") {
-        println!("{}", serde_json::to_string_pretty(&out).unwrap());
-    } else {
-        println!(
-            "{} on {}: steps={}{} max_queue={} moves={} delivered={}/{}",
-            out.algorithm,
-            out.workload,
-            out.steps,
-            if out.completed { "" } else { " (STALLED)" },
-            out.max_queue,
-            out.total_moves,
-            out.delivered,
-            out.total_packets
-        );
-        if let Some(s6) = &out.section6 {
+    // A plain run of an engine algorithm is made here, on the one router
+    // dispatch, so the extra reports come off the simulation that produced
+    // the route line.
+    let topo = Mesh::new(pb.n);
+    mesh_routing::with_engine_router!(algo, pb.n, |router| {
+        let mut sim = Sim::new(&topo, router(), &pb);
+        let _ = sim.run(cap);
+        print_route(args, &RouteOutcome::engine(algo, sim.report()));
+        if args.has("latency") {
+            let d = sim.latency_distribution();
             println!(
-                "  section6: scheduled={} ({:.1}n)  quiescent={} ({:.1}n)  iterations={}",
-                s6.scheduled_steps,
-                s6.steps_per_n(),
-                s6.quiescent_steps,
-                s6.quiescent_steps as f64 / s6.n as f64,
-                s6.iterations
+                "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
+                d.min, d.p50, d.p90, d.p99, d.max, d.mean
             );
         }
-    }
-    if args.has("latency") || args.has("heatmap") {
-        // Re-run through the engine to collect stats (engine algorithms only).
-        if matches!(algo, Algorithm::Section6 | Algorithm::Section6Improved) {
+        if args.has("heatmap") {
+            println!("{}", sim.congestion_map().ascii());
+        }
+    }, section6 => {
+        let out = mesh_routing::try_route_with_cap(algo, &pb, cap)
+            .unwrap_or_else(|e| usage_error(&e.to_string()));
+        print_route(args, &out);
+        if stats {
             eprintln!("(--latency/--heatmap are engine-router features)");
-            return;
         }
-        let topo = Mesh::new(pb.n);
-        macro_rules! with_sim {
-            ($router:expr) => {{
-                let mut sim = Sim::new(&topo, $router, &pb);
-                let _ = sim.run(cap);
-                if args.has("latency") {
-                    let d = sim.latency_distribution();
-                    println!(
-                        "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
-                        d.min, d.p50, d.p90, d.p99, d.max, d.mean
-                    );
-                }
-                if args.has("heatmap") {
-                    println!("{}", sim.congestion_map().ascii());
-                }
-            }};
-        }
-        match algo {
-            Algorithm::DimOrder { k } => with_sim!(Dx::new(DimOrder::new(k))),
-            Algorithm::DimOrderYx { k } => with_sim!(Dx::new(DimOrder::yx(k))),
-            Algorithm::AltAdaptive { k } => with_sim!(Dx::new(AltAdaptive::new(k))),
-            Algorithm::Theorem15 { k } => with_sim!(Dx::new(Theorem15::new(k))),
-            Algorithm::FarthestFirst { k } => with_sim!(FarthestFirst::new(k)),
-            Algorithm::GreedyUnbounded => with_sim!(FarthestFirst::unbounded(pb.n)),
-            Algorithm::HotPotato => {
-                with_sim!(Dx::new(mesh_routing::routers::HotPotato::new(pb.n)))
-            }
-            Algorithm::WestFirst { k } => {
-                with_sim!(Dx::new(mesh_routing::routers::WestFirst::new(k)))
-            }
-            Algorithm::BoundedDeflect { k, delta } => {
-                with_sim!(Dx::new(mesh_routing::routers::BoundedDeflect::new(
-                    pb.n, k, delta
-                )))
-            }
-            _ => unreachable!(),
-        }
-    }
+    })
 }
 
 fn cmd_construct(args: &Args) {
@@ -636,38 +589,42 @@ fn cmd_construct(args: &Args) {
         .get("victim")
         .map(String::as_str)
         .unwrap_or("dim-order");
+    let unsupported_victim = || -> ! {
+        eprintln!("unsupported victim '{victim}' for the general construction");
+        exit(2);
+    };
+    let invalid = |e: mesh_routing::adversary::ParamError| -> ! {
+        eprintln!("invalid parameters: {e}");
+        exit(1);
+    };
     let topo = Mesh::new(n);
 
     let outcome = match kind {
         "general" => {
             let h = args.u32_flag("h").unwrap_or(1);
-            let params = GeneralParams::hh(n, k, h).unwrap_or_else(|e| {
-                eprintln!("invalid parameters: {e}");
-                exit(1);
-            });
+            let params = GeneralParams::hh(n, k, h).unwrap_or_else(|e| invalid(e));
             let cons = GeneralConstruction::new(params);
-            match victim {
-                "dim-order" => cons.run(&topo, mesh_routing::routers::dim_order(k), check),
-                "alt-adaptive" => cons.run(&topo, mesh_routing::routers::alt_adaptive(k), check),
-                "theorem15" => cons.run(&topo, mesh_routing::routers::theorem15(k), check),
-                other => {
-                    eprintln!("unsupported victim '{other}' for the general construction");
-                    exit(2);
-                }
-            }
+            // The §3 adversary needs a minimal victim whose queues fit
+            // its partner-counting budget (§4.3).
+            let algo = match make_algorithm(victim, k) {
+                algo @ (Algorithm::DimOrder { .. }
+                | Algorithm::AltAdaptive { .. }
+                | Algorithm::Theorem15 { .. }) => algo,
+                _ => unsupported_victim(),
+            };
+            mesh_routing::with_engine_router!(
+                algo,
+                n,
+                |router| cons.run(&topo, router(), check),
+                section6 => unsupported_victim()
+            )
         }
         "dimorder" => {
-            let params = DimOrderParams::new(n, k).unwrap_or_else(|e| {
-                eprintln!("invalid parameters: {e}");
-                exit(1);
-            });
+            let params = DimOrderParams::new(n, k).unwrap_or_else(|e| invalid(e));
             DimOrderConstruction::new(params).run(&topo, mesh_routing::routers::dim_order(k))
         }
         "farthest" => {
-            let params = DimOrderParams::farthest_first(n, k).unwrap_or_else(|e| {
-                eprintln!("invalid parameters: {e}");
-                exit(1);
-            });
+            let params = DimOrderParams::farthest_first(n, k).unwrap_or_else(|e| invalid(e));
             FarthestFirstConstruction::new(params).run(&topo, FarthestFirst::new(k))
         }
         other => {

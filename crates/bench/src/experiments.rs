@@ -14,14 +14,58 @@
 use crate::cells;
 use crate::runner::{derive_seed, Experiment, TrialOutput};
 use crate::sweep::{
-    outcome_tag, per_n, ratio, routed, section6_router, short_label, stall_cap, steps_or_dash,
+    engine_only, outcome_tag, per_n, ratio, routed, section6_router, short_label, stall_cap,
+    steps_or_dash,
 };
-use crate::table::Table;
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::adversary::farthest::FarthestFirstConstruction;
 use mesh_routing::adversary::general::ConstructionOutcome;
+use mesh_routing::adversary::LowerBoundReport;
 use mesh_routing::prelude::*;
+use mesh_routing::with_engine_router;
 use std::sync::Arc;
+
+/// Runs the §3 construction `cons` against `victim` on `topo`, then replays
+/// the constructed permutation under a second, fresh copy of the victim
+/// (Theorem 13 and Lemma 12). `check` verifies Lemmas 1–8 after every step
+/// of the construction and panics if one fails.
+fn attack<T: Topology>(
+    cons: &GeneralConstruction,
+    topo: &T,
+    victim: Algorithm,
+    check: bool,
+) -> (ConstructionOutcome, LowerBoundReport) {
+    with_engine_router!(victim, topo.side(), |router| {
+        let outcome = cons.run(topo, router(), check);
+        let rep = verify_lower_bound(topo, router(), &outcome, None);
+        (outcome, rep)
+    }, section6 => engine_only(victim))
+}
+
+/// The E3/E4 cell: replays a §5 dimension-order construction's `outcome`
+/// under a fresh `victim` and sets the forced bound against `n²/k`.
+fn section5_cell<R: Router>(
+    params: DimOrderParams,
+    topo: &Mesh,
+    outcome: &ConstructionOutcome,
+    victim: R,
+) -> TrialOutput {
+    let rep = verify_lower_bound(topo, victim, outcome, None);
+    let nf = params.n as f64;
+    let row = cells!(
+        params.n,
+        params.k,
+        params.cn,
+        params.dn,
+        params.p,
+        params.l,
+        params.bound_steps(),
+        ratio(params.bound_steps(), nf * nf / params.k as f64),
+        rep.undelivered_at_bound,
+        rep.replay_matches_construction
+    );
+    TrialOutput::with_report(row, rep.replay)
+}
 
 /// E1 — Theorem 14: `Ω(n²/k²)` for destination-exchangeable minimal
 /// adaptive algorithms, via the §3 construction. For each `(n, k)` the
@@ -47,29 +91,14 @@ pub fn e1(full: bool) -> Experiment {
             eprintln!("e1: skipping n={n} k={k}: {err}");
             continue;
         }
-        for victim in ["dim-order", "alt-adaptive"] {
+        for (victim, algo) in [
+            ("dim-order", Algorithm::DimOrder { k }),
+            ("alt-adaptive", Algorithm::AltAdaptive { k }),
+        ] {
             e.fixed(format!("n={n} k={k} {victim}"), move |_trial| {
                 let params = GeneralParams::new(n, k).unwrap();
                 let cons = GeneralConstruction::new(params);
-                let topo = Mesh::new(n);
-                let outcome = match victim {
-                    "dim-order" => cons.run(&topo, mesh_routing::routers::dim_order(k), false),
-                    _ => cons.run(&topo, mesh_routing::routers::alt_adaptive(k), false),
-                };
-                let rep = match victim {
-                    "dim-order" => verify_lower_bound(
-                        &topo,
-                        mesh_routing::routers::dim_order(k),
-                        &outcome,
-                        None,
-                    ),
-                    _ => verify_lower_bound(
-                        &topo,
-                        mesh_routing::routers::alt_adaptive(k),
-                        &outcome,
-                        None,
-                    ),
-                };
+                let (outcome, rep) = attack(&cons, &Mesh::new(n), algo, false);
                 let nf = n as f64;
                 let kf = k as f64;
                 let row = cells!(
@@ -115,43 +144,20 @@ pub fn e2(full: bool) -> Experiment {
         // queue, which needs n ≥ 24(4k+3)²). We demonstrate it empirically
         // on the one cell where the adversary's actual partner consumption
         // stays within supply.
-        let victims: &[&str] = if (n, k) == (216, 1) {
-            &["dim-order", "alt-adaptive", "theorem15"]
-        } else {
-            &["dim-order", "alt-adaptive"]
-        };
-        for &victim in victims {
+        let mut victims = vec![
+            ("dim-order", Algorithm::DimOrder { k }),
+            ("alt-adaptive", Algorithm::AltAdaptive { k }),
+        ];
+        if (n, k) == (216, 1) {
+            victims.push(("theorem15", Algorithm::Theorem15 { k }));
+        }
+        for (victim, algo) in victims {
             e.fixed(format!("n={n} k={k} {victim}"), move |_trial| {
                 let params = GeneralParams::new(n, k).unwrap();
                 let cons = GeneralConstruction::new(params);
-                let topo = Mesh::new(n);
-                // `run(.., true)` panics if any lemma fails; reaching the
-                // end is the PASS certificate.
-                let outcome = match victim {
-                    "dim-order" => cons.run(&topo, mesh_routing::routers::dim_order(k), true),
-                    "alt-adaptive" => cons.run(&topo, mesh_routing::routers::alt_adaptive(k), true),
-                    _ => cons.run(&topo, mesh_routing::routers::theorem15(k), true),
-                };
-                let rep = match victim {
-                    "dim-order" => verify_lower_bound(
-                        &topo,
-                        mesh_routing::routers::dim_order(k),
-                        &outcome,
-                        None,
-                    ),
-                    "alt-adaptive" => verify_lower_bound(
-                        &topo,
-                        mesh_routing::routers::alt_adaptive(k),
-                        &outcome,
-                        None,
-                    ),
-                    _ => verify_lower_bound(
-                        &topo,
-                        mesh_routing::routers::theorem15(k),
-                        &outcome,
-                        None,
-                    ),
-                };
+                // The checked construction panics if any lemma fails;
+                // reaching the end is the PASS certificate.
+                let (outcome, rep) = attack(&cons, &Mesh::new(n), algo, true);
                 let row = cells!(
                     n,
                     k,
@@ -191,25 +197,10 @@ pub fn e3(full: bool) -> Experiment {
     for (n, k) in grid {
         e.fixed(format!("n={n} k={k}"), move |_trial| {
             let params = DimOrderParams::new(n, k).unwrap();
-            let cons = DimOrderConstruction::new(params);
             let topo = Mesh::new(n);
-            let outcome = cons.run(&topo, mesh_routing::routers::dim_order(k));
-            let rep =
-                verify_lower_bound(&topo, mesh_routing::routers::dim_order(k), &outcome, None);
-            let nf = n as f64;
-            let row = cells!(
-                n,
-                k,
-                params.cn,
-                params.dn,
-                params.p,
-                params.l,
-                params.bound_steps(),
-                ratio(params.bound_steps(), nf * nf / k as f64),
-                rep.undelivered_at_bound,
-                rep.replay_matches_construction
-            );
-            TrialOutput::with_report(row, rep.replay)
+            let victim = || mesh_routing::routers::dim_order(k);
+            let outcome = DimOrderConstruction::new(params).run(&topo, victim());
+            section5_cell(params, &topo, &outcome, victim())
         });
     }
     e
@@ -231,24 +222,9 @@ pub fn e4(full: bool) -> Experiment {
     for (n, k) in grid {
         e.fixed(format!("n={n} k={k}"), move |_trial| {
             let params = DimOrderParams::farthest_first(n, k).unwrap();
-            let cons = FarthestFirstConstruction::new(params);
             let topo = Mesh::new(n);
-            let outcome = cons.run(&topo, FarthestFirst::new(k));
-            let rep = verify_lower_bound(&topo, FarthestFirst::new(k), &outcome, None);
-            let nf = n as f64;
-            let row = cells!(
-                n,
-                k,
-                params.cn,
-                params.dn,
-                params.p,
-                params.l,
-                params.bound_steps(),
-                ratio(params.bound_steps(), nf * nf / k as f64),
-                rep.undelivered_at_bound,
-                rep.replay_matches_construction
-            );
-            TrialOutput::with_report(row, rep.replay)
+            let outcome = FarthestFirstConstruction::new(params).run(&topo, FarthestFirst::new(k));
+            section5_cell(params, &topo, &outcome, FarthestFirst::new(k))
         });
     }
     e
@@ -434,10 +410,7 @@ pub fn e8(full: bool) -> Experiment {
         e.fixed(format!("n={n} k={k} h={h}"), move |_trial| {
             let params = GeneralParams::hh(n, k, h).unwrap();
             let cons = GeneralConstruction::new(params);
-            let topo = Mesh::new(n);
-            let outcome = cons.run(&topo, mesh_routing::routers::dim_order(k), false);
-            let rep =
-                verify_lower_bound(&topo, mesh_routing::routers::dim_order(k), &outcome, None);
+            let (_, rep) = attack(&cons, &Mesh::new(n), Algorithm::DimOrder { k }, false);
             let nf = n as f64;
             let denom = (h as f64).powi(3) * nf * nf / ((k + h) as f64).powi(2);
             let row = cells!(
@@ -475,10 +448,7 @@ pub fn e9(full: bool) -> Experiment {
             let n = 2 * m;
             let params = GeneralParams::new(m, k).unwrap();
             let cons = GeneralConstruction::embedded(params, n);
-            let topo = Torus::new(n);
-            let outcome = cons.run(&topo, mesh_routing::routers::dim_order(k), false);
-            let rep =
-                verify_lower_bound(&topo, mesh_routing::routers::dim_order(k), &outcome, None);
+            let (_, rep) = attack(&cons, &Torus::new(n), Algorithm::DimOrder { k }, false);
             let row = cells!(
                 n,
                 m,
@@ -527,55 +497,70 @@ pub fn e10(full: bool) -> Experiment {
         );
         routed(row, out)
     };
-    // Workload builders: (name, seeded, builder by trial).
-    type PbBuilder = Box<dyn Fn(u64) -> RoutingProblem + Send + Sync>;
-    let mut workload_list: Vec<(String, bool, std::sync::Arc<PbBuilder>)> = Vec::new();
-    let arc = |f: PbBuilder| std::sync::Arc::new(f);
-    workload_list.push((
-        "random-permutation".into(),
-        true,
-        arc(Box::new(move |t| {
-            workloads::random_permutation(n, derive_seed(7, t))
-        })),
-    ));
-    workload_list.push((
-        "transpose".into(),
-        false,
-        arc(Box::new(move |_| workloads::transpose(n))),
-    ));
-    workload_list.push((
-        "bit-complement".into(),
-        false,
-        arc(Box::new(move |_| workloads::bit_complement(n))),
-    ));
-    workload_list.push((
-        "tornado".into(),
-        false,
-        arc(Box::new(move |_| workloads::tornado(n))),
-    ));
-    workload_list.push((
-        "column-funnel".into(),
-        false,
-        arc(Box::new(move |_| workloads::column_funnel(n))),
-    ));
-    workload_list.push((
-        "hotspot".into(),
-        false,
-        arc(Box::new(move |_| workloads::hotspot(n, 9, 7))),
-    ));
-    for (wname, seeded, builder) in workload_list {
+    // Workloads: name, historical seed (`None` for a fixed workload, which
+    // runs once), and builder from `(n, seed)`.
+    type Build = fn(u32, u64) -> RoutingProblem;
+    let workload_list: [(&str, Option<u64>, Build); 6] = [
+        ("random-permutation", Some(7), workloads::random_permutation),
+        ("transpose", None, |n, _| workloads::transpose(n)),
+        ("bit-complement", None, |n, _| workloads::bit_complement(n)),
+        ("tornado", None, |n, _| workloads::tornado(n)),
+        ("column-funnel", None, |n, _| workloads::column_funnel(n)),
+        ("hotspot", None, |n, _| workloads::hotspot(n, 9, 7)),
+    ];
+    for (wname, seed, build) in workload_list {
         for algo in algos {
-            let builder = builder.clone();
             let label = format!("{wname} {}", algo.name());
-            let run = move |trial: u64| matrix_cell(builder(trial), algo);
-            if seeded {
-                e.seeded(label, run);
-            } else {
-                e.fixed(label, run);
+            match seed {
+                Some(s) => e.seeded(label, move |trial| {
+                    matrix_cell(build(n, derive_seed(s, trial)), algo)
+                }),
+                None => e.fixed(label, move |_| matrix_cell(build(n, 0), algo)),
             }
         }
     }
     e
+}
+
+/// The A1/A2 sweep: per queue size `k`, the two algorithms of `pair(k)` side
+/// by side on the transpose, the column funnel and a random permutation
+/// (historical seed `seed`).
+fn ablation_cells(
+    e: &mut Experiment,
+    n: u32,
+    ks: &[u32],
+    seed: u64,
+    pair: fn(u32) -> (Algorithm, Algorithm),
+) {
+    let pair_cell = move |k: u32, pb: RoutingProblem| -> TrialOutput {
+        let cap = stall_cap(n);
+        let (left, right) = pair(k);
+        let l = mesh_routing::route_with_cap(left, &pb, cap);
+        let r = mesh_routing::route_with_cap(right, &pb, cap);
+        TrialOutput::new(cells!(
+            n,
+            k,
+            short_label(&pb),
+            steps_or_dash(l.completed, l.steps),
+            steps_or_dash(r.completed, r.steps),
+            l.completed,
+            r.completed
+        ))
+    };
+    for &k in ks {
+        e.fixed(format!("k={k} transpose"), move |_| {
+            pair_cell(k, workloads::transpose(n))
+        });
+        e.fixed(format!("k={k} column-funnel"), move |_| {
+            pair_cell(k, workloads::column_funnel(n))
+        });
+        e.seeded(format!("k={k} random-permutation"), move |trial| {
+            pair_cell(
+                k,
+                workloads::random_permutation(n, derive_seed(seed, trial)),
+            )
+        });
+    }
 }
 
 /// A1 — ablation: FIFO vs farthest-first outqueue arbitration at equal k.
@@ -587,31 +572,9 @@ pub fn a1(full: bool) -> Experiment {
         &["n", "k", "workload", "fifo steps", "farthest steps", "fifo done", "farthest done"],
     );
     let n = if full { 128 } else { 64 };
-    let pair_cell = move |k: u32, pb: RoutingProblem| -> TrialOutput {
-        let cap = stall_cap(n);
-        let f = mesh_routing::route_with_cap(Algorithm::DimOrder { k }, &pb, cap);
-        let ff = mesh_routing::route_with_cap(Algorithm::FarthestFirst { k }, &pb, cap);
-        TrialOutput::new(cells!(
-            n,
-            k,
-            short_label(&pb),
-            steps_or_dash(f.completed, f.steps),
-            steps_or_dash(ff.completed, ff.steps),
-            f.completed,
-            ff.completed
-        ))
-    };
-    for k in [2u32, 4, 8, 16] {
-        e.fixed(format!("k={k} transpose"), move |_| {
-            pair_cell(k, workloads::transpose(n))
-        });
-        e.fixed(format!("k={k} column-funnel"), move |_| {
-            pair_cell(k, workloads::column_funnel(n))
-        });
-        e.seeded(format!("k={k} random-permutation"), move |trial| {
-            pair_cell(k, workloads::random_permutation(n, derive_seed(3, trial)))
-        });
-    }
+    ablation_cells(&mut e, n, &[2, 4, 8, 16], 3, |k| {
+        (Algorithm::DimOrder { k }, Algorithm::FarthestFirst { k })
+    });
     e
 }
 
@@ -625,31 +588,9 @@ pub fn a2(full: bool) -> Experiment {
         &["n", "k", "workload", "central-4k steps", "inlink-k steps", "central done", "inlink done"],
     );
     let n = if full { 128 } else { 64 };
-    let pair_cell = move |k: u32, pb: RoutingProblem| -> TrialOutput {
-        let cap = stall_cap(n);
-        let c = mesh_routing::route_with_cap(Algorithm::DimOrder { k: 4 * k }, &pb, cap);
-        let i = mesh_routing::route_with_cap(Algorithm::Theorem15 { k }, &pb, cap);
-        TrialOutput::new(cells!(
-            n,
-            k,
-            short_label(&pb),
-            steps_or_dash(c.completed, c.steps),
-            steps_or_dash(i.completed, i.steps),
-            c.completed,
-            i.completed
-        ))
-    };
-    for k in [1u32, 2, 4] {
-        e.fixed(format!("k={k} transpose"), move |_| {
-            pair_cell(k, workloads::transpose(n))
-        });
-        e.fixed(format!("k={k} column-funnel"), move |_| {
-            pair_cell(k, workloads::column_funnel(n))
-        });
-        e.seeded(format!("k={k} random-permutation"), move |trial| {
-            pair_cell(k, workloads::random_permutation(n, derive_seed(9, trial)))
-        });
-    }
+    ablation_cells(&mut e, n, &[1, 2, 4], 9, |k| {
+        (Algorithm::DimOrder { k: 4 * k }, Algorithm::Theorem15 { k })
+    });
     e
 }
 
@@ -851,39 +792,34 @@ pub fn e13(full: bool) -> Experiment {
     // (λ·n²/2 packets cross 2n bisection links per step); straddle it.
     let rates = [0.02f64, 0.06, 0.10, 0.14];
     for rate in rates {
-        for router in ["theorem15(k=2)", "hot-potato", "greedy"] {
+        for (router, algo) in [
+            ("theorem15(k=2)", Algorithm::Theorem15 { k: 2 }),
+            ("hot-potato", Algorithm::HotPotato),
+            ("greedy", Algorithm::GreedyUnbounded),
+        ] {
             e.seeded(format!("rate={rate} {router}"), move |trial| {
                 let pb = workloads::dynamic_bernoulli(n, rate, window / 4, derive_seed(99, trial));
                 if pb.is_empty() {
                     return TrialOutput::new(cells!(n, rate, router, 0, "-", "-", 0, true));
                 }
                 let topo = Mesh::new(n);
-                macro_rules! sim_with {
-                    ($r:expr) => {{
-                        let mut sim = Sim::new(&topo, $r, &pb);
-                        let res = sim.run(window * 4);
-                        let lat = sim.latency_distribution();
-                        let rep = sim.report();
-                        let row = cells!(
-                            n,
-                            rate,
-                            router,
-                            rep.steps,
-                            format!("{:.1}", lat.mean),
-                            lat.p99,
-                            rep.max_queue,
-                            res.is_ok()
-                        );
-                        TrialOutput::with_report(row, rep)
-                    }};
-                }
-                match router {
-                    "theorem15(k=2)" => sim_with!(Dx::new(Theorem15::new(2))),
-                    "hot-potato" => {
-                        sim_with!(Dx::new(mesh_routing::routers::HotPotato::new(n)))
-                    }
-                    _ => sim_with!(FarthestFirst::unbounded(n)),
-                }
+                with_engine_router!(algo, n, |make| {
+                    let mut sim = Sim::new(&topo, make(), &pb);
+                    let res = sim.run(window * 4);
+                    let lat = sim.latency_distribution();
+                    let rep = sim.report();
+                    let row = cells!(
+                        n,
+                        rate,
+                        router,
+                        rep.steps,
+                        format!("{:.1}", lat.mean),
+                        lat.p99,
+                        rep.max_queue,
+                        res.is_ok()
+                    );
+                    TrialOutput::with_report(row, rep)
+                }, section6 => engine_only(algo))
             });
         }
     }
@@ -921,43 +857,42 @@ pub fn perf(full: bool) -> Experiment {
     if full {
         sizes.extend([512, 1024]);
     }
-    let route_cell = move |n: u32, router: &'static str| -> TrialOutput {
+    let route_cell = move |n: u32, router: &'static str, algo: Algorithm| -> TrialOutput {
         let reps = (256 / n).max(1);
         let topo = Mesh::new(n);
         let pb = workloads::random_permutation(n, 2024);
-        macro_rules! perf_with {
-            ($r:expr) => {{
-                let mut last = None;
-                for _ in 0..reps {
-                    let mut sim = Sim::new(&topo, $r, &pb);
-                    let res = sim.run(16 * n as u64);
-                    let rep = sim.report();
-                    last = Some((res.is_ok(), rep));
-                }
-                let (ok, rep) = last.expect("reps >= 1");
-                let row = cells!(
-                    n,
-                    router,
-                    "random-permutation",
-                    reps,
-                    rep.steps,
-                    format!("{}/{}", rep.delivered, rep.total_packets),
-                    rep.total_moves,
-                    rep.max_queue,
-                    ok
-                );
-                TrialOutput::with_report(row, rep)
-            }};
-        }
-        match router {
-            "dim-order(k=4)" => perf_with!(Dx::new(DimOrder::new(4))),
-            "hot-potato(k=1)" => perf_with!(Dx::new(mesh_routing::routers::HotPotato::new(n))),
-            _ => perf_with!(Dx::new(Theorem15::new(2))),
-        }
+        with_engine_router!(algo, n, |make| {
+            let mut last = None;
+            for _ in 0..reps {
+                let mut sim = Sim::new(&topo, make(), &pb);
+                let res = sim.run(16 * n as u64);
+                let rep = sim.report();
+                last = Some((res.is_ok(), rep));
+            }
+            let (ok, rep) = last.expect("reps >= 1");
+            let row = cells!(
+                n,
+                router,
+                "random-permutation",
+                reps,
+                rep.steps,
+                format!("{}/{}", rep.delivered, rep.total_packets),
+                rep.total_moves,
+                rep.max_queue,
+                ok
+            );
+            TrialOutput::with_report(row, rep)
+        }, section6 => engine_only(algo))
     };
     for n in sizes {
-        for router in ["dim-order(k=4)", "theorem15(k=2)", "hot-potato(k=1)"] {
-            e.fixed(format!("n={n} {router}"), move |_| route_cell(n, router));
+        for (router, algo) in [
+            ("dim-order(k=4)", Algorithm::DimOrder { k: 4 }),
+            ("theorem15(k=2)", Algorithm::Theorem15 { k: 2 }),
+            ("hot-potato(k=1)", Algorithm::HotPotato),
+        ] {
+            e.fixed(format!("n={n} {router}"), move |_| {
+                route_cell(n, router, algo)
+            });
         }
     }
     e
@@ -994,12 +929,19 @@ pub fn chaos(full: bool) -> Experiment {
     let horizon = 8 * n as u64;
     let k = 4;
     for &density in densities {
-        for router in [
-            "dim-order/raw",
-            "dim-order/fault-aware",
-            "west-first/fault-aware",
-            "theorem15(k=2)/fault-aware",
-            "hot-potato/fault-aware",
+        for (router, algo, fault_aware) in [
+            ("dim-order/raw", Algorithm::DimOrder { k }, false),
+            ("dim-order/fault-aware", Algorithm::DimOrder { k }, true),
+            ("west-first/fault-aware", Algorithm::WestFirst { k }, true),
+            (
+                "theorem15(k=2)/fault-aware",
+                Algorithm::Theorem15 { k: 2 },
+                true,
+            ),
+            // Nonminimal: the mask cannot steer deflections, so this leans
+            // on the wrapper's outlink post-filter and capacity guard;
+            // stretch > 1 measures the deflection detours.
+            ("hot-potato/fault-aware", Algorithm::HotPotato, true),
         ] {
             for workload in ["partial-perm", "transpose"] {
                 e.seeded(
@@ -1014,87 +956,62 @@ pub fn chaos(full: bool) -> Experiment {
                             ),
                             _ => workloads::transpose(n),
                         };
-                        let faults = Arc::new(
-                            FaultPlan::random(n, density, horizon, derive_seed(4045, trial))
-                                .compile(),
-                        );
+                        let plan = FaultPlan::random(n, density, horizon, derive_seed(4045, trial))
+                            .compile();
                         let config = SimConfig {
                             watchdog: Some(8 * n as u64),
                             ..SimConfig::default()
                         };
-                        macro_rules! soak {
-                            ($r:expr) => {{
-                                let mut sim = Sim::with_faults(
-                                    &topo,
-                                    $r,
-                                    &pb,
-                                    config,
-                                    faults.as_ref().clone(),
-                                );
-                                let res = sim.run(50_000);
-                                let outcome = outcome_tag(&res);
-                                // Stretch over delivered packets only: hops
-                                // actually walked per unit of L1 distance.
-                                let (mut hops, mut l1) = (0u64, 0u64);
-                                for p in &pb.packets {
-                                    if sim.delivered_step(p.id).is_some() {
-                                        hops += sim.packet_hops()[p.id.index()] as u64;
-                                        l1 += p.src.manhattan(p.dst) as u64;
-                                    }
-                                }
-                                let stretch = if l1 == 0 {
-                                    "-".to_string()
-                                } else {
-                                    format!("{:.3}", hops as f64 / l1 as f64)
-                                };
-                                let rep = sim.report();
-                                let row = cells!(
-                                    n,
-                                    density,
-                                    router,
-                                    workload,
-                                    outcome,
-                                    format!("{}/{}", sim.delivered(), pb.len()),
-                                    ratio(sim.delivered() as u64, pb.len() as f64),
-                                    rep.steps,
-                                    stretch
-                                );
-                                TrialOutput::with_report(row, rep)
-                            }};
-                        }
-                        match router {
-                            "dim-order/raw" => soak!(Dx::new(DimOrder::new(k))),
-                            "dim-order/fault-aware" => {
-                                soak!(FaultAware::new(
-                                    Dx::new(DimOrder::new(k)),
-                                    Arc::clone(&faults)
-                                ))
-                            }
-                            "west-first/fault-aware" => {
-                                soak!(FaultAware::new(
-                                    Dx::new(WestFirst::new(k)),
-                                    Arc::clone(&faults)
-                                ))
-                            }
-                            "theorem15(k=2)/fault-aware" => soak!(FaultAware::new(
-                                Dx::new(Theorem15::new(2)),
-                                Arc::clone(&faults)
-                            )),
-                            // Nonminimal: the mask cannot steer deflections,
-                            // so this leans on the wrapper's outlink
-                            // post-filter and capacity guard; stretch > 1
-                            // measures the deflection detours.
-                            _ => soak!(FaultAware::new(
-                                Dx::new(mesh_routing::routers::HotPotato::new(n)),
-                                Arc::clone(&faults)
-                            )),
-                        }
+                        let tags = (density, router, workload);
+                        with_engine_router!(algo, n, |make| if fault_aware {
+                            let aware = FaultAware::new(make(), Arc::new(plan.clone()));
+                            chaos_row(Sim::with_faults(&topo, aware, &pb, config, plan), &pb, tags)
+                        } else {
+                            chaos_row(Sim::with_faults(&topo, make(), &pb, config, plan), &pb, tags)
+                        }, section6 => engine_only(algo))
                     },
                 );
             }
         }
     }
     e
+}
+
+/// Runs one chaos cell's simulation to its watchdog verdict and renders the
+/// row; `tags` are the cell's density, router and workload labels.
+fn chaos_row<R: Router>(
+    mut sim: Sim<'_, Mesh, R>,
+    pb: &RoutingProblem,
+    (density, router, workload): (f64, &str, &str),
+) -> TrialOutput {
+    let res = sim.run(50_000);
+    // Stretch over delivered packets only: hops actually walked per unit
+    // of L1 distance.
+    let (mut hops, mut l1) = (0u64, 0u64);
+    for p in &pb.packets {
+        if sim.delivered_step(p.id).is_some() {
+            hops += sim.packet_hops()[p.id.index()] as u64;
+            l1 += p.src.manhattan(p.dst) as u64;
+        }
+    }
+    let stretch = if l1 == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.3}", hops as f64 / l1 as f64)
+    };
+    let rep = sim.report();
+    let row = cells!(
+        pb.n,
+        density,
+        router,
+        workload,
+        outcome_tag(&res),
+        format!("{}/{}", sim.delivered(), pb.len()),
+        ratio(sim.delivered() as u64, pb.len() as f64),
+        rep.steps,
+        stretch
+    );
+    TrialOutput::with_report(row, rep)
 }
 
 /// RELIABLE — end-to-end reliable delivery over transient outages. Seeded
@@ -1127,100 +1044,94 @@ pub fn reliable(full: bool) -> Experiment {
     // Outages start within [0, horizon) and are all transient; the injection
     // window ends well before the horizon so recovery happens under fire.
     let horizon = 8 * n as u64;
-    let policies: &[(&str, BackoffPolicy)] = &[
-        ("fixed(64)", BackoffPolicy::fixed(64)),
-        ("expo(64..512,j16)", BackoffPolicy::exponential(64, 512, 16)),
+    let layers = [
+        ("raw", "-", None),
+        ("reliable", "fixed(64)", Some(BackoffPolicy::fixed(64))),
+        (
+            "reliable",
+            "expo(64..512,j16)",
+            Some(BackoffPolicy::exponential(64, 512, 16)),
+        ),
     ];
     for &density in densities {
-        for layer in ["raw", "reliable"] {
-            let policy_rows: &[(&str, Option<BackoffPolicy>)] = if layer == "raw" {
-                &[("-", None)]
-            } else {
-                &[
-                    ("fixed(64)", Some(policies[0].1)),
-                    ("expo(64..512,j16)", Some(policies[1].1)),
-                ]
-            };
-            for &(backoff, policy) in policy_rows {
-                e.seeded(
-                    format!("density={density} {layer} {backoff}"),
-                    move |trial| {
-                        let topo = Mesh::new(n);
-                        let pb = workloads::dynamic_bernoulli(
-                            n,
-                            0.02,
-                            4 * n as u64,
-                            derive_seed(2024, trial),
-                        );
-                        let faults = Arc::new(
-                            FaultPlan::random_outages(n, density, horizon, derive_seed(40, trial))
-                                .compile(),
-                        );
-                        let config = SimConfig {
-                            // Must exceed the longest lawful retransmission
-                            // gap (cap + jitter), or quiet timer waits would
-                            // read as starvation.
-                            watchdog: Some(1024.max(8 * n as u64)),
-                            ..SimConfig::default()
-                        };
-                        let mut sim = Sim::with_faults(
-                            &topo,
-                            FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-                            &pb,
-                            config,
-                            faults.as_ref().clone(),
-                        );
-                        let (outcome, exactly_once, retx, dup_drops, goodput, mean_lat) =
-                            match policy {
-                                None => {
-                                    let res = sim.run(200_000);
-                                    let outcome = outcome_tag(&res);
-                                    let lat = sim.latency_distribution();
-                                    let steps = sim.steps().max(1);
-                                    (
-                                        outcome,
-                                        "-".to_string(),
-                                        "-".to_string(),
-                                        "-".to_string(),
-                                        format!("{:.4}", sim.delivered() as f64 / steps as f64),
-                                        format!("{:.1}", lat.mean),
-                                    )
-                                }
-                                Some(policy) => {
-                                    let mut tp = Transport::new(&pb, policy, derive_seed(7, trial));
-                                    let res = sim.run_with_protocol(200_000, &mut tp);
-                                    let outcome = outcome_tag(&res);
-                                    let rep = tp.report(sim.steps());
-                                    (
-                                        outcome,
-                                        if rep.exactly_once { "yes" } else { "NO" }.to_string(),
-                                        rep.retransmits.to_string(),
-                                        rep.duplicate_deliveries.to_string(),
-                                        format!("{:.4}", rep.goodput),
-                                        format!("{:.1}", rep.latency.mean),
-                                    )
-                                }
-                            };
-                        let rep = sim.report();
-                        let row = cells!(
-                            n,
-                            density,
-                            layer,
-                            backoff,
-                            outcome,
-                            format!("{}/{}", sim.delivered(), sim.num_packets()),
-                            exactly_once,
-                            retx,
-                            dup_drops,
-                            rep.lost,
-                            rep.steps,
-                            goodput,
-                            mean_lat
-                        );
-                        TrialOutput::with_report(row, rep)
-                    },
-                );
-            }
+        for (layer, backoff, policy) in layers {
+            e.seeded(
+                format!("density={density} {layer} {backoff}"),
+                move |trial| {
+                    let topo = Mesh::new(n);
+                    let pb = workloads::dynamic_bernoulli(
+                        n,
+                        0.02,
+                        4 * n as u64,
+                        derive_seed(2024, trial),
+                    );
+                    let faults = Arc::new(
+                        FaultPlan::random_outages(n, density, horizon, derive_seed(40, trial))
+                            .compile(),
+                    );
+                    let config = SimConfig {
+                        // Must exceed the longest lawful retransmission
+                        // gap (cap + jitter), or quiet timer waits would
+                        // read as starvation.
+                        watchdog: Some(1024.max(8 * n as u64)),
+                        ..SimConfig::default()
+                    };
+                    let mut sim = Sim::with_faults(
+                        &topo,
+                        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
+                        &pb,
+                        config,
+                        faults.as_ref().clone(),
+                    );
+                    let (outcome, exactly_once, retx, dup_drops, goodput, mean_lat) = match policy {
+                        None => {
+                            let res = sim.run(200_000);
+                            let outcome = outcome_tag(&res);
+                            let lat = sim.latency_distribution();
+                            let steps = sim.steps().max(1);
+                            (
+                                outcome,
+                                "-".to_string(),
+                                "-".to_string(),
+                                "-".to_string(),
+                                format!("{:.4}", sim.delivered() as f64 / steps as f64),
+                                format!("{:.1}", lat.mean),
+                            )
+                        }
+                        Some(policy) => {
+                            let mut tp = Transport::new(&pb, policy, derive_seed(7, trial));
+                            let res = sim.run_with_protocol(200_000, &mut tp);
+                            let outcome = outcome_tag(&res);
+                            let rep = tp.report(sim.steps());
+                            (
+                                outcome,
+                                if rep.exactly_once { "yes" } else { "NO" }.to_string(),
+                                rep.retransmits.to_string(),
+                                rep.duplicate_deliveries.to_string(),
+                                format!("{:.4}", rep.goodput),
+                                format!("{:.1}", rep.latency.mean),
+                            )
+                        }
+                    };
+                    let rep = sim.report();
+                    let row = cells!(
+                        n,
+                        density,
+                        layer,
+                        backoff,
+                        outcome,
+                        format!("{}/{}", sim.delivered(), sim.num_packets()),
+                        exactly_once,
+                        retx,
+                        dup_drops,
+                        rep.lost,
+                        rep.steps,
+                        goodput,
+                        mean_lat
+                    );
+                    TrialOutput::with_report(row, rep)
+                },
+            );
         }
     }
     e
@@ -1278,103 +1189,82 @@ pub fn crashrec(full: bool) -> Experiment {
                             checkpoint_every: Some(cadence),
                             ..SimConfig::default()
                         };
-                        let mk_sim = |cfg| {
-                            Sim::with_faults(
-                                &topo,
-                                FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-                                &pb,
-                                cfg,
-                                faults.as_ref().clone(),
-                            )
-                        };
+                        let make_router =
+                            || FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults));
                         let resume_config = SimConfig {
                             checkpoint_every: None,
                             ..config
                         };
-                        let policy = BackoffPolicy::exponential(64, 512, 16);
-                        let mut sim = mk_sim(config);
+                        // The reliable layer is the raw run plus a transport:
+                        // its state rides each checkpoint's protocol slot and
+                        // its report joins the byte comparison.
+                        let make_transport = || {
+                            (layer == "reliable").then(|| {
+                                let policy = BackoffPolicy::exponential(64, 512, 16);
+                                Transport::new(&pb, policy, derive_seed(7, trial))
+                            })
+                        };
+                        let tp_json = |tp: &Option<Transport>, steps| {
+                            tp.as_ref()
+                                .map(|tp| serde_json::to_string(&tp.report(steps)).unwrap())
+                        };
+                        let mut sim = Sim::with_faults(
+                            &topo,
+                            make_router(),
+                            &pb,
+                            config,
+                            faults.as_ref().clone(),
+                        );
                         let mut sink = MemorySink::default();
+                        let mut tp = make_transport();
+                        let res = match &mut tp {
+                            Some(tp) => sim.run_with_protocol_checkpointed(200_000, tp, &mut sink),
+                            None => sim.run_checkpointed(200_000, &mut sink),
+                        };
+                        let want = serde_json::to_string(&sim.report()).unwrap();
+                        let want_tp = tp_json(&tp, sim.steps());
                         let mut resumes = 0u64;
                         let mut identical = true;
-                        if layer == "raw" {
-                            let res = sim.run_checkpointed(200_000, &mut sink);
-                            let want = serde_json::to_string(&sim.report()).unwrap();
-                            for ckpt in &sink.checkpoints {
-                                let snap = Snapshot::from_json(&ckpt.to_json())
-                                    .expect("engine-written snapshot must round-trip");
-                                let mut sim_b = Sim::restore(
-                                    &topo,
-                                    FaultAware::new(
-                                        Dx::new(Theorem15::new(2)),
-                                        Arc::clone(&faults),
-                                    ),
-                                    resume_config,
-                                    Some(faults.as_ref().clone()),
-                                    &snap,
-                                )
-                                .expect("engine-written snapshot must restore");
-                                let res_b = sim_b.run(200_000);
-                                resumes += 1;
-                                identical &= res_b == res
-                                    && serde_json::to_string(&sim_b.report()).unwrap() == want
-                                    && sim_b.packet_snapshot() == sim.packet_snapshot();
-                            }
-                            let row = cells!(
-                                n,
-                                density,
-                                layer,
-                                cadence,
-                                outcome_tag(&res),
-                                sim.steps(),
-                                sink.checkpoints.len(),
-                                resumes,
-                                if identical { "yes" } else { "NO" }
-                            );
-                            TrialOutput::with_report(row, sim.report())
-                        } else {
-                            let mut tp = Transport::new(&pb, policy, derive_seed(7, trial));
-                            let res =
-                                sim.run_with_protocol_checkpointed(200_000, &mut tp, &mut sink);
-                            let want = serde_json::to_string(&sim.report()).unwrap();
-                            let want_tp = serde_json::to_string(&tp.report(sim.steps())).unwrap();
-                            for ckpt in &sink.checkpoints {
-                                let snap = Snapshot::from_json(&ckpt.to_json())
-                                    .expect("engine-written snapshot must round-trip");
-                                let mut sim_b = Sim::restore(
-                                    &topo,
-                                    FaultAware::new(
-                                        Dx::new(Theorem15::new(2)),
-                                        Arc::clone(&faults),
-                                    ),
-                                    resume_config,
-                                    Some(faults.as_ref().clone()),
-                                    &snap,
-                                )
-                                .expect("engine-written snapshot must restore");
-                                let mut tp_b = Transport::new(&pb, policy, derive_seed(7, trial));
-                                tp_b.restore_state(snap.protocol.as_ref().expect("protocol slot"))
+                        for ckpt in &sink.checkpoints {
+                            let snap = Snapshot::from_json(&ckpt.to_json())
+                                .expect("engine-written snapshot must round-trip");
+                            let mut sim_b = Sim::restore(
+                                &topo,
+                                make_router(),
+                                resume_config,
+                                Some(faults.as_ref().clone()),
+                                &snap,
+                            )
+                            .expect("engine-written snapshot must restore");
+                            let mut tp_b = make_transport();
+                            let res_b = match &mut tp_b {
+                                Some(tp_b) => {
+                                    tp_b.restore_state(
+                                        snap.protocol.as_ref().expect("protocol slot"),
+                                    )
                                     .expect("transport state must restore");
-                                let res_b = sim_b.run_with_protocol(200_000, &mut tp_b);
-                                resumes += 1;
-                                identical &= res_b == res
-                                    && serde_json::to_string(&sim_b.report()).unwrap() == want
-                                    && serde_json::to_string(&tp_b.report(sim_b.steps())).unwrap()
-                                        == want_tp
-                                    && sim_b.packet_snapshot() == sim.packet_snapshot();
-                            }
-                            let row = cells!(
-                                n,
-                                density,
-                                layer,
-                                cadence,
-                                outcome_tag(&res),
-                                sim.steps(),
-                                sink.checkpoints.len(),
-                                resumes,
-                                if identical { "yes" } else { "NO" }
-                            );
-                            TrialOutput::with_report(row, sim.report())
+                                    sim_b.run_with_protocol(200_000, tp_b)
+                                }
+                                None => sim_b.run(200_000),
+                            };
+                            resumes += 1;
+                            identical &= res_b == res
+                                && serde_json::to_string(&sim_b.report()).unwrap() == want
+                                && tp_json(&tp_b, sim_b.steps()) == want_tp
+                                && sim_b.packet_snapshot() == sim.packet_snapshot();
                         }
+                        let row = cells!(
+                            n,
+                            density,
+                            layer,
+                            cadence,
+                            outcome_tag(&res),
+                            sim.steps(),
+                            sink.checkpoints.len(),
+                            resumes,
+                            if identical { "yes" } else { "NO" }
+                        );
+                        TrialOutput::with_report(row, sim.report())
                     },
                 );
             }
@@ -1383,28 +1273,29 @@ pub fn crashrec(full: bool) -> Experiment {
     e
 }
 
-/// The admission policy of an `overload` table row.
-fn overload_policy(policy: &str, n: u32) -> AdmissionPolicy {
-    match policy {
-        "reject-new" => AdmissionPolicy::RejectNew,
-        "drop-oldest" => AdmissionPolicy::DropOldestDeferred { max_deferred: 8 },
-        "deadline" => AdmissionPolicy::DeadlineExpiry { ttl: 4 * n as u64 },
-        other => unreachable!("unknown admission policy {other}"),
-    }
-}
+/// An `overload` router: the algorithm, and whether it runs fault-aware
+/// over a seeded random fault plan (the `+faults` rows).
+type OverloadRouter = (Algorithm, bool);
 
-/// One open-system steady run for an `overload` router tag. The
-/// `+faults` variant routes around a seeded random fault plan with the
-/// fault-aware wrapper (fixed plan seed: the fault landscape is part of
-/// the cell's identity, only the workload varies per trial).
+/// One open-system steady run for an `overload` router. The `+faults`
+/// variant routes around a seeded random fault plan with the fault-aware
+/// wrapper (fixed plan seed: the fault landscape is part of the cell's
+/// identity, only the workload varies per trial).
 fn overload_run(
-    router: &'static str,
+    (algo, faulty): OverloadRouter,
     n: u32,
     lambda: f64,
     schedule: SteadyConfig,
     admission: AdmissionPolicy,
     seed: u64,
 ) -> (Result<SteadyReport, SimError>, SimReport) {
+    fn drive<R: Router>(
+        mut sim: Sim<'_, Mesh, R>,
+        schedule: SteadyConfig,
+    ) -> (Result<SteadyReport, SimError>, SimReport) {
+        let res = sim.run_steady(schedule);
+        (res, sim.report())
+    }
     let topo = Mesh::new(n);
     let pb = workloads::open_bernoulli(n, lambda, schedule.horizon(), seed);
     let config = SimConfig {
@@ -1412,52 +1303,20 @@ fn overload_run(
         watchdog: Some((4 * schedule.window).max(8 * n as u64)),
         ..SimConfig::default()
     };
-    macro_rules! drive {
-        ($sim:expr) => {{
-            let mut sim = $sim;
-            let res = sim.run_steady(schedule);
-            (res, sim.report())
-        }};
-    }
-    match router {
-        "dim-order" => drive!(Sim::with_config(
-            &topo,
-            Dx::new(DimOrder::new(4)),
-            &pb,
-            config
-        )),
-        "theorem15" => drive!(Sim::with_config(
-            &topo,
-            Dx::new(Theorem15::new(2)),
-            &pb,
-            config
-        )),
-        "theorem15+faults" => {
-            let faults =
-                Arc::new(FaultPlan::random(n, 0.05, 4 * n as u64, derive_seed(8997, 0)).compile());
-            drive!(Sim::with_faults(
-                &topo,
-                FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-                &pb,
-                config,
-                faults.as_ref().clone(),
-            ))
-        }
-        "hot-potato" => drive!(Sim::with_config(
-            &topo,
-            Dx::new(mesh_routing::routers::HotPotato::new(n)),
-            &pb,
-            config
-        )),
-        other => unreachable!("unknown overload router {other}"),
-    }
+    with_engine_router!(algo, n, |make| if faulty {
+        let plan = FaultPlan::random(n, 0.05, 4 * n as u64, derive_seed(8997, 0)).compile();
+        let aware = FaultAware::new(make(), Arc::new(plan.clone()));
+        drive(Sim::with_faults(&topo, aware, &pb, config, plan), schedule)
+    } else {
+        drive(Sim::with_config(&topo, make(), &pb, config), schedule)
+    }, section6 => engine_only(algo))
 }
 
 /// Whether `router` sustains offered load `lambda`: the run stays live
 /// under `DeferIndefinitely` and delivers ≥ 90% of what the measurement
 /// windows offered.
 fn overload_sustained(
-    router: &'static str,
+    router: OverloadRouter,
     n: u32,
     lambda: f64,
     schedule: SteadyConfig,
@@ -1485,7 +1344,7 @@ fn overload_sustained(
 /// (packets per node per step) the router sustains. Random traffic on an
 /// n-mesh is bisection-limited near 4/n per node, so `[0, 1]` brackets
 /// every router here; 7 halvings resolve λ* to under 1% of the bracket.
-fn saturation_lambda(router: &'static str, n: u32, schedule: SteadyConfig, seed: u64) -> f64 {
+fn saturation_lambda(router: OverloadRouter, n: u32, schedule: SteadyConfig, seed: u64) -> f64 {
     if overload_sustained(router, n, 1.0, schedule, seed) {
         return 1.0;
     }
@@ -1532,45 +1391,57 @@ pub fn overload(full: bool) -> Experiment {
             windows: 3,
         }
     };
-    let routers: &[&'static str] = if full {
-        &["dim-order", "theorem15", "theorem15+faults", "hot-potato"]
+    let routers = [
+        ("dim-order", (Algorithm::DimOrder { k: 4 }, false)),
+        ("theorem15", (Algorithm::Theorem15 { k: 2 }, false)),
+        ("theorem15+faults", (Algorithm::Theorem15 { k: 2 }, true)),
+        ("hot-potato", (Algorithm::HotPotato, false)),
+    ];
+    let routers = if full { &routers[..] } else { &routers[..2] };
+    let policies = [
+        ("reject-new", AdmissionPolicy::RejectNew),
+        (
+            "drop-oldest",
+            AdmissionPolicy::DropOldestDeferred { max_deferred: 8 },
+        ),
+        (
+            "deadline",
+            AdmissionPolicy::DeadlineExpiry { ttl: 4 * n as u64 },
+        ),
+    ];
+    let policies = if full {
+        &policies[..]
     } else {
-        &["dim-order", "theorem15"]
-    };
-    let policies: &[&'static str] = if full {
-        &["reject-new", "drop-oldest", "deadline"]
-    } else {
-        &["reject-new", "deadline"]
+        &[policies[0], policies[2]][..]
     };
     let multiples: &[f64] = if full {
         &[0.5, 0.9, 1.0, 1.5, 2.0]
     } else {
         &[0.5, 1.0, 2.0]
     };
-    for &router in routers {
-        for &policy in policies {
+    for &(router, algo) in routers {
+        for &(policy, admission) in policies {
             for &x in multiples {
                 e.seeded(format!("{router} {policy} x={x}"), move |trial| {
                     let seed = derive_seed(8001, trial);
-                    let lstar = saturation_lambda(router, n, schedule, seed);
-                    let admission = overload_policy(policy, n);
+                    let lstar = saturation_lambda(algo, n, schedule, seed);
                     let lambda = x * lstar;
-                    let (res, rep) = overload_run(router, n, lambda, schedule, admission, seed);
+                    let (res, rep) = overload_run(algo, n, lambda, schedule, admission, seed);
                     let base_goodput = if x == 1.0 {
                         res.as_ref().ok().map(SteadyReport::goodput)
                     } else {
-                        overload_run(router, n, lstar, schedule, admission, seed)
+                        overload_run(algo, n, lstar, schedule, admission, seed)
                             .0
                             .ok()
                             .map(|r| r.goodput())
                     };
-                    let (offered, delivered, shed, expired, goodput, vs, p50, p99, p999) =
+                    let [offered, delivered, shed, expired, goodput, vs, p50, p99, p999] =
                         match &res {
                             Ok(r) => {
                                 let sum = |f: fn(&WindowFrame) -> u64| -> u64 {
                                     r.frames.iter().map(f).sum()
                                 };
-                                (
+                                [
                                     sum(|f| f.offered).to_string(),
                                     sum(|f| f.delivered).to_string(),
                                     sum(|f| f.shed).to_string(),
@@ -1585,19 +1456,9 @@ pub fn overload(full: bool) -> Experiment {
                                     r.latency.p50.to_string(),
                                     r.latency.p99.to_string(),
                                     r.latency.p999.to_string(),
-                                )
+                                ]
                             }
-                            Err(_) => (
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                                "-".into(),
-                            ),
+                            Err(_) => std::array::from_fn(|_| "-".to_string()),
                         };
                     let row = cells!(
                         router,
@@ -1658,27 +1519,14 @@ pub fn build(id: &str, full: bool) -> Option<Experiment> {
     })
 }
 
-/// Builds and runs one experiment serially (one thread, one trial) — the
-/// configuration the historical recorded tables were produced under.
-pub fn run(id: &str, full: bool) -> Option<Table> {
-    let exp = build(id, full)?;
-    Some(crate::runner::run_experiment(exp, &crate::runner::RunnerConfig::serial()).table)
-}
-
-// Suppress the unused-import warning when ConstructionOutcome is only used
-// in signatures of future extensions.
-#[allow(unused)]
-fn _type_uses(_: &ConstructionOutcome) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn dispatch_rejects_unknown_ids() {
-        assert!(run("e99", false).is_none());
-        assert!(run("", false).is_none());
         assert!(build("e99", false).is_none());
+        assert!(build("", false).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! documents and EXPERIMENTS.md tables were produced through them.
 
 use crate::runner::TrialOutput;
-use mesh_routing::prelude::{RouteOutcome, RoutingProblem, Section6Router, SimError};
+use mesh_routing::prelude::{Algorithm, RouteOutcome, RoutingProblem, Section6Router, SimError};
 
 /// `a / b` at three decimals — the "measured over bound" cell.
 pub fn ratio(a: u64, b: f64) -> String {
@@ -51,6 +51,11 @@ pub fn outcome_tag<T>(res: &Result<T, SimError>) -> &'static str {
 /// any completing run in these sweeps.
 pub fn stall_cap(n: u32) -> u64 {
     8 * (n as u64) * (n as u64)
+}
+
+/// The `section6 =>` arm of a cell whose table only lists engine routers.
+pub fn engine_only(algo: Algorithm) -> ! {
+    panic!("{} does not run through the engine", algo.name())
 }
 
 /// A routed cell: the row plus the run's report (when the route captured

@@ -65,3 +65,69 @@ fn experiments_rejects_unknown_flags() {
     assert_usage_error(&out, "--tile-threads");
     assert_usage_error(&experiments(&["--bogus", "e2"]), "--bogus");
 }
+
+fn stdout_lines(out: &Output, prefix: &str) -> usize {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout.lines().filter(|l| l.starts_with(prefix)).count()
+}
+
+#[test]
+fn route_statistics_come_with_the_one_route_line() {
+    let out = mesh_route(&["--k", "2", "--latency", "--heatmap"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout_lines(&out, "theorem15(k=2) on "), 1);
+    assert_eq!(stdout_lines(&out, "latency:"), 1);
+    // One route line, one latency line and an 8-row map.
+    assert!(stdout_lines(&out, "") >= 10);
+
+    let section6 = ["route", "section6", "--workload", "random", "--n", "9"];
+    let out = mesh(&[&section6[..], &["--latency", "--heatmap"]].concat());
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout_lines(&out, "section6 on "), 1);
+    assert_eq!(stdout_lines(&out, "latency:"), 0);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("engine-router features"), "{stderr}");
+
+    // The statistics need the live run: refused, not silently dropped.
+    let out = mesh_route(&["--latency", "--checkpoint-every", "4"]);
+    assert_usage_error(&out, "--latency");
+}
+
+#[test]
+fn mesh_checks_workload_parameters() {
+    let out = mesh(&["workload", "bit-reversal", "--n", "9"]);
+    assert_usage_error(&out, "--n");
+    let out = mesh(&["workload", "partial", "--n", "8", "--load", "1.5"]);
+    assert_usage_error(&out, "--load");
+}
+
+/// The names the usage text lists after `heading` (the list may wrap onto
+/// indented lines).
+fn usage_names(usage: &str, heading: &str) -> Vec<String> {
+    let list = &usage[usage.find(heading).expect(heading) + heading.len()..];
+    let lines = list.lines().enumerate();
+    lines
+        .take_while(|(i, l)| *i == 0 || l.starts_with(' '))
+        .flat_map(|(_, l)| l.split_whitespace())
+        .map(String::from)
+        .collect()
+}
+
+#[test]
+fn every_name_the_usage_lists_is_accepted() {
+    let usage = String::from_utf8_lossy(&mesh(&[]).stderr).into_owned();
+    let algorithms = usage_names(&usage, "algorithms:");
+    assert_eq!(algorithms.len(), 11, "{algorithms:?}");
+    for algo in &algorithms {
+        // n = 9 so the §6 schedulers run too.
+        let out = mesh(&["route", algo, "--workload", "random", "--n", "9"]);
+        assert_eq!(out.status.code(), Some(0), "route {algo}");
+    }
+    let workloads = usage_names(&usage, "workloads:");
+    assert_eq!(workloads.len(), 9, "{workloads:?}");
+    for kind in &workloads {
+        // n = 8 so bit-reversal runs too.
+        let out = mesh(&["workload", kind, "--n", "8"]);
+        assert_eq!(out.status.code(), Some(0), "workload {kind}");
+    }
+}

@@ -2,14 +2,12 @@
 
 use crate::section6::{Section6Error, Section6Report, Section6Router};
 use mesh_engine::{
-    DirectorySink, Dx, MemorySink, Sim, SimConfig, SimError, Snapshot, SteadyConfig, SteadyReport,
-};
-use mesh_routers::{
-    AltAdaptive, BoundedDeflect, DimOrder, FarthestFirst, HotPotato, Theorem15, WestFirst,
+    DirectorySink, Router, Sim, SimConfig, SimError, Snapshot, SteadyConfig, SteadyReport,
+    SteadySnap,
 };
 use mesh_topo::Mesh;
 use mesh_traffic::RoutingProblem;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
 /// The algorithms of the paper (and this reproduction).
@@ -109,6 +107,89 @@ pub struct RouteOutcome {
     pub section6: Option<Section6Report>,
 }
 
+impl RouteOutcome {
+    /// The outcome of an engine run, from the report of the simulation that
+    /// made it.
+    pub fn engine(algorithm: Algorithm, r: mesh_engine::SimReport) -> RouteOutcome {
+        RouteOutcome {
+            algorithm: algorithm.name(),
+            workload: r.workload.clone(),
+            n: r.n,
+            steps: r.steps,
+            completed: r.completed,
+            max_queue: r.max_queue,
+            total_moves: r.total_moves,
+            delivered: r.delivered,
+            total_packets: r.total_packets,
+            report: Some(r),
+            section6: None,
+        }
+    }
+}
+
+/// The one place an [`Algorithm`] becomes a concrete engine router type.
+///
+/// Evaluates `$body` with `$router` bound to a *constructor* of the
+/// algorithm's router on a side-`$n` grid — call it once per router the
+/// body needs (an adversary construction and its replay need two; wrap the
+/// result in `FaultAware` inside the body). The §6 schedulers do not run
+/// through the engine, so the caller says what happens for them in the
+/// `section6 =>` arm. The match has no wildcard: a new `Algorithm` variant
+/// without an arm here is a compile error at every use.
+#[macro_export]
+macro_rules! with_engine_router {
+    ($algo:expr, $n:expr, |$router:ident| $body:expr, section6 => $section6:expr) => {
+        match $algo {
+            $crate::Algorithm::DimOrder { k } => {
+                let $router = || $crate::engine::Dx::new($crate::routers::DimOrder::new(k));
+                $body
+            }
+            $crate::Algorithm::DimOrderYx { k } => {
+                let $router = || $crate::engine::Dx::new($crate::routers::DimOrder::yx(k));
+                $body
+            }
+            $crate::Algorithm::AltAdaptive { k } => {
+                let $router = || $crate::engine::Dx::new($crate::routers::AltAdaptive::new(k));
+                $body
+            }
+            $crate::Algorithm::Theorem15 { k } => {
+                let $router = || $crate::engine::Dx::new($crate::routers::Theorem15::new(k));
+                $body
+            }
+            $crate::Algorithm::FarthestFirst { k } => {
+                let $router = || $crate::routers::FarthestFirst::new(k);
+                $body
+            }
+            $crate::Algorithm::GreedyUnbounded => {
+                let $router = || $crate::routers::FarthestFirst::unbounded($n);
+                $body
+            }
+            $crate::Algorithm::HotPotato => {
+                let $router = || $crate::engine::Dx::new($crate::routers::HotPotato::new($n));
+                $body
+            }
+            $crate::Algorithm::BoundedDeflect { k, delta } => {
+                let $router =
+                    || $crate::engine::Dx::new($crate::routers::BoundedDeflect::new($n, k, delta));
+                $body
+            }
+            $crate::Algorithm::WestFirst { k } => {
+                let $router = || $crate::engine::Dx::new($crate::routers::WestFirst::new(k));
+                $body
+            }
+            $crate::Algorithm::Section6 | $crate::Algorithm::Section6Improved => $section6,
+        }
+    };
+}
+
+/// The error of every checkpoint/steady entry point for the §6 schedulers.
+fn not_an_engine_algorithm(algorithm: Algorithm) -> String {
+    format!(
+        "{} does not run through the engine; checkpoint/resume needs an engine algorithm",
+        algorithm.name()
+    )
+}
+
 /// Routes `problem` with `algorithm` on the mesh, with a generous default
 /// step cap of `64·n² + 4096`.
 pub fn route(algorithm: Algorithm, problem: &RoutingProblem) -> RouteOutcome {
@@ -133,155 +214,41 @@ pub fn try_route_with_cap(
     cap: u64,
 ) -> Result<RouteOutcome, Section6Error> {
     let topo = Mesh::new(problem.n);
-    Ok(match algorithm {
-        Algorithm::DimOrder { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(DimOrder::new(k)), problem),
-            cap,
-        ),
-        Algorithm::DimOrderYx { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(DimOrder::yx(k)), problem),
-            cap,
-        ),
-        Algorithm::AltAdaptive { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(AltAdaptive::new(k)), problem),
-            cap,
-        ),
-        Algorithm::Theorem15 { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(Theorem15::new(k)), problem),
-            cap,
-        ),
-        Algorithm::FarthestFirst { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, FarthestFirst::new(k), problem),
-            cap,
-        ),
-        Algorithm::GreedyUnbounded => engine_route(
-            algorithm,
-            Sim::new(&topo, FarthestFirst::unbounded(problem.n), problem),
-            cap,
-        ),
-        Algorithm::HotPotato => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(HotPotato::new(problem.n)), problem),
-            cap,
-        ),
-        Algorithm::BoundedDeflect { k, delta } => engine_route(
-            algorithm,
-            Sim::new(
-                &topo,
-                Dx::new(BoundedDeflect::new(problem.n, k, delta)),
-                problem,
-            ),
-            cap,
-        ),
-        Algorithm::WestFirst { k } => engine_route(
-            algorithm,
-            Sim::new(&topo, Dx::new(WestFirst::new(k)), problem),
-            cap,
-        ),
-        Algorithm::Section6 | Algorithm::Section6Improved => {
-            let router = if algorithm == Algorithm::Section6 {
-                Section6Router::new()
-            } else {
-                Section6Router::improved()
-            };
-            let r = router.try_route(problem)?;
-            RouteOutcome {
-                algorithm: algorithm.name(),
-                workload: problem.label.clone(),
-                n: problem.n,
-                steps: r.scheduled_steps,
-                completed: true,
-                max_queue: r.max_node_load,
-                total_moves: r.total_moves,
-                delivered: r.delivered,
-                total_packets: r.total_packets,
-                report: None,
-                section6: Some(r),
-            }
-        }
+    with_engine_router!(algorithm, problem.n, |router| {
+        let mut sim = Sim::new(&topo, router(), problem);
+        let _ = sim.run(cap);
+        Ok(RouteOutcome::engine(algorithm, sim.report()))
+    }, section6 => {
+        let router = if algorithm == Algorithm::Section6 {
+            Section6Router::new()
+        } else {
+            Section6Router::improved()
+        };
+        let r = router.try_route(problem)?;
+        Ok(RouteOutcome {
+            algorithm: algorithm.name(),
+            workload: problem.label.clone(),
+            n: problem.n,
+            steps: r.scheduled_steps,
+            completed: true,
+            max_queue: r.max_node_load,
+            total_moves: r.total_moves,
+            delivered: r.delivered,
+            total_packets: r.total_packets,
+            report: None,
+            section6: Some(r),
+        })
     })
 }
 
-fn engine_route<R: mesh_engine::Router>(
-    algorithm: Algorithm,
-    mut sim: Sim<'_, Mesh, R>,
-    cap: u64,
-) -> RouteOutcome {
-    let _ = sim.run(cap);
-    engine_outcome(algorithm, sim.report())
-}
-
-fn engine_outcome(algorithm: Algorithm, r: mesh_engine::SimReport) -> RouteOutcome {
-    RouteOutcome {
-        algorithm: algorithm.name(),
-        workload: r.workload.clone(),
-        n: r.n,
-        steps: r.steps,
-        completed: r.completed,
-        max_queue: r.max_queue,
-        total_moves: r.total_moves,
-        delivered: r.delivered,
-        total_packets: r.total_packets,
-        report: Some(r),
-        section6: None,
+/// Closes a run's checkpoint sink: the first write error it met, else the
+/// path of the last checkpoint it wrote.
+fn last_checkpoint(sink: Option<DirectorySink>) -> Result<Option<PathBuf>, String> {
+    match sink {
+        Some(DirectorySink { error: Some(e), .. }) => Err(e.to_string()),
+        Some(sink) => Ok(sink.last_checkpoint().map(Path::to_path_buf)),
+        None => Ok(None),
     }
-}
-
-/// Dispatches an engine algorithm to its concrete router value and runs
-/// `$body` with it bound; the §6 schedulers do not run through the engine
-/// and make the enclosing function return an error.
-macro_rules! with_engine_router {
-    ($algo:expr, $n:expr, |$router:ident| $body:expr) => {
-        match $algo {
-            Algorithm::DimOrder { k } => {
-                let $router = Dx::new(DimOrder::new(k));
-                $body
-            }
-            Algorithm::DimOrderYx { k } => {
-                let $router = Dx::new(DimOrder::yx(k));
-                $body
-            }
-            Algorithm::AltAdaptive { k } => {
-                let $router = Dx::new(AltAdaptive::new(k));
-                $body
-            }
-            Algorithm::Theorem15 { k } => {
-                let $router = Dx::new(Theorem15::new(k));
-                $body
-            }
-            Algorithm::FarthestFirst { k } => {
-                let $router = FarthestFirst::new(k);
-                $body
-            }
-            Algorithm::GreedyUnbounded => {
-                let $router = FarthestFirst::unbounded($n);
-                $body
-            }
-            Algorithm::HotPotato => {
-                let $router = Dx::new(HotPotato::new($n));
-                $body
-            }
-            Algorithm::BoundedDeflect { k, delta } => {
-                let $router = Dx::new(BoundedDeflect::new($n, k, delta));
-                $body
-            }
-            Algorithm::WestFirst { k } => {
-                let $router = Dx::new(WestFirst::new(k));
-                $body
-            }
-            Algorithm::Section6 | Algorithm::Section6Improved => {
-                return Err(format!(
-                    "{} does not run through the engine; checkpoint/resume needs an engine algorithm",
-                    $algo.name()
-                ))
-            }
-        }
-    };
 }
 
 /// [`route_with_cap`] writing a cadenced checkpoint stream (`ckpt_<step>.json`,
@@ -302,15 +269,12 @@ pub fn route_checkpointed(
         ..SimConfig::default()
     };
     with_engine_router!(algorithm, problem.n, |router| {
-        let mut sim = Sim::with_config(&topo, router, problem, config);
-        let mut sink = DirectorySink::new(dir).map_err(|e| e.to_string())?;
+        let mut sim = Sim::with_config(&topo, router(), problem, config);
+        let mut sink = Some(DirectorySink::new(dir).map_err(|e| e.to_string())?);
         let _ = sim.run_checkpointed(cap, &mut sink);
-        if let Some(err) = sink.error {
-            return Err(err.to_string());
-        }
-        let last = sink.last_checkpoint().map(Path::to_path_buf);
-        Ok((engine_outcome(algorithm, sim.report()), last))
-    })
+        let last = last_checkpoint(sink)?;
+        Ok((RouteOutcome::engine(algorithm, sim.report()), last))
+    }, section6 => Err(not_an_engine_algorithm(algorithm)))
 }
 
 /// Restores a run from `snap` and drives it to completion (or `cap`),
@@ -325,11 +289,11 @@ pub fn resume_route(
 ) -> Result<RouteOutcome, String> {
     let topo = Mesh::new(snap.n);
     with_engine_router!(algorithm, snap.n, |router| {
-        let mut sim = Sim::restore(&topo, router, SimConfig::default(), None, snap)
+        let mut sim = Sim::restore(&topo, router(), SimConfig::default(), None, snap)
             .map_err(|e| e.to_string())?;
         let _ = sim.run(cap);
-        Ok(engine_outcome(algorithm, sim.report()))
-    })
+        Ok(RouteOutcome::engine(algorithm, sim.report()))
+    }, section6 => Err(not_an_engine_algorithm(algorithm)))
 }
 
 /// Outcome of an open-system steady-state run (`mesh route --lambda`):
@@ -348,142 +312,109 @@ pub struct SteadyOutcome {
     pub report: mesh_engine::SimReport,
 }
 
-fn steady_outcome(
+/// What a steady entry point returns: the outcome (`None` when `halt_at`
+/// stopped the run first) and the last checkpoint written, if any.
+pub type SteadyRun = (Option<SteadyOutcome>, Option<PathBuf>);
+
+/// Drives `sim` through the remaining steady schedule of `env`, fresh
+/// (`state` = `None`) or restored. Checkpoints go to `sink_dir` when there
+/// is one; without, nothing is written.
+fn drive_steady<R: Router>(
     algorithm: Algorithm,
-    lambda: f64,
-    schedule: SteadyConfig,
-    steady: SteadyReport,
-    report: mesh_engine::SimReport,
-) -> SteadyOutcome {
-    SteadyOutcome {
+    mut sim: Sim<'_, Mesh, R>,
+    env: SteadySnap,
+    state: Option<&Value>,
+    sink_dir: Option<&Path>,
+    halt_at: Option<u64>,
+) -> Result<SteadyRun, String>
+where
+    R::NodeState: Serialize,
+{
+    let mut sink = match sink_dir {
+        Some(dir) => Some(DirectorySink::new(dir).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let res = sim.run_steady_checkpointed(env.config, env.lambda, state, &mut sink, halt_at);
+    let last = last_checkpoint(sink)?;
+    let steady = match res {
+        Ok(rep) => rep,
+        // A step-cap stop is the expected outcome of a `halt_at` crash
+        // simulation; any other failure is a real error.
+        Err(SimError::StepCap(_)) if halt_at.is_some() => return Ok((None, last)),
+        Err(e) => return Err(e.to_string()),
+    };
+    let report = sim.report();
+    let outcome = SteadyOutcome {
         algorithm: algorithm.name(),
         workload: report.workload.clone(),
         n: report.n,
-        lambda,
-        schedule,
+        lambda: env.lambda,
+        schedule: env.config,
         steady,
         report,
-    }
-}
-
-/// Maps a steady driver result: a step-cap stop is the *expected* outcome
-/// of a `--halt-at` crash simulation (`Ok(None)`), any other failure is a
-/// real error.
-fn finish_steady(
-    res: Result<SteadyReport, SimError>,
-    halted: bool,
-) -> Result<Option<SteadyReport>, String> {
-    match res {
-        Ok(rep) => Ok(Some(rep)),
-        Err(SimError::StepCap(_)) if halted => Ok(None),
-        Err(e) => Err(e.to_string()),
-    }
+    };
+    Ok((Some(outcome), last))
 }
 
 /// Runs `problem` (typically an open Bernoulli source) under `algorithm`
 /// on the steady-state measurement `schedule`. Engine algorithms only.
+///
+/// When `config.checkpoint_every` is set, a cadenced checkpoint stream goes
+/// to `dir`; without a cadence `dir` is not touched. `halt_at` simulates a
+/// crash: the run stops there with `Ok((None, last_checkpoint))`; resume it
+/// with [`resume_steady_route`] for a byte-identical final outcome.
 pub fn steady_route(
     algorithm: Algorithm,
     problem: &RoutingProblem,
     lambda: f64,
     schedule: SteadyConfig,
     config: SimConfig,
-) -> Result<SteadyOutcome, String> {
-    let topo = Mesh::new(problem.n);
-    with_engine_router!(algorithm, problem.n, |router| {
-        let mut sim = Sim::with_config(&topo, router, problem, config);
-        let rep = sim.run_steady(schedule).map_err(|e| e.to_string())?;
-        Ok(steady_outcome(
-            algorithm,
-            lambda,
-            schedule,
-            rep,
-            sim.report(),
-        ))
-    })
-}
-
-/// [`steady_route`] writing a cadenced checkpoint stream to `dir`
-/// (cadence from `config.checkpoint_every`). `halt_at` simulates a crash:
-/// the run stops there with `Ok((None, last_checkpoint))`; resume it with
-/// [`resume_steady_route`] for a byte-identical final outcome.
-pub fn steady_route_checkpointed(
-    algorithm: Algorithm,
-    problem: &RoutingProblem,
-    lambda: f64,
-    schedule: SteadyConfig,
-    config: SimConfig,
     dir: &Path,
     halt_at: Option<u64>,
-) -> Result<(Option<SteadyOutcome>, Option<PathBuf>), String> {
+) -> Result<SteadyRun, String> {
     let topo = Mesh::new(problem.n);
+    let env = SteadySnap {
+        lambda,
+        config: schedule,
+    };
+    let sink_dir = config.checkpoint_every.map(|_| dir);
     with_engine_router!(algorithm, problem.n, |router| {
-        let mut sim = Sim::with_config(&topo, router, problem, config);
-        let mut sink = DirectorySink::new(dir).map_err(|e| e.to_string())?;
-        let res = sim.run_steady_checkpointed(schedule, lambda, None, &mut sink, halt_at);
-        if let Some(err) = sink.error {
-            return Err(err.to_string());
-        }
-        let last = sink.last_checkpoint().map(Path::to_path_buf);
-        let rep = finish_steady(res, halt_at.is_some())?;
-        Ok((
-            rep.map(|r| steady_outcome(algorithm, lambda, schedule, r, sim.report())),
-            last,
-        ))
-    })
+        let sim = Sim::with_config(&topo, router(), problem, config);
+        drive_steady(algorithm, sim, env, None, sink_dir, halt_at)
+    }, section6 => Err(not_an_engine_algorithm(algorithm)))
 }
 
 /// Restores a steady-state run from `snap` and drives the remaining
 /// schedule. The measurement schedule and offered-load label come from
-/// the snapshot's own `steady` environment block (recorded since
-/// snapshot format v2), so a resume re-passes nothing; a snapshot without
-/// one (a v1 file, or a closed-system checkpoint) is rejected. The
-/// observer's windowed measurement state rides the snapshot's `protocol`
-/// slot, so frames and the final report are byte-identical to a run that
-/// never stopped. `config.admission` must match the policy the snapshot
-/// was taken under (the restore rejects a mismatch with a typed error).
-/// Checkpointing continues into `dir` when `config.checkpoint_every` is
-/// set.
+/// the snapshot's own `steady` environment block, so a resume re-passes
+/// nothing; a snapshot without one (a closed-system checkpoint) is
+/// rejected. The observer's windowed measurement state rides the
+/// snapshot's `protocol` slot, so frames and the final report are
+/// byte-identical to a run that never stopped. `config.admission` must
+/// match the policy the snapshot was taken under (the restore rejects a
+/// mismatch with a typed error). Checkpointing continues into `dir` when
+/// `config.checkpoint_every` is set.
 pub fn resume_steady_route(
     algorithm: Algorithm,
     snap: &Snapshot,
     config: SimConfig,
     dir: &Path,
     halt_at: Option<u64>,
-) -> Result<(Option<SteadyOutcome>, Option<PathBuf>), String> {
+) -> Result<SteadyRun, String> {
     let Some(env) = snap.steady else {
         return Err(
-            "snapshot records no steady-state environment (a closed-system run, or a \
-             pre-v2 checkpoint); resume it as a plain route or re-pass the steady flags"
+            "snapshot records no steady-state environment (a closed-system run); \
+             resume it as a plain route or re-pass the steady flags"
                 .to_string(),
         );
     };
-    let (lambda, schedule) = (env.lambda, env.config);
     let topo = Mesh::new(snap.n);
-    let cadenced = config.checkpoint_every.is_some();
+    let sink_dir = config.checkpoint_every.map(|_| dir);
     with_engine_router!(algorithm, snap.n, |router| {
-        let mut sim = Sim::restore(&topo, router, config, None, snap).map_err(|e| e.to_string())?;
-        let state = snap.protocol.as_ref();
-        let (res, last) = if cadenced {
-            let mut sink = DirectorySink::new(dir).map_err(|e| e.to_string())?;
-            let res = sim.run_steady_checkpointed(schedule, lambda, state, &mut sink, halt_at);
-            if let Some(err) = sink.error {
-                return Err(err.to_string());
-            }
-            (res, sink.last_checkpoint().map(Path::to_path_buf))
-        } else {
-            let mut sink = MemorySink::default();
-            (
-                sim.run_steady_checkpointed(schedule, lambda, state, &mut sink, halt_at),
-                None,
-            )
-        };
-        let rep = finish_steady(res, halt_at.is_some())?;
-        Ok((
-            rep.map(|r| steady_outcome(algorithm, lambda, schedule, r, sim.report())),
-            last,
-        ))
-    })
+        let sim =
+            Sim::restore(&topo, router(), config, None, snap).map_err(|e| e.to_string())?;
+        drive_steady(algorithm, sim, env, snap.protocol.as_ref(), sink_dir, halt_at)
+    }, section6 => Err(not_an_engine_algorithm(algorithm)))
 }
 
 #[cfg(test)]
@@ -491,24 +422,71 @@ mod tests {
     use super::*;
     use mesh_traffic::workloads;
 
+    const ENGINE_ALGORITHMS: [Algorithm; 9] = [
+        Algorithm::DimOrder { k: 64 },
+        Algorithm::DimOrderYx { k: 64 },
+        Algorithm::AltAdaptive { k: 64 },
+        Algorithm::Theorem15 { k: 2 },
+        Algorithm::FarthestFirst { k: 64 },
+        Algorithm::GreedyUnbounded,
+        Algorithm::HotPotato,
+        Algorithm::WestFirst { k: 64 },
+        Algorithm::BoundedDeflect { k: 64, delta: 2 },
+    ];
+
     #[test]
     fn all_engine_algorithms_route_a_small_permutation() {
         let pb = workloads::random_permutation(16, 4);
-        for algo in [
-            Algorithm::DimOrder { k: 64 },
-            Algorithm::DimOrderYx { k: 64 },
-            Algorithm::AltAdaptive { k: 64 },
-            Algorithm::Theorem15 { k: 2 },
-            Algorithm::FarthestFirst { k: 64 },
-            Algorithm::GreedyUnbounded,
-            Algorithm::HotPotato,
-            Algorithm::WestFirst { k: 64 },
-            Algorithm::BoundedDeflect { k: 64, delta: 2 },
-        ] {
+        for algo in ENGINE_ALGORITHMS {
             let out = route(algo, &pb);
             assert!(out.completed, "{} failed", out.algorithm);
             assert_eq!(out.delivered, 256);
         }
+    }
+
+    #[test]
+    fn every_engine_algorithm_resumes_to_the_uninterrupted_outcome() {
+        let pb = workloads::random_permutation(16, 4);
+        let dir = std::env::temp_dir().join("mesh-api-resume-test");
+        for algo in ENGINE_ALGORITHMS {
+            let _ = std::fs::remove_dir_all(&dir);
+            let full = serde_json::to_string(&route_with_cap(algo, &pb, 10_000)).unwrap();
+            // Crash at step 9, after the cadence-4 checkpoints of steps 4 and 8.
+            let (halted, last) = route_checkpointed(algo, &pb, 9, 4, &dir).unwrap();
+            assert!(
+                !halted.completed,
+                "{} finished before the halt",
+                algo.name()
+            );
+            let snap = Snapshot::read_from(&last.expect("a checkpoint at step 8")).unwrap();
+            assert_eq!(snap.step, 8);
+            let resumed = resume_route(algo, &snap, 10_000).unwrap();
+            assert_eq!(serde_json::to_string(&resumed).unwrap(), full);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn section6_is_a_typed_error_at_every_engine_entry_point() {
+        let pb = workloads::random_permutation(9, 1);
+        let dir = std::env::temp_dir().join("mesh-api-s6-test");
+        let schedule = SteadyConfig::default();
+        let snap = {
+            let topo = Mesh::new(9);
+            Sim::new(&topo, crate::routers::theorem15(2), &pb).snapshot()
+        };
+        for algo in [Algorithm::Section6, Algorithm::Section6Improved] {
+            let errors = [
+                route_checkpointed(algo, &pb, 100, 4, &dir).unwrap_err(),
+                resume_route(algo, &snap, 100).unwrap_err(),
+                steady_route(algo, &pb, 0.1, schedule, SimConfig::default(), &dir, None)
+                    .unwrap_err(),
+            ];
+            for err in errors {
+                assert!(err.contains("does not run through the engine"), "{err}");
+            }
+        }
+        assert!(!dir.exists(), "a refused run must not create its sink");
     }
 
     #[test]
@@ -539,17 +517,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Uninterrupted reference run.
-        let full = steady_route(algo, &pb, 0.4, schedule, config()).unwrap();
-        let full_json = serde_json::to_string(&full).unwrap();
+        let uncadenced = SimConfig {
+            checkpoint_every: None,
+            ..config()
+        };
+        let (full, last) = steady_route(algo, &pb, 0.4, schedule, uncadenced, &dir, None).unwrap();
+        assert!(last.is_none() && !dir.exists(), "no cadence, no sink");
+        let full_json = serde_json::to_string(&full.expect("no halt")).unwrap();
 
         // Crash mid-soak, then resume from the last checkpoint.
         let (halted, last) =
-            steady_route_checkpointed(algo, &pb, 0.4, schedule, config(), &dir, Some(30)).unwrap();
+            steady_route(algo, &pb, 0.4, schedule, config(), &dir, Some(30)).unwrap();
         assert!(halted.is_none(), "halt-at 30 must stop before the horizon");
         let last = last.expect("cadence 8 must leave a checkpoint behind");
         let snap = Snapshot::read_from(&last).unwrap();
-        // The snapshot itself carries the steady environment (format v2):
-        // the resume re-passes neither lambda nor the schedule.
+        // The snapshot itself carries the steady environment: the resume
+        // re-passes neither lambda nor the schedule.
         let env = snap.steady.expect("steady checkpoints record their env");
         assert_eq!(env.lambda, 0.4);
         assert_eq!(env.config, schedule);

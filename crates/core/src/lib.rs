@@ -8,8 +8,9 @@
 //! router, and the §6 `O(n)`-time `O(1)`-queue minimal adaptive algorithm.
 //!
 //! This crate is the facade: it re-exports the substrate crates and adds
-//! the §6 algorithm (which needs its own phased engine) plus a one-call
-//! [`route`] API.
+//! the §6 algorithm (which needs its own phased engine), a one-call
+//! [`route`] API, and [`with_engine_router!`] — the one place an
+//! [`Algorithm`] value becomes a concrete router type.
 //!
 //! ```
 //! use mesh_routing::prelude::*;
@@ -27,7 +28,7 @@ pub mod section6;
 
 pub use api::{
     resume_route, resume_steady_route, route, route_checkpointed, route_with_cap, steady_route,
-    steady_route_checkpointed, try_route_with_cap, Algorithm, RouteOutcome, SteadyOutcome,
+    try_route_with_cap, Algorithm, RouteOutcome, SteadyOutcome, SteadyRun,
 };
 pub use section6::{Section6Config, Section6Error, Section6Report, Section6Router};
 
@@ -44,7 +45,7 @@ pub use mesh_traffic as traffic;
 pub mod prelude {
     pub use crate::api::{
         resume_route, resume_steady_route, route, route_checkpointed, route_with_cap, steady_route,
-        steady_route_checkpointed, Algorithm, RouteOutcome, SteadyOutcome,
+        Algorithm, RouteOutcome, SteadyOutcome,
     };
     pub use crate::section6::{Section6Report, Section6Router};
     pub use mesh_adversary::{

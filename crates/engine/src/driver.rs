@@ -1,21 +1,22 @@
-//! The single run driver behind `run`, `run_with_hook`, and
-//! `run_with_protocol`.
+//! The single run driver behind every `Sim::run*` entry point.
 //!
 //! [`run_driver`] owns the loop shape every run shares — step-cap check,
 //! execute one step, let the observer judge it, consult the watchdog —
 //! and a [`RunObserver`] supplies the parts that differ: which hook the
 //! step runs under, whether a pre-loop action applies (the protocol's
-//! synthetic step-0 batch), and what verdict each step earns. The
-//! watchdog and protocol logic thereby exist exactly once instead of as
-//! divergent copies per entry point.
+//! synthetic step-0 batch), and what verdict each step earns. There is one
+//! observer per run flavor (hook, protocol, steady); checkpointing is not a
+//! flavor but the `survived` argument of the driver, supplied once by
+//! [`run_checkpointed`].
 
 use crate::hook::StepHook;
 use crate::protocol::{ProtocolControl, ProtocolHook, StepEvents};
 use crate::router::Router;
 use crate::sim::{Sim, SimError};
-use crate::snapshot::{self, CheckpointSink, SnapshotHook};
+use crate::snapshot::{self, CheckpointSink, SteadySnap};
 use crate::watchdog::{self, WatchdogMode};
 use mesh_topo::Topology;
+use serde::Value;
 
 /// The observer's judgement of one executed step.
 pub(crate) enum Verdict {
@@ -42,22 +43,22 @@ pub(crate) trait RunObserver<T: Topology, R: Router> {
     /// Judges the just-executed step. `packets_before` is the packet count
     /// sampled before the step (protocol hooks may have spawned since).
     fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, packets_before: usize) -> Verdict;
-
-    /// Post-judgement action, called only when the step fully survived —
-    /// `Watch` verdict and a quiet watchdog. Checkpointing runners write
-    /// their snapshot here: a state the run is provably continuing from,
-    /// so resuming it replays the remaining steps bit-identically. A
-    /// terminal step (finished, wedged, or watchdog-tripped) must never
-    /// become a checkpoint — the driver can only judge *after* stepping,
-    /// so a resumed terminal state would take one spurious extra step.
-    fn survived(&mut self, _sim: &mut Sim<'_, T, R>) {}
 }
 
 /// Runs `sim` to completion, the step cap, or a watchdog/wedge verdict.
+///
+/// `survived` is called after every step that fully survived — `Watch`
+/// verdict and a quiet watchdog — and never otherwise: the state it sees
+/// is one the run is provably continuing from. That is the checkpointing
+/// seam. A terminal step (finished, wedged, or watchdog-tripped) must never
+/// become a checkpoint — the driver can only judge *after* stepping, so a
+/// resumed terminal state would take one spurious extra step. Plain runs
+/// pass an empty closure, which monomorphises away.
 pub(crate) fn run_driver<T: Topology, R: Router, O: RunObserver<T, R>>(
     sim: &mut Sim<'_, T, R>,
     max_steps: u64,
     obs: &mut O,
+    mut survived: impl FnMut(&Sim<'_, T, R>, &O),
 ) -> Result<u64, SimError> {
     // The watchdog only arms once nothing external can still change the
     // picture: all injections done and every transient fault lifted
@@ -81,10 +82,41 @@ pub(crate) fn run_driver<T: Topology, R: Router, O: RunObserver<T, R>>(
             Verdict::Wedged => return Err(SimError::Deadlock(Box::new(sim.diagnostics()))),
             Verdict::Watch(mode) => {
                 watchdog::check(sim, mode, settle)?;
-                obs.survived(sim);
+                survived(sim, obs);
             }
         }
     }
+}
+
+/// [`run_driver`] with crash-safe checkpointing, for any flavor: every
+/// surviving step is offered to [`snapshot::maybe_checkpoint`] (which
+/// applies the cadence), and a failed run is reported to the sink. `slots`
+/// reads the flavor's contribution to a snapshot — the steady environment
+/// block and the opaque protocol state — off the observer, and is only
+/// evaluated when a checkpoint is actually taken, at a consistent
+/// boundary: the observer has consumed the step's events and judged the
+/// run still in flight.
+pub(crate) fn run_checkpointed<T, R, O, S>(
+    sim: &mut Sim<'_, T, R>,
+    max_steps: u64,
+    obs: &mut O,
+    sink: &mut S,
+    slots: impl Fn(&O) -> (Option<SteadySnap>, Option<Value>),
+) -> Result<u64, SimError>
+where
+    T: Topology,
+    R: Router,
+    R::NodeState: serde::Serialize,
+    O: RunObserver<T, R>,
+    S: CheckpointSink,
+{
+    let res = run_driver(sim, max_steps, obs, |sim, obs| {
+        snapshot::maybe_checkpoint(sim, sink, || slots(obs))
+    });
+    if let Err(e) = &res {
+        sink.on_failure(e.snapshot().step, e.snapshot());
+    }
+    res
 }
 
 /// Plain and adversary runs: step under a [`StepHook`], standard watchdog.
@@ -113,156 +145,68 @@ pub(crate) struct ProtocolRunner<'p, P> {
     pub(crate) proto: &'p mut P,
 }
 
-/// The protocol pre-loop action, shared by [`ProtocolRunner`] and
-/// [`CheckpointProtocolRunner`]: trivial (src == dst) packets due at step
-/// 0 were delivered during construction, before any step could report
-/// them; surface them to the protocol as a synthetic step-0 batch so
-/// their payloads get acknowledged like any other. Self-skipping on a
-/// restored run (`steps() > 0`): the batch was already presented before
-/// the checkpoint was taken.
-fn protocol_begin<T: Topology, R: Router, P: ProtocolHook>(
-    proto: &mut P,
-    sim: &mut Sim<'_, T, R>,
-) -> Option<u64> {
-    if sim.steps() == 0 && !sim.events.delivered.is_empty() {
-        let events = StepEvents {
-            step: 0,
-            delivered: std::mem::take(&mut sim.events.delivered),
-            lost: Vec::new(),
-        };
-        let ctl = proto.on_step(sim, &events);
-        sim.events.delivered = events.delivered;
-        sim.events.delivered.clear();
-        if ctl == ProtocolControl::Done {
-            return Some(0);
-        }
-    }
-    None
-}
-
-/// The protocol per-step judgement, shared by [`ProtocolRunner`] and
-/// [`CheckpointProtocolRunner`]: feed the step's events to the hook,
-/// recycle the (emptied) buffers, and map its control decision.
-fn protocol_observe<T: Topology, R: Router, P: ProtocolHook>(
-    proto: &mut P,
-    sim: &mut Sim<'_, T, R>,
-    done: bool,
-    packets_before: usize,
-) -> Verdict {
-    let events = StepEvents {
-        step: sim.steps(),
-        delivered: std::mem::take(&mut sim.events.delivered),
-        lost: std::mem::take(&mut sim.events.lost),
-    };
-    let ctl = proto.on_step(sim, &events);
-    // Recycle the event buffers, emptied: a later early-returning
-    // step must not re-present stale events.
-    sim.events.delivered = events.delivered;
-    sim.events.delivered.clear();
-    sim.events.lost = events.lost;
-    sim.events.lost.clear();
-    match ctl {
-        ProtocolControl::Done => Verdict::Finished,
-        ProtocolControl::Continue { outstanding } => {
-            if done && sim.num_packets() == packets_before {
-                // Network empty and the protocol spawned nothing.
-                // With work outstanding that is a protocol wedge
-                // (nothing in flight can ever ack it); without, the
-                // run is simply complete.
-                if outstanding == 0 {
-                    Verdict::Finished
-                } else {
-                    Verdict::Wedged
-                }
-            } else if outstanding > 0 {
-                Verdict::Watch(WatchdogMode::DeliveryStarvation)
-            } else {
-                Verdict::Watch(WatchdogMode::ActivityStarvation)
+impl<T: Topology, R: Router, P: ProtocolHook> RunObserver<T, R> for ProtocolRunner<'_, P> {
+    /// Trivial (src == dst) packets due at step 0 were delivered during
+    /// construction, before any step could report them; surface them to
+    /// the protocol as a synthetic step-0 batch so their payloads get
+    /// acknowledged like any other. Self-skipping on a restored run
+    /// (`steps() > 0`): the batch was already presented before the
+    /// checkpoint was taken.
+    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
+        if sim.steps() == 0 && !sim.events.delivered.is_empty() {
+            let events = StepEvents {
+                step: 0,
+                delivered: std::mem::take(&mut sim.events.delivered),
+                lost: Vec::new(),
+            };
+            let ctl = self.proto.on_step(sim, &events);
+            sim.events.delivered = events.delivered;
+            sim.events.delivered.clear();
+            if ctl == ProtocolControl::Done {
+                return Some(0);
             }
         }
-    }
-}
-
-impl<T: Topology, R: Router, P: ProtocolHook> RunObserver<T, R> for ProtocolRunner<'_, P> {
-    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
-        protocol_begin(self.proto, sim)
+        None
     }
 
     fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
         sim.step()
     }
 
+    /// Feeds the step's events to the hook, recycles the (emptied)
+    /// buffers, and maps its control decision.
     fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, packets_before: usize) -> Verdict {
-        protocol_observe(self.proto, sim, done, packets_before)
-    }
-}
-
-/// [`HookRunner`] plus periodic checkpoints: once a step fully survives
-/// (judged `Watch`, watchdog quiet) a snapshot goes to the sink when the
-/// cadence says so. Terminal steps are never checkpointed — see
-/// [`RunObserver::survived`].
-pub(crate) struct CheckpointHookRunner<'h, 's, H, S> {
-    pub(crate) hook: &'h mut H,
-    pub(crate) sink: &'s mut S,
-}
-
-impl<T, R, H, S> RunObserver<T, R> for CheckpointHookRunner<'_, '_, H, S>
-where
-    T: Topology,
-    R: Router,
-    R::NodeState: serde::Serialize,
-    H: StepHook,
-    S: CheckpointSink,
-{
-    fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
-        sim.step_with_hook(self.hook)
-    }
-
-    fn observe(&mut self, _sim: &mut Sim<'_, T, R>, done: bool, _packets_before: usize) -> Verdict {
-        if done {
-            Verdict::Finished
-        } else {
-            Verdict::Watch(WatchdogMode::Standard)
+        let events = StepEvents {
+            step: sim.steps(),
+            delivered: std::mem::take(&mut sim.events.delivered),
+            lost: std::mem::take(&mut sim.events.lost),
+        };
+        let ctl = self.proto.on_step(sim, &events);
+        // Recycle the event buffers, emptied: a later early-returning
+        // step must not re-present stale events.
+        sim.events.delivered = events.delivered;
+        sim.events.delivered.clear();
+        sim.events.lost = events.lost;
+        sim.events.lost.clear();
+        match ctl {
+            ProtocolControl::Done => Verdict::Finished,
+            ProtocolControl::Continue { outstanding } => {
+                if done && sim.num_packets() == packets_before {
+                    // Network empty and the protocol spawned nothing.
+                    // With work outstanding that is a protocol wedge
+                    // (nothing in flight can ever ack it); without, the
+                    // run is simply complete.
+                    if outstanding == 0 {
+                        Verdict::Finished
+                    } else {
+                        Verdict::Wedged
+                    }
+                } else if outstanding > 0 {
+                    Verdict::Watch(WatchdogMode::DeliveryStarvation)
+                } else {
+                    Verdict::Watch(WatchdogMode::ActivityStarvation)
+                }
+            }
         }
-    }
-
-    fn survived(&mut self, sim: &mut Sim<'_, T, R>) {
-        snapshot::maybe_checkpoint(sim, self.sink, None, || None);
-    }
-}
-
-/// [`ProtocolRunner`] plus periodic checkpoints. The checkpoint fires
-/// only once the step fully survives — the protocol has consumed the
-/// step's events (buffers empty), judged the run still in flight, and
-/// the watchdog stayed quiet — so the snapshot captures sim and protocol
-/// state at a consistent boundary a restored run re-enters exactly.
-pub(crate) struct CheckpointProtocolRunner<'p, 's, P, S> {
-    pub(crate) proto: &'p mut P,
-    pub(crate) sink: &'s mut S,
-}
-
-impl<T, R, P, S> RunObserver<T, R> for CheckpointProtocolRunner<'_, '_, P, S>
-where
-    T: Topology,
-    R: Router,
-    R::NodeState: serde::Serialize,
-    P: ProtocolHook + SnapshotHook,
-    S: CheckpointSink,
-{
-    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
-        protocol_begin(self.proto, sim)
-    }
-
-    fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
-        sim.step()
-    }
-
-    fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, packets_before: usize) -> Verdict {
-        protocol_observe(self.proto, sim, done, packets_before)
-    }
-
-    fn survived(&mut self, sim: &mut Sim<'_, T, R>) {
-        let proto = &*self.proto;
-        snapshot::maybe_checkpoint(sim, self.sink, None, || Some(proto.snapshot_state()));
     }
 }

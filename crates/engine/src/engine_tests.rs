@@ -1172,9 +1172,10 @@ mod loss_and_protocol_tests {
 
 mod steady_tests {
     use super::*;
+    use crate::protocol::{ProtocolControl, ProtocolHook, StepEvents};
     use crate::router::Dx;
     use crate::sim::AdmissionPolicy;
-    use crate::snapshot::MemorySink;
+    use crate::snapshot::{MemorySink, SnapshotHook};
     use crate::steady::SteadyConfig;
     use mesh_topo::Mesh;
     use mesh_traffic::workloads;
@@ -1340,7 +1341,7 @@ mod steady_tests {
             !full_sink.checkpoints.is_empty(),
             "cadence 10 must checkpoint"
         );
-        // Every steady checkpoint carries its environment block (v2).
+        // Every steady checkpoint carries its environment block.
         for snap in &full_sink.checkpoints {
             let env = snap.steady.expect("steady checkpoint must stamp env");
             assert_eq!(env.lambda, 0.4);
@@ -1373,6 +1374,87 @@ mod steady_tests {
                 "final report after resume from step {} diverged",
                 snap.step
             );
+        }
+    }
+
+    /// A protocol with no behaviour of its own: finished once every packet
+    /// has arrived.
+    struct Passive {
+        outstanding: usize,
+    }
+
+    impl ProtocolHook for Passive {
+        fn on_step<T: Topology, R: Router>(
+            &mut self,
+            _sim: &mut Sim<'_, T, R>,
+            events: &StepEvents,
+        ) -> ProtocolControl {
+            self.outstanding -= events.delivered.len();
+            match self.outstanding {
+                0 => ProtocolControl::Done,
+                outstanding => ProtocolControl::Continue { outstanding },
+            }
+        }
+    }
+
+    impl SnapshotHook for Passive {
+        fn snapshot_state(&self) -> serde::Value {
+            serde::Value::U64(self.outstanding as u64)
+        }
+
+        fn restore_state(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
+            self.outstanding = serde::Deserialize::deserialize(v)?;
+            Ok(())
+        }
+    }
+
+    /// The invariant the one checkpointing path owns: for every run flavor
+    /// it changes nothing the simulation computes, it sees every surviving
+    /// step, and it never sees the terminal one.
+    #[test]
+    fn checkpointing_observes_every_flavor_and_never_a_terminal_step() {
+        let topo = Mesh::new(6);
+        let pb = workloads::random_permutation(6, 3);
+        let schedule = SteadyConfig {
+            warmup: 4,
+            window: 8,
+            windows: 64,
+        };
+        let sim = || {
+            let config = SimConfig {
+                checkpoint_every: Some(1),
+                ..SimConfig::default()
+            };
+            Sim::with_config(&topo, Dx::new(tests::Greedy { k: 2 }), &pb, config)
+        };
+        let passive = || Passive {
+            outstanding: pb.len(),
+        };
+        let mut plain = [sim(), sim(), sim()];
+        plain[0].run(1_000).unwrap();
+        plain[1].run_with_protocol(1_000, &mut passive()).unwrap();
+        plain[2].run_steady(schedule).unwrap();
+        let mut observed = [sim(), sim(), sim()];
+        let mut sinks: [MemorySink; 3] = Default::default();
+        observed[0].run_checkpointed(1_000, &mut sinks[0]).unwrap();
+        observed[1]
+            .run_with_protocol_checkpointed(1_000, &mut passive(), &mut sinks[1])
+            .unwrap();
+        observed[2]
+            .run_steady_checkpointed(schedule, 0.0, None, &mut sinks[2], None)
+            .unwrap();
+
+        let want = serde_json::to_string(&plain[0].report()).unwrap();
+        let steps = plain[0].steps();
+        assert!(plain[0].done() && steps > 2);
+        for sim in plain.iter().chain(&observed) {
+            assert_eq!(serde_json::to_string(&sim.report()).unwrap(), want);
+        }
+        for (flavor, sink) in sinks.iter().enumerate() {
+            let taken: Vec<u64> = sink.checkpoints.iter().map(|s| s.step).collect();
+            let surviving: Vec<u64> = (1..steps).collect();
+            assert_eq!(taken, surviving, "flavor {flavor}");
+            assert!(sink.failure.is_none());
         }
     }
 

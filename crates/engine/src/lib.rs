@@ -82,7 +82,7 @@ pub use sim::Loc;
 pub use sim::{Sim, SimConfig, SimError};
 pub use snapshot::{
     CheckpointSink, DirectorySink, MemorySink, Snapshot, SnapshotError, SnapshotHook, SteadySnap,
-    SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MIN_READ_VERSION,
+    SNAPSHOT_FORMAT_VERSION,
 };
 pub use steady::{SteadyConfig, SteadyReport, WindowFrame};
 

@@ -120,9 +120,6 @@ impl serde::Serialize for AdmissionPolicy {
 impl serde::Deserialize for AdmissionPolicy {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
         match v {
-            // Snapshots written before the admission seam existed carry no
-            // policy field; those runs were closed-system by definition.
-            serde::Value::Null => Ok(AdmissionPolicy::DeferIndefinitely),
             serde::Value::String(s) => match s.as_str() {
                 "DeferIndefinitely" => Ok(AdmissionPolicy::DeferIndefinitely),
                 "RejectNew" => Ok(AdmissionPolicy::RejectNew),
@@ -148,7 +145,7 @@ impl serde::Deserialize for AdmissionPolicy {
 
 /// Monotone run counters, updated by phases and read by reports.
 /// Serializable as a block: the snapshot subsystem persists it verbatim.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub(crate) struct Progress {
     pub(crate) steps: u64,
     pub(crate) delivered: usize,
@@ -167,33 +164,6 @@ pub(crate) struct Progress {
     /// network because the origin queue had no room (or the node was
     /// stalled). One packet deferred for five steps counts five.
     pub(crate) deferred_injections: u64,
-}
-
-impl serde::Deserialize for Progress {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        // Hand-written so that counters added after the v1 snapshot format
-        // (shed, expired) tolerate older snapshots: `Value::field` yields
-        // Null for a missing key, and a closed-system run can never have
-        // shed or expired anything, so Null deserializes to zero.
-        fn counter(v: &serde::Value) -> Result<usize, serde::Error> {
-            match v {
-                serde::Value::Null => Ok(0),
-                other => serde::Deserialize::deserialize(other),
-            }
-        }
-        Ok(Progress {
-            steps: serde::Deserialize::deserialize(v.field("steps")?)?,
-            delivered: serde::Deserialize::deserialize(v.field("delivered")?)?,
-            lost: serde::Deserialize::deserialize(v.field("lost")?)?,
-            shed: counter(v.field("shed")?)?,
-            expired: counter(v.field("expired")?)?,
-            total_moves: serde::Deserialize::deserialize(v.field("total_moves")?)?,
-            exchanges: serde::Deserialize::deserialize(v.field("exchanges")?)?,
-            max_queue: serde::Deserialize::deserialize(v.field("max_queue")?)?,
-            max_node_load: serde::Deserialize::deserialize(v.field("max_node_load")?)?,
-            deferred_injections: serde::Deserialize::deserialize(v.field("deferred_injections")?)?,
-        })
-    }
 }
 
 /// Per-step protocol events: packets delivered / destroyed during the

@@ -5,8 +5,8 @@
 //! phases (`phases`, see [`STEP_PIPELINE`]), the unified run driver
 //! (`driver`), and the no-progress watchdog (`watchdog`) — behind the
 //! public API. [`Sim::step_with_hook`] dispatches the phase pipeline;
-//! `run`, [`Sim::run_with_hook`], and [`Sim::run_with_protocol`] are
-//! thin wrappers over the one `run_driver`.
+//! every `run*` entry point is a thin wrapper over the one `run_driver`,
+//! and the `*_checkpointed` ones differ only in handing it a sink.
 
 use crate::diag::{DiagnosticSnapshot, NodeOccupancy, StuckPacket};
 use crate::driver::{self, HookRunner, ProtocolRunner};
@@ -49,7 +49,7 @@ pub struct SimConfig {
     #[doc(hidden)]
     pub tiles: Option<(u32, u32)>,
     /// Checkpoint cadence, in steps. When set, the checkpointing run
-    /// drivers ([`Sim::run_checkpointed`],
+    /// drivers ([`Sim::run_checkpointed`], [`Sim::run_steady_checkpointed`],
     /// [`Sim::run_with_protocol_checkpointed`]) hand a full
     /// [`Snapshot`](crate::snapshot::Snapshot) to their
     /// [`CheckpointSink`](crate::snapshot::CheckpointSink) after every
@@ -296,7 +296,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         max_steps: u64,
         hook: &mut H,
     ) -> Result<u64, SimError> {
-        driver::run_driver(self, max_steps, &mut HookRunner { hook })
+        driver::run_driver(self, max_steps, &mut HookRunner { hook }, |_, _| {})
     }
 
     /// Runs without an adversary until done or `max_steps`.
@@ -324,7 +324,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         max_steps: u64,
         proto: &mut P,
     ) -> Result<u64, SimError> {
-        driver::run_driver(self, max_steps, &mut ProtocolRunner { proto })
+        driver::run_driver(self, max_steps, &mut ProtocolRunner { proto }, |_, _| {})
     }
 
     // ---- checkpointing run drivers (crash-safe runs) ----
@@ -344,16 +344,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     where
         R::NodeState: serde::Serialize,
     {
-        let res = driver::run_driver(
-            self,
-            max_steps,
-            &mut driver::CheckpointHookRunner {
-                hook: &mut NoHook,
-                sink,
-            },
-        );
-        crate::snapshot::report_failure(sink, &res);
-        res
+        let mut obs = HookRunner { hook: &mut NoHook };
+        driver::run_checkpointed(self, max_steps, &mut obs, sink, |_| (None, None))
     }
 
     /// [`Sim::run_with_protocol`] with crash-safe checkpointing. The
@@ -373,13 +365,10 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         S: crate::snapshot::CheckpointSink,
         R::NodeState: serde::Serialize,
     {
-        let res = driver::run_driver(
-            self,
-            max_steps,
-            &mut driver::CheckpointProtocolRunner { proto, sink },
-        );
-        crate::snapshot::report_failure(sink, &res);
-        res
+        let mut obs = ProtocolRunner { proto };
+        driver::run_checkpointed(self, max_steps, &mut obs, sink, |o| {
+            (None, Some(o.proto.snapshot_state()))
+        })
     }
 
     // ---- runtime packet spawning (protocol layers) ----

@@ -34,7 +34,7 @@ use crate::diag::DiagnosticSnapshot;
 use crate::phases::{AdmissionPolicy, EventLog, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
-use crate::sim::{Sim, SimConfig, SimError};
+use crate::sim::{Sim, SimConfig};
 use crate::steady::SteadyConfig;
 use crate::storage::{Loc, NodeGrid, PacketStore, NOT_DELIVERED};
 use crate::watchdog::Timers;
@@ -55,14 +55,12 @@ use std::path::{Path, PathBuf};
 /// v3 serializes the grid as the queue arena's dense form — one flat
 /// `slab` of queue contents in (node, slot, position) order plus the
 /// per-(node, slot) `lens` cut points — instead of v1/v2's per-queue
-/// arrays. [`GridSnap`]'s reader accepts both spellings, so v1/v2 files
-/// still restore.
+/// arrays.
+///
+/// This is also the only version this build reads: a checkpoint is a
+/// crash-recovery artefact of the build that wrote it, not an archive
+/// format, so an older header is an [`SnapshotError::UnknownVersion`].
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
-
-/// The oldest format version this build still reads. v1 snapshots carry
-/// no `steady` block; they restore with [`Snapshot::steady`] = `None`
-/// (closed-system semantics, exactly what v1 writers ran).
-pub const SNAPSHOT_MIN_READ_VERSION: u32 = 1;
 
 /// Why a snapshot failed to load or validate. Restoring never panics:
 /// every malformed input maps to one of these.
@@ -161,10 +159,10 @@ pub struct PacketsSnap {
 
 /// The queue storage: the arena's dense queue contents plus the staging
 /// and bookkeeping state the pipeline resumes from.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GridSnap {
     /// Every queue's contents concatenated in (node, slot, position)
-    /// order — the v3 dense arena form; `lens` gives the cut points.
+    /// order — the dense arena form; `lens` gives the cut points.
     pub slab: Vec<PacketId>,
     /// Per-(node, slot) queue lengths, node-major slot-minor.
     pub lens: Vec<u32>,
@@ -175,32 +173,6 @@ pub struct GridSnap {
     pub active: Vec<u32>,
     /// Per-node all-time peak occupancy (congestion map).
     pub peak_load: Vec<u16>,
-}
-
-impl Deserialize for GridSnap {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        // v3 writes the dense arena form; v1/v2 wrote per-queue arrays
-        // under `queues` (`Value::field` yields Null for the key a given
-        // vintage lacks). Both spellings restore into the same arena.
-        let (slab, lens) = match v.field("slab")? {
-            Value::Null => {
-                let queues: Vec<Vec<PacketId>> = Deserialize::deserialize(v.field("queues")?)?;
-                let lens = queues.iter().map(|q| q.len() as u32).collect();
-                (queues.into_iter().flatten().collect(), lens)
-            }
-            slab => (
-                Deserialize::deserialize(slab)?,
-                Deserialize::deserialize(v.field("lens")?)?,
-            ),
-        };
-        Ok(GridSnap {
-            slab,
-            lens,
-            pending: Deserialize::deserialize(v.field("pending")?)?,
-            active: Deserialize::deserialize(v.field("active")?)?,
-            peak_load: Deserialize::deserialize(v.field("peak_load")?)?,
-        })
-    }
 }
 
 /// The most recent step's delivery/loss events (the
@@ -227,13 +199,11 @@ pub struct Snapshot {
     pub faults: FaultFingerprint,
     /// Admission policy the run executes under. Unlike the checkpoint
     /// cadence this *does* affect simulated state, so restore
-    /// rejects a config whose policy disagrees. Absent in pre-admission
-    /// snapshots; those deserialize to the closed-system default.
+    /// rejects a config whose policy disagrees.
     pub admission: AdmissionPolicy,
     /// Steady-state environment, present iff the checkpoint was taken by
-    /// a steady driver (format v2+; v1 snapshots deserialize to `None`).
-    /// Carrying it here is what lets `--resume-from` alone resume a
-    /// steady run without re-passing the schedule flags.
+    /// a steady driver. Carrying it here is what lets `--resume-from`
+    /// alone resume a steady run without re-passing the schedule flags.
     pub steady: Option<SteadySnap>,
     pub(crate) progress: Progress,
     pub(crate) timers: Timers,
@@ -273,7 +243,7 @@ impl Snapshot {
                 )))
             }
         };
-        if !(SNAPSHOT_MIN_READ_VERSION as u64..=SNAPSHOT_FORMAT_VERSION as u64).contains(&found) {
+        if found != SNAPSHOT_FORMAT_VERSION as u64 {
             return Err(SnapshotError::UnknownVersion {
                 found,
                 supported: SNAPSHOT_FORMAT_VERSION,
@@ -377,7 +347,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     where
         R::NodeState: Deserialize,
     {
-        if !(SNAPSHOT_MIN_READ_VERSION..=SNAPSHOT_FORMAT_VERSION).contains(&snap.format_version) {
+        if snap.format_version != SNAPSHOT_FORMAT_VERSION {
             return Err(SnapshotError::UnknownVersion {
                 found: snap.format_version as u64,
                 supported: SNAPSHOT_FORMAT_VERSION,
@@ -724,8 +694,8 @@ fn validate_cross_refs(
 /// checkpointing run drivers call [`on_checkpoint`](Self::on_checkpoint)
 /// every [`SimConfig::checkpoint_every`] steps with a fully assembled
 /// snapshot, and [`on_failure`](Self::on_failure) once if the run ends in
-/// a [`SimError`] — the hook that persists watchdog post-mortems next to
-/// the active checkpoint.
+/// a [`SimError`](crate::SimError) — the hook that persists watchdog
+/// post-mortems next to the active checkpoint.
 pub trait CheckpointSink {
     fn on_checkpoint(&mut self, snap: &Snapshot);
 
@@ -733,6 +703,22 @@ pub trait CheckpointSink {
     /// diagnostics. Default: ignore.
     fn on_failure(&mut self, step: u64, diag: &DiagnosticSnapshot) {
         let _ = (step, diag);
+    }
+}
+
+/// No sink: a run whose config sets no cadence still goes through the
+/// checkpointing drivers, writing nothing and persisting no post-mortem.
+impl<S: CheckpointSink> CheckpointSink for Option<S> {
+    fn on_checkpoint(&mut self, snap: &Snapshot) {
+        if let Some(sink) = self {
+            sink.on_checkpoint(snap);
+        }
+    }
+
+    fn on_failure(&mut self, step: u64, diag: &DiagnosticSnapshot) {
+        if let Some(sink) = self {
+            sink.on_failure(step, diag);
+        }
     }
 }
 
@@ -833,16 +819,14 @@ impl CheckpointSink for DirectorySink {
 }
 
 /// Takes a checkpoint if the cadence says this step is a boundary.
-/// `proto` supplies the protocol slot lazily (only evaluated when a
-/// checkpoint is actually taken); `steady` is the open-system environment
-/// block steady drivers stamp into every checkpoint. In debug builds
-/// every checkpoint write is followed by a full queue-invariant audit, so
-/// a corrupt snapshot fails loudly at the source.
+/// `slots` supplies the steady environment block and the protocol slot
+/// lazily (only evaluated when a checkpoint is actually taken). In debug
+/// builds every checkpoint write is followed by a full queue-invariant
+/// audit, so a corrupt snapshot fails loudly at the source.
 pub(crate) fn maybe_checkpoint<T: Topology, R: Router, S: CheckpointSink>(
     sim: &Sim<'_, T, R>,
     sink: &mut S,
-    steady: Option<SteadySnap>,
-    proto: impl FnOnce() -> Option<Value>,
+    slots: impl FnOnce() -> (Option<SteadySnap>, Option<Value>),
 ) where
     R::NodeState: Serialize,
 {
@@ -854,16 +838,8 @@ pub(crate) fn maybe_checkpoint<T: Topology, R: Router, S: CheckpointSink>(
         return;
     }
     let mut snap = sim.snapshot();
-    snap.steady = steady;
-    snap.protocol = proto();
+    (snap.steady, snap.protocol) = slots();
     sink.on_checkpoint(&snap);
     #[cfg(debug_assertions)]
     sim.assert_queue_invariants();
-}
-
-/// Reports a failed run to the sink (the `diag_<step>.json` hook).
-pub(crate) fn report_failure<S: CheckpointSink>(sink: &mut S, res: &Result<u64, SimError>) {
-    if let Err(e) = res {
-        sink.on_failure(e.snapshot().step, e.snapshot());
-    }
 }

@@ -24,15 +24,15 @@
 //! reproduces the remaining frames — and the final report — byte for
 //! byte.
 
-use crate::driver::{run_driver, RunObserver, Verdict};
+use crate::driver::{run_checkpointed, run_driver, RunObserver, Verdict};
 use crate::hook::NoHook;
 use crate::router::Router;
 use crate::sim::{Sim, SimError};
-use crate::snapshot::{self, CheckpointSink, SteadySnap};
+use crate::snapshot::{CheckpointSink, SteadySnap};
 use crate::stats::Distribution;
 use crate::watchdog::WatchdogMode;
 use mesh_topo::Topology;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Measurement schedule of a steady-state run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,7 +64,7 @@ impl SteadyConfig {
 }
 
 /// One measurement window's worth of steady-state observations.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WindowFrame {
     /// 0-based window index.
     pub index: u32,
@@ -93,32 +93,6 @@ pub struct WindowFrame {
     /// max (a p999 from fewer than 1000 samples is really the window max),
     /// so consumers must treat sub-percentile windows as low-confidence.
     pub samples: usize,
-}
-
-impl Deserialize for WindowFrame {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let latency: Distribution = Deserialize::deserialize(v.field("latency")?)?;
-        // Hand-written for v1 snapshot tolerance: frames checkpointed
-        // before the `samples` field existed carry none; the latency
-        // distribution's own count is the exact historical value.
-        let samples = match v.field("samples")? {
-            Value::Null => latency.count,
-            other => Deserialize::deserialize(other)?,
-        };
-        Ok(WindowFrame {
-            index: Deserialize::deserialize(v.field("index")?)?,
-            start_step: Deserialize::deserialize(v.field("start_step")?)?,
-            end_step: Deserialize::deserialize(v.field("end_step")?)?,
-            offered: Deserialize::deserialize(v.field("offered")?)?,
-            delivered: Deserialize::deserialize(v.field("delivered")?)?,
-            shed: Deserialize::deserialize(v.field("shed")?)?,
-            expired: Deserialize::deserialize(v.field("expired")?)?,
-            lost: Deserialize::deserialize(v.field("lost")?)?,
-            goodput: Deserialize::deserialize(v.field("goodput")?)?,
-            latency,
-            samples,
-        })
-    }
 }
 
 /// The outcome of a steady-state run: per-window frames plus the pooled
@@ -227,9 +201,24 @@ impl SteadyObserver {
             frames: self.st.frames,
         }
     }
+}
 
-    /// The common per-step judgement for both runner flavors.
-    fn judge<T: Topology, R: Router>(&mut self, sim: &Sim<'_, T, R>, done: bool) -> Verdict {
+impl<T: Topology, R: Router> RunObserver<T, R> for SteadyObserver {
+    /// A fresh observer on a sim already at or past the warmup boundary
+    /// (warmup 0, or a resume whose checkpoint landed exactly on it before
+    /// the base was recorded) needs its counter base.
+    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
+        if sim.steps() >= self.cfg.warmup && self.st.base.is_none() {
+            self.st.base = Some(CounterBase::sample(sim));
+        }
+        None
+    }
+
+    fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
+        sim.step_with_hook(&mut NoHook)
+    }
+
+    fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, _packets_before: usize) -> Verdict {
         let s = sim.steps();
         if s <= self.cfg.warmup {
             if s == self.cfg.warmup {
@@ -269,74 +258,6 @@ impl SteadyObserver {
     }
 }
 
-/// Plain steady-state runner (no checkpointing).
-struct SteadyRunner<'o> {
-    obs: &'o mut SteadyObserver,
-}
-
-impl<T: Topology, R: Router> RunObserver<T, R> for SteadyRunner<'_> {
-    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
-        steady_begin(self.obs, sim)
-    }
-
-    fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
-        sim.step_with_hook(&mut NoHook)
-    }
-
-    fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, _packets_before: usize) -> Verdict {
-        self.obs.judge(sim, done)
-    }
-}
-
-/// Steady-state runner with periodic checkpoints: the observer state is
-/// serialized into each snapshot's `protocol` slot once the step fully
-/// survives, so a resumed run replays the remaining windows exactly.
-struct SteadyCheckpointRunner<'o, 's, S> {
-    obs: &'o mut SteadyObserver,
-    sink: &'s mut S,
-    /// Environment block stamped into every checkpoint so a resume needs
-    /// nothing beyond the snapshot itself.
-    env: SteadySnap,
-}
-
-impl<T, R, S> RunObserver<T, R> for SteadyCheckpointRunner<'_, '_, S>
-where
-    T: Topology,
-    R: Router,
-    R::NodeState: Serialize,
-    S: CheckpointSink,
-{
-    fn begin(&mut self, sim: &mut Sim<'_, T, R>) -> Option<u64> {
-        steady_begin(self.obs, sim)
-    }
-
-    fn step(&mut self, sim: &mut Sim<'_, T, R>) -> bool {
-        sim.step_with_hook(&mut NoHook)
-    }
-
-    fn observe(&mut self, sim: &mut Sim<'_, T, R>, done: bool, _packets_before: usize) -> Verdict {
-        self.obs.judge(sim, done)
-    }
-
-    fn survived(&mut self, sim: &mut Sim<'_, T, R>) {
-        let st = &self.obs.st;
-        snapshot::maybe_checkpoint(sim, self.sink, Some(self.env), || Some(st.serialize()));
-    }
-}
-
-/// Shared pre-loop action: a fresh observer on a sim already at or past
-/// the warmup boundary (warmup 0, or a resume whose checkpoint landed
-/// exactly on it before the base was recorded) needs its counter base.
-fn steady_begin<T: Topology, R: Router>(
-    obs: &mut SteadyObserver,
-    sim: &mut Sim<'_, T, R>,
-) -> Option<u64> {
-    if sim.steps() >= obs.cfg.warmup && obs.st.base.is_none() {
-        obs.st.base = Some(CounterBase::sample(sim));
-    }
-    None
-}
-
 impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// Runs the open-system steady-state schedule: `cfg.warmup` steps of
     /// discarded transients, then `cfg.windows` measurement windows of
@@ -347,7 +268,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     pub fn run_steady(&mut self, cfg: SteadyConfig) -> Result<SteadyReport, SimError> {
         assert!(cfg.window >= 1 && cfg.windows >= 1, "empty steady schedule");
         let mut obs = SteadyObserver::new(cfg, None).expect("fresh state is infallible");
-        run_driver(self, cfg.horizon(), &mut SteadyRunner { obs: &mut obs })?;
+        run_driver(self, cfg.horizon(), &mut obs, |_, _| {})?;
         Ok(obs.into_report())
     }
 
@@ -382,20 +303,16 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         let mut obs = SteadyObserver::new(cfg, state)
             .expect("malformed steady-state resume state in the snapshot's protocol slot");
         let cap = halt_at.map_or(cfg.horizon(), |h| h.min(cfg.horizon()));
-        let res = run_driver(
-            self,
-            cap,
-            &mut SteadyCheckpointRunner {
-                obs: &mut obs,
-                sink,
-                env: SteadySnap {
-                    lambda,
-                    config: cfg,
-                },
-            },
-        );
-        snapshot::report_failure(sink, &res);
-        res?;
+        // The environment block is stamped into every checkpoint so a
+        // resume needs nothing beyond the snapshot itself; the measurement
+        // state rides its `protocol` slot.
+        let env = SteadySnap {
+            lambda,
+            config: cfg,
+        };
+        run_checkpointed(self, cap, &mut obs, sink, |o| {
+            (Some(env), Some(o.st.serialize()))
+        })?;
         Ok(obs.into_report())
     }
 }
@@ -433,21 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn window_frame_roundtrips_and_tolerates_v1_frames() {
+    fn window_frame_roundtrips() {
         let f = frame(7);
-        let v = f.serialize();
-        let back = WindowFrame::deserialize(&v).expect("roundtrip");
+        let back = WindowFrame::deserialize(&f.serialize()).expect("roundtrip");
         assert_eq!(back.samples, 7);
         assert_eq!(back.latency, f.latency);
-
-        // A v1 frame (checkpointed before `samples` existed): the field is
-        // absent, and deserialization backfills it from the latency count.
-        let Value::Object(mut pairs) = v else {
-            panic!("frames serialize as objects")
-        };
-        pairs.retain(|(k, _)| k != "samples");
-        let old = WindowFrame::deserialize(&Value::Object(pairs)).expect("v1 frame");
-        assert_eq!(old.samples, old.latency.count);
-        assert_eq!(old.samples, 7);
     }
 }

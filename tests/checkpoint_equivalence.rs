@@ -394,11 +394,30 @@ fn malformed_snapshot_files_are_typed_errors() {
         Snapshot::read_from(Path::new("/nonexistent/ckpt.json")),
         Err(SnapshotError::Io(_))
     ));
-    // A version-1 file with a mangled body is Corrupt, not a panic.
+    // One format: every header but the writer's own is refused, older
+    // ones included.
+    for found in [1, 2, 4] {
+        let err = Snapshot::from_json(&format!("{{\"format_version\": {found}}}")).unwrap_err();
+        let supported = mesh_routing::engine::SNAPSHOT_FORMAT_VERSION;
+        assert_eq!(err, SnapshotError::UnknownVersion { found, supported });
+    }
+    // A current-version file with a mangled body is Corrupt, not a panic.
     assert!(matches!(
-        Snapshot::from_json("{\"format_version\": 1, \"step\": \"NaN\"}"),
+        Snapshot::from_json("{\"format_version\": 3, \"step\": \"NaN\"}"),
         Err(SnapshotError::Corrupt(_))
     ));
+    // Nor is a missing field a silent zero: a v3 body without the `shed`
+    // counter or the queue `lens` does not load.
+    let (_, _, snap) = mid_run_snapshot();
+    for field in ["shed", "lens"] {
+        let text = snap
+            .to_json()
+            .replacen(&format!("\"{field}\":"), "\"gone\":", 1);
+        assert!(
+            matches!(Snapshot::from_json(&text), Err(SnapshotError::Corrupt(_))),
+            "a body without `{field}` must be Corrupt"
+        );
+    }
 }
 
 /// Builds a mid-flight snapshot of a small deterministic run, for the
@@ -562,63 +581,6 @@ fn directory_sink_persists_checkpoints_and_failure_diagnostics() {
         serde_json::to_string(&resumed.report()).unwrap(),
         serde_json::to_string(&reference.report()).unwrap()
     );
-}
-
-/// Format-regression fixture: a committed version-1 snapshot file must
-/// keep restoring (and resuming to the same outcome as a from-scratch
-/// run) in every future build. If the format changes, bump
-/// `SNAPSHOT_FORMAT_VERSION` and regenerate the fixture — this test
-/// pins the compatibility promise.
-#[test]
-fn v1_snapshot_fixture_restores_and_resumes() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/snapshot_v1.json");
-    let snap = Snapshot::read_from(&path).unwrap();
-    // The fixture is intentionally kept at format v1: its optional steady
-    // environment block is simply absent, and the current reader must keep
-    // accepting it (SNAPSHOT_MIN_READ_VERSION).
-    assert_eq!(
-        snap.format_version,
-        mesh_routing::engine::SNAPSHOT_MIN_READ_VERSION
-    );
-    assert!(snap.steady.is_none());
-    assert_eq!(snap.n, 8);
-    assert_eq!(snap.step, 6);
-
-    let topo = Mesh::new(8);
-    let mut resumed = Sim::restore(
-        &topo,
-        Dx::new(Theorem15::new(2)),
-        SimConfig::default(),
-        None,
-        &snap,
-    )
-    .unwrap();
-    resumed.run(10_000).unwrap();
-    assert!(resumed.done());
-
-    let pb = workloads::random_permutation(8, 42);
-    let mut fresh = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
-    fresh.run(10_000).unwrap();
-    assert_eq!(
-        serde_json::to_string(&resumed.report()).unwrap(),
-        serde_json::to_string(&fresh.report()).unwrap()
-    );
-}
-
-/// Regenerates `tests/fixtures/snapshot_v1.json` (the environment is the
-/// one `mid_run_snapshot` builds and the fixture test re-creates). Run
-/// manually with `--ignored` only if the fixture's *content* must change;
-/// the written file is pinned to format v1 regardless of the current
-/// writer version, because the fixture exists to prove old files stay
-/// readable.
-#[test]
-#[ignore = "fixture generator; run manually after a format-version bump"]
-fn regenerate_v1_snapshot_fixture() {
-    let (_topo, _pb, mut snap) = mid_run_snapshot();
-    snap.format_version = mesh_routing::engine::SNAPSHOT_MIN_READ_VERSION;
-    snap.steady = None;
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/snapshot_v1.json");
-    snap.write_to(&path).unwrap();
 }
 
 trait ProgressTamper {
