@@ -1,0 +1,202 @@
+//! The engine's state invariants, stated once: no queue ever holds more
+//! than `k` packets, and every packet is in exactly one place.
+//!
+//! [`Sim::assert_queue_invariants`](crate::sim::Sim::assert_queue_invariants)
+//! and [`Sim::assert_conservation`](crate::sim::Sim::assert_conservation)
+//! panic on these two checkers; [`Sim::restore`](crate::sim::Sim::restore)
+//! replays a snapshot through the live storage code and maps a failure of
+//! either to `SnapshotError::Corrupt`. Both assume what any live store has
+//! and restore's structural pass establishes first — equal column lengths,
+//! an injection order that is a permutation, a cursor in range — and
+//! verify every other reference they follow.
+
+use crate::phases::Progress;
+use crate::storage::{Loc, NodeGrid, PacketStore, NOT_DELIVERED};
+
+/// Capacity per bounded slot; the occupancy index and bitmask in sync
+/// with the queue lengths; every queued id known, queued once and pointed
+/// back at by its packet record; staged packets consistent with their
+/// bucket; the active worklist exactly the nodes holding or awaiting packets.
+pub(crate) fn check_queues(
+    store: &PacketStore,
+    grid: &NodeGrid,
+    progress: &Progress,
+) -> Result<(), String> {
+    let mut queued = vec![false; store.len()];
+    let mut in_network = 0usize;
+    for ni in 0..grid.nodes() {
+        let c = grid.coord_of(ni);
+        let (mut load, mut occ) = (0u32, 0u8);
+        for slot in 0..grid.slots() {
+            let kind = grid.slot_kind(slot);
+            let q = grid.queue(ni, slot);
+            load += q.len() as u32;
+            if !q.is_empty() {
+                occ |= 1 << slot;
+            }
+            if let Some(cap) = grid.arch().capacity(kind) {
+                if q.len() > cap as usize {
+                    return Err(format!(
+                        "queue {kind:?} of node {c} holds {} > capacity {cap}",
+                        q.len()
+                    ));
+                }
+            }
+            for &pid in q {
+                let Some(seen) = queued.get_mut(pid.index()) else {
+                    return Err(format!(
+                        "queue {kind:?} of {c} holds unknown packet {pid:?}"
+                    ));
+                };
+                if std::mem::replace(seen, true) {
+                    return Err(format!("packet {pid:?} appears in two queues"));
+                }
+                if store.loc[pid.index()] != Loc::At(c) {
+                    return Err(format!(
+                        "packet {pid:?} queued at {c} but its location says {:?}",
+                        store.loc[pid.index()]
+                    ));
+                }
+                if store.queue_of[pid.index()] != kind {
+                    return Err(format!(
+                        "packet {pid:?} queued in {kind:?} at {c} but its record says {:?}",
+                        store.queue_of[pid.index()]
+                    ));
+                }
+            }
+            in_network += q.len();
+        }
+        if load != grid.node_load(ni) {
+            return Err(format!(
+                "occupancy index out of sync at {c}: queues hold {load}, index says {}",
+                grid.node_load(ni)
+            ));
+        }
+        if occ != grid.occ_mask(ni) {
+            return Err(format!(
+                "occupancy bitmask out of sync at {c}: queues give {occ:#b}, mask says {:#b}",
+                grid.occ_mask(ni)
+            ));
+        }
+    }
+    let at_count = store.loc.iter().filter(|l| matches!(l, Loc::At(_))).count();
+    if at_count != in_network {
+        return Err(format!(
+            "{at_count} packets locate themselves in the network, queues hold {in_network} \
+             (occupancy/slot-sum mismatch)"
+        ));
+    }
+    for (&ni, bucket) in &grid.pending {
+        if bucket.is_empty() {
+            // A bucket is dropped the moment it drains.
+            return Err(format!("empty pending bucket at node {ni}"));
+        }
+        for &pid in bucket {
+            match store.loc.get(pid.index()) {
+                None => return Err(format!("pending bucket {ni} holds unknown packet {pid:?}")),
+                Some(Loc::Pending) => {}
+                Some(other) => {
+                    return Err(format!(
+                        "packet {pid:?} staged at node {ni} but its location says {other:?}"
+                    ))
+                }
+            }
+            let src = store.src[pid.index()];
+            if grid.node_index(src) as u32 != ni {
+                return Err(format!(
+                    "packet {pid:?} staged at node {ni} but originates at {src}"
+                ));
+            }
+        }
+    }
+    // The worklist's *set* is determined (its order is history). A node
+    // the list lacks would never be routed again. A node it should not
+    // have is inert, and only construction can leave one: it lists every
+    // node it staged at, and admission may shed the whole bucket in the
+    // same call; each step's transmit phase rebuilds the list exactly.
+    let mut listed = vec![false; grid.nodes()];
+    for idx in 0..grid.active_len() {
+        let ni = grid.active_at(idx);
+        if std::mem::replace(&mut listed[ni], true) {
+            return Err(format!("node {ni} appears twice in the active worklist"));
+        }
+    }
+    for (ni, &listed) in listed.iter().enumerate() {
+        let pending = grid.pending.contains_key(&(ni as u32));
+        let expect = grid.node_load(ni) > 0 || pending;
+        let inert_extra = listed && !expect && progress.steps == 0;
+        if listed != expect && !inert_extra {
+            return Err(format!(
+                "active worklist disagrees with occupancy at node {ni} \
+                 (load {}, pending {pending}, listed {listed})",
+                grid.node_load(ni)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The four resolution counters agree with the location table; a delivery
+/// step is recorded exactly for delivered packets; the uninjected tail is
+/// sorted by due step (the inject phase's early exit relies on it); and
+/// every offered packet is in exactly one bucket:
+/// `offered == delivered + lost + shed + expired + in_network + staged`.
+pub(crate) fn check_conservation(
+    store: &PacketStore,
+    grid: &NodeGrid,
+    progress: &Progress,
+) -> Result<(), String> {
+    let (mut at, mut delivered, mut lost, mut shed, mut expired, mut pending) =
+        (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
+    for (i, (&loc, &step)) in store.loc.iter().zip(&store.delivered_at).enumerate() {
+        if (loc == Loc::Delivered) != (step != NOT_DELIVERED) {
+            return Err(format!(
+                "packet {i} is {loc:?} but its delivery step says otherwise"
+            ));
+        }
+        match loc {
+            Loc::Pending => pending += 1,
+            Loc::At(_) => at += 1,
+            Loc::Delivered => delivered += 1,
+            Loc::Lost => lost += 1,
+            Loc::Shed => shed += 1,
+            Loc::Expired => expired += 1,
+        }
+    }
+    for (name, counter, located) in [
+        ("delivered", progress.delivered, delivered),
+        ("lost", progress.lost, lost),
+        ("shed", progress.shed, shed),
+        ("expired", progress.expired, expired),
+    ] {
+        if counter != located {
+            return Err(format!(
+                "progress says {counter} {name}, locations say {located}"
+            ));
+        }
+    }
+    for w in store.inject_order[store.inject_cursor..].windows(2) {
+        let (a, b) = (store.inject_at[w[0].index()], store.inject_at[w[1].index()]);
+        if a > b {
+            return Err(format!(
+                "uninjected tail out of order: {:?} (due {a}) before {:?} (due {b})",
+                w[0], w[1]
+            ));
+        }
+    }
+    let staged = grid.staged_total();
+    let future = store.len() - store.offered();
+    if pending != staged + future {
+        return Err(format!(
+            "{pending} packets are Pending, but {staged} are staged and {future} not yet due"
+        ));
+    }
+    if store.offered() != delivered + lost + shed + expired + at + staged {
+        return Err(format!(
+            "conservation violated: offered {} != delivered {delivered} + lost {lost} + \
+             shed {shed} + expired {expired} + in-network {at} + staged {staged}",
+            store.offered()
+        ));
+    }
+    Ok(())
+}

@@ -54,6 +54,7 @@
 pub mod diag;
 mod driver;
 pub mod hook;
+mod invariants;
 pub mod metrics;
 pub mod phases;
 pub mod protocol;

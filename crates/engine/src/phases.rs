@@ -299,11 +299,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
             ctx.grid.mark_active(ni);
             continue;
         }
-        ctx.grid
-            .pending
-            .entry(ni as u32)
-            .or_default()
-            .push_back(pid);
+        ctx.grid.stage(ni as u32, pid);
         ctx.grid.mark_active(ni);
     }
     // `DeadlineExpiry` acts before the drain, and inside the network as
@@ -342,7 +338,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
                 }
             }
             if q.is_empty() {
-                ctx.grid.pending.remove(&ni);
+                ctx.grid.close_pending(ni);
             }
         }
     }
@@ -426,7 +422,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
                     ctx.store.loc[pid.index()] = Loc::Shed;
                     ctx.progress.shed += 1;
                 }
-                ctx.grid.pending.remove(&ni);
+                ctx.grid.close_pending(ni);
             }
         }
         AdmissionPolicy::DropOldestDeferred { max_deferred } => {
@@ -440,7 +436,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
                     ctx.progress.shed += 1;
                 }
                 if q.is_empty() {
-                    ctx.grid.pending.remove(&ni);
+                    ctx.grid.close_pending(ni);
                 }
             }
         }

@@ -11,6 +11,7 @@
 use crate::diag::{DiagnosticSnapshot, NodeOccupancy, StuckPacket};
 use crate::driver::{self, HookRunner, ProtocolRunner};
 use crate::hook::{NoHook, StepHook};
+use crate::invariants;
 use crate::metrics::SimReport;
 use crate::phases::{self, EventLog, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
 
@@ -669,114 +670,31 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         }
     }
 
-    /// Asserts the engine's queue invariants *right now*: every bounded
-    /// queue within its capacity, the O(1) occupancy index in sync with
-    /// the actual queue contents, and every queued packet's location and
-    /// queue-kind records pointing back at the queue that holds it.
+    /// Panics unless the queue invariants hold *right now* (capacity,
+    /// occupancy index, back-references, staging, active worklist): the
+    /// rules are `invariants::check_queues`, shared with [`Sim::restore`].
     ///
     /// The audit phase enforces the capacity bound each step when
     /// [`SimConfig::validate`] is on; this accessor lets tests check the
-    /// full set *between* steps — e.g. a property test stepping manually
-    /// and auditing after every step, rather than only at the end of a run.
+    /// full set *between* steps.
     pub fn assert_queue_invariants(&self) {
-        let t = self.progress.steps;
-        for ni in 0..self.grid.nodes() {
-            let c = self.grid.coord_of(ni);
-            let mut load = 0u32;
-            let mut occ = 0u8;
-            for slot in 0..self.grid.slots() {
-                let len = self.grid.queue_len(ni, slot) as u32;
-                load += len;
-                if len > 0 {
-                    occ |= 1 << slot;
-                }
-                let kind = self.grid.slot_kind(slot);
-                if let Some(cap) = self.grid.arch().capacity(kind) {
-                    assert!(
-                        len <= cap,
-                        "queue {kind:?} of node {c} holds {len} > cap {cap} at step {t}"
-                    );
-                }
-                for &pid in self.grid.queue(ni, slot) {
-                    assert_eq!(
-                        self.store.loc[pid.index()],
-                        Loc::At(c),
-                        "packet {pid:?} queued at {c} but its location disagrees (step {t})"
-                    );
-                    assert_eq!(
-                        self.store.queue_of[pid.index()],
-                        kind,
-                        "packet {pid:?} queued in {kind:?} at {c} but its record disagrees (step {t})"
-                    );
-                }
-            }
-            assert_eq!(
-                load,
-                self.grid.node_load(ni),
-                "occupancy index out of sync at {c} (step {t})"
-            );
-            assert_eq!(
-                occ,
-                self.grid.occ_mask(ni),
-                "occupancy bitmask out of sync at {c} (step {t})"
+        if let Err(e) = invariants::check_queues(&self.store, &self.grid, &self.progress) {
+            panic!(
+                "queue invariant broken at step {}: {e}",
+                self.progress.steps
             );
         }
     }
 
-    /// Asserts the open-system packet-conservation invariant *right now*:
-    /// every packet whose injection time has been reached is in exactly
-    /// one bucket, and the location table agrees with the monotone
-    /// counters:
-    ///
-    /// ```text
-    /// offered == delivered + lost + shed + expired + in_network + staged
-    /// ```
-    ///
-    /// Debug builds check this after every step; tests call it directly
-    /// under any λ and admission policy.
+    /// Panics unless packet conservation holds *right now* — the counters
+    /// agree with the location table and `offered == delivered + lost +
+    /// shed + expired + in_network + staged`: the rules are
+    /// `invariants::check_conservation`, shared with [`Sim::restore`].
+    /// Debug builds check this after every step.
     pub fn assert_conservation(&self) {
-        let t = self.progress.steps;
-        let (mut at, mut delivered, mut lost, mut shed, mut expired, mut pending) =
-            (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
-        for &loc in &self.store.loc {
-            match loc {
-                Loc::Pending => pending += 1,
-                Loc::At(_) => at += 1,
-                Loc::Delivered => delivered += 1,
-                Loc::Lost => lost += 1,
-                Loc::Shed => shed += 1,
-                Loc::Expired => expired += 1,
-            }
+        if let Err(e) = invariants::check_conservation(&self.store, &self.grid, &self.progress) {
+            panic!("conservation broken at step {}: {e}", self.progress.steps);
         }
-        assert_eq!(
-            delivered, self.progress.delivered,
-            "delivered counter out of sync with location table at step {t}"
-        );
-        assert_eq!(
-            lost, self.progress.lost,
-            "lost counter out of sync with location table at step {t}"
-        );
-        assert_eq!(
-            shed, self.progress.shed,
-            "shed counter out of sync with location table at step {t}"
-        );
-        assert_eq!(
-            expired, self.progress.expired,
-            "expired counter out of sync with location table at step {t}"
-        );
-        let staged = self.grid.staged_total();
-        let future = self.store.len() - self.store.offered();
-        assert_eq!(
-            pending,
-            staged + future,
-            "Pending locations must be exactly the staged + not-yet-due packets (step {t})"
-        );
-        assert_eq!(
-            self.store.offered(),
-            delivered + lost + shed + expired + at + staged,
-            "conservation violated at step {t}: offered != \
-             delivered + lost + shed + expired + in_network + staged"
-        );
     }
 
     /// The router's queue architecture.

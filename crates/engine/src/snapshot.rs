@@ -31,12 +31,13 @@
 //! never panics.
 
 use crate::diag::DiagnosticSnapshot;
+use crate::invariants;
 use crate::phases::{AdmissionPolicy, EventLog, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{Sim, SimConfig};
 use crate::steady::SteadyConfig;
-use crate::storage::{Loc, NodeGrid, PacketStore, NOT_DELIVERED};
+use crate::storage::{Loc, NodeGrid, PacketStore};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
@@ -75,8 +76,10 @@ pub enum SnapshotError {
     /// The snapshot disagrees with the caller-supplied environment
     /// (topology side, queue architecture, algorithm, fault plan).
     Mismatch(String),
-    /// The snapshot is internally inconsistent (occupancy/slot-sum
-    /// mismatch, dangling packet references, broken injection order, …).
+    /// Not a state the engine could have produced: a field is missing or
+    /// mistyped, an index or coordinate is out of range, or the rebuilt
+    /// state breaks an engine invariant (`invariants.rs`), named in the
+    /// message.
     Corrupt(String),
 }
 
@@ -334,9 +337,12 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// (checkpoint cadence, watchdog) may differ freely: none of it
     /// affects simulated state.
     ///
-    /// Every restore re-validates the full queue-invariant set; a snapshot
-    /// that passes cannot trip [`Sim::assert_queue_invariants`], which is
-    /// nevertheless run once more as a hard backstop.
+    /// Restoring never panics. A structural pass establishes what
+    /// construction needs (lengths agree, indices and coordinates in
+    /// range), the grid is replayed through the live storage code, and the
+    /// result must pass the two checkers of `invariants.rs` — the ones the
+    /// `Sim::assert_*` accessors panic on; any failure is a
+    /// [`SnapshotError::Corrupt`].
     pub fn restore(
         topo: &'t T,
         router: R,
@@ -395,7 +401,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 snap.admission, config.admission
             )));
         }
-        validate_packets(snap)?;
+        let nodes = (n * n) as usize;
+        check_structure(snap, nodes, snap.arch.num_slots()).map_err(SnapshotError::Corrupt)?;
         let store = PacketStore {
             src: snap.packets.src.clone(),
             dst: snap.packets.dst.clone(),
@@ -420,31 +427,49 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             inject_order: snap.packets.inject_order.clone(),
             inject_cursor: snap.packets.inject_cursor,
         };
-        let grid = NodeGrid::from_parts(
-            n,
-            snap.arch,
-            &snap.grid.slab,
-            snap.grid.lens.clone(),
-            &snap.grid.pending,
-            &snap.grid.active,
-            snap.grid.peak_load.clone(),
-        )
-        .map_err(SnapshotError::Corrupt)?;
-        validate_cross_refs(snap, &store, &grid)?;
-        let nodes = (n * n) as usize;
-        if snap.node_state.len() != nodes {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} node-state entries for {nodes} nodes",
-                snap.node_state.len()
-            )));
+        // Replay the grid through the code a live run fills it with: the
+        // slab layout, `occ` and `load` have one writer. An over-capacity
+        // queue still loads (`push` grows the slot); `check_queues` reports it.
+        let mut grid = NodeGrid::new(n, snap.arch);
+        let mut slab = snap.grid.slab.iter();
+        for (qi, &len) in snap.grid.lens.iter().enumerate() {
+            let c = grid.coord_of(qi / grid.slots());
+            let kind = grid.slot_kind(qi % grid.slots());
+            for &pid in slab.by_ref().take(len as usize) {
+                grid.push(c, kind, pid);
+            }
         }
+        for (ni, pids) in &snap.grid.pending {
+            if grid
+                .pending
+                .insert(*ni, pids.iter().copied().collect())
+                .is_some()
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "duplicate pending bucket for node {ni}"
+                )));
+            }
+        }
+        for &ni in &snap.grid.active {
+            let listed = grid.active_len();
+            grid.mark_active(ni as usize);
+            if grid.active_len() == listed {
+                return Err(SnapshotError::Corrupt(format!(
+                    "node {ni} appears twice in the active worklist"
+                )));
+            }
+        }
+        grid.peak_load.copy_from_slice(&snap.grid.peak_load);
+        invariants::check_queues(&store, &grid, &snap.progress)
+            .and_then(|()| invariants::check_conservation(&store, &grid, &snap.progress))
+            .map_err(SnapshotError::Corrupt)?;
         let node_state: Vec<R::NodeState> = snap
             .node_state
             .iter()
             .map(R::NodeState::deserialize)
             .collect::<Result<_, _>>()
             .map_err(|e| SnapshotError::Corrupt(format!("node state: {e}")))?;
-        let sim = Sim {
+        Ok(Sim {
             topo,
             router,
             workload: snap.workload.clone(),
@@ -460,21 +485,17 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 lost: snap.events.lost.clone(),
             },
             bufs: StepBufs::default(),
-        };
-        // Backstop: a snapshot that passed validation cannot trip this,
-        // but a restore must *never* hand back a sim that would fail
-        // 10k steps later on state the load path vouched for.
-        sim.assert_queue_invariants();
-        Ok(sim)
+        })
     }
 }
 
-/// Packet-table-local validation: array-length agreement, injection-order
-/// permutation and cursor sanity, counter/location agreement.
-fn validate_packets(snap: &Snapshot) -> Result<(), SnapshotError> {
-    let p = &snap.packets;
+/// The structural pass of [`Sim::restore`]: only what makes building the
+/// packet table and replaying the grid safe — lengths, index ranges,
+/// coordinates. Whether the state is one the engine could have produced is
+/// decided by `invariants` on the rebuilt state.
+fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), String> {
+    let (p, g) = (&snap.packets, &snap.grid);
     let len = p.src.len();
-    let corrupt = |m: String| Err(SnapshotError::Corrupt(m));
     for (name, l) in [
         ("dst", p.dst.len()),
         ("state", p.state.len()),
@@ -486,27 +507,28 @@ fn validate_packets(snap: &Snapshot) -> Result<(), SnapshotError> {
         ("inject_order", p.inject_order.len()),
     ] {
         if l != len {
-            return corrupt(format!(
+            return Err(format!(
                 "packet array `{name}` has {l} entries, src has {len}"
             ));
         }
     }
     if snap.step != snap.progress.steps {
-        return corrupt(format!(
+        return Err(format!(
             "step field {} disagrees with progress.steps {}",
             snap.step, snap.progress.steps
         ));
     }
-    for (i, c) in p.src.iter().chain(p.dst.iter()).enumerate() {
-        if c.x >= snap.n || c.y >= snap.n {
-            return corrupt(format!(
-                "endpoint {c} of entry {i} lies off the {0}x{0} grid",
-                snap.n
-            ));
+    let off_grid = |c: &Coord| c.x >= snap.n || c.y >= snap.n;
+    if let Some(c) = p.src.iter().chain(&p.dst).find(|c| off_grid(c)) {
+        return Err(format!("endpoint {c} lies off the {0}x{0} grid", snap.n));
+    }
+    for (i, loc) in p.loc.iter().enumerate() {
+        if matches!(loc, Loc::At(c) if off_grid(c)) {
+            return Err(format!("packet {i} located off-grid: {loc:?}"));
         }
     }
     if p.inject_cursor > len {
-        return corrupt(format!(
+        return Err(format!(
             "inject cursor {} past {len} packets",
             p.inject_cursor
         ));
@@ -514,176 +536,43 @@ fn validate_packets(snap: &Snapshot) -> Result<(), SnapshotError> {
     let mut seen = vec![false; len];
     for pid in &p.inject_order {
         let Some(slot) = seen.get_mut(pid.index()) else {
-            return corrupt(format!("inject order names unknown packet {:?}", pid));
+            return Err(format!("inject order names unknown packet {pid:?}"));
         };
-        if *slot {
-            return corrupt(format!("inject order repeats packet {:?}", pid));
-        }
-        *slot = true;
-    }
-    // The uninjected tail stays sorted by due step (the inject phase's
-    // early-exit relies on it).
-    let tail = &p.inject_order[p.inject_cursor..];
-    for w in tail.windows(2) {
-        if p.inject_at[w[0].index()] > p.inject_at[w[1].index()] {
-            return corrupt(format!(
-                "uninjected tail out of order: {:?} (due {}) before {:?} (due {})",
-                w[0],
-                p.inject_at[w[0].index()],
-                w[1],
-                p.inject_at[w[1].index()]
-            ));
+        if std::mem::replace(slot, true) {
+            return Err(format!("inject order repeats packet {pid:?}"));
         }
     }
-    let mut delivered = 0usize;
-    let mut lost = 0usize;
-    let mut shed = 0usize;
-    let mut expired = 0usize;
-    for i in 0..len {
-        match p.loc[i] {
-            Loc::Delivered => {
-                delivered += 1;
-                if p.delivered_at[i] == NOT_DELIVERED {
-                    return corrupt(format!("packet {i} delivered without a delivery step"));
-                }
-            }
-            other => {
-                if p.delivered_at[i] != NOT_DELIVERED {
-                    return corrupt(format!("packet {i} has a delivery step but is {other:?}"));
-                }
-                match other {
-                    Loc::Lost => lost += 1,
-                    Loc::Shed => shed += 1,
-                    Loc::Expired => expired += 1,
-                    Loc::At(c) if c.x >= snap.n || c.y >= snap.n => {
-                        return corrupt(format!("packet {i} located off-grid at {c}"));
-                    }
-                    _ => {}
-                }
-            }
+    let mut events = snap.events.delivered.iter().chain(&snap.events.lost);
+    if let Some(pid) = events.find(|pid| pid.index() >= len) {
+        return Err(format!("event buffer references unknown packet {pid:?}"));
+    }
+    if g.lens.len() != nodes * slots {
+        return Err(format!(
+            "queue table has {} slots, expected {} ({nodes} nodes x {slots} slots)",
+            g.lens.len(),
+            nodes * slots
+        ));
+    }
+    let total: u64 = g.lens.iter().map(|&l| l as u64).sum();
+    if total != g.slab.len() as u64 {
+        return Err(format!(
+            "queue contents hold {} packets but lengths sum to {total}",
+            g.slab.len()
+        ));
+    }
+    for (what, l) in [
+        ("peak-load map", g.peak_load.len()),
+        ("node-state table", snap.node_state.len()),
+    ] {
+        if l != nodes {
+            return Err(format!("{what} has {l} entries, expected {nodes}"));
         }
     }
-    if delivered != snap.progress.delivered {
-        return corrupt(format!(
-            "progress says {} delivered, locations say {delivered}",
-            snap.progress.delivered
-        ));
+    if let Some((ni, _)) = g.pending.iter().find(|(ni, _)| *ni as usize >= nodes) {
+        return Err(format!("pending bucket for out-of-grid node {ni}"));
     }
-    if lost != snap.progress.lost {
-        return corrupt(format!(
-            "progress says {} lost, locations say {lost}",
-            snap.progress.lost
-        ));
-    }
-    if shed != snap.progress.shed {
-        return corrupt(format!(
-            "progress says {} shed, locations say {shed}",
-            snap.progress.shed
-        ));
-    }
-    if expired != snap.progress.expired {
-        return corrupt(format!(
-            "progress says {} expired, locations say {expired}",
-            snap.progress.expired
-        ));
-    }
-    Ok(())
-}
-
-/// Cross-structure validation: every queue slot points at a live packet
-/// whose own records point back, capacity bounds hold, pending staging
-/// agrees with locations, and event buffers reference real packets.
-fn validate_cross_refs(
-    snap: &Snapshot,
-    store: &PacketStore,
-    grid: &NodeGrid,
-) -> Result<(), SnapshotError> {
-    let len = store.len();
-    let corrupt = |m: String| Err(SnapshotError::Corrupt(m));
-    let mut queued = vec![false; len];
-    let mut in_network = 0usize;
-    for ni in 0..grid.nodes() {
-        let c = grid.coord_of(ni);
-        for slot in 0..grid.slots() {
-            let kind = grid.slot_kind(slot);
-            let q = grid.queue(ni, slot);
-            if let Some(cap) = grid.arch().capacity(kind) {
-                if q.len() > cap as usize {
-                    return corrupt(format!(
-                        "queue {kind:?} of node {c} holds {} > capacity {cap}",
-                        q.len()
-                    ));
-                }
-            }
-            for &pid in q {
-                let Some(flag) = queued.get_mut(pid.index()) else {
-                    return corrupt(format!(
-                        "queue {kind:?} of {c} holds unknown packet {pid:?}"
-                    ));
-                };
-                if *flag {
-                    return corrupt(format!("packet {pid:?} appears in two queues"));
-                }
-                *flag = true;
-                in_network += 1;
-                if store.loc[pid.index()] != Loc::At(c) {
-                    return corrupt(format!(
-                        "packet {pid:?} queued at {c} but its location says {:?}",
-                        store.loc[pid.index()]
-                    ));
-                }
-                if store.queue_of[pid.index()] != kind {
-                    return corrupt(format!(
-                        "packet {pid:?} queued in {kind:?} at {c} but its record says {:?}",
-                        store.queue_of[pid.index()]
-                    ));
-                }
-            }
-        }
-    }
-    let at_count = store.loc.iter().filter(|l| matches!(l, Loc::At(_))).count();
-    if at_count != in_network {
-        return corrupt(format!(
-            "{at_count} packets locate themselves in the network, queues hold {in_network} \
-             (occupancy/slot-sum mismatch)"
-        ));
-    }
-    for (ni, pids) in &snap.grid.pending {
-        for pid in pids {
-            if pid.index() >= len {
-                return corrupt(format!("pending bucket {ni} holds unknown packet {pid:?}"));
-            }
-            if store.loc[pid.index()] != Loc::Pending {
-                return corrupt(format!(
-                    "packet {pid:?} staged at node {ni} but its location says {:?}",
-                    store.loc[pid.index()]
-                ));
-            }
-            let src = store.src[pid.index()];
-            if grid.node_index(src) as u32 != *ni {
-                return corrupt(format!(
-                    "packet {pid:?} staged at node {ni} but originates at {src}"
-                ));
-            }
-        }
-    }
-    for pid in snap.events.delivered.iter().chain(snap.events.lost.iter()) {
-        if pid.index() >= len {
-            return corrupt(format!("event buffer references unknown packet {pid:?}"));
-        }
-    }
-    // Open-system conservation: every offered packet (past the injection
-    // cursor) is delivered, lost, shed, expired, in a queue, or staged.
-    let staged: usize = snap.grid.pending.iter().map(|(_, q)| q.len()).sum();
-    let resolved =
-        snap.progress.delivered + snap.progress.lost + snap.progress.shed + snap.progress.expired;
-    if store.inject_cursor != resolved + in_network + staged {
-        return corrupt(format!(
-            "conservation violated: cursor offered {} but \
-             delivered+lost+shed+expired ({resolved}) + in-network ({in_network}) \
-             + staged ({staged}) disagree",
-            store.inject_cursor
-        ));
+    if let Some(ni) = g.active.iter().find(|&&ni| ni as usize >= nodes) {
+        return Err(format!("active worklist names out-of-grid node {ni}"));
     }
     Ok(())
 }

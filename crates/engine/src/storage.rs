@@ -175,6 +175,10 @@ pub(crate) struct NodeGrid {
     /// Packets staged for injection at a node, held outside the network by
     /// admission control until the origin queue has room.
     pub(crate) pending: HashMap<u32, VecDeque<PacketId>>,
+    /// Drained pending buckets awaiting reuse. Not simulated state: it
+    /// only saves the allocator a round trip, so it is neither
+    /// snapshotted nor restored.
+    spare: Vec<VecDeque<PacketId>>,
     /// Worklist of nodes that may hold or receive packets this step.
     active: Vec<u32>,
     in_active: Vec<bool>,
@@ -213,6 +217,7 @@ impl NodeGrid {
             occ: vec![0; nodes],
             load: vec![0; nodes],
             pending: HashMap::new(),
+            spare: Vec::new(),
             active: Vec::new(),
             in_active: vec![false; nodes],
             peak_load: vec![0; nodes],
@@ -470,23 +475,44 @@ impl NodeGrid {
         self.active[idx] as usize
     }
 
-    /// Pops the next pending (admission-deferred) packet of a node,
-    /// dropping the node's entry once drained. `None` means nothing is
-    /// staged there.
-    pub(crate) fn pop_pending(&mut self, ni: u32) -> Option<PacketId> {
-        let q = self.pending.get_mut(&ni)?;
-        match q.pop_front() {
-            Some(pid) => {
-                if q.is_empty() {
-                    self.pending.remove(&ni);
-                }
-                Some(pid)
-            }
-            None => {
-                self.pending.remove(&ni);
-                None
-            }
+    /// Stages a due packet at its origin node's injection edge, opening
+    /// the node's bucket if it has none.
+    pub(crate) fn stage(&mut self, ni: u32, pid: PacketId) {
+        self.pending
+            .entry(ni)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push_back(pid);
+    }
+
+    /// Drops a node's pending bucket, keeping its storage for the next
+    /// [`stage`](Self::stage): under an unbounded injection queue a bucket
+    /// opens and drains within one step, once per offered packet.
+    pub(crate) fn close_pending(&mut self, ni: u32) {
+        if let Some(mut q) = self.pending.remove(&ni) {
+            q.clear();
+            self.spare.push(q);
         }
+    }
+
+    /// Pops a pending (admission-deferred) packet of a node from the end
+    /// `pop` takes, closing the bucket once drained. `None` means nothing
+    /// is staged there.
+    fn pop_staged(
+        &mut self,
+        ni: u32,
+        pop: fn(&mut VecDeque<PacketId>) -> Option<PacketId>,
+    ) -> Option<PacketId> {
+        let q = self.pending.get_mut(&ni)?;
+        let pid = pop(q);
+        if q.is_empty() {
+            self.close_pending(ni);
+        }
+        pid
+    }
+
+    /// Pops the oldest pending packet of a node (injection order).
+    pub(crate) fn pop_pending(&mut self, ni: u32) -> Option<PacketId> {
+        self.pop_staged(ni, VecDeque::pop_front)
     }
 
     /// Pops the *newest* pending packet of a node (freshest-first
@@ -496,19 +522,7 @@ impl NodeGrid {
     /// freshest packet instead gives it its full TTL to cross the mesh
     /// while stale backlog expires at the edge.
     pub(crate) fn pop_pending_back(&mut self, ni: u32) -> Option<PacketId> {
-        let q = self.pending.get_mut(&ni)?;
-        match q.pop_back() {
-            Some(pid) => {
-                if q.is_empty() {
-                    self.pending.remove(&ni);
-                }
-                Some(pid)
-            }
-            None => {
-                self.pending.remove(&ni);
-                None
-            }
-        }
+        self.pop_staged(ni, VecDeque::pop_back)
     }
 
     #[inline]
@@ -544,130 +558,6 @@ impl NodeGrid {
     /// break bit-identical resumption.
     pub(crate) fn export_active(&self) -> Vec<u32> {
         self.active.clone()
-    }
-
-    /// Rebuilds a grid from snapshotted parts — `slab` is the dense
-    /// concatenation of every queue's contents in (node, slot, position)
-    /// order and `lens` the per-(node, slot) cut points — re-deriving the
-    /// occupancy bitmask, load index, and active-membership flags and
-    /// validating the internal invariants a live grid maintains. Errors
-    /// describe the corruption; they never panic. Slot capacities widen to
-    /// fit whatever the snapshot holds, so an over-capacity bounded queue
-    /// still loads here and is then *reported* (not panicked on) by the
-    /// snapshot layer's cross-reference validation.
-    pub(crate) fn from_parts(
-        n: u32,
-        arch: QueueArch,
-        dense: &[PacketId],
-        lens: Vec<u32>,
-        pending: &[(u32, Vec<PacketId>)],
-        active: &[u32],
-        peak_load: Vec<u16>,
-    ) -> Result<NodeGrid, String> {
-        let nodes = (n * n) as usize;
-        let slots = arch.num_slots();
-        if lens.len() != nodes * slots {
-            return Err(format!(
-                "queue table has {} slots, expected {} ({} nodes x {} slots)",
-                lens.len(),
-                nodes * slots,
-                nodes,
-                slots
-            ));
-        }
-        let total: u64 = lens.iter().map(|&l| l as u64).sum();
-        if total != dense.len() as u64 {
-            return Err(format!(
-                "queue contents hold {} packets but lengths sum to {total}",
-                dense.len()
-            ));
-        }
-        if peak_load.len() != nodes {
-            return Err(format!(
-                "peak-load map has {} entries, expected {nodes}",
-                peak_load.len()
-            ));
-        }
-        let mut caps = [0u32; 5];
-        caps[..slots].fill(arch.initial_slot_cap());
-        for (li, &len) in lens.iter().enumerate() {
-            let s = li % slots;
-            caps[s] = caps[s].max(len);
-        }
-        let (slot_off, stride) = geometry(&caps, slots);
-        let mut slab = vec![EMPTY_CELL; nodes * stride as usize];
-        let mut occ = vec![0u8; nodes];
-        let mut load = vec![0u32; nodes];
-        let mut cursor = 0usize;
-        for ni in 0..nodes {
-            for s in 0..slots {
-                let len = lens[ni * slots + s] as usize;
-                let dst = ni * stride as usize + slot_off[s] as usize;
-                slab[dst..dst + len].copy_from_slice(&dense[cursor..cursor + len]);
-                cursor += len;
-                if len > 0 {
-                    occ[ni] |= 1 << s;
-                    load[ni] += len as u32;
-                }
-            }
-        }
-        let mut pending_map: HashMap<u32, VecDeque<PacketId>> = HashMap::new();
-        for (ni, pids) in pending {
-            if *ni as usize >= nodes {
-                return Err(format!("pending bucket for out-of-grid node {ni}"));
-            }
-            if pids.is_empty() {
-                // A live grid drops a node's bucket when it drains.
-                return Err(format!("empty pending bucket at node {ni}"));
-            }
-            if pending_map
-                .insert(*ni, pids.iter().copied().collect())
-                .is_some()
-            {
-                return Err(format!("duplicate pending bucket for node {ni}"));
-            }
-        }
-        let mut in_active = vec![false; nodes];
-        for &ni in active {
-            if ni as usize >= nodes {
-                return Err(format!("active worklist names out-of-grid node {ni}"));
-            }
-            if in_active[ni as usize] {
-                return Err(format!("node {ni} appears twice in the active worklist"));
-            }
-            in_active[ni as usize] = true;
-        }
-        // The worklist's *set* is determined: exactly the nodes holding or
-        // awaiting packets (its order is history-dependent and preserved
-        // verbatim above).
-        for ni in 0..nodes {
-            let expect = load[ni] > 0 || pending_map.contains_key(&(ni as u32));
-            if expect != in_active[ni] {
-                return Err(format!(
-                    "active worklist disagrees with occupancy at node {ni} \
-                     (load {}, pending {}, listed {})",
-                    load[ni],
-                    pending_map.contains_key(&(ni as u32)),
-                    in_active[ni]
-                ));
-            }
-        }
-        Ok(NodeGrid {
-            n,
-            arch,
-            slots,
-            slab,
-            lens,
-            caps,
-            slot_off,
-            stride,
-            occ,
-            load,
-            pending: pending_map,
-            active: active.to_vec(),
-            in_active,
-            peak_load,
-        })
     }
 }
 

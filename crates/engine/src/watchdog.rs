@@ -30,7 +30,7 @@ use mesh_topo::Topology;
 
 /// Last-progress stamps (1-based step numbers; 0 = never).
 /// Serializable as a block: the snapshot subsystem persists it verbatim.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub(crate) struct Timers {
     /// Last step with any activity: an accepted move, an injection, or a
     /// delivery.
@@ -42,26 +42,6 @@ pub(crate) struct Timers {
     /// open system that keeps shedding is making progress, not
     /// livelocked.
     pub(crate) last_resolution: u64,
-}
-
-impl serde::Deserialize for Timers {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let last_activity = serde::Deserialize::deserialize(v.field("last_activity")?)?;
-        let last_delivery: u64 = serde::Deserialize::deserialize(v.field("last_delivery")?)?;
-        // Hand-written for v1 snapshot tolerance: snapshots written before
-        // the overload watchdog carry no `last_resolution`; in a
-        // closed-system run the only resolutions are deliveries, so the
-        // delivery stamp is the exact historical value.
-        let last_resolution = match v.field("last_resolution")? {
-            serde::Value::Null => last_delivery,
-            other => serde::Deserialize::deserialize(other)?,
-        };
-        Ok(Timers {
-            last_activity,
-            last_delivery,
-            last_resolution,
-        })
-    }
 }
 
 impl Timers {

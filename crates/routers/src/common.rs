@@ -55,9 +55,22 @@ pub fn mesh_link_exists(n: u32, node: Coord, d: Dir) -> bool {
 /// A round-robin arbitration pointer over the four inlink sides: the
 /// "round-robin inqueue policy" example of §2. Stored in node state;
 /// serializable so checkpoints can carry it.
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
 pub struct RoundRobin {
     next: u8,
+}
+
+/// Checked where it enters: `next` indexes the four inlink sides, and a
+/// snapshot naming a fifth must not reach [`RoundRobin::rank`].
+impl serde::Deserialize for RoundRobin {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        match serde::Deserialize::deserialize(v.field("next")?)? {
+            next @ 0..=3u8 => Ok(RoundRobin { next }),
+            next => Err(serde::Error::custom(format!(
+                "round-robin pointer {next} names no inlink side"
+            ))),
+        }
+    }
 }
 
 impl RoundRobin {

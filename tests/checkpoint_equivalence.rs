@@ -7,7 +7,7 @@
 //! error, never a panic or a silently wrong resumption.
 
 use mesh_routing::engine::snapshot::CheckpointSink;
-use mesh_routing::engine::{MemorySink, Snapshot, SnapshotError, SnapshotHook};
+use mesh_routing::engine::{Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook};
 use mesh_routing::prelude::*;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -407,9 +407,9 @@ fn malformed_snapshot_files_are_typed_errors() {
         Err(SnapshotError::Corrupt(_))
     ));
     // Nor is a missing field a silent zero: a v3 body without the `shed`
-    // counter or the queue `lens` does not load.
-    let (_, _, snap) = mid_run_snapshot();
-    for field in ["shed", "lens"] {
+    // counter, the queue `lens` or the `last_resolution` stamp does not load.
+    let snap = mid_run_snapshot(&Mesh::new(8), Dx::new(Theorem15::new(2)));
+    for field in ["shed", "lens", "last_resolution"] {
         let text = snap
             .to_json()
             .replacen(&format!("\"{field}\":"), "\"gone\":", 1);
@@ -420,68 +420,243 @@ fn malformed_snapshot_files_are_typed_errors() {
     }
 }
 
-/// Builds a mid-flight snapshot of a small deterministic run, for the
-/// tampering tests below.
-fn mid_run_snapshot() -> (Mesh, RoutingProblem, Snapshot) {
-    let n = 8;
-    let topo = Mesh::new(n);
-    let pb = workloads::random_permutation(n, 42);
+/// What `from_json` reads is what `to_json` wrote: an n=32 snapshot parses
+/// to the `Value` it was rendered from and renders back byte-identically.
+#[test]
+fn snapshot_json_round_trips_as_value() {
+    let topo = Mesh::new(32);
+    let pb = workloads::random_permutation(32, 9);
     let mut sim = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
-    for _ in 0..6 {
+    for _ in 0..20 {
         sim.step();
     }
     let snap = sim.snapshot();
-    (topo, pb, snap)
+    let text = snap.to_json();
+    let parsed: serde::Value = serde_json::from_str(&text).unwrap();
+    assert!(parsed == snap.serialize());
+    assert!(Snapshot::from_json(&text).unwrap().to_json() == text);
 }
 
-/// Internally inconsistent snapshots — dangling queue entries, broken
-/// occupancy sums, permuted injection orders, counter drift — are
-/// [`SnapshotError::Corrupt`], never a wrong-but-running simulation and
-/// never a panic.
+/// A fault-free open-system run stopped mid-flight, so the snapshot holds
+/// queued, delivered and not-yet-due packets at once: the base of the
+/// malformed-file, tamper and mismatch tests.
+fn mid_run_snapshot<R: Router>(topo: &Mesh, router: R) -> Snapshot
+where
+    R::NodeState: Serialize,
+{
+    let pb = workloads::open_bernoulli(topo.side(), 0.3, 12, 5);
+    let mut sim = Sim::new(topo, router, &pb);
+    for _ in 0..6 {
+        sim.step();
+    }
+    sim.snapshot()
+}
+
+/// Adds one to a counter of the crate-private progress block, through the
+/// JSON form — which also shows that tampered *files*, not just tampered
+/// structs, are caught. Each counter's first occurrence is the progress
+/// block's.
+fn bump(snap: &mut Snapshot, counter: &str) {
+    let mut text = snap.to_json();
+    let needle = format!("\"{counter}\":");
+    let at = text.find(&needle).unwrap() + needle.len();
+    let end = text[at..].find([',', '\n']).unwrap() + at;
+    let v: usize = text[at..end].trim().parse().unwrap();
+    text.replace_range(at..end, &format!(" {}", v + 1));
+    *snap = Snapshot::from_json(&text).unwrap();
+}
+
+fn queued(s: &Snapshot) -> usize {
+    s.grid.slab[0].index()
+}
+
+fn delivered(s: &Snapshot) -> usize {
+    let is_delivered = |l: &Loc| *l == Loc::Delivered;
+    s.packets.loc.iter().position(is_delivered).unwrap()
+}
+
+/// The first packet not yet due, and its origin's node index.
+fn future(s: &Snapshot) -> (PacketId, u32) {
+    let pid = s.packets.inject_order[s.packets.inject_cursor];
+    let src = s.packets.src[pid.index()];
+    (pid, src.y * s.n + src.x)
+}
+
+fn idle_node(s: &Snapshot) -> u32 {
+    (0..s.n * s.n)
+        .find(|ni| !s.grid.active.contains(ni))
+        .unwrap()
+}
+
+fn unknown(s: &Snapshot) -> PacketId {
+    PacketId(s.packets.src.len() as u32)
+}
+
+/// `(fragment of the expected message, mutation)`.
+type Tamper = (&'static str, fn(&mut Snapshot));
+
+/// One mutation of a valid snapshot per rule of the restore path — the
+/// structural pass of `Sim::restore` and the engine's two invariant
+/// checkers — with a fragment of the message that must name the rule.
+const TAMPERS: &[Tamper] = &[
+    // ---- structural pass ----
+    ("packet array `hops`", |s| {
+        s.packets.hops.pop();
+    }),
+    ("disagrees with progress.steps", |s| s.step += 1),
+    ("endpoint", |s| s.packets.src[0].x = s.n),
+    ("endpoint", |s| s.packets.dst[0].y = s.n),
+    ("located off-grid", |s| {
+        let at = queued(s);
+        s.packets.loc[at] = Loc::At(Coord::new(0, s.n));
+    }),
+    ("inject cursor", |s| {
+        s.packets.inject_cursor = s.packets.src.len() + 1
+    }),
+    ("inject order repeats", |s| {
+        s.packets.inject_order[0] = s.packets.inject_order[1]
+    }),
+    ("inject order names unknown", |s| {
+        s.packets.inject_order[0] = unknown(s)
+    }),
+    ("event buffer", |s| s.events.lost.push(unknown(s))),
+    ("queue table has", |s| s.grid.lens.push(0)),
+    ("lengths sum", |s| {
+        let qi = s.grid.lens.iter().position(|&l| l > 0).unwrap();
+        s.grid.lens[qi] -= 1;
+    }),
+    ("peak-load map", |s| {
+        s.grid.peak_load.pop();
+    }),
+    ("node-state table", |s| {
+        s.node_state.pop();
+    }),
+    ("pending bucket for out-of-grid node", |s| {
+        s.grid.pending.push((s.n * s.n, vec![future(s).0]))
+    }),
+    ("duplicate pending bucket", |s| {
+        let (pid, ni) = future(s);
+        s.grid.pending.push((ni, vec![pid]));
+        s.grid.pending.push((ni, vec![pid]));
+    }),
+    ("active worklist names out-of-grid node", |s| {
+        s.grid.active.push(s.n * s.n)
+    }),
+    ("appears twice in the active worklist", |s| {
+        s.grid.active.push(s.grid.active[0])
+    }),
+    // ---- check_queues ----
+    ("> capacity", |s| {
+        // Slot 0 of node 0 is bounded by k = 2 under both architectures.
+        let pid = s.grid.slab[0];
+        s.grid.slab.splice(0..0, [pid; 3]);
+        s.grid.lens[0] += 3;
+    }),
+    ("holds unknown packet", |s| s.grid.slab[0] = unknown(s)),
+    ("appears in two queues", |s| s.grid.slab[1] = s.grid.slab[0]),
+    ("its location says", |s| {
+        let at = queued(s);
+        s.packets.loc[at] = Loc::Pending;
+    }),
+    ("its record says", |s| {
+        let at = queued(s);
+        s.packets.queue_of[at] = match s.packets.queue_of[at] {
+            QueueKind::Injection => QueueKind::Central,
+            _ => QueueKind::Injection,
+        };
+    }),
+    ("occupancy/slot-sum mismatch", |s| {
+        // Drop a packet from its queue; its location still claims it.
+        let qi = s.grid.lens.iter().position(|&l| l > 0).unwrap();
+        s.grid.lens[qi] -= 1;
+        s.grid.slab.remove(0);
+    }),
+    ("empty pending bucket", |s| {
+        s.grid.pending.push((idle_node(s), vec![]))
+    }),
+    ("pending bucket", |s| {
+        s.grid.pending.push((idle_node(s), vec![unknown(s)]))
+    }),
+    ("staged at node", |s| {
+        let pid = PacketId(delivered(s) as u32);
+        s.grid.pending.push((idle_node(s), vec![pid]));
+    }),
+    ("but originates at", |s| {
+        let (pid, ni) = future(s);
+        s.grid.pending.push(((ni + 1) % (s.n * s.n), vec![pid]));
+    }),
+    ("active worklist disagrees", |s| {
+        s.grid.active.pop();
+    }),
+    ("active worklist disagrees", |s| {
+        s.grid.active.push(idle_node(s))
+    }),
+    // ---- check_conservation ----
+    ("delivery step", |s| {
+        let at = queued(s);
+        s.packets.delivered_at[at] = 3;
+    }),
+    ("delivery step", |s| {
+        let at = delivered(s);
+        s.packets.delivered_at[at] = u64::MAX;
+    }),
+    ("delivered, locations say", |s| bump(s, "delivered")),
+    ("lost, locations say", |s| bump(s, "lost")),
+    ("shed, locations say", |s| bump(s, "shed")),
+    ("expired, locations say", |s| bump(s, "expired")),
+    ("uninjected tail out of order", |s| {
+        let (c, last) = (s.packets.inject_cursor, s.packets.src.len() - 1);
+        s.packets.inject_order.swap(c, last);
+    }),
+    ("are Pending", |s| s.packets.inject_cursor -= 1),
+];
+
+/// Every row of [`TAMPERS`] is [`SnapshotError::Corrupt`] with a message
+/// naming the broken rule — never a wrong-but-running simulation, never a
+/// panic — under a central-queue and a per-inlink router alike.
 #[test]
 fn corrupt_snapshots_are_rejected() {
-    let (topo, _pb, snap) = mid_run_snapshot();
-    let restore = |s: &Snapshot| {
-        Sim::restore(
-            &topo,
-            Dx::new(Theorem15::new(2)),
-            SimConfig::default(),
-            None,
-            s,
-        )
-        .map(|_| ())
+    fn check<R: Router>(mk: impl Fn() -> R)
+    where
+        R::NodeState: Serialize + Deserialize,
+    {
+        let topo = Mesh::new(8);
+        let snap = mid_run_snapshot(&topo, mk());
+        let restore =
+            |s: &Snapshot| Sim::restore(&topo, mk(), SimConfig::default(), None, s).map(|_| ());
+        restore(&snap).expect("the untampered snapshot restores");
+        for (row, (rule, tamper)) in TAMPERS.iter().enumerate() {
+            let mut t = snap.clone();
+            tamper(&mut t);
+            match restore(&t) {
+                Err(SnapshotError::Corrupt(m)) if m.contains(rule) => {}
+                other => panic!("row {row} ({rule}) under {}: {other:?}", snap.algorithm),
+            }
+        }
+    }
+    check(|| Dx::new(DimOrder::new(2)));
+    check(|| Dx::new(Theorem15::new(2)));
+}
+
+/// Construction lists every node it stages a packet at, and admission may
+/// shed the whole bucket in the same call: a snapshot taken before the
+/// first step can name an idle node in its worklist and must still load.
+#[test]
+fn construction_time_snapshot_restores() {
+    let topo = Mesh::new(4);
+    let pb = RoutingProblem::from_pairs(4, "one", [(Coord::new(0, 0), Coord::new(3, 0))]);
+    let config = SimConfig {
+        admission: AdmissionPolicy::RejectNew,
+        ..SimConfig::default()
     };
-    restore(&snap).expect("the untampered snapshot restores");
-
-    // Occupancy/slot-sum mismatch: drop a packet from a queue but leave
-    // its location claiming it is still there.
-    let mut t = snap.clone();
-    let qi = t.grid.lens.iter().position(|&l| l > 0).unwrap();
-    t.grid.lens[qi] -= 1;
-    let cut: u32 = t.grid.lens[..=qi].iter().sum();
-    t.grid.slab.remove(cut as usize);
-    assert!(matches!(restore(&t), Err(SnapshotError::Corrupt(_))));
-
-    // A queued packet whose own record disagrees with the queue.
-    let mut t = snap.clone();
-    let pid = t.grid.slab[0];
-    t.packets.loc[pid.index()] = mesh_routing::engine::Loc::Delivered;
-    assert!(matches!(restore(&t), Err(SnapshotError::Corrupt(_))));
-
-    // Injection order no longer a permutation.
-    let mut t = snap.clone();
-    t.packets.inject_order[0] = t.packets.inject_order[1];
-    assert!(matches!(restore(&t), Err(SnapshotError::Corrupt(_))));
-
-    // Progress counter drift.
-    let mut t = snap.clone();
-    t.progress_tamper();
-    assert!(matches!(restore(&t), Err(SnapshotError::Corrupt(_))));
-
-    // Active worklist missing an occupied node.
-    let mut t = snap.clone();
-    t.grid.active.pop();
-    assert!(matches!(restore(&t), Err(SnapshotError::Corrupt(_))));
+    // Open-system central queues reserve one of their k slots for transit,
+    // so at k = 1 nothing is ever admitted.
+    let sim = Sim::with_config(&topo, Dx::new(DimOrder::new(1)), &pb, config);
+    sim.assert_queue_invariants();
+    let snap = sim.snapshot();
+    assert_eq!((snap.step, snap.grid.active.len()), (0, 1));
+    let restored = Sim::restore(&topo, Dx::new(DimOrder::new(1)), config, None, &snap);
+    assert_eq!(restored.map(|s| s.shed()), Ok(1));
 }
 
 /// Restoring under the wrong environment — different topology side,
@@ -489,7 +664,7 @@ fn corrupt_snapshots_are_rejected() {
 /// [`SnapshotError::Mismatch`] naming the disagreement.
 #[test]
 fn environment_mismatches_are_rejected() {
-    let (_topo, _pb, snap) = mid_run_snapshot();
+    let snap = mid_run_snapshot(&Mesh::new(8), Dx::new(Theorem15::new(2)));
 
     let bigger = Mesh::new(9);
     assert!(matches!(
@@ -581,23 +756,4 @@ fn directory_sink_persists_checkpoints_and_failure_diagnostics() {
         serde_json::to_string(&resumed.report()).unwrap(),
         serde_json::to_string(&reference.report()).unwrap()
     );
-}
-
-trait ProgressTamper {
-    fn progress_tamper(&mut self);
-}
-
-impl ProgressTamper for Snapshot {
-    fn progress_tamper(&mut self) {
-        // The progress block is crate-private; drift it through the JSON
-        // form instead, which is also a check that tampered *files* (not
-        // just tampered structs) are caught.
-        let mut text = self.to_json();
-        let needle = "\"delivered\":";
-        let at = text.find(needle).unwrap() + needle.len();
-        let end = text[at..].find(',').unwrap() + at;
-        let v: usize = text[at..end].trim().parse().unwrap();
-        text.replace_range(at..end, &format!(" {}", v + 1));
-        *self = Snapshot::from_json(&text).unwrap();
-    }
 }

@@ -86,8 +86,35 @@ fn sweep(n: u32) -> Vec<(String, u64, u64)> {
     ]
 }
 
+/// `(allocations and reallocations, packets offered)` of an open-system
+/// `run_steady` under deadline expiry, counted from after construction.
+/// Theorem 15's injection queue is unbounded, so every offered packet is
+/// staged and admitted within one step: its pending bucket opens and
+/// drains once per packet.
+fn steady_allocs() -> (u64, u64) {
+    let (n, schedule) = (32, SteadyConfig::default());
+    let topo = Mesh::new(n);
+    let pb = workloads::open_bernoulli(n, 0.05, schedule.horizon(), 1);
+    let config = SimConfig {
+        admission: AdmissionPolicy::DeadlineExpiry { ttl: 128 },
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::with_config(&topo, theorem15(2), &pb, config);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let outcome = sim.run_steady(schedule);
+    let made = ALLOCS.load(Ordering::Relaxed) - before;
+    outcome.unwrap_or_else(|e| panic!("run_steady failed: {}", e.kind()));
+    (made, sim.offered() as u64)
+}
+
 #[test]
 fn run_allocations_do_not_scale_with_moves() {
+    let (made, offered) = steady_allocs();
+    println!("steady: {made} allocations / {offered} offered packets");
+    assert!(
+        offered >= 10_000 && made * 100 < offered,
+        "staging allocates per offered packet: {made} allocations for {offered} packets"
+    );
     let small = sweep(32);
     let large = sweep(64);
     for ((name, a32, m32), (_, a64, m64)) in small.iter().zip(&large) {

@@ -504,6 +504,7 @@ proptest! {
         for _ in 0..1_500 {
             let done = sim.step();
             sim.assert_queue_invariants();
+            sim.assert_conservation();
             if done {
                 break;
             }
