@@ -64,15 +64,25 @@ impl Table {
         out
     }
 
-    /// Writes the table as CSV under `dir`.
+    /// Writes the table as CSV (RFC 4180) under `dir`.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut f = std::fs::File::create(dir.join(format!("{}.csv", self.id)))?;
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            let cells: Vec<String> = row.iter().map(|c| csv_cell(c)).collect();
+            writeln!(f, "{}", cells.join(","))?;
         }
         Ok(())
+    }
+}
+
+/// One CSV field: quoted, with inner quotes doubled, iff it contains a
+/// separator, a quote or a line break (`expo(64..512,j16)` is one cell).
+fn csv_cell(cell: &str) -> String {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    } else {
+        cell.to_string()
     }
 }
 
@@ -101,6 +111,19 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("e0.csv")).unwrap();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("a,bb"));
+        // A cell holding the separator (reliable's backoff column, any
+        // `bounded-deflect(k=..,d=..)` name) or a quote stays one field.
+        t.row(cells!("expo(64..512,j16)", "say \"hi\""));
+        t.write_csv(&dir).unwrap();
+        let csv = std::fs::read_to_string(dir.join("e0.csv")).unwrap();
+        assert_eq!(
+            csv.lines().last(),
+            Some(r#""expo(64..512,j16)","say ""hi""""#)
+        );
+        assert!(
+            csv.starts_with("a,bb\n1,xy\n22,z\n"),
+            "plain cells unquoted"
+        );
     }
 
     #[test]

@@ -1485,3 +1485,150 @@ mod steady_tests {
         }
     }
 }
+
+mod storage_tests {
+    use crate::invariants::{check_conservation, check_queues};
+    use crate::phases::Progress;
+    use crate::queue::QueueArch;
+    use crate::snapshot::EventsSnap;
+    use crate::storage::{Loc, NodeGrid, PacketStore};
+    use mesh_topo::{Coord, Mesh, Topology};
+    use mesh_traffic::{PacketId, RoutingProblem};
+
+    /// Deterministic 64-bit LCG, top bits only (as in `arena_tests`).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// Op-level check of the packet table's three transitions: a random
+    /// enter/depart/retire stream, one operation per simulated step, with
+    /// both state checkers (and the cached masks) consulted after every
+    /// one. No router and no phase code runs: what holds here holds because
+    /// `storage.rs` moves a location, its counter and its queue together.
+    /// The faulted stream adds what only faults and admission control do:
+    /// losses in flight, shedding and expiry at the edge, expiry in-queue.
+    #[test]
+    fn transitions_keep_every_invariant_under_random_ops() {
+        for (arch, faulted, seed) in [
+            (QueueArch::Central { k: 2 }, false, 21u64),
+            (QueueArch::PerInlink { k: 1 }, true, 22),
+        ] {
+            let n = 4u32;
+            let topo = Mesh::new(n);
+            let mut rng = seed;
+            let cell = |r: u64| Coord::new(r as u32 % n, r as u32 / n % n);
+            let pairs: Vec<_> = (0..200)
+                .map(|_| (cell(lcg(&mut rng)), cell(lcg(&mut rng))))
+                .collect();
+            let pb = RoutingProblem::from_pairs(n, "ops", pairs);
+            let mut store = PacketStore::new(&pb);
+            let mut grid = NodeGrid::new(n, arch);
+            let (mut progress, mut events) = (Progress::default(), EventsSnap::default());
+            let origin = arch.origin_queue();
+            let room = |grid: &NodeGrid, ni: usize, kind| {
+                arch.capacity(kind)
+                    .is_none_or(|cap| grid.queue_len(ni, kind.slot()) < cap as usize)
+            };
+            let mut worklist = Vec::new();
+            for t in 1..=3_000u64 {
+                grid.drain_active_into(&mut worklist);
+                let staged: Vec<u32> = grid.pending.keys().copied().collect();
+                let queued: Vec<PacketId> = (0..grid.nodes())
+                    .flat_map(|ni| grid.packets_at(grid.coord_of(ni)))
+                    .collect();
+                match lcg(&mut rng) % 8 {
+                    // A due packet is offered: delivered on the spot, queued
+                    // at its origin, or staged at the edge.
+                    0 if !store.cursor_exhausted() => {
+                        let pid = store.inject_order[store.inject_cursor];
+                        store.inject_cursor += 1;
+                        let src = store.src[pid.index()];
+                        let ni = grid.node_index(src);
+                        if src == store.dst[pid.index()] {
+                            store.retire(&mut progress, &mut events, pid, Loc::Delivered, t);
+                        } else if room(&grid, ni, origin) && !lcg(&mut rng).is_multiple_of(4) {
+                            store.enter(&topo, &mut grid, pid, src, origin);
+                        } else {
+                            grid.stage(ni as u32, pid);
+                            grid.mark_active(ni);
+                        }
+                    }
+                    // A staged packet is admitted, or (faulted) shed/expired.
+                    1 if !staged.is_empty() => {
+                        let ni = staged[lcg(&mut rng) as usize % staged.len()];
+                        let c = grid.coord_of(ni as usize);
+                        if faulted && lcg(&mut rng).is_multiple_of(2) {
+                            let pid = grid.pop_pending(ni, true).unwrap();
+                            let end = [Loc::Shed, Loc::Expired][lcg(&mut rng) as usize % 2];
+                            store.retire(&mut progress, &mut events, pid, end, t);
+                        } else if room(&grid, ni as usize, origin) {
+                            let pid = grid.pop_pending(ni, false).unwrap();
+                            store.enter(&topo, &mut grid, pid, c, origin);
+                        }
+                    }
+                    // In-queue expiry sweep.
+                    2 if faulted => grid.expire_queued(|pid| {
+                        let stale = lcg(&mut rng).is_multiple_of(4);
+                        if stale {
+                            store.retire(&mut progress, &mut events, pid, Loc::Expired, t);
+                        }
+                        stale
+                    }),
+                    // A queued packet crosses a profitable link: lost in
+                    // flight (faulted), delivered, or queued at the far end.
+                    _ if !queued.is_empty() => {
+                        let pid = queued[lcg(&mut rng) as usize % queued.len()];
+                        let Loc::At(from) = store.loc(pid) else {
+                            panic!("{pid:?} is queued but not located")
+                        };
+                        let dirs = store.profitable(&topo, pid);
+                        let d = dirs
+                            .iter()
+                            .nth(lcg(&mut rng) as usize % dirs.len() as usize)
+                            .unwrap();
+                        let to = topo.neighbor(from, d).unwrap();
+                        let kind = arch.arrival_queue(d);
+                        if faulted && lcg(&mut rng).is_multiple_of(8) {
+                            store.depart(&mut grid, &mut progress, pid, from);
+                            store.retire(&mut progress, &mut events, pid, Loc::Lost, t);
+                        } else if to == store.dst[pid.index()] {
+                            store.depart(&mut grid, &mut progress, pid, from);
+                            store.retire(&mut progress, &mut events, pid, Loc::Delivered, t);
+                        } else if room(&grid, grid.node_index(to), kind) {
+                            store.depart(&mut grid, &mut progress, pid, from);
+                            store.enter(&topo, &mut grid, pid, to, kind);
+                        }
+                    }
+                    _ => {}
+                }
+                // The transmit phase's worklist rebuild, then the step ends.
+                for &ni in &worklist {
+                    if grid.node_load(ni as usize) > 0 || grid.pending.contains_key(&ni) {
+                        grid.mark_active(ni as usize);
+                    }
+                }
+                progress.steps = t;
+                check_queues(&store, &grid, &progress)
+                    .and_then(|()| check_conservation(&store, &grid, &progress))
+                    .unwrap_or_else(|e| panic!("{arch:?} step {t}: {e}"));
+                for ni in 0..grid.nodes() {
+                    let c = grid.coord_of(ni);
+                    for pid in grid.packets_at(c) {
+                        let want = topo.profitable(c, store.dst[pid.index()]);
+                        assert_eq!(store.profitable(&topo, pid), want, "{arch:?} step {t}");
+                    }
+                }
+            }
+            assert_eq!(events.delivered.len(), progress.delivered);
+            assert_eq!(events.lost.len(), progress.lost);
+            assert!(progress.delivered > 50 && progress.total_moves > 300);
+            assert_eq!(
+                faulted,
+                progress.lost + progress.shed + progress.expired > 0
+            );
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! [`HookCtx`], full omniscient access — the adversary is *not* bound by the
 //! destination-exchangeable restriction; only the algorithm is.
 
-use crate::sim::Loc;
+use crate::storage::{Loc, PacketStore};
 use mesh_topo::{Coord, Dir};
 use mesh_traffic::PacketId;
 
@@ -29,9 +29,7 @@ pub struct HookCtx<'a> {
     pub n: u32,
     /// Every transmission scheduled this step.
     pub moves: &'a [ScheduledMove],
-    pub(crate) dst: &'a mut [Coord],
-    pub(crate) loc: &'a [Loc],
-    pub(crate) src: &'a [Coord],
+    pub(crate) store: &'a mut PacketStore,
     pub(crate) exchanges: &'a mut u64,
     /// Packets whose destination changed this step: the engine refreshes
     /// their cached profitable masks after the hook returns (it has the
@@ -43,19 +41,19 @@ impl<'a> HookCtx<'a> {
     /// Current destination of a packet.
     #[inline]
     pub fn dst(&self, p: PacketId) -> Coord {
-        self.dst[p.index()]
+        self.store.dst[p.index()]
     }
 
     /// Source of a packet.
     #[inline]
     pub fn src(&self, p: PacketId) -> Coord {
-        self.src[p.index()]
+        self.store.src[p.index()]
     }
 
     /// Current location of a packet (`None` once delivered or not injected).
     #[inline]
     pub fn node_of(&self, p: PacketId) -> Option<Coord> {
-        match self.loc[p.index()] {
+        match self.store.loc(p) {
             Loc::At(c) => Some(c),
             _ => None,
         }
@@ -64,7 +62,7 @@ impl<'a> HookCtx<'a> {
     /// Total number of packets.
     #[inline]
     pub fn num_packets(&self) -> usize {
-        self.dst.len()
+        self.store.len()
     }
 
     /// Number of exchanges performed so far in the whole run.
@@ -79,7 +77,7 @@ impl<'a> HookCtx<'a> {
     /// any destination-exchangeable algorithm.
     pub fn exchange(&mut self, a: PacketId, b: PacketId) {
         assert_ne!(a, b, "cannot exchange a packet with itself");
-        self.dst.swap(a.index(), b.index());
+        self.store.dst.swap(a.index(), b.index());
         *self.exchanges += 1;
         self.dirty.push(a);
         self.dirty.push(b);

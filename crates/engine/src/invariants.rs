@@ -11,7 +11,7 @@
 //! verify every other reference they follow.
 
 use crate::phases::Progress;
-use crate::storage::{Loc, NodeGrid, PacketStore, NOT_DELIVERED};
+use crate::storage::{Loc, NodeGrid, PacketStore};
 
 /// Capacity per bounded slot; the occupancy index and bitmask in sync
 /// with the queue lengths; every queued id known, queued once and pointed
@@ -51,16 +51,16 @@ pub(crate) fn check_queues(
                 if std::mem::replace(seen, true) {
                     return Err(format!("packet {pid:?} appears in two queues"));
                 }
-                if store.loc[pid.index()] != Loc::At(c) {
+                if store.loc(pid) != Loc::At(c) {
                     return Err(format!(
                         "packet {pid:?} queued at {c} but its location says {:?}",
-                        store.loc[pid.index()]
+                        store.loc(pid)
                     ));
                 }
-                if store.queue_of[pid.index()] != kind {
+                if store.queue_of(pid) != kind {
                     return Err(format!(
                         "packet {pid:?} queued in {kind:?} at {c} but its record says {:?}",
-                        store.queue_of[pid.index()]
+                        store.queue_of(pid)
                     ));
                 }
             }
@@ -79,7 +79,10 @@ pub(crate) fn check_queues(
             ));
         }
     }
-    let at_count = store.loc.iter().filter(|l| matches!(l, Loc::At(_))).count();
+    let at_count = store
+        .ids()
+        .filter(|&p| matches!(store.loc(p), Loc::At(_)))
+        .count();
     if at_count != in_network {
         return Err(format!(
             "{at_count} packets locate themselves in the network, queues hold {in_network} \
@@ -92,14 +95,14 @@ pub(crate) fn check_queues(
             return Err(format!("empty pending bucket at node {ni}"));
         }
         for &pid in bucket {
-            match store.loc.get(pid.index()) {
-                None => return Err(format!("pending bucket {ni} holds unknown packet {pid:?}")),
-                Some(Loc::Pending) => {}
-                Some(other) => {
-                    return Err(format!(
-                        "packet {pid:?} staged at node {ni} but its location says {other:?}"
-                    ))
-                }
+            if pid.index() >= store.len() {
+                return Err(format!("pending bucket {ni} holds unknown packet {pid:?}"));
+            }
+            if store.loc(pid) != Loc::Pending {
+                return Err(format!(
+                    "packet {pid:?} staged at node {ni} but its location says {:?}",
+                    store.loc(pid)
+                ));
             }
             let src = store.src[pid.index()];
             if grid.node_index(src) as u32 != ni {
@@ -115,9 +118,8 @@ pub(crate) fn check_queues(
     // node it staged at, and admission may shed the whole bucket in the
     // same call; each step's transmit phase rebuilds the list exactly.
     let mut listed = vec![false; grid.nodes()];
-    for idx in 0..grid.active_len() {
-        let ni = grid.active_at(idx);
-        if std::mem::replace(&mut listed[ni], true) {
+    for &ni in grid.active() {
+        if std::mem::replace(&mut listed[ni as usize], true) {
             return Err(format!("node {ni} appears twice in the active worklist"));
         }
     }
@@ -141,19 +143,33 @@ pub(crate) fn check_queues(
 /// sorted by due step (the inject phase's early exit relies on it); and
 /// every offered packet is in exactly one bucket:
 /// `offered == delivered + lost + shed + expired + in_network + staged`.
+///
+/// The monotone counters are bounded by the run's length, so none can
+/// load near its integer limit and overflow on a later step: a packet
+/// takes at most one hop per step and is delivered within the run, `Σ
+/// hops == total_moves`, and each run of the inject phase (one per step,
+/// one at construction) defers a packet at most once.
 pub(crate) fn check_conservation(
     store: &PacketStore,
     grid: &NodeGrid,
     progress: &Progress,
 ) -> Result<(), String> {
-    let (mut at, mut delivered, mut lost, mut shed, mut expired, mut pending) =
-        (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
-    for (i, (&loc, &step)) in store.loc.iter().zip(&store.delivered_at).enumerate() {
-        if (loc == Loc::Delivered) != (step != NOT_DELIVERED) {
+    let (mut at, mut delivered, mut lost, mut shed, mut expired, mut pending, mut hops_total) =
+        (0usize, 0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
+    let steps = progress.steps;
+    for (pid, &hops) in store.ids().zip(store.hops()) {
+        let (loc, step) = (store.loc(pid), store.delivered_step(pid));
+        if (loc == Loc::Delivered) != step.is_some() {
             return Err(format!(
-                "packet {i} is {loc:?} but its delivery step says otherwise"
+                "packet {pid:?} is {loc:?} but its delivery step says otherwise"
             ));
         }
+        if (hops as u64).max(step.unwrap_or(0)) > steps {
+            return Err(format!(
+                "packet {pid:?} counts {hops} hops, delivery step {step:?}, in a run of {steps} steps"
+            ));
+        }
+        hops_total += hops as usize;
         match loc {
             Loc::Pending => pending += 1,
             Loc::At(_) => at += 1,
@@ -168,12 +184,22 @@ pub(crate) fn check_conservation(
         ("lost", progress.lost, lost),
         ("shed", progress.shed, shed),
         ("expired", progress.expired, expired),
+        ("moves", progress.total_moves as usize, hops_total),
     ] {
         if counter != located {
             return Err(format!(
-                "progress says {counter} {name}, locations say {located}"
+                "progress says {counter} {name}, the packet table says {located}"
             ));
         }
+    }
+    // `None`: the bound itself is past u64, so it binds nothing.
+    let inject_runs = steps.max(1).checked_mul(store.len() as u64);
+    if inject_runs.is_some_and(|cap| progress.deferred_injections > cap) {
+        return Err(format!(
+            "{} deferred injections exceed {steps} steps x {} packets",
+            progress.deferred_injections,
+            store.len()
+        ));
     }
     for w in store.inject_order[store.inject_cursor..].windows(2) {
         let (a, b) = (store.inject_at[w[0].index()], store.inject_at[w[1].index()]);

@@ -23,10 +23,11 @@
 
 use crate::hook::{HookCtx, ScheduledMove, StepHook};
 use crate::router::Router;
+use crate::snapshot::EventsSnap;
 use crate::storage::{Loc, NodeGrid, PacketStore};
 use crate::view::{FullArrivals, FullResidents, PackedArrival, PackedView};
 use mesh_faults::CompiledFaults;
-use mesh_topo::{Coord, DirSet, Topology, ALL_DIRS};
+use mesh_topo::{Topology, ALL_DIRS};
 use mesh_traffic::PacketId;
 
 /// One named phase of the step pipeline.
@@ -166,15 +167,6 @@ pub(crate) struct Progress {
     pub(crate) deferred_injections: u64,
 }
 
-/// Per-step protocol events: packets delivered / destroyed during the
-/// most recent step, in deterministic (schedule) order. Consumed by
-/// `Sim::run_with_protocol`; cleared at the start of every step.
-#[derive(Default)]
-pub(crate) struct EventLog {
-    pub(crate) delivered: Vec<PacketId>,
-    pub(crate) lost: Vec<PacketId>,
-}
-
 /// Workhorse buffers reused across steps (perf-book guidance: zero
 /// allocation in the hot loop — every phase works in place).
 #[derive(Default)]
@@ -192,8 +184,6 @@ pub(crate) struct StepBufs {
     /// Acceptance groups: `(start, end)` ranges into `order`, one per target
     /// node, in target-node order.
     pub(crate) groups: Vec<(u32, u32)>,
-    /// Staged end-of-step packet-state writes `(packet, new state)`.
-    pub(crate) state_writes: Vec<(PacketId, u64)>,
     /// Bit-packed resident descriptors of the node being routed or updated.
     pub(crate) masks: Vec<PackedView>,
     /// Bit-packed arrival descriptors of the group being accepted.
@@ -223,7 +213,7 @@ pub(crate) struct StepCtx<'a, 't, T: Topology, R: Router> {
     pub(crate) grid: &'a mut NodeGrid,
     pub(crate) node_state: &'a mut [R::NodeState],
     pub(crate) progress: &'a mut Progress,
-    pub(crate) events: &'a mut EventLog,
+    pub(crate) events: &'a mut EventsSnap,
     pub(crate) bufs: &'a mut StepBufs,
 }
 
@@ -236,19 +226,16 @@ fn build_packed<T: Topology>(
     store: &PacketStore,
     grid: &NodeGrid,
     ni: usize,
-    node: Coord,
     out: &mut Vec<PackedView>,
 ) {
     out.clear();
     for (slot, q) in grid.node_queues(ni) {
-        for (pos, pid) in q.iter().enumerate() {
-            let mask = DirSet::from_bits(store.mask[pid.index()]);
-            debug_assert_eq!(
-                mask,
-                topo.profitable(node, store.dst[pid.index()]),
-                "cached profitable mask out of sync at {node:?}"
-            );
-            out.push(PackedView::new(mask, slot, pos as u32));
+        for (pos, &pid) in q.iter().enumerate() {
+            out.push(PackedView::new(
+                store.profitable(topo, pid),
+                slot,
+                pos as u32,
+            ));
         }
     }
 }
@@ -280,23 +267,16 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
         let src = ctx.store.src[pid.index()];
         if src == ctx.store.dst[pid.index()] {
             // Trivial packet: delivered without entering the network.
-            ctx.store.loc[pid.index()] = Loc::Delivered;
-            ctx.store.delivered_at[pid.index()] = t;
-            ctx.progress.delivered += 1;
-            ctx.events.delivered.push(pid);
+            ctx.store
+                .retire(ctx.progress, ctx.events, pid, Loc::Delivered, t);
             continue;
         }
         let ni = ctx.grid.node_index(src);
         if direct_entry
             && origin_cap.is_none_or(|cv| ctx.grid.queue_len(ni, origin_kind.slot()) < cv as usize)
         {
-            ctx.grid.push(src, origin_kind, pid);
-            ctx.store.loc[pid.index()] = Loc::At(src);
-            ctx.store.queue_of[pid.index()] = origin_kind;
-            ctx.store.mask[pid.index()] =
-                ctx.topo.profitable(src, ctx.store.dst[pid.index()]).bits();
+            ctx.store.enter(ctx.topo, ctx.grid, pid, src, origin_kind);
             injected = true;
-            ctx.grid.mark_active(ni);
             continue;
         }
         ctx.grid.stage(ni as u32, pid);
@@ -311,13 +291,15 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     // order, like the drain below, keeps HashMap iteration order out of
     // the engine.
     if let AdmissionPolicy::DeadlineExpiry { ttl } = ctx.admission {
-        let inject_at = &ctx.store.inject_at;
-        let loc = &mut ctx.store.loc;
-        let expired = &mut ctx.progress.expired;
-        ctx.grid.expire_queued(t, ttl, inject_at, |pid| {
-            loc[pid.index()] = Loc::Expired;
-            *expired += 1;
-        });
+        let (store, progress, events) = (&mut *ctx.store, &mut *ctx.progress, &mut *ctx.events);
+        let mut expire = |pid: PacketId| {
+            let stale = t >= store.inject_at[pid.index()].saturating_add(ttl);
+            if stale {
+                store.retire(progress, events, pid, Loc::Expired, t);
+            }
+            stale
+        };
+        ctx.grid.expire_queued(&mut expire);
         let nodes = &mut ctx.bufs.inject_nodes;
         nodes.clear();
         nodes.extend(ctx.grid.pending.keys().copied());
@@ -326,17 +308,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
             let Some(q) = ctx.grid.pending.get_mut(&ni) else {
                 continue;
             };
-            // Rotate through the bucket once: each packet is popped
-            // exactly once and survivors are pushed back in order.
-            for _ in 0..q.len() {
-                let pid = q.pop_front().expect("bucket length counted above");
-                if t >= ctx.store.inject_at[pid.index()].saturating_add(ttl) {
-                    ctx.store.loc[pid.index()] = Loc::Expired;
-                    ctx.progress.expired += 1;
-                } else {
-                    q.push_back(pid);
-                }
-            }
+            q.retain(|&pid| !expire(pid));
             if q.is_empty() {
                 ctx.grid.close_pending(ni);
             }
@@ -351,8 +323,6 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     // is already active and per-node draining is independent), but it
     // keeps the engine independent of HashMap iteration order by
     // construction.
-    let origin = ctx.grid.arch().origin_queue();
-    let cap = ctx.grid.arch().capacity(origin);
     // Open-system injection throttling: when the origin queue is a
     // bounded queue *shared with transit* (the Central arch), reserve one
     // slot for arrivals. The inject phase runs before accept, so without
@@ -360,12 +330,12 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     // transit starves — the whole mesh gridlocks at a trickle no matter
     // what the edge sheds. The closed-system default keeps the paper's
     // drain-when-room semantics untouched.
-    let cap = match (cap, ctx.admission) {
+    let cap = match (origin_cap, ctx.admission) {
         (Some(cv), AdmissionPolicy::DeferIndefinitely) => Some(cv),
         (Some(cv), _) => Some(cv.saturating_sub(1)),
         (None, _) => None,
     };
-    // Deadline runs drain freshest-first (see `pop_pending_back`); every
+    // Deadline runs drain freshest-first (see `pop_pending`); every
     // other policy drains in injection order.
     let freshest_first = matches!(ctx.admission, AdmissionPolicy::DeadlineExpiry { .. });
     let nodes = &mut ctx.bufs.inject_nodes;
@@ -382,75 +352,46 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
             Some(f) => cap.map(|k| k.saturating_sub(f.degraded_slots(t, c))),
             None => cap,
         };
-        loop {
-            let room = match cap {
-                Some(cv) => ctx.grid.queue_len(ni as usize, origin.slot()) < cv as usize,
-                None => true,
-            };
-            if !room {
-                break;
-            }
-            let popped = if freshest_first {
-                ctx.grid.pop_pending_back(ni)
-            } else {
-                ctx.grid.pop_pending(ni)
-            };
-            let Some(pid) = popped else {
+        while cap.is_none_or(|cv| ctx.grid.queue_len(ni as usize, origin_kind.slot()) < cv as usize)
+        {
+            let Some(pid) = ctx.grid.pop_pending(ni, freshest_first) else {
                 break;
             };
-            ctx.grid.push(c, origin, pid);
-            ctx.store.loc[pid.index()] = Loc::At(c);
-            ctx.store.queue_of[pid.index()] = origin;
-            ctx.store.mask[pid.index()] = ctx.topo.profitable(c, ctx.store.dst[pid.index()]).bits();
+            ctx.store.enter(ctx.topo, ctx.grid, pid, c, origin_kind);
             injected = true;
         }
         ctx.grid.mark_active(ni as usize);
     }
     // Post-drain shedding: whatever could not enter this step either
-    // waits (DeferIndefinitely / DeadlineExpiry), is refused outright
-    // (RejectNew), or is trimmed oldest-first to the per-origin edge
-    // budget (DropOldestDeferred). The sorted node list from the drain is
-    // reused, so shedding order is deterministic as well; buckets the
-    // drain already emptied come back `None` and are skipped.
-    match ctx.admission {
-        AdmissionPolicy::RejectNew => {
-            for &ni in nodes.iter() {
-                let Some(q) = ctx.grid.pending.get_mut(&ni) else {
-                    continue;
-                };
-                while let Some(pid) = q.pop_front() {
-                    ctx.store.loc[pid.index()] = Loc::Shed;
-                    ctx.progress.shed += 1;
-                }
+    // waits (DeferIndefinitely / DeadlineExpiry) or is trimmed
+    // oldest-first to the per-origin edge budget — `max_deferred`
+    // (DropOldestDeferred) or nothing at all (RejectNew). The sorted node
+    // list from the drain is reused, so shedding order is deterministic
+    // as well; buckets the drain already emptied come back `None`.
+    let budget = match ctx.admission {
+        AdmissionPolicy::RejectNew => Some(0),
+        AdmissionPolicy::DropOldestDeferred { max_deferred } => Some(max_deferred as usize),
+        AdmissionPolicy::DeferIndefinitely | AdmissionPolicy::DeadlineExpiry { .. } => None,
+    };
+    if let Some(budget) = budget {
+        for &ni in nodes.iter() {
+            let Some(q) = ctx.grid.pending.get_mut(&ni) else {
+                continue;
+            };
+            while q.len() > budget {
+                let pid = q.pop_front().expect("length checked above");
+                ctx.store
+                    .retire(ctx.progress, ctx.events, pid, Loc::Shed, t);
+            }
+            if q.is_empty() {
                 ctx.grid.close_pending(ni);
             }
         }
-        AdmissionPolicy::DropOldestDeferred { max_deferred } => {
-            for &ni in nodes.iter() {
-                let Some(q) = ctx.grid.pending.get_mut(&ni) else {
-                    continue;
-                };
-                while q.len() > max_deferred as usize {
-                    let pid = q.pop_front().expect("length checked above");
-                    ctx.store.loc[pid.index()] = Loc::Shed;
-                    ctx.progress.shed += 1;
-                }
-                if q.is_empty() {
-                    ctx.grid.close_pending(ni);
-                }
-            }
-        }
-        AdmissionPolicy::DeferIndefinitely | AdmissionPolicy::DeadlineExpiry { .. } => {}
     }
     // Whatever is still staged was deferred by admission control this
     // step: the origin queue is full (or the node stalled), so the
     // packet waits outside the network instead of overflowing.
-    ctx.progress.deferred_injections += ctx
-        .grid
-        .pending
-        .values()
-        .map(|q| q.len() as u64)
-        .sum::<u64>();
+    ctx.progress.deferred_injections += ctx.grid.staged_total() as u64;
     injected
 }
 
@@ -487,17 +428,11 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
         // identically); only descriptor-building machinery is bypassed.
         let slot = grid.occ_mask(ni).trailing_zeros() as usize;
         let pid = grid.queue(ni, slot)[0];
-        let mask = DirSet::from_bits(store.mask[pid.index()]);
-        debug_assert_eq!(
-            mask,
-            topo.profitable(node, store.dst[pid.index()]),
-            "cached profitable mask out of sync at {node:?}"
-        );
         masks.clear();
-        masks.push(PackedView::new(mask, slot, 0));
+        masks.push(PackedView::new(store.profitable(topo, pid), slot, 0));
         single = Some(pid);
     } else {
-        build_packed(topo, store, grid, ni, node, masks);
+        build_packed(topo, store, grid, ni, masks);
     }
     let cold = FullResidents::new(store, grid, ni);
     router.outqueue(t0, node, &mut ctx.node_state[ni], masks, &cold, &mut out);
@@ -533,9 +468,9 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
                 )
             });
             if validate && router.is_minimal() {
-                // Checked against the store's own mask column, not `masks`:
-                // the router was handed that slice mutably.
-                let profitable = DirSet::from_bits(store.mask[pkt.index()]);
+                // Checked against the store's own mask, not `masks`: the
+                // router was handed that slice mutably.
+                let profitable = store.profitable(topo, pkt);
                 assert!(
                     profitable.contains(d),
                     "{}: non-minimal move {pkt:?} {d} from {node} (profitable {profitable:?}) step {t0}",
@@ -598,24 +533,13 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
         t: ctx.t0 + 1,
         n: ctx.grid.n(),
         moves: &ctx.bufs.schedule,
-        dst: &mut ctx.store.dst,
-        loc: &ctx.store.loc,
-        src: &ctx.store.src,
+        store: &mut *ctx.store,
         exchanges: &mut ctx.progress.exchanges,
         dirty: &mut ctx.bufs.exchanged,
     };
     hook.on_scheduled(&mut hctx);
-    refresh_masks(ctx.topo, ctx.store, &ctx.bufs.exchanged);
-}
-
-/// Refreshes the cached profitable masks of packets whose destinations the
-/// adversary exchanged. A packet outside the network keeps mask 0 — it is
-/// recomputed at injection anyway.
-fn refresh_masks<T: Topology>(topo: &T, store: &mut PacketStore, dirty: &[PacketId]) {
-    for &pid in dirty {
-        if let Loc::At(c) = store.loc[pid.index()] {
-            store.mask[pid.index()] = topo.profitable(c, store.dst[pid.index()]).bits();
-        }
+    for &pid in &ctx.bufs.exchanged {
+        ctx.store.refresh_mask(ctx.topo, pid);
     }
 }
 
@@ -654,14 +578,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: 
         // §2: profitable outlinks of scheduled packets are measured from
         // the node they are coming from — which is exactly where the
         // packet still sits, so its cached mask is that set.
-        let mask = DirSet::from_bits(store.mask[m.pkt.index()]);
-        debug_assert_eq!(
-            mask,
-            topo.profitable(m.from, store.dst[m.pkt.index()]),
-            "cached profitable mask out of sync at {:?}",
-            m.from
-        );
-        arr_packed.push(PackedArrival::new(mask, m.travel));
+        arr_packed.push(PackedArrival::new(store.profitable(topo, m.pkt), m.travel));
     }
     let cold = FullArrivals::new(store, grid, ni, schedule, &order[start..end]);
     let state = &mut ctx.node_state[ni];
@@ -776,6 +693,27 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     }
 }
 
+/// §2 (d) for one transmission: the packet departs `m.from` and what
+/// happens next is the link's doing — a lossy link destroys it (its
+/// inqueue policy never saw it offered, so there is no acceptance
+/// bookkeeping to undo), its destination delivers it, any other node
+/// queues it.
+#[inline]
+fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMove, lossy: bool) {
+    ctx.store.depart(ctx.grid, ctx.progress, m.pkt, m.from);
+    let t = ctx.t0 + 1;
+    if lossy {
+        ctx.store
+            .retire(ctx.progress, ctx.events, m.pkt, Loc::Lost, t);
+    } else if ctx.store.dst[m.pkt.index()] == m.to {
+        ctx.store
+            .retire(ctx.progress, ctx.events, m.pkt, Loc::Delivered, t);
+    } else {
+        let kind = ctx.grid.arch().arrival_queue(m.travel);
+        ctx.store.enter(ctx.topo, ctx.grid, m.pkt, m.to, kind);
+    }
+}
+
 /// §2 (d): accepted packets leave their source queues and either deliver
 /// (arriving at their destination) or enter their target queue; lossy
 /// transmissions count as a move and a hop but destroy the packet. Then
@@ -784,58 +722,18 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
 /// already marked the targets.
 pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     for mi in 0..ctx.bufs.schedule.len() {
-        if !ctx.bufs.accepted[mi] {
-            continue;
-        }
-        let m = ctx.bufs.schedule[mi];
-        let pi = m.pkt.index();
-        let kind = ctx.store.queue_of[pi];
-        debug_assert_eq!(ctx.store.loc[pi], Loc::At(m.from));
-        ctx.grid.remove(
-            m.from,
-            kind,
-            m.pkt,
-            "scheduled packet missing from its queue",
-        );
-        ctx.progress.total_moves += 1;
-        ctx.store.hops[pi] += 1;
-        if ctx.store.dst[pi] == m.to {
-            ctx.store.loc[pi] = Loc::Delivered;
-            ctx.store.delivered_at[pi] = ctx.t0 + 1;
-            ctx.progress.delivered += 1;
-            ctx.events.delivered.push(m.pkt);
-        } else {
-            let akind = ctx.grid.arch().arrival_queue(m.travel);
-            ctx.grid.push(m.to, akind, m.pkt);
-            ctx.store.loc[pi] = Loc::At(m.to);
-            ctx.store.queue_of[pi] = akind;
-            ctx.store.mask[pi] = ctx.topo.profitable(m.to, ctx.store.dst[pi]).bits();
-            let tni = ctx.grid.node_index(m.to);
-            ctx.grid.mark_active(tni);
+        if ctx.bufs.accepted[mi] {
+            carry(ctx, ctx.bufs.schedule[mi], false);
         }
     }
-    // Lossy-link transmissions: the packet left its queue and traversed
-    // the link (it counts as a move and a hop), but it never arrives
-    // anywhere — it is destroyed. Its inqueue policy never saw it
-    // offered, so no acceptance bookkeeping exists to undo.
     for li in 0..ctx.bufs.lost_moves.len() {
-        let m = ctx.bufs.lost_moves[li];
-        let pi = m.pkt.index();
-        let kind = ctx.store.queue_of[pi];
-        debug_assert_eq!(ctx.store.loc[pi], Loc::At(m.from));
-        ctx.grid
-            .remove(m.from, kind, m.pkt, "lost packet missing from its queue");
-        ctx.progress.total_moves += 1;
-        ctx.store.hops[pi] += 1;
-        ctx.store.loc[pi] = Loc::Lost;
-        ctx.progress.lost += 1;
-        ctx.events.lost.push(m.pkt);
+        carry(ctx, ctx.bufs.lost_moves[li], true);
     }
     // Rebuild the active worklist from the route snapshot. The pending
     // lookup is hoisted behind an emptiness check: closed-system runs
     // (and any open-system step whose edge backlog is clear) skip the
     // per-node hash probe entirely.
-    let has_pending = !ctx.grid.pending.is_empty();
+    let has_pending = ctx.grid.has_pending();
     for idx in 0..ctx.bufs.snapshot.len() {
         let ni = ctx.bufs.snapshot[idx] as usize;
         if ctx.grid.node_load(ni) > 0
@@ -851,8 +749,8 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
 /// conditions.
 pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let t0 = ctx.t0;
-    for idx in 0..ctx.grid.active_len() {
-        let ni = ctx.grid.active_at(idx);
+    for idx in 0..ctx.grid.active().len() {
+        let ni = ctx.grid.active()[idx] as usize;
         let grid = &*ctx.grid;
         // The load total comes straight off the arena's load index; only the
         // occupied slots (occupancy bitmask) are visited for the capacity
@@ -891,22 +789,17 @@ pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
 }
 
 /// §2 (e) for one loaded node: runs the router's end-of-step policy and
-/// stages the resulting packet-state rewrites in `bufs.state_writes`.
-/// A packet resides at exactly one node, so the rewrites of distinct nodes
-/// are disjoint and their application order is immaterial.
+/// writes the packet states it returns. A packet resides at exactly one
+/// node and the policy's handle is gone by then, so no other node's
+/// policy can observe the write within the step.
 fn update_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
     let (store, grid) = (&*ctx.store, &*ctx.grid);
-    let StepBufs {
-        masks,
-        states,
-        state_writes,
-        ..
-    } = &mut *ctx.bufs;
+    let StepBufs { masks, states, .. } = &mut *ctx.bufs;
     if grid.node_load(ni) == 0 {
         return;
     }
     let node = grid.coord_of(ni);
-    build_packed(ctx.topo, store, grid, ni, node, masks);
+    build_packed(ctx.topo, store, grid, ni, masks);
     states.clear();
     states.extend(grid.packets_at(node).map(|p| store.state[p.index()]));
     let cold = FullResidents::new(store, grid, ni);
@@ -914,24 +807,20 @@ fn update_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usiz
     ctx.router
         .end_of_step(ctx.t0, node, state, masks, &cold, states);
     for (pid, s) in grid.packets_at(node).zip(states.iter()) {
-        state_writes.push((pid, *s));
+        ctx.store.state[pid.index()] = *s;
     }
 }
 
 /// §2 (e): the end-of-step state update for every loaded active node.
 /// Routers whose `end_of_step` is the inherited no-op declare so via
 /// `uses_end_of_step`, and the whole pass is skipped: every write it would
-/// stage is an identity write.
+/// make is an identity write.
 pub(crate) fn update_state<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    ctx.bufs.state_writes.clear();
     if !ctx.router.uses_end_of_step() {
         return;
     }
-    for idx in 0..ctx.grid.active_len() {
-        let ni = ctx.grid.active_at(idx);
+    for idx in 0..ctx.grid.active().len() {
+        let ni = ctx.grid.active()[idx] as usize;
         update_node(ctx, ni);
-    }
-    for &(p, s) in ctx.bufs.state_writes.iter() {
-        ctx.store.state[p.index()] = s;
     }
 }

@@ -13,13 +13,14 @@ use crate::driver::{self, HookRunner, ProtocolRunner};
 use crate::hook::{NoHook, StepHook};
 use crate::invariants;
 use crate::metrics::SimReport;
-use crate::phases::{self, EventLog, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
+use crate::phases::{self, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
 
 pub use crate::phases::AdmissionPolicy;
 use crate::protocol::ProtocolHook;
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
-use crate::storage::{NodeGrid, PacketStore, NOT_DELIVERED};
+use crate::snapshot::EventsSnap;
+use crate::storage::{NodeGrid, PacketStore};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
@@ -149,7 +150,7 @@ pub struct Sim<'t, T: Topology, R: Router> {
     pub(crate) node_state: Vec<R::NodeState>,
     pub(crate) progress: Progress,
     pub(crate) timers: Timers,
-    pub(crate) events: EventLog,
+    pub(crate) events: EventsSnap,
     pub(crate) bufs: StepBufs,
 }
 
@@ -215,7 +216,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             node_state: vec![R::NodeState::default(); nodes],
             progress: Progress::default(),
             timers: Timers::default(),
-            events: EventLog::default(),
+            events: EventsSnap::default(),
             bufs: StepBufs::default(),
         };
         phases::inject(&mut sim.step_ctx(0));
@@ -488,7 +489,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Current location of a packet.
     pub fn loc(&self, p: PacketId) -> Loc {
-        self.store.loc[p.index()]
+        self.store.loc(p)
     }
 
     /// Current destination of a packet (reflects adversary exchanges).
@@ -503,15 +504,14 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Step at which a packet was delivered (1-based), if delivered.
     pub fn delivered_step(&self, p: PacketId) -> Option<u64> {
-        let d = self.store.delivered_at[p.index()];
-        (d != NOT_DELIVERED).then_some(d)
+        self.store.delivered_step(p)
     }
 
     /// Link traversals performed by each packet so far, indexed by
     /// `PacketId`. Sums to `total_moves`; for a delivered packet of a minimal
     /// router it equals the source→destination L1 distance.
     pub fn packet_hops(&self) -> &[u32] {
-        &self.store.hops
+        self.store.hops()
     }
 
     /// The packets currently in a node, over all queues, in queue order —
@@ -550,8 +550,15 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// A deterministic digest of packet configuration (location, destination,
     /// state per packet) for replay-equivalence tests (Lemma 12).
     pub fn packet_snapshot(&self) -> Vec<(Loc, Coord, u64)> {
-        (0..self.store.len())
-            .map(|i| (self.store.loc[i], self.store.dst[i], self.store.state[i]))
+        self.store
+            .ids()
+            .map(|p| {
+                (
+                    self.store.loc(p),
+                    self.store.dst[p.index()],
+                    self.store.state[p.index()],
+                )
+            })
             .collect()
     }
 
@@ -587,13 +594,17 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// Per-packet latencies (delivery step minus injection step) over
     /// delivered packets.
     fn latencies(&self) -> Vec<u64> {
-        self.store
-            .delivered_at
-            .iter()
-            .zip(self.store.inject_at.iter())
-            .filter(|(&d, _)| d != NOT_DELIVERED)
-            .map(|(&d, &i)| d.saturating_sub(i))
+        let due = &self.store.inject_at;
+        self.delivery_steps()
+            .map(|(p, d)| d.saturating_sub(due[p.index()]))
             .collect()
+    }
+
+    /// Delivered packets with their delivery steps, in id order.
+    fn delivery_steps(&self) -> impl Iterator<Item = (PacketId, u64)> + '_ {
+        self.store
+            .ids()
+            .filter_map(|p| Some((p, self.store.delivered_step(p)?)))
     }
 
     /// Latency distribution over delivered packets (delivery step minus
@@ -612,26 +623,20 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Deliveries per step.
     pub fn delivery_curve(&self) -> crate::stats::DeliveryCurve {
-        crate::stats::DeliveryCurve::from_delivery_steps(
-            self.store
-                .delivered_at
-                .iter()
-                .copied()
-                .filter(|&d| d != NOT_DELIVERED),
-        )
+        crate::stats::DeliveryCurve::from_delivery_steps(self.delivery_steps().map(|(_, d)| d))
     }
 
     /// The state of the network right now, in the form failure reports
     /// carry: stuck packets, per-node occupancy, active faults.
     pub fn diagnostics(&self) -> DiagnosticSnapshot {
         let mut stuck = Vec::new();
-        for i in 0..self.store.len() {
-            if let Loc::At(c) = self.store.loc[i] {
+        for id in self.store.ids() {
+            if let Loc::At(at) = self.store.loc(id) {
                 stuck.push(StuckPacket {
-                    id: PacketId(i as u32),
-                    at: c,
-                    dst: self.store.dst[i],
-                    hops: self.store.hops[i],
+                    id,
+                    at,
+                    dst: self.store.dst[id.index()],
+                    hops: self.store.hops()[id.index()],
                 });
             }
         }
@@ -649,12 +654,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             step: self.progress.steps,
             delivered: self.progress.delivered,
             total: self.store.len(),
-            pending: self.store.len()
-                - self.progress.delivered
-                - self.progress.lost
-                - self.progress.shed
-                - self.progress.expired
-                - stuck.len(),
+            // Not yet due plus staged: every `Loc::Pending` packet.
+            pending: self.store.len() - self.store.offered() + self.pending_injections(),
             lost: self.progress.lost,
             shed: self.progress.shed,
             expired: self.progress.expired,

@@ -32,7 +32,7 @@
 
 use crate::diag::DiagnosticSnapshot;
 use crate::invariants;
-use crate::phases::{AdmissionPolicy, EventLog, Progress, StepBufs};
+use crate::phases::{AdmissionPolicy, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{Sim, SimConfig};
@@ -45,22 +45,11 @@ use mesh_traffic::PacketId;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
-/// The snapshot format version this build writes. Bump on any change to
-/// the serialized field set or meaning; old readers then fail with
-/// [`SnapshotError::UnknownVersion`] instead of misinterpreting state.
-///
-/// v2 added the optional `steady` environment block (the open-system
-/// measurement schedule and offered-load label), so a steady-state run
-/// resumes from `--resume-from` alone.
-///
-/// v3 serializes the grid as the queue arena's dense form — one flat
-/// `slab` of queue contents in (node, slot, position) order plus the
-/// per-(node, slot) `lens` cut points — instead of v1/v2's per-queue
-/// arrays.
-///
-/// This is also the only version this build reads: a checkpoint is a
-/// crash-recovery artefact of the build that wrote it, not an archive
-/// format, so an older header is an [`SnapshotError::UnknownVersion`].
+/// The snapshot format version this build writes, and the only one it
+/// reads: a checkpoint is a crash-recovery artefact of the build that
+/// wrote it, not an archive format. Bump on any change to the serialized
+/// field set or meaning; any other header is then an
+/// [`SnapshotError::UnknownVersion`] instead of misinterpreted state.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load or validate. Restoring never panics:
@@ -178,9 +167,12 @@ pub struct GridSnap {
     pub peak_load: Vec<u16>,
 }
 
-/// The most recent step's delivery/loss events (the
+/// The most recent step's delivery/loss events, in deterministic
+/// (schedule) order: the engine's own per-step event log — the phases
+/// append to it, `Sim::run_with_protocol` consumes it, every step clears
+/// it — and, verbatim, its snapshot form (the
 /// [`Sim::last_step_deliveries`] view survives a restore).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EventsSnap {
     pub delivered: Vec<PacketId>,
     pub lost: Vec<PacketId>,
@@ -301,29 +293,15 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             steady: None,
             progress: self.progress.clone(),
             timers: self.timers.clone(),
-            packets: PacketsSnap {
-                src: self.store.src.clone(),
-                dst: self.store.dst.clone(),
-                state: self.store.state.clone(),
-                inject_at: self.store.inject_at.clone(),
-                loc: self.store.loc.clone(),
-                queue_of: self.store.queue_of.clone(),
-                delivered_at: self.store.delivered_at.clone(),
-                hops: self.store.hops.clone(),
-                inject_order: self.store.inject_order.clone(),
-                inject_cursor: self.store.inject_cursor,
-            },
+            packets: self.store.export(),
             grid: GridSnap {
                 slab: self.grid.export_queues().flatten().copied().collect(),
                 lens: self.grid.export_queues().map(|q| q.len() as u32).collect(),
                 pending,
-                active: self.grid.export_active(),
+                active: self.grid.active().to_vec(),
                 peak_load: self.grid.peak_load.clone(),
             },
-            events: EventsSnap {
-                delivered: self.events.delivered.clone(),
-                lost: self.events.lost.clone(),
-            },
+            events: self.events.clone(),
             node_state: self.node_state.iter().map(|s| s.serialize()).collect(),
             protocol: None,
         }
@@ -403,30 +381,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         }
         let nodes = (n * n) as usize;
         check_structure(snap, nodes, snap.arch.num_slots()).map_err(SnapshotError::Corrupt)?;
-        let store = PacketStore {
-            src: snap.packets.src.clone(),
-            dst: snap.packets.dst.clone(),
-            state: snap.packets.state.clone(),
-            inject_at: snap.packets.inject_at.clone(),
-            loc: snap.packets.loc.clone(),
-            queue_of: snap.packets.queue_of.clone(),
-            delivered_at: snap.packets.delivered_at.clone(),
-            hops: snap.packets.hops.clone(),
-            // Derived state, not serialized: rebuild the cached profitable
-            // masks of every in-network packet from its restored location.
-            mask: snap
-                .packets
-                .loc
-                .iter()
-                .zip(snap.packets.dst.iter())
-                .map(|(l, d)| match l {
-                    Loc::At(c) => topo.profitable(*c, *d).bits(),
-                    _ => 0,
-                })
-                .collect(),
-            inject_order: snap.packets.inject_order.clone(),
-            inject_cursor: snap.packets.inject_cursor,
-        };
+        let store = PacketStore::import(topo, &snap.packets);
         // Replay the grid through the code a live run fills it with: the
         // slab layout, `occ` and `load` have one writer. An over-capacity
         // queue still loads (`push` grows the slot); `check_queues` reports it.
@@ -451,9 +406,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             }
         }
         for &ni in &snap.grid.active {
-            let listed = grid.active_len();
-            grid.mark_active(ni as usize);
-            if grid.active_len() == listed {
+            if !grid.mark_active(ni as usize) {
                 return Err(SnapshotError::Corrupt(format!(
                     "node {ni} appears twice in the active worklist"
                 )));
@@ -480,10 +433,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             node_state,
             progress: snap.progress.clone(),
             timers: snap.timers.clone(),
-            events: EventLog {
-                delivered: snap.events.delivered.clone(),
-                lost: snap.events.lost.clone(),
-            },
+            events: snap.events.clone(),
             bufs: StepBufs::default(),
         })
     }
@@ -685,9 +635,7 @@ impl CheckpointSink for DirectorySink {
         match snap.write_to(&path) {
             Ok(()) => self.last = Some(path),
             Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
+                self.error.get_or_insert(e);
             }
         }
     }
@@ -700,9 +648,8 @@ impl CheckpointSink for DirectorySink {
         };
         text.push('\n');
         if let Err(e) = std::fs::write(&path, text) {
-            if self.error.is_none() {
-                self.error = Some(SnapshotError::Io(format!("write {}: {e}", path.display())));
-            }
+            let e = SnapshotError::Io(format!("write {}: {e}", path.display()));
+            self.error.get_or_insert(e);
         }
     }
 }

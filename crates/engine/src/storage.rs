@@ -11,8 +11,10 @@
 //! [`Sim::packets_at`](crate::sim::Sim::packets_at) answers straight from
 //! the node's own slab region without touching the packet table.
 
+use crate::phases::Progress;
 use crate::queue::{QueueArch, QueueKind};
-use mesh_topo::Coord;
+use crate::snapshot::{EventsSnap, PacketsSnap};
+use mesh_topo::{Coord, DirSet, Topology};
 use mesh_traffic::{PacketId, RoutingProblem};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -40,27 +42,33 @@ pub enum Loc {
 }
 
 /// Sentinel in `delivered_at` for packets still in flight.
-pub(crate) const NOT_DELIVERED: u64 = u64::MAX;
+const NOT_DELIVERED: u64 = u64::MAX;
 
 /// The packet table: one struct-of-arrays entry per packet, indexed by
 /// [`PacketId`]. Dense, append-only (protocol layers [`push`](Self::push)
 /// retransmissions at runtime), never reordered.
+///
+/// Where a packet *is* — the five private columns — is written only by
+/// [`enter`](Self::enter), [`depart`](Self::depart),
+/// [`retire`](Self::retire) and [`refresh_mask`](Self::refresh_mask), and
+/// read elsewhere through accessors: `Loc` and its `Progress` counter,
+/// `Σ hops` and `total_moves`, the cached mask and `profitable(loc, dst)`
+/// stay equal by construction.
 pub(crate) struct PacketStore {
     pub(crate) src: Vec<Coord>,
     pub(crate) dst: Vec<Coord>,
     pub(crate) state: Vec<u64>,
     pub(crate) inject_at: Vec<u64>,
-    pub(crate) loc: Vec<Loc>,
-    pub(crate) queue_of: Vec<QueueKind>,
-    pub(crate) delivered_at: Vec<u64>,
-    pub(crate) hops: Vec<u32>,
+    loc: Vec<Loc>,
+    queue_of: Vec<QueueKind>,
+    delivered_at: Vec<u64>,
+    hops: Vec<u32>,
     /// Cached profitable mask (`DirSet` bits) of the packet at its current
     /// location — the byte the bit-packed fast path reads instead of
     /// recomputing `topo.profitable(loc, dst)` per packet per step. Derived
-    /// state, never serialized: maintained at injection, on every accepted
-    /// move, after adversary exchanges, and rebuilt on snapshot restore.
-    /// Meaningless (zero) while a packet is outside the network.
-    pub(crate) mask: Vec<u8>,
+    /// state, never serialized: [`refresh_mask`](Self::refresh_mask) is its
+    /// one writer. Meaningless while a packet is outside the network.
+    mask: Vec<u8>,
     /// Injection cursor: packet ids sorted by `inject_at` (stable in id for
     /// ties); `inject_order[inject_cursor..]` is the uninjected tail.
     pub(crate) inject_order: Vec<PacketId>,
@@ -91,6 +99,11 @@ impl PacketStore {
     /// Total packets ever created (original problem plus runtime spawns).
     pub(crate) fn len(&self) -> usize {
         self.src.len()
+    }
+
+    /// Every packet id, ascending.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = PacketId> {
+        (0..self.len() as u32).map(PacketId)
     }
 
     /// Appends a fresh packet record, keeping the uninjected tail of
@@ -126,6 +139,173 @@ impl PacketStore {
     /// delivered, shed, or expired — everything past the cursor).
     pub(crate) fn offered(&self) -> usize {
         self.inject_cursor
+    }
+
+    /// Where the packet is.
+    #[inline]
+    pub(crate) fn loc(&self, pid: PacketId) -> Loc {
+        self.loc[pid.index()]
+    }
+
+    /// The queue holding the packet (meaningful while it is `Loc::At`).
+    #[inline]
+    pub(crate) fn queue_of(&self, pid: PacketId) -> QueueKind {
+        self.queue_of[pid.index()]
+    }
+
+    /// Link traversals so far, per packet; sums to `total_moves`.
+    #[inline]
+    pub(crate) fn hops(&self) -> &[u32] {
+        &self.hops
+    }
+
+    /// The 1-based step the packet was delivered at, if it was.
+    #[inline]
+    pub(crate) fn delivered_step(&self, pid: PacketId) -> Option<u64> {
+        let d = self.delivered_at[pid.index()];
+        (d != NOT_DELIVERED).then_some(d)
+    }
+
+    /// The cached profitable mask of a queued packet, unchecked (the
+    /// reference oracle's handle has no topology to check it against).
+    #[inline]
+    pub(crate) fn cached_mask(&self, pid: PacketId) -> DirSet {
+        DirSet::from_bits(self.mask[pid.index()])
+    }
+
+    /// Profitable outlinks of a queued packet, measured from the node it
+    /// sits at: the cached mask, cross-checked in debug builds.
+    #[inline]
+    pub(crate) fn profitable<T: Topology>(&self, topo: &T, pid: PacketId) -> DirSet {
+        let mask = self.cached_mask(pid);
+        debug_assert_eq!(
+            self.fresh_mask(topo, pid),
+            Some(mask),
+            "stale mask of {pid:?}"
+        );
+        mask
+    }
+
+    /// What the mask caches; `None` outside the network.
+    #[inline]
+    fn fresh_mask<T: Topology>(&self, topo: &T, pid: PacketId) -> Option<DirSet> {
+        match self.loc(pid) {
+            Loc::At(c) => Some(topo.profitable(c, self.dst[pid.index()])),
+            _ => None,
+        }
+    }
+
+    /// Recomputes the cached mask where a packet's (location, destination)
+    /// pair changes: entering a queue, an adversary exchange, restore. A
+    /// packet outside the network keeps its stale mask; entering refreshes it.
+    #[inline]
+    pub(crate) fn refresh_mask<T: Topology>(&mut self, topo: &T, pid: PacketId) {
+        if let Some(mask) = self.fresh_mask(topo, pid) {
+            self.mask[pid.index()] = mask.bits();
+        }
+    }
+
+    /// **Enter**: the packet joins queue `kind` of the node at `c` — from
+    /// the injection edge or off a link — and the node goes on the active
+    /// worklist *here*, because the worklist's order is simulated state.
+    #[inline]
+    pub(crate) fn enter<T: Topology>(
+        &mut self,
+        topo: &T,
+        grid: &mut NodeGrid,
+        pid: PacketId,
+        c: Coord,
+        kind: QueueKind,
+    ) {
+        grid.push(c, kind, pid);
+        self.loc[pid.index()] = Loc::At(c);
+        self.refresh_mask(topo, pid);
+        self.queue_of[pid.index()] = kind;
+        grid.mark_active(grid.node_index(c));
+    }
+
+    /// **Depart**: the packet leaves its queue at `from` over a link — one
+    /// hop for it, one move for the run. The caller's next call says what
+    /// the link did with it: [`enter`](Self::enter) or [`retire`](Self::retire).
+    #[inline]
+    pub(crate) fn depart(
+        &mut self,
+        grid: &mut NodeGrid,
+        progress: &mut Progress,
+        pid: PacketId,
+        from: Coord,
+    ) {
+        debug_assert_eq!(self.loc(pid), Loc::At(from));
+        grid.remove(from, self.queue_of(pid), pid);
+        self.hops[pid.index()] += 1;
+        progress.total_moves += 1;
+    }
+
+    /// **Retire**: the packet, already out of whatever queue or bucket held
+    /// it, reaches the terminal location `end` at step stamp `t`; the
+    /// counter (and event, and delivery step) of that location moves with it.
+    #[inline]
+    pub(crate) fn retire(
+        &mut self,
+        progress: &mut Progress,
+        events: &mut EventsSnap,
+        pid: PacketId,
+        end: Loc,
+        t: u64,
+    ) {
+        self.loc[pid.index()] = end;
+        match end {
+            Loc::Delivered => {
+                self.delivered_at[pid.index()] = t;
+                progress.delivered += 1;
+                events.delivered.push(pid);
+            }
+            Loc::Lost => {
+                progress.lost += 1;
+                events.lost.push(pid);
+            }
+            Loc::Shed => progress.shed += 1,
+            Loc::Expired => progress.expired += 1,
+            Loc::Pending | Loc::At(_) => unreachable!("{end:?} is not a terminal location"),
+        }
+    }
+
+    /// The table in its serialized form (the mask is derived, not stored).
+    pub(crate) fn export(&self) -> PacketsSnap {
+        PacketsSnap {
+            src: self.src.clone(),
+            dst: self.dst.clone(),
+            state: self.state.clone(),
+            inject_at: self.inject_at.clone(),
+            loc: self.loc.clone(),
+            queue_of: self.queue_of.clone(),
+            delivered_at: self.delivered_at.clone(),
+            hops: self.hops.clone(),
+            inject_order: self.inject_order.clone(),
+            inject_cursor: self.inject_cursor,
+        }
+    }
+
+    /// Rebuilds the table from its serialized form (column lengths already
+    /// checked equal), recomputing every in-network packet's mask.
+    pub(crate) fn import<T: Topology>(topo: &T, snap: &PacketsSnap) -> PacketStore {
+        let mut store = PacketStore {
+            src: snap.src.clone(),
+            dst: snap.dst.clone(),
+            state: snap.state.clone(),
+            inject_at: snap.inject_at.clone(),
+            loc: snap.loc.clone(),
+            queue_of: snap.queue_of.clone(),
+            delivered_at: snap.delivered_at.clone(),
+            hops: snap.hops.clone(),
+            mask: vec![0; snap.src.len()],
+            inject_order: snap.inject_order.clone(),
+            inject_cursor: snap.inject_cursor,
+        };
+        for pid in store.ids() {
+            store.refresh_mask(topo, pid);
+        }
+        store
     }
 }
 
@@ -334,16 +514,18 @@ impl NodeGrid {
 
     /// Removes a packet from a node's queue (position scan — queues are
     /// short by construction) by shifting the younger cells down one,
-    /// updating the length, bitmask, and occupancy index. Panics with
-    /// `what` if the packet is not there: that is an engine bug, not a
-    /// runtime condition.
-    pub(crate) fn remove(&mut self, c: Coord, kind: QueueKind, pid: PacketId, what: &str) {
+    /// updating the length, bitmask, and occupancy index. Panics if the
+    /// packet is not there: that is an engine bug, not a runtime condition.
+    pub(crate) fn remove(&mut self, c: Coord, kind: QueueKind, pid: PacketId) {
         let ni = self.node_index(c);
         let s = kind.slot();
         let len = self.lens[ni * self.slots + s] as usize;
         let base = self.cell_base(ni, s);
         let region = &mut self.slab[base..base + len];
-        let pos = region.iter().position(|&p| p == pid).expect(what);
+        let pos = region
+            .iter()
+            .position(|&p| p == pid)
+            .expect("departing packet missing from its queue");
         region.copy_within(pos + 1.., pos);
         region[len - 1] = EMPTY_CELL;
         self.lens[ni * self.slots + s] = (len - 1) as u32;
@@ -353,19 +535,13 @@ impl NodeGrid {
         self.load[ni] -= 1;
     }
 
-    /// Removes every queued packet whose injection step is `ttl` or more
-    /// steps in the past, in deterministic (node, slot, position) order,
-    /// invoking `on_expired` for each — an in-place compacting sweep over
-    /// each occupied slot, identical in survivor order to the former
-    /// per-queue `Vec::retain`. Only the `DeadlineExpiry` admission policy
-    /// pays it, and the occupancy bitmask skips empty nodes and slots.
-    pub(crate) fn expire_queued(
-        &mut self,
-        t: u64,
-        ttl: u64,
-        inject_at: &[u64],
-        mut on_expired: impl FnMut(PacketId),
-    ) {
+    /// Removes every queued packet `stale` says yes to, asking in
+    /// deterministic (node, slot, position) order — an in-place compacting
+    /// sweep over each occupied slot, identical in survivor order to the
+    /// former per-queue `Vec::retain`. `stale` retires the packets it
+    /// condemns. Only the `DeadlineExpiry` admission policy pays this, and
+    /// the occupancy bitmask skips empty nodes and slots.
+    pub(crate) fn expire_queued(&mut self, mut stale: impl FnMut(PacketId) -> bool) {
         let slots = self.slots;
         for ni in 0..self.nodes() {
             let mut o = self.occ[ni];
@@ -377,9 +553,7 @@ impl NodeGrid {
                 let mut w = 0usize;
                 for r in 0..len {
                     let pid = self.slab[base + r];
-                    if t >= inject_at[pid.index()].saturating_add(ttl) {
-                        on_expired(pid);
-                    } else {
+                    if !stale(pid) {
                         self.slab[base + w] = pid;
                         w += 1;
                     }
@@ -448,11 +622,14 @@ impl NodeGrid {
         panic!("nth_packet index out of range at node {ni}");
     }
 
-    pub(crate) fn mark_active(&mut self, ni: usize) {
-        if !self.in_active[ni] {
+    /// Puts a node on the worklist unless it is there; says whether it did.
+    pub(crate) fn mark_active(&mut self, ni: usize) -> bool {
+        let fresh = !self.in_active[ni];
+        if fresh {
             self.in_active[ni] = true;
             self.active.push(ni as u32);
         }
+        fresh
     }
 
     /// Moves the active worklist into `out` (clearing membership flags),
@@ -465,14 +642,11 @@ impl NodeGrid {
         }
     }
 
+    /// The active worklist, in the order the route phase will walk it.
+    /// The order is simulated state: a snapshot records it verbatim.
     #[inline]
-    pub(crate) fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
-    #[inline]
-    pub(crate) fn active_at(&self, idx: usize) -> usize {
-        self.active[idx] as usize
+    pub(crate) fn active(&self) -> &[u32] {
+        &self.active
     }
 
     /// Stages a due packet at its origin node's injection edge, opening
@@ -494,35 +668,24 @@ impl NodeGrid {
         }
     }
 
-    /// Pops a pending (admission-deferred) packet of a node from the end
-    /// `pop` takes, closing the bucket once drained. `None` means nothing
-    /// is staged there.
-    fn pop_staged(
-        &mut self,
-        ni: u32,
-        pop: fn(&mut VecDeque<PacketId>) -> Option<PacketId>,
-    ) -> Option<PacketId> {
+    /// Pops a pending (admission-deferred) packet of a node, closing the
+    /// bucket once drained; `None` means nothing is staged there. Oldest
+    /// first (injection order), or — `freshest`, the `DeadlineExpiry`
+    /// drain — newest first: under sustained overload a FIFO edge admits
+    /// only packets whose deadline budget is already spent waiting, so
+    /// everything expires mid-flight, while the freshest packet still has
+    /// its full TTL to cross the mesh and stale backlog expires at the edge.
+    pub(crate) fn pop_pending(&mut self, ni: u32, freshest: bool) -> Option<PacketId> {
         let q = self.pending.get_mut(&ni)?;
-        let pid = pop(q);
+        let pid = if freshest {
+            q.pop_back()
+        } else {
+            q.pop_front()
+        };
         if q.is_empty() {
             self.close_pending(ni);
         }
         pid
-    }
-
-    /// Pops the oldest pending packet of a node (injection order).
-    pub(crate) fn pop_pending(&mut self, ni: u32) -> Option<PacketId> {
-        self.pop_staged(ni, VecDeque::pop_front)
-    }
-
-    /// Pops the *newest* pending packet of a node (freshest-first
-    /// admission, used by `DeadlineExpiry`): under sustained overload a
-    /// FIFO edge admits only packets whose deadline budget is already
-    /// spent waiting, so everything expires mid-flight — admitting the
-    /// freshest packet instead gives it its full TTL to cross the mesh
-    /// while stale backlog expires at the edge.
-    pub(crate) fn pop_pending_back(&mut self, ni: u32) -> Option<PacketId> {
-        self.pop_staged(ni, VecDeque::pop_back)
     }
 
     #[inline]
@@ -550,14 +713,6 @@ impl NodeGrid {
     /// it into the dense v3 form.
     pub(crate) fn export_queues(&self) -> impl Iterator<Item = &[PacketId]> + '_ {
         (0..self.nodes() * self.slots).map(move |qi| self.queue(qi / self.slots, qi % self.slots))
-    }
-
-    /// Clones the active worklist *in order* for a snapshot. The order is
-    /// part of the engine's deterministic state: the route phase walks it
-    /// verbatim, so restoring a permuted list would reorder schedules and
-    /// break bit-identical resumption.
-    pub(crate) fn export_active(&self) -> Vec<u32> {
-        self.active.clone()
     }
 }
 
@@ -653,12 +808,7 @@ mod arena_tests {
                         let qi = occupied[(lcg(&mut rng) as usize) % occupied.len()];
                         let pos = (lcg(&mut rng) as usize) % shadow[qi].len();
                         let pid = shadow[qi].remove(pos);
-                        grid.remove(
-                            grid.coord_of(qi / slots),
-                            grid.slot_kind(qi % slots),
-                            pid,
-                            "op-test remove",
-                        );
+                        grid.remove(grid.coord_of(qi / slots), grid.slot_kind(qi % slots), pid);
                     }
                     _ => {
                         let ttl = 1 + lcg(&mut rng) % 16;
@@ -673,7 +823,13 @@ mod arena_tests {
                             });
                         }
                         let mut got = Vec::new();
-                        grid.expire_queued(t, ttl, &inject_at, |pid| got.push(pid));
+                        grid.expire_queued(|pid| {
+                            let gone = t >= inject_at[pid.index()].saturating_add(ttl);
+                            if gone {
+                                got.push(pid);
+                            }
+                            gone
+                        });
                         assert_eq!(got, expected, "expiry order ({arch:?}, t={t})");
                     }
                 }

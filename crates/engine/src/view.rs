@@ -160,8 +160,7 @@ impl<'a> DxResidents<'a> {
         let mut rest = i;
         for (slot, q) in self.grid.node_queues(self.ni) {
             if let Some(pid) = q.get(rest) {
-                let mask = DirSet::from_bits(self.store.mask[pid.index()]);
-                return PackedView::new(mask, slot, rest as u32);
+                return PackedView::new(self.store.cached_mask(*pid), slot, rest as u32);
             }
             rest -= q.len();
         }

@@ -83,41 +83,23 @@ pub(crate) fn check<T: Topology, R: Router>(
     let Some(w) = sim.config.watchdog else {
         return Ok(());
     };
-    let steps = sim.steps();
-    let timers = &sim.timers;
-    let no_activity = steps.saturating_sub(timers.last_activity.max(settle)) >= w;
-    let no_delivery = steps.saturating_sub(timers.last_delivery.max(settle)) >= w;
-    match mode {
-        WatchdogMode::Standard => {
-            if !sim.store.cursor_exhausted() {
-                return Ok(());
-            }
-            if no_activity {
-                return Err(SimError::Deadlock(Box::new(sim.diagnostics())));
-            }
-            if no_delivery {
-                return Err(SimError::Livelock(Box::new(sim.diagnostics())));
-            }
-        }
-        WatchdogMode::DeliveryStarvation => {
-            if no_delivery {
-                return Err(SimError::Livelock(Box::new(sim.diagnostics())));
-            }
-        }
-        WatchdogMode::ActivityStarvation => {
-            if sim.injections_exhausted() && no_activity {
-                return Err(SimError::Deadlock(Box::new(sim.diagnostics())));
-            }
-        }
-        WatchdogMode::Overload => {
-            let no_resolution = steps.saturating_sub(timers.last_resolution.max(settle)) >= w;
-            if no_activity {
-                return Err(SimError::Deadlock(Box::new(sim.diagnostics())));
-            }
-            if no_resolution {
-                return Err(SimError::Livelock(Box::new(sim.diagnostics())));
-            }
-        }
+    let (steps, timers) = (sim.steps(), &sim.timers);
+    // A full window since the stamp, or since the last transient fault
+    // transition if that is later.
+    let quiet = |last: u64| steps.saturating_sub(last.max(settle)) >= w;
+    let (no_activity, no_delivery) = (quiet(timers.last_activity), quiet(timers.last_delivery));
+    let (deadlock, livelock) = match mode {
+        WatchdogMode::Standard if !sim.store.cursor_exhausted() => (false, false),
+        WatchdogMode::Standard => (no_activity, no_delivery),
+        WatchdogMode::DeliveryStarvation => (false, no_delivery),
+        WatchdogMode::ActivityStarvation => (sim.injections_exhausted() && no_activity, false),
+        WatchdogMode::Overload => (no_activity, quiet(timers.last_resolution)),
+    };
+    if deadlock {
+        Err(SimError::Deadlock(Box::new(sim.diagnostics())))
+    } else if livelock {
+        Err(SimError::Livelock(Box::new(sim.diagnostics())))
+    } else {
+        Ok(())
     }
-    Ok(())
 }

@@ -6,6 +6,8 @@
 //! semantics change; and a malformed or mismatched snapshot is a typed
 //! error, never a panic or a silently wrong resumption.
 
+mod support;
+
 use mesh_routing::engine::snapshot::CheckpointSink;
 use mesh_routing::engine::{Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook};
 use mesh_routing::prelude::*;
@@ -13,41 +15,7 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// An arbitrary partial permutation on a side-`n` grid (same construction
-/// as `tests/properties.rs`).
-fn partial_permutation(n: u32) -> impl Strategy<Value = RoutingProblem> {
-    let cells = (n * n) as usize;
-    (
-        proptest::collection::vec(0..cells as u32, 1..cells.min(64)),
-        proptest::collection::vec(0..cells as u32, 1..cells.min(64)),
-    )
-        .prop_map(move |(mut srcs, mut dsts)| {
-            srcs.sort_unstable();
-            srcs.dedup();
-            dsts.sort_unstable();
-            dsts.dedup();
-            let m = srcs.len().min(dsts.len());
-            let pairs = srcs[..m]
-                .iter()
-                .zip(&dsts[..m])
-                .map(|(&s, &d)| (Coord::new(s % n, s / n), Coord::new(d % n, d / n)));
-            RoutingProblem::from_pairs(n, "prop", pairs)
-        })
-}
-
-/// Static partial permutations or dynamic Bernoulli arrivals.
-fn workload(n: u32) -> impl Strategy<Value = RoutingProblem> {
-    (0u32..2, partial_permutation(n), (1u64..=50, 0u64..5_000)).prop_map(
-        move |(which, pp, (rate_permille, seed))| {
-            if which == 0 {
-                pp
-            } else {
-                workloads::dynamic_bernoulli(n, rate_permille as f64 / 1000.0, 4 * n as u64, seed)
-            }
-        },
-    )
-}
+use support::{partial_permutation, workload};
 
 /// The per-step observable record of a run: each step's delivery and loss
 /// event streams.
@@ -452,18 +420,22 @@ where
     sim.snapshot()
 }
 
-/// Adds one to a counter of the crate-private progress block, through the
+/// Rewrites a counter of the crate-private progress block, through the
 /// JSON form — which also shows that tampered *files*, not just tampered
 /// structs, are caught. Each counter's first occurrence is the progress
 /// block's.
-fn bump(snap: &mut Snapshot, counter: &str) {
+fn poke(snap: &mut Snapshot, counter: &str, f: fn(u64) -> u64) {
     let mut text = snap.to_json();
     let needle = format!("\"{counter}\":");
     let at = text.find(&needle).unwrap() + needle.len();
     let end = text[at..].find([',', '\n']).unwrap() + at;
-    let v: usize = text[at..end].trim().parse().unwrap();
-    text.replace_range(at..end, &format!(" {}", v + 1));
+    let v: u64 = text[at..end].trim().parse().unwrap();
+    text.replace_range(at..end, &format!(" {}", f(v)));
     *snap = Snapshot::from_json(&text).unwrap();
+}
+
+fn bump(snap: &mut Snapshot, counter: &str) {
+    poke(snap, counter, |v| v + 1)
 }
 
 fn queued(s: &Snapshot) -> usize {
@@ -600,15 +572,32 @@ const TAMPERS: &[Tamper] = &[
         let at = delivered(s);
         s.packets.delivered_at[at] = u64::MAX;
     }),
-    ("delivered, locations say", |s| bump(s, "delivered")),
-    ("lost, locations say", |s| bump(s, "lost")),
-    ("shed, locations say", |s| bump(s, "shed")),
-    ("expired, locations say", |s| bump(s, "expired")),
+    ("delivered, the packet table says", |s| bump(s, "delivered")),
+    ("lost, the packet table says", |s| bump(s, "lost")),
+    ("shed, the packet table says", |s| bump(s, "shed")),
+    ("expired, the packet table says", |s| bump(s, "expired")),
     ("uninjected tail out of order", |s| {
         let (c, last) = (s.packets.inject_cursor, s.packets.src.len() - 1);
         s.packets.inject_order.swap(c, last);
     }),
     ("are Pending", |s| s.packets.inject_cursor -= 1),
+    // Counters bounded by the run's length: none of these may load and
+    // overflow on a later step.
+    ("moves, the packet table says", |s| bump(s, "total_moves")),
+    ("moves, the packet table says", |s| {
+        poke(s, "total_moves", |_| u64::MAX - 1)
+    }),
+    ("counts 4294967295 hops", |s| {
+        let at = queued(s);
+        s.packets.hops[at] = u32::MAX;
+    }),
+    ("delivery step Some(7), in a run of 6 steps", |s| {
+        let at = delivered(s);
+        s.packets.delivered_at[at] = s.step + 1;
+    }),
+    ("deferred injections exceed", |s| {
+        poke(s, "deferred_injections", |_| u64::MAX - 1)
+    }),
 ];
 
 /// Every row of [`TAMPERS`] is [`SnapshotError::Corrupt`] with a message

@@ -15,11 +15,14 @@
 //! (stalls, link faults, queue degradation — exercising the engine-side
 //! acceptance clamp).
 
+mod support;
+
 use mesh_routing::prelude::*;
 use mesh_routing::routers::oracle::{DxViewPolicy, ViewOracle};
 use mesh_routing::routers::{BoundedDeflect, HotPotato};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::{partial_permutation, workload};
 
 /// A check to run on one (packed, oracle) router pair.
 trait PairCheck {
@@ -55,41 +58,6 @@ fn for_router(which: usize, n: u32, k: u32, check: &impl PairCheck) -> Result<()
 /// is `FaultAware`'s job; the wrapped combination is property 3.
 const CONSERVATIVE: usize = 5;
 const ROUTERS: usize = 7;
-
-/// An arbitrary partial permutation on a side-`n` grid (same construction
-/// as `tests/properties.rs`).
-fn partial_permutation(n: u32) -> impl Strategy<Value = RoutingProblem> {
-    let cells = (n * n) as usize;
-    (
-        proptest::collection::vec(0..cells as u32, 1..cells.min(64)),
-        proptest::collection::vec(0..cells as u32, 1..cells.min(64)),
-    )
-        .prop_map(move |(mut srcs, mut dsts)| {
-            srcs.sort_unstable();
-            srcs.dedup();
-            dsts.sort_unstable();
-            dsts.dedup();
-            let m = srcs.len().min(dsts.len());
-            let pairs = srcs[..m]
-                .iter()
-                .zip(&dsts[..m])
-                .map(|(&s, &d)| (Coord::new(s % n, s / n), Coord::new(d % n, d / n)));
-            RoutingProblem::from_pairs(n, "prop", pairs)
-        })
-}
-
-/// Static partial permutations or dynamic Bernoulli arrivals.
-fn workload(n: u32) -> impl Strategy<Value = RoutingProblem> {
-    (0u32..2, partial_permutation(n), (1u64..=50, 0u64..5_000)).prop_map(
-        move |(which, pp, (rate_permille, seed))| {
-            if which == 0 {
-                pp
-            } else {
-                workloads::dynamic_bernoulli(n, rate_permille as f64 / 1000.0, 4 * n as u64, seed)
-            }
-        },
-    )
-}
 
 /// All four admission policies, parameters included.
 fn admission() -> impl Strategy<Value = AdmissionPolicy> {
