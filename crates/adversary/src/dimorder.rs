@@ -12,12 +12,12 @@
 //! N_i-packet in the (i−1)-box that is not scheduled to enter the
 //! N_i-column."
 
-use crate::classify::{Class, ClassMap};
+use crate::classify::Class;
 use crate::constants::DimOrderParams;
-use crate::general::ConstructionOutcome;
-use mesh_engine::{HookCtx, Router, Sim, StepHook};
+use crate::driver::{construct, ConstructionOutcome, Demand, ExchangeRule};
+use mesh_engine::{Router, ScheduledMove};
 use mesh_topo::{Coord, Topology};
-use mesh_traffic::{PacketId, RoutingProblem};
+use mesh_traffic::RoutingProblem;
 
 /// The §5 dimension-order construction.
 #[derive(Clone, Debug)]
@@ -37,10 +37,31 @@ impl DimOrderConstruction {
         self.params.n - self.params.cn + i - 2
     }
 
+    /// The `i` whose N_i-column is `x`, if any (`x = n − cn + i − 2`).
+    fn column_at(&self, x: u32) -> Option<u32> {
+        let i = (x + self.params.cn + 2).checked_sub(self.params.n)?;
+        (1..=self.params.l).contains(&i).then_some(i)
+    }
+
+    /// Runs the construction for `⌊l⌋·dn` steps against `router`.
+    pub fn run<T: Topology, R: Router>(&self, topo: &T, router: R) -> ConstructionOutcome {
+        construct(self, topo, router, None).unwrap_or_else(|breakdown| panic!("{breakdown}"))
+    }
+}
+
+/// §5's one exchange rule for dimension order.
+impl ExchangeRule for DimOrderConstruction {
+    fn grid_side(&self) -> u32 {
+        self.params.n
+    }
+
+    fn bound_steps(&self) -> u64 {
+        self.params.bound_steps()
+    }
+
     /// The i-box: `x ≤ n_col(i)`, `y ≤ cn − 1`. The 0-box is everything
     /// strictly west of the N_1-column within the same rows.
-    #[inline]
-    pub fn in_box(&self, c: Coord, i: u32) -> bool {
+    fn in_box(&self, c: Coord, i: u32) -> bool {
         if c.y >= self.params.cn {
             return false;
         }
@@ -53,23 +74,18 @@ impl DimOrderConstruction {
 
     /// Class of a construction destination: N_i destinations live in the
     /// N_i-column at `y ≥ cn`.
-    pub fn classify_dst(&self, d: Coord) -> Option<Class> {
-        let DimOrderParams { n, cn, l, .. } = self.params;
-        if d.y < cn {
+    fn classify_dst(&self, d: Coord) -> Option<Class> {
+        if d.y < self.params.cn {
             return None;
         }
-        // d.x = n - cn + i - 2  =>  i = d.x + cn + 2 - n.
-        let i64v = d.x as i64 + cn as i64 + 2 - n as i64;
-        (1..=l as i64)
-            .contains(&i64v)
-            .then_some(Class::N(i64v as u32))
+        self.column_at(d.x).map(Class::N)
     }
 
     /// Step 1: the initial placement. The easternmost source column — which
     /// *is* the N_1-column — holds only N_1-packets; all other classes fill
     /// the remaining source cells (row-major) west of it, which keeps every
     /// N_j (j ≥ 2) inside the (j−2)-box initially.
-    pub fn initial_problem(&self) -> RoutingProblem {
+    fn initial_problem(&self) -> RoutingProblem {
         let DimOrderParams { n, cn, p, l, .. } = self.params;
         let edge = self.n_col(1);
         let n_dst = |i: u32, m: u32| Coord::new(self.n_col(i), n - 1 - m);
@@ -107,114 +123,30 @@ impl DimOrderConstruction {
         )
     }
 
-    /// Runs the construction for `⌊l⌋·dn` steps against `router`.
-    pub fn run<T: Topology, R: Router>(&self, topo: &T, router: R) -> ConstructionOutcome {
-        assert_eq!(topo.side(), self.params.n);
-        let pb = self.initial_problem();
-        let mut sim = Sim::new(topo, router, &pb);
-        let dsts: Vec<Coord> = pb.packets.iter().map(|p| p.dst).collect();
-        let classes = ClassMap::new(&dsts, |d| self.classify_dst(d));
-        let mut hook = DimOrderHook {
-            cons: self.clone(),
-            classes,
-            scheduled: vec![false; pb.len()],
-        };
-        let bound = self.params.bound_steps();
-        for _ in 1..=bound {
-            sim.step_with_hook(&mut hook);
-        }
-        ConstructionOutcome {
-            constructed: sim.current_problem(format!(
-                "clt-dimorder-constructed(n={},k={})",
-                self.params.n, self.params.k
-            )),
-            final_snapshot: sim.packet_snapshot(),
-            exchanges: sim.report().exchanges,
-            undelivered_at_bound: sim.num_packets() - sim.delivered(),
-            bound_steps: bound,
-        }
+    /// Entering the N_i-column from outside it.
+    fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
+        let col = self.n_col(line.index());
+        m.to.x == col && m.from.x != col
     }
-}
 
-struct DimOrderHook {
-    cons: DimOrderConstruction,
-    classes: ClassMap,
-    scheduled: Vec<bool>,
-}
-
-impl DimOrderHook {
-    fn find_partner(&self, ctx: &HookCtx<'_>, i: u32) -> PacketId {
-        let col = self.cons.n_col(i);
-        let in_prev_box = |cand: PacketId| match ctx.node_of(cand) {
-            Some(c) => self.cons.in_box(c, i - 1),
-            None => false,
-        };
-        for &cand in self.classes.members(Class::N(i)) {
-            if !self.scheduled[cand.index()] && in_prev_box(cand) {
-                return cand;
-            }
-        }
-        for &cand in self.classes.members(Class::N(i)) {
-            if !in_prev_box(cand) {
-                continue;
-            }
-            let enters = ctx
-                .moves
-                .iter()
-                .any(|m| m.pkt == cand && m.to.x == col && m.from.x != col);
-            if !enters {
-                return cand;
-            }
-        }
-        panic!(
-            "no eligible N_{i} exchange partner at step {} (construction bug)",
-            ctx.t
-        );
+    /// While `t ≤ i·dn` no N_j (j > i) enters the N_i-column; the partner is
+    /// an N_i-packet of the (i−1)-box not scheduled to enter it.
+    fn violation(&self, t: u64, m: &ScheduledMove, cls: Class) -> Option<Demand> {
+        let i = self.column_at(m.to.x)?;
+        let line = Class::N(i);
+        (self.enters(m, line) && cls.index() > i && t <= i as u64 * self.params.dn as u64)
+            .then_some(Demand {
+                class: line,
+                in_box: i - 1,
+                line,
+            })
     }
-}
 
-impl StepHook for DimOrderHook {
-    #[allow(clippy::while_let_loop)]
-    fn on_scheduled(&mut self, ctx: &mut HookCtx<'_>) {
-        let t = ctx.t;
-        self.scheduled.iter_mut().for_each(|b| *b = false);
-        for m in ctx.moves {
-            self.scheduled[m.pkt.index()] = true;
-        }
-        let dn = self.cons.params.dn as u64;
-        let l = self.cons.params.l;
-        let mut passes = 0;
-        loop {
-            let before = ctx.exchange_count();
-            for mi in 0..ctx.moves.len() {
-                let m = ctx.moves[mi];
-                loop {
-                    let Some(Class::N(j)) = self.classes.class_of(m.pkt) else {
-                        break;
-                    };
-                    // Entering some N_i-column (from outside it)?
-                    let to_i =
-                        m.to.x as i64 + self.cons.params.cn as i64 + 2 - self.cons.params.n as i64;
-                    if !(1..=l as i64).contains(&to_i) || m.from.x == m.to.x {
-                        break;
-                    }
-                    let i = to_i as u32;
-                    if j > i && t <= i as u64 * dn {
-                        let partner = self.find_partner(ctx, i);
-                        ctx.exchange(m.pkt, partner);
-                        self.classes.record_exchange(m.pkt, partner);
-                        // Re-evaluate this move with its new class.
-                        continue;
-                    }
-                    break;
-                }
-            }
-            if ctx.exchange_count() == before {
-                break;
-            }
-            passes += 1;
-            assert!(passes < 64, "exchange fixpoint did not converge");
-        }
+    fn constructed_label(&self) -> String {
+        format!(
+            "clt-dimorder-constructed(n={},k={})",
+            self.params.n, self.params.k
+        )
     }
 }
 

@@ -27,12 +27,12 @@
 //! `⌊l⌋·dn` steps on every instance we generate, which is what
 //! `verify_lower_bound` certifies.
 
-use crate::classify::{Class, ClassMap};
+use crate::classify::Class;
 use crate::constants::DimOrderParams;
-use crate::general::ConstructionOutcome;
-use mesh_engine::{HookCtx, Router, Sim, StepHook};
+use crate::driver::{construct, ConstructionOutcome, Demand, ExchangeRule, PartnerChoice};
+use mesh_engine::{Router, ScheduledMove};
 use mesh_topo::{Coord, Topology};
-use mesh_traffic::{PacketId, RoutingProblem};
+use mesh_traffic::RoutingProblem;
 
 /// The §5 farthest-first construction.
 #[derive(Clone, Debug)]
@@ -52,15 +52,33 @@ impl FarthestFirstConstruction {
         self.params.n - i
     }
 
+    /// Runs the construction for `⌊l⌋·dn` steps against `router` (intended:
+    /// the farthest-first dimension-order router).
+    pub fn run<T: Topology, R: Router>(&self, topo: &T, router: R) -> ConstructionOutcome {
+        construct(self, topo, router, None).unwrap_or_else(|breakdown| panic!("{breakdown}"))
+    }
+}
+
+/// §5's one exchange rule for farthest-first.
+impl ExchangeRule for FarthestFirstConstruction {
+    const PARTNER: PartnerChoice = PartnerChoice::Westernmost;
+
+    fn grid_side(&self) -> u32 {
+        self.params.n
+    }
+
+    fn bound_steps(&self) -> u64 {
+        self.params.bound_steps()
+    }
+
     /// The i-box: `x ≤ n − i`, `y ≤ cn − 1`.
-    #[inline]
-    pub fn in_box(&self, c: Coord, i: u32) -> bool {
+    fn in_box(&self, c: Coord, i: u32) -> bool {
         c.y < self.params.cn && c.x + i <= self.params.n
     }
 
     /// Class of a construction destination (N_i lives in column `n − i`,
     /// `y ≥ cn`).
-    pub fn classify_dst(&self, d: Coord) -> Option<Class> {
+    fn classify_dst(&self, d: Coord) -> Option<Class> {
         let DimOrderParams { n, cn, l, .. } = self.params;
         if d.y < cn || d.x >= n {
             return None;
@@ -74,7 +92,7 @@ impl FarthestFirstConstruction {
     /// in order N_1 × p, N_2 × p, …; this guarantees both required
     /// properties: classes never decrease westward within a row, and N_i
     /// (i ≥ 2) starts strictly west of its own column.
-    pub fn initial_problem(&self) -> RoutingProblem {
+    fn initial_problem(&self) -> RoutingProblem {
         let DimOrderParams { n, cn, p, l, .. } = self.params;
         let n_dst = |i: u32, m: u32| Coord::new(self.n_col(i), n - 1 - m);
         let mut pairs: Vec<(Coord, Coord)> = Vec::with_capacity((p * l) as usize);
@@ -103,117 +121,32 @@ impl FarthestFirstConstruction {
         )
     }
 
-    /// Runs the construction for `⌊l⌋·dn` steps against `router` (intended:
-    /// the farthest-first dimension-order router).
-    pub fn run<T: Topology, R: Router>(&self, topo: &T, router: R) -> ConstructionOutcome {
-        assert_eq!(topo.side(), self.params.n);
-        let pb = self.initial_problem();
-        let mut sim = Sim::new(topo, router, &pb);
-        let dsts: Vec<Coord> = pb.packets.iter().map(|p| p.dst).collect();
-        let classes = ClassMap::new(&dsts, |d| self.classify_dst(d));
-        let mut hook = FarthestHook {
-            cons: self.clone(),
-            classes,
-            scheduled: vec![false; pb.len()],
-        };
-        let bound = self.params.bound_steps();
-        for _ in 1..=bound {
-            sim.step_with_hook(&mut hook);
-        }
-        ConstructionOutcome {
-            constructed: sim.current_problem(format!(
-                "clt-farthest-constructed(n={},k={})",
-                self.params.n, self.params.k
-            )),
-            final_snapshot: sim.packet_snapshot(),
-            exchanges: sim.report().exchanges,
-            undelivered_at_bound: sim.num_packets() - sim.delivered(),
-            bound_steps: bound,
-        }
+    /// Entering the N_i-column from outside it.
+    fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
+        let col = self.n_col(line.index());
+        m.to.x == col && m.from.x != col
     }
-}
 
-struct FarthestHook {
-    cons: FarthestFirstConstruction,
-    classes: ClassMap,
-    scheduled: Vec<bool>,
-}
-
-impl FarthestHook {
-    /// The N_{j−1} partner: in the (j+1)-box, not scheduled to enter the
-    /// N_j-column, westernmost (globally — hence westernmost in its row).
-    fn find_partner(&self, ctx: &HookCtx<'_>, j: u32) -> PacketId {
-        let col_j = self.cons.n_col(j);
-        let mut best: Option<(Coord, PacketId)> = None;
-        for &cand in self.classes.members(Class::N(j - 1)) {
-            let Some(c) = ctx.node_of(cand) else { continue };
-            if !self.cons.in_box(c, j + 1) {
-                continue;
-            }
-            let enters = ctx
-                .moves
-                .iter()
-                .any(|m| m.pkt == cand && m.to.x == col_j && m.from.x != col_j);
-            if enters {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bc, _)) => (c.x, c.y) < (bc.x, bc.y),
-            };
-            if better {
-                best = Some((c, cand));
-            }
-        }
-        best.map(|(_, p)| p).unwrap_or_else(|| {
-            panic!(
-                "no eligible N_{} exchange partner at step {} (construction bug)",
-                j - 1,
-                ctx.t
-            )
-        })
+    /// No N_j (j ≥ 2) enters its *own* column while some i < j is still
+    /// protected (`t ≤ i·dn` for some i < j ⇔ `t ≤ (j−1)·dn`); the partner is
+    /// the westernmost N_{j−1}-packet of the (j+1)-box not scheduled to enter
+    /// the N_j-column. The packet is then an N_{j−1} and is checked again.
+    fn violation(&self, t: u64, m: &ScheduledMove, cls: Class) -> Option<Demand> {
+        let j = cls.index();
+        (j >= 2 && self.enters(m, cls) && t <= (j as u64 - 1) * self.params.dn as u64).then_some(
+            Demand {
+                class: Class::N(j - 1),
+                in_box: j + 1,
+                line: cls,
+            },
+        )
     }
-}
 
-impl StepHook for FarthestHook {
-    #[allow(clippy::while_let_loop)]
-    fn on_scheduled(&mut self, ctx: &mut HookCtx<'_>) {
-        let t = ctx.t;
-        self.scheduled.iter_mut().for_each(|b| *b = false);
-        for m in ctx.moves {
-            self.scheduled[m.pkt.index()] = true;
-        }
-        let dn = self.cons.params.dn as u64;
-        let mut passes = 0;
-        loop {
-            let before = ctx.exchange_count();
-            for mi in 0..ctx.moves.len() {
-                let m = ctx.moves[mi];
-                loop {
-                    let Some(Class::N(j)) = self.classes.class_of(m.pkt) else {
-                        break;
-                    };
-                    // Scheduled to enter its OWN column, while some i < j is
-                    // still protected (t ≤ i·dn for some i < j ⇔ t ≤ (j−1)dn)?
-                    if j >= 2
-                        && m.to.x == self.cons.n_col(j)
-                        && m.from.x != m.to.x
-                        && t <= (j as u64 - 1) * dn
-                    {
-                        let partner = self.find_partner(ctx, j);
-                        ctx.exchange(m.pkt, partner);
-                        self.classes.record_exchange(m.pkt, partner);
-                        continue; // the packet is now N_{j-1}; re-check.
-                    }
-                    break;
-                }
-            }
-            if ctx.exchange_count() == before {
-                break;
-            }
-            passes += 1;
-            assert!(passes < 64, "exchange fixpoint did not converge");
-        }
+    fn constructed_label(&self) -> String {
+        format!(
+            "clt-farthest-constructed(n={},k={})",
+            self.params.n, self.params.k
+        )
     }
 }
 

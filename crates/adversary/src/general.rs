@@ -12,13 +12,15 @@
 //! reproduces the exact same execution (Lemma 12) and therefore still has
 //! undelivered packets at step `⌊l⌋·dn` (Theorem 13).
 
-use crate::classify::{Class, ClassMap};
+use crate::classify::Class;
 use crate::constants::GeneralParams;
+pub use crate::driver::ConstructionOutcome;
+use crate::driver::{construct, ConstructionBreakdown, Demand, ExchangeRule};
 use crate::geometry::BoxGeometry;
 use crate::invariants::InvariantChecker;
-use mesh_engine::{HookCtx, Loc, Router, Sim, StepHook};
+use mesh_engine::{Router, ScheduledMove};
 use mesh_topo::{Coord, Topology};
-use mesh_traffic::{PacketId, RoutingProblem};
+use mesh_traffic::RoutingProblem;
 
 /// The §3 general construction (one instance per `(n, k, h)`).
 ///
@@ -33,21 +35,6 @@ pub struct GeneralConstruction {
     /// Side of the full grid the problem is defined on (= `params.n` for the
     /// mesh; `≥ 2·params.n` for the torus extension).
     pub grid_n: u32,
-}
-
-/// Everything the construction produces.
-pub struct ConstructionOutcome {
-    /// The constructed (partial) permutation — the paper's hard instance.
-    pub constructed: RoutingProblem,
-    /// Exact per-packet configuration after `⌊l⌋·dn` construction steps,
-    /// for the Lemma 12 replay-equivalence check.
-    pub final_snapshot: Vec<(Loc, Coord, u64)>,
-    /// Destination exchanges performed.
-    pub exchanges: u64,
-    /// Packets still undelivered at the bound (Corollary 9 demands > 0).
-    pub undelivered_at_bound: usize,
-    /// The proven bound `⌊l⌋·dn`.
-    pub bound_steps: u64,
 }
 
 impl GeneralConstruction {
@@ -71,21 +58,62 @@ impl GeneralConstruction {
         }
     }
 
+    /// Runs the full construction (steps 1–4 of §3) against `router`.
+    ///
+    /// With `check_invariants`, Lemmas 1–8 are machine-verified after every
+    /// step (a panic means either the construction or the engine is wrong —
+    /// never the router). Panics if the adversary runs out of partners; use
+    /// [`GeneralConstruction::try_run`] against victims outside Theorem 14.
+    pub fn run<T: Topology, R: Router>(
+        &self,
+        topo: &T,
+        router: R,
+        check_invariants: bool,
+    ) -> ConstructionOutcome {
+        self.try_run(topo, router, check_invariants)
+            .unwrap_or_else(|breakdown| panic!("{breakdown}"))
+    }
+
+    /// [`GeneralConstruction::run`], with partner exhaustion as a value: a
+    /// nonminimal victim deflects packets out of the boxes until Lemmas 3/4
+    /// no longer supply a partner.
+    pub fn try_run<T: Topology, R: Router>(
+        &self,
+        topo: &T,
+        router: R,
+        check_invariants: bool,
+    ) -> Result<ConstructionOutcome, ConstructionBreakdown> {
+        let checker = check_invariants.then(|| InvariantChecker::new(&self.params));
+        construct(self, topo, router, checker)
+    }
+
+    /// The `i` whose N_i-column (as `x`) or E_i-row (as `y`) is coordinate
+    /// `v`, if any.
+    fn line_at(&self, v: u32) -> Option<u32> {
+        let i = (v + 2).checked_sub(self.params.cn)?;
+        (1..=self.params.l).contains(&i).then_some(i)
+    }
+}
+
+/// Rules EX1–EX4 of §3 step 3.
+impl ExchangeRule for GeneralConstruction {
+    fn grid_side(&self) -> u32 {
+        self.grid_n
+    }
+
+    fn bound_steps(&self) -> u64 {
+        self.params.bound_steps()
+    }
+
     /// The class of a construction destination (`None` for other coords).
     ///
     /// N_i destinations sit in the N_i-column strictly north of the E_i-row,
     /// so `dst.y > dst.x`; E_i destinations mirror (`dst.x > dst.y`).
-    pub fn classify_dst(&self, d: Coord) -> Option<Class> {
-        let cn = self.params.cn;
-        let l = self.params.l;
-        if d.y > d.x && d.x + 2 >= cn && d.x + 2 <= cn + l + 1 {
-            let i = d.x + 2 - cn;
-            (1..=l).contains(&i).then_some(Class::N(i))
-        } else if d.x > d.y && d.y + 2 >= cn && d.y + 2 <= cn + l + 1 {
-            let i = d.y + 2 - cn;
-            (1..=l).contains(&i).then_some(Class::E(i))
-        } else {
-            None
+    fn classify_dst(&self, d: Coord) -> Option<Class> {
+        match d.y.cmp(&d.x) {
+            std::cmp::Ordering::Greater => self.line_at(d.x).map(Class::N),
+            std::cmp::Ordering::Less => self.line_at(d.y).map(Class::E),
+            std::cmp::Ordering::Equal => None,
         }
     }
 
@@ -102,7 +130,7 @@ impl GeneralConstruction {
     /// * N_i-packet `m` is destined for `(n_col(i), n − 1 − ⌊m/h⌋)`;
     ///   E_i-packet `m` for `(n − 1 − ⌊m/h⌋, e_row(i))` — unique
     ///   destinations outside the `⌊l⌋`-box.
-    pub fn initial_problem(&self) -> RoutingProblem {
+    fn initial_problem(&self) -> RoutingProblem {
         let GeneralParams { n, cn, p, l, h, .. } = self.params;
         let g = &self.geom;
         let mut pairs: Vec<(Coord, Coord)> = Vec::with_capacity((2 * p * l) as usize);
@@ -171,193 +199,51 @@ impl GeneralConstruction {
         pb
     }
 
-    /// Runs the full construction (steps 1–4 of §3) against `router`.
-    ///
-    /// With `check_invariants`, Lemmas 1–8 are machine-verified after every
-    /// step (a panic means either the construction or the engine is wrong —
-    /// never the router).
-    pub fn run<T: Topology, R: Router>(
-        &self,
-        topo: &T,
-        router: R,
-        check_invariants: bool,
-    ) -> ConstructionOutcome {
-        assert_eq!(topo.side(), self.grid_n);
-        let pb = self.initial_problem();
-        let mut sim = Sim::new(topo, router, &pb);
-        let dsts: Vec<Coord> = pb.packets.iter().map(|p| p.dst).collect();
-        let classes = ClassMap::new(&dsts, |d| self.classify_dst(d));
-        let mut hook = GeneralHook {
-            geom: self.geom,
-            dn: self.params.dn,
-            l: self.params.l,
-            classes,
-            scheduled: vec![false; pb.len()],
-        };
-        let mut checker = check_invariants.then(|| InvariantChecker::new(&self.params));
-        let bound = self.params.bound_steps();
-        for t in 1..=bound {
-            sim.step_with_hook(&mut hook);
-            if let Some(ch) = checker.as_mut() {
-                ch.check_after_step(t, &self.geom, &hook.classes, |p| sim.loc(p))
-                    .unwrap_or_else(|e| panic!("invariant violated at step {t}: {e}"));
-            }
-        }
-        ConstructionOutcome {
-            constructed: sim.current_problem(format!(
-                "clt-constructed(n={},k={},h={})",
-                self.params.n, self.params.k, self.params.h
-            )),
-            final_snapshot: sim.packet_snapshot(),
-            exchanges: sim.report().exchanges,
-            undelivered_at_bound: sim.num_packets() - sim.delivered(),
-            bound_steps: bound,
-        }
+    fn in_box(&self, c: Coord, i: u32) -> bool {
+        self.geom.in_box(c, i)
     }
-}
 
-/// The per-step adversary implementing EX1–EX4.
-struct GeneralHook {
-    geom: BoxGeometry,
-    dn: u32,
-    l: u32,
-    classes: ClassMap,
-    scheduled: Vec<bool>,
-}
-
-impl GeneralHook {
-    /// Finds an exchange partner: a packet of class `want` (`N_i` or `E_i`),
-    /// located in the `(i−1)`-box, and *not scheduled to enter* the protected
-    /// N_i-column / E_i-row (the paper's exact eligibility; Lemmas 3/4
-    /// guarantee existence). We prefer partners that are not scheduled at
-    /// all — they cannot cascade into further violations this step — and
-    /// fall back to the paper's weaker condition otherwise.
-    fn find_partner(&self, ctx: &HookCtx<'_>, want: Class) -> PacketId {
-        let i = want.index();
+    /// The N_i-column south of the E_i-row, the E_i-row west of the
+    /// N_i-column.
+    fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
         let g = &self.geom;
-        let in_prev_box = |cand: PacketId| match ctx.node_of(cand) {
-            Some(c) => g.in_box(c, i - 1),
-            None => false,
+        match line {
+            Class::N(i) => m.to.x == g.n_col(i) && m.to.y < g.e_row(i),
+            Class::E(i) => m.to.y == g.e_row(i) && m.to.x < g.n_col(i),
+        }
+    }
+
+    /// While `t ≤ i·dn`: no N_j (j > i, EX2) and no E_j (j ≥ i, EX3) enters
+    /// the N_i-column; no E_j (j > i, EX1) and no N_j (j ≥ i, EX4) enters the
+    /// E_i-row. The partner is an N_i- (resp. E_i-) packet of the (i−1)-box
+    /// not scheduled to enter that line (Lemmas 3/4 guarantee one).
+    fn violation(&self, t: u64, m: &ScheduledMove, cls: Class) -> Option<Demand> {
+        let j = cls.index();
+        let protected = |line: Class| {
+            let i = line.index();
+            let too_high = if cls.is_n() == line.is_n() {
+                j > i
+            } else {
+                j >= i
+            };
+            (self.enters(m, line) && t <= i as u64 * self.params.dn as u64 && too_high).then_some(
+                Demand {
+                    class: line,
+                    in_box: i - 1,
+                    line,
+                },
+            )
         };
-        // Pass 1: unscheduled partners.
-        for &cand in self.classes.members(want) {
-            if !self.scheduled[cand.index()] && in_prev_box(cand) {
-                return cand;
-            }
-        }
-        // Pass 2: scheduled, but not into the protected column/row.
-        for &cand in self.classes.members(want) {
-            if !in_prev_box(cand) {
-                continue;
-            }
-            let enters_protected = ctx.moves.iter().any(|m| {
-                m.pkt == cand
-                    && match want {
-                        Class::N(_) => m.to.x == g.n_col(i) && m.to.y < g.e_row(i),
-                        Class::E(_) => m.to.y == g.e_row(i) && m.to.x < g.n_col(i),
-                    }
-            });
-            if !enters_protected {
-                return cand;
-            }
-        }
-        panic!(
-            "no eligible exchange partner of class {want:?} at step {} — \
-             Lemma 3/4 violated (construction bug)",
-            ctx.t
-        );
+        self.line_at(m.to.x)
+            .and_then(|i| protected(Class::N(i)))
+            .or_else(|| self.line_at(m.to.y).and_then(|i| protected(Class::E(i))))
     }
-}
 
-impl StepHook for GeneralHook {
-    #[allow(clippy::while_let_loop)]
-    fn on_scheduled(&mut self, ctx: &mut HookCtx<'_>) {
-        let t = ctx.t;
-        // Mark which packets are scheduled (partners must not be).
-        self.scheduled.iter_mut().for_each(|b| *b = false);
-        for m in ctx.moves {
-            self.scheduled[m.pkt.index()] = true;
-        }
-
-        let g = self.geom;
-        let cn = g.cn;
-        // Exchanging with a partner that is itself scheduled (pass 2 of
-        // find_partner) can create a new violation on an earlier move, so
-        // iterate the whole schedule to a fixpoint.
-        let mut passes = 0;
-        loop {
-            let exchanges_before = ctx.exchange_count();
-            self.scan_moves(ctx, g, cn, t);
-            if ctx.exchange_count() == exchanges_before {
-                break;
-            }
-            passes += 1;
-            assert!(passes < 64, "exchange fixpoint did not converge");
-        }
-    }
-}
-
-impl GeneralHook {
-    #[allow(clippy::while_let_loop)]
-    fn scan_moves(&mut self, ctx: &mut HookCtx<'_>, g: BoxGeometry, cn: u32, t: u64) {
-        for mi in 0..ctx.moves.len() {
-            let m = ctx.moves[mi];
-            // A move may trip a column rule and a row rule (corner targets);
-            // re-evaluate after each exchange. Two passes suffice, but loop
-            // defensively until clean.
-            loop {
-                let Some(cls) = self.classes.class_of(m.pkt) else {
-                    break;
-                };
-                let j = cls.index();
-                let mut exchanged = false;
-
-                // Entering the N_i-column south of the E_i-row?
-                if m.to.x + 2 >= cn && m.to.x + 2 <= cn + self.l + 1 {
-                    let i = m.to.x + 2 - cn;
-                    if (1..=self.l).contains(&i)
-                        && m.to.y < g.e_row(i)
-                        && t <= i as u64 * self.dn as u64
-                    {
-                        let violates = match cls {
-                            Class::N(_) => j > i,  // EX2
-                            Class::E(_) => j >= i, // EX3
-                        };
-                        if violates {
-                            let partner = self.find_partner(ctx, Class::N(i));
-                            ctx.exchange(m.pkt, partner);
-                            self.classes.record_exchange(m.pkt, partner);
-                            exchanged = true;
-                        }
-                    }
-                }
-                if exchanged {
-                    continue;
-                }
-                // Entering the E_i-row west of the N_i-column?
-                if m.to.y + 2 >= cn && m.to.y + 2 <= cn + self.l + 1 {
-                    let i = m.to.y + 2 - cn;
-                    if (1..=self.l).contains(&i)
-                        && m.to.x < g.n_col(i)
-                        && t <= i as u64 * self.dn as u64
-                    {
-                        let violates = match cls {
-                            Class::E(_) => j > i,  // EX1
-                            Class::N(_) => j >= i, // EX4
-                        };
-                        if violates {
-                            let partner = self.find_partner(ctx, Class::E(i));
-                            ctx.exchange(m.pkt, partner);
-                            self.classes.record_exchange(m.pkt, partner);
-                            exchanged = true;
-                        }
-                    }
-                }
-                if !exchanged {
-                    break;
-                }
-            }
-        }
+    fn constructed_label(&self) -> String {
+        format!(
+            "clt-constructed(n={},k={},h={})",
+            self.params.n, self.params.k, self.params.h
+        )
     }
 }
 

@@ -22,6 +22,7 @@ use mesh_traffic::PacketId;
 
 /// Stateful checker (Lemma 2 needs the previous step's departure counts).
 pub struct InvariantChecker {
+    geom: BoxGeometry,
     dn: u64,
     l: u32,
     num_packets: usize,
@@ -34,6 +35,7 @@ impl InvariantChecker {
     /// Creates a checker for a construction with the given parameters.
     pub fn new(params: &GeneralParams) -> InvariantChecker {
         InvariantChecker {
+            geom: BoxGeometry { cn: params.cn },
             dn: params.dn as u64,
             l: params.l,
             num_packets: (2 * params.p * params.l) as usize,
@@ -45,11 +47,11 @@ impl InvariantChecker {
     pub fn check_after_step(
         &mut self,
         t: u64,
-        geom: &BoxGeometry,
         classes: &ClassMap,
         loc_of: impl Fn(PacketId) -> Loc,
     ) -> Result<(), String> {
         let l = self.l;
+        let geom = &self.geom;
         let mut out = vec![0u32; 2 * l as usize];
 
         for idx in 0..self.num_packets {

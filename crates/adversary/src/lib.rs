@@ -17,6 +17,9 @@
 //! * [`farthest`] — the §5 construction against dimension order with the
 //!   farthest-first outqueue policy (not destination-exchangeable): `Ω(n²/k)`.
 //!
+//! All three run on the one construction driver of [`driver`]; each supplies
+//! only its [`ExchangeRule`].
+//!
 //! [`constants`] picks the constants `c` and `d` exactly as §4.3 does;
 //! [`invariants`] machine-checks Lemmas 1–8 at every step of the
 //! construction; [`verify`] replays the constructed permutation without
@@ -28,6 +31,7 @@
 pub mod classify;
 pub mod constants;
 pub mod dimorder;
+pub mod driver;
 pub mod farthest;
 pub mod general;
 pub mod geometry;
@@ -36,6 +40,7 @@ pub mod verify;
 
 pub use classify::{Class, ClassMap};
 pub use constants::{DimOrderParams, GeneralParams, ParamError};
+pub use driver::{ConstructionBreakdown, ConstructionOutcome, ExchangeRule};
 pub use general::GeneralConstruction;
 pub use geometry::BoxGeometry;
 pub use verify::{verify_lower_bound, LowerBoundReport};

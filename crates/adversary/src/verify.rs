@@ -1,6 +1,6 @@
 //! Replay verification: Theorem 13 and Lemma 12, empirically.
 
-use crate::general::ConstructionOutcome;
+use crate::driver::ConstructionOutcome;
 use mesh_engine::{Router, Sim, SimReport};
 use mesh_topo::Topology;
 use serde::{Deserialize, Serialize};

@@ -9,8 +9,11 @@
 use mesh_adversary::dimorder::DimOrderConstruction;
 use mesh_adversary::farthest::FarthestFirstConstruction;
 use mesh_adversary::general::ConstructionOutcome;
-use mesh_adversary::{verify_lower_bound, DimOrderParams, GeneralConstruction, GeneralParams};
-use mesh_routers::{alt_adaptive, dim_order, theorem15, FarthestFirst};
+use mesh_adversary::{
+    verify_lower_bound, Class, ConstructionBreakdown, DimOrderParams, GeneralConstruction,
+    GeneralParams,
+};
+use mesh_routers::{alt_adaptive, dim_order, hot_potato, theorem15, FarthestFirst};
 use mesh_topo::Mesh;
 
 /// What one construction produced, as recorded from the three per-construction
@@ -181,4 +184,20 @@ fn farthest_first_construction_k2_pins_its_tie_breaks() {
     let report = verify_lower_bound(&topo, FarthestFirst::new(2), &outcome, None);
     assert!(report.undelivered_at_bound > 0);
     assert!(!report.replay_matches_construction);
+}
+
+#[test]
+fn nonminimal_victim_breaks_the_construction_down_as_a_value() {
+    // Hot potato deflects packets out of the boxes, so Lemmas 3/4 stop
+    // supplying partners (E11): a typed error naming the step and the class,
+    // not a panic for the caller to catch.
+    let cons = GeneralConstruction::new(GeneralParams::new(216, 1).unwrap());
+    let res = cons.try_run(&Mesh::new(216), hot_potato(216), false);
+    assert_eq!(
+        res.err(),
+        Some(ConstructionBreakdown {
+            step: 12,
+            wanted: Class::E(1)
+        })
+    );
 }

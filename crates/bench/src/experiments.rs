@@ -19,8 +19,7 @@ use crate::sweep::{
 };
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::adversary::farthest::FarthestFirstConstruction;
-use mesh_routing::adversary::general::ConstructionOutcome;
-use mesh_routing::adversary::LowerBoundReport;
+use mesh_routing::adversary::{ConstructionOutcome, LowerBoundReport};
 use mesh_routing::prelude::*;
 use mesh_routing::with_engine_router;
 use std::sync::Arc;
@@ -693,9 +692,7 @@ pub fn e11(full: bool) -> Experiment {
             let topo = Mesh::new(n);
             let gparams = GeneralParams::new(n, k).unwrap();
             let gcons = GeneralConstruction::new(gparams);
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                gcons.run(&topo, mesh_routing::routers::hot_potato(n), false)
-            }));
+            let res = gcons.try_run(&topo, mesh_routing::routers::hot_potato(n), false);
             TrialOutput::new(cells!(
                 n,
                 k,
@@ -742,10 +739,7 @@ pub fn e12(full: bool) -> Experiment {
                     n, k, delta,
                 ))
             };
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cons.run(&topo, make(), false)
-            }));
-            match res {
+            match cons.try_run(&topo, make(), false) {
                 Ok(outcome) => {
                     let rep = verify_lower_bound(&topo, make(), &outcome, None);
                     let row = cells!(
@@ -1485,38 +1479,38 @@ pub fn overload(full: bool) -> Experiment {
     e
 }
 
-/// All experiment ids in order.
-pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "a1", "a2",
-    "a3", "perf", "chaos", "reliable", "crashrec", "overload",
+/// Builds an experiment's cells; `true` extends the grids (`--full`).
+pub type Builder = fn(bool) -> Experiment;
+
+/// Every experiment of the suite, in order: its id and what builds its cells.
+pub const REGISTRY: &[(&str, Builder)] = &[
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("a1", a1),
+    ("a2", a2),
+    ("a3", a3),
+    ("perf", perf),
+    ("chaos", chaos),
+    ("reliable", reliable),
+    ("crashrec", crashrec),
+    ("overload", overload),
 ];
 
 /// Builds the experiment (its cells) by id, without running anything.
 pub fn build(id: &str, full: bool) -> Option<Experiment> {
-    Some(match id {
-        "e1" => e1(full),
-        "e2" => e2(full),
-        "e3" => e3(full),
-        "e4" => e4(full),
-        "e5" => e5(full),
-        "e6" => e6(full),
-        "e7" => e7(full),
-        "e8" => e8(full),
-        "e9" => e9(full),
-        "e10" => e10(full),
-        "e11" => e11(full),
-        "e12" => e12(full),
-        "e13" => e13(full),
-        "a1" => a1(full),
-        "a2" => a2(full),
-        "a3" => a3(full),
-        "perf" => perf(full),
-        "chaos" => chaos(full),
-        "reliable" => reliable(full),
-        "crashrec" => crashrec(full),
-        "overload" => overload(full),
-        _ => return None,
-    })
+    let (_, cells) = REGISTRY.iter().find(|(known, _)| *known == id)?;
+    Some(cells(full))
 }
 
 #[cfg(test)]
@@ -1532,7 +1526,7 @@ mod tests {
     #[test]
     fn all_ids_are_unique_and_well_formed() {
         let mut seen = std::collections::HashSet::new();
-        for id in ALL {
+        for (id, _) in REGISTRY {
             assert!(seen.insert(id), "duplicate experiment id {id}");
             assert!(
                 id.starts_with('e')
@@ -1544,13 +1538,12 @@ mod tests {
                     || *id == "overload"
             );
         }
-        assert_eq!(ALL.len(), 21);
     }
 
     #[test]
     fn every_experiment_builds_cells() {
-        for id in ALL {
-            let exp = build(id, false).unwrap();
+        for (id, cells) in REGISTRY {
+            let exp = cells(false);
             assert_eq!(&exp.id, id);
             assert!(!exp.cells.is_empty(), "{id} built no cells");
             assert!(!exp.headers.is_empty(), "{id} has no headers");

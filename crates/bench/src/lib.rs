@@ -17,17 +17,18 @@
 //!
 //! ## The parallel trial runner
 //!
-//! Every experiment is a flat list of independent cells that the
-//! [`runner`] executes across a scoped thread pool:
+//! Every experiment is a flat list of independent cells; the [`runner`]
+//! executes every unit of every requested experiment on one scoped thread
+//! pool:
 //!
 //! ```sh
 //! cargo run --release -p mesh-bench --bin experiments -- \
 //!     e1 --threads 8 --trials 5 --json-out out/
 //! ```
 //!
-//! - `--threads N` — worker threads for the trial pool (default: all
-//!   cores). Results are **bit-identical for any N**: every trial has its
-//!   own derived seed and a pre-assigned output slot.
+//! - `--threads N` — worker threads of that pool (default: all cores).
+//!   Results are **bit-identical for any N**: every trial has its own
+//!   derived seed and a pre-assigned output slot.
 //! - `--trials N` — repetitions per *seeded* cell (random workloads);
 //!   deterministic cells (adversary constructions, fixed permutations)
 //!   always run once. Trial 0 uses the historical seed, so the recorded

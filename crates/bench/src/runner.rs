@@ -2,10 +2,10 @@
 //!
 //! Every experiment is a flat list of **cells** — independent
 //! `(algorithm, workload, n, …)` points, each with a closure that runs one
-//! trial. The runner fans `(cell, trial)` units across a scoped
-//! thread pool and collects outputs into slots indexed by `(cell, trial)`,
-//! so results are **bit-identical regardless of thread count or
-//! scheduling**: no trial ever observes another's RNG or ordering.
+//! trial. The runner fans the `(experiment, cell, trial)` units of a whole
+//! suite across one scoped thread pool and collects outputs into slots
+//! indexed by unit, so results are **bit-identical regardless of thread
+//! count or scheduling**: no trial ever observes another's RNG or ordering.
 //!
 //! Seeding: a trial closure receives only its 0-based trial index. Seeded
 //! cells derive their workload seed via [`derive_seed`], which returns the
@@ -19,12 +19,14 @@
 //!   [`ReportAggregate`] statistics (mean/min/max/stddev across trials).
 //!   Contains **no timing**, so it is byte-identical across thread counts;
 //! - a [`TimingDoc`] (`BENCH_<id>.timing.json`): wall-clock per cell and
-//!   for the whole experiment, which is inherently machine- and
-//!   thread-dependent and therefore lives in a sidecar.
+//!   from the experiment's first unit starting to its last ending, which is
+//!   inherently machine- and thread-dependent and therefore lives in a
+//!   sidecar.
 
 use crate::table::Table;
 use mesh_routing::engine::{ReportAggregate, SimReport};
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -100,7 +102,7 @@ pub fn derive_seed(historical: u64, trial: u64) -> u64 {
 /// How to execute an experiment's cells.
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
-    /// Worker threads for the trial pool (1 = run inline on the caller).
+    /// Worker threads of the one pool every unit of the suite runs on.
     pub threads: usize,
     /// Trials per seeded cell (unseeded cells always run once).
     pub trials: u64,
@@ -128,75 +130,75 @@ impl RunnerConfig {
     }
 }
 
-/// All trials of one cell, in trial order, plus its total wall-clock.
+/// All trials of one cell, in trial order, plus when they ran.
 pub struct CellResult {
     pub label: String,
     pub seeded: bool,
+    /// The trials that returned. A trial that panicked is missing (its
+    /// message went to stderr through the panic hook) and sets `failed`.
     pub trials: Vec<TrialOutput>,
+    pub failed: bool,
+    /// Sum of the cell's per-trial wall-clocks.
     pub wall: Duration,
+    /// Start of the cell's first unit and end of its last.
+    pub span: (Instant, Instant),
 }
 
 /// Runs every `(cell, trial)` unit across a scoped thread pool and returns
 /// per-cell results in declaration order, trial-indexed — independent of
-/// thread count and scheduling.
+/// thread count and scheduling. A panicking trial fails its own cell only.
 pub fn run_cells(cells: Vec<Cell>, config: &RunnerConfig) -> Vec<CellResult> {
     // Flatten to work units; slot index = position here.
-    let mut units: Vec<(usize, u64)> = Vec::new();
-    for (ci, cell) in cells.iter().enumerate() {
-        let trials = if cell.seeded { config.trials.max(1) } else { 1 };
-        for trial in 0..trials {
-            units.push((ci, trial));
-        }
-    }
+    let trials_of = |cell: &Cell| if cell.seeded { config.trials.max(1) } else { 1 };
+    let units: Vec<(usize, u64)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, cell)| (0..trials_of(cell)).map(move |trial| (ci, trial)))
+        .collect();
 
-    let mut slots: Vec<Option<(TrialOutput, Duration)>> = (0..units.len()).map(|_| None).collect();
-    let threads = config.threads.max(1).min(units.len().max(1));
-    if threads == 1 {
-        for (slot, &(ci, trial)) in slots.iter_mut().zip(units.iter()) {
-            let t0 = Instant::now();
-            let out = (cells[ci].run)(trial);
-            *slot = Some((out, t0.elapsed()));
+    type Slot = Option<(Option<TrialOutput>, Instant, Instant)>;
+    let slots: Mutex<Vec<Slot>> = Mutex::new((0..units.len()).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= units.len() {
+            break;
         }
-    } else {
-        let shared = Mutex::new(&mut slots);
-        let next = AtomicUsize::new(0);
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= units.len() {
-                break;
-            }
-            let (ci, trial) = units[i];
-            let t0 = Instant::now();
-            let out = (cells[ci].run)(trial);
-            let mut slots = shared
-                .lock()
-                .expect("no worker panics holding the slot lock");
-            slots[i] = Some((out, t0.elapsed()));
-        };
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
-            for w in workers {
-                w.join().expect("trial worker panicked");
-            }
-        });
-    }
+        let (ci, trial) = units[i];
+        let t0 = Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| (cells[ci].run)(trial))).ok();
+        slots.lock().expect("units panic outside the slot lock")[i] =
+            Some((out, t0, Instant::now()));
+    };
+    std::thread::scope(|s| {
+        for _ in 0..config.threads.clamp(1, units.len().max(1)) {
+            s.spawn(worker);
+        }
+    });
 
     // Fold flat slots back into per-cell results, preserving both orders.
-    let mut results: Vec<CellResult> = cells
+    let mut slots = slots
+        .into_inner()
+        .expect("units panic outside the slot lock")
         .into_iter()
-        .map(|c| CellResult {
-            label: c.label,
-            seeded: c.seeded,
-            trials: Vec::new(),
-            wall: Duration::ZERO,
+        .map(|slot| slot.expect("every unit was executed"));
+    cells
+        .into_iter()
+        .map(|cell| {
+            let ran: Vec<_> = slots.by_ref().take(trials_of(&cell) as usize).collect();
+            CellResult {
+                label: cell.label,
+                seeded: cell.seeded,
+                failed: ran.iter().any(|(out, ..)| out.is_none()),
+                wall: ran.iter().map(|&(_, t0, t1)| t1 - t0).sum(),
+                span: (
+                    ran.iter().map(|u| u.1).min().expect("a cell has a trial"),
+                    ran.iter().map(|u| u.2).max().expect("a cell has a trial"),
+                ),
+                trials: ran.into_iter().filter_map(|(out, ..)| out).collect(),
+            }
         })
-        .collect();
-    for ((ci, _trial), slot) in units.into_iter().zip(slots) {
-        let (out, wall) = slot.expect("every unit was executed");
-        results[ci].trials.push(out);
-        results[ci].wall += wall;
-    }
-    results
+        .collect()
 }
 
 // ---- experiment plumbing ----
@@ -287,7 +289,8 @@ pub struct TimingDoc {
     pub experiment: String,
     pub threads: usize,
     pub trials: u64,
-    /// End-to-end wall-clock of the experiment (pool setup included).
+    /// From the start of the experiment's first unit to the end of its last
+    /// (other experiments' units may share the pool in between).
     pub elapsed_ms: f64,
     /// Sum of per-trial wall-clocks (CPU-bound work actually done).
     pub busy_ms: f64,
@@ -301,71 +304,109 @@ pub struct ExperimentRun {
     pub timing: TimingDoc,
 }
 
+/// An experiment one of whose trials panicked: no table, no documents.
+pub struct FailedExperiment {
+    pub id: String,
+    /// First unit start → last unit end, as in [`TimingDoc::elapsed_ms`].
+    pub elapsed: Duration,
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Executes an experiment under `config`: runs the cells on the pool, then
-/// assembles the table (trial 0 of every cell), the deterministic JSON
-/// document, and the timing sidecar.
-pub fn run_experiment(exp: Experiment, config: &RunnerConfig) -> ExperimentRun {
-    let t0 = Instant::now();
-    let Experiment {
-        id,
-        title,
-        expectation,
-        headers,
-        cells,
-    } = exp;
-    let results = run_cells(cells, config);
-    let elapsed = t0.elapsed();
-
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new(&id, &title, &expectation, &header_refs);
-    let mut docs = Vec::with_capacity(results.len());
-    let mut timings = Vec::with_capacity(results.len());
-    let mut busy = Duration::ZERO;
-    for cell in results {
-        if let Some(first) = cell.trials.first() {
-            table.row(first.row.clone());
-        }
-        let reports: Vec<SimReport> = cell
-            .trials
-            .iter()
-            .filter_map(|t| t.report.clone())
-            .collect();
-        docs.push(CellDoc {
-            label: cell.label.clone(),
-            seeded: cell.seeded,
-            trials: cell.trials.len(),
-            rows: cell.trials.into_iter().map(|t| t.row).collect(),
-            aggregate: (!reports.is_empty()).then(|| SimReport::aggregate(&reports)),
-        });
-        busy += cell.wall;
-        timings.push(CellTiming {
-            label: cell.label,
-            wall_ms: ms(cell.wall),
-        });
+/// Executes a suite under `config`: every `(experiment, cell, trial)` unit
+/// runs on the one pool of [`run_cells`], then each experiment's table (trial
+/// 0 of every cell), deterministic JSON document and timing sidecar are
+/// assembled from its own cells. A panicking trial fails its experiment only.
+pub fn run_suite(
+    exps: Vec<Experiment>,
+    config: &RunnerConfig,
+) -> Vec<Result<ExperimentRun, FailedExperiment>> {
+    let mut cells = Vec::new();
+    let mut heads = Vec::with_capacity(exps.len());
+    for exp in exps {
+        heads.push((
+            exp.id,
+            exp.title,
+            exp.expectation,
+            exp.headers,
+            exp.cells.len(),
+        ));
+        cells.extend(exp.cells);
     }
+    let mut results = run_cells(cells, config).into_iter();
+    heads
+        .into_iter()
+        .map(|(id, title, expectation, headers, len)| {
+            let results: Vec<CellResult> = results.by_ref().take(len).collect();
+            let elapsed = match (
+                results.iter().map(|c| c.span.0).min(),
+                results.iter().map(|c| c.span.1).max(),
+            ) {
+                (Some(first), Some(last)) => last - first,
+                _ => Duration::ZERO,
+            };
+            if results.iter().any(|c| c.failed) {
+                return Err(FailedExperiment { id, elapsed });
+            }
 
-    ExperimentRun {
-        table,
-        doc: BenchDoc {
-            experiment: id.clone(),
-            title,
-            expectation,
-            trials: config.trials.max(1),
-            headers,
-            cells: docs,
-        },
-        timing: TimingDoc {
-            experiment: id,
-            threads: config.threads.max(1),
-            trials: config.trials.max(1),
-            elapsed_ms: ms(elapsed),
-            busy_ms: ms(busy),
-            cells: timings,
-        },
+            let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+            let mut table = Table::new(&id, &title, &expectation, &header_refs);
+            let mut docs = Vec::with_capacity(results.len());
+            let mut timings = Vec::with_capacity(results.len());
+            let mut busy = Duration::ZERO;
+            for cell in results {
+                if let Some(first) = cell.trials.first() {
+                    table.row(first.row.clone());
+                }
+                let reports: Vec<SimReport> = cell
+                    .trials
+                    .iter()
+                    .filter_map(|t| t.report.clone())
+                    .collect();
+                docs.push(CellDoc {
+                    label: cell.label.clone(),
+                    seeded: cell.seeded,
+                    trials: cell.trials.len(),
+                    rows: cell.trials.into_iter().map(|t| t.row).collect(),
+                    aggregate: (!reports.is_empty()).then(|| SimReport::aggregate(&reports)),
+                });
+                busy += cell.wall;
+                timings.push(CellTiming {
+                    label: cell.label,
+                    wall_ms: ms(cell.wall),
+                });
+            }
+
+            Ok(ExperimentRun {
+                table,
+                doc: BenchDoc {
+                    experiment: id.clone(),
+                    title,
+                    expectation,
+                    trials: config.trials.max(1),
+                    headers,
+                    cells: docs,
+                },
+                timing: TimingDoc {
+                    experiment: id,
+                    threads: config.threads.max(1),
+                    trials: config.trials.max(1),
+                    elapsed_ms: ms(elapsed),
+                    busy_ms: ms(busy),
+                    cells: timings,
+                },
+            })
+        })
+        .collect()
+}
+
+/// [`run_suite`] for one experiment; a panicking trial panics the caller.
+pub fn run_experiment(exp: Experiment, config: &RunnerConfig) -> ExperimentRun {
+    match run_suite(vec![exp], config).pop() {
+        Some(Ok(run)) => run,
+        _ => panic!("trial worker panicked"),
     }
 }
 
@@ -409,13 +450,32 @@ mod tests {
     fn a_panicking_trial_fails_the_pooled_run() {
         let mut e = counting_experiment();
         e.fixed("boom", |_| panic!("trial blew up"));
-        run_cells(
-            e.cells,
+        run_experiment(
+            e,
             &RunnerConfig {
                 threads: 2,
                 trials: 1,
             },
         );
+    }
+
+    #[test]
+    fn a_panicking_trial_fails_its_own_experiment_only() {
+        let bad = || {
+            let mut e = counting_experiment();
+            e.id = "bad".into();
+            e.fixed("boom", |_| panic!("trial blew up"));
+            e
+        };
+        for threads in [1, 3] {
+            let cfg = RunnerConfig { threads, trials: 2 };
+            let mut runs = run_suite(vec![counting_experiment(), bad()], &cfg);
+            assert_eq!(runs.pop().unwrap().err().unwrap().id, "bad");
+            let good = runs.pop().unwrap().ok().expect("the other experiment ran");
+            let alone = run_experiment(counting_experiment(), &cfg);
+            assert_eq!(good.doc.cells.len(), alone.doc.cells.len());
+            assert_eq!(good.table.rows, alone.table.rows);
+        }
     }
 
     #[test]

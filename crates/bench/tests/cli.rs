@@ -64,6 +64,8 @@ fn experiments_rejects_unknown_flags() {
     let out = experiments(&["perf", "--tile-threads", "2"]);
     assert_usage_error(&out, "--tile-threads");
     assert_usage_error(&experiments(&["--bogus", "e2"]), "--bogus");
+    // One pool, one knob: the across-experiments worker count is gone.
+    assert_usage_error(&experiments(&["--jobs", "2", "e2"]), "--jobs");
 }
 
 fn stdout_lines(out: &Output, prefix: &str) -> usize {

@@ -78,8 +78,17 @@ struct Payload {
 /// Lost packets (data or ACK) need no special handling: the timer recovers
 /// both cases, and duplicate suppression keeps recovery idempotent.
 pub struct Transport {
+    state: TransportState,
+}
+
+/// The transport's complete state, and as such what rides along in a
+/// checkpoint's `protocol` slot: everything [`Transport::on_step`] reads or
+/// writes. The policy is part of it for mismatch detection — restoring under
+/// a different backoff would silently change the schedule.
+#[derive(Serialize, Deserialize)]
+struct TransportState {
     policy: BackoffPolicy,
-    rng: StdRng,
+    rng: JitterRng,
     payloads: Vec<Payload>,
     /// Payloads in release order (by injection step, ties by id).
     release_order: Vec<PayloadId>,
@@ -87,10 +96,7 @@ pub struct Transport {
     /// Meaning of every engine packet, indexed by [`PacketId`]; grows as the
     /// transport spawns ACKs and retransmissions.
     meta: Vec<PacketMeta>,
-    /// Destination-side duplicate suppression: `(source node, seq)` pairs
-    /// already delivered to the application. (Each payload's destination is
-    /// fixed, so one set stands in for all per-destination sets.)
-    seen: HashSet<(u32, u32)>,
+    seen: SeenSet,
     /// Released payloads not yet acknowledged.
     outstanding: usize,
     acked: usize,
@@ -101,6 +107,42 @@ pub struct Transport {
     acks_sent: u64,
     data_lost: u64,
     acks_lost: u64,
+}
+
+/// The backoff RNG, rendered as its raw generator state so the
+/// retransmission jitter stream resumes exactly where it stood.
+struct JitterRng(StdRng);
+
+impl Serialize for JitterRng {
+    fn serialize(&self) -> serde::Value {
+        self.0.state().serialize()
+    }
+}
+
+impl Deserialize for JitterRng {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        Deserialize::deserialize(v).map(|state| JitterRng(StdRng::from_state(state)))
+    }
+}
+
+/// Destination-side duplicate suppression: the `(source node, seq)` pairs
+/// already delivered to the application. (Each payload's destination is
+/// fixed, so one set stands in for all per-destination sets.) Rendered
+/// sorted, so a checkpoint does not depend on hash order.
+struct SeenSet(HashSet<(u32, u32)>);
+
+impl Serialize for SeenSet {
+    fn serialize(&self) -> serde::Value {
+        let mut seen: Vec<(u32, u32)> = self.0.iter().copied().collect();
+        seen.sort_unstable();
+        seen.serialize()
+    }
+}
+
+impl Deserialize for SeenSet {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::deserialize(v).map(|seen| SeenSet(seen.into_iter().collect()))
+    }
 }
 
 impl Transport {
@@ -137,153 +179,107 @@ impl Transport {
             .map(|i| PacketMeta::Data(PayloadId(i)))
             .collect();
         Transport {
-            policy,
-            rng: StdRng::seed_from_u64(seed),
-            payloads,
-            release_order,
-            release_cursor: 0,
-            meta,
-            seen: HashSet::new(),
-            outstanding: 0,
-            acked: 0,
-            delivered: 0,
-            retransmits: 0,
-            duplicate_deliveries: 0,
-            duplicate_acks: 0,
-            acks_sent: 0,
-            data_lost: 0,
-            acks_lost: 0,
+            state: TransportState {
+                policy,
+                rng: JitterRng(StdRng::seed_from_u64(seed)),
+                payloads,
+                release_order,
+                release_cursor: 0,
+                meta,
+                seen: SeenSet(HashSet::new()),
+                outstanding: 0,
+                acked: 0,
+                delivered: 0,
+                retransmits: 0,
+                duplicate_deliveries: 0,
+                duplicate_acks: 0,
+                acks_sent: 0,
+                data_lost: 0,
+                acks_lost: 0,
+            },
         }
     }
 
     /// Payloads in the problem.
     pub fn payloads(&self) -> usize {
-        self.payloads.len()
+        self.state.payloads.len()
     }
 
     /// Distinct payloads delivered to the application so far.
     pub fn delivered(&self) -> usize {
-        self.delivered
+        self.state.delivered
     }
 
     /// Payloads acknowledged end-to-end so far.
     pub fn acked(&self) -> usize {
-        self.acked
+        self.state.acked
     }
 
     /// Released payloads still awaiting acknowledgement.
     pub fn outstanding(&self) -> usize {
-        self.outstanding
+        self.state.outstanding
     }
 
     /// Step of the payload's first delivery to the application.
     pub fn first_delivery(&self, y: PayloadId) -> Option<u64> {
-        self.payloads[y.index()].first_delivered
+        self.state.payloads[y.index()].first_delivered
     }
 
     /// True when every payload was delivered to the application exactly once
     /// (duplicates suppressed, none missing).
     pub fn exactly_once(&self) -> bool {
-        self.delivered == self.payloads.len()
-            && self.payloads.iter().all(|p| p.first_delivered.is_some())
+        let st = &self.state;
+        st.delivered == st.payloads.len() && st.payloads.iter().all(|p| p.first_delivered.is_some())
     }
 
     /// The end-to-end measurements, for a run that took `steps` steps.
     pub fn report(&self, steps: u64) -> TransportReport {
-        let latencies: Vec<u64> = self
+        let st = &self.state;
+        let latencies: Vec<u64> = st
             .payloads
             .iter()
             .filter_map(|p| p.first_delivered.map(|d| d.saturating_sub(p.release)))
             .collect();
         TransportReport {
-            payloads: self.payloads.len(),
-            delivered: self.delivered,
-            acked: self.acked,
+            payloads: st.payloads.len(),
+            delivered: st.delivered,
+            acked: st.acked,
             exactly_once: self.exactly_once(),
-            retransmits: self.retransmits,
-            duplicate_deliveries: self.duplicate_deliveries,
-            duplicate_acks: self.duplicate_acks,
-            acks_sent: self.acks_sent,
-            data_lost: self.data_lost,
-            acks_lost: self.acks_lost,
+            retransmits: st.retransmits,
+            duplicate_deliveries: st.duplicate_deliveries,
+            duplicate_acks: st.duplicate_acks,
+            acks_sent: st.acks_sent,
+            data_lost: st.data_lost,
+            acks_lost: st.acks_lost,
             steps,
             goodput: if steps == 0 {
                 0.0
             } else {
-                self.delivered as f64 / steps as f64
+                st.delivered as f64 / steps as f64
             },
             latency: Distribution::of(&latencies),
         }
     }
 }
 
-/// The transport's complete serialized state — what rides along in a
-/// checkpoint's `protocol` slot. Everything [`Transport::on_step`] reads
-/// or writes is here: the ARQ tables (payload states, sequence numbers,
-/// timers, attempt counts), the per-packet meaning table, the
-/// destination-side seen-set (sorted for deterministic rendering), the
-/// counters, and the raw backoff-RNG state so the retransmission jitter
-/// stream resumes exactly where it stood. The policy is included for
-/// mismatch detection: restoring under a different backoff would silently
-/// change the schedule.
-#[derive(Serialize, Deserialize)]
-struct TransportState {
-    policy: BackoffPolicy,
-    rng: [u64; 4],
-    payloads: Vec<Payload>,
-    release_order: Vec<PayloadId>,
-    release_cursor: usize,
-    meta: Vec<PacketMeta>,
-    seen: Vec<(u32, u32)>,
-    outstanding: usize,
-    acked: usize,
-    delivered: usize,
-    retransmits: u64,
-    duplicate_deliveries: u64,
-    duplicate_acks: u64,
-    acks_sent: u64,
-    data_lost: u64,
-    acks_lost: u64,
-}
-
 impl mesh_engine::SnapshotHook for Transport {
     fn snapshot_state(&self) -> serde::Value {
-        let mut seen: Vec<(u32, u32)> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
-        TransportState {
-            policy: self.policy,
-            rng: self.rng.state(),
-            payloads: self.payloads.clone(),
-            release_order: self.release_order.clone(),
-            release_cursor: self.release_cursor,
-            meta: self.meta.clone(),
-            seen,
-            outstanding: self.outstanding,
-            acked: self.acked,
-            delivered: self.delivered,
-            retransmits: self.retransmits,
-            duplicate_deliveries: self.duplicate_deliveries,
-            duplicate_acks: self.duplicate_acks,
-            acks_sent: self.acks_sent,
-            data_lost: self.data_lost,
-            acks_lost: self.acks_lost,
-        }
-        .serialize()
+        self.state.serialize()
     }
 
     fn restore_state(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
         let st = TransportState::deserialize(v)?;
-        if st.policy != self.policy {
+        if st.policy != self.state.policy {
             return Err(serde::Error::custom(format!(
                 "checkpoint was taken under backoff policy {:?}, restoring under {:?}",
-                st.policy, self.policy
+                st.policy, self.state.policy
             )));
         }
-        if st.payloads.len() != self.payloads.len() {
+        if st.payloads.len() != self.state.payloads.len() {
             return Err(serde::Error::custom(format!(
                 "checkpoint has {} payloads, this transport was built over {}",
                 st.payloads.len(),
-                self.payloads.len()
+                self.state.payloads.len()
             )));
         }
         if st.release_order.len() != st.payloads.len() || st.release_cursor > st.release_order.len()
@@ -299,21 +295,7 @@ impl mesh_engine::SnapshotHook for Transport {
                 st.payloads.len()
             )));
         }
-        self.rng = StdRng::from_state(st.rng);
-        self.payloads = st.payloads;
-        self.release_order = st.release_order;
-        self.release_cursor = st.release_cursor;
-        self.meta = st.meta;
-        self.seen = st.seen.into_iter().collect();
-        self.outstanding = st.outstanding;
-        self.acked = st.acked;
-        self.delivered = st.delivered;
-        self.retransmits = st.retransmits;
-        self.duplicate_deliveries = st.duplicate_deliveries;
-        self.duplicate_acks = st.duplicate_acks;
-        self.acks_sent = st.acks_sent;
-        self.data_lost = st.data_lost;
-        self.acks_lost = st.acks_lost;
+        self.state = st;
         Ok(())
     }
 }
@@ -324,53 +306,54 @@ impl ProtocolHook for Transport {
         sim: &mut Sim<'_, T, R>,
         events: &StepEvents,
     ) -> ProtocolControl {
+        let st = &mut self.state;
         let s = events.step;
         // 1. Release: step `s` just completed, so every payload with
         // `release <= s - 1` has been injected (or deferred by admission
         // control — the timer covers that case too); the synthetic step-0
         // batch covers construction-time injections (`release == 0`).
         // Timers count from the step after injection.
-        while self.release_cursor < self.release_order.len() {
-            let y = self.release_order[self.release_cursor];
-            let p = &mut self.payloads[y.index()];
+        while st.release_cursor < st.release_order.len() {
+            let y = st.release_order[st.release_cursor];
+            let p = &mut st.payloads[y.index()];
             if p.release > s.saturating_sub(1) {
                 break;
             }
-            self.release_cursor += 1;
+            st.release_cursor += 1;
             p.state = PayloadState::InFlight;
             p.attempts = 1;
-            let d = self.policy.delay(0, &mut self.rng);
+            let d = st.policy.delay(0, &mut st.rng.0);
             p.next_retry = p.release + 1 + d;
-            self.outstanding += 1;
+            st.outstanding += 1;
         }
         // 2./3. Deliveries.
         for &pid in &events.delivered {
-            match self.meta[pid.index()] {
+            match st.meta[pid.index()] {
                 PacketMeta::Data(y) => {
-                    let p = self.payloads[y.index()];
-                    if self.seen.insert((p.src_idx, p.seq)) {
-                        self.payloads[y.index()].first_delivered = Some(s);
-                        self.delivered += 1;
+                    let p = st.payloads[y.index()];
+                    if st.seen.0.insert((p.src_idx, p.seq)) {
+                        st.payloads[y.index()].first_delivered = Some(s);
+                        st.delivered += 1;
                     } else {
-                        self.duplicate_deliveries += 1;
+                        st.duplicate_deliveries += 1;
                     }
                     // (Re-)acknowledge: duplicates mean the previous ACK may
                     // have been lost.
                     let ack = sim.spawn(p.dst, p.src, s);
-                    debug_assert_eq!(ack.index(), self.meta.len());
-                    self.meta.push(PacketMeta::Ack(y));
-                    self.acks_sent += 1;
+                    debug_assert_eq!(ack.index(), st.meta.len());
+                    st.meta.push(PacketMeta::Ack(y));
+                    st.acks_sent += 1;
                 }
                 PacketMeta::Ack(y) => {
-                    let p = &mut self.payloads[y.index()];
+                    let p = &mut st.payloads[y.index()];
                     if p.state == PayloadState::Acked {
-                        self.duplicate_acks += 1;
+                        st.duplicate_acks += 1;
                     } else {
                         debug_assert_eq!(p.state, PayloadState::InFlight);
                         p.state = PayloadState::Acked;
                         p.next_retry = u64::MAX;
-                        self.outstanding -= 1;
-                        self.acked += 1;
+                        st.outstanding -= 1;
+                        st.acked += 1;
                     }
                 }
             }
@@ -378,32 +361,32 @@ impl ProtocolHook for Transport {
         // Losses: nothing to do — timers recover both directions — but the
         // split is worth measuring.
         for &pid in &events.lost {
-            match self.meta[pid.index()] {
-                PacketMeta::Data(_) => self.data_lost += 1,
-                PacketMeta::Ack(_) => self.acks_lost += 1,
+            match st.meta[pid.index()] {
+                PacketMeta::Data(_) => st.data_lost += 1,
+                PacketMeta::Ack(_) => st.acks_lost += 1,
             }
         }
         // 4. Retransmit expired timers, in payload order (determinism: the
         // spawn order and the RNG draw order are both fixed by it).
-        for yi in 0..self.payloads.len() {
-            let p = self.payloads[yi];
+        for yi in 0..st.payloads.len() {
+            let p = st.payloads[yi];
             if p.state != PayloadState::InFlight || p.next_retry > s {
                 continue;
             }
             let pid: PacketId = sim.spawn(p.src, p.dst, s);
-            debug_assert_eq!(pid.index(), self.meta.len());
-            self.meta.push(PacketMeta::Data(PayloadId(yi as u32)));
-            self.retransmits += 1;
-            let p = &mut self.payloads[yi];
+            debug_assert_eq!(pid.index(), st.meta.len());
+            st.meta.push(PacketMeta::Data(PayloadId(yi as u32)));
+            st.retransmits += 1;
+            let p = &mut st.payloads[yi];
             p.attempts += 1;
-            let d = self.policy.delay(p.attempts - 1, &mut self.rng);
+            let d = st.policy.delay(p.attempts - 1, &mut st.rng.0);
             p.next_retry = s + d;
         }
-        if self.acked == self.payloads.len() {
+        if st.acked == st.payloads.len() {
             ProtocolControl::Done
         } else {
             ProtocolControl::Continue {
-                outstanding: self.outstanding,
+                outstanding: st.outstanding,
             }
         }
     }
@@ -618,10 +601,16 @@ mod tests {
             ],
         );
         let tp = Transport::new(&pb, BackoffPolicy::fixed(8), 0);
-        assert_eq!((tp.payloads[0].src_idx, tp.payloads[0].seq), (0, 0));
-        assert_eq!((tp.payloads[1].src_idx, tp.payloads[1].seq), (1, 0));
         assert_eq!(
-            (tp.payloads[2].src_idx, tp.payloads[2].seq),
+            (tp.state.payloads[0].src_idx, tp.state.payloads[0].seq),
+            (0, 0)
+        );
+        assert_eq!(
+            (tp.state.payloads[1].src_idx, tp.state.payloads[1].seq),
+            (1, 0)
+        );
+        assert_eq!(
+            (tp.state.payloads[2].src_idx, tp.state.payloads[2].seq),
             (0, 1),
             "second payload from (0,0) gets the next sequence number"
         );
