@@ -51,10 +51,6 @@ impl DimOrderConstruction {
 
 /// §5's one exchange rule for dimension order.
 impl ExchangeRule for DimOrderConstruction {
-    fn grid_side(&self) -> u32 {
-        self.params.n
-    }
-
     fn bound_steps(&self) -> u64 {
         self.params.bound_steps()
     }

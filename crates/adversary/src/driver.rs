@@ -84,8 +84,9 @@ pub enum PartnerChoice {
 
 /// What the paper states separately for each construction.
 pub trait ExchangeRule {
-    /// Side of the grid the placement lives on.
-    fn grid_side(&self) -> u32;
+    /// How a partner is picked among the eligible.
+    const PARTNER: PartnerChoice = PartnerChoice::FirstIdle;
+
     /// The proven bound `⌊l⌋·dn`: how many steps the adversary runs.
     fn bound_steps(&self) -> u64;
     /// Step 1: the initial placement.
@@ -100,8 +101,6 @@ pub trait ExchangeRule {
     /// The exchange rule: the partner demanded if move `m` of a packet
     /// currently of class `cls` may not happen at step `t`.
     fn violation(&self, t: u64, m: &ScheduledMove, cls: Class) -> Option<Demand>;
-    /// How a partner is picked among the eligible.
-    const PARTNER: PartnerChoice = PartnerChoice::FirstIdle;
     /// Label of the constructed problem.
     fn constructed_label(&self) -> String;
 }
@@ -203,13 +202,16 @@ pub(crate) fn construct<T: Topology, R: Router, X: ExchangeRule>(
     router: R,
     mut checker: Option<InvariantChecker>,
 ) -> Result<ConstructionOutcome, ConstructionBreakdown> {
-    assert_eq!(topo.side(), rule.grid_side());
     let pb = rule.initial_problem();
+    assert_eq!(topo.side(), pb.n);
     let mut sim = Sim::new(topo, router, &pb);
-    let dsts: Vec<Coord> = pb.packets.iter().map(|p| p.dst).collect();
+    let classes = {
+        let dsts: Vec<Coord> = pb.packets.iter().map(|p| p.dst).collect();
+        ClassMap::new(&dsts, |d| rule.classify_dst(d))
+    };
     let mut hook = Exchanger {
         rule,
-        classes: ClassMap::new(&dsts, |d| rule.classify_dst(d)),
+        classes,
         move_of: vec![UNSCHEDULED; pb.len()],
         breakdown: None,
     };

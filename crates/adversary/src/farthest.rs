@@ -63,10 +63,6 @@ impl FarthestFirstConstruction {
 impl ExchangeRule for FarthestFirstConstruction {
     const PARTNER: PartnerChoice = PartnerChoice::Westernmost;
 
-    fn grid_side(&self) -> u32 {
-        self.params.n
-    }
-
     fn bound_steps(&self) -> u64 {
         self.params.bound_steps()
     }

@@ -97,10 +97,6 @@ impl GeneralConstruction {
 
 /// Rules EX1–EX4 of §3 step 3.
 impl ExchangeRule for GeneralConstruction {
-    fn grid_side(&self) -> u32 {
-        self.grid_n
-    }
-
     fn bound_steps(&self) -> u64 {
         self.params.bound_steps()
     }
