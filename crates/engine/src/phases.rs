@@ -1,4 +1,4 @@
-//! The §2 step, decomposed into named phases over a shared [`StepCtx`].
+//! The §2 step, decomposed into named phases over a shared `StepCtx`.
 //!
 //! [`STEP_PIPELINE`] is the single visible statement of phase order;
 //! [`Sim::step_with_hook`](crate::sim::Sim::step_with_hook) executes
@@ -580,7 +580,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: 
         // packet still sits, so its cached mask is that set.
         arr_packed.push(PackedArrival::new(store.profitable(topo, m.pkt), m.travel));
     }
-    let cold = FullArrivals::new(store, grid, ni, schedule, &order[start..end]);
+    let cold = FullArrivals::new(store, schedule, &order[start..end]);
     let state = &mut ctx.node_state[ni];
     router.inqueue(t0, target, state, queue_lens, arr_packed, &cold, accept);
     // Queue degradation: clamp what a (degradation-unaware) router

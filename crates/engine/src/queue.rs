@@ -91,10 +91,8 @@ impl QueueArch {
 
     /// The [`QueueKind`] stored at a dense slot index — the inverse of
     /// [`QueueKind::slot`] and the single source of the slot↔kind mapping
-    /// the queue arena indexes by. Public only for the reference oracle,
-    /// which turns descriptor slots back into view `QueueKind`s.
-    #[doc(hidden)]
-    pub fn slot_kind(self, slot: usize) -> QueueKind {
+    /// the queue arena indexes by.
+    pub(crate) fn slot_kind(self, slot: usize) -> QueueKind {
         match (self, slot) {
             (QueueArch::Central { .. }, _) => QueueKind::Central,
             (QueueArch::PerInlink { .. }, 4) => QueueKind::Injection,

@@ -1,7 +1,7 @@
 //! The synchronous multi-port simulation façade.
 //!
-//! [`Sim`] composes the engine's parts — the [`PacketStore`] packet
-//! table and [`NodeGrid`] queue storage (`storage`), the named step
+//! [`Sim`] composes the engine's parts — the `PacketStore` packet
+//! table and `NodeGrid` queue storage (`storage`), the named step
 //! phases (`phases`, see [`STEP_PIPELINE`]), the unified run driver
 //! (`driver`), and the no-progress watchdog (`watchdog`) — behind the
 //! public API. [`Sim::step_with_hook`] dispatches the phase pipeline;
@@ -515,7 +515,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     }
 
     /// The packets currently in a node, over all queues, in queue order —
-    /// answered from the [`NodeGrid`]'s own slab region (no packet-table
+    /// answered from the `NodeGrid`'s own slab region (no packet-table
     /// scan, no allocation).
     pub fn packets_at(&self, c: Coord) -> impl Iterator<Item = PacketId> + '_ {
         self.grid.packets_at(c)

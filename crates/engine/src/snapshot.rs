@@ -3,7 +3,7 @@
 //! [`CheckpointSink`] observer the checkpointing run drivers feed.
 //!
 //! A snapshot captures *everything* the step pipeline reads or writes —
-//! the [`PacketStore`] SoA arrays, the [`NodeGrid`] queue slots (with the
+//! the `PacketStore` SoA arrays, the `NodeGrid` queue slots (with the
 //! active worklist **in order**, because the route phase walks it
 //! verbatim), admission-control staging, the monotone progress counters,
 //! watchdog timers, per-node router state, last-step event buffers, and
@@ -134,7 +134,7 @@ pub struct SteadySnap {
     pub config: SteadyConfig,
 }
 
-/// The packet table, exactly as the [`PacketStore`] holds it.
+/// The packet table, exactly as the `PacketStore` holds it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PacketsSnap {
     pub src: Vec<Coord>,

@@ -12,8 +12,8 @@
 //! completed inside it — and the run returns a [`SteadyReport`] pooling
 //! the per-window frames.
 //!
-//! The driver plugs into the same [`RunObserver`] seam as every other run
-//! flavor and arms the watchdog in [`WatchdogMode::Overload`]: arrivals
+//! The driver plugs into the same `RunObserver` seam as every other run
+//! flavor and arms the watchdog in `WatchdogMode::Overload`: arrivals
 //! never stop, so the standard cursor-exhaustion gate would disarm it
 //! forever, and a saturated run that keeps shedding counts as live.
 //!

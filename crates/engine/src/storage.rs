@@ -166,18 +166,11 @@ impl PacketStore {
         (d != NOT_DELIVERED).then_some(d)
     }
 
-    /// The cached profitable mask of a queued packet, unchecked (the
-    /// reference oracle's handle has no topology to check it against).
-    #[inline]
-    pub(crate) fn cached_mask(&self, pid: PacketId) -> DirSet {
-        DirSet::from_bits(self.mask[pid.index()])
-    }
-
     /// Profitable outlinks of a queued packet, measured from the node it
     /// sits at: the cached mask, cross-checked in debug builds.
     #[inline]
     pub(crate) fn profitable<T: Topology>(&self, topo: &T, pid: PacketId) -> DirSet {
-        let mask = self.cached_mask(pid);
+        let mask = DirSet::from_bits(self.mask[pid.index()]);
         debug_assert_eq!(
             self.fresh_mask(topo, pid),
             Some(mask),

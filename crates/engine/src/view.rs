@@ -119,21 +119,6 @@ pub struct DxResidents<'a> {
 }
 
 impl<'a> DxResidents<'a> {
-    /// Packets queued at the node. Reference-oracle support (policies are
-    /// handed the descriptor slice, whose length this is).
-    #[doc(hidden)]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.grid.node_load(self.ni) as usize
-    }
-
-    /// True when the node holds no packet. Reference-oracle support.
-    #[doc(hidden)]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The packet's identity.
     #[inline]
     pub fn id(&self, i: usize) -> PacketId {
@@ -150,21 +135,6 @@ impl<'a> DxResidents<'a> {
     #[inline]
     pub fn state(&self, i: usize) -> u64 {
         self.store.state[self.id(i).index()]
-    }
-
-    /// The packet's descriptor, rebuilt from the grid. Reference-oracle
-    /// support: an inqueue *view* policy is handed its residents as views,
-    /// where a shipped inqueue policy reads only per-slot occupancy.
-    #[doc(hidden)]
-    pub fn packed(&self, i: usize) -> PackedView {
-        let mut rest = i;
-        for (slot, q) in self.grid.node_queues(self.ni) {
-            if let Some(pid) = q.get(rest) {
-                return PackedView::new(self.store.cached_mask(*pid), slot, rest as u32);
-            }
-            rest -= q.len();
-        }
-        panic!("resident index {i} out of range");
     }
 }
 
@@ -199,7 +169,7 @@ impl<'a> Deref for FullResidents<'a> {
 /// descriptor slice handed to the inqueue policy.
 #[derive(Clone, Copy)]
 pub struct DxArrivals<'a> {
-    residents: DxResidents<'a>,
+    store: &'a PacketStore,
     schedule: &'a [ScheduledMove],
     /// Schedule indices of this node's arrival group, in offer order.
     group: &'a [u32],
@@ -220,21 +190,13 @@ impl<'a> DxArrivals<'a> {
     /// The offered packet's source address.
     #[inline]
     pub fn src(&self, i: usize) -> Coord {
-        self.residents.store.src[self.id(i).index()]
+        self.store.src[self.id(i).index()]
     }
 
     /// The offered packet's state word.
     #[inline]
     pub fn state(&self, i: usize) -> u64 {
-        self.residents.store.state[self.id(i).index()]
-    }
-
-    /// The accepting node's own residents, as of the beginning of the
-    /// step. Reference-oracle support (see [`DxResidents::packed`]).
-    #[doc(hidden)]
-    #[inline]
-    pub fn residents(&self) -> DxResidents<'a> {
-        self.residents
+        self.store.state[self.id(i).index()]
     }
 }
 
@@ -246,13 +208,11 @@ pub struct FullArrivals<'a>(DxArrivals<'a>);
 impl<'a> FullArrivals<'a> {
     pub(crate) fn new(
         store: &'a PacketStore,
-        grid: &'a NodeGrid,
-        ni: usize,
         schedule: &'a [ScheduledMove],
         group: &'a [u32],
     ) -> Self {
         FullArrivals(DxArrivals {
-            residents: DxResidents { store, grid, ni },
+            store,
             schedule,
             group,
         })
@@ -261,7 +221,7 @@ impl<'a> FullArrivals<'a> {
     /// The offered packet's destination address.
     #[inline]
     pub fn dst(&self, i: usize) -> Coord {
-        self.0.residents.store.dst[self.0.id(i).index()]
+        self.0.store.dst[self.0.id(i).index()]
     }
 
     /// The node the packet is coming from (§2 measures its profitable
@@ -269,14 +229,6 @@ impl<'a> FullArrivals<'a> {
     #[inline]
     pub fn from(&self, i: usize) -> Coord {
         self.0.mv(i).from
-    }
-
-    /// The accepting node's own residents, destinations included.
-    /// Reference-oracle support.
-    #[doc(hidden)]
-    #[inline]
-    pub fn residents(&self) -> FullResidents<'a> {
-        FullResidents(self.0.residents)
     }
 }
 

@@ -12,9 +12,8 @@
 //! exchanged packets, which is all destination-exchangeability requires).
 
 use crate::common::{round_robin_accept, Axis, RoundRobin};
-use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
-use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
+use mesh_topo::{Coord, Dir, DirSet};
 
 /// Alternating minimal-adaptive router on a central queue of capacity `k`.
 #[derive(Clone, Debug)]
@@ -129,76 +128,6 @@ impl DxRouter for AltAdaptive {
     }
 }
 
-/// Reference view policies (see `crate::oracle`).
-impl DxViewPolicy for AltAdaptive {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut RoundRobin,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        for d in ALL_DIRS {
-            let mut best: Option<usize> = None;
-            for (i, p) in pkts.iter().enumerate() {
-                if view_desired_dir(p) == Some(d) && best.is_none_or(|b| pkts[b].pos > p.pos) {
-                    best = Some(i);
-                }
-            }
-            out[d.index()] = best;
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        view_round_robin_accept(self.k, state, residents, arrivals, accept);
-    }
-
-    fn view_end_of_step(
-        &self,
-        _step: u64,
-        node: Coord,
-        _state: &mut RoundRobin,
-        residents: &[DxView],
-        states: &mut [u64],
-    ) {
-        let here = position_key(node);
-        for (p, s) in residents.iter().zip(states.iter_mut()) {
-            // A fresh packet (state 0) is "at its source": the model lets the
-            // initial packet state encode the source address (§2).
-            let was = if *s == 0 {
-                position_key(p.src)
-            } else {
-                *s & !1
-            };
-            let axis_bit = *s & 1;
-            if was == here && !p.profitable.is_empty() {
-                // Same node as last step with somewhere profitable to go:
-                // the packet was blocked — alternate its preferred axis.
-                *s = here | (axis_bit ^ 1);
-            } else {
-                *s = here | axis_bit;
-            }
-        }
-    }
-}
-
-/// [`desired_dir`] in its reference form: preferred axis first, then the
-/// other.
-fn view_desired_dir(p: &DxView) -> Option<Dir> {
-    let axis = preferred_axis(p.state);
-    axis.profitable_dir(p.profitable)
-        .or_else(|| axis.other().profitable_dir(p.profitable))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +137,13 @@ mod tests {
 
     #[test]
     fn desired_dir_prefers_state_axis() {
-        let mk = |state| DxView {
-            id: PacketId(0),
-            src: Coord::new(0, 0),
-            state,
-            profitable: DirSet::from_dirs([Dir::East, Dir::North]),
-            queue: mesh_engine::QueueKind::Central,
-            pos: 0,
-        };
+        let both = DirSet::from_dirs([Dir::East, Dir::North]);
         for (state, want) in [(0, Dir::East), (1, Dir::North)] {
-            let v = mk(state);
-            assert_eq!(view_desired_dir(&v), Some(want));
-            assert_eq!(desired_dir(v.profitable, || v.state), Some(want));
+            assert_eq!(desired_dir(both, || state), Some(want));
         }
+        // One profitable axis: the state word is neither needed nor read.
+        let north = DirSet::single(Dir::North);
+        assert_eq!(desired_dir(north, || unreachable!()), Some(Dir::North));
     }
 
     #[test]

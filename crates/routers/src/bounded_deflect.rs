@@ -21,7 +21,6 @@
 //! [`AltAdaptive`]: crate::AltAdaptive
 
 use crate::common::{mesh_link_exists, round_robin_accept, Axis, RoundRobin};
-use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -244,122 +243,6 @@ impl DxRouter for BoundedDeflect {
     ) {
         for (i, (p, s)) in pkts.iter().zip(states.iter_mut()).enumerate() {
             *s = self.next_state(*s, || cold.src(i), node, p.profitable());
-        }
-    }
-}
-
-/// Reference view policies (see `crate::oracle`).
-impl BoundedDeflect {
-    /// The directions this packet may be scheduled on, best first.
-    fn view_choices(&self, node: Coord, p: &DxView) -> Vec<Dir> {
-        let axis = if packstate::axis_bit(p.state) == 0 {
-            Axis::Horizontal
-        } else {
-            Axis::Vertical
-        };
-        let mut dirs: Vec<Dir> = Vec::with_capacity(4);
-        if let Some(d) = axis.profitable_dir(p.profitable) {
-            dirs.push(d);
-        }
-        if let Some(d) = axis.other().profitable_dir(p.profitable) {
-            dirs.push(d);
-        }
-        // Deflection: only after sustained blocking, only with budget, only
-        // along existing links.
-        if packstate::blocked(p.state) >= 2 {
-            for d in ALL_DIRS {
-                if p.profitable.contains(d) || packstate::used(p.state, d) >= self.delta as u64 {
-                    continue;
-                }
-                if mesh_link_exists(self.n, node, d) {
-                    dirs.push(d);
-                }
-            }
-        }
-        dirs
-    }
-}
-
-impl DxViewPolicy for BoundedDeflect {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        node: Coord,
-        _state: &mut RoundRobin,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // FIFO order; each packet takes its best still-free choice.
-        let mut order: Vec<usize> = (0..pkts.len()).collect();
-        order.sort_by_key(|&i| pkts[i].pos);
-        for i in order {
-            for d in self.view_choices(node, &pkts[i]) {
-                if out[d.index()].is_none() {
-                    out[d.index()] = Some(i);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        view_round_robin_accept(self.k, state, residents, arrivals, accept);
-    }
-
-    fn view_end_of_step(
-        &self,
-        _step: u64,
-        node: Coord,
-        _state: &mut RoundRobin,
-        residents: &[DxView],
-        states: &mut [u64],
-    ) {
-        // Deliberately not `next_state`: the reference keeps its own copy of
-        // the state update so the differential battery checks the port.
-        for (p, s) in residents.iter().zip(states.iter_mut()) {
-            let prev_pos = packstate::prev_pos(*s).unwrap_or(p.src);
-            let mut used = [
-                packstate::used(*s, Dir::North),
-                packstate::used(*s, Dir::East),
-                packstate::used(*s, Dir::South),
-                packstate::used(*s, Dir::West),
-            ];
-            let mut axis = packstate::axis_bit(*s);
-            let mut blocked = packstate::blocked(*s);
-            if prev_pos == node {
-                // Did not move: blocked (if it had anywhere to go).
-                if !p.profitable.is_empty() {
-                    blocked += 1;
-                    axis ^= 1; // alternate like AltAdaptive
-                }
-            } else {
-                // Moved: charge budget if the hop was unprofitable.
-                let moved: Dir = ALL_DIRS
-                    .into_iter()
-                    .find(|d| {
-                        let (dx, dy) = d.delta();
-                        prev_pos.x as i64 + dx == node.x as i64
-                            && prev_pos.y as i64 + dy == node.y as i64
-                    })
-                    .expect("packets move one hop per step");
-                if !packstate::prev_profitable(*s).contains(moved) && *s >> 24 != 0 {
-                    used[moved.index()] += 1;
-                    debug_assert!(
-                        used[moved.index()] <= self.delta as u64,
-                        "deviation budget exceeded"
-                    );
-                }
-                blocked = 0;
-            }
-            *s = packstate::pack(axis, blocked, used, p.profitable, node);
         }
     }
 }

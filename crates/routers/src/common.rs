@@ -90,11 +90,10 @@ impl RoundRobin {
 /// strict headroom available at the beginning of the step (`k` minus the
 /// central queue's occupancy), arbitrating competing inlinks round-robin.
 ///
-/// Decision-identical to the reference `oracle::view_round_robin_accept`
-/// (`sort_by_key(rank)` then accept-while-room): visiting ranks `0..4` in
-/// order, arrivals in offer order within a rank, is exactly the stable
-/// sort's iteration order — and there is at most one arrival per inlink
-/// anyway.
+/// The rule is: stable-sort the arrivals by the rank of the inlink they
+/// enter on, then accept while room lasts. Visiting ranks `0..4` in order
+/// is that sort's iteration order, since there is at most one arrival per
+/// inlink.
 pub fn round_robin_accept(
     k: u32,
     occupied: u32,

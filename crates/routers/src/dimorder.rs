@@ -8,9 +8,8 @@
 //! `Ω(n²/k)` dimension-order lower bound.
 
 use crate::common::{dim_order_dir, round_robin_accept, Axis, RoundRobin};
-use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
-use mesh_topo::{Coord, ALL_DIRS};
+use mesh_topo::Coord;
 
 /// Dimension-order router on a central queue of capacity `k`.
 #[derive(Clone, Debug)]
@@ -102,48 +101,11 @@ impl DxRouter for DimOrder {
     }
 }
 
-/// Reference view policies (see `crate::oracle`).
-impl DxViewPolicy for DimOrder {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut RoundRobin,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // For each outlink: the FIFO-oldest packet that wants it.
-        for d in ALL_DIRS {
-            let mut best: Option<usize> = None;
-            for (i, p) in pkts.iter().enumerate() {
-                if dim_order_dir(p.profitable, self.first) == Some(d)
-                    && best.is_none_or(|b| pkts[b].pos > p.pos)
-                {
-                    best = Some(i);
-                }
-            }
-            out[d.index()] = best;
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        view_round_robin_accept(self.k, state, residents, arrivals, accept);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mesh_engine::{Dx, Sim};
-    use mesh_topo::{Coord, Mesh};
+    use mesh_topo::Mesh;
     use mesh_traffic::{workloads, RoutingProblem};
 
     #[test]

@@ -7,9 +7,8 @@
 //! destination addresses and "is not destination-exchangeable" (§5).
 
 use crate::common::{dim_order_dir, Axis};
-use crate::oracle::{Arrival, FullView, ViewPolicy};
 use mesh_engine::{FullArrivals, FullResidents, PackedArrival, PackedView, QueueArch, Router};
-use mesh_topo::{Coord, Dir, ALL_DIRS};
+use mesh_topo::{Coord, Dir};
 
 /// Farthest-first dimension-order router on a central queue of capacity `k`.
 ///
@@ -107,59 +106,6 @@ impl Router for FarthestFirst {
 
     fn uses_end_of_step(&self) -> bool {
         false
-    }
-}
-
-/// Reference view policies (see `crate::oracle`).
-impl ViewPolicy for FarthestFirst {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        node: Coord,
-        _state: &mut (),
-        pkts: &[FullView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // Per outlink: the packet with the farthest to go in that dimension
-        // ("farthest-first", §5); ties broken by queue age then id for
-        // determinism.
-        for d in ALL_DIRS {
-            let mut best: Option<(u32, u32, usize)> = None; // (dist, pos, idx) max dist, min pos
-            for (i, p) in pkts.iter().enumerate() {
-                if dim_order_dir(p.profitable, Axis::Horizontal) != Some(d) {
-                    continue;
-                }
-                let dist = dim_distance(node, p.dst, d);
-                let better = match best {
-                    None => true,
-                    Some((bd, bp, _)) => dist > bd || (dist == bd && p.pos < bp),
-                };
-                if better {
-                    best = Some((dist, p.pos, i));
-                }
-            }
-            out[d.index()] = best.map(|(_, _, i)| i);
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        residents: &[FullView],
-        arrivals: &[Arrival<FullView>],
-        accept: &mut [bool],
-    ) {
-        // Accept into strict headroom, in fixed inlink order.
-        let mut room = (self.k as usize).saturating_sub(residents.len());
-        for (i, _a) in arrivals.iter().enumerate() {
-            if room == 0 {
-                break;
-            }
-            accept[i] = true;
-            room -= 1;
-        }
     }
 }
 

@@ -20,7 +20,6 @@
 //! routing, at the price of nonminimal paths.
 
 use crate::common::mesh_link_exists;
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
 use mesh_engine::{
     DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch, QueueKind,
 };
@@ -41,11 +40,6 @@ impl HotPotato {
     pub fn new(n: u32) -> HotPotato {
         HotPotato { n }
     }
-}
-
-/// Packet age (deflection priority) lives in the state word.
-fn age(v: &DxView) -> u64 {
-    v.state
 }
 
 impl DxRouter for HotPotato {
@@ -167,90 +161,6 @@ impl DxRouter for HotPotato {
         _state: &mut (),
         _pkts: &[PackedView],
         _cold: &DxResidents<'_>,
-        states: &mut [u64],
-    ) {
-        // Age every packet still in the network (deflection priority).
-        for s in states.iter_mut() {
-            *s += 1;
-        }
-    }
-}
-
-/// Reference view policies (see `crate::oracle`).
-impl DxViewPolicy for HotPotato {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        node: Coord,
-        _state: &mut (),
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // Transit packets (inlink buffers) MUST leave; order them oldest
-        // first (ties: lower queue slot, then lower id — all
-        // destination-blind).
-        let mut transit: Vec<usize> = (0..pkts.len())
-            .filter(|&i| matches!(pkts[i].queue, QueueKind::Inlink(_)))
-            .collect();
-        transit.sort_by_key(|&i| (std::cmp::Reverse(age(&pkts[i])), pkts[i].id));
-
-        let mut used = [false; 4];
-        let mut pending: Vec<usize> = Vec::new();
-        for &i in &transit {
-            let choice = pkts[i].profitable.iter().find(|d| !used[d.index()]);
-            match choice {
-                Some(d) => {
-                    used[d.index()] = true;
-                    out[d.index()] = Some(i);
-                }
-                None => pending.push(i),
-            }
-        }
-        // Deflect the rest onto any free existing outlink. Every direction a
-        // packet arrived from has a link back (its opposite side's link), so
-        // a valid assignment always exists (in-degree = out-degree).
-        for &i in &pending {
-            let back = match pkts[i].queue {
-                QueueKind::Inlink(side) => side, // link toward that neighbor exists
-                _ => unreachable!("pending transit packet not in an inlink queue"),
-            };
-            let d = ALL_DIRS
-                .into_iter()
-                .find(|&d| !used[d.index()] && (d == back || mesh_link_exists(self.n, node, d)))
-                .unwrap_or(back);
-            assert!(!used[d.index()], "deflection assignment failed");
-            used[d.index()] = true;
-            out[d.index()] = Some(i);
-        }
-
-        // Inject the node's own packet if a profitable outlink is free.
-        if let Some(i) = (0..pkts.len()).find(|&i| pkts[i].queue == QueueKind::Injection) {
-            if let Some(d) = pkts[i].profitable.iter().find(|d| !used[d.index()]) {
-                out[d.index()] = Some(i);
-            }
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        _residents: &[DxView],
-        _arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        // Hot potato: always accept — every buffered packet leaves each
-        // step, so each one-slot inlink buffer is free again.
-        accept.iter_mut().for_each(|a| *a = true);
-    }
-
-    fn view_end_of_step(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        _residents: &[DxView],
         states: &mut [u64],
     ) {
         // Age every packet still in the network (deflection priority).

@@ -18,14 +18,11 @@
 //! [`mesh_engine::DxRouter`] and therefore *cannot* consult destinations —
 //! the handle their policies read packets through has no accessor for one.
 //!
-//! Every router has its policies twice. The `DxRouter`/`Router` impl is
-//! what runs: bit-packed descriptors, cold columns fetched per packet on
-//! demand, `[_; 4]` arrays for scratch, no allocation. The
-//! `DxViewPolicy`/`ViewPolicy` impl below it is the same policy over one
-//! materialized view struct per packet — the form the algorithm was first
-//! written in, kept as the reference `oracle::ViewOracle` runs
-//! and `tests/packed_equivalence.rs` checks the first against, decision
-//! for decision.
+//! Each router states its policies once, as a `DxRouter`/`Router` impl:
+//! bit-packed descriptors, cold columns fetched per packet on demand,
+//! `[_; 4]` arrays for scratch, no allocation. `tests/packed_equivalence.rs`
+//! holds every router to the runs it recorded while a per-packet reference
+//! form of each policy still ran beside it in lockstep.
 //!
 //! Any of them can be made fault-tolerant by wrapping in [`FaultAware`],
 //! which masks currently-down outlinks out of the descriptors the inner
@@ -41,10 +38,6 @@ pub mod dimorder;
 pub mod farthest;
 pub mod fault_aware;
 pub mod hotpotato;
-/// Test support: the reference view policies and the adapter that runs
-/// them. Not part of the documented API.
-#[doc(hidden)]
-pub mod oracle;
 pub mod theorem15;
 pub mod west_first;
 

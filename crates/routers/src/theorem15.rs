@@ -20,11 +20,8 @@
 //! being tested.
 
 use crate::common::{dim_order_dir, Axis};
-use crate::oracle::{Arrival, DxView, DxViewPolicy};
-use mesh_engine::{
-    DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch, QueueKind,
-};
-use mesh_topo::{Coord, Dir, ALL_DIRS};
+use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
+use mesh_topo::{Coord, Dir};
 
 /// The Theorem 15 bounded-queue dimension-order router.
 #[derive(Clone, Debug)]
@@ -49,15 +46,6 @@ fn class(slot: usize, d: Dir) -> u8 {
         1 // injection
     } else {
         2 // turning
-    }
-}
-
-/// [`class`] in its reference form, over a view's queue kind.
-fn view_class(p: &DxView, d: Dir) -> u8 {
-    match p.queue {
-        QueueKind::Inlink(side) if side == d.opposite() => 0,
-        QueueKind::Injection => 1,
-        _ => 2,
     }
 }
 
@@ -119,59 +107,6 @@ impl DxRouter for Theorem15 {
 
     fn uses_end_of_step(&self) -> bool {
         false
-    }
-}
-
-/// Reference view policies (see `crate::oracle`).
-impl DxViewPolicy for Theorem15 {
-    fn view_outqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        for d in ALL_DIRS {
-            let mut best: Option<(u8, u32, usize)> = None; // (class, pos, idx)
-            for (i, p) in pkts.iter().enumerate() {
-                if dim_order_dir(p.profitable, Axis::Horizontal) != Some(d) {
-                    continue;
-                }
-                let c = view_class(p, d);
-                let better = match best {
-                    None => true,
-                    Some((bc, bp, _)) => c < bc || (c == bc && p.pos < bp),
-                };
-                if better {
-                    best = Some((c, p.pos, i));
-                }
-            }
-            out[d.index()] = best.map(|(_, _, i)| i);
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        _state: &mut (),
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        for (i, a) in arrivals.iter().enumerate() {
-            if a.travel.is_vertical() {
-                // North/South queues always accept.
-                accept[i] = true;
-            } else {
-                // East/West queues accept iff strictly under k at the
-                // beginning of the step.
-                let q = QueueKind::Inlink(a.travel.opposite());
-                let len = residents.iter().filter(|r| r.queue == q).count();
-                accept[i] = len < self.k as usize;
-            }
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! West-first turn-model routing: a minimal adaptive router in the spirit
 //! of the planar-adaptive/turn-model family the paper cites in §2 as
-//! implementable destination-exchangeable algorithms (Chien–Kim [6],
-//! Cypher–Gravano [7]).
+//! implementable destination-exchangeable algorithms (Chien–Kim \[6\],
+//! Cypher–Gravano \[7\]).
 //!
 //! Rule: if the packet needs to move west at all, it moves **fully west
 //! first** (no adaptivity — westward packets turn only after finishing the
@@ -17,7 +17,6 @@
 //! across the §2-cited adaptive family.
 
 use crate::common::{round_robin_accept, RoundRobin};
-use crate::oracle::{view_round_robin_accept, Arrival, DxView, DxViewPolicy};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -43,11 +42,6 @@ fn allowed_mask(profitable: DirSet) -> DirSet {
     } else {
         profitable
     }
-}
-
-/// Directions this packet may take, in preference order (reference form).
-fn choices(p: &DxView) -> impl Iterator<Item = Dir> + '_ {
-    allowed_mask(p.profitable).iter()
 }
 
 impl DxRouter for WestFirst {
@@ -117,72 +111,25 @@ impl DxRouter for WestFirst {
     }
 }
 
-/// Reference view policies (see `crate::oracle`).
-impl DxViewPolicy for WestFirst {
-    fn view_outqueue(
-        &self,
-        step: u64,
-        _node: Coord,
-        _state: &mut RoundRobin,
-        pkts: &[DxView],
-        out: &mut [Option<usize>; 4],
-    ) {
-        // FIFO order. Adaptive packets rotate their first choice by step
-        // parity so contention spreads over the allowed directions.
-        let mut order: Vec<usize> = (0..pkts.len()).collect();
-        order.sort_by_key(|&i| pkts[i].pos);
-        for i in order {
-            let opts: Vec<Dir> = choices(&pkts[i]).collect();
-            if opts.is_empty() {
-                continue;
-            }
-            let start = (step as usize) % opts.len();
-            for off in 0..opts.len() {
-                let d = opts[(start + off) % opts.len()];
-                if out[d.index()].is_none() {
-                    out[d.index()] = Some(i);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn view_inqueue(
-        &self,
-        _step: u64,
-        _node: Coord,
-        state: &mut RoundRobin,
-        residents: &[DxView],
-        arrivals: &[Arrival<DxView>],
-        accept: &mut [bool],
-    ) {
-        view_round_robin_accept(self.k, state, residents, arrivals, accept);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mesh_engine::{Dx, Loc, Sim};
-    use mesh_topo::{DirSet, Mesh};
+    use mesh_topo::Mesh;
     use mesh_traffic::{workloads, PacketId, RoutingProblem};
 
     #[test]
     fn west_leg_comes_first() {
-        let mk = |prof: DirSet| DxView {
-            id: PacketId(0),
-            src: Coord::new(0, 0),
-            state: 0,
-            profitable: prof,
-            queue: mesh_engine::QueueKind::Central,
-            pos: 0,
-        };
         // Needs west and north: only west allowed.
-        let v = mk(DirSet::from_dirs([Dir::West, Dir::North]));
-        assert_eq!(choices(&v).collect::<Vec<_>>(), vec![Dir::West]);
-        // Needs east and north: both allowed (adaptive).
-        let v = mk(DirSet::from_dirs([Dir::East, Dir::North]));
-        assert_eq!(choices(&v).collect::<Vec<_>>(), vec![Dir::North, Dir::East]);
+        let both = DirSet::from_dirs([Dir::West, Dir::North]);
+        assert_eq!(allowed_mask(both), DirSet::single(Dir::West));
+        // Needs east and north: both allowed (adaptive), in canonical order.
+        let both = DirSet::from_dirs([Dir::East, Dir::North]);
+        assert_eq!(allowed_mask(both), both);
+        assert_eq!(
+            allowed_mask(both).iter().collect::<Vec<_>>(),
+            vec![Dir::North, Dir::East]
+        );
     }
 
     #[test]
