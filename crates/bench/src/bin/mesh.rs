@@ -116,6 +116,14 @@ impl Args {
     fn u64_flag(&self, name: &str) -> Option<u64> {
         self.num_flag(name)
     }
+    /// A size or count flag: a usage error when present but 0.
+    fn positive_flag<N: std::str::FromStr + PartialEq + From<u8>>(&self, name: &str) -> Option<N> {
+        let v: N = self.num_flag(name)?;
+        if v == N::from(0) {
+            usage_error(&format!("--{name} must be at least 1 (got 0)"));
+        }
+        Some(v)
+    }
     /// Rejects any flag outside `allowed`, the subcommand's set.
     fn reject_unknown(&self, subcommand: &str, allowed: &[&str]) {
         let mut unknown: Vec<&String> = self
@@ -134,7 +142,7 @@ impl Args {
 }
 
 fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
-    let n = args.u32_flag("n").unwrap_or_else(|| {
+    let n = args.positive_flag("n").unwrap_or_else(|| {
         eprintln!("--n is required");
         usage()
     });
@@ -331,16 +339,21 @@ fn print_steady(args: &Args, out: &mesh_routing::SteadyOutcome) {
 /// `mesh route <algo> --lambda F`: the open-system steady-state harness.
 fn cmd_steady(args: &Args, algo: Algorithm) {
     let lambda: f64 = args.num_flag("lambda").unwrap_or_else(|| usage());
+    if !(lambda >= 0.0 && lambda.is_finite()) {
+        usage_error(&format!(
+            "--lambda must be a finite number >= 0 (got {lambda})"
+        ));
+    }
     let schedule = SteadyConfig {
         warmup: args.u64_flag("warmup").unwrap_or(128),
-        window: args.u64_flag("window").unwrap_or(64),
-        windows: args.u32_flag("windows").unwrap_or(4),
+        window: args.positive_flag("window").unwrap_or(64),
+        windows: args.positive_flag("windows").unwrap_or(4),
     };
     let config = steady_sim_config(args, parse_admission(args), schedule.window);
     let dir = checkpoint_dir(args);
     let halt_at = args.u64_flag("halt-at");
 
-    let n = args.u32_flag("n").unwrap_or_else(|| {
+    let n = args.positive_flag("n").unwrap_or_else(|| {
         eprintln!("--n is required with --lambda");
         usage()
     });
@@ -467,7 +480,7 @@ fn cmd_route(args: &Args) {
         .get(1)
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    let k = args.u32_flag("k").unwrap_or(4);
+    let k = args.positive_flag("k").unwrap_or(4);
     let algo = make_algorithm(algo_name, k);
 
     // The extra reports read the live simulation of a plain closed-system

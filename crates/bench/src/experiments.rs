@@ -1012,7 +1012,7 @@ fn chaos_row<R: Router>(
 /// plans of lossy-link windows plus short cable cuts
 /// ([`FaultPlan::random_outages`]) destroy packets in flight; raw dynamic
 /// injection rows lose them for good (the watchdog flags the incompletable
-/// run), while the [`Transport`](mesh_routing::reliable::Transport) rows —
+/// run), while the [`Transport`] rows —
 /// same problem, same plan, same fault-aware Theorem 15 router — recover
 /// every payload exactly once via ACKs and deterministic retransmission,
 /// sweeping the backoff policy. Every cell is a pure function of the trial
@@ -1136,7 +1136,7 @@ pub fn reliable(full: bool) -> Experiment {
 /// writing cadenced checkpoints, then simulates a crash at every recorded
 /// checkpoint: the snapshot is round-tripped through its JSON wire format,
 /// restored into a fresh engine (and, on the reliable layer, a fresh
-/// [`Transport`](mesh_routing::reliable::Transport) rehydrated from the
+/// [`Transport`] rehydrated from the
 /// protocol slot), and run to completion. A row passes only if **every**
 /// resumed run reproduces the uninterrupted run byte-for-byte — same
 /// outcome, same rendered report, same per-packet trajectories.

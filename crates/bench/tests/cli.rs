@@ -103,6 +103,30 @@ fn mesh_checks_workload_parameters() {
     assert_usage_error(&out, "--load");
 }
 
+/// Out-of-range values are refused where they arrive, before a library
+/// assert can panic on them.
+#[test]
+fn mesh_rejects_out_of_range_values() {
+    let cases = [
+        ("route theorem15 --lambda -1 --n 8", "--lambda"),
+        ("route dim-order --lambda nan --n 8", "--lambda"),
+        (
+            "route theorem15 --lambda 0.1 --n 8 --windows 0",
+            "--windows",
+        ),
+        ("route theorem15 --lambda 0.1 --n 8 --window 0", "--window"),
+        ("route theorem15 --workload random --n 8 --k 0", "--k"),
+        ("route theorem15 --workload random --n 0", "--n"),
+    ];
+    for (line, flag) in cases {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = mesh(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        assert_usage_error(&out, flag);
+    }
+}
+
 /// The names the usage text lists after `heading` (the list may wrap onto
 /// indented lines).
 fn usage_names(usage: &str, heading: &str) -> Vec<String> {
