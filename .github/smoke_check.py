@@ -3,8 +3,8 @@
 
 Runs every workload of BENCHMARK.json at `--smoke --seed 1 --trace 0` and
 compares the counted metrics with .github/smoke-baseline.json: a simulated
-counter may not differ at all, an allocation counter may not be worse by
-more than BENCHMARK.json's own bound for it. `--record` rewrites the
+counter may not differ at all, an allocation or heap counter may not be
+worse by more than BENCHMARK.json's own bound for it. `--record` rewrites the
 baseline from this build instead (commit the result with the change that
 moved it, and say why).
 """
@@ -17,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = ROOT / ".github" / "smoke-baseline.json"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIMULATED = ["sim_steps", "sim_moves", "max_queue", "delivered_frac"]
-ALLOCATION = ["allocs", "alloc_mb"]
+ALLOCATION = ["allocs", "alloc_mb", "peak_heap_mb"]
 BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 
 

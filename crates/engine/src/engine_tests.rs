@@ -1543,11 +1543,10 @@ mod storage_tests {
                     // A due packet is offered: delivered on the spot, queued
                     // at its origin, or staged at the edge.
                     0 if !store.cursor_exhausted() => {
-                        let pid = store.inject_order[store.inject_cursor];
-                        store.inject_cursor += 1;
-                        let src = store.src[pid.index()];
+                        let pid = store.next_due(u64::MAX).unwrap();
+                        let src = store.src(pid);
                         let ni = grid.node_index(src);
-                        if src == store.dst[pid.index()] {
+                        if src == store.dst(pid) {
                             store.retire(&mut progress, &mut events, pid, Loc::Delivered, t);
                         } else if room(&grid, ni, origin) && !lcg(&mut rng).is_multiple_of(4) {
                             store.enter(&topo, &mut grid, pid, src, origin);
@@ -1594,7 +1593,7 @@ mod storage_tests {
                         if faulted && lcg(&mut rng).is_multiple_of(8) {
                             store.depart(&mut grid, &mut progress, pid, from);
                             store.retire(&mut progress, &mut events, pid, Loc::Lost, t);
-                        } else if to == store.dst[pid.index()] {
+                        } else if to == store.dst(pid) {
                             store.depart(&mut grid, &mut progress, pid, from);
                             store.retire(&mut progress, &mut events, pid, Loc::Delivered, t);
                         } else if room(&grid, grid.node_index(to), kind) {
@@ -1617,7 +1616,7 @@ mod storage_tests {
                 for ni in 0..grid.nodes() {
                     let c = grid.coord_of(ni);
                     for pid in grid.packets_at(c) {
-                        let want = topo.profitable(c, store.dst[pid.index()]);
+                        let want = topo.profitable(c, store.dst(pid));
                         assert_eq!(store.profitable(&topo, pid), want, "{arch:?} step {t}");
                     }
                 }

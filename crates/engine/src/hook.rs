@@ -41,13 +41,13 @@ impl<'a> HookCtx<'a> {
     /// Current destination of a packet.
     #[inline]
     pub fn dst(&self, p: PacketId) -> Coord {
-        self.store.dst[p.index()]
+        self.store.dst(p)
     }
 
     /// Source of a packet.
     #[inline]
     pub fn src(&self, p: PacketId) -> Coord {
-        self.store.src[p.index()]
+        self.store.src(p)
     }
 
     /// Current location of a packet (`None` once delivered or not injected).
@@ -77,7 +77,7 @@ impl<'a> HookCtx<'a> {
     /// any destination-exchangeable algorithm.
     pub fn exchange(&mut self, a: PacketId, b: PacketId) {
         assert_ne!(a, b, "cannot exchange a packet with itself");
-        self.store.dst.swap(a.index(), b.index());
+        self.store.swap_dst(a, b);
         *self.exchanges += 1;
         self.dirty.push(a);
         self.dirty.push(b);

@@ -104,7 +104,7 @@ pub(crate) fn check_queues(
                     store.loc(pid)
                 ));
             }
-            let src = store.src[pid.index()];
+            let src = store.src(pid);
             if grid.node_index(src) as u32 != ni {
                 return Err(format!(
                     "packet {pid:?} staged at node {ni} but originates at {src}"
@@ -138,11 +138,13 @@ pub(crate) fn check_queues(
     Ok(())
 }
 
-/// The four resolution counters agree with the location table; a delivery
-/// step is recorded exactly for delivered packets; the uninjected tail is
-/// sorted by due step (the inject phase's early exit relies on it); and
-/// every offered packet is in exactly one bucket:
+/// The four resolution counters agree with the location table; the
+/// uninjected tail is sorted by due step (the inject phase's early exit
+/// relies on it); and every offered packet is in exactly one bucket:
 /// `offered == delivered + lost + shed + expired + in_network + staged`.
+/// (A delivery step exists exactly for delivered packets by the location
+/// word's construction; `PacketStore::import` refuses a snapshot that
+/// says otherwise.)
 ///
 /// The monotone counters are bounded by the run's length, so none can
 /// load near its integer limit and overflow on a later step: a packet
@@ -159,11 +161,6 @@ pub(crate) fn check_conservation(
     let steps = progress.steps;
     for (pid, &hops) in store.ids().zip(store.hops()) {
         let (loc, step) = (store.loc(pid), store.delivered_step(pid));
-        if (loc == Loc::Delivered) != step.is_some() {
-            return Err(format!(
-                "packet {pid:?} is {loc:?} but its delivery step says otherwise"
-            ));
-        }
         if (hops as u64).max(step.unwrap_or(0)) > steps {
             return Err(format!(
                 "packet {pid:?} counts {hops} hops, delivery step {step:?}, in a run of {steps} steps"
@@ -201,8 +198,8 @@ pub(crate) fn check_conservation(
             store.len()
         ));
     }
-    for w in store.inject_order[store.inject_cursor..].windows(2) {
-        let (a, b) = (store.inject_at[w[0].index()], store.inject_at[w[1].index()]);
+    for w in store.uninjected().windows(2) {
+        let (a, b) = (store.inject_at(w[0]), store.inject_at(w[1]));
         if a > b {
             return Err(format!(
                 "uninjected tail out of order: {:?} (due {a}) before {:?} (due {b})",

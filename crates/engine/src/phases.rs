@@ -258,14 +258,9 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     let origin_kind = ctx.grid.arch().origin_queue();
     let origin_cap = ctx.grid.arch().capacity(origin_kind);
     // Stage newly due packets into per-node pending queues.
-    while ctx.store.inject_cursor < ctx.store.inject_order.len() {
-        let pid = ctx.store.inject_order[ctx.store.inject_cursor];
-        if ctx.store.inject_at[pid.index()] > t {
-            break;
-        }
-        ctx.store.inject_cursor += 1;
-        let src = ctx.store.src[pid.index()];
-        if src == ctx.store.dst[pid.index()] {
+    while let Some(pid) = ctx.store.next_due(t) {
+        let src = ctx.store.src(pid);
+        if src == ctx.store.dst(pid) {
             // Trivial packet: delivered without entering the network.
             ctx.store
                 .retire(ctx.progress, ctx.events, pid, Loc::Delivered, t);
@@ -293,7 +288,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     if let AdmissionPolicy::DeadlineExpiry { ttl } = ctx.admission {
         let (store, progress, events) = (&mut *ctx.store, &mut *ctx.progress, &mut *ctx.events);
         let mut expire = |pid: PacketId| {
-            let stale = t >= store.inject_at[pid.index()].saturating_add(ttl);
+            let stale = t >= store.inject_at(pid).saturating_add(ttl);
             if stale {
                 store.retire(progress, events, pid, Loc::Expired, t);
             }
@@ -599,7 +594,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: 
             }
             for (j, gi) in (start..end).enumerate() {
                 let m = schedule[order[gi] as usize];
-                if !accept[j] || store.dst[m.pkt.index()] == target {
+                if !accept[j] || store.dst(m.pkt) == target {
                     continue;
                 }
                 let s = grid.arch().arrival_queue(m.travel).slot();
@@ -705,7 +700,7 @@ fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMo
     if lossy {
         ctx.store
             .retire(ctx.progress, ctx.events, m.pkt, Loc::Lost, t);
-    } else if ctx.store.dst[m.pkt.index()] == m.to {
+    } else if ctx.store.dst(m.pkt) == m.to {
         ctx.store
             .retire(ctx.progress, ctx.events, m.pkt, Loc::Delivered, t);
     } else {
@@ -801,13 +796,13 @@ fn update_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usiz
     let node = grid.coord_of(ni);
     build_packed(ctx.topo, store, grid, ni, masks);
     states.clear();
-    states.extend(grid.packets_at(node).map(|p| store.state[p.index()]));
+    states.extend(grid.packets_at(node).map(|p| store.state(p)));
     let cold = FullResidents::new(store, grid, ni);
     let state = &mut ctx.node_state[ni];
     ctx.router
         .end_of_step(ctx.t0, node, state, masks, &cold, states);
-    for (pid, s) in grid.packets_at(node).zip(states.iter()) {
-        ctx.store.state[pid.index()] = *s;
+    for (pid, &s) in grid.packets_at(node).zip(states.iter()) {
+        ctx.store.set_state(pid, s);
     }
 }
 

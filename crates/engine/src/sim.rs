@@ -20,7 +20,7 @@ use crate::protocol::ProtocolHook;
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::snapshot::EventsSnap;
-use crate::storage::{NodeGrid, PacketStore};
+use crate::storage::{NodeGrid, PacketStore, MAX_SIDE};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
@@ -197,6 +197,10 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     ) -> Self {
         let n = topo.side();
         assert_eq!(n, problem.n, "problem and topology sides differ");
+        assert!(
+            n <= MAX_SIDE,
+            "mesh side {n} exceeds the engine's {MAX_SIDE}"
+        );
         let faults = faults.filter(|f| {
             assert_eq!(f.n(), n, "fault plan and topology sides differ");
             !f.is_empty()
@@ -474,7 +478,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Step at which a packet is (or was) due for injection.
     pub fn inject_step(&self, p: PacketId) -> u64 {
-        self.store.inject_at[p.index()]
+        self.store.inject_at(p)
     }
 
     /// Total packets.
@@ -494,12 +498,12 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Current destination of a packet (reflects adversary exchanges).
     pub fn dst(&self, p: PacketId) -> Coord {
-        self.store.dst[p.index()]
+        self.store.dst(p)
     }
 
     /// Source of a packet.
     pub fn src(&self, p: PacketId) -> Coord {
-        self.store.src[p.index()]
+        self.store.src(p)
     }
 
     /// Step at which a packet was delivered (1-based), if delivered.
@@ -540,10 +544,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             self.grid.n(),
             label,
             self.store
-                .src
-                .iter()
-                .copied()
-                .zip(self.store.dst.iter().copied()),
+                .ids()
+                .map(|p| (self.store.src(p), self.store.dst(p))),
         )
     }
 
@@ -552,13 +554,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     pub fn packet_snapshot(&self) -> Vec<(Loc, Coord, u64)> {
         self.store
             .ids()
-            .map(|p| {
-                (
-                    self.store.loc(p),
-                    self.store.dst[p.index()],
-                    self.store.state[p.index()],
-                )
-            })
+            .map(|p| (self.store.loc(p), self.store.dst(p), self.store.state(p)))
             .collect()
     }
 
@@ -594,9 +590,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// Per-packet latencies (delivery step minus injection step) over
     /// delivered packets.
     fn latencies(&self) -> Vec<u64> {
-        let due = &self.store.inject_at;
         self.delivery_steps()
-            .map(|(p, d)| d.saturating_sub(due[p.index()]))
+            .map(|(p, d)| d.saturating_sub(self.store.inject_at(p)))
             .collect()
     }
 
@@ -635,7 +630,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 stuck.push(StuckPacket {
                     id,
                     at,
-                    dst: self.store.dst[id.index()],
+                    dst: self.store.dst(id),
                     hops: self.store.hops()[id.index()],
                 });
             }

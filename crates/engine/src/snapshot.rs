@@ -37,7 +37,7 @@ use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{Sim, SimConfig};
 use crate::steady::SteadyConfig;
-use crate::storage::{Loc, NodeGrid, PacketStore};
+use crate::storage::{Loc, NodeGrid, PacketStore, MAX_SIDE, STEP_LIMIT};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
@@ -134,7 +134,10 @@ pub struct SteadySnap {
     pub config: SteadyConfig,
 }
 
-/// The packet table, exactly as the `PacketStore` holds it.
+/// The packet table, one column per field. The live `PacketStore` packs
+/// the endpoints and the (`loc`, `queue_of`, `delivered_at`) triple into
+/// words; its `export`/`import` translate, so these bytes do not depend
+/// on the packing.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PacketsSnap {
     pub src: Vec<Coord>,
@@ -379,9 +382,14 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 snap.admission, config.admission
             )));
         }
+        if n > MAX_SIDE {
+            return Err(SnapshotError::Corrupt(format!(
+                "side {n} exceeds the engine's {MAX_SIDE}"
+            )));
+        }
         let nodes = (n * n) as usize;
         check_structure(snap, nodes, snap.arch.num_slots()).map_err(SnapshotError::Corrupt)?;
-        let store = PacketStore::import(topo, &snap.packets);
+        let store = PacketStore::import(topo, &snap.packets).map_err(SnapshotError::Corrupt)?;
         // Replay the grid through the code a live run fills it with: the
         // slab layout, `occ` and `load` have one writer. An over-capacity
         // queue still loads (`push` grows the slot); `check_queues` reports it.
@@ -466,6 +474,12 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
         return Err(format!(
             "step field {} disagrees with progress.steps {}",
             snap.step, snap.progress.steps
+        ));
+    }
+    if snap.step >= STEP_LIMIT {
+        return Err(format!(
+            "step {} is past 2^58, the last delivery step the packet table holds",
+            snap.step
         ));
     }
     let off_grid = |c: &Coord| c.x >= snap.n || c.y >= snap.n;

@@ -14,7 +14,7 @@
 use crate::phases::Progress;
 use crate::queue::{QueueArch, QueueKind};
 use crate::snapshot::{EventsSnap, PacketsSnap};
-use mesh_topo::{Coord, DirSet, Topology};
+use mesh_topo::{Coord, Dir, DirSet, Topology};
 use mesh_traffic::{PacketId, RoutingProblem};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -41,27 +41,126 @@ pub enum Loc {
     Expired,
 }
 
-/// Sentinel in `delivered_at` for packets still in flight.
+/// Sentinel in a snapshot's `delivered_at` column for packets not delivered.
 const NOT_DELIVERED: u64 = u64::MAX;
 
+/// Largest mesh side the engine runs: its `u32` node index caps `n²`
+/// below 2^32, so every coordinate fits 16 bits and an endpoint packs into
+/// one `u32` (`x | y << 16`) exactly.
+pub(crate) const MAX_SIDE: u32 = u16::MAX as u32;
+
+#[inline]
+fn pack(c: Coord) -> u32 {
+    c.x | c.y << 16
+}
+
+#[inline]
+fn unpack(w: u32) -> Coord {
+    Coord::new(w & 0xFFFF, w >> 16)
+}
+
+/// Where a packet is, as one word: bits 0–2 the [`Loc`] tag, bits 3–5 the
+/// [`QueueKind`] it is in (or last left), and then either its packed
+/// coordinate in bits 32–63 (`At`) or its delivery step in bits 6–63
+/// (`Delivered`). The all-zero word is (`Pending`, `Central`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LocWord(u64);
+
+const KIND_SHIFT: u32 = 3;
+const KIND_BITS: u64 = 0b111 << KIND_SHIFT;
+const STEP_SHIFT: u32 = 6;
+const COORD_SHIFT: u32 = 32;
+/// Delivery steps the word holds: `0..2^58`. No live run gets near it;
+/// restore refuses a snapshot past it.
+pub(crate) const STEP_LIMIT: u64 = 1 << (64 - STEP_SHIFT);
+
+impl LocWord {
+    /// The word of a packet at `loc` in (or last out of) queue `kind`;
+    /// `delivered_at` is read only for `Delivered` and must be below
+    /// [`STEP_LIMIT`].
+    #[inline]
+    fn new(loc: Loc, kind: QueueKind, delivered_at: u64) -> LocWord {
+        let code = match kind {
+            QueueKind::Central => 0,
+            QueueKind::Inlink(d) => 1 + d.index() as u64,
+            QueueKind::Injection => 5,
+        };
+        LocWord(code << KIND_SHIFT).moved_to(loc, delivered_at)
+    }
+
+    /// The same queue bits at location `loc`.
+    #[inline]
+    fn moved_to(self, loc: Loc, delivered_at: u64) -> LocWord {
+        let (tag, payload) = match loc {
+            Loc::Pending => (0, 0),
+            Loc::At(c) => (1, (pack(c) as u64) << COORD_SHIFT),
+            Loc::Delivered => {
+                debug_assert!(delivered_at < STEP_LIMIT, "delivery step {delivered_at}");
+                (2, delivered_at << STEP_SHIFT)
+            }
+            Loc::Lost => (3, 0),
+            Loc::Shed => (4, 0),
+            Loc::Expired => (5, 0),
+        };
+        LocWord(self.0 & KIND_BITS | payload | tag)
+    }
+
+    /// The queue's arena slot, straight off the bits: the codes are
+    /// ordered so that it is the code less one, saturating (`Central` and
+    /// `Inlink(North)` share slot 0).
+    #[inline]
+    fn slot(self) -> usize {
+        ((self.0 & KIND_BITS) >> KIND_SHIFT).saturating_sub(1) as usize
+    }
+
+    #[inline]
+    fn loc(self) -> Loc {
+        match self.0 & 0b111 {
+            0 => Loc::Pending,
+            1 => Loc::At(unpack((self.0 >> COORD_SHIFT) as u32)),
+            2 => Loc::Delivered,
+            3 => Loc::Lost,
+            4 => Loc::Shed,
+            5 => Loc::Expired,
+            _ => unreachable!("location tag of {self:?}"),
+        }
+    }
+
+    #[inline]
+    fn kind(self) -> QueueKind {
+        match (self.0 >> KIND_SHIFT) & 0b111 {
+            0 => QueueKind::Central,
+            5 => QueueKind::Injection,
+            d @ 1..=4 => QueueKind::Inlink(Dir::from_index(d as usize - 1)),
+            _ => unreachable!("queue code of {self:?}"),
+        }
+    }
+
+    #[inline]
+    fn delivered_step(self) -> Option<u64> {
+        (self.0 & 0b111 == 2).then_some(self.0 >> STEP_SHIFT)
+    }
+}
+
 /// The packet table: one struct-of-arrays entry per packet, indexed by
-/// [`PacketId`]. Dense, append-only (protocol layers [`push`](Self::push)
-/// retransmissions at runtime), never reordered.
+/// [`PacketId`], 41 bytes each. Dense, append-only (protocol layers
+/// [`push`](Self::push) retransmissions at runtime), never reordered.
+/// Every column is private: other modules read and write through
+/// accessors, so the packing is stated here once.
 ///
-/// Where a packet *is* — the five private columns — is written only by
-/// [`enter`](Self::enter), [`depart`](Self::depart),
-/// [`retire`](Self::retire) and [`refresh_mask`](Self::refresh_mask), and
-/// read elsewhere through accessors: `Loc` and its `Progress` counter,
-/// `Σ hops` and `total_moves`, the cached mask and `profitable(loc, dst)`
-/// stay equal by construction.
+/// Where a packet *is* — the location word, hop count and cached mask — is
+/// written only by [`enter`](Self::enter), [`depart`](Self::depart),
+/// [`retire`](Self::retire) and [`refresh_mask`](Self::refresh_mask): `Loc`
+/// and its `Progress` counter, `Σ hops` and `total_moves`, the cached mask
+/// and `profitable(loc, dst)` stay equal by construction.
 pub(crate) struct PacketStore {
-    pub(crate) src: Vec<Coord>,
-    pub(crate) dst: Vec<Coord>,
-    pub(crate) state: Vec<u64>,
-    pub(crate) inject_at: Vec<u64>,
-    loc: Vec<Loc>,
-    queue_of: Vec<QueueKind>,
-    delivered_at: Vec<u64>,
+    /// Packed endpoints (`x | y << 16`).
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    state: Vec<u64>,
+    inject_at: Vec<u64>,
+    /// One [`LocWord`] per packet: location, queue and delivery step.
+    loc: Vec<LocWord>,
     hops: Vec<u32>,
     /// Cached profitable mask (`DirSet` bits) of the packet at its current
     /// location — the byte the bit-packed fast path reads instead of
@@ -69,30 +168,32 @@ pub(crate) struct PacketStore {
     /// state, never serialized: [`refresh_mask`](Self::refresh_mask) is its
     /// one writer. Meaningless while a packet is outside the network.
     mask: Vec<u8>,
-    /// Injection cursor: packet ids sorted by `inject_at` (stable in id for
+    /// Injection cursor: packet ids sorted by `inject_at` (in id for
     /// ties); `inject_order[inject_cursor..]` is the uninjected tail.
-    pub(crate) inject_order: Vec<PacketId>,
-    pub(crate) inject_cursor: usize,
+    inject_order: Vec<PacketId>,
+    inject_cursor: usize,
 }
 
 impl PacketStore {
     pub(crate) fn new(problem: &RoutingProblem) -> Self {
         let np = problem.len();
         let mut store = PacketStore {
-            src: problem.packets.iter().map(|p| p.src).collect(),
-            dst: problem.packets.iter().map(|p| p.dst).collect(),
+            src: problem.packets.iter().map(|p| pack(p.src)).collect(),
+            dst: problem.packets.iter().map(|p| pack(p.dst)).collect(),
             state: problem.packets.iter().map(|p| p.state).collect(),
             inject_at: problem.packets.iter().map(|p| p.inject_at).collect(),
-            loc: vec![Loc::Pending; np],
-            queue_of: vec![QueueKind::Central; np],
-            delivered_at: vec![NOT_DELIVERED; np],
+            loc: vec![LocWord(0); np],
             hops: vec![0; np],
             mask: vec![0; np],
             inject_order: (0..np as u32).map(PacketId).collect(),
             inject_cursor: 0,
         };
+        // A total key: exactly the stable sort by due step, without its
+        // scratch buffer.
         let inject_at = &store.inject_at;
-        store.inject_order.sort_by_key(|p| inject_at[p.index()]);
+        store
+            .inject_order
+            .sort_unstable_by_key(|p| (inject_at[p.index()], p.0));
         store
     }
 
@@ -108,16 +209,14 @@ impl PacketStore {
 
     /// Appends a fresh packet record, keeping the uninjected tail of
     /// `inject_order` sorted by `inject_at` (ties resolve in spawn order,
-    /// matching the constructor's stable sort by id). Returns its id.
+    /// matching the constructor's order by id). Returns its id.
     pub(crate) fn push(&mut self, src: Coord, dst: Coord, inject_at: u64) -> PacketId {
         let id = PacketId(self.src.len() as u32);
-        self.src.push(src);
-        self.dst.push(dst);
+        self.src.push(pack(src));
+        self.dst.push(pack(dst));
         self.state.push(0);
         self.inject_at.push(inject_at);
-        self.loc.push(Loc::Pending);
-        self.queue_of.push(QueueKind::Central);
-        self.delivered_at.push(NOT_DELIVERED);
+        self.loc.push(LocWord(0));
         self.hops.push(0);
         self.mask.push(0);
         let inject_at_of = &self.inject_at;
@@ -126,6 +225,23 @@ impl PacketStore {
             self.inject_cursor + tail.partition_point(|p| inject_at_of[p.index()] <= inject_at);
         self.inject_order.insert(at, id);
         id
+    }
+
+    /// The next packet in injection order if it is due by step `t`,
+    /// advancing the cursor past it.
+    #[inline]
+    pub(crate) fn next_due(&mut self, t: u64) -> Option<PacketId> {
+        let &pid = self.inject_order.get(self.inject_cursor)?;
+        if self.inject_at[pid.index()] > t {
+            return None;
+        }
+        self.inject_cursor += 1;
+        Some(pid)
+    }
+
+    /// The packets not yet offered, in injection order.
+    pub(crate) fn uninjected(&self) -> &[PacketId] {
+        &self.inject_order[self.inject_cursor..]
     }
 
     /// True when every scheduled injection has been staged (packets may
@@ -141,16 +257,49 @@ impl PacketStore {
         self.inject_cursor
     }
 
+    #[inline]
+    pub(crate) fn src(&self, pid: PacketId) -> Coord {
+        unpack(self.src[pid.index()])
+    }
+
+    /// The current destination (adversary exchanges rewrite it).
+    #[inline]
+    pub(crate) fn dst(&self, pid: PacketId) -> Coord {
+        unpack(self.dst[pid.index()])
+    }
+
+    /// Exchanges two packets' destinations. The caller refreshes both
+    /// cached masks (it has the topology).
+    pub(crate) fn swap_dst(&mut self, a: PacketId, b: PacketId) {
+        self.dst.swap(a.index(), b.index());
+    }
+
+    #[inline]
+    pub(crate) fn state(&self, pid: PacketId) -> u64 {
+        self.state[pid.index()]
+    }
+
+    #[inline]
+    pub(crate) fn set_state(&mut self, pid: PacketId, state: u64) {
+        self.state[pid.index()] = state;
+    }
+
+    /// The step the packet is (or was) due for injection.
+    #[inline]
+    pub(crate) fn inject_at(&self, pid: PacketId) -> u64 {
+        self.inject_at[pid.index()]
+    }
+
     /// Where the packet is.
     #[inline]
     pub(crate) fn loc(&self, pid: PacketId) -> Loc {
-        self.loc[pid.index()]
+        self.loc[pid.index()].loc()
     }
 
     /// The queue holding the packet (meaningful while it is `Loc::At`).
     #[inline]
     pub(crate) fn queue_of(&self, pid: PacketId) -> QueueKind {
-        self.queue_of[pid.index()]
+        self.loc[pid.index()].kind()
     }
 
     /// Link traversals so far, per packet; sums to `total_moves`.
@@ -162,8 +311,7 @@ impl PacketStore {
     /// The 1-based step the packet was delivered at, if it was.
     #[inline]
     pub(crate) fn delivered_step(&self, pid: PacketId) -> Option<u64> {
-        let d = self.delivered_at[pid.index()];
-        (d != NOT_DELIVERED).then_some(d)
+        self.loc[pid.index()].delivered_step()
     }
 
     /// Profitable outlinks of a queued packet, measured from the node it
@@ -183,7 +331,7 @@ impl PacketStore {
     #[inline]
     fn fresh_mask<T: Topology>(&self, topo: &T, pid: PacketId) -> Option<DirSet> {
         match self.loc(pid) {
-            Loc::At(c) => Some(topo.profitable(c, self.dst[pid.index()])),
+            Loc::At(c) => Some(topo.profitable(c, self.dst(pid))),
             _ => None,
         }
     }
@@ -211,9 +359,8 @@ impl PacketStore {
         kind: QueueKind,
     ) {
         grid.push(c, kind, pid);
-        self.loc[pid.index()] = Loc::At(c);
+        self.loc[pid.index()] = LocWord::new(Loc::At(c), kind, 0);
         self.refresh_mask(topo, pid);
-        self.queue_of[pid.index()] = kind;
         grid.mark_active(grid.node_index(c));
     }
 
@@ -229,14 +376,15 @@ impl PacketStore {
         from: Coord,
     ) {
         debug_assert_eq!(self.loc(pid), Loc::At(from));
-        grid.remove(from, self.queue_of(pid), pid);
+        grid.remove(from, self.loc[pid.index()].slot(), pid);
         self.hops[pid.index()] += 1;
         progress.total_moves += 1;
     }
 
     /// **Retire**: the packet, already out of whatever queue or bucket held
     /// it, reaches the terminal location `end` at step stamp `t`; the
-    /// counter (and event, and delivery step) of that location moves with it.
+    /// counter (and event, and delivery step) of that location moves with
+    /// it. The word keeps the last queue the packet was in.
     #[inline]
     pub(crate) fn retire(
         &mut self,
@@ -246,10 +394,10 @@ impl PacketStore {
         end: Loc,
         t: u64,
     ) {
-        self.loc[pid.index()] = end;
+        let word = &mut self.loc[pid.index()];
+        *word = word.moved_to(end, t);
         match end {
             Loc::Delivered => {
-                self.delivered_at[pid.index()] = t;
                 progress.delivered += 1;
                 events.delivered.push(pid);
             }
@@ -263,33 +411,57 @@ impl PacketStore {
         }
     }
 
-    /// The table in its serialized form (the mask is derived, not stored).
+    /// The table in its serialized form: one column per field, endpoints
+    /// and locations unpacked (the mask is derived, not stored).
     pub(crate) fn export(&self) -> PacketsSnap {
         PacketsSnap {
-            src: self.src.clone(),
-            dst: self.dst.clone(),
+            src: self.src.iter().map(|&w| unpack(w)).collect(),
+            dst: self.dst.iter().map(|&w| unpack(w)).collect(),
             state: self.state.clone(),
             inject_at: self.inject_at.clone(),
-            loc: self.loc.clone(),
-            queue_of: self.queue_of.clone(),
-            delivered_at: self.delivered_at.clone(),
+            loc: self.loc.iter().map(|w| w.loc()).collect(),
+            queue_of: self.loc.iter().map(|w| w.kind()).collect(),
+            delivered_at: self
+                .loc
+                .iter()
+                .map(|w| w.delivered_step().unwrap_or(NOT_DELIVERED))
+                .collect(),
             hops: self.hops.clone(),
             inject_order: self.inject_order.clone(),
             inject_cursor: self.inject_cursor,
         }
     }
 
-    /// Rebuilds the table from its serialized form (column lengths already
-    /// checked equal), recomputing every in-network packet's mask.
-    pub(crate) fn import<T: Topology>(topo: &T, snap: &PacketsSnap) -> PacketStore {
+    /// Rebuilds the table from its serialized form (column lengths checked
+    /// equal, coordinates on a grid of side at most [`MAX_SIDE`]),
+    /// recomputing every in-network packet's mask. Refuses the states the
+    /// location word cannot hold: a delivery step on a packet that is not
+    /// delivered or none on one that is, and a step of 2^58 or more.
+    pub(crate) fn import<T: Topology>(topo: &T, snap: &PacketsSnap) -> Result<PacketStore, String> {
+        let mut loc = Vec::with_capacity(snap.loc.len());
+        for (i, ((&l, &kind), &d)) in snap
+            .loc
+            .iter()
+            .zip(&snap.queue_of)
+            .zip(&snap.delivered_at)
+            .enumerate()
+        {
+            if (l == Loc::Delivered) != (d != NOT_DELIVERED) {
+                return Err(format!(
+                    "packet {i} is {l:?} but its delivery step says otherwise"
+                ));
+            }
+            if l == Loc::Delivered && d >= STEP_LIMIT {
+                return Err(format!("packet {i} has delivery step {d}, past 2^58"));
+            }
+            loc.push(LocWord::new(l, kind, d));
+        }
         let mut store = PacketStore {
-            src: snap.src.clone(),
-            dst: snap.dst.clone(),
+            src: snap.src.iter().map(|&c| pack(c)).collect(),
+            dst: snap.dst.iter().map(|&c| pack(c)).collect(),
             state: snap.state.clone(),
             inject_at: snap.inject_at.clone(),
-            loc: snap.loc.clone(),
-            queue_of: snap.queue_of.clone(),
-            delivered_at: snap.delivered_at.clone(),
+            loc,
             hops: snap.hops.clone(),
             mask: vec![0; snap.src.len()],
             inject_order: snap.inject_order.clone(),
@@ -298,7 +470,7 @@ impl PacketStore {
         for pid in store.ids() {
             store.refresh_mask(topo, pid);
         }
-        store
+        Ok(store)
     }
 }
 
@@ -505,13 +677,12 @@ impl NodeGrid {
         self.load[ni] += 1;
     }
 
-    /// Removes a packet from a node's queue (position scan — queues are
-    /// short by construction) by shifting the younger cells down one,
+    /// Removes a packet from slot `s` of a node (position scan — queues
+    /// are short by construction) by shifting the younger cells down one,
     /// updating the length, bitmask, and occupancy index. Panics if the
     /// packet is not there: that is an engine bug, not a runtime condition.
-    pub(crate) fn remove(&mut self, c: Coord, kind: QueueKind, pid: PacketId) {
+    pub(crate) fn remove(&mut self, c: Coord, s: usize, pid: PacketId) {
         let ni = self.node_index(c);
-        let s = kind.slot();
         let len = self.lens[ni * self.slots + s] as usize;
         let base = self.cell_base(ni, s);
         let region = &mut self.slab[base..base + len];
@@ -801,7 +972,7 @@ mod arena_tests {
                         let qi = occupied[(lcg(&mut rng) as usize) % occupied.len()];
                         let pos = (lcg(&mut rng) as usize) % shadow[qi].len();
                         let pid = shadow[qi].remove(pos);
-                        grid.remove(grid.coord_of(qi / slots), grid.slot_kind(qi % slots), pid);
+                        grid.remove(grid.coord_of(qi / slots), qi % slots, pid);
                     }
                     _ => {
                         let ttl = 1 + lcg(&mut rng) % 16;
@@ -858,5 +1029,49 @@ mod arena_tests {
             shadow[4 * slots + inj].push(pid);
         }
         assert_matches(&grid, &shadow);
+    }
+}
+
+#[cfg(test)]
+mod word_tests {
+    use super::*;
+    use mesh_topo::ALL_DIRS;
+
+    /// Every `Loc` × every `QueueKind` survives the word, at the corners of
+    /// the coordinate range and of the delivery-step range.
+    #[test]
+    fn location_word_round_trips() {
+        let coords = [(0, 0), (65535, 65535), (65535, 0)].map(|(x, y)| Coord::new(x, y));
+        let mut locs = vec![
+            Loc::Pending,
+            Loc::Delivered,
+            Loc::Lost,
+            Loc::Shed,
+            Loc::Expired,
+        ];
+        locs.extend(coords.map(Loc::At));
+        let kinds = [QueueKind::Central, QueueKind::Injection]
+            .into_iter()
+            .chain(ALL_DIRS.map(QueueKind::Inlink));
+        for kind in kinds {
+            for &loc in &locs {
+                for step in [0, 1, STEP_LIMIT - 1] {
+                    let w = LocWord::new(loc, kind, step);
+                    assert_eq!((w.loc(), w.kind()), (loc, kind), "{w:?}");
+                    assert_eq!(w.slot(), kind.slot(), "{w:?}");
+                    let queued = LocWord::new(Loc::At(coords[1]), kind, 0);
+                    assert_eq!(queued.moved_to(loc, step), w, "{w:?}");
+                    let delivered = (loc == Loc::Delivered).then_some(step);
+                    assert_eq!(w.delivered_step(), delivered, "{w:?}");
+                }
+            }
+        }
+        for c in coords {
+            assert_eq!(unpack(pack(c)), c);
+        }
+        assert_eq!(
+            LocWord(0),
+            LocWord::new(Loc::Pending, QueueKind::Central, 0)
+        );
     }
 }

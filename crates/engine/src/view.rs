@@ -128,13 +128,13 @@ impl<'a> DxResidents<'a> {
     /// The packet's source address.
     #[inline]
     pub fn src(&self, i: usize) -> Coord {
-        self.store.src[self.id(i).index()]
+        self.store.src(self.id(i))
     }
 
     /// The packet's state word, as of the end of the previous step.
     #[inline]
     pub fn state(&self, i: usize) -> u64 {
-        self.store.state[self.id(i).index()]
+        self.store.state(self.id(i))
     }
 }
 
@@ -151,7 +151,7 @@ impl<'a> FullResidents<'a> {
     /// The packet's destination address.
     #[inline]
     pub fn dst(&self, i: usize) -> Coord {
-        self.0.store.dst[self.0.id(i).index()]
+        self.0.store.dst(self.0.id(i))
     }
 }
 
@@ -190,13 +190,13 @@ impl<'a> DxArrivals<'a> {
     /// The offered packet's source address.
     #[inline]
     pub fn src(&self, i: usize) -> Coord {
-        self.store.src[self.id(i).index()]
+        self.store.src(self.id(i))
     }
 
     /// The offered packet's state word.
     #[inline]
     pub fn state(&self, i: usize) -> u64 {
-        self.store.state[self.id(i).index()]
+        self.store.state(self.id(i))
     }
 }
 
@@ -221,7 +221,7 @@ impl<'a> FullArrivals<'a> {
     /// The offered packet's destination address.
     #[inline]
     pub fn dst(&self, i: usize) -> Coord {
-        self.0.store.dst[self.0.id(i).index()]
+        self.0.store.dst(self.0.id(i))
     }
 
     /// The node the packet is coming from (§2 measures its profitable

@@ -51,7 +51,14 @@ impl RoutingProblem {
     }
 
     /// Builds a problem from fully-specified packets (ids must be dense).
-    pub fn from_packets(n: u32, label: impl Into<String>, packets: Vec<Packet>) -> RoutingProblem {
+    /// The generators grow `packets` by doubling; the capacity past its
+    /// length is released here, not carried for the problem's lifetime.
+    pub fn from_packets(
+        n: u32,
+        label: impl Into<String>,
+        mut packets: Vec<Packet>,
+    ) -> RoutingProblem {
+        packets.shrink_to_fit();
         for (i, p) in packets.iter().enumerate() {
             assert_eq!(p.id, PacketId(i as u32), "packet ids must be dense");
         }

@@ -442,6 +442,8 @@ mod tests {
                 .map(|p| (p.src, p.dst, p.inject_at))
                 .collect::<Vec<_>>()
         );
+        // No dead capacity outlives the generator's doubling growth.
+        assert_eq!(p1.packets.capacity(), p1.len());
         // λ > 1: floor(λ) packets per node per step guaranteed.
         let p = open_bernoulli(4, 1.5, 10, 3);
         assert!(p.len() >= 16 * 10, "λ=1.5 must offer ≥ 1/node/step");

@@ -468,14 +468,19 @@ fn unknown(s: &Snapshot) -> PacketId {
 type Tamper = (&'static str, fn(&mut Snapshot));
 
 /// One mutation of a valid snapshot per rule of the restore path — the
-/// structural pass of `Sim::restore` and the engine's two invariant
-/// checkers — with a fragment of the message that must name the rule.
+/// structural pass of `Sim::restore`, the packet table's import and the
+/// engine's two invariant checkers — with a fragment of the message that
+/// must name the rule.
 const TAMPERS: &[Tamper] = &[
     // ---- structural pass ----
     ("packet array `hops`", |s| {
         s.packets.hops.pop();
     }),
     ("disagrees with progress.steps", |s| s.step += 1),
+    ("past 2^58", |s| {
+        s.step = 1 << 58;
+        poke(s, "steps", |_| 1 << 58);
+    }),
     ("endpoint", |s| s.packets.src[0].x = s.n),
     ("endpoint", |s| s.packets.dst[0].y = s.n),
     ("located off-grid", |s| {
@@ -516,6 +521,19 @@ const TAMPERS: &[Tamper] = &[
     }),
     ("appears twice in the active worklist", |s| {
         s.grid.active.push(s.grid.active[0])
+    }),
+    // ---- PacketStore::import: what the location word cannot hold ----
+    ("delivery step", |s| {
+        let at = queued(s);
+        s.packets.delivered_at[at] = 3;
+    }),
+    ("delivery step", |s| {
+        let at = delivered(s);
+        s.packets.delivered_at[at] = u64::MAX;
+    }),
+    ("delivery step", |s| {
+        let at = delivered(s);
+        s.packets.delivered_at[at] = 1 << 58;
     }),
     // ---- check_queues ----
     ("> capacity", |s| {
@@ -564,14 +582,6 @@ const TAMPERS: &[Tamper] = &[
         s.grid.active.push(idle_node(s))
     }),
     // ---- check_conservation ----
-    ("delivery step", |s| {
-        let at = queued(s);
-        s.packets.delivered_at[at] = 3;
-    }),
-    ("delivery step", |s| {
-        let at = delivered(s);
-        s.packets.delivered_at[at] = u64::MAX;
-    }),
     ("delivered, the packet table says", |s| bump(s, "delivered")),
     ("lost, the packet table says", |s| bump(s, "lost")),
     ("shed, the packet table says", |s| bump(s, "shed")),
@@ -646,6 +656,27 @@ fn construction_time_snapshot_restores() {
     assert_eq!((snap.step, snap.grid.active.len()), (0, 1));
     let restored = Sim::restore(&topo, Dx::new(DimOrder::new(1)), config, None, &snap);
     assert_eq!(restored.map(|s| s.shed()), Ok(1));
+}
+
+/// A side past 65,535 has no `u32` node index and no 16-bit coordinate:
+/// no run could have written it, so restore calls it corrupt before it
+/// computes `n²`, even under a topology of that side.
+#[test]
+fn oversized_side_is_corrupt() {
+    let mut snap = mid_run_snapshot(&Mesh::new(8), Dx::new(DimOrder::new(2)));
+    snap.n = 1 << 16;
+    let big = Mesh::new(snap.n);
+    let restored = Sim::restore(
+        &big,
+        Dx::new(DimOrder::new(2)),
+        SimConfig::default(),
+        None,
+        &snap,
+    );
+    match restored.map(|_| ()) {
+        Err(SnapshotError::Corrupt(m)) if m.contains("exceeds") => {}
+        other => panic!("{other:?}"),
+    }
 }
 
 /// Restoring under the wrong environment — different topology side,
