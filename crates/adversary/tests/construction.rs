@@ -15,6 +15,28 @@ use mesh_adversary::{
 };
 use mesh_routers::{alt_adaptive, dim_order, hot_potato, theorem15, FarthestFirst};
 use mesh_topo::Mesh;
+use record::{Digest, Entry};
+
+#[path = "../../../tests/support/record.rs"]
+mod record;
+
+/// Checks `outcome` against the entry recorded for `test` under `key`: its
+/// exchange count, its undelivered packets, and digests of the `Debug` text
+/// of the constructed permutation and of the final configuration.
+fn check_recorded(test: &'static str, key: &str, o: &ConstructionOutcome) {
+    let entry = Entry::new(key)
+        .with("exchanges", o.exchanges)
+        .with("undelivered_at_bound", o.undelivered_at_bound)
+        .with(
+            "constructed",
+            Digest::of(format!("{:?}", o.constructed)).hex(),
+        )
+        .with(
+            "final_snapshot",
+            Digest::of(format!("{:?}", o.final_snapshot)).hex(),
+        );
+    record::check(test, 1, entry).unwrap_or_else(|e| panic!("{e}"));
+}
 
 /// What one construction produced, as recorded from the three per-construction
 /// hooks this crate had before `driver.rs`.
@@ -50,6 +72,11 @@ fn general_construction_beats_dim_order_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, dim_order(1), true);
     assert!(outcome.undelivered_at_bound > 0, "Corollary 9");
+    check_recorded(
+        "general_construction_beats_dim_order_k1",
+        "general-dim_order-n216-k1",
+        &outcome,
+    );
     assert_eq!(
         pinned(&outcome),
         Pinned {
@@ -71,6 +98,11 @@ fn general_construction_beats_alt_adaptive_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, alt_adaptive(1), true);
     assert!(outcome.undelivered_at_bound > 0);
+    check_recorded(
+        "general_construction_beats_alt_adaptive_k1",
+        "general-alt_adaptive-n216-k1",
+        &outcome,
+    );
     assert_eq!(
         pinned(&outcome),
         Pinned {
@@ -122,6 +154,11 @@ fn dimorder_construction_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, dim_order(1));
     assert!(outcome.undelivered_at_bound > 0);
+    check_recorded(
+        "dimorder_construction_k1",
+        "dimorder-dim_order-n216-k1",
+        &outcome,
+    );
     assert_eq!(
         pinned(&outcome),
         Pinned {
@@ -146,6 +183,11 @@ fn farthest_first_construction_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, FarthestFirst::new(1));
     assert!(outcome.undelivered_at_bound > 0);
+    check_recorded(
+        "farthest_first_construction_k1",
+        "farthest-farthest_first-n216-k1",
+        &outcome,
+    );
     assert_eq!(
         pinned(&outcome),
         Pinned {
@@ -172,6 +214,11 @@ fn farthest_first_construction_k2_pins_its_tie_breaks() {
     let cons = FarthestFirstConstruction::new(params);
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, FarthestFirst::new(2));
+    check_recorded(
+        "farthest_first_construction_k2_pins_its_tie_breaks",
+        "farthest-farthest_first-n216-k2",
+        &outcome,
+    );
     assert_eq!(
         pinned(&outcome),
         Pinned {

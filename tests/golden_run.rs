@@ -22,8 +22,12 @@
 //! GOLDEN_RECORD=1 cargo test -p mesh-routing --test golden_run
 //! ```
 
+#[path = "support/record.rs"]
+mod record;
+
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, hot_potato, BoundedDeflect};
+use record::{Digest, Entry, Fold};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -102,6 +106,26 @@ fn check_and_replay(build: impl Fn(SimConfig) -> GoldenDoc) {
     );
 }
 
+/// Builds a scenario of `test` under the default config and under
+/// [`inert_fields_config`], requires the same entry from both, and checks it
+/// as the next of the test's `cases` cases.
+fn check_entry(test: &'static str, cases: usize, build: impl Fn(SimConfig) -> Entry) {
+    let entry = build(SimConfig::default());
+    let replay = build(inert_fields_config());
+    assert_eq!(
+        replay, entry,
+        "{test}: diverged under the inert config fields"
+    );
+    record::check(test, cases, entry).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Steps `sim` up to `cap` steps through the fold: the entry of `scenario`.
+fn stepped<T: Topology, R: Router>(scenario: &str, sim: &mut Sim<'_, T, R>, cap: u64) -> Entry {
+    let mut fold = Fold::new();
+    fold.steps(sim, cap);
+    fold.entry(scenario, sim)
+}
+
 fn ids(pids: &[PacketId]) -> Vec<u32> {
     pids.iter().map(|p| p.0).collect()
 }
@@ -178,6 +202,16 @@ fn golden_steady16() {
         replay, recorded,
         "scenario 'steady16' diverged from its fixture under the inert config fields"
     );
+    check_entry("golden_steady16", 1, |config| {
+        let doc = build(config);
+        let mut run = Digest::new();
+        run.json(&doc.steady);
+        run.json(&doc.report);
+        Entry::new("steady16")
+            .with("steps", doc.report.steps)
+            .with("delivered", doc.report.delivered)
+            .with("run", run.hex())
+    });
 }
 
 /// Steps `sim` manually up to `cap` steps, recording every step that
@@ -216,6 +250,12 @@ fn golden_partial_permutation() {
             events,
         }
     });
+    check_entry("golden_partial_permutation", 1, |config| {
+        let topo = Mesh::new(16);
+        let pb = workloads::random_partial_permutation(16, 0.5, 2024);
+        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
+        stepped("partial_perm", sim, 5_000)
+    });
 }
 
 #[test]
@@ -231,6 +271,12 @@ fn golden_transpose() {
             report: sim.report(),
             events,
         }
+    });
+    check_entry("golden_transpose", 1, |config| {
+        let topo = Mesh::new(16);
+        let pb = workloads::transpose(16);
+        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
+        stepped("transpose", sim, 5_000)
     });
 }
 
@@ -250,12 +296,32 @@ fn golden_dense64() {
             events,
         }
     });
+    check_entry("golden_dense64", 1, |config| {
+        let n = 64;
+        let topo = Mesh::new(n);
+        let pb = workloads::random_permutation(n, 2024);
+        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
+        stepped("dense64", sim, 20_000)
+    });
 }
 
 /// A faulty scenario mirrors a chaos-soak cell: seeded random faults, a
 /// fault-aware router, manual stepping so the event stream (not just the
 /// verdict) is part of the frozen record.
-fn check_faulty<R: Router>(scenario: &str, inner: impl Fn() -> R) {
+fn check_faulty<R: Router>(test: &'static str, scenario: &str, inner: impl Fn() -> R) {
+    check_entry(test, 1, |config| {
+        let n = 16;
+        let topo = Mesh::new(n);
+        let pb = workloads::random_partial_permutation(n, 0.5, 2024);
+        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
+        let config = SimConfig {
+            watchdog: Some(8 * n as u64),
+            ..config
+        };
+        let router = FaultAware::new(inner(), Arc::clone(&faults));
+        let sim = &mut Sim::with_faults(&topo, router, &pb, config, faults.as_ref().clone());
+        stepped(scenario, sim, 5_000)
+    });
     check_and_replay(|config| {
         let n = 16;
         let topo = Mesh::new(n);
@@ -284,7 +350,7 @@ fn check_faulty<R: Router>(scenario: &str, inner: impl Fn() -> R) {
 
 #[test]
 fn golden_faulty() {
-    check_faulty("faulty", || Dx::new(DimOrder::new(4)));
+    check_faulty("golden_faulty", "faulty", || Dx::new(DimOrder::new(4)));
 }
 
 /// The same fault plan under a router whose policies read packet state: the
@@ -292,7 +358,9 @@ fn golden_faulty() {
 /// policies, and its capacity guard runs on a non-empty table.
 #[test]
 fn golden_faulty_alt_adaptive() {
-    check_faulty("faulty_alt_adaptive", || alt_adaptive(4));
+    check_faulty("golden_faulty_alt_adaptive", "faulty_alt_adaptive", || {
+        alt_adaptive(4)
+    });
 }
 
 /// The routers beyond dim-order/Theorem 15, each frozen on the two n = 16
@@ -301,7 +369,7 @@ fn golden_faulty_alt_adaptive() {
 /// farthest-first) destinations, so these records pin every tie-break a
 /// policy rewrite could perturb. Bounded central queues may wedge a run;
 /// the step budget then records it as `capped`, which is just as frozen.
-fn check_router_on_both_workloads<R: Router>(name: &str, mk: impl Fn() -> R) {
+fn check_router_on_both_workloads<R: Router>(test: &'static str, name: &str, mk: impl Fn() -> R) {
     let workloads = [
         (
             "partial_perm",
@@ -309,6 +377,13 @@ fn check_router_on_both_workloads<R: Router>(name: &str, mk: impl Fn() -> R) {
         ),
         ("transpose", workloads::transpose(16)),
     ];
+    for (workload, pb) in &workloads {
+        check_entry(test, workloads.len(), |config| {
+            let topo = Mesh::new(16);
+            let sim = &mut Sim::with_config(&topo, mk(), pb, config);
+            stepped(&format!("{name}_{workload}"), sim, 5_000)
+        });
+    }
     for (workload, pb) in workloads {
         check_and_replay(|config| {
             let topo = Mesh::new(16);
@@ -326,22 +401,26 @@ fn check_router_on_both_workloads<R: Router>(name: &str, mk: impl Fn() -> R) {
 
 #[test]
 fn golden_hot_potato() {
-    check_router_on_both_workloads("hot_potato", || hot_potato(16));
+    check_router_on_both_workloads("golden_hot_potato", "hot_potato", || hot_potato(16));
 }
 
 #[test]
 fn golden_alt_adaptive() {
-    check_router_on_both_workloads("alt_adaptive", || alt_adaptive(2));
+    check_router_on_both_workloads("golden_alt_adaptive", "alt_adaptive", || alt_adaptive(2));
 }
 
 #[test]
 fn golden_farthest_first() {
-    check_router_on_both_workloads("farthest_first", || FarthestFirst::new(2));
+    check_router_on_both_workloads("golden_farthest_first", "farthest_first", || {
+        FarthestFirst::new(2)
+    });
 }
 
 #[test]
 fn golden_bounded_deflect() {
-    check_router_on_both_workloads("bounded_deflect", || Dx::new(BoundedDeflect::new(16, 2, 1)));
+    check_router_on_both_workloads("golden_bounded_deflect", "bounded_deflect", || {
+        Dx::new(BoundedDeflect::new(16, 2, 1))
+    });
 }
 
 /// A [`ProtocolHook`] adapter recording each step's events before
@@ -349,6 +428,7 @@ fn golden_bounded_deflect() {
 struct Recording<'a, P> {
     inner: &'a mut P,
     events: Vec<GoldenStep>,
+    fold: Fold,
 }
 
 impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
@@ -357,6 +437,8 @@ impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
         sim: &mut Sim<'_, T, R>,
         events: &StepEvents,
     ) -> ProtocolControl {
+        self.fold
+            .step(sim, sim.done(), &events.delivered, &events.lost);
         if !events.delivered.is_empty() || !events.lost.is_empty() {
             self.events.push(GoldenStep {
                 step: events.step,
@@ -393,8 +475,14 @@ fn golden_reliable() {
         let mut recorder = Recording {
             inner: &mut transport,
             events: Vec::new(),
+            fold: Fold::new(),
         };
         let res = sim.run_with_protocol(200_000, &mut recorder);
+        recorder.fold.verdict(&sim, &res);
+        RELIABLE
+            .lock()
+            .unwrap()
+            .push(recorder.fold.entry("reliable", &sim));
         let outcome = match &res {
             Ok(_) => "completed".to_string(),
             Err(err) => err.kind().to_string(),
@@ -407,4 +495,12 @@ fn golden_reliable() {
             events,
         }
     });
+    let mut entries = RELIABLE.lock().unwrap();
+    assert_eq!(
+        entries[0], entries[1],
+        "golden_reliable: diverged under the inert config fields"
+    );
+    record::check("golden_reliable", 1, entries.remove(0)).unwrap_or_else(|e| panic!("{e}"));
 }
+
+static RELIABLE: std::sync::Mutex<Vec<Entry>> = std::sync::Mutex::new(Vec::new());

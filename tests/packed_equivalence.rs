@@ -21,102 +21,18 @@
 //! change, since nothing checks a new entry:
 //! `GOLDEN_RECORD=1 cargo test --release -p mesh-routing --test packed_equivalence`.
 
+#[path = "support/record.rs"]
+mod record;
 mod support;
 
-use mesh_routing::engine::Loc;
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
 use proptest::prelude::*;
+use record::{Digest, Fold};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use support::{partial_permutation, workload};
-
-/// 64-bit FNV-1a: the digest of a case's inputs and of its observed run.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    fn json(&mut self, value: &impl Serialize) {
-        self.bytes(serde_json::to_string(value).expect("serialize").as_bytes());
-    }
-}
-
-/// Folds the whole packet configuration — location, destination and state
-/// word per packet — into `d`.
-fn observe_packets<T: Topology, R: Router>(d: &mut Fnv, sim: &Sim<'_, T, R>) {
-    for (loc, dst, state) in sim.packet_snapshot() {
-        let (tag, at) = match loc {
-            Loc::At(at) => (0, at),
-            Loc::Pending => (1, dst),
-            Loc::Delivered => (2, dst),
-            Loc::Lost => (3, dst),
-            Loc::Shed => (4, dst),
-            Loc::Expired => (5, dst),
-        };
-        for w in [tag, at.x, at.y, dst.x, dst.y] {
-            d.word(w as u64);
-        }
-        d.word(state);
-    }
-}
-
-/// Steps `sim` until it is done or `max_steps` have run, folding each
-/// step's done flag, delivery and loss streams and packet configuration
-/// into `d`, then the report and diagnostics; returns the step and delivery
-/// counts.
-fn observe_steps<T: Topology, R: Router>(
-    sim: &mut Sim<'_, T, R>,
-    max_steps: u64,
-    d: &mut Fnv,
-) -> (u64, usize) {
-    for _ in 0..max_steps {
-        let done = sim.step();
-        d.word(done as u64);
-        for ids in [sim.last_step_deliveries(), sim.last_step_losses()] {
-            d.word(ids.len() as u64);
-            ids.iter().for_each(|p| d.word(p.0 as u64));
-        }
-        observe_packets(d, sim);
-        if done {
-            break;
-        }
-    }
-    d.json(&sim.report());
-    d.json(&sim.diagnostics());
-    (sim.steps(), sim.delivered())
-}
-
-/// Runs `sim` to its verdict (completion, a watchdog trip, or the step
-/// cap) and folds the whole outcome into `d`: the step count or the error
-/// kind and its diagnostic snapshot, the packet configuration, the report
-/// and the diagnostics; returns the step and delivery counts.
-fn observe_verdict<T: Topology, R: Router>(sim: &mut Sim<'_, T, R>, d: &mut Fnv) -> (u64, usize) {
-    match sim.run(20_000) {
-        Ok(steps) => d.word(steps),
-        Err(e) => {
-            d.bytes(e.kind().as_bytes());
-            d.json(e.snapshot());
-        }
-    }
-    observe_packets(d, sim);
-    d.json(&sim.report());
-    d.json(&sim.diagnostics());
-    (sim.steps(), sim.delivered())
-}
 
 /// What one case observed, filed under the digest of its inputs: its run's
 /// digest, plus the step and delivery counts in clear text to read a
@@ -236,15 +152,23 @@ struct Case<'a, P> {
 impl<P: std::fmt::Debug> Case<'_, P> {
     /// Runs `router` through the case and files what it observed.
     fn check<R: Router>(&self, router: R) -> Result<(), TestCaseError> {
-        let (pb, topo, mut d) = (self.pb, Mesh::new(self.pb.n), Fnv::new());
-        let (steps, delivered) = match self.shape {
+        let (pb, topo, mut fold) = (self.pb, Mesh::new(self.pb.n), Fold::new());
+        let mut key = Digest::new();
+        key.word(pb.n as u64);
+        key.json(&pb.packets);
+        key.bytes(format!("{:?}", self.params).as_bytes());
+        let key = key.hex();
+        let input = key.clone();
+        let entry = match self.shape {
             Shape::FaultFree(config) => {
                 let sim = &mut Sim::with_config(&topo, router, pb, config);
-                observe_steps(sim, 3_000, &mut d)
+                fold.steps(sim, 3_000);
+                fold.entry(key, sim)
             }
             Shape::UnderFaults(config, faults) => {
                 let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.clone());
-                observe_verdict(sim, &mut d)
+                fold.run(sim, 20_000);
+                fold.entry(key, sim)
             }
             Shape::Wrapped(faults) => {
                 let config = SimConfig {
@@ -253,26 +177,21 @@ impl<P: std::fmt::Debug> Case<'_, P> {
                 };
                 let router = FaultAware::new(router, Arc::clone(faults));
                 let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.as_ref().clone());
-                let stepped = observe_steps(sim, 1_000, &mut d);
-                if sim.done() {
-                    stepped
-                } else {
-                    observe_verdict(sim, &mut d)
+                fold.steps(sim, 1_000);
+                if !sim.done() {
+                    fold.run(sim, 20_000);
                 }
+                fold.entry(key, sim)
             }
         };
-        let mut key = Fnv::new();
-        key.word(pb.n as u64);
-        key.json(&pb.packets);
-        key.bytes(format!("{:?}", self.params).as_bytes());
-        let (input, run) = (format!("{:016x}", key.0), format!("{:016x}", d.0));
-        let entry = Entry {
+        let old = Entry {
             input,
-            steps,
-            delivered,
-            run,
+            steps: entry.field("steps").unwrap().parse().unwrap(),
+            delivered: entry.field("delivered").unwrap().parse().unwrap(),
+            run: entry.field("run").unwrap().into(),
         };
-        check_case(self.property, self.cases, entry)
+        record::check(self.property, self.cases as usize, entry).map_err(TestCaseError::Fail)?;
+        check_case(self.property, self.cases, old)
     }
 
     /// The router axis: checks router number `which` of the seven, sized

@@ -11,7 +11,11 @@
 //! GOLDEN_RECORD=1 cargo test --release -p mesh-routing --test section6_golden
 //! ```
 
+#[path = "support/record.rs"]
+mod record;
+
 use mesh_routing::prelude::*;
+use record::{Digest, Entry};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -82,11 +86,23 @@ fn scenarios() -> Vec<(String, Section6Router, RoutingProblem)> {
 
 #[test]
 fn section6_reports_match_golden_fixture() {
-    let doc: Vec<GoldenEntry> = scenarios()
-        .into_iter()
+    let scenarios = scenarios();
+    for (scenario, router, pb) in &scenarios {
+        let report = router.route(pb);
+        let mut run = Digest::new();
+        run.json(&report);
+        let entry = Entry::new(scenario)
+            .with("scheduled_steps", report.scheduled_steps)
+            .with("max_node_load", report.max_node_load)
+            .with("run", run.hex());
+        let test = "section6_reports_match_golden_fixture";
+        record::check(test, scenarios.len(), entry).unwrap_or_else(|e| panic!("{e}"));
+    }
+    let doc: Vec<GoldenEntry> = scenarios
+        .iter()
         .map(|(scenario, router, pb)| GoldenEntry {
-            scenario,
-            report: router.route(&pb),
+            scenario: scenario.clone(),
+            report: router.route(pb),
         })
         .collect();
     let path =
