@@ -2,9 +2,13 @@
 //! §5 variants): construction invariants, bound certification, and Lemma 12
 //! replay equivalence.
 //!
-//! Each construction's smallest grid is also pinned bit for bit ([`Pinned`]):
-//! partner choice decides every later exchange, so one changed tie-break in
-//! the search moves all four numbers.
+//! Each construction's smallest grid is also pinned bit for bit through the
+//! recording harness (`tests/support/record.rs`, fixture
+//! `tests/fixtures/construction.txt`): partner choice decides every later
+//! exchange, so one changed tie-break in the search moves all four fields.
+
+#[path = "../../../tests/support/record.rs"]
+mod record;
 
 use mesh_adversary::dimorder::DimOrderConstruction;
 use mesh_adversary::farthest::FarthestFirstConstruction;
@@ -16,53 +20,19 @@ use mesh_adversary::{
 use mesh_routers::{alt_adaptive, dim_order, hot_potato, theorem15, FarthestFirst};
 use mesh_topo::Mesh;
 use record::{Digest, Entry};
+use std::fmt::Debug;
 
-#[path = "../../../tests/support/record.rs"]
-mod record;
-
-/// Checks `outcome` against the entry recorded for `test` under `key`: its
+/// Checks `o` against the entry the running test recorded under `key`: its
 /// exchange count, its undelivered packets, and digests of the `Debug` text
 /// of the constructed permutation and of the final configuration.
-fn check_recorded(test: &'static str, key: &str, o: &ConstructionOutcome) {
+fn check_recorded(key: &str, o: &ConstructionOutcome) {
+    let debug = |v: &dyn Debug| Digest::of(format!("{v:?}")).hex();
     let entry = Entry::new(key)
         .with("exchanges", o.exchanges)
         .with("undelivered_at_bound", o.undelivered_at_bound)
-        .with(
-            "constructed",
-            Digest::of(format!("{:?}", o.constructed)).hex(),
-        )
-        .with(
-            "final_snapshot",
-            Digest::of(format!("{:?}", o.final_snapshot)).hex(),
-        );
-    record::check(test, 1, entry).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// What one construction produced, as recorded from the three per-construction
-/// hooks this crate had before `driver.rs`.
-#[derive(Debug, PartialEq, Eq)]
-struct Pinned {
-    exchanges: u64,
-    undelivered_at_bound: usize,
-    /// FNV-1a of the `Debug` rendering of `constructed`.
-    constructed: u64,
-    /// FNV-1a of the `Debug` rendering of `final_snapshot`.
-    final_snapshot: u64,
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn pinned(o: &ConstructionOutcome) -> Pinned {
-    Pinned {
-        exchanges: o.exchanges,
-        undelivered_at_bound: o.undelivered_at_bound,
-        constructed: fnv1a(&format!("{:?}", o.constructed)),
-        final_snapshot: fnv1a(&format!("{:?}", o.final_snapshot)),
-    }
+        .with("constructed", debug(&o.constructed))
+        .with("final_snapshot", debug(&o.final_snapshot));
+    record::check(1, entry).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -72,20 +42,7 @@ fn general_construction_beats_dim_order_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, dim_order(1), true);
     assert!(outcome.undelivered_at_bound > 0, "Corollary 9");
-    check_recorded(
-        "general_construction_beats_dim_order_k1",
-        "general-dim_order-n216-k1",
-        &outcome,
-    );
-    assert_eq!(
-        pinned(&outcome),
-        Pinned {
-            exchanges: 103,
-            undelivered_at_bound: 966,
-            constructed: 4_338_592_025_241_201_329,
-            final_snapshot: 16_405_310_086_247_462_211,
-        }
-    );
+    check_recorded("n216-k1", &outcome);
     let report = verify_lower_bound(&topo, dim_order(1), &outcome, None);
     assert!(report.undelivered_at_bound > 0, "Theorem 13");
     assert!(report.replay_matches_construction, "Lemma 12");
@@ -98,20 +55,7 @@ fn general_construction_beats_alt_adaptive_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, alt_adaptive(1), true);
     assert!(outcome.undelivered_at_bound > 0);
-    check_recorded(
-        "general_construction_beats_alt_adaptive_k1",
-        "general-alt_adaptive-n216-k1",
-        &outcome,
-    );
-    assert_eq!(
-        pinned(&outcome),
-        Pinned {
-            exchanges: 1013,
-            undelivered_at_bound: 959,
-            constructed: 5_282_621_635_639_512_543,
-            final_snapshot: 10_335_690_206_213_527_495,
-        }
-    );
+    check_recorded("n216-k1", &outcome);
     let report = verify_lower_bound(&topo, alt_adaptive(1), &outcome, None);
     assert!(report.undelivered_at_bound > 0);
     assert!(report.replay_matches_construction);
@@ -154,20 +98,7 @@ fn dimorder_construction_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, dim_order(1));
     assert!(outcome.undelivered_at_bound > 0);
-    check_recorded(
-        "dimorder_construction_k1",
-        "dimorder-dim_order-n216-k1",
-        &outcome,
-    );
-    assert_eq!(
-        pinned(&outcome),
-        Pinned {
-            exchanges: 1690,
-            undelivered_at_bound: 3924,
-            constructed: 17_346_849_368_619_751_031,
-            final_snapshot: 10_709_243_260_713_602_082,
-        }
-    );
+    check_recorded("n216-k1", &outcome);
     let report = verify_lower_bound(&topo, dim_order(1), &outcome, None);
     assert!(
         report.undelivered_at_bound > 0,
@@ -183,20 +114,7 @@ fn farthest_first_construction_k1() {
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, FarthestFirst::new(1));
     assert!(outcome.undelivered_at_bound > 0);
-    check_recorded(
-        "farthest_first_construction_k1",
-        "farthest-farthest_first-n216-k1",
-        &outcome,
-    );
-    assert_eq!(
-        pinned(&outcome),
-        Pinned {
-            exchanges: 6314,
-            undelivered_at_bound: 2828,
-            constructed: 4_472_295_222_277_138_699,
-            final_snapshot: 9_137_037_557_394_471_292,
-        }
-    );
+    check_recorded("n216-k1", &outcome);
     let report = verify_lower_bound(&topo, FarthestFirst::new(1), &outcome, None);
     assert!(report.undelivered_at_bound > 0);
     assert!(
@@ -214,20 +132,7 @@ fn farthest_first_construction_k2_pins_its_tie_breaks() {
     let cons = FarthestFirstConstruction::new(params);
     let topo = Mesh::new(216);
     let outcome = cons.run(&topo, FarthestFirst::new(2));
-    check_recorded(
-        "farthest_first_construction_k2_pins_its_tie_breaks",
-        "farthest-farthest_first-n216-k2",
-        &outcome,
-    );
-    assert_eq!(
-        pinned(&outcome),
-        Pinned {
-            exchanges: 7070,
-            undelivered_at_bound: 621,
-            constructed: 9_423_116_428_904_498_821,
-            final_snapshot: 23_972_765_043_560_732,
-        }
-    );
+    check_recorded("n216-k2", &outcome);
     let report = verify_lower_bound(&topo, FarthestFirst::new(2), &outcome, None);
     assert!(report.undelivered_at_bound > 0);
     assert!(!report.replay_matches_construction);

@@ -1,26 +1,23 @@
-//! Golden-run regression fixtures: the engine's observable behavior is
-//! frozen across refactors.
+//! Golden-run battery: the engine's observable behavior is frozen across
+//! refactors.
 //!
 //! Scenarios on a 16×16 mesh — a partial permutation and a transpose under
 //! Theorem 15, the same two under hot-potato, alt-adaptive, farthest-first
-//! and bounded-deflect, two faulty runs, and one reliable-transport run —
-//! plus a dense 64×64 permutation, each recorded as a JSON
-//! fixture holding the final [`SimReport`] plus the *complete* per-step
-//! delivery/loss event streams. The test regenerates each scenario and
-//! asserts the serialized document is **byte-identical** to the committed
-//! fixture, so any refactor that perturbs scheduling order, fault
-//! enforcement, acceptance, or protocol timing fails loudly instead of
-//! silently shifting recorded experiment tables.
+//! and bounded-deflect, two faulty runs, one reliable-transport run and one
+//! overloaded steady-state soak — plus a dense 64×64 permutation. Each run
+//! goes through the recording harness (`tests/support/record.rs`): its
+//! outcome, step and delivery counts, the digest of its whole step stream
+//! and one digest per 64-step block are filed under the scenario's name in
+//! `tests/fixtures/golden_run.txt`. A refactor that perturbs scheduling
+//! order, fault enforcement, acceptance or protocol timing fails, naming the
+//! scenario and its first diverging block.
 //!
 //! Each scenario is also replayed once under a non-default value of
-//! `SimConfig`'s two inert fields and must reproduce the committed fixture
-//! byte-for-byte: every configuration runs the one step loop.
+//! `SimConfig`'s two inert fields and must produce the same entry: every
+//! configuration runs the one step loop.
 //!
-//! Regenerate the fixtures (only when a behavior change is *intended*):
-//!
-//! ```sh
-//! GOLDEN_RECORD=1 cargo test -p mesh-routing --test golden_run
-//! ```
+//! Re-record only when a behavior change is *intended*:
+//! `GOLDEN_RECORD=1 cargo test --release -p mesh-routing --test golden_run`.
 
 #[path = "support/record.rs"]
 mod record;
@@ -28,56 +25,7 @@ mod record;
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, hot_potato, BoundedDeflect};
 use record::{Digest, Entry, Fold};
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-/// One step's protocol-visible events, by packet id.
-#[derive(Serialize, Deserialize, PartialEq)]
-struct GoldenStep {
-    step: u64,
-    delivered: Vec<u32>,
-    lost: Vec<u32>,
-}
-
-/// The frozen record of one scenario.
-#[derive(Serialize, Deserialize)]
-struct GoldenDoc {
-    scenario: String,
-    /// `completed`, an error kind (`deadlock`/`livelock`/`step-cap`), or
-    /// `capped` for manually-stepped scenarios that hit the step budget.
-    outcome: String,
-    report: SimReport,
-    events: Vec<GoldenStep>,
-}
-
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .join(format!("golden_{name}.json"))
-}
-
-fn check(doc: GoldenDoc) {
-    let path = fixture_path(&doc.scenario);
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
-    if std::env::var_os("GOLDEN_RECORD").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create fixtures dir");
-        std::fs::write(&path, &rendered).expect("write fixture");
-        return;
-    }
-    let recorded = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); record with GOLDEN_RECORD=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, recorded,
-        "scenario '{}' diverged from its golden fixture — the engine's \
-         observable behavior changed",
-        doc.scenario
-    );
-}
 
 /// A non-default value of `SimConfig`'s two inert fields. The repo
 /// benchmark's `perm-tiled == perm-packed` cross-check relies on such a
@@ -90,33 +38,14 @@ fn inert_fields_config() -> SimConfig {
     }
 }
 
-/// Runs `build` under the default config to check (or record) the fixture,
-/// then replays it under [`inert_fields_config`], requiring the same bytes
-/// the fixture holds.
-fn check_and_replay(build: impl Fn(SimConfig) -> GoldenDoc) {
-    check(build(SimConfig::default()));
-    let doc = build(inert_fields_config());
-    let path = fixture_path(&doc.scenario);
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
-    let recorded = std::fs::read_to_string(&path).expect("fixture exists after check()");
-    assert_eq!(
-        rendered, recorded,
-        "scenario '{}' diverged from its fixture under the inert config fields",
-        doc.scenario
-    );
-}
-
-/// Builds a scenario of `test` under the default config and under
+/// Builds a scenario under the default config and under
 /// [`inert_fields_config`], requires the same entry from both, and checks it
-/// as the next of the test's `cases` cases.
-fn check_entry(test: &'static str, cases: usize, build: impl Fn(SimConfig) -> Entry) {
+/// as the next of the running test's `cases` cases.
+fn check(cases: usize, build: impl Fn(SimConfig) -> Entry) {
     let entry = build(SimConfig::default());
     let replay = build(inert_fields_config());
-    assert_eq!(
-        replay, entry,
-        "{test}: diverged under the inert config fields"
-    );
-    record::check(test, cases, entry).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(replay, entry, "diverged under the inert config fields");
+    record::check(cases, entry).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Steps `sim` up to `cap` steps through the fold: the entry of `scenario`.
@@ -126,27 +55,13 @@ fn stepped<T: Topology, R: Router>(scenario: &str, sim: &mut Sim<'_, T, R>, cap:
     fold.entry(scenario, sim)
 }
 
-fn ids(pids: &[PacketId]) -> Vec<u32> {
-    pids.iter().map(|p| p.0).collect()
-}
-
-/// The frozen record of one steady-state (open-system) scenario: the
-/// windowed measurement frames plus the final report, which carries the
-/// admission-control shed/expired totals.
-#[derive(Serialize, Deserialize)]
-struct GoldenSteadyDoc {
-    scenario: String,
-    steady: SteadyReport,
-    report: SimReport,
-}
-
 /// An overloaded open-system soak on 16×16: Bernoulli injection past the
 /// saturation point under deadline expiry, measured in four windows. The
-/// frozen record pins the whole overload layer — admission accounting,
-/// window framing, latency percentiles — and must replay byte-identically
-/// under the inert config fields. Dim-order's bounded central queue makes the
-/// injection edge back-pressure (Theorem 15's per-inlink model has an
-/// unbounded injection queue, which admission control never touches).
+/// digest of its [`SteadyReport`] and [`SimReport`] pins the whole overload
+/// layer — admission accounting, window framing, latency percentiles.
+/// Dim-order's bounded central queue makes the injection edge back-pressure
+/// (Theorem 15's per-inlink model has an unbounded injection queue, which
+/// admission control never touches).
 #[test]
 fn golden_steady16() {
     let schedule = SteadyConfig {
@@ -154,7 +69,7 @@ fn golden_steady16() {
         window: 64,
         windows: 4,
     };
-    let build = |config: SimConfig| {
+    check(1, |config| {
         let n = 16;
         let topo = Mesh::new(n);
         let pb = workloads::open_bernoulli(n, 0.35, schedule.horizon(), 2024);
@@ -167,149 +82,49 @@ fn golden_steady16() {
         let steady = sim
             .run_steady(schedule)
             .expect("an overloaded-but-shedding soak must stay live");
-        GoldenSteadyDoc {
-            scenario: "steady16".into(),
-            steady,
-            report: sim.report(),
-        }
-    };
-
-    let doc = build(SimConfig::default());
-    assert!(doc.report.expired > 0, "0.35 > saturation must expire");
-    let path = fixture_path(&doc.scenario);
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
-    if std::env::var_os("GOLDEN_RECORD").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create fixtures dir");
-        std::fs::write(&path, &rendered).expect("write fixture");
-    } else {
-        let recorded = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); record with GOLDEN_RECORD=1",
-                path.display()
-            )
-        });
-        assert_eq!(
-            rendered, recorded,
-            "scenario 'steady16' diverged from its golden fixture — the \
-             overload layer's observable behavior changed"
-        );
-    }
-    let replay = serde_json::to_string_pretty(&build(inert_fields_config()))
-        .expect("serialize golden doc")
-        + "\n";
-    let recorded = std::fs::read_to_string(&path).expect("fixture exists after check");
-    assert_eq!(
-        replay, recorded,
-        "scenario 'steady16' diverged from its fixture under the inert config fields"
-    );
-    check_entry("golden_steady16", 1, |config| {
-        let doc = build(config);
+        let report = sim.report();
+        assert!(report.expired > 0, "0.35 > saturation must expire");
         let mut run = Digest::new();
-        run.json(&doc.steady);
-        run.json(&doc.report);
+        run.json(&steady);
+        run.json(&report);
         Entry::new("steady16")
-            .with("steps", doc.report.steps)
-            .with("delivered", doc.report.delivered)
+            .with("steps", report.steps)
+            .with("delivered", report.delivered)
             .with("run", run.hex())
     });
 }
 
-/// Steps `sim` manually up to `cap` steps, recording every step that
-/// delivered or destroyed a packet.
-fn step_and_record<T: Topology, R: Router>(
-    sim: &mut Sim<'_, T, R>,
-    cap: u64,
-) -> (String, Vec<GoldenStep>) {
-    let mut events = Vec::new();
-    let mut done = sim.done();
-    while !done && sim.steps() < cap {
-        done = sim.step();
-        if !sim.last_step_deliveries().is_empty() || !sim.last_step_losses().is_empty() {
-            events.push(GoldenStep {
-                step: sim.steps(),
-                delivered: ids(sim.last_step_deliveries()),
-                lost: ids(sim.last_step_losses()),
-            });
-        }
-    }
-    let outcome = if done { "completed" } else { "capped" };
-    (outcome.to_string(), events)
+/// Theorem 15 (k = 2) on `pb`, stepped up to `cap` steps: `scenario`.
+fn check_theorem15(scenario: &str, pb: RoutingProblem, cap: u64) {
+    check(1, |config| {
+        let topo = Mesh::new(pb.n);
+        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
+        stepped(scenario, sim, cap)
+    });
 }
 
 #[test]
 fn golden_partial_permutation() {
-    check_and_replay(|config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::random_partial_permutation(16, 0.5, 2024);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "partial_perm".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
-    check_entry("golden_partial_permutation", 1, |config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::random_partial_permutation(16, 0.5, 2024);
-        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        stepped("partial_perm", sim, 5_000)
-    });
+    let pb = workloads::random_partial_permutation(16, 0.5, 2024);
+    check_theorem15("partial_perm", pb, 5_000);
 }
 
 #[test]
 fn golden_transpose() {
-    check_and_replay(|config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::transpose(16);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "transpose".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
-    check_entry("golden_transpose", 1, |config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::transpose(16);
-        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        stepped("transpose", sim, 5_000)
-    });
+    check_theorem15("transpose", workloads::transpose(16), 5_000);
 }
 
 /// A dense workload on a larger mesh: a full random permutation on 64×64.
 #[test]
 fn golden_dense64() {
-    check_and_replay(|config| {
-        let n = 64;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_permutation(n, 2024);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 20_000);
-        GoldenDoc {
-            scenario: "dense64".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
-    check_entry("golden_dense64", 1, |config| {
-        let n = 64;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_permutation(n, 2024);
-        let sim = &mut Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        stepped("dense64", sim, 20_000)
-    });
+    check_theorem15("dense64", workloads::random_permutation(64, 2024), 20_000);
 }
 
 /// A faulty scenario mirrors a chaos-soak cell: seeded random faults, a
-/// fault-aware router, manual stepping so the event stream (not just the
+/// fault-aware router, manual stepping so the step stream (not just the
 /// verdict) is part of the frozen record.
-fn check_faulty<R: Router>(test: &'static str, scenario: &str, inner: impl Fn() -> R) {
-    check_entry(test, 1, |config| {
+fn check_faulty<R: Router>(scenario: &str, inner: impl Fn() -> R) {
+    check(1, |config| {
         let n = 16;
         let topo = Mesh::new(n);
         let pb = workloads::random_partial_permutation(n, 0.5, 2024);
@@ -322,35 +137,11 @@ fn check_faulty<R: Router>(test: &'static str, scenario: &str, inner: impl Fn() 
         let sim = &mut Sim::with_faults(&topo, router, &pb, config, faults.as_ref().clone());
         stepped(scenario, sim, 5_000)
     });
-    check_and_replay(|config| {
-        let n = 16;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_partial_permutation(n, 0.5, 2024);
-        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
-        let config = SimConfig {
-            watchdog: Some(8 * n as u64),
-            ..config
-        };
-        let mut sim = Sim::with_faults(
-            &topo,
-            FaultAware::new(inner(), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: scenario.into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
 }
 
 #[test]
 fn golden_faulty() {
-    check_faulty("golden_faulty", "faulty", || Dx::new(DimOrder::new(4)));
+    check_faulty("faulty", || Dx::new(DimOrder::new(4)));
 }
 
 /// The same fault plan under a router whose policies read packet state: the
@@ -358,18 +149,16 @@ fn golden_faulty() {
 /// policies, and its capacity guard runs on a non-empty table.
 #[test]
 fn golden_faulty_alt_adaptive() {
-    check_faulty("golden_faulty_alt_adaptive", "faulty_alt_adaptive", || {
-        alt_adaptive(4)
-    });
+    check_faulty("faulty_alt_adaptive", || alt_adaptive(4));
 }
 
 /// The routers beyond dim-order/Theorem 15, each frozen on the two n = 16
-/// workloads the first fixtures use: a random partial permutation and the
+/// workloads the first scenarios use: a random partial permutation and the
 /// transpose. Their policies read packet state words, sources, ids and (for
 /// farthest-first) destinations, so these records pin every tie-break a
 /// policy rewrite could perturb. Bounded central queues may wedge a run;
 /// the step budget then records it as `capped`, which is just as frozen.
-fn check_router_on_both_workloads<R: Router>(test: &'static str, name: &str, mk: impl Fn() -> R) {
+fn check_router_on_both_workloads<R: Router>(name: &str, mk: impl Fn() -> R) {
     let workloads = [
         (
             "partial_perm",
@@ -378,60 +167,42 @@ fn check_router_on_both_workloads<R: Router>(test: &'static str, name: &str, mk:
         ("transpose", workloads::transpose(16)),
     ];
     for (workload, pb) in &workloads {
-        check_entry(test, workloads.len(), |config| {
+        check(workloads.len(), |config| {
             let topo = Mesh::new(16);
             let sim = &mut Sim::with_config(&topo, mk(), pb, config);
             stepped(&format!("{name}_{workload}"), sim, 5_000)
-        });
-    }
-    for (workload, pb) in workloads {
-        check_and_replay(|config| {
-            let topo = Mesh::new(16);
-            let mut sim = Sim::with_config(&topo, mk(), &pb, config);
-            let (outcome, events) = step_and_record(&mut sim, 5_000);
-            GoldenDoc {
-                scenario: format!("{name}_{workload}"),
-                outcome,
-                report: sim.report(),
-                events,
-            }
         });
     }
 }
 
 #[test]
 fn golden_hot_potato() {
-    check_router_on_both_workloads("golden_hot_potato", "hot_potato", || hot_potato(16));
+    check_router_on_both_workloads("hot_potato", || hot_potato(16));
 }
 
 #[test]
 fn golden_alt_adaptive() {
-    check_router_on_both_workloads("golden_alt_adaptive", "alt_adaptive", || alt_adaptive(2));
+    check_router_on_both_workloads("alt_adaptive", || alt_adaptive(2));
 }
 
 #[test]
 fn golden_farthest_first() {
-    check_router_on_both_workloads("golden_farthest_first", "farthest_first", || {
-        FarthestFirst::new(2)
-    });
+    check_router_on_both_workloads("farthest_first", || FarthestFirst::new(2));
 }
 
 #[test]
 fn golden_bounded_deflect() {
-    check_router_on_both_workloads("golden_bounded_deflect", "bounded_deflect", || {
-        Dx::new(BoundedDeflect::new(16, 2, 1))
-    });
+    check_router_on_both_workloads("bounded_deflect", || Dx::new(BoundedDeflect::new(16, 2, 1)));
 }
 
-/// A [`ProtocolHook`] adapter recording each step's events before
-/// forwarding them to the real transport.
-struct Recording<'a, P> {
-    inner: &'a mut P,
-    events: Vec<GoldenStep>,
+/// A [`ProtocolHook`] adapter folding each step before forwarding its
+/// events to the real transport.
+struct Recording<P> {
+    inner: P,
     fold: Fold,
 }
 
-impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
+impl<P: ProtocolHook> ProtocolHook for Recording<P> {
     fn on_step<T: Topology, R: Router>(
         &mut self,
         sim: &mut Sim<'_, T, R>,
@@ -439,13 +210,6 @@ impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
     ) -> ProtocolControl {
         self.fold
             .step(sim, sim.done(), &events.delivered, &events.lost);
-        if !events.delivered.is_empty() || !events.lost.is_empty() {
-            self.events.push(GoldenStep {
-                step: events.step,
-                delivered: ids(&events.delivered),
-                lost: ids(&events.lost),
-            });
-        }
         self.inner.on_step(sim, events)
     }
 }
@@ -455,7 +219,7 @@ impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
 /// payload, driven through `run_with_protocol`.
 #[test]
 fn golden_reliable() {
-    check_and_replay(|config| {
+    check(1, |config| {
         let n = 16;
         let topo = Mesh::new(n);
         let pb = workloads::dynamic_bernoulli(n, 0.02, 4 * n as u64, 2024);
@@ -464,43 +228,15 @@ fn golden_reliable() {
             watchdog: Some(1024),
             ..config
         };
-        let mut sim = Sim::with_faults(
-            &topo,
-            FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let mut transport = Transport::new(&pb, BackoffPolicy::exponential(64, 512, 16), 7);
+        let router = FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults));
+        let mut sim = Sim::with_faults(&topo, router, &pb, config, faults.as_ref().clone());
+        let inner = Transport::new(&pb, BackoffPolicy::exponential(64, 512, 16), 7);
         let mut recorder = Recording {
-            inner: &mut transport,
-            events: Vec::new(),
+            inner,
             fold: Fold::new(),
         };
-        let res = sim.run_with_protocol(200_000, &mut recorder);
-        recorder.fold.verdict(&sim, &res);
-        RELIABLE
-            .lock()
-            .unwrap()
-            .push(recorder.fold.entry("reliable", &sim));
-        let outcome = match &res {
-            Ok(_) => "completed".to_string(),
-            Err(err) => err.kind().to_string(),
-        };
-        let events = recorder.events;
-        GoldenDoc {
-            scenario: "reliable".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
+        let verdict = sim.run_with_protocol(200_000, &mut recorder);
+        recorder.fold.verdict(verdict, &sim);
+        recorder.fold.entry("reliable", &sim)
     });
-    let mut entries = RELIABLE.lock().unwrap();
-    assert_eq!(
-        entries[0], entries[1],
-        "golden_reliable: diverged under the inert config fields"
-    );
-    record::check("golden_reliable", 1, entries.remove(0)).unwrap_or_else(|e| panic!("{e}"));
 }
-
-static RELIABLE: std::sync::Mutex<Vec<Entry>> = std::sync::Mutex::new(Vec::new());

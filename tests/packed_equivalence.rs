@@ -1,18 +1,17 @@
 //! Recorded battery for the policy surface: every shipped router, bare and
 //! under `FaultAware`, must reproduce the run recorded for each case in
-//! `tests/fixtures/golden_policy_cases.json`, step for step.
+//! `tests/fixtures/packed_equivalence.txt`, step for step.
 //!
-//! The fixture was recorded (commit `156c40a`) while a second sim still
-//! ran every case in lockstep on the router's former *view* policies — one
+//! The runs were recorded (commit `156c40a`) while a second sim still ran
+//! every case in lockstep on the router's former *view* policies — one
 //! struct per packet, plus the UpdateState pass the packed routers skip —
 //! so each entry is a run the two forms agreed on; unlike that lockstep,
 //! whose sims shared one engine, the recording also catches engine changes.
-//! A case folds what its sim showed (per step the done flag, delivery and
-//! loss streams and packet configuration; then the verdict, report and
-//! diagnostics) into an FNV-1a digest, filed under a digest of its inputs.
-//! The proptest stub seeds each case from the test's name and index, so the
-//! cases are the same everywhere: a case the fixture lacks, or a changed
-//! case count, fails as "unrecorded case".
+//! A case folds what its sim showed through the recording harness's step
+//! fold (`tests/support/record.rs`) and files it under a digest of its
+//! inputs. The proptest stub seeds each case from the test's name and
+//! index, so the cases are the same everywhere: a case the fixture lacks, or
+//! a changed case count, fails as "unrecorded case".
 //!
 //! Axes: all seven routers, bare and under `FaultAware` with a non-empty
 //! fault table, × static and dynamic workloads × every admission policy ×
@@ -29,102 +28,8 @@ use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
 use proptest::prelude::*;
 use record::{Digest, Fold};
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use support::{partial_permutation, workload};
-
-/// What one case observed, filed under the digest of its inputs: its run's
-/// digest, plus the step and delivery counts in clear text to read a
-/// mismatch by.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct Entry {
-    input: String,
-    steps: u64,
-    delivered: usize,
-    run: String,
-}
-
-/// One test's recorded cases: how many it runs, and what each observed.
-#[derive(Serialize, Deserialize)]
-struct Property {
-    name: String,
-    cases: u32,
-    entries: Vec<Entry>,
-}
-
-#[derive(Serialize, Deserialize, Default)]
-struct Fixture {
-    properties: Vec<Property>,
-}
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden_policy_cases.json")
-}
-
-fn read_fixture() -> Option<Fixture> {
-    let text = std::fs::read_to_string(fixture_path()).ok()?;
-    Some(serde_json::from_str(&text).expect("parse golden_policy_cases.json"))
-}
-
-/// Every case this process has run, by test name. A test runs its cases in
-/// order on one thread, so its entries here are in case order.
-static SEEN: Mutex<Vec<(&str, Entry)>> = Mutex::new(Vec::new());
-
-/// Files `entry` as the next of `property`'s `cases` cases. Under
-/// `GOLDEN_RECORD` the property's section is written once its last case is
-/// in. Otherwise the fixture must hold exactly `cases` cases for
-/// `property`, and the one at this case's position must have the same
-/// input digest and the same run: a renamed test, a new case count or an
-/// edited strategy cannot silently weaken the battery.
-fn check_case(property: &'static str, cases: u32, entry: Entry) -> Result<(), TestCaseError> {
-    let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
-    seen.push((property, entry.clone()));
-    let mine: Vec<&Entry> = seen
-        .iter()
-        .filter(|(p, _)| *p == property)
-        .map(|(_, e)| e)
-        .collect();
-    if std::env::var_os("GOLDEN_RECORD").is_some() {
-        if mine.len() == cases as usize {
-            let mut fixture = read_fixture().unwrap_or_default();
-            fixture.properties.retain(|p| p.name != property);
-            let entries = mine.into_iter().cloned().collect();
-            let name = property.into();
-            fixture.properties.push(Property {
-                name,
-                cases,
-                entries,
-            });
-            fixture.properties.sort_by(|a, b| a.name.cmp(&b.name));
-            let text = serde_json::to_string_pretty(&fixture).expect("serialize fixture") + "\n";
-            std::fs::write(fixture_path(), text).expect("write fixture");
-        }
-        return Ok(());
-    }
-    static RECORDED: OnceLock<Option<Fixture>> = OnceLock::new();
-    let recorded = RECORDED.get_or_init(read_fixture).as_ref();
-    let unrecorded = |why| TestCaseError::Fail(format!("unrecorded case: {property} {why}"));
-    let rec = recorded
-        .and_then(|f| f.properties.iter().find(|p| p.name == property))
-        .filter(|p| p.cases == cases && p.entries.len() == cases as usize)
-        .ok_or_else(|| unrecorded(format!("is not recorded with {cases} cases")))?;
-    let want = &rec.entries[mine.len() - 1];
-    if want.input != entry.input {
-        return Err(unrecorded(format!(
-            "drew {entry:?} where the fixture holds {want:?}"
-        )));
-    }
-    prop_assert!(
-        *want == entry,
-        "{}: case {} diverged from its recorded run\n  recorded: {:?}\n  now:      {:?}",
-        property,
-        entry.input,
-        want,
-        entry
-    );
-    Ok(())
-}
 
 /// How a case drives its router.
 enum Shape<'a> {
@@ -138,11 +43,10 @@ enum Shape<'a> {
     Wrapped(&'a Arc<CompiledFaults>),
 }
 
-/// One case of `property`, which runs `cases` of them: a problem, how its
-/// router is driven, and `params`, every other drawn input. The problem's
-/// packets and `params` name the case in the fixture.
+/// One case of a test that runs `cases` of them: a problem, how its router
+/// is driven, and `params`, every other drawn input. The problem's packets
+/// and `params` name the case in the fixture.
 struct Case<'a, P> {
-    property: &'static str,
     cases: u32,
     pb: &'a RoutingProblem,
     shape: Shape<'a>,
@@ -158,17 +62,16 @@ impl<P: std::fmt::Debug> Case<'_, P> {
         key.json(&pb.packets);
         key.bytes(format!("{:?}", self.params).as_bytes());
         let key = key.hex();
-        let input = key.clone();
         let entry = match self.shape {
             Shape::FaultFree(config) => {
                 let sim = &mut Sim::with_config(&topo, router, pb, config);
                 fold.steps(sim, 3_000);
-                fold.entry(key, sim)
+                fold.entry(&key, sim)
             }
             Shape::UnderFaults(config, faults) => {
                 let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.clone());
-                fold.run(sim, 20_000);
-                fold.entry(key, sim)
+                fold.verdict(sim.run(20_000), sim);
+                fold.entry(&key, sim)
             }
             Shape::Wrapped(faults) => {
                 let config = SimConfig {
@@ -179,19 +82,12 @@ impl<P: std::fmt::Debug> Case<'_, P> {
                 let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.as_ref().clone());
                 fold.steps(sim, 1_000);
                 if !sim.done() {
-                    fold.run(sim, 20_000);
+                    fold.verdict(sim.run(20_000), sim);
                 }
-                fold.entry(key, sim)
+                fold.entry(&key, sim)
             }
         };
-        let old = Entry {
-            input,
-            steps: entry.field("steps").unwrap().parse().unwrap(),
-            delivered: entry.field("delivered").unwrap().parse().unwrap(),
-            run: entry.field("run").unwrap().into(),
-        };
-        record::check(self.property, self.cases as usize, entry).map_err(TestCaseError::Fail)?;
-        check_case(self.property, self.cases, old)
+        record::check(self.cases as usize, entry).map_err(TestCaseError::Fail)
     }
 
     /// The router axis: checks router number `which` of the seven, sized
@@ -249,9 +145,8 @@ proptest! {
             admission: adm,
             ..SimConfig::default()
         };
-        let property = "packed_path_is_bit_identical_fault_free";
         let shape = Shape::FaultFree(config);
-        Case { property, cases: CASES, pb: &pb, shape, params: (router, k, adm) }.check_router(router, k)?;
+        Case { cases: CASES, pb: &pb, shape, params: (router, k, adm) }.check_router(router, k)?;
     }
 
     /// Property 2: arbitrary fault plans with the watchdog armed. The
@@ -276,9 +171,8 @@ proptest! {
             admission: adm,
             ..SimConfig::default()
         };
-        let property = "packed_path_is_bit_identical_under_faults";
         let (shape, params) = (Shape::UnderFaults(config, &faults), (router, k, adm, rate_permille, fault_seed));
-        Case { property, cases: CASES, pb: &pb, shape, params }.check_router(router, k)?;
+        Case { cases: CASES, pb: &pb, shape, params }.check_router(router, k)?;
     }
 
     /// Property 3: `FaultAware` masks the packed descriptors in place
@@ -298,9 +192,8 @@ proptest! {
         let n = 12u32;
         let rate = rate_permille as f64 / 1000.0;
         let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
-        let property = "fault_aware_wrapper_forwards_packed_path_soundly";
         let (shape, params) = (Shape::Wrapped(&faults), (router, k, rate_permille, fault_seed));
-        Case { property, cases: CASES, pb: &pb, shape, params }.check_router(router, k)?;
+        Case { cases: CASES, pb: &pb, shape, params }.check_router(router, k)?;
     }
 }
 
@@ -315,7 +208,6 @@ fn fault_aware_empty_table_is_a_pass_through_for_every_router() {
     assert!(faults.is_empty());
     for router in 0..ROUTERS {
         let case = Case {
-            property: "fault_aware_empty_table_is_a_pass_through_for_every_router",
             cases: ROUTERS as u32,
             pb: &pb,
             shape: Shape::Wrapped(&faults),

@@ -1,32 +1,30 @@
-//! The one recording harness: every battery that compares a run with a
-//! recorded one — `golden_run`, `section6_golden`, `packed_equivalence`, and
-//! `mesh-adversary`'s `construction` — records and compares through this
-//! file, which each includes with `#[path]`.
+//! The one recording harness. `golden_run`, `section6_golden`,
+//! `packed_equivalence` and `mesh-adversary`'s `construction` include this
+//! file with `#[path]`; it is the only place a run is recorded or compared.
 //!
-//! - [`Digest`] is 64-bit FNV-1a, the digest of a case's inputs and of what
-//!   its run showed.
-//! - [`Fold`] is the one step-stream fold. Per step it folds the done flag,
-//!   the delivery and loss ids and the packet configuration, and after every
-//!   [`BLOCK`] steps, and the last, partial block, it keeps the running
-//!   digest as a block digest; at the end it folds the verdict, the report
-//!   and the diagnostics.
-//! - [`Entry`] is what one case showed, filed under its key: counts in clear
-//!   text to read a mismatch by, then digests, as `name=value` fields.
-//! - [`check`] files an entry as the next of its test's cases and compares
-//!   it with the test binary's fixture, `tests/fixtures/<binary>.txt`.
+//! - [`Digest`] is 64-bit FNV-1a, over a case's inputs or what its run showed.
+//! - [`Fold`] is the step-stream fold. Per step it folds the done flag, the
+//!   delivered and lost ids and the packet configuration, and keeps the
+//!   running digest after every [`BLOCK`] steps and after the last, partial
+//!   block. At the end it folds the verdict, the report and the diagnostics.
+//! - [`Entry`] is one case's line, `<key> <name>=<value>…`: the key is a
+//!   digest of the case's inputs or a scenario's name, and the fields are
+//!   counts in clear text, then digests.
+//! - [`check`] files an entry as the next case of the running test, whose
+//!   name is the name libtest gives the test's thread.
 //!
-//! A fixture holds one section per test: a `<test> <cases>` line, then one
-//! indented `<key> <name>=<value>…` line per case, in case order. A case
-//! whose key differs from the recorded one at its position, a test run with
-//! another case count, and a test the fixture lacks all fail as "unrecorded
-//! case". `GOLDEN_RECORD=1` rewrites the section of every test that runs,
-//! from the runs themselves — then nothing checks them, so record only an
-//! intended change, in a commit that changes nothing else:
+//! Test binary `B`'s fixture is `tests/fixtures/B.txt`: per test, a
+//! `<test> <cases>` line, then one indented entry per case in case order. A
+//! test the fixture lacks, a changed case count, and a case whose key is not
+//! the one recorded at its position all fail as "unrecorded case".
+//! `GOLDEN_RECORD=1` writes the section of every test that runs instead of
+//! checking it, so nothing checks what it writes: record only an intended
+//! change, in a commit that changes nothing else. One command records all
+//! four batteries:
 //!
 //! ```sh
-//! GOLDEN_RECORD=1 cargo test --release -p mesh-routing \
-//!     --test golden_run --test section6_golden --test packed_equivalence
-//! GOLDEN_RECORD=1 cargo test --release -p mesh-adversary --test construction
+//! GOLDEN_RECORD=1 cargo test --release -p mesh-routing -p mesh-adversary \
+//!     --test golden_run --test section6_golden --test packed_equivalence --test construction
 //! ```
 #![allow(dead_code)] // each battery uses part of the harness
 
@@ -34,7 +32,8 @@ use mesh_engine::{Loc, Router, Sim, SimError};
 use mesh_topo::Topology;
 use mesh_traffic::PacketId;
 use serde::Serialize;
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
@@ -135,24 +134,17 @@ impl Fold {
         self.end(sim);
     }
 
-    /// Runs `sim` to its verdict (completion, a watchdog trip, or the step
-    /// cap) and folds it with [`Fold::verdict`].
-    pub fn run<T: Topology, R: Router>(&mut self, sim: &mut Sim<'_, T, R>, max_steps: u64) {
-        let verdict = sim.run(max_steps);
-        self.verdict(sim, &verdict);
-    }
-
-    /// Folds a run's verdict — the step count, or the error kind and its
-    /// diagnostic snapshot — then the packet configuration, the report and
-    /// the diagnostics.
+    /// Folds a run's verdict (completion, a watchdog trip, or the step cap):
+    /// the step count, or the error kind and its diagnostic snapshot; then
+    /// the packet configuration, the report and the diagnostics.
     pub fn verdict<T: Topology, R: Router>(
         &mut self,
+        verdict: Result<u64, SimError>,
         sim: &Sim<'_, T, R>,
-        verdict: &Result<u64, SimError>,
     ) {
         match verdict {
             Ok(steps) => {
-                self.digest.word(*steps);
+                self.digest.word(steps);
                 self.outcome = "completed";
             }
             Err(e) => {
@@ -165,13 +157,9 @@ impl Fold {
         self.end(sim);
     }
 
-    /// The entry for this run: its outcome, step and delivery counts, run
-    /// digest and block digests.
-    pub fn entry<T: Topology, R: Router>(
-        &self,
-        key: impl Into<String>,
-        sim: &Sim<'_, T, R>,
-    ) -> Entry {
+    /// This run's entry: outcome, step and delivery counts, run digest and
+    /// block digests.
+    pub fn entry<T: Topology, R: Router>(&self, key: &str, sim: &Sim<'_, T, R>) -> Entry {
         Entry::new(key)
             .with("outcome", self.outcome)
             .with("steps", sim.steps())
@@ -209,76 +197,47 @@ impl Fold {
     }
 }
 
-/// What one case showed: its key (a digest of its inputs, or a scenario's
-/// name) and its `name=value` fields. Neither contains a space.
+/// One case's fixture line, `<key> <name>=<value>…`; no key or value holds
+/// a space.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Entry {
-    key: String,
-    fields: Vec<(String, String)>,
-}
+pub struct Entry(String);
 
 impl Entry {
-    pub fn new(key: impl Into<String>) -> Entry {
-        Entry {
-            key: key.into(),
-            fields: Vec::new(),
-        }
+    pub fn new(key: &str) -> Entry {
+        Entry(key.into())
     }
 
-    pub fn with(mut self, name: &str, value: impl fmt::Display) -> Entry {
-        self.fields.push((name.into(), value.to_string()));
+    pub fn with(mut self, name: &str, value: impl Display) -> Entry {
+        self.0 += &format!(" {name}={value}");
         self
     }
 
-    fn parse(line: &str) -> Entry {
-        let mut words = line.split(' ');
-        let key = words.next().unwrap_or_default().into();
-        let fields = words
-            .map(|w| w.split_once('=').expect("a `name=value` field"))
-            .map(|(name, value)| (name.into(), value.into()))
-            .collect();
-        Entry { key, fields }
+    fn key(&self) -> &str {
+        self.0.split(' ').next().unwrap_or_default()
     }
 
-    pub fn field(&self, name: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+    fn field(&self, name: &str) -> Option<&str> {
+        let mut fields = self.0.split(' ').skip(1);
+        fields.find_map(|f| f.strip_prefix(name)?.strip_prefix('='))
     }
 
-    /// Where `now` first departs from `self`: the first differing block
-    /// digest when both have blocks, else the first differing field.
+    /// Where `now` first departs from `self`: the first block whose digest
+    /// differs, if one does.
     fn divergence(&self, now: &Entry) -> String {
         let was = self.field("blocks").unwrap_or_default().split(',');
         let is = now.field("blocks").unwrap_or_default().split(',');
-        if let Some(i) = was.zip(is).position(|(a, b)| a != b) {
-            let (from, to) = (i as u64 * BLOCK + 1, (i as u64 + 1) * BLOCK);
-            return format!("block {i} (steps {from}..={to})");
-        }
-        let differs = |(n, v): &&(String, String)| now.field(n) != Some(v.as_str());
-        match self.fields.iter().find(differs) {
-            Some((name, _)) => format!("field `{name}`"),
-            None => "its field list".into(),
+        match was.zip(is).position(|(a, b)| a != b) {
+            Some(i) => {
+                let (from, to) = (i as u64 * BLOCK + 1, (i as u64 + 1) * BLOCK);
+                format!(" from block {i} (steps {from}..={to}) on")
+            }
+            None => String::new(),
         }
     }
 }
 
-impl fmt::Display for Entry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.key)?;
-        self.fields
-            .iter()
-            .try_for_each(|(name, value)| write!(f, " {name}={value}"))
-    }
-}
-
-/// One test's recorded cases, in case order.
-struct Section {
-    test: String,
-    cases: usize,
-    entries: Vec<Entry>,
-}
+/// Recorded cases by test, each test's in case order.
+type Fixture = BTreeMap<String, Vec<Entry>>;
 
 /// This test binary's fixture. Both including crates sit two levels below
 /// the workspace root.
@@ -288,94 +247,75 @@ fn fixture_path() -> PathBuf {
         .join(concat!(env!("CARGO_CRATE_NAME"), ".txt"))
 }
 
-fn read_fixture() -> Vec<Section> {
-    let Ok(text) = std::fs::read_to_string(fixture_path()) else {
-        return Vec::new();
-    };
-    let mut sections: Vec<Section> = Vec::new();
+fn read_fixture() -> Fixture {
+    let text = std::fs::read_to_string(fixture_path()).unwrap_or_default();
+    let (mut fixture, mut test) = (Fixture::new(), "");
     for line in text.lines().filter(|l| !l.starts_with('#')) {
-        match (line.strip_prefix("  "), sections.last_mut()) {
-            (Some(entry), Some(section)) => section.entries.push(Entry::parse(entry)),
-            _ => {
-                let (test, cases) = line.split_once(' ').expect("a `<test> <cases>` line");
-                sections.push(Section {
-                    test: test.into(),
-                    cases: cases.parse().expect("a case count"),
-                    entries: Vec::new(),
-                });
-            }
+        match line.strip_prefix("  ") {
+            Some(entry) => fixture
+                .entry(test.into())
+                .or_default()
+                .push(Entry(entry.into())),
+            None => test = line.split(' ').next().unwrap_or_default(),
         }
     }
-    sections
+    fixture
 }
 
-fn write_fixture(sections: &[Section]) {
+fn write_fixture(fixture: &Fixture) {
     let mut text = String::from(
         "# Recorded runs (tests/support/record.rs); re-record with GOLDEN_RECORD=1.\n",
     );
-    for s in sections {
-        text += &format!("{} {}\n", s.test, s.cases);
-        for e in &s.entries {
-            text += &format!("  {e}\n");
-        }
+    for (test, entries) in fixture {
+        text += &format!("{test} {}\n", entries.len());
+        entries.iter().for_each(|e| text += &format!("  {}\n", e.0));
     }
     std::fs::write(fixture_path(), text).expect("write fixture");
 }
 
 /// Every entry this process has filed, by test. A test files its cases in
 /// order on one thread, so its entries here are in case order.
-static SEEN: Mutex<Vec<(&str, Entry)>> = Mutex::new(Vec::new());
+static SEEN: Mutex<Fixture> = Mutex::new(BTreeMap::new());
 
-/// Files `entry` as the next of `test`'s `cases` cases. Under
+/// Files `entry` as the next of the running test's `cases` cases. Under
 /// `GOLDEN_RECORD` the test's section is written once its last case is in;
 /// the lock on [`SEEN`] serialises the writes of parallel tests. Otherwise
-/// the fixture must hold exactly `cases` cases for `test`, and the one at
-/// this case's position must have the same key and the same fields: a
-/// renamed test, a new case count, a dropped scenario or an edited strategy
-/// cannot silently weaken the battery.
-pub fn check(test: &'static str, cases: usize, entry: Entry) -> Result<(), String> {
+/// the fixture must hold exactly `cases` cases for the test, and the one at
+/// this case's position must be the same line: a renamed test, a new case
+/// count, a dropped scenario or an edited strategy cannot silently weaken
+/// the battery.
+pub fn check(cases: usize, entry: Entry) -> Result<(), String> {
+    let thread = std::thread::current();
+    let test = thread
+        .name()
+        .expect("libtest names a test's thread after it");
     let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
-    seen.push((test, entry.clone()));
-    let mine: Vec<&Entry> = seen
-        .iter()
-        .filter(|(t, _)| *t == test)
-        .map(|(_, e)| e)
-        .collect();
+    let mine = seen.entry(test.into()).or_default();
+    mine.push(entry.clone());
     if std::env::var_os("GOLDEN_RECORD").is_some() {
         if mine.len() == cases {
-            let mut sections = read_fixture();
-            sections.retain(|s| s.test != test);
-            let entries = mine.into_iter().cloned().collect();
-            let test = test.into();
-            sections.push(Section {
-                test,
-                cases,
-                entries,
-            });
-            sections.sort_by(|a, b| a.test.cmp(&b.test));
-            write_fixture(&sections);
+            let mut fixture = read_fixture();
+            fixture.insert(test.into(), mine.clone());
+            write_fixture(&fixture);
         }
         return Ok(());
     }
-    static RECORDED: OnceLock<Vec<Section>> = OnceLock::new();
-    let recorded = RECORDED.get_or_init(read_fixture);
+    static RECORDED: OnceLock<Fixture> = OnceLock::new();
     let unrecorded = |why: String| format!("unrecorded case: {test} {why}");
-    let want = recorded
-        .iter()
-        .find(|s| s.test == test)
-        .filter(|s| s.cases == cases && s.entries.len() == cases)
-        .and_then(|s| s.entries.get(mine.len() - 1))
+    let want = (RECORDED.get_or_init(read_fixture).get(test))
+        .filter(|recorded| recorded.len() == cases)
+        .and_then(|recorded| recorded.get(mine.len() - 1))
         .ok_or_else(|| unrecorded(format!("is not recorded with {cases} cases")))?;
-    if want.key != entry.key {
+    let (was, now) = (&want.0, &entry.0);
+    if want.key() != entry.key() {
         return Err(unrecorded(format!(
-            "drew {entry} where the fixture holds {want}"
+            "drew {now} where the fixture holds {was}"
         )));
     }
     if *want != entry {
+        let (key, at) = (entry.key(), want.divergence(&entry));
         return Err(format!(
-            "{test}: case {} diverged from its recorded run at {}\n  recorded: {want}\n  now:      {entry}",
-            entry.key,
-            want.divergence(&entry)
+            "{test}: case {key} diverged from its recorded run{at}\n  recorded: {was}\n  now:      {now}"
         ));
     }
     Ok(())
