@@ -368,7 +368,7 @@ fn cmd_steady(args: &Args, algo: Algorithm) {
         std::path::Path::new(dir),
         halt_at,
     );
-    report_steady(args, result);
+    report_steady(args, result, "steady run failed");
 }
 
 /// Resume of a steady checkpoint: the schedule, offered-load label, and
@@ -428,14 +428,17 @@ fn cmd_steady_resume(
     eprintln!("resuming from {path} at step {}", snap.step);
     let result =
         mesh_routing::resume_steady_route(algo, &snap, config, std::path::Path::new(dir), halt_at);
-    report_steady(args, result);
+    report_steady(args, result, "cannot resume");
 }
 
 /// The engine config of a steady run (fresh or resumed), from flags.
 fn steady_sim_config(args: &Args, admission: AdmissionPolicy, window: u64) -> SimConfig {
     SimConfig {
         admission,
-        watchdog: Some(args.u64_flag("watchdog").unwrap_or((2 * window).max(256))),
+        watchdog: Some(
+            args.u64_flag("watchdog")
+                .unwrap_or(window.saturating_mul(2).max(256)),
+        ),
         checkpoint_every: args.u64_flag("checkpoint-every"),
         ..SimConfig::default()
     }
@@ -455,7 +458,8 @@ fn load_snapshot(path: &str) -> mesh_routing::engine::Snapshot {
     })
 }
 
-fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>) {
+/// Prints a steady run's outcome, or `failed: <error>` and exits 1.
+fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>, failed: &str) {
     match result {
         Ok((Some(out), last)) => {
             if let Some(p) = last {
@@ -468,7 +472,7 @@ fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>) {
             None => eprintln!("halted before the first checkpoint cadence point"),
         },
         Err(e) => {
-            eprintln!("steady run failed: {e}");
+            eprintln!("{failed}: {e}");
             exit(1);
         }
     }

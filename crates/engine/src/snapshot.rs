@@ -36,7 +36,7 @@ use crate::phases::{AdmissionPolicy, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{Sim, SimConfig};
-use crate::steady::SteadyConfig;
+use crate::steady::{self, SteadyConfig};
 use crate::storage::{Loc, NodeGrid, PacketStore, MAX_SIDE, STEP_LIMIT};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
@@ -481,6 +481,9 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
             "step {} is past 2^58, the last delivery step the packet table holds",
             snap.step
         ));
+    }
+    if let Some(env) = &snap.steady {
+        steady::check_snapshot(env, snap.protocol.as_ref())?;
     }
     let off_grid = |c: &Coord| c.x >= snap.n || c.y >= snap.n;
     if let Some(c) = p.src.iter().chain(&p.dst).find(|c| off_grid(c)) {

@@ -149,6 +149,31 @@ struct SteadyState {
     base: Option<CounterBase>,
 }
 
+/// The steady rules of [`Sim::restore`]'s structural pass: a checkpoint's
+/// `steady` block must hold a schedule that can run — at least one window
+/// of at least one step, and a horizon that fits in a `u64` — and its
+/// `protocol` slot the measurement state, or resuming it would panic.
+pub(crate) fn check_snapshot(env: &SteadySnap, state: Option<&Value>) -> Result<(), String> {
+    let c = env.config;
+    if c.window == 0 || c.windows == 0 {
+        return Err(format!(
+            "empty steady schedule: {} windows of {} steps",
+            c.windows, c.window
+        ));
+    }
+    let horizon = (c.windows as u64).checked_mul(c.window);
+    if horizon.and_then(|h| h.checked_add(c.warmup)).is_none() {
+        return Err(format!(
+            "steady horizon {} + {} x {} steps overflows a u64",
+            c.warmup, c.windows, c.window
+        ));
+    }
+    match SteadyState::deserialize(state.unwrap_or(&Value::Null)) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("protocol slot is no steady measurement state: {e}")),
+    }
+}
+
 /// The steady-state [`RunObserver`]: collects per-delivery latencies,
 /// closes a [`WindowFrame`] at every boundary, and finishes when the
 /// schedule is complete (or the sim drains entirely — possible far below

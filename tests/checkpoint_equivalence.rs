@@ -9,7 +9,9 @@
 mod support;
 
 use mesh_routing::engine::snapshot::CheckpointSink;
-use mesh_routing::engine::{Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook};
+use mesh_routing::engine::{
+    Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook, SteadySnap,
+};
 use mesh_routing::prelude::*;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -464,6 +466,19 @@ fn unknown(s: &Snapshot) -> PacketId {
     PacketId(s.packets.src.len() as u32)
 }
 
+/// Makes `s` a steady checkpoint with an empty measurement state, its
+/// schedule edited by `edit`.
+fn steady(s: &mut Snapshot, edit: fn(&mut SteadyConfig)) {
+    let mut config = SteadyConfig::default();
+    edit(&mut config);
+    s.steady = Some(SteadySnap {
+        lambda: 0.3,
+        config,
+    });
+    let state = r#"{"frames": [], "cur_lat": [], "pooled": [], "base": null}"#;
+    s.protocol = Some(serde_json::from_str(state).unwrap());
+}
+
 /// `(fragment of the expected message, mutation)`.
 type Tamper = (&'static str, fn(&mut Snapshot));
 
@@ -521,6 +536,15 @@ const TAMPERS: &[Tamper] = &[
     }),
     ("appears twice in the active worklist", |s| {
         s.grid.active.push(s.grid.active[0])
+    }),
+    // A steady checkpoint's schedule and measurement state, which resuming
+    // would otherwise trust.
+    ("empty steady schedule", |s| steady(s, |c| c.window = 0)),
+    ("empty steady schedule", |s| steady(s, |c| c.windows = 0)),
+    ("overflows a u64", |s| steady(s, |c| c.warmup = u64::MAX)),
+    ("no steady measurement state", |s| {
+        steady(s, |_| {});
+        s.protocol = Some(serde_json::from_str(r#"{"bogus": 1}"#).unwrap());
     }),
     // ---- PacketStore::import: what the location word cannot hold ----
     ("delivery step", |s| {
@@ -624,6 +648,9 @@ fn corrupt_snapshots_are_rejected() {
         let restore =
             |s: &Snapshot| Sim::restore(&topo, mk(), SimConfig::default(), None, s).map(|_| ());
         restore(&snap).expect("the untampered snapshot restores");
+        let mut steady_snap = snap.clone();
+        steady(&mut steady_snap, |_| {});
+        restore(&steady_snap).expect("a well-formed steady checkpoint restores");
         for (row, (rule, tamper)) in TAMPERS.iter().enumerate() {
             let mut t = snap.clone();
             tamper(&mut t);
