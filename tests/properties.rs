@@ -3,8 +3,9 @@
 //! destination-exchangeable routers (Lemma 10), tiling coverage (Lemma 19),
 //! quadrant/geometry algebra, and the open-system overload seam
 //! (per-step packet conservation and queue caps under any offered load
-//! and admission policy; overload watchdog liveness), and the per-step
-//! queue invariants under random fault plans.
+//! and admission policy; overload watchdog liveness), the per-step
+//! queue invariants under random fault plans, and the state the engine
+//! derives rather than stores (peak-load map, cached profitable masks).
 
 mod support;
 
@@ -360,6 +361,43 @@ proptest! {
         check!("theorem15", Dx::new(Theorem15::new(k)), k);
         check!("bounded-deflect", Dx::new(BoundedDeflect::new(12, k, 1)), k);
         check!("hot-potato", Dx::new(HotPotato::new(12)), 1);
+    }
+
+    #[test]
+    fn congestion_map_peak_is_the_max_node_load(pb in partial_permutation(12), k in 1u32..4) {
+        // The per-node peak map (what `--heatmap` draws) and the report's
+        // max_node_load come off the same audit pass, so the map's maximum
+        // is the counter.
+        let topo = Mesh::new(12);
+        let mut sim = Sim::new(&topo, Dx::new(DimOrder::new(k)), &pb);
+        let _ = sim.run(2_000);
+        let peak = sim.congestion_map().values.into_iter().max();
+        prop_assert_eq!(peak, Some(sim.report().max_node_load));
+    }
+
+    #[test]
+    fn any_exchange_steps_like_its_own_restore(seed in 0u64..400, k in 1u32..4) {
+        // A hook may exchange any two destinations, not only the ones
+        // Lemma 10 hides, and the engine must then re-derive what it
+        // caches per packet (the profitable mask). A restored sim derives
+        // everything afresh, so after an arbitrary exchange the live sim
+        // and its restored copy must take the same next steps.
+        let n = 8;
+        let topo = Mesh::new(n);
+        let pb = workloads::random_permutation(n, seed);
+        // Dim-order accepts only into headroom, so no exchange can
+        // overflow a queue (Theorem 15's always-accept lanes could).
+        let mut sim = Sim::new(&topo, Dx::new(DimOrder::new(k)), &pb);
+        let (a, b) = (PacketId(0), PacketId(1));
+        sim.step_with_hook(&mut |ctx: &mut mesh_routing::engine::HookCtx<'_>| ctx.exchange(a, b));
+        let snap = sim.snapshot();
+        let router = Dx::new(DimOrder::new(k));
+        let mut restored = Sim::restore(&topo, router, SimConfig::default(), None, &snap).unwrap();
+        for _ in 0..4 {
+            sim.step();
+            restored.step();
+        }
+        prop_assert_eq!(sim.packet_snapshot(), restored.packet_snapshot());
     }
 }
 
