@@ -894,9 +894,11 @@ mod arena_tests {
     }
 
     /// Asserts the arena agrees with a reference `Vec<Vec<_>>` grid on
-    /// every observable: per-queue contents, lengths, the occupancy
-    /// bitmask, the load index, and all four read paths (`queue`,
-    /// `node_queues`, `packets_at`, `nth_packet`, `export_queues`).
+    /// every observable: per-queue contents, lengths, slot kinds, the
+    /// occupancy bitmask, the load index, and all five read paths
+    /// (`queue`, `node_queues`, `packets_at`, `nth_packet`,
+    /// `export_queues`). `node_queues` is what `Sim::queues_at` labels
+    /// with kinds, so `packets_at` is its flattening.
     fn assert_matches(grid: &NodeGrid, shadow: &[Vec<PacketId>]) {
         let slots = grid.slots();
         let mut export = grid.export_queues();
@@ -905,6 +907,7 @@ mod arena_tests {
             let mut load = 0u32;
             for s in 0..slots {
                 let sq = &shadow[ni * slots + s];
+                assert_eq!(grid.slot_kind(s).slot(), s, "kind of slot {s}");
                 assert_eq!(grid.queue(ni, s), &sq[..], "queue ({ni},{s})");
                 assert_eq!(grid.queue_len(ni, s), sq.len(), "len ({ni},{s})");
                 assert_eq!(grid.queue_lens_of(ni)[s], sq.len() as u32);
@@ -923,11 +926,13 @@ mod arena_tests {
                 .collect();
             let c = grid.coord_of(ni);
             assert_eq!(grid.packets_at(c).collect::<Vec<_>>(), flat);
-            let walked: Vec<PacketId> = grid
-                .node_queues(ni)
-                .flat_map(|(_, q)| q.iter().copied())
+            // Exactly the non-empty slots, in slot order.
+            let nonempty: Vec<(usize, &[PacketId])> = (0..slots)
+                .map(|s| (s, &shadow[ni * slots + s][..]))
+                .filter(|(_, q)| !q.is_empty())
                 .collect();
-            assert_eq!(walked, flat, "node_queues at node {ni}");
+            let walked: Vec<(usize, &[PacketId])> = grid.node_queues(ni).collect();
+            assert_eq!(walked, nonempty, "node_queues at node {ni}");
             for (i, &pid) in flat.iter().enumerate() {
                 assert_eq!(grid.nth_packet(ni, i), pid, "nth_packet({ni},{i})");
             }
