@@ -120,12 +120,8 @@ impl Fold {
         let mut done = false;
         for _ in 0..max_steps {
             done = sim.step();
-            self.step(
-                sim,
-                done,
-                sim.last_step_deliveries(),
-                sim.last_step_losses(),
-            );
+            let (delivered, lost) = (sim.last_step_deliveries(), sim.last_step_losses());
+            self.step(sim, done, delivered, lost);
             if done {
                 break;
             }
@@ -229,7 +225,7 @@ impl Entry {
         match was.zip(is).position(|(a, b)| a != b) {
             Some(i) => {
                 let (from, to) = (i as u64 * BLOCK + 1, (i as u64 + 1) * BLOCK);
-                format!(" from block {i} (steps {from}..={to}) on")
+                format!(", first in block {i} (steps {from}..={to})")
             }
             None => String::new(),
         }
@@ -247,6 +243,8 @@ fn fixture_path() -> PathBuf {
         .join(concat!(env!("CARGO_CRATE_NAME"), ".txt"))
 }
 
+/// Reads this binary's fixture; a missing file records nothing. A
+/// section's case count is for the reader: [`check`] counts its entries.
 fn read_fixture() -> Fixture {
     let text = std::fs::read_to_string(fixture_path()).unwrap_or_default();
     let (mut fixture, mut test) = (Fixture::new(), "");
