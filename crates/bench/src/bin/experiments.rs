@@ -13,8 +13,8 @@
 
 use mesh_bench::experiments::{build, REGISTRY};
 use mesh_bench::runner::{run_suite, ExperimentRun, RunnerConfig};
-use mesh_bench::Table;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn known(id: &str) -> bool {
@@ -28,6 +28,14 @@ fn is_flag_or_id(arg: &str) -> bool {
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The operand of a count flag: a number >= 1, or a usage error.
+fn at_least_one<N: FromStr + PartialOrd + From<u8>>(flag: &str, operand: Option<String>) -> N {
+    operand
+        .and_then(|s| s.parse().ok())
+        .filter(|t| *t >= N::from(1))
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a number >= 1")))
 }
 
 fn main() {
@@ -56,20 +64,8 @@ fn main() {
                     _ => PathBuf::from("."),
                 });
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| usage_error("--threads needs a number >= 1"))
-            }
-            "--trials" => {
-                trials = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| usage_error("--trials needs a number >= 1"))
-            }
+            "--threads" => threads = at_least_one("--threads", args.next()),
+            "--trials" => trials = at_least_one("--trials", args.next()),
             "all" => ids.extend(REGISTRY.iter().map(|(id, _)| id.to_string())),
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
             other => {
@@ -97,41 +93,31 @@ fn main() {
         .map(|id| build(id, full).expect("validated id"))
         .collect();
     for result in run_suite(exps, &RunnerConfig { threads, trials }) {
-        let (table, docs) = match result {
-            Ok(ExperimentRun { table, doc, timing }) => {
+        let (doc, timing) = match result {
+            Ok(ExperimentRun { doc, timing }) => {
                 let elapsed = Duration::from_secs_f64(timing.elapsed_ms / 1e3);
                 eprintln!("[{} done in {elapsed:.1?}]", doc.experiment);
-                (table, Some((doc, timing)))
+                (doc, Some(timing))
             }
             Err(failed) => {
                 eprintln!("[{} FAILED after {:.1?}]", failed.id, failed.elapsed);
-                let mut table = Table::new(
-                    &failed.id,
-                    "EXPERIMENT FAILED",
-                    "a panic occurred; see stderr",
-                    &["status"],
-                );
-                table.row(vec!["failed".to_string()]);
-                (table, None)
+                (failed.doc(), None)
             }
         };
-        println!("{}", table.markdown());
+        println!("{}", doc.markdown());
         if let Some(dir) = &csv_dir {
-            table.write_csv(dir).expect("csv write");
+            doc.write_csv(dir).expect("csv write");
         }
-        if let (Some(dir), Some((doc, timing))) = (&json_dir, docs) {
+        if let (Some(dir), Some(timing)) = (&json_dir, timing) {
             std::fs::create_dir_all(dir).expect("create --json-out directory");
             let id = &doc.experiment;
+            let path = dir.join(format!("BENCH_{id}.json"));
             let json = serde_json::to_string_pretty(&doc).expect("serialize BenchDoc");
-            std::fs::write(dir.join(format!("BENCH_{id}.json")), json + "\n")
-                .expect("write BENCH json");
+            std::fs::write(&path, json + "\n").expect("write BENCH json");
             let json = serde_json::to_string_pretty(&timing).expect("serialize TimingDoc");
             std::fs::write(dir.join(format!("BENCH_{id}.timing.json")), json + "\n")
                 .expect("write timing json");
-            eprintln!(
-                "[{id} json -> {}]",
-                dir.join(format!("BENCH_{id}.json")).display()
-            );
+            eprintln!("[{id} json -> {}]", path.display());
         }
     }
 }

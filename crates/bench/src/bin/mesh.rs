@@ -166,7 +166,12 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
             workloads::bit_reversal(n)
         }
         "rotation" => workloads::rotation(n, n / 2, n / 3),
-        "hotspot" => workloads::hotspot(n, (n / 6).max(2), seed),
+        "hotspot" => {
+            if n < 2 {
+                usage_error(&format!("--n must be at least 2 for hotspot (got {n})"));
+            }
+            workloads::hotspot(n, (n / 6).max(2), seed)
+        }
         "funnel" => workloads::column_funnel(n),
         "random-dst" => workloads::random_destinations(n, seed),
         "hh" => workloads::hh_random(n, args.u32_flag("h").unwrap_or(2), seed),
@@ -346,9 +351,12 @@ fn cmd_steady(args: &Args, algo: Algorithm) {
     }
     let schedule = SteadyConfig {
         warmup: args.u64_flag("warmup").unwrap_or(128),
-        window: args.positive_flag("window").unwrap_or(64),
-        windows: args.positive_flag("windows").unwrap_or(4),
+        window: args.u64_flag("window").unwrap_or(64),
+        windows: args.num_flag("windows").unwrap_or(4),
     };
+    if let Err(e) = schedule.validate() {
+        usage_error(&format!("--warmup/--window/--windows: {e}"));
+    }
     let config = steady_sim_config(args, parse_admission(args), schedule.window);
     let dir = checkpoint_dir(args);
     let halt_at = args.u64_flag("halt-at");
@@ -598,8 +606,8 @@ fn cmd_construct(args: &Args) {
         .get(1)
         .map(String::as_str)
         .unwrap_or_else(|| usage());
-    let n = args.u32_flag("n").unwrap_or_else(|| usage());
-    let k = args.u32_flag("k").unwrap_or(1);
+    let n = args.positive_flag("n").unwrap_or_else(|| usage());
+    let k = args.positive_flag("k").unwrap_or(1);
     let check = args.has("check");
     let victim = args
         .flags
@@ -618,7 +626,7 @@ fn cmd_construct(args: &Args) {
 
     let outcome = match kind {
         "general" => {
-            let h = args.u32_flag("h").unwrap_or(1);
+            let h = args.positive_flag("h").unwrap_or(1);
             let params = GeneralParams::hh(n, k, h).unwrap_or_else(|e| invalid(e));
             let cons = GeneralConstruction::new(params);
             // The §3 adversary needs a minimal victim whose queues fit

@@ -6,39 +6,73 @@
 //! the record, used when regenerating EXPERIMENTS.md).
 //!
 //! Cells that draw a seeded workload are registered with
-//! [`Experiment::seeded`] and re-run once per requested `--trials`, deriving
+//! [`Experiment::seeded`], or through a [`Workload`] with
+//! [`Experiment::over`], and re-run once per requested `--trials`, deriving
 //! the trial seed with [`derive_seed`] (trial 0 keeps the historical seed,
 //! so the recorded tables stay byte-for-byte reproducible). Deterministic
 //! cells (the adversary constructions, fixed workloads) run exactly once.
+//!
+//! A run shape that several experiments share is written once: the §3
+//! construct-and-replay cell (E1, E2, E8, E9, E11, E12), the §5 replay cell
+//! (E3, E4), the §6 sweep (E6, A3), the ablation pair (A1, A2) and the
+//! outage set-up (RELIABLE, CRASHREC).
 
 use crate::cells;
 use crate::runner::{derive_seed, Experiment, TrialOutput};
 use crate::sweep::{
-    engine_only, outcome_tag, per_n, ratio, routed, section6_router, short_label, stall_cap,
-    steps_or_dash,
+    engine_only, or_dash, outcome_tag, per_n, random_permutation, ratio, routed, section6_router,
+    short_label, stall_cap, Workload, COLUMN_FUNNEL, TRANSPOSE,
 };
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::adversary::farthest::FarthestFirstConstruction;
-use mesh_routing::adversary::{ConstructionOutcome, LowerBoundReport};
+use mesh_routing::adversary::{ConstructionOutcome, LowerBoundReport, ParamError};
+use mesh_routing::engine::{MemorySink, Snapshot, SnapshotHook};
 use mesh_routing::prelude::*;
 use mesh_routing::with_engine_router;
 use std::sync::Arc;
 
-/// Runs the §3 construction `cons` against `victim` on `topo`, then replays
-/// the constructed permutation under a second, fresh copy of the victim
-/// (Theorem 13 and Lemma 12). `check` verifies Lemmas 1–8 after every step
-/// of the construction and panics if one fails.
-fn attack<T: Topology>(
-    cons: &GeneralConstruction,
-    topo: &T,
-    victim: Algorithm,
-    check: bool,
-) -> (ConstructionOutcome, LowerBoundReport) {
-    with_engine_router!(victim, topo.side(), |router| {
-        let outcome = cons.run(topo, router(), check);
-        let rep = verify_lower_bound(topo, router(), &outcome, None);
-        (outcome, rep)
-    }, section6 => engine_only(victim))
+/// The §3 construction and its replay, as `Experiment::attack` hands them
+/// to a row: `None` when the construction broke down.
+type Attack<'a> = Option<(&'a ConstructionOutcome, &'a LowerBoundReport)>;
+
+/// The panic of a row that certifies a bound the construction must reach.
+const BREAKDOWN: &str = "the construction broke down";
+
+impl Experiment {
+    /// The E1/E2/E8/E9/E11/E12 cell: runs the §3 construction of `params`
+    /// against `victim`, embedded in the southwest corner of `topo`, then
+    /// replays the constructed permutation under a second, fresh copy of
+    /// the victim (Theorem 13 and Lemma 12); `row` renders what the two
+    /// showed. `check` verifies Lemmas 1–8 after every step of the
+    /// construction and panics if one fails. Parameters the construction
+    /// refuses skip the cell, with a note on stderr.
+    fn attack<T: Topology + 'static>(
+        &mut self,
+        label: String,
+        params: &Result<GeneralParams, ParamError>,
+        topo: T,
+        victim: Algorithm,
+        check: bool,
+        row: impl Fn(GeneralParams, Attack<'_>) -> Vec<String> + Send + Sync + 'static,
+    ) {
+        let params = match params {
+            Ok(params) => *params,
+            Err(err) => return eprintln!("{}: skipping {label}: {err}", self.doc.experiment),
+        };
+        self.fixed(label, move |_| {
+            let cons = GeneralConstruction::embedded(params, topo.side());
+            let run = with_engine_router!(victim, topo.side(), |router| {
+                cons.try_run(&topo, router(), check).ok().map(|outcome| {
+                    let rep = verify_lower_bound(&topo, router(), &outcome, None);
+                    (outcome, rep)
+                })
+            }, section6 => engine_only(victim));
+            TrialOutput {
+                row: row(params, run.as_ref().map(|(o, rep)| (o, rep))),
+                report: run.map(|(_, rep)| rep.replay),
+            }
+        });
+    }
 }
 
 /// The E3/E4 cell: replays a §5 dimension-order construction's `outcome`
@@ -86,35 +120,30 @@ pub fn e1(full: bool) -> Experiment {
         grid.extend([(864, 1), (1080, 1), (768, 2), (864, 4)]);
     }
     for (n, k) in grid {
-        if let Err(err) = GeneralParams::new(n, k) {
-            eprintln!("e1: skipping n={n} k={k}: {err}");
-            continue;
-        }
+        let params = GeneralParams::new(n, k);
         for (victim, algo) in [
             ("dim-order", Algorithm::DimOrder { k }),
             ("alt-adaptive", Algorithm::AltAdaptive { k }),
         ] {
-            e.fixed(format!("n={n} k={k} {victim}"), move |_trial| {
-                let params = GeneralParams::new(n, k).unwrap();
-                let cons = GeneralConstruction::new(params);
-                let (outcome, rep) = attack(&cons, &Mesh::new(n), algo, false);
+            let label = format!("n={n} k={k} {victim}");
+            e.attack(label, &params, Mesh::new(n), algo, false, move |p, run| {
+                let (o, rep) = run.expect(BREAKDOWN);
                 let nf = n as f64;
                 let kf = k as f64;
-                let row = cells!(
+                cells!(
                     n,
                     k,
-                    params.cn,
-                    params.dn,
-                    params.p,
-                    params.l,
-                    params.bound_steps(),
-                    ratio(params.bound_steps(), nf * nf / (kf * kf)),
+                    p.cn,
+                    p.dn,
+                    p.p,
+                    p.l,
+                    p.bound_steps(),
+                    ratio(p.bound_steps(), nf * nf / (kf * kf)),
                     victim,
                     rep.undelivered_at_bound,
-                    outcome.exchanges,
+                    o.exchanges,
                     rep.replay_matches_construction
-                );
-                TrialOutput::with_report(row, rep.replay)
+                )
             });
         }
     }
@@ -133,8 +162,7 @@ pub fn e2(full: bool) -> Experiment {
     );
     let mut grid = vec![(216u32, 1u32), (384, 2)];
     if full {
-        grid.push((600, 3));
-        grid.push((432, 1));
+        grid.extend([(600, 3), (432, 1)]);
     }
     for (n, k) in grid {
         // The theorem15 victim's four inlink queues hold up to 4k+1 packets
@@ -150,31 +178,23 @@ pub fn e2(full: bool) -> Experiment {
         if (n, k) == (216, 1) {
             victims.push(("theorem15", Algorithm::Theorem15 { k }));
         }
+        let params = GeneralParams::new(n, k);
         for (victim, algo) in victims {
-            e.fixed(format!("n={n} k={k} {victim}"), move |_trial| {
-                let params = GeneralParams::new(n, k).unwrap();
-                let cons = GeneralConstruction::new(params);
-                // The checked construction panics if any lemma fails;
-                // reaching the end is the PASS certificate.
-                let (outcome, rep) = attack(&cons, &Mesh::new(n), algo, true);
-                let row = cells!(
+            // The checked construction panics if any lemma fails; reaching
+            // the end is the PASS certificate.
+            let label = format!("n={n} k={k} {victim}");
+            e.attack(label, &params, Mesh::new(n), algo, true, move |_, run| {
+                let (o, rep) = run.expect(BREAKDOWN);
+                let pass = |ok: bool| if ok { "PASS" } else { "FAIL" };
+                cells!(
                     n,
                     k,
                     victim,
-                    outcome.bound_steps,
+                    o.bound_steps,
                     "PASS",
-                    if rep.replay_matches_construction {
-                        "PASS"
-                    } else {
-                        "FAIL"
-                    },
-                    if rep.undelivered_at_bound > 0 {
-                        "PASS"
-                    } else {
-                        "FAIL"
-                    }
-                );
-                TrialOutput::with_report(row, rep.replay)
+                    pass(rep.replay_matches_construction),
+                    pass(rep.undelivered_at_bound > 0)
+                )
             });
         }
     }
@@ -245,7 +265,7 @@ pub fn e5(full: bool) -> Experiment {
     }
     let route_cell = |n: u32, k: u32, pb: RoutingProblem| -> TrialOutput {
         let denom = (n as u64 * n as u64) / k as u64 + n as u64;
-        let out = mesh_routing::route_with_cap(Algorithm::Theorem15 { k }, &pb, 32 * denom);
+        let out = route_with_cap(Algorithm::Theorem15 { k }, &pb, 32 * denom);
         let label = short_label(&pb);
         assert!(out.completed, "theorem15 must complete on {label}");
         let row = cells!(
@@ -259,31 +279,18 @@ pub fn e5(full: bool) -> Experiment {
         routed(row, out)
     };
     for (n, k) in grid {
-        e.fixed(format!("n={n} k={k} transpose"), move |_| {
-            route_cell(n, k, workloads::transpose(n))
-        });
-        e.seeded(format!("n={n} k={k} random-permutation"), move |trial| {
-            route_cell(
-                n,
-                k,
-                workloads::random_permutation(n, derive_seed(1, trial)),
-            )
-        });
-        e.fixed(format!("n={n} k={k} column-funnel"), move |_| {
-            route_cell(n, k, workloads::column_funnel(n))
-        });
+        for w in [TRANSPOSE, random_permutation(1), COLUMN_FUNNEL] {
+            let label = format!("n={n} k={k} {}", w.name);
+            e.over(label, w, n, move |pb| route_cell(n, k, pb));
+        }
         // Hard instance built against this very router (with the §5 "Other
         // Queue Types" adjustment: four inlink queues of k behave like a
         // central queue of 4k+1 for the adversary's counting).
-        if DimOrderParams::new(n, 4 * k + 1).is_ok() {
+        if let Ok(params) = DimOrderParams::new(n, 4 * k + 1) {
             e.fixed(format!("n={n} k={k} hard-instance"), move |_| {
-                let params = DimOrderParams::new(n, 4 * k + 1).unwrap();
                 let cons = DimOrderConstruction::new(params);
-                let topo = Mesh::new(n);
-                let hard = cons
-                    .run(&topo, mesh_routing::routers::theorem15(k))
-                    .constructed;
-                route_cell(n, k, hard)
+                let hard = cons.run(&Mesh::new(n), mesh_routing::routers::theorem15(k));
+                route_cell(n, k, hard.constructed)
             });
         }
     }
@@ -306,41 +313,44 @@ pub fn e6(full: bool) -> Experiment {
     if full {
         sizes.push(729);
     }
-    let s6_cell = |n: u32, pb: RoutingProblem, variant: &'static str| -> TrialOutput {
-        let router = section6_router(variant != "q=408");
-        let r = router.route(&pb);
-        TrialOutput::new(cells!(
+    let tags = ["q=408", "q=102 (improved)"];
+    section6_cells(&mut e, sizes, 11, tags, |n, pb, tag, r| {
+        cells!(
             n,
-            short_label(&pb),
-            variant,
+            short_label(pb),
+            tag,
             r.scheduled_steps,
             format!("{:.1}", r.steps_per_n()),
             r.quiescent_steps,
             per_n(r.quiescent_steps, n),
             r.max_node_load,
             r.total_moves == pb.total_work()
-        ))
-    };
+        )
+    });
+    e
+}
+
+/// The E6/A3 sweep: per side in `sizes`, a random permutation (historical
+/// seed `seed`) and the transpose, each routed by the §6 router at the base
+/// `q = 408` and the improved `q = 102`, labelled by `tags`. `row` renders
+/// a cell from its side, problem, tag and report.
+fn section6_cells(
+    e: &mut Experiment,
+    sizes: Vec<u32>,
+    seed: u64,
+    tags: [&'static str; 2],
+    row: fn(u32, &RoutingProblem, &str, &Section6Report) -> Vec<String>,
+) {
     for n in sizes {
-        for variant in ["q=408", "q=102 (improved)"] {
-            e.seeded(
-                format!("n={n} random-permutation {variant}"),
-                move |trial| {
-                    s6_cell(
-                        n,
-                        workloads::random_permutation(n, derive_seed(11, trial)),
-                        variant,
-                    )
-                },
-            );
-        }
-        for variant in ["q=408", "q=102 (improved)"] {
-            e.fixed(format!("n={n} transpose {variant}"), move |_| {
-                s6_cell(n, workloads::transpose(n), variant)
-            });
+        for w in [random_permutation(seed), TRANSPOSE] {
+            for (improved, tag) in [false, true].into_iter().zip(tags) {
+                e.over(format!("n={n} {} {tag}", w.name), w, n, move |pb| {
+                    let r = section6_router(improved).route(&pb);
+                    TrialOutput::new(row(n, &pb, tag, &r))
+                });
+            }
         }
     }
-    e
 }
 
 /// E7 — §1.1 context results for the classic greedy router: `2n − 2` steps
@@ -358,33 +368,28 @@ pub fn e7(full: bool) -> Experiment {
         sizes.extend([256, 512]);
     }
     let greedy_cell = |n: u32, pb: RoutingProblem| -> TrialOutput {
-        let topo = Mesh::new(n);
-        let mut sim = Sim::new(&topo, FarthestFirst::unbounded(n), &pb);
-        sim.run(100 * n as u64).expect("greedy completes");
-        let r = sim.report();
+        let out = route_with_cap(Algorithm::GreedyUnbounded, &pb, 100 * n as u64);
+        assert!(out.completed, "greedy completes");
         let row = cells!(
             n,
             short_label(&pb),
-            r.steps,
+            out.steps,
             2 * n - 2,
-            r.max_queue,
-            ratio(r.max_queue as u64, n as f64)
+            out.max_queue,
+            ratio(out.max_queue as u64, n as f64)
         );
-        TrialOutput::with_report(row, r)
+        routed(row, out)
     };
+    let random_dst = Workload::new(
+        "random-destinations",
+        Some(5),
+        workloads::random_destinations,
+    );
     for n in sizes {
-        e.seeded(format!("n={n} random-permutation"), move |trial| {
-            greedy_cell(n, workloads::random_permutation(n, derive_seed(5, trial)))
-        });
-        e.fixed(format!("n={n} transpose"), move |_| {
-            greedy_cell(n, workloads::transpose(n))
-        });
-        e.fixed(format!("n={n} column-funnel"), move |_| {
-            greedy_cell(n, workloads::column_funnel(n))
-        });
-        e.seeded(format!("n={n} random-destinations"), move |trial| {
-            greedy_cell(n, workloads::random_destinations(n, derive_seed(5, trial)))
-        });
+        for w in [random_permutation(5), TRANSPOSE, COLUMN_FUNNEL, random_dst] {
+            let label = format!("n={n} {}", w.name);
+            e.over(label, w, n, move |pb| greedy_cell(n, pb));
+        }
     }
     e
 }
@@ -402,28 +407,24 @@ pub fn e8(full: bool) -> Experiment {
         grid.extend([(600, 4, 3), (600, 4, 4), (900, 6, 2)]);
     }
     for (n, k, h) in grid {
-        if let Err(err) = GeneralParams::hh(n, k, h) {
-            eprintln!("e8: skipping n={n} k={k} h={h}: {err}");
-            continue;
-        }
-        e.fixed(format!("n={n} k={k} h={h}"), move |_trial| {
-            let params = GeneralParams::hh(n, k, h).unwrap();
-            let cons = GeneralConstruction::new(params);
-            let (_, rep) = attack(&cons, &Mesh::new(n), Algorithm::DimOrder { k }, false);
+        let label = format!("n={n} k={k} h={h}");
+        let params = GeneralParams::hh(n, k, h);
+        let algo = Algorithm::DimOrder { k };
+        e.attack(label, &params, Mesh::new(n), algo, false, move |p, run| {
+            let (_, rep) = run.expect(BREAKDOWN);
             let nf = n as f64;
             let denom = (h as f64).powi(3) * nf * nf / ((k + h) as f64).powi(2);
-            let row = cells!(
+            cells!(
                 n,
                 k,
                 h,
-                params.p,
-                params.l,
-                params.bound_steps(),
-                ratio(params.bound_steps(), denom),
+                p.p,
+                p.l,
+                p.bound_steps(),
+                ratio(p.bound_steps(), denom),
                 rep.undelivered_at_bound,
                 rep.replay_matches_construction
-            );
-            TrialOutput::with_report(row, rep.replay)
+            )
         });
     }
     e
@@ -443,20 +444,20 @@ pub fn e9(full: bool) -> Experiment {
         grid.extend([(432, 1), (384, 2)]);
     }
     for (m, k) in grid {
-        e.fixed(format!("m={m} k={k}"), move |_trial| {
-            let n = 2 * m;
-            let params = GeneralParams::new(m, k).unwrap();
-            let cons = GeneralConstruction::embedded(params, n);
-            let (_, rep) = attack(&cons, &Torus::new(n), Algorithm::DimOrder { k }, false);
-            let row = cells!(
+        let n = 2 * m;
+        let params = GeneralParams::new(m, k);
+        let algo = Algorithm::DimOrder { k };
+        let label = format!("m={m} k={k}");
+        e.attack(label, &params, Torus::new(n), algo, false, move |p, run| {
+            let (_, rep) = run.expect(BREAKDOWN);
+            cells!(
                 n,
                 m,
                 k,
-                params.bound_steps(),
+                p.bound_steps(),
                 rep.undelivered_at_bound,
                 rep.replay_matches_construction
-            );
-            TrialOutput::with_report(row, rep.replay)
+            )
         });
     }
     e
@@ -471,7 +472,6 @@ pub fn e10(full: bool) -> Experiment {
         &["workload", "algorithm", "steps", "steps/n", "max queue", "done"],
     );
     let n = if full { 243 } else { 81 };
-    let cap = stall_cap(n);
     let algos = [
         Algorithm::GreedyUnbounded,
         Algorithm::DimOrder { k: 4 },
@@ -481,11 +481,11 @@ pub fn e10(full: bool) -> Experiment {
         Algorithm::Section6Improved,
     ];
     let matrix_cell = move |pb: RoutingProblem, algo: Algorithm| -> TrialOutput {
-        let out = mesh_routing::route_with_cap(algo, &pb, cap);
+        let out = route_with_cap(algo, &pb, stall_cap(n));
         let row = cells!(
             short_label(&pb),
             out.algorithm,
-            steps_or_dash(out.completed, out.steps),
+            or_dash(out.completed.then_some(out.steps)),
             if out.completed {
                 per_n(out.steps, n)
             } else {
@@ -496,26 +496,17 @@ pub fn e10(full: bool) -> Experiment {
         );
         routed(row, out)
     };
-    // Workloads: name, historical seed (`None` for a fixed workload, which
-    // runs once), and builder from `(n, seed)`.
-    type Build = fn(u32, u64) -> RoutingProblem;
-    let workload_list: [(&str, Option<u64>, Build); 6] = [
-        ("random-permutation", Some(7), workloads::random_permutation),
-        ("transpose", None, |n, _| workloads::transpose(n)),
-        ("bit-complement", None, |n, _| workloads::bit_complement(n)),
-        ("tornado", None, |n, _| workloads::tornado(n)),
-        ("column-funnel", None, |n, _| workloads::column_funnel(n)),
-        ("hotspot", None, |n, _| workloads::hotspot(n, 9, 7)),
-    ];
-    for (wname, seed, build) in workload_list {
+    for w in [
+        random_permutation(7),
+        TRANSPOSE,
+        Workload::new("bit-complement", None, |n, _| workloads::bit_complement(n)),
+        Workload::new("tornado", None, |n, _| workloads::tornado(n)),
+        COLUMN_FUNNEL,
+        Workload::new("hotspot", None, |n, _| workloads::hotspot(n, 9, 7)),
+    ] {
         for algo in algos {
-            let label = format!("{wname} {}", algo.name());
-            match seed {
-                Some(s) => e.seeded(label, move |trial| {
-                    matrix_cell(build(n, derive_seed(s, trial)), algo)
-                }),
-                None => e.fixed(label, move |_| matrix_cell(build(n, 0), algo)),
-            }
+            let label = format!("{} {}", w.name, algo.name());
+            e.over(label, w, n, move |pb| matrix_cell(pb, algo));
         }
     }
     e
@@ -534,31 +525,23 @@ fn ablation_cells(
     let pair_cell = move |k: u32, pb: RoutingProblem| -> TrialOutput {
         let cap = stall_cap(n);
         let (left, right) = pair(k);
-        let l = mesh_routing::route_with_cap(left, &pb, cap);
-        let r = mesh_routing::route_with_cap(right, &pb, cap);
+        let l = route_with_cap(left, &pb, cap);
+        let r = route_with_cap(right, &pb, cap);
         TrialOutput::new(cells!(
             n,
             k,
             short_label(&pb),
-            steps_or_dash(l.completed, l.steps),
-            steps_or_dash(r.completed, r.steps),
+            or_dash(l.completed.then_some(l.steps)),
+            or_dash(r.completed.then_some(r.steps)),
             l.completed,
             r.completed
         ))
     };
     for &k in ks {
-        e.fixed(format!("k={k} transpose"), move |_| {
-            pair_cell(k, workloads::transpose(n))
-        });
-        e.fixed(format!("k={k} column-funnel"), move |_| {
-            pair_cell(k, workloads::column_funnel(n))
-        });
-        e.seeded(format!("k={k} random-permutation"), move |trial| {
-            pair_cell(
-                k,
-                workloads::random_permutation(n, derive_seed(seed, trial)),
-            )
-        });
+        for w in [TRANSPOSE, COLUMN_FUNNEL, random_permutation(seed)] {
+            let label = format!("k={k} {}", w.name);
+            e.over(label, w, n, move |pb| pair_cell(k, pb));
+        }
     }
 }
 
@@ -605,35 +588,17 @@ pub fn a3(full: bool) -> Experiment {
     if full {
         sizes.push(729);
     }
-    let s6_cell = |n: u32, pb: RoutingProblem, q: &'static str| -> TrialOutput {
-        let router = section6_router(q != "408");
-        let r = router.route(&pb);
-        TrialOutput::new(cells!(
+    section6_cells(&mut e, sizes, 13, ["q=408", "q=102"], |n, pb, tag, r| {
+        cells!(
             n,
-            short_label(&pb),
-            q,
+            short_label(pb),
+            tag.trim_start_matches("q="),
             r.scheduled_steps,
             format!("{:.1}", r.steps_per_n()),
             r.quiescent_steps,
             r.max_node_load
-        ))
-    };
-    for n in sizes {
-        for q in ["408", "102"] {
-            e.seeded(format!("n={n} random-permutation q={q}"), move |trial| {
-                s6_cell(
-                    n,
-                    workloads::random_permutation(n, derive_seed(13, trial)),
-                    q,
-                )
-            });
-        }
-        for q in ["408", "102"] {
-            e.fixed(format!("n={n} transpose q={q}"), move |_| {
-                s6_cell(n, workloads::transpose(n), q)
-            });
-        }
-    }
+        )
+    });
     e
 }
 
@@ -657,56 +622,50 @@ pub fn e11(full: bool) -> Experiment {
     }
     for (n, k) in grid {
         // (a) dim-order's hard instance, fed to hot potato.
-        e.fixed(
-            format!("n={n} k={k} hot-potato-on-hard-instance"),
-            move |_| {
-                let topo = Mesh::new(n);
-                let params = DimOrderParams::new(n, k).unwrap();
-                let cons = DimOrderConstruction::new(params);
-                let outcome = cons.run(&topo, mesh_routing::routers::dim_order(k));
-                let hp = mesh_routing::route_with_cap(
-                    Algorithm::HotPotato,
-                    &outcome.constructed,
-                    16 * (n as u64) * (n as u64),
-                );
-                let row = cells!(
-                    n,
-                    k,
-                    "hot-potato on dim-order's hard instance",
-                    if hp.completed {
-                        format!(
-                            "{} steps ({}n) — vs the >= {} it forces on dim-order",
-                            hp.steps,
-                            per_n(hp.steps, n),
-                            outcome.bound_steps
-                        )
-                    } else {
-                        format!("stalled at {}/{}", hp.delivered, hp.total_packets)
-                    }
-                );
-                routed(row, hp)
-            },
-        );
-        // (b) the general adversary aimed at hot potato itself.
-        e.fixed(format!("n={n} k={k} adversary-vs-hot-potato"), move |_| {
+        let label = format!("n={n} k={k} hot-potato-on-hard-instance");
+        e.fixed(label, move |_| {
             let topo = Mesh::new(n);
-            let gparams = GeneralParams::new(n, k).unwrap();
-            let gcons = GeneralConstruction::new(gparams);
-            let res = gcons.try_run(&topo, mesh_routing::routers::hot_potato(n), false);
-            TrialOutput::new(cells!(
+            let params = DimOrderParams::new(n, k).unwrap();
+            let cons = DimOrderConstruction::new(params);
+            let outcome = cons.run(&topo, mesh_routing::routers::dim_order(k));
+            let cap = 16 * (n as u64) * (n as u64);
+            let hp = route_with_cap(Algorithm::HotPotato, &outcome.constructed, cap);
+            let row = cells!(
+                n,
+                k,
+                "hot-potato on dim-order's hard instance",
+                if hp.completed {
+                    format!(
+                        "{} steps ({}n) — vs the >= {} it forces on dim-order",
+                        hp.steps,
+                        per_n(hp.steps, n),
+                        outcome.bound_steps
+                    )
+                } else {
+                    format!("stalled at {}/{}", hp.delivered, hp.total_packets)
+                }
+            );
+            routed(row, hp)
+        });
+        // (b) the general adversary aimed at hot potato itself.
+        let label = format!("n={n} k={k} adversary-vs-hot-potato");
+        let params = GeneralParams::new(n, k);
+        let algo = Algorithm::HotPotato;
+        e.attack(label, &params, Mesh::new(n), algo, false, move |_, run| {
+            cells!(
                 n,
                 k,
                 "general adversary vs hot-potato",
-                match res {
-                    Ok(o) => format!(
+                match run {
+                    Some((o, _)) => format!(
                         "ran; {} undelivered at bound {} (bound not meaningful for nonminimal)",
                         o.undelivered_at_bound, o.bound_steps
                     ),
-                    Err(_) => "construction breaks down (packets deflect out of the boxes; \
-                               Lemma 3/4 partner supply exhausted)"
+                    None => "construction breaks down (packets deflect out of the boxes; \
+                             Lemma 3/4 partner supply exhausted)"
                         .to_string(),
                 }
-            ))
+            )
         });
     }
     e
@@ -729,38 +688,24 @@ pub fn e12(full: bool) -> Experiment {
     );
     let (n, k) = if full { (384u32, 2u32) } else { (216, 1) };
     let deltas: &[u8] = if full { &[0, 1, 2, 3] } else { &[0, 1, 2] };
+    let params = GeneralParams::new(n, k);
     for &delta in deltas {
-        e.fixed(format!("n={n} k={k} delta={delta}"), move |_| {
-            let params = GeneralParams::new(n, k).unwrap();
-            let cons = GeneralConstruction::new(params);
-            let topo = Mesh::new(n);
-            let make = || {
-                mesh_routing::engine::Dx::new(mesh_routing::routers::BoundedDeflect::new(
-                    n, k, delta,
-                ))
+        let label = format!("n={n} k={k} delta={delta}");
+        let algo = Algorithm::BoundedDeflect { k, delta };
+        e.attack(label, &params, Mesh::new(n), algo, false, move |_, run| {
+            let rep = run.map(|(_, rep)| rep);
+            let result = match rep {
+                Some(_) => "construction ran",
+                None => "adversary breakdown (partner supply exhausted)",
             };
-            match cons.try_run(&topo, make(), false) {
-                Ok(outcome) => {
-                    let rep = verify_lower_bound(&topo, make(), &outcome, None);
-                    let row = cells!(
-                        n,
-                        k,
-                        delta,
-                        "construction ran",
-                        rep.undelivered_at_bound,
-                        rep.replay_matches_construction
-                    );
-                    TrialOutput::with_report(row, rep.replay)
-                }
-                Err(_) => TrialOutput::new(cells!(
-                    n,
-                    k,
-                    delta,
-                    "adversary breakdown (partner supply exhausted)",
-                    "-",
-                    "-"
-                )),
-            }
+            cells!(
+                n,
+                k,
+                delta,
+                result,
+                or_dash(rep.map(|rep| rep.undelivered_at_bound)),
+                or_dash(rep.map(|rep| rep.replay_matches_construction))
+            )
         });
     }
     e
@@ -784,8 +729,7 @@ pub fn e13(full: bool) -> Experiment {
     let window = 40 * n as u64;
     // The uniform-traffic capacity of the mesh bisection is λ ≈ 4/n
     // (λ·n²/2 packets cross 2n bisection links per step); straddle it.
-    let rates = [0.02f64, 0.06, 0.10, 0.14];
-    for rate in rates {
+    for rate in [0.02f64, 0.06, 0.10, 0.14] {
         for (router, algo) in [
             ("theorem15(k=2)", Algorithm::Theorem15 { k: 2 }),
             ("hot-potato", Algorithm::HotPotato),
@@ -853,30 +797,21 @@ pub fn perf(full: bool) -> Experiment {
     }
     let route_cell = move |n: u32, router: &'static str, algo: Algorithm| -> TrialOutput {
         let reps = (256 / n).max(1);
-        let topo = Mesh::new(n);
         let pb = workloads::random_permutation(n, 2024);
-        with_engine_router!(algo, n, |make| {
-            let mut last = None;
-            for _ in 0..reps {
-                let mut sim = Sim::new(&topo, make(), &pb);
-                let res = sim.run(16 * n as u64);
-                let rep = sim.report();
-                last = Some((res.is_ok(), rep));
-            }
-            let (ok, rep) = last.expect("reps >= 1");
-            let row = cells!(
-                n,
-                router,
-                "random-permutation",
-                reps,
-                rep.steps,
-                format!("{}/{}", rep.delivered, rep.total_packets),
-                rep.total_moves,
-                rep.max_queue,
-                ok
-            );
-            TrialOutput::with_report(row, rep)
-        }, section6 => engine_only(algo))
+        let runs = (0..reps).map(|_| route_with_cap(algo, &pb, 16 * n as u64));
+        let out = runs.fold(None, |_, out| Some(out)).expect("reps >= 1");
+        let row = cells!(
+            n,
+            router,
+            "random-permutation",
+            reps,
+            out.steps,
+            format!("{}/{}", out.delivered, out.total_packets),
+            out.total_moves,
+            out.max_queue,
+            out.completed
+        );
+        routed(row, out)
     };
     for n in sizes {
         for (router, algo) in [
@@ -884,9 +819,8 @@ pub fn perf(full: bool) -> Experiment {
             ("theorem15(k=2)", Algorithm::Theorem15 { k: 2 }),
             ("hot-potato(k=1)", Algorithm::HotPotato),
         ] {
-            e.fixed(format!("n={n} {router}"), move |_| {
-                route_cell(n, router, algo)
-            });
+            let label = format!("n={n} {router}");
+            e.fixed(label, move |_| route_cell(n, router, algo));
         }
     }
     e
@@ -938,33 +872,30 @@ pub fn chaos(full: bool) -> Experiment {
             ("hot-potato/fault-aware", Algorithm::HotPotato, true),
         ] {
             for workload in ["partial-perm", "transpose"] {
-                e.seeded(
-                    format!("density={density} {router} {workload}"),
-                    move |trial| {
-                        let topo = Mesh::new(n);
-                        let pb = match workload {
-                            "partial-perm" => workloads::random_partial_permutation(
-                                n,
-                                0.5,
-                                derive_seed(2024, trial),
-                            ),
-                            _ => workloads::transpose(n),
-                        };
-                        let plan = FaultPlan::random(n, density, horizon, derive_seed(4045, trial))
-                            .compile();
-                        let config = SimConfig {
-                            watchdog: Some(8 * n as u64),
-                            ..SimConfig::default()
-                        };
-                        let tags = (density, router, workload);
-                        with_engine_router!(algo, n, |make| if fault_aware {
-                            let aware = FaultAware::new(make(), Arc::new(plan.clone()));
-                            chaos_row(Sim::with_faults(&topo, aware, &pb, config, plan), &pb, tags)
-                        } else {
-                            chaos_row(Sim::with_faults(&topo, make(), &pb, config, plan), &pb, tags)
-                        }, section6 => engine_only(algo))
-                    },
-                );
+                let label = format!("density={density} {router} {workload}");
+                e.seeded(label, move |trial| {
+                    let topo = Mesh::new(n);
+                    let pb = match workload {
+                        "partial-perm" => {
+                            let seed = derive_seed(2024, trial);
+                            workloads::random_partial_permutation(n, 0.5, seed)
+                        }
+                        _ => workloads::transpose(n),
+                    };
+                    let plan =
+                        FaultPlan::random(n, density, horizon, derive_seed(4045, trial)).compile();
+                    let config = SimConfig {
+                        watchdog: Some(8 * n as u64),
+                        ..SimConfig::default()
+                    };
+                    let tags = (density, router, workload);
+                    with_engine_router!(algo, n, |make| if fault_aware {
+                        let aware = FaultAware::new(make(), Arc::new(plan.clone()));
+                        chaos_row(Sim::with_faults(&topo, aware, &pb, config, plan), &pb, tags)
+                    } else {
+                        chaos_row(Sim::with_faults(&topo, make(), &pb, config, plan), &pb, tags)
+                    }, section6 => engine_only(algo))
+                });
             }
         }
     }
@@ -988,11 +919,7 @@ fn chaos_row<R: Router>(
             l1 += p.src.manhattan(p.dst) as u64;
         }
     }
-    let stretch = if l1 == 0 {
-        "-".to_string()
-    } else {
-        format!("{:.3}", hops as f64 / l1 as f64)
-    };
+    let stretch = (l1 > 0).then(|| format!("{:.3}", hops as f64 / l1 as f64));
     let rep = sim.report();
     let row = cells!(
         pb.n,
@@ -1003,9 +930,69 @@ fn chaos_row<R: Router>(
         format!("{}/{}", sim.delivered(), pb.len()),
         ratio(sim.delivered() as u64, pb.len() as f64),
         rep.steps,
-        stretch
+        or_dash(stretch)
     );
     TrialOutput::with_report(row, rep)
+}
+
+/// The run set-up RELIABLE and CRASHREC share: on a side-n mesh, a dynamic
+/// Bernoulli problem (rate 0.02 for 4n steps) under a seeded plan of
+/// lossy-link windows plus short cable cuts
+/// ([`FaultPlan::random_outages`]), routed by the fault-aware Theorem 15
+/// router under a watchdog, with a [`Transport`] seeded from 7 for the
+/// reliable layer. Outages start within `[0, 8n)` and are all transient;
+/// the injection window ends well before that, so recovery happens under
+/// fire. Only the historical seeds of the problem and the plan differ.
+struct Outage {
+    topo: Mesh,
+    pb: RoutingProblem,
+    faults: Arc<CompiledFaults>,
+    trial: u64,
+}
+
+impl Outage {
+    fn new(n: u32, density: f64, (pb_seed, plan_seed): (u64, u64), trial: u64) -> Outage {
+        let pb = workloads::dynamic_bernoulli(n, 0.02, 4 * n as u64, derive_seed(pb_seed, trial));
+        let plan =
+            FaultPlan::random_outages(n, density, 8 * n as u64, derive_seed(plan_seed, trial));
+        Outage {
+            topo: Mesh::new(n),
+            pb,
+            faults: Arc::new(plan.compile()),
+            trial,
+        }
+    }
+
+    fn router(&self) -> FaultAware<Dx<Theorem15>> {
+        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&self.faults))
+    }
+
+    fn config(&self, checkpoint_every: Option<u64>) -> SimConfig {
+        SimConfig {
+            // Must exceed the longest lawful retransmission gap (cap +
+            // jitter), or quiet timer waits would read as starvation.
+            watchdog: Some(1024.max(8 * self.pb.n as u64)),
+            checkpoint_every,
+            ..SimConfig::default()
+        }
+    }
+
+    fn sim(&self, checkpoint_every: Option<u64>) -> Sim<'_, Mesh, FaultAware<Dx<Theorem15>>> {
+        let config = self.config(checkpoint_every);
+        let faults = self.faults.as_ref().clone();
+        Sim::with_faults(&self.topo, self.router(), &self.pb, config, faults)
+    }
+
+    /// A crash's resume: `snap` restored into a fresh engine.
+    fn restore(&self, snap: &Snapshot) -> Sim<'_, Mesh, FaultAware<Dx<Theorem15>>> {
+        let faults = Some(self.faults.as_ref().clone());
+        Sim::restore(&self.topo, self.router(), self.config(None), faults, snap)
+            .expect("engine-written snapshot must restore")
+    }
+
+    fn transport(&self, policy: BackoffPolicy) -> Transport {
+        Transport::new(&self.pb, policy, derive_seed(7, self.trial))
+    }
 }
 
 /// RELIABLE — end-to-end reliable delivery over transient outages. Seeded
@@ -1018,8 +1005,6 @@ fn chaos_row<R: Router>(
 /// sweeping the backoff policy. Every cell is a pure function of the trial
 /// seed, so the table is byte-identical across `--threads` settings.
 pub fn reliable(full: bool) -> Experiment {
-    use mesh_routing::reliable::{BackoffPolicy, Transport};
-
     let mut e = Experiment::new(
         "reliable",
         "Reliable transport: raw injection vs ACK+retransmission under lossy-link outages",
@@ -1035,9 +1020,6 @@ pub fn reliable(full: bool) -> Experiment {
     } else {
         &[0.0, 0.06, 0.12]
     };
-    // Outages start within [0, horizon) and are all transient; the injection
-    // window ends well before the horizon so recovery happens under fire.
-    let horizon = 8 * n as u64;
     let layers = [
         ("raw", "-", None),
         ("reliable", "fixed(64)", Some(BackoffPolicy::fixed(64))),
@@ -1049,83 +1031,45 @@ pub fn reliable(full: bool) -> Experiment {
     ];
     for &density in densities {
         for (layer, backoff, policy) in layers {
-            e.seeded(
-                format!("density={density} {layer} {backoff}"),
-                move |trial| {
-                    let topo = Mesh::new(n);
-                    let pb = workloads::dynamic_bernoulli(
-                        n,
-                        0.02,
-                        4 * n as u64,
-                        derive_seed(2024, trial),
-                    );
-                    let faults = Arc::new(
-                        FaultPlan::random_outages(n, density, horizon, derive_seed(40, trial))
-                            .compile(),
-                    );
-                    let config = SimConfig {
-                        // Must exceed the longest lawful retransmission
-                        // gap (cap + jitter), or quiet timer waits would
-                        // read as starvation.
-                        watchdog: Some(1024.max(8 * n as u64)),
-                        ..SimConfig::default()
-                    };
-                    let mut sim = Sim::with_faults(
-                        &topo,
-                        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-                        &pb,
-                        config,
-                        faults.as_ref().clone(),
-                    );
-                    let (outcome, exactly_once, retx, dup_drops, goodput, mean_lat) = match policy {
-                        None => {
-                            let res = sim.run(200_000);
-                            let outcome = outcome_tag(&res);
-                            let lat = sim.latency_distribution();
-                            let steps = sim.steps().max(1);
-                            (
-                                outcome,
-                                "-".to_string(),
-                                "-".to_string(),
-                                "-".to_string(),
-                                format!("{:.4}", sim.delivered() as f64 / steps as f64),
-                                format!("{:.1}", lat.mean),
-                            )
-                        }
-                        Some(policy) => {
-                            let mut tp = Transport::new(&pb, policy, derive_seed(7, trial));
-                            let res = sim.run_with_protocol(200_000, &mut tp);
-                            let outcome = outcome_tag(&res);
-                            let rep = tp.report(sim.steps());
-                            (
-                                outcome,
-                                if rep.exactly_once { "yes" } else { "NO" }.to_string(),
-                                rep.retransmits.to_string(),
-                                rep.duplicate_deliveries.to_string(),
-                                format!("{:.4}", rep.goodput),
-                                format!("{:.1}", rep.latency.mean),
-                            )
-                        }
-                    };
-                    let rep = sim.report();
-                    let row = cells!(
-                        n,
-                        density,
-                        layer,
-                        backoff,
-                        outcome,
-                        format!("{}/{}", sim.delivered(), sim.num_packets()),
-                        exactly_once,
-                        retx,
-                        dup_drops,
-                        rep.lost,
-                        rep.steps,
-                        goodput,
-                        mean_lat
-                    );
-                    TrialOutput::with_report(row, rep)
-                },
-            );
+            let label = format!("density={density} {layer} {backoff}");
+            e.seeded(label, move |trial| {
+                let outage = Outage::new(n, density, (2024, 40), trial);
+                let mut sim = outage.sim(None);
+                let (res, tp) = match policy {
+                    None => (sim.run(200_000), None),
+                    Some(policy) => {
+                        let mut tp = outage.transport(policy);
+                        let res = sim.run_with_protocol(200_000, &mut tp);
+                        (res, Some(tp.report(sim.steps())))
+                    }
+                };
+                let (goodput, mean_lat) = match &tp {
+                    None => {
+                        let steps = sim.steps().max(1);
+                        let lat = sim.latency_distribution();
+                        (sim.delivered() as f64 / steps as f64, lat.mean)
+                    }
+                    Some(tp) => (tp.goodput, tp.latency.mean),
+                };
+                let tp = tp.as_ref();
+                let rep = sim.report();
+                let row = cells!(
+                    n,
+                    density,
+                    layer,
+                    backoff,
+                    outcome_tag(&res),
+                    format!("{}/{}", sim.delivered(), sim.num_packets()),
+                    or_dash(tp.map(|tp| if tp.exactly_once { "yes" } else { "NO" })),
+                    or_dash(tp.map(|tp| tp.retransmits)),
+                    or_dash(tp.map(|tp| tp.duplicate_deliveries)),
+                    rep.lost,
+                    rep.steps,
+                    format!("{goodput:.4}"),
+                    format!("{mean_lat:.1}")
+                );
+                TrialOutput::with_report(row, rep)
+            });
         }
     }
     e
@@ -1141,9 +1085,6 @@ pub fn reliable(full: bool) -> Experiment {
 /// resumed run reproduces the uninterrupted run byte-for-byte — same
 /// outcome, same rendered report, same per-packet trajectories.
 pub fn crashrec(full: bool) -> Experiment {
-    use mesh_routing::engine::{MemorySink, Snapshot, SnapshotHook};
-    use mesh_routing::reliable::{BackoffPolicy, Transport};
-
     let mut e = Experiment::new(
         "crashrec",
         "Crash recovery soak: kill at every checkpoint, resume, byte-compare vs the uninterrupted run",
@@ -1160,107 +1101,66 @@ pub fn crashrec(full: bool) -> Experiment {
         &[0.0, 0.12]
     };
     let cadences: &[u64] = if full { &[4, 16, 64] } else { &[8, 32] };
-    let horizon = 8 * n as u64;
     for &density in densities {
         for layer in ["raw", "reliable"] {
             for &cadence in cadences {
-                e.seeded(
-                    format!("density={density} {layer} ck={cadence}"),
-                    move |trial| {
-                        let topo = Mesh::new(n);
-                        let pb = workloads::dynamic_bernoulli(
-                            n,
-                            0.02,
-                            4 * n as u64,
-                            derive_seed(3111, trial),
-                        );
-                        let faults = Arc::new(
-                            FaultPlan::random_outages(n, density, horizon, derive_seed(41, trial))
-                                .compile(),
-                        );
-                        let config = SimConfig {
-                            watchdog: Some(1024.max(8 * n as u64)),
-                            checkpoint_every: Some(cadence),
-                            ..SimConfig::default()
-                        };
-                        let make_router =
-                            || FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults));
-                        let resume_config = SimConfig {
-                            checkpoint_every: None,
-                            ..config
-                        };
-                        // The reliable layer is the raw run plus a transport:
-                        // its state rides each checkpoint's protocol slot and
-                        // its report joins the byte comparison.
-                        let make_transport = || {
-                            (layer == "reliable").then(|| {
-                                let policy = BackoffPolicy::exponential(64, 512, 16);
-                                Transport::new(&pb, policy, derive_seed(7, trial))
-                            })
-                        };
-                        let tp_json = |tp: &Option<Transport>, steps| {
-                            tp.as_ref()
-                                .map(|tp| serde_json::to_string(&tp.report(steps)).unwrap())
-                        };
-                        let mut sim = Sim::with_faults(
-                            &topo,
-                            make_router(),
-                            &pb,
-                            config,
-                            faults.as_ref().clone(),
-                        );
-                        let mut sink = MemorySink::default();
-                        let mut tp = make_transport();
-                        let res = match &mut tp {
-                            Some(tp) => sim.run_with_protocol_checkpointed(200_000, tp, &mut sink),
-                            None => sim.run_checkpointed(200_000, &mut sink),
-                        };
-                        let want = serde_json::to_string(&sim.report()).unwrap();
-                        let want_tp = tp_json(&tp, sim.steps());
-                        let mut resumes = 0u64;
-                        let mut identical = true;
-                        for ckpt in &sink.checkpoints {
-                            let snap = Snapshot::from_json(&ckpt.to_json())
-                                .expect("engine-written snapshot must round-trip");
-                            let mut sim_b = Sim::restore(
-                                &topo,
-                                make_router(),
-                                resume_config,
-                                Some(faults.as_ref().clone()),
-                                &snap,
-                            )
-                            .expect("engine-written snapshot must restore");
-                            let mut tp_b = make_transport();
-                            let res_b = match &mut tp_b {
-                                Some(tp_b) => {
-                                    tp_b.restore_state(
-                                        snap.protocol.as_ref().expect("protocol slot"),
-                                    )
+                let label = format!("density={density} {layer} ck={cadence}");
+                e.seeded(label, move |trial| {
+                    let outage = Outage::new(n, density, (3111, 41), trial);
+                    // The reliable layer is the raw run plus a transport:
+                    // its state rides each checkpoint's protocol slot and
+                    // its report joins the byte comparison.
+                    let make_transport = || {
+                        let policy = BackoffPolicy::exponential(64, 512, 16);
+                        (layer == "reliable").then(|| outage.transport(policy))
+                    };
+                    let tp_json = |tp: &Option<Transport>, steps| {
+                        tp.as_ref()
+                            .map(|tp| serde_json::to_string(&tp.report(steps)).unwrap())
+                    };
+                    let mut sim = outage.sim(Some(cadence));
+                    let mut sink = MemorySink::default();
+                    let mut tp = make_transport();
+                    let res = match &mut tp {
+                        Some(tp) => sim.run_with_protocol_checkpointed(200_000, tp, &mut sink),
+                        None => sim.run_checkpointed(200_000, &mut sink),
+                    };
+                    let want = serde_json::to_string(&sim.report()).unwrap();
+                    let want_tp = tp_json(&tp, sim.steps());
+                    let mut resumes = 0u64;
+                    let mut identical = true;
+                    for ckpt in &sink.checkpoints {
+                        let snap = Snapshot::from_json(&ckpt.to_json())
+                            .expect("engine-written snapshot must round-trip");
+                        let mut sim_b = outage.restore(&snap);
+                        let mut tp_b = make_transport();
+                        let res_b = match &mut tp_b {
+                            Some(tp_b) => {
+                                tp_b.restore_state(snap.protocol.as_ref().expect("protocol slot"))
                                     .expect("transport state must restore");
-                                    sim_b.run_with_protocol(200_000, tp_b)
-                                }
-                                None => sim_b.run(200_000),
-                            };
-                            resumes += 1;
-                            identical &= res_b == res
-                                && serde_json::to_string(&sim_b.report()).unwrap() == want
-                                && tp_json(&tp_b, sim_b.steps()) == want_tp
-                                && sim_b.packet_snapshot() == sim.packet_snapshot();
-                        }
-                        let row = cells!(
-                            n,
-                            density,
-                            layer,
-                            cadence,
-                            outcome_tag(&res),
-                            sim.steps(),
-                            sink.checkpoints.len(),
-                            resumes,
-                            if identical { "yes" } else { "NO" }
-                        );
-                        TrialOutput::with_report(row, sim.report())
-                    },
-                );
+                                sim_b.run_with_protocol(200_000, tp_b)
+                            }
+                            None => sim_b.run(200_000),
+                        };
+                        resumes += 1;
+                        identical &= res_b == res
+                            && serde_json::to_string(&sim_b.report()).unwrap() == want
+                            && tp_json(&tp_b, sim_b.steps()) == want_tp
+                            && sim_b.packet_snapshot() == sim.packet_snapshot();
+                    }
+                    let row = cells!(
+                        n,
+                        density,
+                        layer,
+                        cadence,
+                        outcome_tag(&res),
+                        sim.steps(),
+                        sink.checkpoints.len(),
+                        resumes,
+                        if identical { "yes" } else { "NO" }
+                    );
+                    TrialOutput::with_report(row, sim.report())
+                });
             }
         }
     }
@@ -1306,46 +1206,29 @@ fn overload_run(
     }, section6 => engine_only(algo))
 }
 
-/// Whether `router` sustains offered load `lambda`: the run stays live
-/// under `DeferIndefinitely` and delivers ≥ 90% of what the measurement
-/// windows offered.
-fn overload_sustained(
-    router: OverloadRouter,
-    n: u32,
-    lambda: f64,
-    schedule: SteadyConfig,
-    seed: u64,
-) -> bool {
-    let (res, _) = overload_run(
-        router,
-        n,
-        lambda,
-        schedule,
-        AdmissionPolicy::DeferIndefinitely,
-        seed,
-    );
-    match res {
+/// Binary search for the saturation point λ*: the largest offered load
+/// (packets per node per step) the router sustains. A load is sustained
+/// when the run stays live under `DeferIndefinitely` and delivers ≥ 90% of
+/// what the measurement windows offered. Random traffic on an n-mesh is
+/// bisection-limited near 4/n per node, so `[0, 1]` brackets every router
+/// here; 7 halvings resolve λ* to under 1% of the bracket.
+fn saturation_lambda(router: OverloadRouter, n: u32, schedule: SteadyConfig, seed: u64) -> f64 {
+    let defer = AdmissionPolicy::DeferIndefinitely;
+    let sustained = |lambda| match overload_run(router, n, lambda, schedule, defer, seed).0 {
         Ok(rep) => {
             let offered: u64 = rep.frames.iter().map(|f| f.offered).sum();
             let delivered: u64 = rep.frames.iter().map(|f| f.delivered).sum();
             offered == 0 || delivered as f64 >= 0.9 * offered as f64
         }
         Err(_) => false,
-    }
-}
-
-/// Binary search for the saturation point λ*: the largest offered load
-/// (packets per node per step) the router sustains. Random traffic on an
-/// n-mesh is bisection-limited near 4/n per node, so `[0, 1]` brackets
-/// every router here; 7 halvings resolve λ* to under 1% of the bracket.
-fn saturation_lambda(router: OverloadRouter, n: u32, schedule: SteadyConfig, seed: u64) -> f64 {
-    if overload_sustained(router, n, 1.0, schedule, seed) {
+    };
+    if sustained(1.0) {
         return 1.0;
     }
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     for _ in 0..7 {
         let mid = 0.5 * (lo + hi);
-        if overload_sustained(router, n, mid, schedule, seed) {
+        if sustained(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -1372,12 +1255,9 @@ pub fn overload(full: bool) -> Experiment {
         ],
     );
     let n: u32 = if full { 16 } else { 12 };
+    // The full tier runs the engine's default schedule: 128 + 4 x 64 steps.
     let schedule = if full {
-        SteadyConfig {
-            warmup: 128,
-            window: 64,
-            windows: 4,
-        }
+        SteadyConfig::default()
     } else {
         SteadyConfig {
             warmup: 64,
@@ -1429,31 +1309,11 @@ pub fn overload(full: bool) -> Experiment {
                             .ok()
                             .map(|r| r.goodput())
                     };
-                    let [offered, delivered, shed, expired, goodput, vs, p50, p99, p999] =
-                        match &res {
-                            Ok(r) => {
-                                let sum = |f: fn(&WindowFrame) -> u64| -> u64 {
-                                    r.frames.iter().map(f).sum()
-                                };
-                                [
-                                    sum(|f| f.offered).to_string(),
-                                    sum(|f| f.delivered).to_string(),
-                                    sum(|f| f.shed).to_string(),
-                                    sum(|f| f.expired).to_string(),
-                                    format!("{:.3}", r.goodput()),
-                                    match base_goodput {
-                                        Some(b) if b > 0.0 => {
-                                            format!("{:.3}", r.goodput() / b)
-                                        }
-                                        _ => "-".to_string(),
-                                    },
-                                    r.latency.p50.to_string(),
-                                    r.latency.p99.to_string(),
-                                    r.latency.p999.to_string(),
-                                ]
-                            }
-                            Err(_) => std::array::from_fn(|_| "-".to_string()),
-                        };
+                    let r = res.as_ref().ok();
+                    let sum = |f: fn(&WindowFrame) -> u64| {
+                        or_dash(r.map(|r| r.frames.iter().map(f).sum::<u64>()))
+                    };
+                    let base = base_goodput.filter(|&b| b > 0.0);
                     let row = cells!(
                         router,
                         policy,
@@ -1461,15 +1321,15 @@ pub fn overload(full: bool) -> Experiment {
                         x,
                         format!("{lambda:.4}"),
                         outcome_tag(&res),
-                        offered,
-                        delivered,
-                        shed,
-                        expired,
-                        goodput,
-                        vs,
-                        p50,
-                        p99,
-                        p999
+                        sum(|f| f.offered),
+                        sum(|f| f.delivered),
+                        sum(|f| f.shed),
+                        sum(|f| f.expired),
+                        or_dash(r.map(|r| format!("{:.3}", r.goodput()))),
+                        or_dash(r.zip(base).map(|(r, b)| format!("{:.3}", r.goodput() / b))),
+                        or_dash(r.map(|r| r.latency.p50)),
+                        or_dash(r.map(|r| r.latency.p99)),
+                        or_dash(r.map(|r| r.latency.p999))
                     );
                     TrialOutput::with_report(row, rep)
                 });
@@ -1544,9 +1404,9 @@ mod tests {
     fn every_experiment_builds_cells() {
         for (id, cells) in REGISTRY {
             let exp = cells(false);
-            assert_eq!(&exp.id, id);
+            assert_eq!(&exp.doc.experiment, id);
             assert!(!exp.cells.is_empty(), "{id} built no cells");
-            assert!(!exp.headers.is_empty(), "{id} has no headers");
+            assert!(!exp.doc.headers.is_empty(), "{id} has no headers");
         }
     }
 }

@@ -15,30 +15,17 @@
 //! Wall-clock and memory of the *simulator itself* are measured by the
 //! repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
 //!
-//! ## The parallel trial runner
+//! ## Layout
 //!
-//! Every experiment is a flat list of independent cells; the [`runner`]
-//! executes every unit of every requested experiment on one scoped thread
-//! pool:
+//! - [`experiments`]: the 21 experiments, each a table head plus cells;
+//! - [`sweep`]: the workload axis and the cell formatting helpers;
+//! - [`runner`]: one scoped thread pool for every `(experiment, cell,
+//!   trial)` unit, and the `BENCH_<id>.json` document ([`BenchDoc`]) and
+//!   timing sidecar ([`TimingDoc`]) it assembles;
+//! - [`table`]: a document's markdown and CSV renderings.
 //!
-//! ```sh
-//! cargo run --release -p mesh-bench --bin experiments -- \
-//!     e1 --threads 8 --trials 5 --json-out out/
-//! ```
-//!
-//! - `--threads N` — worker threads of that pool (default: all cores).
-//!   Results are **bit-identical for any N**: every trial has its own
-//!   derived seed and a pre-assigned output slot.
-//! - `--trials N` — repetitions per *seeded* cell (random workloads);
-//!   deterministic cells (adversary constructions, fixed permutations)
-//!   always run once. Trial 0 uses the historical seed, so the recorded
-//!   tables in EXPERIMENTS.md are unchanged by this feature.
-//! - `--json-out [DIR]` — write `BENCH_<id>.json` (rows per trial +
-//!   mean/min/max/stddev aggregates; timing-free and therefore
-//!   thread-count-invariant) and `BENCH_<id>.timing.json` (wall-clock per
-//!   cell — machine-dependent, hence a sidecar).
-//!
-//! See [`runner::BenchDoc`] / [`runner::TimingDoc`] for the schemas.
+//! `--threads N` sets the pool's size and never changes a document;
+//! `--trials N` re-runs every seeded cell, trial 0 on its historical seed.
 
 #![forbid(unsafe_code)]
 
@@ -48,4 +35,3 @@ pub mod sweep;
 pub mod table;
 
 pub use runner::{BenchDoc, Experiment, ExperimentRun, RunnerConfig, TimingDoc};
-pub use table::Table;

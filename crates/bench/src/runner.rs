@@ -14,16 +14,15 @@
 //!
 //! Output channels per experiment:
 //!
-//! - a [`Table`] (trial 0 of every cell) — the same text tables as before;
 //! - a [`BenchDoc`] (`BENCH_<id>.json`): all trial rows plus per-cell
 //!   [`ReportAggregate`] statistics (mean/min/max/stddev across trials).
-//!   Contains **no timing**, so it is byte-identical across thread counts;
+//!   Contains **no timing**, so it is byte-identical across thread counts.
+//!   Its trial-0 rows are the printed table ([`crate::table`]);
 //! - a [`TimingDoc`] (`BENCH_<id>.timing.json`): wall-clock per cell and
 //!   from the experiment's first unit starting to its last ending, which is
 //!   inherently machine- and thread-dependent and therefore lives in a
 //!   sidecar.
 
-use crate::table::Table;
 use mesh_routing::engine::{ReportAggregate, SimReport};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,33 +57,6 @@ pub struct Cell {
     /// deterministic in their inputs and run exactly once.
     pub seeded: bool,
     run: Box<dyn Fn(u64) -> TrialOutput + Send + Sync>,
-}
-
-impl Cell {
-    /// A deterministic cell: always one trial.
-    pub fn fixed(
-        label: impl Into<String>,
-        run: impl Fn(u64) -> TrialOutput + Send + Sync + 'static,
-    ) -> Cell {
-        Cell {
-            label: label.into(),
-            seeded: false,
-            run: Box::new(run),
-        }
-    }
-
-    /// A seed-parameterised cell: runs once per requested trial, with the
-    /// trial index passed to the closure.
-    pub fn seeded(
-        label: impl Into<String>,
-        run: impl Fn(u64) -> TrialOutput + Send + Sync + 'static,
-    ) -> Cell {
-        Cell {
-            label: label.into(),
-            seeded: true,
-            run: Box::new(run),
-        }
-    }
 }
 
 /// Workload seed for a trial: the historical seed at trial 0 (preserving
@@ -203,12 +175,10 @@ pub fn run_cells(cells: Vec<Cell>, config: &RunnerConfig) -> Vec<CellResult> {
 
 // ---- experiment plumbing ----
 
-/// An experiment: table metadata plus its independent cells.
+/// An experiment: the head of its document (id, title, expectation and
+/// headers, with no cells yet) plus its independent cells.
 pub struct Experiment {
-    pub id: String,
-    pub title: String,
-    pub expectation: String,
-    pub headers: Vec<String>,
+    pub doc: BenchDoc,
     pub cells: Vec<Cell>,
 }
 
@@ -219,31 +189,45 @@ impl Experiment {
         expectation: impl Into<String>,
         headers: &[&str],
     ) -> Experiment {
-        Experiment {
-            id: id.into(),
+        let doc = BenchDoc {
+            experiment: id.into(),
             title: title.into(),
             expectation: expectation.into(),
+            trials: 1,
             headers: headers.iter().map(|h| h.to_string()).collect(),
+            cells: Vec::new(),
+        };
+        Experiment {
+            doc,
             cells: Vec::new(),
         }
     }
 
-    /// Adds a deterministic cell.
+    /// Adds a deterministic cell: always one trial.
     pub fn fixed(
         &mut self,
         label: impl Into<String>,
         run: impl Fn(u64) -> TrialOutput + Send + Sync + 'static,
     ) {
-        self.cells.push(Cell::fixed(label, run));
+        self.cells.push(Cell {
+            label: label.into(),
+            seeded: false,
+            run: Box::new(run),
+        });
     }
 
-    /// Adds a seed-parameterised cell.
+    /// Adds a seed-parameterised cell: one run per requested trial, with
+    /// the trial index passed to the closure.
     pub fn seeded(
         &mut self,
         label: impl Into<String>,
         run: impl Fn(u64) -> TrialOutput + Send + Sync + 'static,
     ) {
-        self.cells.push(Cell::seeded(label, run));
+        self.cells.push(Cell {
+            label: label.into(),
+            seeded: true,
+            run: Box::new(run),
+        });
     }
 }
 
@@ -299,16 +283,33 @@ pub struct TimingDoc {
 
 /// Everything one experiment run produces.
 pub struct ExperimentRun {
-    pub table: Table,
     pub doc: BenchDoc,
     pub timing: TimingDoc,
 }
 
-/// An experiment one of whose trials panicked: no table, no documents.
+/// An experiment one of whose trials panicked, or returned a row whose
+/// width differs from the headers: no documents.
 pub struct FailedExperiment {
     pub id: String,
     /// First unit start → last unit end, as in [`TimingDoc::elapsed_ms`].
     pub elapsed: Duration,
+}
+
+impl FailedExperiment {
+    /// The one-row table printed in place of the experiment's own.
+    pub fn doc(&self) -> BenchDoc {
+        let title = "EXPERIMENT FAILED";
+        let mut doc =
+            Experiment::new(&self.id, title, "a panic occurred; see stderr", &["status"]).doc;
+        doc.cells.push(CellDoc {
+            label: "failed".into(),
+            seeded: false,
+            trials: 1,
+            rows: vec![vec!["failed".into()]],
+            aggregate: None,
+        });
+        doc
+    }
 }
 
 fn ms(d: Duration) -> f64 {
@@ -316,9 +317,10 @@ fn ms(d: Duration) -> f64 {
 }
 
 /// Executes a suite under `config`: every `(experiment, cell, trial)` unit
-/// runs on the one pool of [`run_cells`], then each experiment's table (trial
-/// 0 of every cell), deterministic JSON document and timing sidecar are
-/// assembled from its own cells. A panicking trial fails its experiment only.
+/// runs on the one pool of [`run_cells`], then each experiment's
+/// deterministic document and timing sidecar are assembled from its own
+/// cells. A panicking trial, or a row whose width differs from the
+/// headers, fails its experiment only.
 pub fn run_suite(
     exps: Vec<Experiment>,
     config: &RunnerConfig,
@@ -326,46 +328,40 @@ pub fn run_suite(
     let mut cells = Vec::new();
     let mut heads = Vec::with_capacity(exps.len());
     for exp in exps {
-        heads.push((
-            exp.id,
-            exp.title,
-            exp.expectation,
-            exp.headers,
-            exp.cells.len(),
-        ));
+        heads.push((exp.doc, exp.cells.len()));
         cells.extend(exp.cells);
     }
     let mut results = run_cells(cells, config).into_iter();
     heads
         .into_iter()
-        .map(|(id, title, expectation, headers, len)| {
+        .map(|(mut doc, len)| {
             let results: Vec<CellResult> = results.by_ref().take(len).collect();
-            let elapsed = match (
-                results.iter().map(|c| c.span.0).min(),
-                results.iter().map(|c| c.span.1).max(),
-            ) {
-                (Some(first), Some(last)) => last - first,
-                _ => Duration::ZERO,
-            };
-            if results.iter().any(|c| c.failed) {
+            let id = doc.experiment.clone();
+            doc.trials = config.trials.max(1);
+            let first = results.iter().map(|c| c.span.0).min();
+            let last = results.iter().map(|c| c.span.1).max();
+            let elapsed = first.zip(last).map_or(Duration::ZERO, |(t0, t1)| t1 - t0);
+            let width = doc.headers.len();
+            let ragged = results
+                .iter()
+                .flat_map(|c| &c.trials)
+                .find(|t| t.row.len() != width);
+            if let Some(t) = ragged {
+                eprintln!("{id}: a row of {} cells under {width} headers", t.row.len());
+            }
+            if ragged.is_some() || results.iter().any(|c| c.failed) {
                 return Err(FailedExperiment { id, elapsed });
             }
 
-            let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-            let mut table = Table::new(&id, &title, &expectation, &header_refs);
-            let mut docs = Vec::with_capacity(results.len());
             let mut timings = Vec::with_capacity(results.len());
             let mut busy = Duration::ZERO;
             for cell in results {
-                if let Some(first) = cell.trials.first() {
-                    table.row(first.row.clone());
-                }
                 let reports: Vec<SimReport> = cell
                     .trials
                     .iter()
                     .filter_map(|t| t.report.clone())
                     .collect();
-                docs.push(CellDoc {
+                doc.cells.push(CellDoc {
                     label: cell.label.clone(),
                     seeded: cell.seeded,
                     trials: cell.trials.len(),
@@ -380,15 +376,7 @@ pub fn run_suite(
             }
 
             Ok(ExperimentRun {
-                table,
-                doc: BenchDoc {
-                    experiment: id.clone(),
-                    title,
-                    expectation,
-                    trials: config.trials.max(1),
-                    headers,
-                    cells: docs,
-                },
+                doc,
                 timing: TimingDoc {
                     experiment: id,
                     threads: config.threads.max(1),
@@ -463,7 +451,7 @@ mod tests {
     fn a_panicking_trial_fails_its_own_experiment_only() {
         let bad = || {
             let mut e = counting_experiment();
-            e.id = "bad".into();
+            e.doc.experiment = "bad".into();
             e.fixed("boom", |_| panic!("trial blew up"));
             e
         };
@@ -474,8 +462,24 @@ mod tests {
             let good = runs.pop().unwrap().ok().expect("the other experiment ran");
             let alone = run_experiment(counting_experiment(), &cfg);
             assert_eq!(good.doc.cells.len(), alone.doc.cells.len());
-            assert_eq!(good.table.rows, alone.table.rows);
+            assert_eq!(good.doc.markdown(), alone.doc.markdown());
         }
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_width_fails_its_experiment() {
+        let mut ragged = counting_experiment();
+        ragged.doc.experiment = "ragged".into();
+        ragged.fixed("wide", |_| TrialOutput::new(vec!["a".into(); 3]));
+        let mut runs = run_suite(vec![ragged, counting_experiment()], &RunnerConfig::serial());
+        assert!(runs.pop().unwrap().is_ok());
+        let failed = runs
+            .pop()
+            .unwrap()
+            .err()
+            .expect("the ragged experiment failed");
+        assert_eq!(failed.id, "ragged");
+        assert!(failed.doc().markdown().contains("EXPERIMENT FAILED"));
     }
 
     #[test]
@@ -501,8 +505,8 @@ mod tests {
         );
         // Six cells → six table rows, each cell contributing trial 0 only;
         // the JSON document still carries both trials.
-        assert_eq!(run.table.rows.len(), 6);
-        for row in &run.table.rows {
+        assert_eq!(run.doc.table_rows().count(), 6);
+        for row in run.doc.table_rows() {
             assert_eq!(row[1], "0");
         }
         assert_eq!(run.doc.cells[0].rows.len(), 2);

@@ -1,15 +1,70 @@
-//! Shared sweep-cell helpers for the experiments.
-//!
-//! Every experiment in [`crate::experiments`] formats its table cells the
-//! same few ways: ratios to the theoretical bound at three decimals,
-//! per-`n` figures at one decimal, `-` for runs that stalled at the step
-//! cap, the watchdog verdict of a faulty run, and so on. Those idioms
-//! live here once, so a formatting tweak cannot silently fork between
-//! tables. All helpers are byte-stable: the recorded `BENCH_*.json`
-//! documents and EXPERIMENTS.md tables were produced through them.
+//! Shared sweep-cell helpers for the experiments: the workload axis
+//! ([`Workload`], registered with [`Experiment::over`]) and the few ways
+//! every experiment in [`crate::experiments`] formats a cell (ratios to the
+//! bound at three decimals, per-`n` figures at one decimal, `-` for an
+//! absent value, the watchdog verdict of a faulty run). Each is stated
+//! here once, so a tweak cannot silently fork between tables. All helpers
+//! are byte-stable: the recorded `BENCH_*.json` documents and
+//! EXPERIMENTS.md tables were produced through them.
 
-use crate::runner::TrialOutput;
-use mesh_routing::prelude::{Algorithm, RouteOutcome, RoutingProblem, Section6Router, SimError};
+use crate::runner::{derive_seed, Experiment, TrialOutput};
+use mesh_routing::prelude::{
+    workloads, Algorithm, RouteOutcome, RoutingProblem, Section6Router, SimError,
+};
+use std::fmt::Display;
+
+/// One entry of a workload axis: the name its cells are labelled with, its
+/// historical seed (`None` for a fixed workload, which runs once), and its
+/// builder from `(n, seed)`.
+#[derive(Clone, Copy)]
+pub struct Workload {
+    pub name: &'static str,
+    pub seed: Option<u64>,
+    pub build: fn(u32, u64) -> RoutingProblem,
+}
+
+impl Workload {
+    pub const fn new(
+        name: &'static str,
+        seed: Option<u64>,
+        build: fn(u32, u64) -> RoutingProblem,
+    ) -> Workload {
+        Workload { name, seed, build }
+    }
+}
+
+pub const TRANSPOSE: Workload = Workload::new("transpose", None, |n, _| workloads::transpose(n));
+pub const COLUMN_FUNNEL: Workload =
+    Workload::new("column-funnel", None, |n, _| workloads::column_funnel(n));
+
+/// A random permutation, historical seed `seed`.
+pub const fn random_permutation(seed: u64) -> Workload {
+    Workload::new(
+        "random-permutation",
+        Some(seed),
+        workloads::random_permutation,
+    )
+}
+
+impl Experiment {
+    /// Adds the cell `label` over workload `w` at side `n`: seeded exactly
+    /// when `w` is, with `run` handed each trial's problem (built from
+    /// [`derive_seed`], or from seed 0 for a fixed workload).
+    pub fn over(
+        &mut self,
+        label: impl Into<String>,
+        w: Workload,
+        n: u32,
+        run: impl Fn(RoutingProblem) -> TrialOutput + Send + Sync + 'static,
+    ) {
+        match w.seed {
+            Some(seed) => self.seeded(label, move |trial| {
+                run((w.build)(n, derive_seed(seed, trial)))
+            }),
+            None => self.fixed(label, move |_| run((w.build)(n, 0))),
+        }
+    }
+}
 
 /// `a / b` at three decimals — the "measured over bound" cell.
 pub fn ratio(a: u64, b: f64) -> String {
@@ -27,14 +82,11 @@ pub fn short_label(pb: &RoutingProblem) -> String {
     pb.label.split('(').next().unwrap_or("?").to_string()
 }
 
-/// Steps as a cell, or `-` for a run that hit the cap: stalling is a
-/// finding (the impossibility the paper proves), not an error.
-pub fn steps_or_dash(completed: bool, steps: u64) -> String {
-    if completed {
-        steps.to_string()
-    } else {
-        "-".into()
-    }
+/// A value as a cell, or `-` where there is none: the steps of a run that
+/// hit the cap (stalling is a finding, the impossibility the paper proves,
+/// not an error), or a column a layer or a failed run does not have.
+pub fn or_dash(value: Option<impl Display>) -> String {
+    value.map_or_else(|| "-".into(), |v| v.to_string())
 }
 
 /// The outcome cell of a watchdogged run: `completed`, or the error kind
@@ -85,8 +137,8 @@ mod tests {
     fn formatting_is_byte_stable() {
         assert_eq!(ratio(7, 2.0), "3.500");
         assert_eq!(per_n(10, 4), "2.5");
-        assert_eq!(steps_or_dash(true, 42), "42");
-        assert_eq!(steps_or_dash(false, 42), "-");
+        assert_eq!(or_dash(Some(42)), "42");
+        assert_eq!(or_dash(None::<u64>), "-");
         assert_eq!(stall_cap(10), 800);
         let ok: Result<u64, SimError> = Ok(3);
         assert_eq!(outcome_tag(&ok), "completed");

@@ -1,51 +1,28 @@
-//! Result tables: markdown rendering and CSV export.
+//! Result tables: the markdown and CSV renderings of a [`BenchDoc`], whose
+//! rows are trial 0 of every cell.
 
+use crate::runner::BenchDoc;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// A result table for one experiment.
-#[derive(Clone, Debug)]
-pub struct Table {
-    /// Experiment id, e.g. "e1".
-    pub id: String,
-    /// Title line (what the table reproduces).
-    pub title: String,
-    /// What the paper claims; printed under the table.
-    pub expectation: String,
-    pub headers: Vec<String>,
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(id: &str, title: &str, expectation: &str, headers: &[&str]) -> Table {
-        Table {
-            id: id.into(),
-            title: title.into(),
-            expectation: expectation.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringifies the cells).
-    pub fn row<I: IntoIterator<Item = String>>(&mut self, cells: I) {
-        let row: Vec<String> = cells.into_iter().collect();
-        assert_eq!(row.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(row);
+impl BenchDoc {
+    /// The table's rows: trial 0 of every cell, in cell order.
+    pub fn table_rows(&self) -> impl Iterator<Item = &Vec<String>> {
+        self.cells.iter().filter_map(|cell| cell.rows.first())
     }
 
     /// Renders GitHub-flavoured markdown.
     pub fn markdown(&self) -> String {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in self.table_rows() {
             for (i, c) in row.iter().enumerate() {
                 w[i] = w[i].max(c.len());
             }
         }
         let mut out = String::new();
-        let _ = writeln!(out, "### {} — {}\n", self.id.to_uppercase(), self.title);
+        let id = self.experiment.to_uppercase();
+        let _ = writeln!(out, "### {id} — {}\n", self.title);
         let line = |cells: &[String], w: &[usize], out: &mut String| {
             let body: Vec<String> = cells
                 .iter()
@@ -57,18 +34,18 @@ impl Table {
         line(&self.headers, &w, &mut out);
         let sep: Vec<String> = w.iter().map(|&n| "-".repeat(n)).collect();
         let _ = writeln!(out, "|-{}-|", sep.join("-|-"));
-        for row in &self.rows {
+        for row in self.table_rows() {
             line(row, &w, &mut out);
         }
         let _ = writeln!(out, "\n*Paper expectation:* {}\n", self.expectation);
         out
     }
 
-    /// Writes the table as CSV (RFC 4180) under `dir`.
+    /// Writes the table as CSV (RFC 4180) to `<experiment>.csv` under `dir`.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join(format!("{}.csv", self.id)))?;
-        for row in std::iter::once(&self.headers).chain(&self.rows) {
+        let mut f = std::fs::File::create(dir.join(format!("{}.csv", self.experiment)))?;
+        for row in std::iter::once(&self.headers).chain(self.table_rows()) {
             let cells: Vec<String> = row.iter().map(|c| csv_cell(c)).collect();
             writeln!(f, "{}", cells.join(","))?;
         }
@@ -96,16 +73,34 @@ macro_rules! cells {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::runner::{BenchDoc, CellDoc};
+
+    /// A document whose cells hold `rows` as their trials 0 and 1.
+    fn doc(rows: Vec<Vec<String>>) -> BenchDoc {
+        let cell = |row: Vec<String>| CellDoc {
+            label: row.join(" "),
+            seeded: true,
+            trials: 2,
+            rows: vec![row, cells!("trial", "1")],
+            aggregate: None,
+        };
+        BenchDoc {
+            experiment: "e0".into(),
+            title: "demo".into(),
+            expectation: "expected".into(),
+            trials: 2,
+            headers: cells!("a", "bb"),
+            cells: rows.into_iter().map(cell).collect(),
+        }
+    }
 
     #[test]
     fn markdown_and_csv_shapes() {
-        let mut t = Table::new("e0", "demo", "expected", &["a", "bb"]);
-        t.row(cells!(1, "xy"));
-        t.row(cells!(22, "z"));
+        let mut t = doc(vec![cells!(1, "xy"), cells!(22, "z")]);
         let md = t.markdown();
         assert!(md.contains("### E0"));
         assert!(md.contains("| 22 |"));
+        assert!(!md.contains("trial"), "only trial 0 is printed");
         let dir = std::env::temp_dir().join("mesh-bench-test");
         t.write_csv(&dir).unwrap();
         let csv = std::fs::read_to_string(dir.join("e0.csv")).unwrap();
@@ -113,7 +108,11 @@ mod tests {
         assert!(csv.starts_with("a,bb"));
         // A cell holding the separator (reliable's backoff column, any
         // `bounded-deflect(k=..,d=..)` name) or a quote stays one field.
-        t.row(cells!("expo(64..512,j16)", "say \"hi\""));
+        t = doc(vec![
+            cells!(1, "xy"),
+            cells!(22, "z"),
+            cells!("expo(64..512,j16)", "say \"hi\""),
+        ]);
         t.write_csv(&dir).unwrap();
         let csv = std::fs::read_to_string(dir.join("e0.csv")).unwrap();
         assert_eq!(
@@ -124,12 +123,5 @@ mod tests {
             csv.starts_with("a,bb\n1,xy\n22,z\n"),
             "plain cells unquoted"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn rejects_wrong_width() {
-        let mut t = Table::new("x", "t", "e", &["a"]);
-        t.row(cells!(1, 2));
     }
 }

@@ -115,8 +115,23 @@ fn mesh_rejects_out_of_range_values() {
             "--windows",
         ),
         ("route theorem15 --lambda 0.1 --n 8 --window 0", "--window"),
+        (
+            "route theorem15 --lambda 0.1 --n 8 --k 2 --warmup 18446744073709551615",
+            "--warmup",
+        ),
+        (
+            "route theorem15 --lambda 0.1 --n 8 --window 18446744073709551615",
+            "--window",
+        ),
         ("route theorem15 --workload random --n 8 --k 0", "--k"),
         ("route theorem15 --workload random --n 0", "--n"),
+        ("construct general --n 216 --k 0", "--k"),
+        ("construct dimorder --n 216 --k 0", "--k"),
+        ("construct farthest --n 216 --k 0", "--k"),
+        ("construct general --n 600 --k 4 --h 0", "--h"),
+        ("construct general --n 0", "--n"),
+        ("workload hotspot --n 1", "--n"),
+        ("route theorem15 --workload hotspot --n 1", "--n"),
     ];
     for (line, flag) in cases {
         let args: Vec<&str> = line.split_whitespace().collect();

@@ -138,5 +138,5 @@ fn table_equals_historical_serial_run() {
             trials: 5,
         },
     );
-    assert_eq!(serial.table.markdown(), parallel.table.markdown());
+    assert_eq!(serial.doc.markdown(), parallel.doc.markdown());
 }

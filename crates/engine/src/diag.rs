@@ -65,13 +65,6 @@ pub struct DiagnosticSnapshot {
     pub active_faults: Vec<ActiveFault>,
 }
 
-impl DiagnosticSnapshot {
-    /// Undelivered packets, in-network and pending combined.
-    pub fn undelivered(&self) -> usize {
-        self.total - self.delivered
-    }
-}
-
 /// How many stuck packets / hot nodes / faults `Display` spells out before
 /// eliding. One limit for every list, so every rendering of a snapshot —
 /// `SimError` messages, panic messages, log lines — elides the same way.

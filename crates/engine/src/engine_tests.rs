@@ -673,15 +673,6 @@ mod stats_tests {
             map.values.iter().copied().max().unwrap(),
             sim.report().max_node_load
         );
-        let curve = sim.delivery_curve();
-        assert_eq!(
-            curve.per_step.iter().map(|&c| c as usize).sum::<usize>(),
-            64
-        );
-        assert_eq!(
-            curve.completion_step(64, 1.0),
-            Some(sim.report().max_latency)
-        );
     }
 }
 
@@ -1082,7 +1073,7 @@ mod loss_and_protocol_tests {
             ],
         );
         let mut sim = Sim::new(&topo, Dx::new(tests::Greedy { k: 1 }), &pb);
-        assert_eq!(sim.deferred_injections(), 2, "two deferred at t=0");
+        assert_eq!(sim.report().deferred_injections, 2, "two deferred at t=0");
         assert!(!sim.injections_exhausted());
         sim.run(100).unwrap();
         assert!(sim.injections_exhausted());

@@ -91,5 +91,5 @@ pub use steady::{SteadyConfig, SteadyReport, WindowFrame};
 // them); re-export the crate so downstream users need not depend on
 // `mesh-faults` directly.
 pub use mesh_faults as faults;
-pub use stats::{DeliveryCurve, Distribution, NodeField, Summary};
+pub use stats::{Distribution, NodeField, Summary};
 pub use view::{DxArrivals, DxResidents, FullArrivals, FullResidents, PackedArrival, PackedView};

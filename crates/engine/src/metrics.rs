@@ -78,27 +78,6 @@ impl SimReport {
             deferred_injections: Summary::of_u64(reports.iter().map(|r| r.deferred_injections)),
         }
     }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "{} on {} (n={}): steps={}{} maxq={} load={} moves={} delivered={}/{}",
-            self.algorithm,
-            self.workload,
-            self.n,
-            self.steps,
-            if self.completed { "" } else { " (INCOMPLETE)" },
-            self.max_queue,
-            self.max_node_load,
-            self.total_moves,
-            self.delivered,
-            self.total_packets,
-        );
-        if self.shed > 0 || self.expired > 0 {
-            s.push_str(&format!(" shed={} expired={}", self.shed, self.expired));
-        }
-        s
-    }
 }
 
 /// Cross-trial aggregate of one experiment cell's scalar metrics; produced

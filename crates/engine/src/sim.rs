@@ -17,7 +17,6 @@ use crate::phases::{self, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
 
 pub use crate::phases::AdmissionPolicy;
 use crate::protocol::ProtocolHook;
-use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::snapshot::EventsSnap;
 use crate::storage::{NodeGrid, PacketStore, MAX_SIDE};
@@ -445,15 +444,10 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         self.progress.lost
     }
 
-    /// Packet-steps spent deferred by injection admission control so far.
-    pub fn deferred_injections(&self) -> u64 {
-        self.progress.deferred_injections
-    }
-
     /// Packets currently staged at injection edges — due but not yet
     /// admitted into the network. Unlike the cumulative packet-step
-    /// counter [`Sim::deferred_injections`], this is the instantaneous
-    /// backlog, queryable mid-run.
+    /// counter [`SimReport::deferred_injections`], this is the
+    /// instantaneous backlog, queryable mid-run.
     pub fn pending_injections(&self) -> usize {
         self.grid.staged_total()
     }
@@ -523,17 +517,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// scan, no allocation).
     pub fn packets_at(&self, c: Coord) -> impl Iterator<Item = PacketId> + '_ {
         self.grid.packets_at(c)
-    }
-
-    /// The non-empty queues of a node in slot order, as `(kind, contents)`
-    /// with contents sliced straight out of the queue arena — the
-    /// zero-copy seam differential batteries compare against a shadow
-    /// grid.
-    pub fn queues_at(&self, c: Coord) -> impl Iterator<Item = (QueueKind, &[PacketId])> + '_ {
-        let ni = self.grid.node_index(c);
-        self.grid
-            .node_queues(ni)
-            .map(|(s, q)| (self.grid.slot_kind(s), q))
     }
 
     /// The routing problem defined by the packets' *current* destinations —
@@ -616,11 +599,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         }
     }
 
-    /// Deliveries per step.
-    pub fn delivery_curve(&self) -> crate::stats::DeliveryCurve {
-        crate::stats::DeliveryCurve::from_delivery_steps(self.delivery_steps().map(|(_, d)| d))
-    }
-
     /// The state of the network right now, in the form failure reports
     /// carry: stuck packets, per-node occupancy, active faults.
     pub fn diagnostics(&self) -> DiagnosticSnapshot {
@@ -691,16 +669,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         if let Err(e) = invariants::check_conservation(&self.store, &self.grid, &self.progress) {
             panic!("conservation broken at step {}: {e}", self.progress.steps);
         }
-    }
-
-    /// The router's queue architecture.
-    pub fn arch(&self) -> QueueArch {
-        self.grid.arch()
-    }
-
-    /// Immutable access to the router.
-    pub fn router(&self) -> &R {
-        &self.router
     }
 }
 

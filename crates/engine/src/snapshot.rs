@@ -609,13 +609,6 @@ impl CheckpointSink for MemorySink {
     }
 }
 
-impl MemorySink {
-    /// The most recent checkpoint at or before `step`, if any.
-    pub fn last_at_or_before(&self, step: u64) -> Option<&Snapshot> {
-        self.checkpoints.iter().rev().find(|s| s.step <= step)
-    }
-}
-
 /// Checkpoints into a directory as `ckpt_<step>.json` (atomic writes),
 /// with failure post-mortems as `diag_<step>.json` beside them. Write
 /// errors are recorded in [`error`](Self::error) rather than panicking —

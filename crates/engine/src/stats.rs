@@ -1,5 +1,5 @@
-//! Extended measurement: latency distributions, per-node congestion maps,
-//! and delivery time series. All derived from per-packet delivery records
+//! Extended measurement: latency distributions and per-node congestion
+//! maps. All derived from per-packet delivery records
 //! the simulator keeps anyway, so collection is free.
 
 use serde::{Deserialize, Serialize};
@@ -139,47 +139,6 @@ impl NodeField {
     }
 }
 
-/// Time series of deliveries: `delivered[t]` = packets delivered during
-/// (1-based) step `t+1`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DeliveryCurve {
-    pub per_step: Vec<u32>,
-}
-
-impl DeliveryCurve {
-    /// Builds the curve from per-packet delivery steps (1-based; 0 =
-    /// delivered at injection).
-    pub fn from_delivery_steps(steps: impl IntoIterator<Item = u64>) -> DeliveryCurve {
-        let mut per_step: Vec<u32> = Vec::new();
-        for s in steps {
-            let idx = s as usize;
-            if per_step.len() <= idx {
-                per_step.resize(idx + 1, 0);
-            }
-            per_step[idx] += 1;
-        }
-        DeliveryCurve { per_step }
-    }
-
-    /// The step by which `frac` (0..=1) of `total` packets were delivered.
-    pub fn completion_step(&self, total: usize, frac: f64) -> Option<u64> {
-        let need = (total as f64 * frac).ceil() as u64;
-        let mut acc = 0u64;
-        for (t, &c) in self.per_step.iter().enumerate() {
-            acc += c as u64;
-            if acc >= need {
-                return Some(t as u64);
-            }
-        }
-        None
-    }
-
-    /// Peak deliveries in a single step (the router's drain throughput).
-    pub fn peak_rate(&self) -> u32 {
-        self.per_step.iter().copied().max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,15 +248,5 @@ mod tests {
         assert_eq!(lines[0].len(), 2);
         assert!(lines[0].ends_with('@'));
         assert!(lines[1].starts_with(' ')); // zero stays blank
-    }
-
-    #[test]
-    fn delivery_curve() {
-        let c = DeliveryCurve::from_delivery_steps([1u64, 1, 2, 5]);
-        assert_eq!(c.per_step, vec![0, 2, 1, 0, 0, 1]);
-        assert_eq!(c.peak_rate(), 2);
-        assert_eq!(c.completion_step(4, 0.5), Some(1));
-        assert_eq!(c.completion_step(4, 1.0), Some(5));
-        assert_eq!(c.completion_step(5, 1.0), None);
     }
 }

@@ -61,6 +61,25 @@ impl SteadyConfig {
     pub fn horizon(&self) -> u64 {
         self.warmup + self.windows as u64 * self.window
     }
+
+    /// The one rule of a schedule that can run: at least one window of at
+    /// least one step, and a [`horizon`](Self::horizon) that fits a `u64`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == 0 || self.windows == 0 {
+            return Err(format!(
+                "empty steady schedule: {} windows of {} steps",
+                self.windows, self.window
+            ));
+        }
+        let horizon = (self.windows as u64).checked_mul(self.window);
+        if horizon.and_then(|h| h.checked_add(self.warmup)).is_none() {
+            return Err(format!(
+                "steady horizon {} + {} x {} steps overflows a u64",
+                self.warmup, self.windows, self.window
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One measurement window's worth of steady-state observations.
@@ -150,24 +169,11 @@ struct SteadyState {
 }
 
 /// The steady rules of [`Sim::restore`]'s structural pass: a checkpoint's
-/// `steady` block must hold a schedule that can run — at least one window
-/// of at least one step, and a horizon that fits in a `u64` — and its
-/// `protocol` slot the measurement state, or resuming it would panic.
+/// `steady` block must hold a schedule that can run
+/// ([`SteadyConfig::validate`]) and its `protocol` slot the measurement
+/// state, or resuming it would panic.
 pub(crate) fn check_snapshot(env: &SteadySnap, state: Option<&Value>) -> Result<(), String> {
-    let c = env.config;
-    if c.window == 0 || c.windows == 0 {
-        return Err(format!(
-            "empty steady schedule: {} windows of {} steps",
-            c.windows, c.window
-        ));
-    }
-    let horizon = (c.windows as u64).checked_mul(c.window);
-    if horizon.and_then(|h| h.checked_add(c.warmup)).is_none() {
-        return Err(format!(
-            "steady horizon {} + {} x {} steps overflows a u64",
-            c.warmup, c.windows, c.window
-        ));
-    }
+    env.config.validate()?;
     match SteadyState::deserialize(state.unwrap_or(&Value::Null)) {
         Ok(_) => Ok(()),
         Err(e) => Err(format!("protocol slot is no steady measurement state: {e}")),
@@ -291,7 +297,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// runs in overload mode: saturation with shedding never trips it,
     /// a window with no delivery/shed/expiry at all does.
     pub fn run_steady(&mut self, cfg: SteadyConfig) -> Result<SteadyReport, SimError> {
-        assert!(cfg.window >= 1 && cfg.windows >= 1, "empty steady schedule");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut obs = SteadyObserver::new(cfg, None).expect("fresh state is infallible");
         run_driver(self, cfg.horizon(), &mut obs, |_, _| {})?;
         Ok(obs.into_report())
@@ -324,7 +330,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     where
         R::NodeState: Serialize,
     {
-        assert!(cfg.window >= 1 && cfg.windows >= 1, "empty steady schedule");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut obs = SteadyObserver::new(cfg, state)
             .expect("malformed steady-state resume state in the snapshot's protocol slot");
         let cap = halt_at.map_or(cfg.horizon(), |h| h.min(cfg.horizon()));
@@ -380,5 +386,38 @@ mod tests {
         let back = WindowFrame::deserialize(&f.serialize()).expect("roundtrip");
         assert_eq!(back.samples, 7);
         assert_eq!(back.latency, f.latency);
+    }
+
+    #[test]
+    fn validate_refuses_empty_and_overflowing_schedules() {
+        let ok = SteadyConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let at_limit = SteadyConfig {
+            warmup: u64::MAX - 4 * 64,
+            ..ok
+        };
+        assert_eq!(at_limit.validate(), Ok(()));
+        assert_eq!(at_limit.horizon(), u64::MAX);
+        for (cfg, what) in [
+            (SteadyConfig { window: 0, ..ok }, "empty"),
+            (SteadyConfig { windows: 0, ..ok }, "empty"),
+            (
+                SteadyConfig {
+                    warmup: u64::MAX,
+                    ..ok
+                },
+                "overflows",
+            ),
+            (
+                SteadyConfig {
+                    window: u64::MAX,
+                    ..ok
+                },
+                "overflows",
+            ),
+        ] {
+            let err = cfg.validate().expect_err("refused");
+            assert!(err.contains(what), "{cfg:?}: {err}");
+        }
     }
 }

@@ -897,8 +897,7 @@ mod arena_tests {
     /// every observable: per-queue contents, lengths, slot kinds, the
     /// occupancy bitmask, the load index, and all five read paths
     /// (`queue`, `node_queues`, `packets_at`, `nth_packet`,
-    /// `export_queues`). `node_queues` is what `Sim::queues_at` labels
-    /// with kinds, so `packets_at` is its flattening.
+    /// `export_queues`). `packets_at` is the flattening of `node_queues`.
     fn assert_matches(grid: &NodeGrid, shadow: &[Vec<PacketId>]) {
         let slots = grid.slots();
         let mut export = grid.export_queues();

@@ -5,37 +5,15 @@
 //! mesh or the moves made. A policy that builds a `Vec` per node again
 //! fails here by four orders of magnitude.
 //!
-//! This file holds exactly one test: the counting allocator is global, and
-//! a second test running on another thread would be counted too.
+//! This file holds exactly one test (see `support/alloc.rs`).
 
+#[path = "support/alloc.rs"]
+mod counting;
+
+use counting::{allocs, Counting};
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is a
-// statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -47,9 +25,9 @@ const K: u32 = 8;
 /// `(router name, allocations and reallocations, moves)` of a completed
 /// `Sim::run`.
 fn run_allocs<R: Router>(mut sim: Sim<'_, Mesh, R>) -> (String, u64, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let outcome = sim.run(100_000);
-    let made = ALLOCS.load(Ordering::Relaxed) - before;
+    let made = allocs() - before;
     let report = sim.report();
     outcome.unwrap_or_else(|e| panic!("{} did not complete: {}", report.algorithm, e.kind()));
     (report.algorithm, made, report.total_moves)
@@ -100,9 +78,9 @@ fn steady_allocs() -> (u64, u64) {
         ..SimConfig::default()
     };
     let mut sim = Sim::with_config(&topo, theorem15(2), &pb, config);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let outcome = sim.run_steady(schedule);
-    let made = ALLOCS.load(Ordering::Relaxed) - before;
+    let made = allocs() - before;
     outcome.unwrap_or_else(|e| panic!("run_steady failed: {}", e.kind()));
     (made, sim.offered() as u64)
 }

@@ -2,35 +2,13 @@
 //! sizes its state and scratch once per problem, so its allocation count is
 //! a small constant that does not grow with the mesh or the moves made.
 //!
-//! This file holds exactly one test: the counting allocator is global, and
-//! a second test running on another thread would be counted too.
+//! This file holds exactly one test (see `support/alloc.rs`).
 
+#[path = "support/alloc.rs"]
+mod counting;
+
+use counting::{allocs, Counting};
 use mesh_routing::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is a
-// statistic and publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -39,9 +17,9 @@ static GLOBAL: Counting = Counting;
 fn route_allocs(n: u32) -> u64 {
     let pb = workloads::random_permutation(n, 1);
     let router = Section6Router::new();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let report = router.route(&pb);
-    let made = ALLOCS.load(Ordering::Relaxed) - before;
+    let made = allocs() - before;
     assert_eq!(report.delivered, pb.len());
     made
 }
