@@ -2,9 +2,8 @@
 //!
 //! A packet's class (`N_i` or `E_i`) is determined by its *current*
 //! destination — exchanges move classes between packets, not packets between
-//! classes. The map is keyed by destination coordinate (destinations are
-//! unique within a class's problem), so classification survives any sequence
-//! of exchanges.
+//! classes, so a class travels with the destination through any sequence of
+//! exchanges.
 
 use mesh_topo::Coord;
 use mesh_traffic::PacketId;
@@ -33,10 +32,9 @@ impl Class {
     }
 }
 
-/// Destination → class table plus per-class membership lists, maintained
-/// under exchanges.
+/// Per-packet classes plus per-class membership lists, maintained under
+/// exchanges.
 pub struct ClassMap {
-    by_dst: HashMap<Coord, Class>,
     /// Current class of each packet (`None` for filler packets).
     class_of: Vec<Option<Class>>,
     /// Packets currently holding each class, keyed `(is_n, i)`.
@@ -49,19 +47,11 @@ impl ClassMap {
     /// `dsts[p]` is packet `p`'s initial destination; `classify` gives the
     /// class of each construction destination (or `None` for fillers).
     pub fn new(dsts: &[Coord], classify: impl Fn(Coord) -> Option<Class>) -> ClassMap {
-        let mut by_dst = HashMap::new();
         let mut class_of = Vec::with_capacity(dsts.len());
         let mut members: HashMap<(bool, u32), Vec<PacketId>> = HashMap::new();
         for (idx, &d) in dsts.iter().enumerate() {
             let cls = classify(d);
             if let Some(c) = cls {
-                // h-h problems send up to h packets to one destination; all
-                // share the class of that destination.
-                let prev = by_dst.insert(d, c);
-                assert!(
-                    prev.is_none_or(|p| p == c),
-                    "destination {d:?} claimed by two classes"
-                );
                 members
                     .entry((c.is_n(), c.index()))
                     .or_default()
@@ -69,23 +59,13 @@ impl ClassMap {
             }
             class_of.push(cls);
         }
-        ClassMap {
-            by_dst,
-            class_of,
-            members,
-        }
+        ClassMap { class_of, members }
     }
 
     /// Current class of a packet.
     #[inline]
     pub fn class_of(&self, p: PacketId) -> Option<Class> {
         self.class_of[p.index()]
-    }
-
-    /// The class owning destination `d`, if it is a construction destination.
-    #[inline]
-    pub fn class_of_dst(&self, d: Coord) -> Option<Class> {
-        self.by_dst.get(&d).copied()
     }
 
     /// Packets currently holding class `c`.
@@ -114,11 +94,6 @@ impl ClassMap {
                 v[pos] = a;
             }
         }
-    }
-
-    /// Number of packets with any class.
-    pub fn classified_count(&self) -> usize {
-        self.class_of.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -155,7 +130,6 @@ mod tests {
         assert_eq!(m.class_of(PacketId(2)), Some(Class::E(1)));
         assert_eq!(m.class_of(PacketId(3)), None);
         assert_eq!(m.members(Class::N(1)), &[PacketId(0)]);
-        assert_eq!(m.classified_count(), 3);
     }
 
     #[test]
@@ -175,10 +149,7 @@ mod tests {
     fn class_by_destination_is_stable() {
         let mut m = toy_map();
         m.record_exchange(PacketId(0), PacketId(2));
-        // The destinations still map to the same classes.
-        assert_eq!(m.class_of_dst(Coord::new(10, 20)), Some(Class::N(1)));
-        assert_eq!(m.class_of_dst(Coord::new(20, 10)), Some(Class::E(1)));
-        // But the packets holding them swapped.
+        // The packets holding the two classes swapped.
         assert_eq!(m.class_of(PacketId(0)), Some(Class::E(1)));
         assert_eq!(m.class_of(PacketId(2)), Some(Class::N(1)));
     }

@@ -20,6 +20,12 @@ fn usage_error(msg: &str) -> ! {
     exit(2);
 }
 
+/// One line and exit 1: the input parsed but cannot be used.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    exit(1);
+}
+
 const USAGE: &str = "usage:
   mesh workload  <kind> --n N [--seed S] [--h H] [--load F] [-o FILE]
   mesh route     <algorithm> (--problem FILE | --workload KIND --n N | --resume-from CKPT) \\
@@ -202,23 +208,22 @@ fn make_algorithm(name: &str, k: u32) -> Algorithm {
     }
 }
 
+/// Reads a problem file, refusing one the engine cannot run
+/// (`RoutingProblem::validate`).
 fn load_problem(path: &str) -> RoutingProblem {
-    let data = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    serde_json::from_str(&data).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        exit(1);
-    })
+    let data =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let pb: RoutingProblem =
+        serde_json::from_str(&data).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
+    if let Err(e) = pb.validate() {
+        fail(&format!("invalid problem {path}: {e}"));
+    }
+    pb
 }
 
 fn save_json<T: serde::Serialize>(value: &T, path: &str) {
     let data = serde_json::to_string(value).expect("serialize");
-    std::fs::write(path, data).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
+    std::fs::write(path, data).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
     eprintln!("wrote {path}");
 }
 
@@ -391,11 +396,10 @@ fn cmd_steady_resume(
     snap: mesh_routing::engine::Snapshot,
 ) {
     let Some(env) = snap.steady else {
-        eprintln!(
+        fail(&format!(
             "snapshot {path} records no steady-state environment (a closed-system run); re-run \
              with the original steady flags or resume it as a plain route"
-        );
-        exit(1);
+        ));
     };
     let schedule = env.config;
     let mut clashes = Vec::new();
@@ -416,11 +420,10 @@ fn cmd_steady_resume(
         }
     }
     if !clashes.is_empty() {
-        eprintln!(
+        fail(&format!(
             "steady flags disagree with the environment recorded in {path}: {}",
             clashes.join(", ")
-        );
-        exit(1);
+        ));
     }
     // The admission policy defaults to the snapshot's; an explicitly
     // re-passed policy goes through as-is, and a mismatch is rejected by
@@ -460,10 +463,8 @@ fn checkpoint_dir(args: &Args) -> &str {
 }
 
 fn load_snapshot(path: &str) -> mesh_routing::engine::Snapshot {
-    mesh_routing::engine::Snapshot::read_from(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot load snapshot {path}: {e}");
-        exit(1);
-    })
+    mesh_routing::engine::Snapshot::read_from(std::path::Path::new(path))
+        .unwrap_or_else(|e| fail(&format!("cannot load snapshot {path}: {e}")))
 }
 
 /// Prints a steady run's outcome, or `failed: <error>` and exits 1.
@@ -479,11 +480,14 @@ fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>, f
             Some(p) => eprintln!("halted mid-soak; last checkpoint: {}", p.display()),
             None => eprintln!("halted before the first checkpoint cadence point"),
         },
-        Err(e) => {
-            eprintln!("{failed}: {e}");
-            exit(1);
-        }
+        Err(e) => fail(&format!("{failed}: {e}")),
     }
+}
+
+/// `mesh_routing::route`'s step cap `64·n² + 4096`, saturating: a file may
+/// claim a side the engine refuses.
+fn default_cap(n: u32) -> u64 {
+    u64::from(n).pow(2).saturating_mul(64).saturating_add(4096)
 }
 
 fn cmd_route(args: &Args) {
@@ -494,6 +498,14 @@ fn cmd_route(args: &Args) {
         .unwrap_or_else(|| usage());
     let k = args.positive_flag("k").unwrap_or(4);
     let algo = make_algorithm(algo_name, k);
+    let observers = SimConfig {
+        watchdog: args.u64_flag("watchdog"),
+        checkpoint_every: args.u64_flag("checkpoint-every"),
+        ..SimConfig::default()
+    };
+    if let Err(e) = observers.check() {
+        usage_error(&format!("--watchdog/--checkpoint-every: {e}"));
+    }
 
     // The extra reports read the live simulation of a plain closed-system
     // run; the other run shapes hand back their outcome only.
@@ -521,12 +533,9 @@ fn cmd_route(args: &Args) {
             cmd_steady_resume(args, algo, path, snap);
             return;
         }
-        let n = snap.n as u64;
-        let cap = args.u64_flag("cap").unwrap_or(64 * n * n + 4096);
-        let out = mesh_routing::resume_route(algo, &snap, cap).unwrap_or_else(|e| {
-            eprintln!("cannot resume: {e}");
-            exit(1);
-        });
+        let cap = args.u64_flag("cap").unwrap_or(default_cap(snap.n));
+        let out = mesh_routing::resume_route(algo, &snap, cap)
+            .unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
         eprintln!("resumed from {path} at step {}", snap.step);
         print_route(args, &out);
         return;
@@ -548,9 +557,7 @@ fn cmd_route(args: &Args) {
         eprintln!("route needs --problem FILE, --workload KIND --n N, or --resume-from CKPT");
         usage()
     };
-    let cap = args
-        .u64_flag("cap")
-        .unwrap_or(64 * pb.n as u64 * pb.n as u64 + 4096);
+    let cap = args.u64_flag("cap").unwrap_or(default_cap(pb.n));
 
     // Checkpointed run: identical outcome, plus a ckpt_<step>.json stream
     // in --checkpoint-dir. --halt-at simulates the crash by capping the
@@ -560,10 +567,7 @@ fn cmd_route(args: &Args) {
         let cap = args.u64_flag("halt-at").unwrap_or(cap);
         let (out, last) =
             mesh_routing::route_checkpointed(algo, &pb, cap, every, std::path::Path::new(dir))
-                .unwrap_or_else(|e| {
-                    eprintln!("checkpointed run failed: {e}");
-                    exit(1);
-                });
+                .unwrap_or_else(|e| fail(&format!("checkpointed run failed: {e}")));
         match last {
             Some(p) => eprintln!("last checkpoint: {}", p.display()),
             None => eprintln!("no checkpoint written (run ended before the first cadence point)"),
@@ -577,7 +581,8 @@ fn cmd_route(args: &Args) {
     // the route line.
     let topo = Mesh::new(pb.n);
     mesh_routing::with_engine_router!(algo, pb.n, |router| {
-        let mut sim = Sim::new(&topo, router(), &pb);
+        let mut sim = Sim::try_build(&topo, router(), &pb, SimConfig::default(), None)
+            .unwrap_or_else(|e| fail(&format!("cannot route: {e}")));
         let _ = sim.run(cap);
         print_route(args, &RouteOutcome::engine(algo, sim.report()));
         if args.has("latency") {
@@ -618,10 +623,8 @@ fn cmd_construct(args: &Args) {
         eprintln!("unsupported victim '{victim}' for the general construction");
         exit(2);
     };
-    let invalid = |e: mesh_routing::adversary::ParamError| -> ! {
-        eprintln!("invalid parameters: {e}");
-        exit(1);
-    };
+    let invalid =
+        |e: mesh_routing::adversary::ParamError| -> ! { fail(&format!("invalid parameters: {e}")) };
     let topo = Mesh::new(n);
 
     let outcome = match kind {

@@ -1,7 +1,9 @@
 //! The two binaries reject what they do not understand: an unknown flag or
 //! an unparseable value is one `error:` line naming the flag and exit
-//! code 2, never a silent default.
+//! code 2, never a silent default. A problem file the engine cannot run is
+//! one line naming the file and exit code 1.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn mesh(args: &[&str]) -> Output {
@@ -124,6 +126,14 @@ fn mesh_rejects_out_of_range_values() {
             "--window",
         ),
         ("route theorem15 --workload random --n 8 --k 0", "--k"),
+        (
+            "route theorem15 --lambda 0.1 --n 8 --watchdog 0",
+            "--watchdog",
+        ),
+        (
+            "route theorem15 --workload random --n 8 --checkpoint-every 0",
+            "--checkpoint-every",
+        ),
         ("route theorem15 --workload random --n 0", "--n"),
         ("construct general --n 216 --k 0", "--k"),
         ("construct dimorder --n 216 --k 0", "--k"),
@@ -140,6 +150,73 @@ fn mesh_rejects_out_of_range_values() {
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
         assert_usage_error(&out, flag);
     }
+}
+
+/// A one-packet problem file: side `n`, packet id `id`, `src` to `dst`.
+fn problem_file(name: &str, n: u32, id: u32, src: (u32, u32), dst: (u32, u32)) -> String {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_problems");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.json"));
+    let packet = format!(
+        r#"{{"id":{id},"src":{{"x":{},"y":{}}},"dst":{{"x":{},"y":{}}},"inject_at":0,"state":0}}"#,
+        src.0, src.1, dst.0, dst.1
+    );
+    let text = format!(r#"{{"n":{n},"packets":[{packet}],"label":"{name}"}}"#);
+    std::fs::write(&path, text).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// A problem the engine cannot run is refused by `RoutingProblem::validate`
+/// before any grid is built: one line naming the file, exit 1. Without it an
+/// off-grid endpoint panics, or (a source, in release) routes to a wrong
+/// answer; side 0 panics; sparse ids are routed as if dense.
+#[test]
+fn mesh_refuses_problems_the_engine_cannot_run() {
+    let engine = ["theorem15", "dim-order"];
+    let cases = [
+        (
+            problem_file("dst_off_grid", 4, 0, (0, 0), (1, 9)),
+            &engine[..],
+        ),
+        (
+            problem_file("src_off_grid", 4, 0, (9, 0), (1, 1)),
+            &engine[..],
+        ),
+        (problem_file("side_zero", 0, 0, (0, 0), (0, 0)), &engine[..]),
+        (
+            problem_file("sparse_ids", 4, 5, (0, 0), (1, 1)),
+            &engine[..],
+        ),
+        (
+            problem_file("s6_dst", 9, 0, (0, 0), (1, 12)),
+            &["section6"][..],
+        ),
+        (
+            problem_file("s6_src", 9, 0, (14, 0), (1, 1)),
+            &["section6"][..],
+        ),
+    ];
+    for (path, algorithms) in &cases {
+        for algo in *algorithms {
+            let out = mesh(&["route", algo, "--problem", path]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{algo} {path}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{algo} {path}: {stderr}");
+            assert!(stderr.contains(path.as_str()), "{stderr}");
+            assert!(out.stdout.is_empty(), "{algo} {path} printed a route");
+        }
+    }
+    // A valid problem on a side past the engine's limit: refused by the
+    // build, after a step cap computed without overflow.
+    let huge = problem_file("huge_side", 4_000_000_000, 0, (0, 0), (1, 1));
+    let out = mesh(&["route", "theorem15", "--problem", &huge]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("exceeds the engine's"), "{stderr}");
+    let ok = problem_file("on_grid", 4, 0, (0, 0), (3, 3));
+    let out = mesh(&["route", "theorem15", "--problem", &ok]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("delivered=1/1"));
 }
 
 /// The names the usage text lists after `heading` (the list may wrap onto

@@ -1,9 +1,9 @@
 //! One-call routing API over every algorithm in the reproduction.
 
-use crate::section6::{Section6Error, Section6Report, Section6Router};
+use crate::section6::{Section6Report, Section6Router};
 use mesh_engine::{
-    DirectorySink, Router, Sim, SimConfig, SimError, Snapshot, SteadyConfig, SteadyReport,
-    SteadySnap,
+    DirectorySink, Router, Sim, SimConfig, SimError, Snapshot, SnapshotError, SteadyConfig,
+    SteadyReport, SteadySnap,
 };
 use mesh_topo::Mesh;
 use mesh_traffic::RoutingProblem;
@@ -190,6 +190,22 @@ fn not_an_engine_algorithm(algorithm: Algorithm) -> String {
     )
 }
 
+/// The mesh a problem runs on, once the problem passes
+/// [`RoutingProblem::validate`] (a side-0 problem has none).
+fn mesh_of(problem: &RoutingProblem) -> Result<Mesh, String> {
+    problem.validate()?;
+    Ok(Mesh::new(problem.n))
+}
+
+/// The mesh a snapshot was taken on. No run has side 0, so a snapshot
+/// claiming it is corrupt.
+fn mesh_of_snapshot(snap: &Snapshot) -> Result<Mesh, String> {
+    if snap.n == 0 {
+        return Err(SnapshotError::Corrupt("side 0".into()).to_string());
+    }
+    Ok(Mesh::new(snap.n))
+}
+
 /// Routes `problem` with `algorithm` on the mesh, with a generous default
 /// step cap of `64·n² + 4096`.
 pub fn route(algorithm: Algorithm, problem: &RoutingProblem) -> RouteOutcome {
@@ -206,16 +222,17 @@ pub fn route_with_cap(algorithm: Algorithm, problem: &RoutingProblem, cap: u64) 
 }
 
 /// [`route_with_cap`], with a problem the algorithm cannot route reported as
-/// an error. Only the §6 schedulers reject input: they need a static problem
-/// on a mesh whose side is a power of 3.
+/// an error: one that fails [`RoutingProblem::validate`], for every
+/// algorithm, and for the §6 schedulers one that is not static or whose
+/// side is not a power of 3.
 pub fn try_route_with_cap(
     algorithm: Algorithm,
     problem: &RoutingProblem,
     cap: u64,
-) -> Result<RouteOutcome, Section6Error> {
-    let topo = Mesh::new(problem.n);
+) -> Result<RouteOutcome, String> {
     with_engine_router!(algorithm, problem.n, |router| {
-        let mut sim = Sim::new(&topo, router(), problem);
+        let topo = mesh_of(problem)?;
+        let mut sim = Sim::try_build(&topo, router(), problem, SimConfig::default(), None)?;
         let _ = sim.run(cap);
         Ok(RouteOutcome::engine(algorithm, sim.report()))
     }, section6 => {
@@ -224,7 +241,7 @@ pub fn try_route_with_cap(
         } else {
             Section6Router::improved()
         };
-        let r = router.try_route(problem)?;
+        let r = router.try_route(problem).map_err(|e| e.to_string())?;
         Ok(RouteOutcome {
             algorithm: algorithm.name(),
             workload: problem.label.clone(),
@@ -263,13 +280,13 @@ pub fn route_checkpointed(
     every: u64,
     dir: &Path,
 ) -> Result<(RouteOutcome, Option<PathBuf>), String> {
-    let topo = Mesh::new(problem.n);
     let config = SimConfig {
         checkpoint_every: Some(every),
         ..SimConfig::default()
     };
     with_engine_router!(algorithm, problem.n, |router| {
-        let mut sim = Sim::with_config(&topo, router(), problem, config);
+        let topo = mesh_of(problem)?;
+        let mut sim = Sim::try_build(&topo, router(), problem, config, None)?;
         let mut sink = Some(DirectorySink::new(dir).map_err(|e| e.to_string())?);
         let _ = sim.run_checkpointed(cap, &mut sink);
         let last = last_checkpoint(sink)?;
@@ -287,7 +304,7 @@ pub fn resume_route(
     snap: &Snapshot,
     cap: u64,
 ) -> Result<RouteOutcome, String> {
-    let topo = Mesh::new(snap.n);
+    let topo = mesh_of_snapshot(snap)?;
     with_engine_router!(algorithm, snap.n, |router| {
         let mut sim = Sim::restore(&topo, router(), SimConfig::default(), None, snap)
             .map_err(|e| e.to_string())?;
@@ -372,14 +389,14 @@ pub fn steady_route(
     dir: &Path,
     halt_at: Option<u64>,
 ) -> Result<SteadyRun, String> {
-    let topo = Mesh::new(problem.n);
     let env = SteadySnap {
         lambda,
         config: schedule,
     };
     let sink_dir = config.checkpoint_every.map(|_| dir);
     with_engine_router!(algorithm, problem.n, |router| {
-        let sim = Sim::with_config(&topo, router(), problem, config);
+        let topo = mesh_of(problem)?;
+        let sim = Sim::try_build(&topo, router(), problem, config, None)?;
         drive_steady(algorithm, sim, env, None, sink_dir, halt_at)
     }, section6 => Err(not_an_engine_algorithm(algorithm)))
 }
@@ -408,7 +425,7 @@ pub fn resume_steady_route(
                 .to_string(),
         );
     };
-    let topo = Mesh::new(snap.n);
+    let topo = mesh_of_snapshot(snap)?;
     let sink_dir = config.checkpoint_every.map(|_| dir);
     with_engine_router!(algorithm, snap.n, |router| {
         let sim =
@@ -486,6 +503,36 @@ mod tests {
                 assert!(err.contains("does not run through the engine"), "{err}");
             }
         }
+        assert!(!dir.exists(), "a refused run must not create its sink");
+    }
+
+    /// Input the engine cannot run is an error at every entry point, for
+    /// engine and §6 algorithms alike, and a refused run writes nothing.
+    #[test]
+    fn invalid_input_is_an_error_at_every_entry_point() {
+        let dir = std::env::temp_dir().join("mesh-api-invalid-test");
+        let mut off_grid = workloads::random_permutation(9, 1);
+        off_grid.packets[0].src.x = 14;
+        for algo in [Algorithm::Theorem15 { k: 2 }, Algorithm::Section6] {
+            let err = try_route_with_cap(algo, &off_grid, 100).unwrap_err();
+            assert!(err.contains("out of the 9x9 grid"), "{err}");
+        }
+        let mut side0 = off_grid.clone();
+        side0.n = 0;
+        let err = try_route_with_cap(Algorithm::DimOrder { k: 1 }, &side0, 100).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
+
+        let pb = workloads::random_permutation(9, 1);
+        let algo = Algorithm::Theorem15 { k: 2 };
+        let err = route_checkpointed(algo, &pb, 100, 0, &dir).unwrap_err();
+        assert!(err.contains("checkpoint_every"), "{err}");
+        let mut snap = {
+            let topo = Mesh::new(9);
+            Sim::new(&topo, crate::routers::theorem15(2), &pb).snapshot()
+        };
+        snap.n = 0;
+        let err = resume_route(algo, &snap, 100).unwrap_err();
+        assert!(err.contains("corrupt"), "{err}");
         assert!(!dir.exists(), "a refused run must not create its sink");
     }
 

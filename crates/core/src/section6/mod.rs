@@ -92,8 +92,10 @@ impl Section6Report {
 }
 
 /// Why a problem cannot be routed by the §6 algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Section6Error {
+    /// The problem fails [`RoutingProblem::validate`]; the message says how.
+    InvalidProblem(String),
     /// The mesh side is not a power of 3 (the paper's simplifying
     /// assumption, which the tilings rely on).
     NotPowerOfThree { n: u32 },
@@ -104,6 +106,7 @@ pub enum Section6Error {
 impl std::fmt::Display for Section6Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Section6Error::InvalidProblem(e) => write!(f, "invalid problem: {e}"),
             Section6Error::NotPowerOfThree { n } => {
                 write!(f, "the §6 algorithm assumes n is a power of 3 (got {n})")
             }
@@ -150,6 +153,7 @@ impl Section6Router {
 
     /// [`route`](Self::route), with unroutable input reported as an error.
     pub fn try_route(&self, problem: &RoutingProblem) -> Result<Section6Report, Section6Error> {
+        problem.validate().map_err(Section6Error::InvalidProblem)?;
         let n = problem.n;
         if !is_power_of_3(n) {
             return Err(Section6Error::NotPowerOfThree { n });
@@ -326,6 +330,13 @@ mod tests {
         let mut pb = workloads::random_permutation(27, 1);
         pb.packets[0].inject_at = 5;
         assert_eq!(router.try_route(&pb).unwrap_err(), Section6Error::NotStatic);
+
+        // An off-grid endpoint is refused before any tile is built.
+        let mut pb = workloads::random_permutation(9, 1);
+        pb.packets[0].dst.y = 12;
+        let err = router.try_route(&pb).unwrap_err();
+        assert!(matches!(err, Section6Error::InvalidProblem(_)), "{err}");
+        assert!(err.to_string().contains("out of the 9x9 grid"), "{err}");
     }
 
     #[test]

@@ -82,6 +82,52 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// The config's own rule: a watchdog window and a checkpoint cadence,
+    /// when set, are at least one step. [`Sim::try_build`] and
+    /// [`Sim::restore`] refuse a config that breaks it. (Not named
+    /// `validate`: that is the field arming the per-step schedule checks.)
+    pub fn check(&self) -> Result<(), String> {
+        match (self.watchdog, self.checkpoint_every) {
+            (Some(0), _) => Err("watchdog must be at least 1 step (got 0)".into()),
+            (_, Some(0)) => Err("checkpoint_every must be at least 1 step (got 0)".into()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The environment rules [`Sim::try_build`] and [`Sim::restore`] share: the
+/// run's side `n` is the topology's and the fault plan's, and at most
+/// `MAX_SIDE`; `k ≥ 1`; and `config` passes [`SimConfig::check`]. Returns
+/// the fault plan with an empty one dropped, so that it is exactly no plan.
+/// An oversized side (no run could have one) is wrapped by `oversized`,
+/// every other refusal by `mismatch`.
+pub(crate) fn check_env<T: Topology, E>(
+    topo: &T,
+    n: u32,
+    k: u32,
+    config: &SimConfig,
+    faults: Option<CompiledFaults>,
+    (mismatch, oversized): (impl Fn(String) -> E, impl Fn(String) -> E),
+) -> Result<Option<CompiledFaults>, E> {
+    let (side, plan_side) = (topo.side(), faults.as_ref().map_or(n, CompiledFaults::n));
+    if (side, plan_side) != (n, n) {
+        return Err(mismatch(format!(
+            "sides differ: run {n}, topology {side}, fault plan {plan_side}"
+        )));
+    }
+    if n > MAX_SIDE {
+        return Err(oversized(format!(
+            "side {n} exceeds the engine's {MAX_SIDE}"
+        )));
+    }
+    if k == 0 {
+        return Err(mismatch("queue capacity k must be at least 1".into()));
+    }
+    config.check().map_err(mismatch)?;
+    Ok(faults.filter(|f| !f.is_empty()))
+}
+
 /// Why a run failed, with the network state at failure time.
 ///
 /// Every variant carries a [`DiagnosticSnapshot`]: stuck packet ids,
@@ -154,7 +200,8 @@ pub struct Sim<'t, T: Topology, R: Router> {
 }
 
 impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
-    /// Sets up a simulation of `problem` under `router` on `topo`.
+    /// Sets up a simulation of `problem` under `router` on `topo`; panics
+    /// on input [`Sim::try_build`] refuses.
     ///
     /// Static packets are placed in their origin queues immediately. If a
     /// node's origin queue cannot hold all its static packets (an h-h problem
@@ -171,7 +218,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         problem: &RoutingProblem,
         config: SimConfig,
     ) -> Self {
-        Self::with_faults_opt(topo, router, problem, config, None)
+        Self::try_build(topo, router, problem, config, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Sim::with_config`] plus a compiled fault plan. Faults apply from
@@ -184,28 +231,24 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         config: SimConfig,
         faults: CompiledFaults,
     ) -> Self {
-        Self::with_faults_opt(topo, router, problem, config, Some(faults))
+        Self::try_build(topo, router, problem, config, Some(faults))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn with_faults_opt(
+    /// The one constructor: refuses a problem that fails
+    /// [`RoutingProblem::validate`], and an environment that breaks a rule
+    /// it shares with [`Sim::restore`] (one side for topology, problem and
+    /// fault plan, within the engine's limit; `k ≥ 1`; [`SimConfig::check`]).
+    pub fn try_build(
         topo: &'t T,
         router: R,
         problem: &RoutingProblem,
         config: SimConfig,
         faults: Option<CompiledFaults>,
-    ) -> Self {
-        let n = topo.side();
-        assert_eq!(n, problem.n, "problem and topology sides differ");
-        assert!(
-            n <= MAX_SIDE,
-            "mesh side {n} exceeds the engine's {MAX_SIDE}"
-        );
-        let faults = faults.filter(|f| {
-            assert_eq!(f.n(), n, "fault plan and topology sides differ");
-            !f.is_empty()
-        });
-        let arch = router.queue_arch();
-        assert!(arch.k() >= 1, "queue capacity k must be at least 1");
+    ) -> Result<Self, String> {
+        problem.validate()?;
+        let (n, arch) = (problem.n, router.queue_arch());
+        let faults = check_env(topo, n, arch.k(), &config, faults, (|m| m, |m| m))?;
         let nodes = (n * n) as usize;
 
         let mut sim = Sim {
@@ -223,7 +266,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             bufs: StepBufs::default(),
         };
         phases::inject(&mut sim.step_ctx(0));
-        sim
+        Ok(sim)
     }
 
     /// Assembles the split-borrow phase context for step `t0`.
@@ -396,7 +439,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         );
         let n = self.grid.n();
         assert!(
-            src.x < n && src.y < n && dst.x < n && dst.y < n,
+            src.on_grid(n) && dst.on_grid(n),
             "spawn endpoints must lie on the {n}x{n} grid"
         );
         self.store.push(src, dst, inject_at)

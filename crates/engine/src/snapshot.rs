@@ -35,9 +35,9 @@ use crate::invariants;
 use crate::phases::{AdmissionPolicy, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
-use crate::sim::{Sim, SimConfig};
+use crate::sim::{check_env, Sim, SimConfig};
 use crate::steady::{self, SteadyConfig};
-use crate::storage::{Loc, NodeGrid, PacketStore, MAX_SIDE, STEP_LIMIT};
+use crate::storage::{Loc, NodeGrid, PacketStore, STEP_LIMIT};
 use crate::watchdog::Timers;
 use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
@@ -63,7 +63,8 @@ pub enum SnapshotError {
     /// The file declares a format version this build does not speak.
     UnknownVersion { found: u64, supported: u32 },
     /// The snapshot disagrees with the caller-supplied environment
-    /// (topology side, queue architecture, algorithm, fault plan).
+    /// (topology side, queue architecture, algorithm, fault plan), or the
+    /// caller's config fails [`SimConfig::check`].
     Mismatch(String),
     /// Not a state the engine could have produced: a field is missing or
     /// mistyped, an index or coordinate is out of range, or the rebuilt
@@ -314,9 +315,10 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// it left off. The caller re-supplies the topology, router, config,
     /// and fault plan — they must match what the snapshot was taken under
     /// (side, queue architecture, algorithm name, fault fingerprint), or a
-    /// [`SnapshotError::Mismatch`] is returned. Observer config
-    /// (checkpoint cadence, watchdog) may differ freely: none of it
-    /// affects simulated state.
+    /// [`SnapshotError::Mismatch`] is returned. The side, fault-plan, `k`
+    /// and config rules are the ones [`Sim::try_build`] applies. Observer
+    /// config (checkpoint cadence, watchdog) may differ freely within
+    /// [`SimConfig::check`]: none of it affects simulated state.
     ///
     /// Restoring never panics. A structural pass establishes what
     /// construction needs (lengths agree, indices and coordinates in
@@ -341,12 +343,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             });
         }
         let n = snap.n;
-        if topo.side() != n {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot is for side {n}, topology has side {}",
-                topo.side()
-            )));
-        }
+        let errors = (SnapshotError::Mismatch, SnapshotError::Corrupt);
+        let faults = check_env(topo, n, router.queue_arch().k(), &config, faults, errors)?;
         if router.queue_arch() != snap.arch {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot used queue architecture {:?}, router has {:?}",
@@ -361,15 +359,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 router.name()
             )));
         }
-        if let Some(f) = &faults {
-            if f.n() != n {
-                return Err(SnapshotError::Mismatch(format!(
-                    "fault plan is for side {}, snapshot for side {n}",
-                    f.n()
-                )));
-            }
-        }
-        let fp = FaultFingerprint::of(faults.as_ref().filter(|f| !f.is_empty()));
+        let fp = FaultFingerprint::of(faults.as_ref());
         if fp != snap.faults {
             return Err(SnapshotError::Mismatch(format!(
                 "fault plan fingerprint {fp:?} does not match the snapshot's {:?}",
@@ -380,11 +370,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot was taken under admission policy {:?}, restoring under {:?}",
                 snap.admission, config.admission
-            )));
-        }
-        if n > MAX_SIDE {
-            return Err(SnapshotError::Corrupt(format!(
-                "side {n} exceeds the engine's {MAX_SIDE}"
             )));
         }
         let nodes = (n * n) as usize;
@@ -435,7 +420,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             router,
             workload: snap.workload.clone(),
             config,
-            faults: faults.filter(|f| !f.is_empty()),
+            faults,
             store,
             grid,
             node_state,
@@ -485,12 +470,11 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
     if let Some(env) = &snap.steady {
         steady::check_snapshot(env, snap.protocol.as_ref())?;
     }
-    let off_grid = |c: &Coord| c.x >= snap.n || c.y >= snap.n;
-    if let Some(c) = p.src.iter().chain(&p.dst).find(|c| off_grid(c)) {
+    if let Some(c) = p.src.iter().chain(&p.dst).find(|c| !c.on_grid(snap.n)) {
         return Err(format!("endpoint {c} lies off the {0}x{0} grid", snap.n));
     }
     for (i, loc) in p.loc.iter().enumerate() {
-        if matches!(loc, Loc::At(c) if off_grid(c)) {
+        if matches!(loc, Loc::At(c) if !c.on_grid(snap.n)) {
             return Err(format!("packet {i} located off-grid: {loc:?}"));
         }
     }
@@ -680,7 +664,7 @@ pub(crate) fn maybe_checkpoint<T: Topology, R: Router, S: CheckpointSink>(
         return;
     };
     let step = sim.steps();
-    if step == 0 || !step.is_multiple_of(every.max(1)) {
+    if step == 0 || !step.is_multiple_of(every) {
         return;
     }
     let mut snap = sim.snapshot();

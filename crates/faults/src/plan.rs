@@ -273,7 +273,7 @@ impl FaultPlan {
             _ => Ok(()),
         };
         let check_node = |what: &'static str, node: Coord| {
-            if node.x >= self.n || node.y >= self.n {
+            if !node.on_grid(self.n) {
                 Err(FaultPlanError::OutOfBounds {
                     what,
                     node,
@@ -289,7 +289,7 @@ impl FaultPlan {
                 check_interval(what, lf.from, lf.until)?;
                 check_node(what, lf.link.from)?;
                 match lf.link.to() {
-                    Some(to) if to.x < self.n && to.y < self.n => {}
+                    Some(to) if to.on_grid(self.n) => {}
                     _ => {
                         return Err(FaultPlanError::OutOfBounds {
                             what,

@@ -34,11 +34,6 @@ impl DimOrder {
             first: Axis::Vertical,
         }
     }
-
-    /// The routing axis order.
-    pub fn first_axis(&self) -> Axis {
-        self.first
-    }
 }
 
 impl DxRouter for DimOrder {

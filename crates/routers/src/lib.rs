@@ -58,11 +58,6 @@ pub fn dim_order(k: u32) -> Dx<DimOrder> {
     Dx::new(DimOrder::new(k))
 }
 
-/// Column-first (YX) dimension order, central queue of size `k`.
-pub fn dim_order_yx(k: u32) -> Dx<DimOrder> {
-    Dx::new(DimOrder::yx(k))
-}
-
 /// The §2 alternating minimal-adaptive example, central queue of size `k`.
 pub fn alt_adaptive(k: u32) -> Dx<AltAdaptive> {
     Dx::new(AltAdaptive::new(k))

@@ -39,6 +39,13 @@ impl Coord {
     pub fn dy(self, other: Coord) -> u32 {
         self.y.abs_diff(other.y)
     }
+
+    /// True if this node lies on the side-`n` grid. Every on-grid check in
+    /// the workspace calls this one.
+    #[inline]
+    pub const fn on_grid(self, n: u32) -> bool {
+        self.x < n && self.y < n
+    }
 }
 
 impl core::fmt::Debug for Coord {

@@ -69,7 +69,7 @@ impl Link {
                 ALL_DIRS.into_iter().filter_map(move |dir| {
                     let l = Link::new(Coord::new(x, y), dir);
                     match l.to() {
-                        Some(t) if t.x < n && t.y < n => Some(l),
+                        Some(t) if t.on_grid(n) => Some(l),
                         _ => None,
                     }
                 })

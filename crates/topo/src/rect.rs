@@ -82,12 +82,6 @@ impl Rect {
         x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
     }
 
-    /// Membership test for a possibly-virtual `(x, y)` position.
-    #[inline]
-    pub const fn contains_xy(self, x: i64, y: i64) -> bool {
-        x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
-    }
-
     /// Intersection with another rectangle.
     #[inline]
     pub fn intersect(self, other: Rect) -> Rect {
@@ -121,13 +115,6 @@ impl Rect {
     #[inline]
     pub fn rows(self, y0: i64, y1: i64) -> Rect {
         self.intersect(Rect::new(self.x0, y0, self.x1, y1))
-    }
-
-    /// The vertical strip of this rectangle between columns `x0..=x1`
-    /// (absolute coordinates), clipped to the rectangle.
-    #[inline]
-    pub fn cols(self, x0: i64, x1: i64) -> Rect {
-        self.intersect(Rect::new(x0, self.y0, x1, self.y1))
     }
 }
 
@@ -196,8 +183,6 @@ mod tests {
         let tile = Rect::new(0, 0, 8, 8);
         let strip = tile.rows(3, 5);
         assert_eq!(strip, Rect::new(0, 3, 8, 5));
-        let col_strip = tile.cols(6, 8);
-        assert_eq!(col_strip, Rect::new(6, 0, 8, 8));
         // Strips are clipped to their parent.
         assert_eq!(tile.rows(-2, 100), tile);
     }

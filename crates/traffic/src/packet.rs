@@ -87,12 +87,6 @@ impl Packet {
             ..Packet::new(id, src, dst)
         }
     }
-
-    /// True if the packet starts at its own destination (trivially delivered).
-    #[inline]
-    pub fn is_trivial(&self) -> bool {
-        self.src == self.dst
-    }
 }
 
 #[cfg(test)]
@@ -105,10 +99,8 @@ mod tests {
         assert_eq!(p.id, PacketId(7));
         assert_eq!(p.inject_at, 0);
         assert_eq!(p.state, 0);
-        assert!(!p.is_trivial());
 
         let q = Packet::injected_at(8, Coord::new(5, 5), Coord::new(5, 5), 42);
         assert_eq!(q.inject_at, 42);
-        assert!(q.is_trivial());
     }
 }

@@ -31,6 +31,7 @@ pub struct RoutingProblem {
 
 impl RoutingProblem {
     /// Builds a problem from `(src, dst)` pairs, assigning dense ids.
+    /// Panics on a problem [`validate`](Self::validate) refuses.
     pub fn from_pairs(
         n: u32,
         label: impl Into<String>,
@@ -41,46 +42,61 @@ impl RoutingProblem {
             .enumerate()
             .map(|(i, (src, dst))| Packet::new(i as u32, src, dst))
             .collect();
-        let p = RoutingProblem {
+        RoutingProblem {
             n,
             packets,
             label: label.into(),
-        };
-        p.validate_coords();
-        p
+        }
+        .valid()
     }
 
-    /// Builds a problem from fully-specified packets (ids must be dense).
-    /// The generators grow `packets` by doubling; the capacity past its
-    /// length is released here, not carried for the problem's lifetime.
+    /// Builds a problem from fully-specified packets. Panics on a problem
+    /// [`validate`](Self::validate) refuses. The generators grow `packets`
+    /// by doubling; the capacity past its length is released here, not
+    /// carried for the problem's lifetime.
     pub fn from_packets(
         n: u32,
         label: impl Into<String>,
         mut packets: Vec<Packet>,
     ) -> RoutingProblem {
         packets.shrink_to_fit();
-        for (i, p) in packets.iter().enumerate() {
-            assert_eq!(p.id, PacketId(i as u32), "packet ids must be dense");
-        }
-        let p = RoutingProblem {
+        RoutingProblem {
             n,
             packets,
             label: label.into(),
-        };
-        p.validate_coords();
-        p
+        }
+        .valid()
     }
 
-    fn validate_coords(&self) {
-        for p in &self.packets {
-            assert!(
-                p.src.x < self.n && p.src.y < self.n && p.dst.x < self.n && p.dst.y < self.n,
-                "packet {:?} out of the {}x{} grid",
-                p,
-                self.n,
-                self.n
-            );
+    /// The rules of a problem the engine can run: side at least 1, dense
+    /// ids (`packets[i].id == i`), and both endpoints of every packet on
+    /// the grid. `Sim` construction, the §6 router and `mesh --problem` call
+    /// it before they build a grid. One pass; it allocates only for the error.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.n;
+        if n == 0 {
+            return Err("problem side must be at least 1".into());
         }
+        for (i, p) in self.packets.iter().enumerate() {
+            if p.id != PacketId(i as u32) {
+                return Err(format!(
+                    "packet ids must be dense: entry {i} has id {}",
+                    p.id.0
+                ));
+            }
+            if !(p.src.on_grid(n) && p.dst.on_grid(n)) {
+                return Err(format!(
+                    "packet {i} from {} to {} is out of the {n}x{n} grid",
+                    p.src, p.dst
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn valid(self) -> RoutingProblem {
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        self
     }
 
     /// Number of packets.
@@ -232,6 +248,21 @@ mod tests {
     fn rejects_non_dense_ids() {
         let pk = Packet::new(5, Coord::new(0, 0), Coord::new(1, 1));
         let _ = RoutingProblem::from_packets(2, "bad", vec![pk]);
+    }
+
+    /// What a problem read from a file can get wrong, refused as an error.
+    #[test]
+    fn validate_refuses_what_the_engine_cannot_run() {
+        let mut p = RoutingProblem::from_pairs(4, "one", [(Coord::new(0, 0), Coord::new(3, 3))]);
+        assert_eq!(p.validate(), Ok(()));
+        p.packets[0].src = Coord::new(9, 0);
+        assert!(p.validate().unwrap_err().contains("out of the 4x4 grid"));
+        p.packets[0].src = Coord::new(0, 0);
+        p.packets[0].id = PacketId(5);
+        assert!(p.validate().unwrap_err().contains("dense"));
+        p.packets[0].id = PacketId(0);
+        p.n = 0;
+        assert!(p.validate().unwrap_err().contains("at least 1"));
     }
 
     #[test]

@@ -104,22 +104,6 @@ pub fn tornado(n: u32) -> RoutingProblem {
     )
 }
 
-/// The perfect-shuffle permutation on the node index (requires `n` to be a
-/// power of two): the flattened node id's bits rotate left by one.
-pub fn shuffle(n: u32) -> RoutingProblem {
-    assert!(n.is_power_of_two(), "shuffle needs n to be a power of two");
-    let bits = 2 * n.trailing_zeros();
-    RoutingProblem::from_pairs(
-        n,
-        format!("shuffle(n={n})"),
-        all_coords(n).into_iter().map(move |c| {
-            let id = c.y * n + c.x;
-            let rot = ((id << 1) | (id >> (bits - 1))) & ((1 << bits) - 1);
-            (c, Coord::new(rot % n, rot / n))
-        }),
-    )
-}
-
 /// The cyclic rotation permutation `(x, y) → ((x+dx) mod n, (y+dy) mod n)`.
 pub fn rotation(n: u32, dx: u32, dy: u32) -> RoutingProblem {
     RoutingProblem::from_pairs(
@@ -257,25 +241,6 @@ pub fn open_bernoulli(n: u32, lambda: f64, horizon: u64, seed: u64) -> RoutingPr
     )
 }
 
-/// Open-system source from an explicit trace of `(src, dst, inject_at)`
-/// triples — recorded arrivals, replayed deterministically. Entries are
-/// sorted by injection step (stable for equal steps), so any recording
-/// order is accepted.
-pub fn from_trace(
-    n: u32,
-    label: impl Into<String>,
-    trace: impl IntoIterator<Item = (Coord, Coord, u64)>,
-) -> RoutingProblem {
-    let mut entries: Vec<(Coord, Coord, u64)> = trace.into_iter().collect();
-    entries.sort_by_key(|&(_, _, t)| t);
-    let packets = entries
-        .into_iter()
-        .enumerate()
-        .map(|(i, (src, dst, t))| Packet::injected_at(i as u32, src, dst, t))
-        .collect();
-    RoutingProblem::from_packets(n, label, packets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,18 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let p = shuffle(8);
-        assert!(p.is_permutation());
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn shuffle_rejects_odd() {
-        let _ = shuffle(6);
-    }
-
-    #[test]
     fn column_funnel_is_partial_permutation() {
         let p = column_funnel(8);
         assert!(p.is_partial_permutation());
@@ -449,23 +402,5 @@ mod tests {
         assert!(p.len() >= 16 * 10, "λ=1.5 must offer ≥ 1/node/step");
         assert!(p.packets.iter().all(|pk| pk.inject_at < 10));
         assert!(open_bernoulli(4, 0.0, 10, 1).is_empty());
-    }
-
-    #[test]
-    fn from_trace_sorts_by_injection_step() {
-        let p = from_trace(
-            4,
-            "trace-test",
-            vec![
-                (Coord::new(0, 0), Coord::new(3, 3), 7),
-                (Coord::new(1, 1), Coord::new(2, 2), 2),
-                (Coord::new(3, 0), Coord::new(0, 3), 2),
-            ],
-        );
-        assert_eq!(p.len(), 3);
-        let at: Vec<u64> = p.packets.iter().map(|pk| pk.inject_at).collect();
-        assert_eq!(at, vec![2, 2, 7]);
-        // Stable: equal steps keep trace order.
-        assert_eq!(p.packets[0].src, Coord::new(1, 1));
     }
 }

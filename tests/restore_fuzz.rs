@@ -1,9 +1,10 @@
-//! Byte-mutation fuzz loop over the two readers that take files from
-//! outside the program: `Snapshot::from_json` → `Sim::restore`, and a
-//! serialized `FaultPlan` → `try_compile`. A seeded LCG flips, deletes and
-//! duplicates bytes of a valid file; every outcome must be `Ok` (and a
-//! restored simulation must then step without panicking) or a typed error
-//! — never a panic.
+//! Byte-mutation fuzz loop over the three readers that take files from
+//! outside the program: `Snapshot::from_json` → `Sim::restore`, a
+//! serialized `FaultPlan` → `try_compile`, and a serialized
+//! `RoutingProblem` → `Sim::try_build` and `Section6Router::try_route`. A
+//! seeded LCG flips, deletes and duplicates bytes of a valid file; every
+//! outcome must be `Ok` (and a restored or built simulation must then run
+//! without panicking) or a typed error — never a panic.
 
 use mesh_routing::engine::{Snapshot, SnapshotError};
 use mesh_routing::prelude::*;
@@ -88,6 +89,52 @@ where
 fn mutated_snapshots_restore_or_fail_typed_never_panic() {
     fuzz_restore(|| Dx::new(DimOrder::new(2)), 1);
     fuzz_restore(|| Dx::new(Theorem15::new(2)), 2);
+}
+
+#[test]
+fn mutated_problems_route_or_are_refused_never_panic() {
+    let valid = serde_json::to_string(&workloads::random_permutation(9, 1)).unwrap();
+    let topo = Mesh::new(9);
+    // A problem read from a file goes to the engine (on the side-9 mesh the
+    // caller supplies) and to the §6 router. `Ok` is a run to its cap.
+    let route = |text: &str| -> [Result<(), String>; 2] {
+        let Ok(pb) = serde_json::from_str::<RoutingProblem>(text) else {
+            return [Err("parse".into()), Err("parse".into())];
+        };
+        let theorem15 = Dx::new(Theorem15::new(2));
+        let engine = Sim::try_build(&topo, theorem15, &pb, SimConfig::default(), None)
+            .map(|mut sim| drop(sim.run(400)));
+        let section6 = Section6Router::new().try_route(&pb).map(drop);
+        [engine, section6.map_err(|e| e.to_string())]
+    };
+    assert_eq!(
+        route(&valid),
+        [Ok(()), Ok(())],
+        "the unmutated problem routes"
+    );
+    let mut rng = 11;
+    let (mut routed, mut refused) = (0, 0);
+    for i in 0..MUTATIONS {
+        let Some(text) = mutate(&valid, &mut rng) else {
+            continue;
+        };
+        match catch_unwind(AssertUnwindSafe(|| route(&text))) {
+            Ok(outcomes) => {
+                for outcome in outcomes {
+                    match outcome {
+                        Ok(()) => routed += 1,
+                        Err(_) => refused += 1,
+                    }
+                }
+            }
+            Err(_) => panic!("mutation {i} panicked; input:\n{text}"),
+        }
+    }
+    println!("{routed} runs of mutated problems went to their cap, {refused} were refused");
+    assert!(
+        routed > 0 && refused > 0,
+        "the loop must reach both outcomes"
+    );
 }
 
 #[test]
