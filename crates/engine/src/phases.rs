@@ -103,8 +103,8 @@ pub enum AdmissionPolicy {
 }
 
 impl serde::Serialize for AdmissionPolicy {
-    fn serialize(&self) -> serde::Value {
-        match self {
+    fn serialize_into<S: serde::Sink>(&self, out: &mut S) {
+        let v = match self {
             AdmissionPolicy::DeferIndefinitely => serde::Value::String("DeferIndefinitely".into()),
             AdmissionPolicy::RejectNew => serde::Value::String("RejectNew".into()),
             AdmissionPolicy::DropOldestDeferred { max_deferred } => serde::Value::Object(vec![(
@@ -114,13 +114,14 @@ impl serde::Serialize for AdmissionPolicy {
             AdmissionPolicy::DeadlineExpiry { ttl } => {
                 serde::Value::Object(vec![("DeadlineExpiry".into(), serde::Value::U64(*ttl))])
             }
-        }
+        };
+        v.serialize_into(out)
     }
 }
 
 impl serde::Deserialize for AdmissionPolicy {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
+    fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        match serde::Deserialize::deserialize_from(src)? {
             serde::Value::String(s) => match s.as_str() {
                 "DeferIndefinitely" => Ok(AdmissionPolicy::DeferIndefinitely),
                 "RejectNew" => Ok(AdmissionPolicy::RejectNew),

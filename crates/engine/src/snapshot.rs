@@ -43,6 +43,7 @@ use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
 use serde::{Deserialize, Serialize, Value};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The snapshot format version this build writes, and the only one it
@@ -225,17 +226,19 @@ impl Snapshot {
         s
     }
 
-    /// Parses a snapshot, checking the format version before any other
-    /// field so truncated or future-format files fail with a typed error.
+    /// Parses a snapshot in three passes over the text, none of which
+    /// builds a `Value` tree: a syntax check that allocates nothing (any
+    /// failure is [`SnapshotError::Parse`]), then `format_version` alone
+    /// ([`SnapshotError::UnknownVersion`] unless it is this build's), then
+    /// the typed read ([`SnapshotError::Corrupt`]). So a truncated or
+    /// future-format file never reaches the typed read.
     pub fn from_json(text: &str) -> Result<Snapshot, SnapshotError> {
-        let v: Value =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        let ver = v
-            .field("format_version")
-            .map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        let found = match *ver {
+        let parse = |e: serde::Error| SnapshotError::Parse(e.to_string());
+        serde_json::from_str::<serde::IgnoredAny>(text).map_err(parse)?;
+        let header: Header = serde_json::from_str(text).map_err(parse)?;
+        let found = match header.format_version {
             Value::U64(x) => x,
-            ref other => {
+            other => {
                 return Err(SnapshotError::Parse(format!(
                     "format_version must be an integer, found {}",
                     other.kind()
@@ -248,17 +251,35 @@ impl Snapshot {
                 supported: SNAPSHOT_FORMAT_VERSION,
             });
         }
-        Snapshot::deserialize(&v).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+        serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt(e.to_string()))
     }
 
-    /// Writes the snapshot to `path` atomically (temp file + rename), so
-    /// a crash mid-write never leaves a truncated checkpoint behind.
+    /// Writes the snapshot to `path` atomically and durably: the text goes
+    /// to a temp file beside it, which is synced to disk and then renamed
+    /// over `path`, and the rename is synced through the directory. A crash
+    /// of the process or of the OS therefore leaves at `path` either the
+    /// complete new checkpoint or whatever was there before, never a
+    /// truncated or empty one; once this returns `Ok`, the new checkpoint
+    /// survives an OS crash too.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| SnapshotError::Io(format!("write {}: {e}", tmp.display())))?;
+        let io = |e: std::io::Error| SnapshotError::Io(format!("write {}: {e}", tmp.display()));
+        let mut file = std::fs::File::create(&tmp).map_err(io)?;
+        file.write_all(self.to_json().as_bytes()).map_err(io)?;
+        file.sync_all().map_err(io)?;
+        drop(file);
         std::fs::rename(&tmp, path)
             .map_err(|e| SnapshotError::Io(format!("rename to {}: {e}", path.display())))?;
+        // A directory is synced through a handle opened on it, which Unix
+        // allows and Windows does not.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            let dir = dir.unwrap_or(Path::new("."));
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| SnapshotError::Io(format!("sync {}: {e}", dir.display())))?;
+        }
         Ok(())
     }
 
@@ -268,6 +289,13 @@ impl Snapshot {
             .map_err(|e| SnapshotError::Io(format!("read {}: {e}", path.display())))?;
         Snapshot::from_json(&text)
     }
+}
+
+/// The one field [`Snapshot::from_json`] reads before trusting the rest
+/// of the layout; every other key is skipped.
+#[derive(Deserialize)]
+struct Header {
+    format_version: Value,
 }
 
 impl<'t, T: Topology, R: Router> Sim<'t, T, R> {

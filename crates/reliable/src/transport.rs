@@ -114,14 +114,14 @@ struct TransportState {
 struct JitterRng(StdRng);
 
 impl Serialize for JitterRng {
-    fn serialize(&self) -> serde::Value {
-        self.0.state().serialize()
+    fn serialize_into<S: serde::Sink>(&self, out: &mut S) {
+        self.0.state().serialize_into(out)
     }
 }
 
 impl Deserialize for JitterRng {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Deserialize::deserialize(v).map(|state| JitterRng(StdRng::from_state(state)))
+    fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        Deserialize::deserialize_from(src).map(|state| JitterRng(StdRng::from_state(state)))
     }
 }
 
@@ -132,16 +132,16 @@ impl Deserialize for JitterRng {
 struct SeenSet(HashSet<(u32, u32)>);
 
 impl Serialize for SeenSet {
-    fn serialize(&self) -> serde::Value {
+    fn serialize_into<S: serde::Sink>(&self, out: &mut S) {
         let mut seen: Vec<(u32, u32)> = self.0.iter().copied().collect();
         seen.sort_unstable();
-        seen.serialize()
+        seen.serialize_into(out)
     }
 }
 
 impl Deserialize for SeenSet {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::deserialize(v).map(|seen| SeenSet(seen.into_iter().collect()))
+    fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        Vec::deserialize_from(src).map(|seen| SeenSet(seen.into_iter().collect()))
     }
 }
 

@@ -63,7 +63,8 @@ pub struct RoundRobin {
 /// Checked where it enters: `next` indexes the four inlink sides, and a
 /// snapshot naming a fifth must not reach [`RoundRobin::rank`].
 impl serde::Deserialize for RoundRobin {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        let v: serde::Value = serde::Deserialize::deserialize_from(src)?;
         match serde::Deserialize::deserialize(v.field("next")?)? {
             next @ 0..=3u8 => Ok(RoundRobin { next }),
             next => Err(serde::Error::custom(format!(

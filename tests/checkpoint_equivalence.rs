@@ -388,6 +388,23 @@ fn malformed_snapshot_files_are_typed_errors() {
             "a body without `{field}` must be Corrupt"
         );
     }
+    // Keys read as `Value::field` reads them: the first of duplicate keys
+    // wins, and an unknown key is skipped.
+    let text = snap.to_json();
+    let step = format!("\"step\": {},", snap.step);
+    let duplicated = text.replacen(&step, &format!("{step}\n  \"step\": 99999,"), 1);
+    assert_ne!(duplicated, text);
+    let loaded = Snapshot::from_json(&duplicated).expect("a duplicated key loads");
+    assert_eq!(loaded.step, snap.step, "the first `step` must win");
+    assert!(loaded.to_json() == text);
+    let extra = text.replacen(
+        &step,
+        &format!("{step}\n  \"note\": {{\"step\": [1, \"x\"]}},"),
+        1,
+    );
+    assert_ne!(extra, text);
+    let loaded = Snapshot::from_json(&extra).expect("an unknown key is ignored");
+    assert!(loaded.to_json() == text);
 }
 
 /// What `from_json` reads is what `to_json` wrote: an n=32 snapshot parses
