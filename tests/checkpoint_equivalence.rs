@@ -4,8 +4,12 @@
 //! delivery/loss streams, same packet trajectories, same rendered
 //! reports, same watchdog verdicts. Checkpointing is an observer, never a
 //! semantics change; and a malformed or mismatched snapshot is a typed
-//! error, never a panic or a silently wrong resumption.
+//! error, never a panic or a silently wrong resumption. The bytes of one
+//! checkpoint per kind of opaque state are recorded through
+//! `tests/support/record.rs`.
 
+#[path = "support/record.rs"]
+mod record;
 mod support;
 
 use mesh_routing::engine::snapshot::CheckpointSink;
@@ -14,6 +18,7 @@ use mesh_routing::engine::{
 };
 use mesh_routing::prelude::*;
 use proptest::prelude::*;
+use record::{Digest, Entry};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -820,4 +825,107 @@ fn directory_sink_persists_checkpoints_and_failure_diagnostics() {
         serde_json::to_string(&resumed.report()).unwrap(),
         serde_json::to_string(&reference.report()).unwrap()
     );
+}
+
+/// One checkpoint of each kind of state a snapshot carries opaquely: null
+/// and round-robin node states, the steady measurement state of two
+/// admission policies (float frames mid-window), and ARQ transport state
+/// over lossy links.
+fn recorded_checkpoints() -> Vec<(&'static str, Snapshot)> {
+    vec![
+        ("theorem15-k2", twelve_steps_in(Dx::new(Theorem15::new(2)))),
+        ("dimorder-k2", twelve_steps_in(Dx::new(DimOrder::new(2)))),
+        (
+            "steady-deadline",
+            steady_checkpoint(AdmissionPolicy::DeadlineExpiry { ttl: 24 }, 40),
+        ),
+        (
+            "steady-drop-oldest",
+            steady_checkpoint(AdmissionPolicy::DropOldestDeferred { max_deferred: 2 }, 60),
+        ),
+        ("transport-lossy", transport_checkpoint()),
+    ]
+}
+
+/// A 16x16 permutation under `router`, twelve steps in.
+fn twelve_steps_in<R: Router>(router: R) -> Snapshot
+where
+    R::NodeState: Serialize,
+{
+    let topo = Mesh::new(16);
+    let pb = workloads::random_permutation(16, 3);
+    let mut sim = Sim::new(&topo, router, &pb);
+    for _ in 0..12 {
+        sim.step();
+    }
+    sim.snapshot()
+}
+
+/// An overloaded 8x8 soak under `admission`, checkpointed every 20 steps:
+/// the checkpoint at `step`. Step 40 lies inside the second window, with
+/// one frame closed.
+fn steady_checkpoint(admission: AdmissionPolicy, step: u64) -> Snapshot {
+    let n = 8;
+    let topo = Mesh::new(n);
+    let schedule = SteadyConfig {
+        warmup: 16,
+        window: 16,
+        windows: 4,
+    };
+    let pb = workloads::open_bernoulli(n, 0.4, schedule.horizon(), 17);
+    let config = SimConfig {
+        admission,
+        checkpoint_every: Some(20),
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::with_config(&topo, Dx::new(DimOrder::new(2)), &pb, config);
+    let mut sink = MemorySink::default();
+    sim.run_steady_checkpointed(schedule, 0.4, None, &mut sink, None)
+        .expect("the soak runs its schedule");
+    let snap = sink.checkpoints.into_iter().find(|s| s.step == step);
+    snap.expect("a checkpoint at the requested step")
+}
+
+/// A reliable-transport run through transient lossy outages on 8x8,
+/// checkpointed every 8 steps: its second checkpoint.
+fn transport_checkpoint() -> Snapshot {
+    let n = 8;
+    let topo = Mesh::new(n);
+    let pb = workloads::random_permutation(n, 5);
+    let faults = FaultPlan::random_outages(n, 0.12, 6 * n as u64, 21).compile();
+    assert!(faults.has_losses());
+    let config = SimConfig {
+        watchdog: Some(512),
+        checkpoint_every: Some(8),
+        ..SimConfig::default()
+    };
+    let router = FaultAware::new(Dx::new(Theorem15::new(2)), Arc::new(faults.clone()));
+    let mut sim = Sim::with_faults(&topo, router, &pb, config, faults);
+    let mut tp = Transport::new(&pb, BackoffPolicy::exponential(16, 128, 8), 5);
+    let mut sink = MemorySink::default();
+    sim.run_with_protocol_checkpointed(20_000, &mut tp, &mut sink)
+        .expect("the transport delivers everything");
+    sink.checkpoints.swap_remove(1)
+}
+
+/// Checkpoint bytes are recorded: each case of [`recorded_checkpoints`]
+/// files the length and digest of its `to_json` text
+/// (`tests/fixtures/checkpoint_equivalence.txt`), and the text reads back
+/// to itself.
+#[test]
+fn checkpoint_bytes_match_recording() {
+    let cases = recorded_checkpoints();
+    for (name, snap) in &cases {
+        let text = snap.to_json();
+        let back = Snapshot::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            back.to_json() == text,
+            "{name} does not read back to itself"
+        );
+        let entry = Entry::new(name)
+            .with("step", snap.step)
+            .with("bytes", text.len())
+            .with("json", Digest::of(&text).hex());
+        record::check(cases.len(), entry).unwrap_or_else(|e| panic!("{e}"));
+    }
 }

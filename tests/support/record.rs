@@ -1,6 +1,7 @@
 //! The one recording harness. `golden_run`, `section6_golden`,
-//! `packed_equivalence` and `mesh-adversary`'s `construction` include this
-//! file with `#[path]`; it is the only place a run is recorded or compared.
+//! `packed_equivalence`, `checkpoint_equivalence` and `mesh-adversary`'s
+//! `construction` include this file with `#[path]`; it is the only place a
+//! run is recorded or compared.
 //!
 //! - [`Digest`] is 64-bit FNV-1a, over a case's inputs or what its run showed.
 //! - [`Fold`] is the step-stream fold. Per step it folds the done flag, the
@@ -20,11 +21,12 @@
 //! `GOLDEN_RECORD=1` writes the section of every test that runs instead of
 //! checking it, so nothing checks what it writes: record only an intended
 //! change, in a commit that changes nothing else. One command records all
-//! four batteries:
+//! five batteries:
 //!
 //! ```sh
 //! GOLDEN_RECORD=1 cargo test --release -p mesh-routing -p mesh-adversary \
-//!     --test golden_run --test section6_golden --test packed_equivalence --test construction
+//!     --test golden_run --test section6_golden --test packed_equivalence \
+//!     --test checkpoint_equivalence --test construction
 //! ```
 #![allow(dead_code)] // each battery uses part of the harness
 
