@@ -596,8 +596,14 @@ fn cmd_route(args: &Args) {
             println!("{}", sim.congestion_map().ascii());
         }
     }, section6 => {
-        let out = mesh_routing::try_route_with_cap(algo, &pb, cap)
-            .unwrap_or_else(|e| usage_error(&e.to_string()));
+        // A problem file the §6 router refuses is the file's fault; a
+        // generated problem it refuses, the flags'.
+        let out = mesh_routing::try_route_with_cap(algo, &pb, cap).unwrap_or_else(|e| {
+            match args.flags.get("problem") {
+                Some(path) => fail(&format!("cannot route {path}: {e}")),
+                None => usage_error(&e),
+            }
+        });
         print_route(args, &out);
         if stats {
             eprintln!("(--latency/--heatmap are engine-router features)");

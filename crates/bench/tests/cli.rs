@@ -169,7 +169,8 @@ fn problem_file(name: &str, n: u32, id: u32, src: (u32, u32), dst: (u32, u32)) -
 /// A problem the engine cannot run is refused by `RoutingProblem::validate`
 /// before any grid is built: one line naming the file, exit 1. Without it an
 /// off-grid endpoint panics, or (a source, in release) routes to a wrong
-/// answer; side 0 panics; sparse ids are routed as if dense.
+/// answer; side 0 panics; sparse ids are routed as if dense. The §6 router
+/// refuses a side past its limit the same way.
 #[test]
 fn mesh_refuses_problems_the_engine_cannot_run() {
     let engine = ["theorem15", "dim-order"];
@@ -193,6 +194,12 @@ fn mesh_refuses_problems_the_engine_cannot_run() {
         ),
         (
             problem_file("s6_src", 9, 0, (14, 0), (1, 1)),
+            &["section6"][..],
+        ),
+        // A valid problem on a side past `section6::MAX_SIDE`, whose node
+        // count overflows a u32.
+        (
+            problem_file("s6_huge_side", 177_147, 0, (0, 0), (1, 1)),
             &["section6"][..],
         ),
     ];

@@ -7,7 +7,8 @@ use mesh_engine::{
 };
 use mesh_topo::Mesh;
 use mesh_traffic::RoutingProblem;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::RawValue;
 use std::path::{Path, PathBuf};
 
 /// The algorithms of the paper (and this reproduction).
@@ -340,7 +341,7 @@ fn drive_steady<R: Router>(
     algorithm: Algorithm,
     mut sim: Sim<'_, Mesh, R>,
     env: SteadySnap,
-    state: Option<&Value>,
+    state: Option<&RawValue>,
     sink_dir: Option<&Path>,
     halt_at: Option<u64>,
 ) -> Result<SteadyRun, String>

@@ -91,10 +91,17 @@ impl Section6Report {
     }
 }
 
+/// The largest side the §6 router runs, 3⁷: the largest any run has used.
+/// Its tables hold a counter per node, so a side past this, which a problem
+/// file may claim for one packet, is refused before they are sized (at
+/// 3¹¹ the node count overflows a `u32`).
+pub const MAX_SIDE: u32 = 2187;
+
 /// Why a problem cannot be routed by the §6 algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Section6Error {
-    /// The problem fails [`RoutingProblem::validate`]; the message says how.
+    /// The problem fails [`RoutingProblem::validate`], or its side exceeds
+    /// [`MAX_SIDE`]; the message says how.
     InvalidProblem(String),
     /// The mesh side is not a power of 3 (the paper's simplifying
     /// assumption, which the tilings rely on).
@@ -155,6 +162,11 @@ impl Section6Router {
     pub fn try_route(&self, problem: &RoutingProblem) -> Result<Section6Report, Section6Error> {
         problem.validate().map_err(Section6Error::InvalidProblem)?;
         let n = problem.n;
+        if n > MAX_SIDE {
+            return Err(Section6Error::InvalidProblem(format!(
+                "side {n} exceeds {MAX_SIDE}, the largest the §6 router runs"
+            )));
+        }
         if !is_power_of_3(n) {
             return Err(Section6Error::NotPowerOfThree { n });
         }
@@ -337,6 +349,16 @@ mod tests {
         let err = router.try_route(&pb).unwrap_err();
         assert!(matches!(err, Section6Error::InvalidProblem(_)), "{err}");
         assert!(err.to_string().contains("out of the 9x9 grid"), "{err}");
+
+        // A side past the limit is refused before any table is sized; at
+        // 3^11 the node count overflows a u32.
+        for n in [MAX_SIDE + 1, 177_147] {
+            let far = mesh_topo::Coord::new(n - 1, n - 1);
+            let pb = RoutingProblem::from_pairs(n, "one", [(far, far)]);
+            let err = router.try_route(&pb).unwrap_err();
+            assert!(matches!(err, Section6Error::InvalidProblem(_)), "{err}");
+            assert!(err.to_string().contains("exceeds 2187"), "{err}");
+        }
     }
 
     #[test]

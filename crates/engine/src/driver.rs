@@ -16,7 +16,7 @@ use crate::sim::{Sim, SimError};
 use crate::snapshot::{self, CheckpointSink, SteadySnap};
 use crate::watchdog::{self, WatchdogMode};
 use mesh_topo::Topology;
-use serde::Value;
+use serde_json::RawValue;
 
 /// The observer's judgement of one executed step.
 pub(crate) enum Verdict {
@@ -101,7 +101,7 @@ pub(crate) fn run_checkpointed<T, R, O, S>(
     max_steps: u64,
     obs: &mut O,
     sink: &mut S,
-    slots: impl Fn(&O) -> (Option<SteadySnap>, Option<Value>),
+    slots: impl Fn(&O) -> (Option<SteadySnap>, Option<RawValue>),
 ) -> Result<u64, SimError>
 where
     T: Topology,

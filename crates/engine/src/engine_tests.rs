@@ -1389,12 +1389,12 @@ mod steady_tests {
     }
 
     impl SnapshotHook for Passive {
-        fn snapshot_state(&self) -> serde::Value {
-            serde::Value::U64(self.outstanding as u64)
+        fn snapshot_state(&self) -> serde_json::RawValue {
+            serde_json::to_raw_value(&self.outstanding).unwrap()
         }
 
-        fn restore_state(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-            self.outstanding = serde::Deserialize::deserialize(v)?;
+        fn restore_state(&mut self, v: &serde_json::RawValue) -> Result<(), serde::Error> {
+            self.outstanding = serde_json::from_str(v.get())?;
             Ok(())
         }
     }

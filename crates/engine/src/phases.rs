@@ -104,43 +104,55 @@ pub enum AdmissionPolicy {
 
 impl serde::Serialize for AdmissionPolicy {
     fn serialize_into<S: serde::Sink>(&self, out: &mut S) {
-        let v = match self {
-            AdmissionPolicy::DeferIndefinitely => serde::Value::String("DeferIndefinitely".into()),
-            AdmissionPolicy::RejectNew => serde::Value::String("RejectNew".into()),
-            AdmissionPolicy::DropOldestDeferred { max_deferred } => serde::Value::Object(vec![(
-                "DropOldestDeferred".into(),
-                serde::Value::U64(*max_deferred as u64),
-            )]),
-            AdmissionPolicy::DeadlineExpiry { ttl } => {
-                serde::Value::Object(vec![("DeadlineExpiry".into(), serde::Value::U64(*ttl))])
+        let (name, value) = match *self {
+            AdmissionPolicy::DeferIndefinitely => return out.str("DeferIndefinitely"),
+            AdmissionPolicy::RejectNew => return out.str("RejectNew"),
+            AdmissionPolicy::DropOldestDeferred { max_deferred } => {
+                ("DropOldestDeferred", max_deferred as u64)
             }
+            AdmissionPolicy::DeadlineExpiry { ttl } => ("DeadlineExpiry", ttl),
         };
-        v.serialize_into(out)
+        out.begin_object();
+        out.key(name);
+        out.u64(value);
+        out.end_object();
     }
 }
 
 impl serde::Deserialize for AdmissionPolicy {
     fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
-        match serde::Deserialize::deserialize_from(src)? {
-            serde::Value::String(s) => match s.as_str() {
+        let unknown =
+            |name: &str| serde::Error::custom(format!("unknown admission policy '{name}'"));
+        let malformed = || serde::Error::custom("malformed admission policy");
+        match src.peek()? {
+            serde::Kind::String => match &*src.string()? {
                 "DeferIndefinitely" => Ok(AdmissionPolicy::DeferIndefinitely),
                 "RejectNew" => Ok(AdmissionPolicy::RejectNew),
-                other => Err(serde::Error::custom(format!(
-                    "unknown admission policy '{other}'"
-                ))),
+                other => Err(unknown(other)),
             },
-            serde::Value::Object(pairs) if pairs.len() == 1 => match pairs[0].0.as_str() {
-                "DropOldestDeferred" => Ok(AdmissionPolicy::DropOldestDeferred {
-                    max_deferred: serde::Deserialize::deserialize(&pairs[0].1)?,
-                }),
-                "DeadlineExpiry" => Ok(AdmissionPolicy::DeadlineExpiry {
-                    ttl: serde::Deserialize::deserialize(&pairs[0].1)?,
-                }),
-                other => Err(serde::Error::custom(format!(
-                    "unknown admission policy '{other}'"
-                ))),
-            },
-            _ => Err(serde::Error::custom("malformed admission policy")),
+            serde::Kind::Object => {
+                src.begin_object()?;
+                let drop_oldest = match src.next_key()?.as_deref() {
+                    Some("DropOldestDeferred") => true,
+                    Some("DeadlineExpiry") => false,
+                    Some(other) => return Err(unknown(other)),
+                    None => return Err(malformed()),
+                };
+                let policy = if drop_oldest {
+                    AdmissionPolicy::DropOldestDeferred {
+                        max_deferred: serde::Deserialize::deserialize_from(src)?,
+                    }
+                } else {
+                    AdmissionPolicy::DeadlineExpiry {
+                        ttl: serde::Deserialize::deserialize_from(src)?,
+                    }
+                };
+                match src.next_key()? {
+                    None => Ok(policy),
+                    Some(_) => Err(malformed()),
+                }
+            }
+            _ => Err(malformed()),
         }
     }
 }
@@ -207,7 +219,6 @@ pub(crate) struct StepCtx<'a, 't, T: Topology, R: Router> {
     pub(crate) t0: u64,
     pub(crate) topo: &'t T,
     pub(crate) router: &'a R,
-    pub(crate) validate: bool,
     pub(crate) admission: AdmissionPolicy,
     pub(crate) faults: Option<&'a CompiledFaults>,
     pub(crate) store: &'a mut PacketStore,
@@ -395,7 +406,7 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
 /// schedules at most one packet per outlink; its moves go onto
 /// `bufs.schedule` in [`ALL_DIRS`] order.
 fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
-    let (t0, topo, router, validate) = (ctx.t0, ctx.topo, ctx.router, ctx.validate);
+    let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
     let (store, grid) = (&*ctx.store, &*ctx.grid);
     let StepBufs {
         schedule, masks, ..
@@ -433,22 +444,20 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     let cold = FullResidents::new(store, grid, ni);
     router.outqueue(t0, node, &mut ctx.node_state[ni], masks, &cold, &mut out);
     let len = masks.len();
-    if validate {
-        #[allow(clippy::needless_range_loop)]
-        for a in 0..4 {
-            if let Some(i) = out[a] {
+    #[allow(clippy::needless_range_loop)]
+    for a in 0..4 {
+        if let Some(i) = out[a] {
+            assert!(
+                i < len,
+                "{}: outqueue index out of range at {node} step {t0}",
+                router.name()
+            );
+            for b in (a + 1)..4 {
                 assert!(
-                    i < len,
-                    "{}: outqueue index out of range at {node} step {t0}",
+                    out[b] != Some(i),
+                    "{}: packet scheduled on two outlinks at {node} step {t0}",
                     router.name()
                 );
-                for b in (a + 1)..4 {
-                    assert!(
-                        out[b] != Some(i),
-                        "{}: packet scheduled on two outlinks at {node} step {t0}",
-                        router.name()
-                    );
-                }
             }
         }
     }
@@ -463,7 +472,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
                     router.name()
                 )
             });
-            if validate && router.is_minimal() {
+            if router.is_minimal() {
                 // Checked against the store's own mask, not `masks`: the
                 // router was handed that slice mutably.
                 let profitable = store.profitable(topo, pkt);
@@ -485,7 +494,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
 
 /// §2 (a): every loaded, unstalled node's outqueue policy schedules at
 /// most one packet per outlink. Fills `bufs.schedule` in deterministic
-/// node-then-direction order; validation panics on malformed schedules.
+/// node-then-direction order; a malformed schedule panics.
 pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     ctx.bufs.schedule.clear();
     ctx.bufs.lost_moves.clear();
@@ -762,14 +771,12 @@ pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
             let len = lens[slot];
             let kind = grid.slot_kind(slot);
             if let Some(cap) = grid.arch().capacity(kind) {
-                if ctx.validate {
-                    assert!(
-                        len <= cap,
-                        "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
-                        ctx.router.name(),
-                        grid.coord_of(ni)
-                    );
-                }
+                assert!(
+                    len <= cap,
+                    "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
+                    ctx.router.name(),
+                    grid.coord_of(ni)
+                );
                 max_bounded = max_bounded.max(len);
             }
         }

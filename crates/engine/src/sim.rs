@@ -30,9 +30,11 @@ pub use crate::storage::Loc;
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Validate every schedule (one packet per outlink, profitable moves for
-    /// minimal routers) and every queue capacity at each step. Violations
-    /// panic — they are router implementation bugs, not runtime conditions.
+    /// Inert, like `tiles`: every step checks its schedule (one packet per
+    /// outlink, profitable moves for minimal routers) and every queue
+    /// capacity, and a violation panics — it is a router bug, not a runtime
+    /// condition. Kept until `benchmark/` stops naming it.
+    #[doc(hidden)]
     pub validate: bool,
     /// No-progress watchdog window, in steps. When set, [`Sim::run_with_hook`]
     /// returns [`SimError::Deadlock`] after `w` consecutive steps with no
@@ -86,7 +88,7 @@ impl SimConfig {
     /// The config's own rule: a watchdog window and a checkpoint cadence,
     /// when set, are at least one step. [`Sim::try_build`] and
     /// [`Sim::restore`] refuse a config that breaks it. (Not named
-    /// `validate`: that is the field arming the per-step schedule checks.)
+    /// `validate`: an inert field has that name.)
     pub fn check(&self) -> Result<(), String> {
         match (self.watchdog, self.checkpoint_every) {
             (Some(0), _) => Err("watchdog must be at least 1 step (got 0)".into()),
@@ -275,7 +277,6 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             t0,
             topo: self.topo,
             router: &self.router,
-            validate: self.config.validate,
             admission: self.config.admission,
             faults: self.faults.as_ref(),
             store: &mut self.store,
@@ -691,9 +692,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// occupancy index, back-references, staging, active worklist): the
     /// rules are `invariants::check_queues`, shared with [`Sim::restore`].
     ///
-    /// The audit phase enforces the capacity bound each step when
-    /// [`SimConfig::validate`] is on; this accessor lets tests check the
-    /// full set *between* steps.
+    /// The audit phase enforces the capacity bound every step; this accessor
+    /// lets tests check the full set *between* steps.
     pub fn assert_queue_invariants(&self) {
         if let Err(e) = invariants::check_queues(&self.store, &self.grid, &self.progress) {
             panic!(

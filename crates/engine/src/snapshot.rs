@@ -43,6 +43,7 @@ use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
 use serde::{Deserialize, Serialize, Value};
+use serde_json::RawValue;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -210,12 +211,13 @@ pub struct Snapshot {
     pub packets: PacketsSnap,
     pub grid: GridSnap,
     pub events: EventsSnap,
-    /// Per-node router state, serialized through the router's own
-    /// `NodeState: Serialize` impl.
-    pub node_state: Vec<Value>,
+    /// Per-node router state: one array, node-major, rendered through the
+    /// router's own `NodeState: Serialize` impl and read back by its
+    /// `Deserialize` impl in [`Sim::restore`].
+    pub node_state: RawValue,
     /// Opaque protocol-layer state ([`SnapshotHook::snapshot_state`]),
     /// present when the checkpoint was taken under a protocol run.
-    pub protocol: Option<Value>,
+    pub protocol: Option<RawValue>,
 }
 
 impl Snapshot {
@@ -334,7 +336,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 peak_load: self.grid.peak_load.clone(),
             },
             events: self.events.clone(),
-            node_state: self.node_state.iter().map(|s| s.serialize()).collect(),
+            node_state: render_node_states(&self.node_state),
             protocol: None,
         }
     }
@@ -437,12 +439,14 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         invariants::check_queues(&store, &grid, &snap.progress)
             .and_then(|()| invariants::check_conservation(&store, &grid, &snap.progress))
             .map_err(SnapshotError::Corrupt)?;
-        let node_state: Vec<R::NodeState> = snap
-            .node_state
-            .iter()
-            .map(R::NodeState::deserialize)
-            .collect::<Result<_, _>>()
+        let node_state: Vec<R::NodeState> = serde_json::from_str(snap.node_state.get())
             .map_err(|e| SnapshotError::Corrupt(format!("node state: {e}")))?;
+        if node_state.len() != nodes {
+            return Err(SnapshotError::Corrupt(format!(
+                "node-state table has {} entries, expected {nodes}",
+                node_state.len()
+            )));
+        }
         Ok(Sim {
             topo,
             router,
@@ -458,6 +462,17 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             bufs: StepBufs::default(),
         })
     }
+}
+
+/// Renders the node states as one array, its buffer sized once from the
+/// width of the first: exact when every state renders equally wide, as
+/// those of every shipped router do.
+fn render_node_states<S: Serialize>(states: &[S]) -> RawValue {
+    let width = states
+        .first()
+        .map_or(0, |s| serde_json::to_string(s).map_or(0, |text| text.len()));
+    let capacity = (width + 1) * states.len() + 1;
+    serde_json::to_raw_value_with_capacity(states, capacity).expect("node state renders")
 }
 
 /// The structural pass of [`Sim::restore`]: only what makes building the
@@ -539,13 +554,11 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
             g.slab.len()
         ));
     }
-    for (what, l) in [
-        ("peak-load map", g.peak_load.len()),
-        ("node-state table", snap.node_state.len()),
-    ] {
-        if l != nodes {
-            return Err(format!("{what} has {l} entries, expected {nodes}"));
-        }
+    if g.peak_load.len() != nodes {
+        return Err(format!(
+            "peak-load map has {} entries, expected {nodes}",
+            g.peak_load.len()
+        ));
     }
     if let Some((ni, _)) = g.pending.iter().find(|(ni, _)| *ni as usize >= nodes) {
         return Err(format!("pending bucket for out-of-grid node {ni}"));
@@ -595,11 +608,11 @@ impl<S: CheckpointSink> CheckpointSink for Option<S> {
 /// transport implements it over its sequence numbers, seen-sets, timers,
 /// and backoff RNG.
 pub trait SnapshotHook {
-    /// Serializes the layer's complete state.
-    fn snapshot_state(&self) -> Value;
+    /// Renders the layer's complete state.
+    fn snapshot_state(&self) -> RawValue;
 
-    /// Replaces the layer's state with a previously captured value.
-    fn restore_state(&mut self, v: &Value) -> Result<(), serde::Error>;
+    /// Replaces the layer's state with a previously captured one.
+    fn restore_state(&mut self, v: &RawValue) -> Result<(), serde::Error>;
 }
 
 /// Checkpoints into memory — the differential test battery's sink.
@@ -684,7 +697,7 @@ impl CheckpointSink for DirectorySink {
 pub(crate) fn maybe_checkpoint<T: Topology, R: Router, S: CheckpointSink>(
     sim: &Sim<'_, T, R>,
     sink: &mut S,
-    slots: impl FnOnce() -> (Option<SteadySnap>, Option<Value>),
+    slots: impl FnOnce() -> (Option<SteadySnap>, Option<RawValue>),
 ) where
     R::NodeState: Serialize,
 {

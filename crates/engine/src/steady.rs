@@ -32,7 +32,8 @@ use crate::snapshot::{CheckpointSink, SteadySnap};
 use crate::stats::Distribution;
 use crate::watchdog::WatchdogMode;
 use mesh_topo::Topology;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::RawValue;
 
 /// Measurement schedule of a steady-state run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -172,9 +173,9 @@ struct SteadyState {
 /// `steady` block must hold a schedule that can run
 /// ([`SteadyConfig::validate`]) and its `protocol` slot the measurement
 /// state, or resuming it would panic.
-pub(crate) fn check_snapshot(env: &SteadySnap, state: Option<&Value>) -> Result<(), String> {
+pub(crate) fn check_snapshot(env: &SteadySnap, state: Option<&RawValue>) -> Result<(), String> {
     env.config.validate()?;
-    match SteadyState::deserialize(state.unwrap_or(&Value::Null)) {
+    match serde_json::from_str::<SteadyState>(state.map_or("null", RawValue::get)) {
         Ok(_) => Ok(()),
         Err(e) => Err(format!("protocol slot is no steady measurement state: {e}")),
     }
@@ -190,9 +191,9 @@ struct SteadyObserver {
 }
 
 impl SteadyObserver {
-    fn new(cfg: SteadyConfig, state: Option<&Value>) -> Result<SteadyObserver, serde::Error> {
+    fn new(cfg: SteadyConfig, state: Option<&RawValue>) -> Result<SteadyObserver, serde::Error> {
         let st = match state {
-            Some(v) => SteadyState::deserialize(v)?,
+            Some(v) => serde_json::from_str(v.get())?,
             None => SteadyState::default(),
         };
         Ok(SteadyObserver { cfg, st })
@@ -323,7 +324,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         &mut self,
         cfg: SteadyConfig,
         lambda: f64,
-        state: Option<&Value>,
+        state: Option<&RawValue>,
         sink: &mut S,
         halt_at: Option<u64>,
     ) -> Result<SteadyReport, SimError>
@@ -342,7 +343,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             config: cfg,
         };
         run_checkpointed(self, cap, &mut obs, sink, |o| {
-            (Some(env), Some(o.st.serialize()))
+            let state = serde_json::to_raw_value(&o.st).expect("steady state renders");
+            (Some(env), Some(state))
         })?;
         Ok(obs.into_report())
     }
@@ -383,7 +385,8 @@ mod tests {
     #[test]
     fn window_frame_roundtrips() {
         let f = frame(7);
-        let back = WindowFrame::deserialize(&f.serialize()).expect("roundtrip");
+        let text = serde_json::to_string(&f).unwrap();
+        let back: WindowFrame = serde_json::from_str(&text).expect("roundtrip");
         assert_eq!(back.samples, 7);
         assert_eq!(back.latency, f.latency);
     }

@@ -9,6 +9,7 @@ use mesh_topo::{Coord, Topology};
 use mesh_traffic::{PacketId, PayloadId, RoutingProblem};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use serde_json::RawValue;
 
 use crate::backoff::BackoffPolicy;
 
@@ -263,12 +264,12 @@ impl Transport {
 }
 
 impl mesh_engine::SnapshotHook for Transport {
-    fn snapshot_state(&self) -> serde::Value {
-        self.state.serialize()
+    fn snapshot_state(&self) -> RawValue {
+        serde_json::to_raw_value(&self.state).expect("transport state renders")
     }
 
-    fn restore_state(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let st = TransportState::deserialize(v)?;
+    fn restore_state(&mut self, v: &RawValue) -> Result<(), serde::Error> {
+        let st: TransportState = serde_json::from_str(v.get())?;
         if st.policy != self.state.policy {
             return Err(serde::Error::custom(format!(
                 "checkpoint was taken under backoff policy {:?}, restoring under {:?}",

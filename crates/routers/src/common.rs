@@ -64,9 +64,13 @@ pub struct RoundRobin {
 /// snapshot naming a fifth must not reach [`RoundRobin::rank`].
 impl serde::Deserialize for RoundRobin {
     fn deserialize_from<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
-        let v: serde::Value = serde::Deserialize::deserialize_from(src)?;
-        match serde::Deserialize::deserialize(v.field("next")?)? {
-            next @ 0..=3u8 => Ok(RoundRobin { next }),
+        /// The serialized form, read unchecked.
+        #[derive(serde::Deserialize)]
+        struct Unchecked {
+            next: u8,
+        }
+        match Unchecked::deserialize_from(src)?.next {
+            next @ 0..=3 => Ok(RoundRobin { next }),
             next => Err(serde::Error::custom(format!(
                 "round-robin pointer {next} names no inlink side"
             ))),

@@ -13,8 +13,8 @@
 //! scenario and its first diverging block.
 //!
 //! Each scenario is also replayed once under a non-default value of
-//! `SimConfig`'s two inert fields and must produce the same entry: every
-//! configuration runs the one step loop.
+//! `SimConfig`'s three inert fields and must produce the same entry: every
+//! configuration runs the one step loop, with its checks always on.
 //!
 //! Re-record only when a behavior change is *intended*:
 //! `GOLDEN_RECORD=1 cargo test --release -p mesh-routing --test golden_run`.
@@ -27,11 +27,12 @@ use mesh_routing::routers::{alt_adaptive, hot_potato, BoundedDeflect};
 use record::{Digest, Entry, Fold};
 use std::sync::Arc;
 
-/// A non-default value of `SimConfig`'s two inert fields. The repo
+/// A non-default value of `SimConfig`'s three inert fields. The repo
 /// benchmark's `perm-tiled == perm-packed` cross-check relies on such a
 /// config changing nothing; this is the one place the repo pins that.
 fn inert_fields_config() -> SimConfig {
     SimConfig {
+        validate: false,
         tile_threads: 8,
         tiles: Some((4, 4)),
         ..SimConfig::default()
