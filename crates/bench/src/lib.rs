@@ -22,7 +22,9 @@
 //! - [`runner`]: one scoped thread pool for every `(experiment, cell,
 //!   trial)` unit, and the `BENCH_<id>.json` document ([`BenchDoc`]) and
 //!   timing sidecar ([`TimingDoc`]) it assembles;
-//! - [`table`]: a document's markdown and CSV renderings.
+//! - [`table`]: a document's markdown and CSV renderings;
+//! - [`pair`]: the `pair` binary's reading of two benchmark builds' runs,
+//!   interleaved, into one comparison row per metric.
 //!
 //! `--threads N` sets the pool's size and never changes a document;
 //! `--trials N` re-runs every seeded cell, trial 0 on its historical seed.
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod pair;
 pub mod runner;
 pub mod sweep;
 pub mod table;

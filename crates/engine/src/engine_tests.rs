@@ -1525,7 +1525,10 @@ mod storage_tests {
             };
             let mut worklist = Vec::new();
             for t in 1..=3_000u64 {
-                grid.drain_active_into(&mut worklist);
+                grid.take_active(&mut worklist);
+                for &ni in &worklist {
+                    grid.leave_active(ni as usize);
+                }
                 let staged: Vec<u32> = grid.pending.keys().copied().collect();
                 let queued: Vec<PacketId> = (0..grid.nodes())
                     .flat_map(|ni| grid.packets_at(grid.coord_of(ni)))

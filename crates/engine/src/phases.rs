@@ -12,7 +12,7 @@
 //! | [`Phase::Adversary`] | (b) the adversary observes the schedule and may exchange destinations |
 //! | [`Phase::Accept`] | (c) every inqueue policy decides which offered arrivals to accept |
 //! | [`Phase::Transmit`] | (d) scheduled-and-accepted packets move; arrivals at their destination are delivered |
-//! | [`Phase::Audit`] | engine guarantee: capacity bounds hold, occupancy metrics update |
+//! | [`Phase::Audit`] | engine guarantee: every node that gained a packet is within capacity; occupancy metrics update |
 //! | [`Phase::UpdateState`] | (e) node and packet states update within the information the model permits |
 //!
 //! Fault enforcement that *gates a policy invocation* — a stalled node's
@@ -27,7 +27,7 @@ use crate::snapshot::EventsSnap;
 use crate::storage::{Loc, NodeGrid, PacketStore};
 use crate::view::{FullArrivals, FullResidents, PackedArrival, PackedView};
 use mesh_faults::CompiledFaults;
-use mesh_topo::{Topology, ALL_DIRS};
+use mesh_topo::{Dir, DirSet, Topology, ALL_DIRS};
 use mesh_traffic::PacketId;
 
 /// One named phase of the step pipeline.
@@ -50,7 +50,7 @@ pub enum Phase {
     /// §2 (d): accepted packets move (delivering at their destination);
     /// lossy-link packets are destroyed in flight.
     Transmit,
-    /// Capacity validation and occupancy metrics over the active nodes.
+    /// Capacity validation and occupancy metrics over the nodes that gained a packet.
     Audit,
     /// §2 (e): end-of-step node and packet state update.
     UpdateState,
@@ -181,12 +181,10 @@ pub(crate) struct Progress {
 }
 
 /// Workhorse buffers reused across steps (perf-book guidance: zero
-/// allocation in the hot loop — every phase works in place).
+/// allocation in the hot loop), plus the audit's record of what gained.
 #[derive(Default)]
 pub(crate) struct StepBufs {
-    pub(crate) accept: Vec<bool>,
     pub(crate) schedule: Vec<ScheduledMove>,
-    pub(crate) order: Vec<u32>,
     pub(crate) accepted: Vec<bool>,
     pub(crate) states: Vec<u64>,
     pub(crate) lost_moves: Vec<ScheduledMove>,
@@ -194,22 +192,26 @@ pub(crate) struct StepBufs {
     pub(crate) snapshot: Vec<u32>,
     /// Scratch for the inject phase's pending-node sweep.
     pub(crate) inject_nodes: Vec<u32>,
-    /// Acceptance groups: `(start, end)` ranges into `order`, one per target
-    /// node, in target-node order.
-    pub(crate) groups: Vec<(u32, u32)>,
     /// Bit-packed resident descriptors of the node being routed or updated.
     pub(crate) masks: Vec<PackedView>,
-    /// Bit-packed arrival descriptors of the group being accepted.
-    pub(crate) arr_packed: Vec<PackedArrival>,
-    /// Per-target move counts for the counting group-by in `accept_prep`.
-    /// Sized `n²` on first use and kept all-zero between steps (only the
-    /// `touched` entries are ever dirtied, and they are re-zeroed on exit).
-    pub(crate) counts: Vec<u32>,
-    /// The distinct target-node ids dirtied in `counts` this step.
-    pub(crate) touched: Vec<u32>,
+    /// Per-target chain heads for `accept`: one cell per node, holding 1 +
+    /// the schedule index of the target's first offer. All-zero between
+    /// steps: a cell is re-zeroed the moment its group is accepted.
+    pub(crate) heads: Vec<u32>,
+    /// The chain links: 1 + the schedule index of the same target's next
+    /// offer, or 0 at the end of its chain. One entry per offer.
+    pub(crate) next: Vec<u32>,
     /// Packets whose destinations the adversary exchanged this step — the
     /// engine refreshes their cached profitable masks after the hook runs.
     pub(crate) exchanged: Vec<PacketId>,
+    /// Origins the inject phase admitted a packet into this step; audit clears it.
+    pub(crate) admitted: Vec<u32>,
+    /// How many nodes at the head of the active list gained a packet in
+    /// this step's transmit phase (see [`audit`]).
+    pub(crate) arrived: usize,
+    /// Whether an audit has swept every active node since this `Sim` was
+    /// built or restored; until one has, gains go unrecorded.
+    pub(crate) swept: bool,
 }
 
 /// Everything one step needs, as split borrows of the simulation's parts:
@@ -283,6 +285,9 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
             && origin_cap.is_none_or(|cv| ctx.grid.queue_len(ni, origin_kind.slot()) < cv as usize)
         {
             ctx.store.enter(ctx.topo, ctx.grid, pid, src, origin_kind);
+            if ctx.bufs.swept {
+                ctx.bufs.admitted.push(ni as u32);
+            }
             injected = true;
             continue;
         }
@@ -365,6 +370,9 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
                 break;
             };
             ctx.store.enter(ctx.topo, ctx.grid, pid, c, origin_kind);
+            if ctx.bufs.swept {
+                ctx.bufs.admitted.push(ni);
+            }
             injected = true;
         }
         ctx.grid.mark_active(ni as usize);
@@ -494,13 +502,16 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
 
 /// §2 (a): every loaded, unstalled node's outqueue policy schedules at
 /// most one packet per outlink. Fills `bufs.schedule` in deterministic
-/// node-then-direction order; a malformed schedule panics.
+/// node-then-direction order; a malformed schedule panics. The walk takes
+/// the active list from the grid and clears each node's membership as it
+/// visits it, so transmit can rebuild the list.
 pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     ctx.bufs.schedule.clear();
     ctx.bufs.lost_moves.clear();
-    ctx.grid.drain_active_into(&mut ctx.bufs.snapshot);
+    ctx.grid.take_active(&mut ctx.bufs.snapshot);
     for idx in 0..ctx.bufs.snapshot.len() {
         let ni = ctx.bufs.snapshot[idx] as usize;
+        ctx.grid.leave_active(ni);
         route_node(ctx, ni);
     }
 }
@@ -549,21 +560,16 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
 }
 
 /// §2 (c) for one target node: the inqueue policy of the (unstalled)
-/// target of moves `order[start..end]` accepts or rejects each offer;
-/// degraded nodes are clamped to their reduced capacity. Decisions land in
-/// `bufs.accepted`, indexed like the schedule.
-fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: usize, end: usize) {
+/// target of the offers `group` (schedule indices, in schedule order)
+/// accepts or rejects each; degraded nodes are clamped to their reduced
+/// capacity. Decisions land in `bufs.accepted`, indexed like the schedule.
+fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: &[u32]) {
     let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
     let (store, grid) = (&*ctx.store, &*ctx.grid);
     let StepBufs {
-        arr_packed,
-        accept,
-        schedule,
-        order,
-        accepted,
-        ..
+        schedule, accepted, ..
     } = &mut *ctx.bufs;
-    let target = schedule[order[start] as usize].to;
+    let target = schedule[group[0] as usize].to;
     let ni = grid.node_index(target);
     // A stalled node accepts nothing: the whole arrival group stays
     // rejected and its router never observes the offered packets.
@@ -572,22 +578,24 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: 
             return;
         }
     }
-    accept.clear();
-    accept.resize(end - start, false);
     // Residents collapse to the arena's own per-slot length row (handed to
-    // the policy as-is, no copy) and each arrival to one byte.
+    // the policy as-is, no copy) and each arrival to one byte; a node has
+    // four inlinks, so a group has at most four offers.
     let queue_lens = grid.queue_lens_of(ni);
-    arr_packed.clear();
-    for gi in start..end {
-        let m = schedule[order[gi] as usize];
+    let mut accept = [false; 4];
+    let accept = &mut accept[..group.len()];
+    let mut arrivals = [PackedArrival::new(DirSet::EMPTY, Dir::North); 4];
+    for (a, &i) in arrivals.iter_mut().zip(group) {
+        let m = schedule[i as usize];
         // §2: profitable outlinks of scheduled packets are measured from
         // the node they are coming from — which is exactly where the
         // packet still sits, so its cached mask is that set.
-        arr_packed.push(PackedArrival::new(store.profitable(topo, m.pkt), m.travel));
+        *a = PackedArrival::new(store.profitable(topo, m.pkt), m.travel);
     }
-    let cold = FullArrivals::new(store, schedule, &order[start..end]);
+    let cold = FullArrivals::new(store, schedule, group);
     let state = &mut ctx.node_state[ni];
-    router.inqueue(t0, target, state, queue_lens, arr_packed, &cold, accept);
+    let arrivals = &mut arrivals[..group.len()];
+    router.inqueue(t0, target, state, queue_lens, arrivals, &cold, accept);
     // Queue degradation: clamp what a (degradation-unaware) router
     // accepted down to the reduced capacity, read off the schedule and the
     // packet store: the exemption is `dst == target`.
@@ -602,99 +610,62 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, start: 
                     *r = eff.saturating_sub(grid.queue_len(ni, s));
                 }
             }
-            for (j, gi) in (start..end).enumerate() {
-                let m = schedule[order[gi] as usize];
-                if !accept[j] || store.dst(m.pkt) == target {
+            for (a, &i) in accept.iter_mut().zip(group) {
+                let m = schedule[i as usize];
+                if !*a || store.dst(m.pkt) == target {
                     continue;
                 }
                 let s = grid.arch().arrival_queue(m.travel).slot();
                 if room[s] > 0 {
                     room[s] -= 1;
                 } else {
-                    accept[j] = false;
+                    *a = false;
                 }
             }
         }
     }
-    for (j, gi) in (start..end).enumerate() {
-        accepted[order[gi] as usize] = accept[j];
+    for (&i, &a) in group.iter().zip(accept.iter()) {
+        accepted[i as usize] = a;
     }
 }
 
-/// Groups the schedule by target node into `bufs.order` and records the
-/// per-target group ranges in `bufs.groups` (ascending target id, stable
-/// in schedule order within a group — provably the same permutation the
-/// old stable sort-by-target produced).
+/// §2 (c): every unstalled target's inqueue policy accepts or rejects its
+/// offers, then acceptance at degraded nodes is clamped down to the
+/// reduced capacity. Deliveries never occupy a queue slot, so they are
+/// exempt from the clamp; residents already over the reduced capacity are
+/// not evicted — they drain naturally.
 ///
-/// This is a counting group-by over the persistent `counts` arena instead
-/// of a comparison sort: two linear passes over the schedule plus a sort
-/// of the *distinct* targets only (at most one comparison-sorted element
-/// per loaded node instead of one per move).
-fn accept_prep(n: u32, bufs: &mut StepBufs) {
-    let nn = (n as usize) * (n as usize);
-    if bufs.counts.len() < nn {
-        bufs.counts.resize(nn, 0);
-    }
-    let counts = &mut bufs.counts;
-    let touched = &mut bufs.touched;
-    touched.clear();
-    for m in bufs.schedule.iter() {
-        let t = (m.to.y * n + m.to.x) as usize;
-        if counts[t] == 0 {
-            touched.push(t as u32);
-        }
-        counts[t] += 1;
-    }
-    // Ascending-target order, two ways to get it: sort the distinct
-    // targets, or — when most nodes were hit anyway — rescan the counts
-    // arena in index order. Both produce the identical touched list, so
-    // the choice is purely a cost model (dense steps are the common case
-    // on loaded meshes and the scan is branch-predictable and sort-free).
-    if touched.len() * 8 >= nn {
-        touched.clear();
-        for (t, &c) in counts.iter().enumerate().take(nn) {
-            if c > 0 {
-                touched.push(t as u32);
-            }
-        }
-    } else {
-        touched.sort_unstable();
-    }
-    bufs.groups.clear();
-    let mut off = 0u32;
-    for &t in touched.iter() {
-        let c = counts[t as usize];
-        bufs.groups.push((off, off + c));
-        // Reuse the count cell as the group's placement cursor.
-        counts[t as usize] = off;
-        off += c;
-    }
-    bufs.order.clear();
-    bufs.order.resize(bufs.schedule.len(), 0);
-    for (i, m) in bufs.schedule.iter().enumerate() {
-        let t = (m.to.y * n + m.to.x) as usize;
-        bufs.order[counts[t] as usize] = i as u32;
-        counts[t] += 1;
-    }
-    // Re-zero the dirtied cells so the arena is clean for the next step.
-    for &t in touched.iter() {
-        counts[t as usize] = 0;
-    }
-    bufs.accepted.clear();
-    bufs.accepted.resize(bufs.schedule.len(), false);
-}
-
-/// §2 (c): group scheduled moves by target node (stable in schedule
-/// order), let each unstalled target's inqueue policy accept or reject,
-/// then clamp acceptance at degraded nodes down to the reduced capacity.
-/// Deliveries never occupy a queue slot, so they are exempt from the
-/// clamp; residents already over the reduced capacity are not evicted —
-/// they drain naturally.
+/// Offers are grouped by target without a sort: a backward pass threads
+/// each target's offers onto a chain in schedule order (`heads`, `next`),
+/// and a forward pass accepts each group at its target's first offer.
+/// Targets are visited in first-touch order, which nothing can observe:
+/// every policy call is a deterministic function of its own arguments
+/// (the [`Router`] contract), and it writes only its target's node state
+/// and its own offers' flags. Each pass costs one step per offer.
 pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    accept_prep(ctx.grid.n(), ctx.bufs);
-    for gi in 0..ctx.bufs.groups.len() {
-        let (start, end) = ctx.bufs.groups[gi];
-        accept_group(ctx, start as usize, end as usize);
+    let bufs = &mut *ctx.bufs;
+    let (grid, len) = (&*ctx.grid, bufs.schedule.len());
+    bufs.heads.resize(grid.nodes(), 0);
+    bufs.next.resize(len, 0);
+    bufs.accepted.clear();
+    bufs.accepted.resize(len, false);
+    for (i, m) in bufs.schedule.iter().enumerate().rev() {
+        let head = &mut bufs.heads[grid.node_index(m.to)];
+        bufs.next[i] = std::mem::replace(head, i as u32 + 1);
+    }
+    for i in 0..len {
+        let t = ctx.grid.node_index(ctx.bufs.schedule[i].to);
+        if ctx.bufs.heads[t] != i as u32 + 1 {
+            continue;
+        }
+        ctx.bufs.heads[t] = 0;
+        let (mut group, mut size, mut link) = ([0u32; 4], 0, i as u32 + 1);
+        while link != 0 {
+            group[size] = link - 1;
+            size += 1;
+            link = ctx.bufs.next[link as usize - 1];
+        }
+        accept_group(ctx, &group[..size]);
     }
 }
 
@@ -734,6 +705,9 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
     for li in 0..ctx.bufs.lost_moves.len() {
         carry(ctx, ctx.bufs.lost_moves[li], true);
     }
+    // Route emptied the list, and only `enter` has refilled it since: the
+    // nodes on it now are exactly those a packet arrived at this step.
+    ctx.bufs.arrived = ctx.grid.active().len();
     // Rebuild the active worklist from the route snapshot. The pending
     // lookup is hoisted behind an emptiness check: closed-system runs
     // (and any open-system step whose edge backlog is clear) skip the
@@ -749,46 +723,67 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
     }
 }
 
-/// Capacity validation plus occupancy metrics over the active nodes.
-/// Overflow panics here are router implementation bugs, not runtime
-/// conditions.
-pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let t0 = ctx.t0;
-    for idx in 0..ctx.grid.active().len() {
-        let ni = ctx.grid.active()[idx] as usize;
-        let grid = &*ctx.grid;
-        // The load total comes straight off the arena's load index; only the
-        // occupied slots (occupancy bitmask) are visited for the capacity
-        // check and the bounded maximum. Unbounded (injection) queues count
-        // toward node load but are skipped for max_queue tracking.
-        let load = grid.node_load(ni);
-        let mut max_bounded = 0u32;
-        let lens = grid.queue_lens_of(ni);
-        let mut o = grid.occ_mask(ni);
-        while o != 0 {
-            let slot = o.trailing_zeros() as usize;
-            o &= o - 1;
-            let len = lens[slot];
-            let kind = grid.slot_kind(slot);
-            if let Some(cap) = grid.arch().capacity(kind) {
-                assert!(
-                    len <= cap,
-                    "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
-                    ctx.router.name(),
-                    grid.coord_of(ni)
-                );
-                max_bounded = max_bounded.max(len);
-            }
+/// Capacity validation plus occupancy metrics for one node, at its
+/// end-of-step load. Overflow panics here are router implementation bugs,
+/// not runtime conditions.
+fn audit_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
+    let grid = &*ctx.grid;
+    // The load total comes straight off the arena's load index; only the
+    // occupied slots (occupancy bitmask) are visited for the capacity
+    // check and the bounded maximum. Unbounded (injection) queues count
+    // toward node load but are skipped for max_queue tracking.
+    let load = grid.node_load(ni);
+    let mut max_bounded = 0u32;
+    let lens = grid.queue_lens_of(ni);
+    let mut o = grid.occ_mask(ni);
+    while o != 0 {
+        let slot = o.trailing_zeros() as usize;
+        o &= o - 1;
+        let len = lens[slot];
+        let kind = grid.slot_kind(slot);
+        if let Some(cap) = grid.arch().capacity(kind) {
+            assert!(
+                len <= cap,
+                "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {}",
+                ctx.router.name(),
+                grid.coord_of(ni),
+                ctx.t0
+            );
+            max_bounded = max_bounded.max(len);
         }
-        debug_assert_eq!(
-            load,
-            lens.iter().sum::<u32>(),
-            "occupancy index out of sync"
-        );
-        ctx.progress.max_queue = ctx.progress.max_queue.max(max_bounded);
-        ctx.progress.max_node_load = ctx.progress.max_node_load.max(load);
-        ctx.grid.note_peak(ni, load as u16);
     }
+    ctx.progress.max_queue = ctx.progress.max_queue.max(max_bounded);
+    ctx.progress.max_node_load = ctx.progress.max_node_load.max(load);
+    ctx.grid.note_peak(ni, load as u16);
+}
+
+/// The audit of every node that gained a packet this step: those a packet
+/// arrived at (the head of the rebuilt active list) and those the inject
+/// phase admitted one into. That is exact. A node's load, its queue lengths
+/// and so its peak rise only through `NodeGrid::push`, so a node that only
+/// lost packets since its last audit can neither overflow nor raise a
+/// maximum. The first step after construction or restore sweeps every
+/// active node instead, which covers what was queued before it.
+pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
+    #[cfg(debug_assertions)]
+    for &ni in ctx.grid.active() {
+        let load = ctx.grid.node_load(ni as usize);
+        let sum: u32 = ctx.grid.queue_lens_of(ni as usize).iter().sum();
+        assert_eq!(load, sum, "occupancy index out of sync");
+    }
+    let gained = if ctx.bufs.swept {
+        ctx.bufs.arrived
+    } else {
+        ctx.grid.active().len()
+    };
+    ctx.bufs.swept = true;
+    for idx in 0..gained {
+        audit_node(ctx, ctx.grid.active()[idx] as usize);
+    }
+    for idx in 0..ctx.bufs.admitted.len() {
+        audit_node(ctx, ctx.bufs.admitted[idx] as usize);
+    }
+    ctx.bufs.admitted.clear();
 }
 
 /// §2 (e) for one loaded node: runs the router's end-of-step policy and

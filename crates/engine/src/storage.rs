@@ -796,14 +796,16 @@ impl NodeGrid {
         fresh
     }
 
-    /// Moves the active worklist into `out` (clearing membership flags),
-    /// leaving the grid's list empty for the step to rebuild.
-    pub(crate) fn drain_active_into(&mut self, out: &mut Vec<u32>) {
+    /// Moves the active worklist into `out`, emptying it; its nodes stay marked.
+    pub(crate) fn take_active(&mut self, out: &mut Vec<u32>) {
         out.clear();
         std::mem::swap(&mut self.active, out);
-        for &ni in out.iter() {
-            self.in_active[ni as usize] = false;
-        }
+    }
+
+    /// Unmarks a node [`take_active`](Self::take_active) took: once per node.
+    #[inline]
+    pub(crate) fn leave_active(&mut self, ni: usize) {
+        self.in_active[ni] = false;
     }
 
     /// The active worklist, in the order the route phase will walk it.

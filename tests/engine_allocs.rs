@@ -3,7 +3,9 @@
 //! completed `Sim::run` makes a small constant number of allocations
 //! (buffers growing to their high-water mark) that does not scale with the
 //! mesh or the moves made. A policy that builds a `Vec` per node again
-//! fails here by four orders of magnitude.
+//! fails here by four orders of magnitude, and a step buffer that is not
+//! reused (the accept chains, say) fails the sparse replay's second half,
+//! which may not allocate at all.
 //!
 //! This file holds exactly one test (see `support/alloc.rs`).
 
@@ -11,6 +13,7 @@
 mod counting;
 
 use counting::{allocs, Counting};
+use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
 use std::sync::Arc;
@@ -85,8 +88,37 @@ fn steady_allocs() -> (u64, u64) {
     (made, sim.offered() as u64)
 }
 
+/// Allocations and reallocations in the first half of the bound's steps,
+/// in the rest of the run, and the steps taken, of `dim_order(1)`
+/// replaying §5's constructed permutation at n=24, counted from after
+/// construction: the sparse regime, where most loaded nodes offer a packet
+/// every step and full queues refuse nearly all of them.
+fn sparse_replay_allocs() -> (u64, u64, u64) {
+    let n = 24;
+    let topo = Mesh::new(n);
+    let params = DimOrderParams::new(n, 1).expect("n = 24 admits the construction");
+    let outcome = DimOrderConstruction::new(params).run(&topo, dim_order(1));
+    let mut sim = Sim::new(&topo, dim_order(1), &outcome.constructed);
+    let half = outcome.bound_steps / 2;
+    let before = allocs();
+    for _ in 0..half {
+        sim.step();
+    }
+    let early = allocs() - before;
+    let outcome = sim.run(100_000);
+    let late = allocs() - before - early;
+    let steps = outcome.unwrap_or_else(|e| panic!("the replay did not complete: {}", e.kind()));
+    (early, late, steps)
+}
+
 #[test]
 fn run_allocations_do_not_scale_with_moves() {
+    let (early, late, steps) = sparse_replay_allocs();
+    println!("sparse replay: {early} + {late} allocations over {steps} steps");
+    assert!(
+        early <= 64 && late == 0,
+        "the sparse replay allocates per step: {early} allocations in its first half, {late} after"
+    );
     let (made, offered) = steady_allocs();
     println!("steady: {made} allocations / {offered} offered packets");
     assert!(

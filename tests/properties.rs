@@ -5,7 +5,9 @@
 //! (per-step packet conservation and queue caps under any offered load
 //! and admission policy; overload watchdog liveness), the per-step
 //! queue invariants under random fault plans, and the state the engine
-//! derives rather than stores (peak-load map, cached profitable masks).
+//! derives rather than stores (peak-load map, cached profitable masks),
+//! and the audit that maintains the peak map from the nodes that gained a
+//! packet alone.
 
 mod support;
 
@@ -584,5 +586,102 @@ proptest! {
         // Suppressed duplicates never leak into the application count even
         // when the premature timer produced plenty of them.
         prop_assert!(rep.duplicate_deliveries as usize + rep.delivered >= rep.delivered);
+    }
+}
+
+/// Steps `sim` up to `steps` times, recomputing every node's load from
+/// `packets_at` after each step: the running maximum must be the report's
+/// `max_node_load` and the running per-node peak its congestion map, though
+/// the audit that keeps both visits only the nodes that gained a packet.
+/// `peaks` carries the running peak in and out.
+fn audit_matches_recomputed_loads<R: Router>(
+    sim: &mut Sim<'_, Mesh, R>,
+    steps: u64,
+    peaks: &mut [u32],
+) -> Result<(), TestCaseError> {
+    let n = sim.report().n;
+    for step in 0..steps {
+        let done = sim.step();
+        for (i, peak) in peaks.iter_mut().enumerate() {
+            let c = Coord::new(i as u32 % n, i as u32 / n);
+            *peak = (*peak).max(sim.packets_at(c).count() as u32);
+        }
+        let (reported, max) = (sim.report().max_node_load, peaks.iter().copied().max());
+        prop_assert!(
+            Some(reported) == max,
+            "step {}: max_node_load {} against recomputed {:?}",
+            step,
+            reported,
+            max
+        );
+        let map = sim.congestion_map().values;
+        prop_assert!(
+            map == peaks,
+            "step {}: congestion map {:?} against {:?}",
+            step,
+            map,
+            peaks
+        );
+        if done {
+            break;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn audit_on_gain_matches_loads_recomputed_every_step(
+        seed in 0u64..10_000,
+        k in 2u32..4,
+        at in 0u64..24,
+    ) {
+        // Every way a packet enters a queue, and both starts an audit can
+        // follow: construction and restore.
+        let n = 8u32;
+        let topo = Mesh::new(n);
+        let fresh = || vec![0u32; (n * n) as usize];
+        // Origins past capacity: the excess is staged, then admitted.
+        let hh = workloads::hh_random(n, k + 2, seed);
+        let mut sim = Sim::new(&topo, Dx::new(DimOrder::new(k)), &hh);
+        audit_matches_recomputed_loads(&mut sim, 300, &mut fresh())?;
+        // Packets due after construction enter their origin queue directly,
+        // and a congested mesh keeps some there past the step's audit.
+        let pb = workloads::dynamic_bernoulli(n, 0.3, 4 * n as u64, seed);
+        let mut sim = Sim::new(&topo, Dx::new(DimOrder::new(k)), &pb);
+        audit_matches_recomputed_loads(&mut sim, 300, &mut fresh())?;
+        // Degraded nodes clamp what their router accepted.
+        let plan = FaultPlan::random(n, 0.3, 6 * n as u64, seed)
+            .degrade(Coord::new(3, 4), 1, 0, Some(48));
+        let faults = std::sync::Arc::new(plan.compile());
+        let router = FaultAware::new(Dx::new(DimOrder::new(k)), std::sync::Arc::clone(&faults));
+        let pb = workloads::random_permutation(n, seed);
+        let mut sim = Sim::with_faults(
+            &topo,
+            router,
+            &pb,
+            SimConfig::default(),
+            faults.as_ref().clone(),
+        );
+        audit_matches_recomputed_loads(&mut sim, 300, &mut fresh())?;
+        // An open run expiring stale packets in the network and at the edge.
+        let config = SimConfig {
+            admission: AdmissionPolicy::DeadlineExpiry { ttl: 3 * n as u64 },
+            ..SimConfig::default()
+        };
+        let pb = workloads::open_bernoulli(n, 0.6, 8 * n as u64, seed);
+        let mut sim = Sim::with_config(&topo, Dx::new(DimOrder::new(k)), &pb, config);
+        audit_matches_recomputed_loads(&mut sim, 12 * n as u64, &mut fresh())?;
+        // A checkpoint at step `at` (0 included) restores into a run whose
+        // first audit must sweep what it inherited.
+        let mut sim = Sim::new(&topo, Dx::new(DimOrder::new(k)), &hh);
+        let mut peaks = fresh();
+        audit_matches_recomputed_loads(&mut sim, at, &mut peaks)?;
+        let snap = sim.snapshot();
+        let router = Dx::new(DimOrder::new(k));
+        let mut restored = Sim::restore(&topo, router, SimConfig::default(), None, &snap).unwrap();
+        audit_matches_recomputed_loads(&mut restored, 300, &mut peaks)?;
     }
 }
