@@ -25,6 +25,8 @@
 //! - [`table`]: a document's markdown and CSV renderings;
 //! - [`pair`]: the `pair` binary's reading of two benchmark builds' runs,
 //!   interleaved, into one comparison row per metric.
+//! - [`smoke`]: the `smoke` binary's counted-metric gate of every
+//!   benchmark workload against `.github/smoke-baseline.json`.
 //!
 //! `--threads N` sets the pool's size and never changes a document;
 //! `--trials N` re-runs every seeded cell, trial 0 on its historical seed.
@@ -34,6 +36,7 @@
 pub mod experiments;
 pub mod pair;
 pub mod runner;
+pub mod smoke;
 pub mod sweep;
 pub mod table;
 

@@ -9,7 +9,7 @@
 //! not repeat. Nothing here reads or writes the benchmark's files: it only
 //! reads what the binaries print.
 
-use serde::{Deserialize, Source};
+use serde::{Deserialize, Serialize, Sink, Source};
 
 /// The simulated counters: for one seed they may not differ between any two
 /// runs, of either binary.
@@ -46,32 +46,53 @@ impl Run {
     }
 }
 
-/// The final JSON line of a run, as far as a comparison needs it.
+/// A JSON object read and written in key order: one `(key, value)` per
+/// member.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Object<T>(pub Vec<(String, T)>);
+
+impl<T> Object<T> {
+    /// The value of the first member named `key`.
+    pub fn get(&self, key: &str) -> Option<&T> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+impl<T: Serialize> Serialize for Object<T> {
+    fn serialize_into<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        for (key, value) in &self.0 {
+            out.key(key);
+            value.serialize_into(out);
+        }
+        out.end_object();
+    }
+}
+
+impl<T: Deserialize> Deserialize for Object<T> {
+    fn deserialize_from<S: Source>(src: &mut S) -> Result<Self, serde::Error> {
+        let mut members = Vec::new();
+        src.begin_object()?;
+        while let Some(key) = src.next_key()? {
+            let key = key.into_owned();
+            members.push((key, T::deserialize_from(src)?));
+        }
+        Ok(Object(members))
+    }
+}
+
+/// The final JSON line of a run, as far as a comparison needs it: its
+/// `metrics` object is `{"name": {"value": …, "unit": …}, …}` in order.
 #[derive(Deserialize)]
 struct Line {
     correct: bool,
     failed: u64,
-    metrics: Metrics,
+    metrics: Object<Metric>,
 }
-
-/// The `metrics` object: `{"name": {"value": …, "unit": …}, …}` in order.
-struct Metrics(Vec<(String, f64)>);
 
 #[derive(Deserialize)]
 struct Metric {
     value: f64,
-}
-
-impl Deserialize for Metrics {
-    fn deserialize_from<S: Source>(src: &mut S) -> Result<Self, serde::Error> {
-        let mut metrics = Vec::new();
-        src.begin_object()?;
-        while let Some(name) = src.next_key()? {
-            let name = name.into_owned();
-            metrics.push((name, Metric::deserialize_from(src)?.value));
-        }
-        Ok(Metrics(metrics))
-    }
 }
 
 /// Reads one run's standard output: the metrics of its last line, which
@@ -94,7 +115,12 @@ pub fn parse_run(stdout: &str) -> Result<Run, String> {
             _ => None,
         })
         .ok_or("the run printed no wall_s")?;
-    let mut metrics = line.metrics.0;
+    let mut metrics: Vec<(String, f64)> = line
+        .metrics
+        .0
+        .into_iter()
+        .map(|(n, m)| (n, m.value))
+        .collect();
     metrics.push(("wall_s".to_string(), wall));
     Ok(Run { metrics })
 }

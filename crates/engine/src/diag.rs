@@ -26,9 +26,10 @@ pub struct StuckPacket {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeOccupancy {
     pub node: Coord,
-    /// Packets across all the node's queues — read straight off the queue
-    /// arena's per-node load index (DESIGN.md §14), so building a snapshot
-    /// of a large, mostly-empty mesh costs one word per node.
+    /// Packets across all the node's queues — summed straight off the
+    /// queue arena's row of lengths for the node (DESIGN.md §14), so
+    /// building a snapshot of a large, mostly-empty mesh costs one short
+    /// row per node.
     pub load: u32,
 }
 

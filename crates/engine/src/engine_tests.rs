@@ -1525,6 +1525,18 @@ mod storage_tests {
             };
             let mut worklist = Vec::new();
             for t in 1..=3_000u64 {
+                let op = lcg(&mut rng) % 8;
+                // In-queue expiry sweep: like the inject phase, before route
+                // takes the active list it walks.
+                if faulted && op == 2 {
+                    grid.expire_queued(|pid| {
+                        let stale = lcg(&mut rng).is_multiple_of(4);
+                        if stale {
+                            store.retire(&mut progress, &mut events, pid, Loc::Expired, t);
+                        }
+                        stale
+                    });
+                }
                 grid.take_active(&mut worklist);
                 for &ni in &worklist {
                     grid.leave_active(ni as usize);
@@ -1533,7 +1545,7 @@ mod storage_tests {
                 let queued: Vec<PacketId> = (0..grid.nodes())
                     .flat_map(|ni| grid.packets_at(grid.coord_of(ni)))
                     .collect();
-                match lcg(&mut rng) % 8 {
+                match op {
                     // A due packet is offered: delivered on the spot, queued
                     // at its origin, or staged at the edge.
                     0 if !store.cursor_exhausted() => {
@@ -1562,14 +1574,7 @@ mod storage_tests {
                             store.enter(&topo, &mut grid, pid, c, origin);
                         }
                     }
-                    // In-queue expiry sweep.
-                    2 if faulted => grid.expire_queued(|pid| {
-                        let stale = lcg(&mut rng).is_multiple_of(4);
-                        if stale {
-                            store.retire(&mut progress, &mut events, pid, Loc::Expired, t);
-                        }
-                        stale
-                    }),
+                    2 if faulted => {}
                     // A queued packet crosses a profitable link: lost in
                     // flight (faulted), delivered, or queued at the far end.
                     _ if !queued.is_empty() => {

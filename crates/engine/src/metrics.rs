@@ -44,10 +44,12 @@ pub struct SimReport {
     pub total_moves: u64,
     /// Destination exchanges performed by the hook (0 without an adversary).
     pub exchanges: u64,
-    /// Mean delivery step over delivered packets (steps are 1-based: a packet
+    /// Mean latency over delivered packets: delivery step minus injection
+    /// step (delivery steps are 1-based, so a packet injected at step 0 and
     /// delivered during the first step has latency 1).
     pub avg_latency: f64,
-    /// Latest delivery step.
+    /// Largest latency (delivery step minus injection step) of a delivered
+    /// packet.
     pub max_latency: u64,
 }
 

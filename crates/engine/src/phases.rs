@@ -419,7 +419,8 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     let StepBufs {
         schedule, masks, ..
     } = &mut *ctx.bufs;
-    if grid.node_load(ni) == 0 {
+    let load = grid.node_load(ni);
+    if load == 0 {
         return;
     }
     let node = grid.coord_of(ni);
@@ -435,13 +436,21 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     // One u32 per resident; whatever else a policy reads (id, source,
     // state, destination) it fetches through the handle, per packet, on
     // demand.
-    if grid.node_load(ni) == 1 {
+    if load == 1 {
         // Small-node fast path — the overwhelmingly common case once a
         // run spreads out: the lone resident's descriptor comes straight
-        // off the occupancy bitmask, skipping the slot walk and per-slot
+        // off the one non-zero entry of the length row (a central queue's
+        // row has one entry, so no search), skipping the per-slot
         // enumerate. The router policy still runs (node state must advance
         // identically); only descriptor-building machinery is bypassed.
-        let slot = grid.occ_mask(ni).trailing_zeros() as usize;
+        let slot = if grid.slots() == 1 {
+            0
+        } else {
+            grid.queue_lens_of(ni)
+                .iter()
+                .position(|&l| l > 0)
+                .expect("a node of load 1 has a non-empty queue")
+        };
         let pid = grid.queue(ni, slot)[0];
         masks.clear();
         masks.push(PackedView::new(store.profitable(topo, pid), slot, 0));
@@ -472,7 +481,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     for d in ALL_DIRS {
         if let Some(i) = out[d.index()] {
             // The small-node fast path already holds the lone resident;
-            // multi-packet nodes index the arena's occupancy walk.
+            // multi-packet nodes walk the arena's length row.
             let pkt = single.unwrap_or_else(|| grid.nth_packet(ni, i));
             let to = topo.neighbor(node, d).unwrap_or_else(|| {
                 panic!(
@@ -728,18 +737,14 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
 /// not runtime conditions.
 fn audit_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
     let grid = &*ctx.grid;
-    // The load total comes straight off the arena's load index; only the
-    // occupied slots (occupancy bitmask) are visited for the capacity
-    // check and the bounded maximum. Unbounded (injection) queues count
-    // toward node load but are skipped for max_queue tracking.
-    let load = grid.node_load(ni);
-    let mut max_bounded = 0u32;
-    let lens = grid.queue_lens_of(ni);
-    let mut o = grid.occ_mask(ni);
-    while o != 0 {
-        let slot = o.trailing_zeros() as usize;
-        o &= o - 1;
-        let len = lens[slot];
+    // One pass over the node's length row gives the load total, the
+    // capacity check and the bounded maximum. Every slot is visited: a
+    // branch on empty slots mispredicts, and cost `steady-sat` about 10 %
+    // of its run. Unbounded (injection) queues count toward node load but
+    // are skipped for max_queue tracking.
+    let (mut load, mut max_bounded) = (0u32, 0u32);
+    for (slot, &len) in grid.queue_lens_of(ni).iter().enumerate() {
+        load += len;
         let kind = grid.slot_kind(slot);
         if let Some(cap) = grid.arch().capacity(kind) {
             assert!(
@@ -754,7 +759,7 @@ fn audit_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     }
     ctx.progress.max_queue = ctx.progress.max_queue.max(max_bounded);
     ctx.progress.max_node_load = ctx.progress.max_node_load.max(load);
-    ctx.grid.note_peak(ni, load as u16);
+    ctx.grid.note_peak(ni, load);
 }
 
 /// The audit of every node that gained a packet this step: those a packet
@@ -765,12 +770,6 @@ fn audit_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
 /// maximum. The first step after construction or restore sweeps every
 /// active node instead, which covers what was queued before it.
 pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    #[cfg(debug_assertions)]
-    for &ni in ctx.grid.active() {
-        let load = ctx.grid.node_load(ni as usize);
-        let sum: u32 = ctx.grid.queue_lens_of(ni as usize).iter().sum();
-        assert_eq!(load, sum, "occupancy index out of sync");
-    }
     let gained = if ctx.bufs.swept {
         ctx.bufs.arrived
     } else {

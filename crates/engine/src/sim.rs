@@ -639,7 +639,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     pub fn congestion_map(&self) -> crate::stats::NodeField {
         crate::stats::NodeField {
             n: self.grid.n(),
-            values: self.grid.peak_load.iter().map(|&v| v as u32).collect(),
+            values: self.grid.peak_load.clone(),
         }
     }
 
@@ -689,8 +689,8 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     }
 
     /// Panics unless the queue invariants hold *right now* (capacity,
-    /// occupancy index, back-references, staging, active worklist): the
-    /// rules are `invariants::check_queues`, shared with [`Sim::restore`].
+    /// back-references, staging, active worklist): the rules are
+    /// `invariants::check_queues`, shared with [`Sim::restore`].
     ///
     /// The audit phase enforces the capacity bound every step; this accessor
     /// lets tests check the full set *between* steps.

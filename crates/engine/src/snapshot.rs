@@ -170,7 +170,7 @@ pub struct GridSnap {
     /// step — reordering it would break bit-identical resumption).
     pub active: Vec<u32>,
     /// Per-node all-time peak occupancy (congestion map).
-    pub peak_load: Vec<u16>,
+    pub peak_load: Vec<u32>,
 }
 
 /// The most recent step's delivery/loss events, in deterministic

@@ -4,10 +4,10 @@
 //! Everything the step pipeline reads or writes about packets and queues
 //! lives here, behind named accessors instead of ad-hoc index math. Queue
 //! cells live inline in one contiguous node-major slab (see DESIGN.md
-//! §14), and the grid keeps an incremental per-node **occupancy bitmask**
-//! (`occ`, which slots are non-empty) and **occupancy index** (`load`,
-//! how many packets), so "how full is this node" — the question the
-//! route, rebuild, and diagnostics paths ask constantly — is O(1), and
+//! §14), and one row of per-slot queue lengths per node is the only count
+//! of what a node holds: "how full is this node" — the question the
+//! route, rebuild, and diagnostics paths ask constantly — is the sum of at
+//! most five adjacent words, and
 //! [`Sim::packets_at`](crate::sim::Sim::packets_at) answers straight from
 //! the node's own slab region without touching the packet table.
 
@@ -482,10 +482,10 @@ const EMPTY_CELL: PacketId = PacketId(u32::MAX);
 /// cells live inline in one contiguous node-major allocation, so a move
 /// is a couple of word writes into a region the route/accept paths have
 /// already pulled into cache — no per-queue heap `Vec`s, no pointer
-/// chasing. Alongside the slab the grid keeps per-(node, slot) lengths,
-/// a per-node occupancy *bitmask* (which slots are non-empty) and the
-/// existing per-node load index, plus the staging and bookkeeping the
-/// step pipeline needs: pending (admission-controlled) injections, the
+/// chasing. Alongside the slab the grid keeps per-(node, slot) lengths —
+/// the one record of what a node holds; its load and its occupied slots
+/// are read off that row — plus the staging and bookkeeping the step
+/// pipeline needs: pending (admission-controlled) injections, the
 /// active-node worklist, and the peak-load congestion map.
 pub(crate) struct NodeGrid {
     n: u32,
@@ -496,9 +496,9 @@ pub(crate) struct NodeGrid {
     /// `slot_off[s]`, of which the first `lens[ni * slots + s]` are live,
     /// oldest first (FIFO order identical to the former per-queue `Vec`s).
     slab: Vec<PacketId>,
-    /// Per-(node, slot) queue lengths, node-major slot-minor. The
-    /// `queue_lens` slice a router's accept policy receives points
-    /// straight into this array.
+    /// Per-(node, slot) queue lengths, node-major slot-minor: the only
+    /// per-node occupancy storage. The `queue_lens` slice a router's
+    /// accept policy receives points straight into this array.
     lens: Vec<u32>,
     /// Inline capacity of each slot (identical for every node). Every slot
     /// starts at `min(k, 4)` cells and [`grow_slot`](Self::grow_slot)
@@ -510,13 +510,6 @@ pub(crate) struct NodeGrid {
     slot_off: [u32; 5],
     /// Cells per node: `caps[..slots]` summed.
     stride: u32,
-    /// Occupancy bitmask: bit `s` of `occ[ni]` is set iff slot `s` of
-    /// node `ni` is non-empty. Lets the hot paths enumerate a node's
-    /// packets by trailing-zeros walk instead of scanning every slot.
-    occ: Vec<u8>,
-    /// Occupancy index: packets currently queued at each node, maintained
-    /// incrementally by [`push`](Self::push)/[`remove`](Self::remove).
-    load: Vec<u32>,
     /// Packets staged for injection at a node, held outside the network by
     /// admission control until the origin queue has room.
     pub(crate) pending: HashMap<u32, VecDeque<PacketId>>,
@@ -527,8 +520,10 @@ pub(crate) struct NodeGrid {
     /// Worklist of nodes that may hold or receive packets this step.
     active: Vec<u32>,
     in_active: Vec<bool>,
-    /// Per-node all-time peak occupancy (congestion map).
-    pub(crate) peak_load: Vec<u16>,
+    /// Per-node all-time peak occupancy (congestion map). A `u32`, like
+    /// the load it records: an unbounded injection queue can hold more
+    /// than 65,535 packets.
+    pub(crate) peak_load: Vec<u32>,
 }
 
 /// Slab geometry for a capacity vector: per-slot cell offsets and the
@@ -559,8 +554,6 @@ impl NodeGrid {
             caps,
             slot_off,
             stride,
-            occ: vec![0; nodes],
-            load: vec![0; nodes],
             pending: HashMap::new(),
             spare: Vec::new(),
             active: Vec::new(),
@@ -654,15 +647,8 @@ impl NodeGrid {
         &self.lens[ni * self.slots..(ni + 1) * self.slots]
     }
 
-    /// Occupancy bitmask of a node: bit `s` set iff slot `s` is non-empty.
-    #[inline]
-    pub(crate) fn occ_mask(&self, ni: usize) -> u8 {
-        self.occ[ni]
-    }
-
-    /// Appends a packet to a node's queue: two word writes plus a bitmask
-    /// set in the common case (the slab only rebuilds when a slot outgrows
-    /// its inline cells).
+    /// Appends a packet to a node's queue: two word writes in the common
+    /// case (the slab only rebuilds when a slot outgrows its inline cells).
     pub(crate) fn push(&mut self, c: Coord, kind: QueueKind, pid: PacketId) {
         let ni = self.node_index(c);
         let s = kind.slot();
@@ -673,14 +659,12 @@ impl NodeGrid {
         let base = self.cell_base(ni, s);
         self.slab[base + len as usize] = pid;
         self.lens[ni * self.slots + s] = len + 1;
-        self.occ[ni] |= 1 << s;
-        self.load[ni] += 1;
     }
 
     /// Removes a packet from slot `s` of a node (position scan — queues
-    /// are short by construction) by shifting the younger cells down one,
-    /// updating the length, bitmask, and occupancy index. Panics if the
-    /// packet is not there: that is an engine bug, not a runtime condition.
+    /// are short by construction) by shifting the younger cells down one
+    /// and updating the length. Panics if the packet is not there: that is
+    /// an engine bug, not a runtime condition.
     pub(crate) fn remove(&mut self, c: Coord, s: usize, pid: PacketId) {
         let ni = self.node_index(c);
         let len = self.lens[ni * self.slots + s] as usize;
@@ -693,25 +677,21 @@ impl NodeGrid {
         region.copy_within(pos + 1.., pos);
         region[len - 1] = EMPTY_CELL;
         self.lens[ni * self.slots + s] = (len - 1) as u32;
-        if len == 1 {
-            self.occ[ni] &= !(1 << s);
-        }
-        self.load[ni] -= 1;
     }
 
-    /// Removes every queued packet `stale` says yes to, asking in
-    /// deterministic (node, slot, position) order — an in-place compacting
-    /// sweep over each occupied slot, identical in survivor order to the
-    /// former per-queue `Vec::retain`. `stale` retires the packets it
-    /// condemns. Only the `DeadlineExpiry` admission policy pays this, and
-    /// the occupancy bitmask skips empty nodes and slots.
+    /// Removes every queued packet `stale` says yes to, asking node by
+    /// node down the active worklist, each node's slots and positions in
+    /// order — an in-place compacting sweep, identical in survivor order
+    /// to a per-queue `Vec::retain`. `stale` retires the packets it
+    /// condemns. Only the `DeadlineExpiry` admission policy pays this, in
+    /// proportion to the listed nodes: every loaded node is on the list
+    /// (`check_queues` holds it), and no queue's survivors depend on the
+    /// order nodes are visited in.
     pub(crate) fn expire_queued(&mut self, mut stale: impl FnMut(PacketId) -> bool) {
         let slots = self.slots;
-        for ni in 0..self.nodes() {
-            let mut o = self.occ[ni];
-            while o != 0 {
-                let s = o.trailing_zeros() as usize;
-                o &= o - 1;
+        for idx in 0..self.active.len() {
+            let ni = self.active[idx] as usize;
+            for s in 0..slots {
                 let len = self.lens[ni * slots + s] as usize;
                 let base = self.cell_base(ni, s);
                 let mut w = 0usize;
@@ -725,36 +705,32 @@ impl NodeGrid {
                 if w < len {
                     self.slab[base + w..base + len].fill(EMPTY_CELL);
                     self.lens[ni * slots + s] = w as u32;
-                    self.load[ni] -= (len - w) as u32;
-                    if w == 0 {
-                        self.occ[ni] &= !(1 << s);
-                    }
                 }
             }
         }
     }
 
-    /// Total packets currently in the node's queues (excluding pending) —
-    /// O(1) from the occupancy index.
+    /// Total packets currently in the node's queues (excluding pending):
+    /// the sum of its row of queue lengths. A central queue's row is one
+    /// word and is read as such: route and the transmit rebuild ask this of
+    /// every listed node every step, and the summing loop cost the
+    /// step-bound `lowerbound` workload about 7 % of its set-up (DESIGN.md
+    /// §14).
     #[inline]
     pub(crate) fn node_load(&self, ni: usize) -> u32 {
-        self.load[ni]
+        if self.slots == 1 {
+            return self.lens[ni];
+        }
+        self.queue_lens_of(ni).iter().sum()
     }
 
     /// The non-empty queues of a node in slot order, as `(slot, contents)`
-    /// slices into the slab — a zero-allocation trailing-zeros walk of the
-    /// occupancy bitmask.
+    /// slices into the slab — a zero-allocation walk of its length row.
     #[inline]
     pub(crate) fn node_queues(&self, ni: usize) -> impl Iterator<Item = (usize, &[PacketId])> + '_ {
-        let mut o = self.occ[ni];
-        std::iter::from_fn(move || {
-            if o == 0 {
-                return None;
-            }
-            let s = o.trailing_zeros() as usize;
-            o &= o - 1;
-            Some((s, self.queue(ni, s)))
-        })
+        (0..self.slots)
+            .filter(move |&s| self.queue_len(ni, s) > 0)
+            .map(move |s| (s, self.queue(ni, s)))
     }
 
     /// The packets currently at a node, over all queues in slot order —
@@ -770,14 +746,12 @@ impl NodeGrid {
     /// its packet on demand: the route phase resolves the (at most four)
     /// indices an outqueue policy returns, and every `id`/`src`/`state`/
     /// `dst` read through a residents handle comes here first. The walk is
-    /// over occupied slots only (one for a central queue, at most five).
+    /// over the node's length row (one slot for a central queue, at most
+    /// five).
     #[inline]
     pub(crate) fn nth_packet(&self, ni: usize, mut i: usize) -> PacketId {
-        let mut o = self.occ[ni];
-        while o != 0 {
-            let s = o.trailing_zeros() as usize;
-            o &= o - 1;
-            let len = self.lens[ni * self.slots + s] as usize;
+        for (s, &len) in self.queue_lens_of(ni).iter().enumerate() {
+            let len = len as usize;
             if i < len {
                 return self.slab[self.cell_base(ni, s) + i];
             }
@@ -867,7 +841,7 @@ impl NodeGrid {
 
     /// Records a node's end-of-step load into the congestion map.
     #[inline]
-    pub(crate) fn note_peak(&mut self, ni: usize, load: u16) {
+    pub(crate) fn note_peak(&mut self, ni: usize, load: u32) {
         if load > self.peak_load[ni] {
             self.peak_load[ni] = load;
         }
@@ -897,14 +871,13 @@ mod arena_tests {
 
     /// Asserts the arena agrees with a reference `Vec<Vec<_>>` grid on
     /// every observable: per-queue contents, lengths, slot kinds, the
-    /// occupancy bitmask, the load index, and all five read paths
-    /// (`queue`, `node_queues`, `packets_at`, `nth_packet`,
-    /// `export_queues`). `packets_at` is the flattening of `node_queues`.
+    /// node load, and all five read paths (`queue`, `node_queues`,
+    /// `packets_at`, `nth_packet`, `export_queues`). `packets_at` is the
+    /// flattening of `node_queues`.
     fn assert_matches(grid: &NodeGrid, shadow: &[Vec<PacketId>]) {
         let slots = grid.slots();
         let mut export = grid.export_queues();
         for ni in 0..grid.nodes() {
-            let mut occ = 0u8;
             let mut load = 0u32;
             for s in 0..slots {
                 let sq = &shadow[ni * slots + s];
@@ -913,13 +886,9 @@ mod arena_tests {
                 assert_eq!(grid.queue_len(ni, s), sq.len(), "len ({ni},{s})");
                 assert_eq!(grid.queue_lens_of(ni)[s], sq.len() as u32);
                 assert_eq!(export.next().unwrap(), &sq[..], "export ({ni},{s})");
-                if !sq.is_empty() {
-                    occ |= 1 << s;
-                    load += sq.len() as u32;
-                }
+                load += sq.len() as u32;
             }
-            assert_eq!(grid.occ_mask(ni), occ, "occ bitmask at node {ni}");
-            assert_eq!(grid.node_load(ni), load, "load index at node {ni}");
+            assert_eq!(grid.node_load(ni), load, "load at node {ni}");
             let flat: Vec<PacketId> = shadow[ni * slots..(ni + 1) * slots]
                 .iter()
                 .flatten()
@@ -944,7 +913,8 @@ mod arena_tests {
     /// Op-level differential: a random push/remove/expire stream against
     /// the reference grid, for both queue architectures. Pushes past a
     /// slot's inline capacity force `grow_slot` rebuilds mid-stream; the
-    /// shadow must survive every one of them.
+    /// shadow must survive every one of them. Every pushed-to node stays
+    /// on the active list, which the expiry sweep walks in list order.
     #[test]
     fn arena_matches_reference_under_random_ops() {
         for (arch, seed) in [
@@ -966,6 +936,7 @@ mod arena_tests {
                         let pid = PacketId(inject_at.len() as u32);
                         inject_at.push(t);
                         grid.push(grid.coord_of(ni), grid.slot_kind(s), pid);
+                        grid.mark_active(ni);
                         shadow[ni * slots + s].push(pid);
                     }
                     6..=8 => {
@@ -983,14 +954,17 @@ mod arena_tests {
                     _ => {
                         let ttl = 1 + lcg(&mut rng) % 16;
                         let mut expected = Vec::new();
-                        for q in shadow.iter_mut() {
-                            q.retain(|&pid| {
-                                let gone = t >= inject_at[pid.index()].saturating_add(ttl);
-                                if gone {
-                                    expected.push(pid);
-                                }
-                                !gone
-                            });
+                        for &ni in grid.active() {
+                            let node = &mut shadow[ni as usize * slots..][..slots];
+                            for q in node.iter_mut() {
+                                q.retain(|&pid| {
+                                    let gone = t >= inject_at[pid.index()].saturating_add(ttl);
+                                    if gone {
+                                        expected.push(pid);
+                                    }
+                                    !gone
+                                });
+                            }
                         }
                         let mut got = Vec::new();
                         grid.expire_queued(|pid| {

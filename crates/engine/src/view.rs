@@ -30,7 +30,8 @@ use std::ops::Deref;
 ///
 /// The slot index is the same one the queue arena uses to address its
 /// inline cells (DESIGN.md §14), so building a descriptor from the grid is
-/// an occupancy-bitmask walk — no `QueueKind` round-trip in the hot path.
+/// a walk of the node's queue-length row — no `QueueKind` round-trip in the
+/// hot path.
 ///
 /// It carries no id, source, state word or destination: a policy that
 /// needs one asks the handle passed beside the descriptors.

@@ -24,7 +24,7 @@
 
 use mesh_engine::{FullArrivals, FullResidents, PackedArrival, PackedView, QueueArch, Router};
 use mesh_faults::CompiledFaults;
-use mesh_topo::{Coord, DirSet, ALL_DIRS};
+use mesh_topo::{Coord, DirSet};
 use std::sync::Arc;
 
 /// A [`Router`] adapter that hides faulted outlinks from the inner router.
@@ -96,19 +96,12 @@ impl<R: Router> Router for FaultAware<R> {
         cold: &FullResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
-        if self.faults.is_empty() {
-            return self.inner.outqueue(step, node, state, pkts, cold, out);
+        if !self.faults.is_empty() {
+            self.mask_residents(step, node, pkts);
         }
-        self.mask_residents(step, node, pkts);
+        // A nonminimal inner router may still pick a down link (the mask
+        // only edits *profitable* sets); the engine drops that move.
         self.inner.outqueue(step, node, state, pkts, cold, out);
-        // Belt and braces: a nonminimal inner router may still have picked a
-        // down link (the mask only edits *profitable* sets). Clear it — the
-        // engine would drop the move anyway.
-        for (di, slot) in out.iter_mut().enumerate() {
-            if slot.is_some() && self.faults.link_down(step, node, ALL_DIRS[di]) {
-                *slot = None;
-            }
-        }
     }
 
     fn inqueue(

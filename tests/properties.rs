@@ -491,7 +491,7 @@ proptest! {
         rate_permille in 0u64..=150,
         fault_seed in 0u64..10_000,
     ) {
-        // Every bounded queue within capacity, the occupancy index in sync,
+        // Every bounded queue within capacity, the active worklist complete,
         // packet location records consistent — after *every* step of a
         // fault-aware run under a random fault plan (stalls, link faults,
         // queue degradation), not merely at the end of the run.
@@ -683,5 +683,12 @@ proptest! {
         let router = Dx::new(DimOrder::new(k));
         let mut restored = Sim::restore(&topo, router, SimConfig::default(), None, &snap).unwrap();
         audit_matches_recomputed_loads(&mut restored, 300, &mut peaks)?;
+        // Theorem 15's injection queue has no bound: one origin holds more
+        // packets than a 16-bit peak could count.
+        let corner = Mesh::new(2);
+        let pairs = (0..70_000).map(|_| (Coord::new(0, 0), Coord::new(1, 1)));
+        let pb = RoutingProblem::from_pairs(2, "corner", pairs);
+        let mut sim = Sim::new(&corner, Dx::new(Theorem15::new(k)), &pb);
+        audit_matches_recomputed_loads(&mut sim, 3, &mut [0u32; 4])?;
     }
 }
