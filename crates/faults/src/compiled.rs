@@ -269,16 +269,46 @@ mod tests {
 
     #[test]
     fn active_at_is_sorted_and_complete() {
+        // All four kinds; two link faults added out of index order, so the
+        // listing's order is the table's, not the plan's; overlapping
+        // degradations; permanent and transient intervals.
+        let (a, b) = (Coord::new(5, 4), Coord::new(3, 0));
+        let (s, d) = (Coord::new(1, 1), Coord::new(2, 2));
         let c = FaultPlan::none(8)
-            .link_down(Coord::new(3, 0), Dir::North, 0, None)
-            .stall(Coord::new(1, 1), 0, Some(10))
-            .degrade(Coord::new(2, 2), 1, 0, None)
+            .link_down(a, Dir::East, 5, Some(30))
+            .link_down(b, Dir::North, 0, None)
+            .stall(s, 0, Some(10))
+            .degrade(d, 1, 0, None)
+            .degrade(d, 2, 20, Some(40))
+            .lossy(a, Dir::South, 12, Some(25))
             .compile();
-        let at0 = c.active_at(0);
-        assert_eq!(at0.len(), 3);
-        assert!(matches!(at0[0], ActiveFault::LinkDown(_)));
-        let at50 = c.active_at(50);
-        assert_eq!(at50.len(), 2, "stall lifted at step 10");
+        let down = |node, dir| ActiveFault::LinkDown(Link::new(node, dir));
+        let lossy = ActiveFault::LinkLossy(Link::new(a, Dir::South));
+        let degraded = |slots| ActiveFault::QueueDegraded { node: d, slots };
+        assert_eq!(
+            c.active_at(0),
+            vec![
+                down(b, Dir::North),
+                ActiveFault::NodeStalled(s),
+                degraded(1)
+            ]
+        );
+        assert_eq!(
+            c.active_at(9),
+            vec![
+                down(b, Dir::North),
+                down(a, Dir::East),
+                ActiveFault::NodeStalled(s),
+                degraded(1)
+            ]
+        );
+        assert_eq!(
+            c.active_at(24),
+            vec![down(b, Dir::North), down(a, Dir::East), degraded(3), lossy]
+        );
+        assert_eq!(c.active_at(30), vec![down(b, Dir::North), degraded(3)]);
+        assert_eq!(c.active_at(40), vec![down(b, Dir::North), degraded(1)]);
+        assert_eq!(c.last_transition(), 40);
     }
 
     #[test]

@@ -353,6 +353,22 @@ mod tests {
         assert_eq!(a, b);
         let c = FaultPlan::random(12, 0.1, 1000, 43);
         assert_ne!(a, c, "different seeds should differ");
+        // Every draw is pinned, as the length and 64-bit FNV-1a digest of the
+        // plan's JSON: CHAOS's and RELIABLE's trial-0 shapes (n = 16, horizon
+        // 128, top quick density), RELIABLE's outages at two seeds.
+        let pinned = |plan: &FaultPlan| {
+            let json = serde_json::to_string(plan).unwrap();
+            let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (json.len(), format!("{digest:016x}"))
+        };
+        let chaos = FaultPlan::random(16, 0.15, 128, 4045);
+        assert_eq!(pinned(&chaos), (11931, "766c35b996e0dc7e".into()));
+        let outages = FaultPlan::random_outages(16, 0.12, 128, 7);
+        assert_eq!(pinned(&outages), (9123, "f33b0df9134ea4c7".into()));
+        let reliable = FaultPlan::random_outages(16, 0.12, 128, 40);
+        assert_eq!(pinned(&reliable), (8326, "62e91442b67e6388".into()));
     }
 
     #[test]
