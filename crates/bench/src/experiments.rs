@@ -29,7 +29,6 @@ use mesh_routing::adversary::{ConstructionOutcome, LowerBoundReport, ParamError}
 use mesh_routing::engine::{MemorySink, Snapshot, SnapshotHook};
 use mesh_routing::prelude::*;
 use mesh_routing::with_engine_router;
-use std::sync::Arc;
 
 /// The §3 construction and its replay, as `Experiment::attack` hands them
 /// to a row: `None` when the construction broke down.
@@ -827,7 +826,7 @@ pub fn perf(full: bool) -> Experiment {
 }
 
 /// CHAOS — the robustness soak. Seeded random fault plans (transient cable
-/// cuts, node stalls, queue-slot degradations — see `mesh_faults`) at
+/// cuts, node stalls, queue-slot degradations — see `mesh_engine::faults`) at
 /// increasing density are run against [`FaultAware`]-wrapped routers, with
 /// the raw (unwrapped) dimension-order router alongside for contrast, under
 /// the engine's livelock watchdog. Reported per cell: the watchdog verdict
@@ -867,8 +866,8 @@ pub fn chaos(full: bool) -> Experiment {
                 true,
             ),
             // Nonminimal: the mask cannot steer deflections, so this leans
-            // on the wrapper's outlink post-filter and capacity guard;
-            // stretch > 1 measures the deflection detours.
+            // on the engine dropping moves over down links and on the
+            // wrapper's capacity guard; stretch > 1 measures the detours.
             ("hot-potato/fault-aware", Algorithm::HotPotato, true),
         ] {
             for workload in ["partial-perm", "transpose"] {
@@ -890,7 +889,7 @@ pub fn chaos(full: bool) -> Experiment {
                     };
                     let tags = (density, router, workload);
                     with_engine_router!(algo, n, |make| if fault_aware {
-                        let aware = FaultAware::new(make(), Arc::new(plan.clone()));
+                        let aware = FaultAware::new(make());
                         chaos_row(Sim::with_faults(&topo, aware, &pb, config, plan), &pb, tags)
                     } else {
                         chaos_row(Sim::with_faults(&topo, make(), &pb, config, plan), &pb, tags)
@@ -946,7 +945,7 @@ fn chaos_row<R: Router>(
 struct Outage {
     topo: Mesh,
     pb: RoutingProblem,
-    faults: Arc<CompiledFaults>,
+    faults: CompiledFaults,
     trial: u64,
 }
 
@@ -958,13 +957,13 @@ impl Outage {
         Outage {
             topo: Mesh::new(n),
             pb,
-            faults: Arc::new(plan.compile()),
+            faults: plan.compile(),
             trial,
         }
     }
 
     fn router(&self) -> FaultAware<Dx<Theorem15>> {
-        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&self.faults))
+        FaultAware::new(Dx::new(Theorem15::new(2)))
     }
 
     fn config(&self, checkpoint_every: Option<u64>) -> SimConfig {
@@ -979,13 +978,18 @@ impl Outage {
 
     fn sim(&self, checkpoint_every: Option<u64>) -> Sim<'_, Mesh, FaultAware<Dx<Theorem15>>> {
         let config = self.config(checkpoint_every);
-        let faults = self.faults.as_ref().clone();
-        Sim::with_faults(&self.topo, self.router(), &self.pb, config, faults)
+        Sim::with_faults(
+            &self.topo,
+            self.router(),
+            &self.pb,
+            config,
+            self.faults.clone(),
+        )
     }
 
     /// A crash's resume: `snap` restored into a fresh engine.
     fn restore(&self, snap: &Snapshot) -> Sim<'_, Mesh, FaultAware<Dx<Theorem15>>> {
-        let faults = Some(self.faults.as_ref().clone());
+        let faults = Some(self.faults.clone());
         Sim::restore(&self.topo, self.router(), self.config(None), faults, snap)
             .expect("engine-written snapshot must restore")
     }
@@ -1199,8 +1203,7 @@ fn overload_run(
     };
     with_engine_router!(algo, n, |make| if faulty {
         let plan = FaultPlan::random(n, 0.05, 4 * n as u64, derive_seed(8997, 0)).compile();
-        let aware = FaultAware::new(make(), Arc::new(plan.clone()));
-        drive(Sim::with_faults(&topo, aware, &pb, config, plan), schedule)
+        drive(Sim::with_faults(&topo, FaultAware::new(make()), &pb, config, plan), schedule)
     } else {
         drive(Sim::with_config(&topo, make(), &pb, config), schedule)
     }, section6 => engine_only(algo))

@@ -132,8 +132,9 @@ impl RouteOutcome {
 ///
 /// Evaluates `$body` with `$router` bound to a *constructor* of the
 /// algorithm's router on a side-`$n` grid — call it once per router the
-/// body needs (an adversary construction and its replay need two; wrap the
-/// result in `FaultAware` inside the body). The §6 schedulers do not run
+/// body needs (an adversary construction and its replay need two). To steer
+/// around faults, wrap the result in `FaultAware::new` inside the body: it
+/// reads the plan the body hands the engine. The §6 schedulers do not run
 /// through the engine, so the caller says what happens for them in the
 /// `section6 =>` arm. The match has no wildcard: a new `Algorithm` variant
 /// without an arm here is a compile error at every use.

@@ -5,7 +5,7 @@
 //! *where*, how full every node is, and which faults were active — the
 //! information needed to tell a router bug from an injected partition.
 
-use mesh_faults::ActiveFault;
+use crate::faults::ActiveFault;
 use mesh_topo::Coord;
 use mesh_traffic::PacketId;
 use serde::{Deserialize, Serialize};
@@ -49,7 +49,8 @@ pub struct DiagnosticSnapshot {
     pub lost: usize,
     /// Packets rejected at the injection edge by admission control.
     pub shed: usize,
-    /// Packets whose deadline passed while staged at the injection edge.
+    /// Packets whose deadline passed — staged at the edge or queued
+    /// in-network (`DeadlineExpiry`).
     pub expired: usize,
     /// Packets currently staged at injection edges — due but not yet
     /// admitted (the instantaneous backlog, not the cumulative

@@ -458,8 +458,8 @@ mod tests {
 mod fault_tests {
     use super::tests::Greedy;
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::router::Dx;
-    use mesh_faults::FaultPlan;
     use mesh_topo::Mesh;
     use mesh_traffic::{workloads, RoutingProblem};
 
@@ -935,9 +935,9 @@ mod loss_and_protocol_tests {
     //! Lossy links, runtime spawning, and the protocol driving loop.
 
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::protocol::{ProtocolControl, ProtocolHook, StepEvents};
     use crate::router::Dx;
-    use mesh_faults::FaultPlan;
     use mesh_topo::Mesh;
     use mesh_traffic::RoutingProblem;
 

@@ -1,45 +1,11 @@
-//! The compiled form of a fault plan: per-entity interval tables with
-//! O(log intervals) point queries, plus step-indexed enumeration of active
-//! faults for diagnostics.
+//! The compiled form of a fault plan: one interval table per fault kind,
+//! answering point queries by a scan of one entity's few intervals, plus
+//! the step-indexed listing of active faults for diagnostics.
 
-use crate::plan::FaultPlan;
+use crate::faults::FaultPlan;
 use mesh_topo::{Coord, Dir, Link};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Sorted, possibly-overlapping `[from, until)` intervals with a payload.
-/// `u64::MAX` encodes "forever".
-type Intervals = Vec<(u64, u64, u32)>;
-
-fn push_interval(
-    map: &mut HashMap<u32, Intervals>,
-    key: u32,
-    from: u64,
-    until: Option<u64>,
-    load: u32,
-) {
-    map.entry(key)
-        .or_default()
-        .push((from, until.unwrap_or(u64::MAX), load));
-}
-
-fn finish(map: &mut HashMap<u32, Intervals>) {
-    for v in map.values_mut() {
-        v.sort_unstable();
-    }
-}
-
-/// Sum of payloads of intervals containing `step` (intervals are sorted by
-/// start; entity fault lists are tiny, so a linear scan is fine and simpler
-/// than interval trees).
-fn active_load(intervals: Option<&Intervals>, step: u64) -> u32 {
-    let Some(iv) = intervals else { return 0 };
-    iv.iter()
-        .take_while(|&&(from, _, _)| from <= step)
-        .filter(|&&(_, until, _)| step < until)
-        .map(|&(_, _, load)| load)
-        .sum()
-}
 
 /// One fault active at a queried step — the diagnostic view embedded in the
 /// engine's failure snapshots.
@@ -64,58 +30,87 @@ impl core::fmt::Display for ActiveFault {
     }
 }
 
-/// A [`FaultPlan`] compiled for point queries. Cheap to clone relative to a
-/// simulation; share between a `Sim` and a `FaultAware` router by cloning
-/// (or wrap in `Arc`).
+/// The four fault kinds, in [`CompiledFaults::active_at`]'s listing order;
+/// each indexes its own table. A link kind is keyed by the link's dense
+/// index, a node kind by the node's row-major index.
+#[derive(Clone, Copy)]
+enum Kind {
+    Down,
+    Stall,
+    Degrade,
+    Loss,
+}
+
+const KINDS: [Kind; 4] = [Kind::Down, Kind::Stall, Kind::Degrade, Kind::Loss];
+
+/// Per entity key, its `[from, until)` intervals with a payload, sorted by
+/// start and possibly overlapping. `u64::MAX` encodes "forever".
+type Table = HashMap<u32, Vec<(u64, u64, u32)>>;
+
+/// A [`FaultPlan`] compiled for point queries. The engine holds the one
+/// copy a run has, and hands it to policies through the full handles.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledFaults {
     n: u32,
-    empty: bool,
     last_transition: u64,
-    links: HashMap<u32, Intervals>,
-    stalls: HashMap<u32, Intervals>,
-    degrades: HashMap<u32, Intervals>,
-    losses: HashMap<u32, Intervals>,
+    tables: [Table; 4],
 }
 
 impl CompiledFaults {
     pub(crate) fn new(plan: &FaultPlan) -> CompiledFaults {
         let n = plan.n;
-        let finite_ends = plan
-            .links
-            .iter()
-            .filter_map(|f| f.until)
-            .chain(plan.stalls.iter().filter_map(|f| f.until))
-            .chain(plan.degrades.iter().filter_map(|f| f.until))
-            .chain(plan.losses.iter().filter_map(|f| f.until));
+        let (link, node) = (|l: Link| l.index(n) as u32, |c: Coord| c.y * n + c.x);
         let mut c = CompiledFaults {
             n,
-            empty: plan.is_empty(),
-            last_transition: finite_ends.max().unwrap_or(0),
-            links: HashMap::new(),
-            stalls: HashMap::new(),
-            degrades: HashMap::new(),
-            losses: HashMap::new(),
+            ..CompiledFaults::default()
         };
-        for lf in &plan.links {
-            push_interval(&mut c.links, lf.link.index(n) as u32, lf.from, lf.until, 1);
+        let mut add = |kind: Kind, key: u32, from: u64, until: Option<u64>, load: u32| {
+            c.last_transition = c.last_transition.max(until.unwrap_or(0));
+            let intervals = c.tables[kind as usize].entry(key).or_default();
+            intervals.push((from, until.unwrap_or(u64::MAX), load));
+        };
+        for f in &plan.links {
+            add(Kind::Down, link(f.link), f.from, f.until, 1);
         }
-        for lf in &plan.losses {
-            push_interval(&mut c.losses, lf.link.index(n) as u32, lf.from, lf.until, 1);
+        for f in &plan.stalls {
+            add(Kind::Stall, node(f.node), f.from, f.until, 1);
         }
-        for st in &plan.stalls {
-            let key = st.node.y * n + st.node.x;
-            push_interval(&mut c.stalls, key, st.from, st.until, 1);
+        for f in &plan.degrades {
+            add(Kind::Degrade, node(f.node), f.from, f.until, f.slots);
         }
-        for dg in &plan.degrades {
-            let key = dg.node.y * n + dg.node.x;
-            push_interval(&mut c.degrades, key, dg.from, dg.until, dg.slots);
+        for f in &plan.losses {
+            add(Kind::Loss, link(f.link), f.from, f.until, 1);
         }
-        finish(&mut c.links);
-        finish(&mut c.stalls);
-        finish(&mut c.degrades);
-        finish(&mut c.losses);
+        for intervals in c.tables.iter_mut().flat_map(Table::values_mut) {
+            intervals.sort_unstable();
+        }
         c
+    }
+
+    /// The fault model's one rule: the summed payload of the `kind`
+    /// intervals of entity `key` that contain `step`. Entity fault lists
+    /// are tiny, so a scan is simpler than an interval tree.
+    #[inline]
+    fn load(&self, kind: Kind, key: u32, step: u64) -> u32 {
+        let Some(intervals) = self.tables[kind as usize].get(&key) else {
+            return 0;
+        };
+        intervals
+            .iter()
+            .take_while(|&&(from, _, _)| from <= step)
+            .filter(|&&(_, until, _)| step < until)
+            .map(|&(_, _, load)| load)
+            .sum()
+    }
+
+    #[inline]
+    fn link(&self, node: Coord, dir: Dir) -> u32 {
+        Link::new(node, dir).index(self.n) as u32
+    }
+
+    #[inline]
+    fn node(&self, node: Coord) -> u32 {
+        node.y * self.n + node.x
     }
 
     /// Grid side the plan was built for.
@@ -123,10 +118,11 @@ impl CompiledFaults {
         self.n
     }
 
-    /// True when the source plan had no faults: the engine's fast path.
+    /// True when the source plan had no faults: the engine then runs
+    /// exactly as with no plan.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.empty
+        self.tables.iter().all(Table::is_empty)
     }
 
     /// The last step at which any *finite* fault interval lifts; from this
@@ -141,89 +137,55 @@ impl CompiledFaults {
     /// Is the `dir` outlink of `node` down at `step`?
     #[inline]
     pub fn link_down(&self, step: u64, node: Coord, dir: Dir) -> bool {
-        !self.empty
-            && active_load(
-                self.links.get(&(Link::new(node, dir).index(self.n) as u32)),
-                step,
-            ) > 0
+        self.load(Kind::Down, self.link(node, dir), step) > 0
     }
 
     /// Is `node` stalled at `step`?
     #[inline]
     pub fn node_stalled(&self, step: u64, node: Coord) -> bool {
-        !self.empty && active_load(self.stalls.get(&(node.y * self.n + node.x)), step) > 0
+        self.load(Kind::Stall, self.node(node), step) > 0
     }
 
     /// Queue slots lost by `node` at `step` (0 = healthy).
     #[inline]
     pub fn degraded_slots(&self, step: u64, node: Coord) -> u32 {
-        if self.empty {
-            return 0;
-        }
-        active_load(self.degrades.get(&(node.y * self.n + node.x)), step)
+        self.load(Kind::Degrade, self.node(node), step)
     }
 
     /// Is the `dir` outlink of `node` lossy at `step`? A packet transmitted
     /// across a lossy link is destroyed by the engine instead of arriving.
     #[inline]
     pub fn link_lossy(&self, step: u64, node: Coord, dir: Dir) -> bool {
-        !self.empty
-            && !self.losses.is_empty()
-            && active_load(
-                self.losses
-                    .get(&(Link::new(node, dir).index(self.n) as u32)),
-                step,
-            ) > 0
+        self.load(Kind::Loss, self.link(node, dir), step) > 0
     }
 
-    /// True when the plan contains no lossy links at all — lets the engine
-    /// skip the per-move loss check entirely for loss-free plans.
+    /// True when the plan contains lossy links at all.
     #[inline]
     pub fn has_losses(&self) -> bool {
-        !self.losses.is_empty()
+        !self.tables[Kind::Loss as usize].is_empty()
     }
 
-    /// Every fault active at `step`, in a deterministic (index-sorted)
-    /// order — the diagnostics view.
+    /// Every fault active at `step` — down links, stalls, degradations,
+    /// then lossy links, each kind in ascending link or node index: the
+    /// diagnostics view.
     pub fn active_at(&self, step: u64) -> Vec<ActiveFault> {
         let mut out = Vec::new();
-        let mut link_keys: Vec<u32> = self.links.keys().copied().collect();
-        link_keys.sort_unstable();
-        for key in link_keys {
-            if active_load(self.links.get(&key), step) > 0 {
-                out.push(ActiveFault::LinkDown(Link::from_index(
-                    key as usize,
-                    self.n,
-                )));
-            }
-        }
-        let coord = |key: u32| Coord::new(key % self.n, key / self.n);
-        let mut stall_keys: Vec<u32> = self.stalls.keys().copied().collect();
-        stall_keys.sort_unstable();
-        for key in stall_keys {
-            if active_load(self.stalls.get(&key), step) > 0 {
-                out.push(ActiveFault::NodeStalled(coord(key)));
-            }
-        }
-        let mut deg_keys: Vec<u32> = self.degrades.keys().copied().collect();
-        deg_keys.sort_unstable();
-        for key in deg_keys {
-            let slots = active_load(self.degrades.get(&key), step);
-            if slots > 0 {
-                out.push(ActiveFault::QueueDegraded {
-                    node: coord(key),
-                    slots,
+        for kind in KINDS {
+            let mut keys: Vec<u32> = self.tables[kind as usize].keys().copied().collect();
+            keys.sort_unstable();
+            for key in keys {
+                let load = self.load(kind, key, step);
+                if load == 0 {
+                    continue;
+                }
+                let link = || Link::from_index(key as usize, self.n);
+                let node = Coord::new(key % self.n, key / self.n);
+                out.push(match kind {
+                    Kind::Down => ActiveFault::LinkDown(link()),
+                    Kind::Stall => ActiveFault::NodeStalled(node),
+                    Kind::Degrade => ActiveFault::QueueDegraded { node, slots: load },
+                    Kind::Loss => ActiveFault::LinkLossy(link()),
                 });
-            }
-        }
-        let mut loss_keys: Vec<u32> = self.losses.keys().copied().collect();
-        loss_keys.sort_unstable();
-        for key in loss_keys {
-            if active_load(self.losses.get(&key), step) > 0 {
-                out.push(ActiveFault::LinkLossy(Link::from_index(
-                    key as usize,
-                    self.n,
-                )));
             }
         }
         out

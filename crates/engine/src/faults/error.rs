@@ -2,13 +2,13 @@
 //!
 //! `CompiledFaults` happily answers point queries for any interval table,
 //! including ones that can never match (`until <= from`) or that double-count
-//! a link; [`FaultPlan::validate`](crate::FaultPlan::validate) rejects such
-//! plans up front with one of these errors instead of letting the sweep run
-//! with a silently inert (or doubled) fault.
+//! a link; [`FaultPlan::validate`](crate::faults::FaultPlan::validate)
+//! rejects such plans up front with one of these errors instead of letting
+//! the sweep run with a silently inert (or doubled) fault.
 
 use mesh_topo::{Coord, Link};
 
-/// Why a [`FaultPlan`](crate::FaultPlan) failed validation.
+/// Why a [`FaultPlan`](crate::faults::FaultPlan) failed validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPlanError {
     /// An interval with `until <= from` can never be active.

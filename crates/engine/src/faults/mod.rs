@@ -1,10 +1,8 @@
-//! # mesh-faults
+//! Deterministic fault injection (DESIGN.md §7).
 //!
-//! Deterministic fault injection for the CLT94 mesh simulator.
-//!
-//! The paper's model (§2) assumes a perfect synchronous network. This crate
+//! The paper's model (§2) assumes a perfect synchronous network. This module
 //! supplies the *second* adversary the reproduction grows toward production
-//! robustness with — not the §3 destination exchanger (that lives in the
+//! robustness with — not the §3 destination exchanger (that is the
 //! engine's `StepHook`), but hardware-style failures:
 //!
 //! * **link faults** — a directed link carries nothing during an interval;
@@ -20,32 +18,19 @@
 //!
 //! Everything is specified up front in a [`FaultPlan`] — a pure value, built
 //! by hand or drawn from a seed via [`FaultPlan::random`] — and compiled
-//! once into [`CompiledFaults`], the query structure both the engine and the
-//! `FaultAware` router wrapper consult. Identical plans produce identical
-//! runs: fault injection never consults a clock, thread id, or global RNG,
-//! so the PR-1 byte-identical-across-`--threads` invariant is preserved.
+//! once into [`CompiledFaults`], which the caller hands to
+//! [`Sim::with_faults`](crate::Sim::with_faults) or
+//! [`Sim::restore`](crate::Sim::restore). That table is the run's only
+//! copy: the engine enforces it, and a policy that steers around faults
+//! (the `FaultAware` router) reads it through
+//! [`FullResidents::faults`](crate::FullResidents::faults). Identical plans
+//! produce identical runs: fault injection never consults a clock, thread
+//! id, or global RNG, so runs stay byte-identical across `--threads`.
 //!
 //! Faults compose with the §3 exchange adversary: the engine filters faulted
 //! transmissions *before* the hook observes the schedule, so the exchanger
 //! only ever sees moves that can actually happen.
 
-#![forbid(unsafe_code)]
-
-pub mod compiled;
-pub mod error;
-pub mod plan;
-
-pub use compiled::{ActiveFault, CompiledFaults};
-pub use error::FaultPlanError;
-pub use plan::{FaultPlan, LinkFault, NodeStall, QueueDegrade};
-
-/// SplitMix64 — the crate's only source of pseudo-randomness, kept local so
-/// plan generation cannot drift with a vendored RNG's implementation.
-#[inline]
-pub(crate) fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use crate::compiled::{ActiveFault, CompiledFaults};
+pub use crate::error::FaultPlanError;
+pub use crate::plan::{FaultPlan, LinkFault, NodeStall, QueueDegrade};

@@ -1,8 +1,6 @@
 //! Fault plans: declarative, seedable descriptions of what breaks when.
 
-use crate::compiled::CompiledFaults;
-use crate::error::FaultPlanError;
-use crate::splitmix64;
+use crate::faults::{CompiledFaults, FaultPlanError};
 use mesh_topo::{Coord, Dir, Link};
 use serde::{Deserialize, Serialize};
 
@@ -89,15 +87,7 @@ impl FaultPlan {
 
     /// Adds a both-directions (cable-cut) link fault over `[from, until)`.
     pub fn cable_cut(mut self, node: Coord, dir: Dir, from: u64, until: Option<u64>) -> Self {
-        let link = Link::new(node, dir);
-        self.links.push(LinkFault { link, from, until });
-        if let Some(rev) = link.reverse() {
-            self.links.push(LinkFault {
-                link: rev,
-                from,
-                until,
-            });
-        }
+        self.links.extend(both_ways(node, dir, from, until));
         self
     }
 
@@ -131,15 +121,7 @@ impl FaultPlan {
 
     /// Makes both directions of a cable lossy over `[from, until)`.
     pub fn lossy_cable(mut self, node: Coord, dir: Dir, from: u64, until: Option<u64>) -> Self {
-        let link = Link::new(node, dir);
-        self.losses.push(LinkFault { link, from, until });
-        if let Some(rev) = link.reverse() {
-            self.losses.push(LinkFault {
-                link: rev,
-                from,
-                until,
-            });
-        }
+        self.losses.extend(both_ways(node, dir, from, until));
         self
     }
 
@@ -162,45 +144,19 @@ impl FaultPlan {
         let mut s_link = seed ^ 0x11d3_a6fb_0a5c_4e97;
         let mut s_stall = seed ^ 0x5bd1_e995_7b42_d1c3;
         let mut s_deg = seed ^ 0xc2b2_ae3d_27d4_eb4f;
-        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
-        let interval = |s: &mut u64, lo_div: u64, hi_div: u64| {
-            let from = splitmix64(s) % horizon;
-            let lo = (horizon / lo_div).max(1);
-            let hi = (horizon / hi_div).max(lo + 1);
-            let len = lo + splitmix64(s) % (hi - lo);
-            (from, Some(from + len))
-        };
-        for link in Link::all_mesh(n) {
-            // One draw per cable: visit each undirected pair once, from its
-            // East/North endpoint.
-            if !matches!(link.dir, Dir::East | Dir::North) {
-                continue;
-            }
-            if unit(splitmix64(&mut s_link)) < density {
-                let (from, until) = interval(&mut s_link, 8, 2);
+        for link in cables(n) {
+            if let Some((from, until)) = draw(&mut s_link, density, horizon, 2) {
                 plan = plan.cable_cut(link.from, link.dir, from, until);
-            } else {
-                // Keep the stream aligned regardless of the branch taken.
-                let _ = splitmix64(&mut s_link);
-                let _ = splitmix64(&mut s_link);
             }
         }
         for y in 0..n {
             for x in 0..n {
                 let node = Coord::new(x, y);
-                if unit(splitmix64(&mut s_stall)) < density / 4.0 {
-                    let (from, until) = interval(&mut s_stall, 8, 4);
+                if let Some((from, until)) = draw(&mut s_stall, density / 4.0, horizon, 4) {
                     plan = plan.stall(node, from, until);
-                } else {
-                    let _ = splitmix64(&mut s_stall);
-                    let _ = splitmix64(&mut s_stall);
                 }
-                if unit(splitmix64(&mut s_deg)) < density / 4.0 {
-                    let (from, until) = interval(&mut s_deg, 8, 4);
+                if let Some((from, until)) = draw(&mut s_deg, density / 4.0, horizon, 4) {
                     plan = plan.degrade(node, 1, from, until);
-                } else {
-                    let _ = splitmix64(&mut s_deg);
-                    let _ = splitmix64(&mut s_deg);
                 }
             }
         }
@@ -228,32 +184,12 @@ impl FaultPlan {
         }
         let mut s_loss = seed ^ 0x9f86_3ca1_5dd0_13b7;
         let mut s_down = seed ^ 0x37e4_91ab_64f2_0c55;
-        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
-        let interval = |s: &mut u64, lo_div: u64, hi_div: u64| {
-            let from = splitmix64(s) % horizon;
-            let lo = (horizon / lo_div).max(1);
-            let hi = (horizon / hi_div).max(lo + 1);
-            let len = lo + splitmix64(s) % (hi - lo);
-            (from, Some(from + len))
-        };
-        for link in Link::all_mesh(n) {
-            // One draw per cable, visited from its East/North endpoint.
-            if !matches!(link.dir, Dir::East | Dir::North) {
-                continue;
-            }
-            if unit(splitmix64(&mut s_loss)) < density {
-                let (from, until) = interval(&mut s_loss, 8, 2);
+        for link in cables(n) {
+            if let Some((from, until)) = draw(&mut s_loss, density, horizon, 2) {
                 plan = plan.lossy_cable(link.from, link.dir, from, until);
-            } else {
-                let _ = splitmix64(&mut s_loss);
-                let _ = splitmix64(&mut s_loss);
             }
-            if unit(splitmix64(&mut s_down)) < density / 4.0 {
-                let (from, until) = interval(&mut s_down, 8, 4);
+            if let Some((from, until)) = draw(&mut s_down, density / 4.0, horizon, 4) {
                 plan = plan.cable_cut(link.from, link.dir, from, until);
-            } else {
-                let _ = splitmix64(&mut s_down);
-                let _ = splitmix64(&mut s_down);
             }
         }
         plan
@@ -340,6 +276,56 @@ impl FaultPlan {
             Err(e) => panic!("invalid fault plan: {e}"),
         }
     }
+}
+
+/// Both directions of the cable at `node`'s `dir` outlink, faulted over
+/// `[from, until)` (one direction where the reverse would leave the grid).
+fn both_ways(
+    node: Coord,
+    dir: Dir,
+    from: u64,
+    until: Option<u64>,
+) -> impl Iterator<Item = LinkFault> {
+    let link = Link::new(node, dir);
+    std::iter::once(link)
+        .chain(link.reverse())
+        .map(move |link| LinkFault { link, from, until })
+}
+
+/// Every cable of a side-`n` mesh once, as the link from its East/North
+/// endpoint.
+fn cables(n: u32) -> impl Iterator<Item = Link> {
+    Link::all_mesh(n).filter(|link| matches!(link.dir, Dir::East | Dir::North))
+}
+
+/// One seeded fault draw on stream `s`: with probability `p`, an interval
+/// starting uniformly in `[0, horizon)` and lasting between `horizon/8` and
+/// `horizon/hi_div` steps. Either branch consumes three draws, so a
+/// stream stays aligned whatever its earlier draws decided.
+fn draw(s: &mut u64, p: f64, horizon: u64, hi_div: u64) -> Option<(u64, Option<u64>)> {
+    let unit = (splitmix64(s) >> 11) as f64 / (1u64 << 53) as f64;
+    if unit < p {
+        let from = splitmix64(s) % horizon;
+        let lo = (horizon / 8).max(1);
+        let hi = (horizon / hi_div).max(lo + 1);
+        let len = lo + splitmix64(s) % (hi - lo);
+        return Some((from, Some(from + len)));
+    }
+    splitmix64(s);
+    splitmix64(s);
+    None
+}
+
+/// SplitMix64 — the fault layer's only source of pseudo-randomness, kept
+/// local so plan generation cannot drift with a vendored RNG's
+/// implementation.
+#[inline]
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -53,6 +53,7 @@
 
 pub mod diag;
 mod driver;
+pub mod faults;
 pub mod hook;
 mod invariants;
 pub mod metrics;
@@ -71,6 +72,15 @@ mod watchdog;
 #[cfg(test)]
 mod engine_tests;
 
+// The fault layer's three parts live under `faults/`; the `faults` module
+// is their one public face.
+#[path = "faults/compiled.rs"]
+mod compiled;
+#[path = "faults/error.rs"]
+mod error;
+#[path = "faults/plan.rs"]
+mod plan;
+
 pub use diag::{DiagnosticSnapshot, NodeOccupancy, StuckPacket};
 pub use hook::{HookCtx, NoHook, ScheduledMove, StepHook};
 pub use metrics::{ReportAggregate, SimReport};
@@ -85,11 +95,6 @@ pub use snapshot::{
     CheckpointSink, DirectorySink, MemorySink, Snapshot, SnapshotError, SnapshotHook, SteadySnap,
     SNAPSHOT_FORMAT_VERSION,
 };
-pub use steady::{SteadyConfig, SteadyReport, WindowFrame};
-
-// Fault plans are part of the engine's public vocabulary (constructors take
-// them); re-export the crate so downstream users need not depend on
-// `mesh-faults` directly.
-pub use mesh_faults as faults;
 pub use stats::{Distribution, NodeField, Summary};
+pub use steady::{SteadyConfig, SteadyReport, WindowFrame};
 pub use view::{DxArrivals, DxResidents, FullArrivals, FullResidents, PackedArrival, PackedView};

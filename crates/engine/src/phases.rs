@@ -21,12 +21,12 @@
 //! route/accept/inject phases; only link faults act on the schedule
 //! itself and form their own phase.
 
+use crate::faults::CompiledFaults;
 use crate::hook::{HookCtx, ScheduledMove, StepHook};
 use crate::router::Router;
 use crate::snapshot::EventsSnap;
 use crate::storage::{Loc, NodeGrid, PacketStore};
 use crate::view::{FullArrivals, FullResidents, PackedArrival, PackedView};
-use mesh_faults::CompiledFaults;
 use mesh_topo::{Dir, DirSet, Topology, ALL_DIRS};
 use mesh_traffic::PacketId;
 
@@ -458,7 +458,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     } else {
         build_packed(topo, store, grid, ni, masks);
     }
-    let cold = FullResidents::new(store, grid, ni);
+    let cold = FullResidents::new(store, grid, ni, ctx.faults);
     router.outqueue(t0, node, &mut ctx.node_state[ni], masks, &cold, &mut out);
     let len = masks.len();
     #[allow(clippy::needless_range_loop)]
@@ -601,7 +601,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
         // packet still sits, so its cached mask is that set.
         *a = PackedArrival::new(store.profitable(topo, m.pkt), m.travel);
     }
-    let cold = FullArrivals::new(store, schedule, group);
+    let cold = FullArrivals::new(store, schedule, group, ctx.faults);
     let state = &mut ctx.node_state[ni];
     let arrivals = &mut arrivals[..group.len()];
     router.inqueue(t0, target, state, queue_lens, arrivals, &cold, accept);
@@ -799,7 +799,7 @@ fn update_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usiz
     build_packed(ctx.topo, store, grid, ni, masks);
     states.clear();
     states.extend(grid.packets_at(node).map(|p| store.state(p)));
-    let cold = FullResidents::new(store, grid, ni);
+    let cold = FullResidents::new(store, grid, ni, ctx.faults);
     let state = &mut ctx.node_state[ni];
     ctx.router
         .end_of_step(ctx.t0, node, state, masks, &cold, states);

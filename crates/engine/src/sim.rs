@@ -15,13 +15,13 @@ use crate::invariants;
 use crate::metrics::SimReport;
 use crate::phases::{self, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
 
+use crate::faults::CompiledFaults;
 pub use crate::phases::AdmissionPolicy;
 use crate::protocol::ProtocolHook;
 use crate::router::Router;
 use crate::snapshot::EventsSnap;
 use crate::storage::{NodeGrid, PacketStore, MAX_SIDE};
 use crate::watchdog::Timers;
-use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::{PacketId, RoutingProblem};
 

@@ -31,6 +31,7 @@
 //! never panics.
 
 use crate::diag::DiagnosticSnapshot;
+use crate::faults::CompiledFaults;
 use crate::invariants;
 use crate::phases::{AdmissionPolicy, Progress, StepBufs};
 use crate::queue::{QueueArch, QueueKind};
@@ -39,7 +40,6 @@ use crate::sim::{check_env, Sim, SimConfig};
 use crate::steady::{self, SteadyConfig};
 use crate::storage::{Loc, NodeGrid, PacketStore, STEP_LIMIT};
 use crate::watchdog::Timers;
-use mesh_faults::CompiledFaults;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
 use serde::{Deserialize, Serialize, Value};
@@ -406,8 +406,9 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         check_structure(snap, nodes, snap.arch.num_slots()).map_err(SnapshotError::Corrupt)?;
         let store = PacketStore::import(topo, &snap.packets).map_err(SnapshotError::Corrupt)?;
         // Replay the grid through the code a live run fills it with: the
-        // slab layout, `occ` and `load` have one writer. An over-capacity
-        // queue still loads (`push` grows the slot); `check_queues` reports it.
+        // slab layout and the per-slot lengths have one writer, `push`. An
+        // over-capacity queue still loads (`push` grows the slot);
+        // `check_queues` reports it.
         let mut grid = NodeGrid::new(n, snap.arch);
         let mut slab = snap.grid.slab.iter();
         for (qi, &len) in snap.grid.lens.iter().enumerate() {

@@ -10,9 +10,12 @@
 //! copied that the policy does not ask for. The handles come in two
 //! privilege levels. [`DxResidents`]/[`DxArrivals`] read `id`, `src` and
 //! `state`; [`FullResidents`]/[`FullArrivals`] deref to them and add `dst`
-//! (and the sender of an arrival). A destination-exchangeable policy is
-//! given the former, so it has no expression that yields a destination.
+//! and `faults`, the run's compiled fault plan (DESIGN.md §7). A
+//! destination-exchangeable policy is given the former, so it has no
+//! expression that yields a destination, and it sees faults only as a
+//! wrapper above it has masked them into its profitable sets.
 
+use crate::faults::CompiledFaults;
 use crate::hook::ScheduledMove;
 use crate::storage::{NodeGrid, PacketStore};
 use mesh_topo::{Coord, Dir, DirSet};
@@ -101,12 +104,6 @@ impl PackedArrival {
     pub fn travel(self) -> Dir {
         Dir::from_index(((self.0 >> 4) & 0b11) as usize)
     }
-
-    /// The same descriptor with its profitable set replaced.
-    #[inline]
-    pub fn with_profitable(self, profitable: DirSet) -> PackedArrival {
-        PackedArrival((self.0 & !0xF) | profitable.bits())
-    }
 }
 
 /// The cold columns of one node's residents, read on demand. Index `i`
@@ -139,20 +136,38 @@ impl<'a> DxResidents<'a> {
     }
 }
 
-/// [`DxResidents`] plus the destination column: the handle of the
-/// unrestricted [`Router`](crate::Router) class.
+/// [`DxResidents`] plus the destination column and the fault plan: the
+/// handle of the unrestricted [`Router`](crate::Router) class.
 #[derive(Clone, Copy)]
-pub struct FullResidents<'a>(DxResidents<'a>);
+pub struct FullResidents<'a> {
+    dx: DxResidents<'a>,
+    faults: Option<&'a CompiledFaults>,
+}
 
 impl<'a> FullResidents<'a> {
-    pub(crate) fn new(store: &'a PacketStore, grid: &'a NodeGrid, ni: usize) -> Self {
-        FullResidents(DxResidents { store, grid, ni })
+    pub(crate) fn new(
+        store: &'a PacketStore,
+        grid: &'a NodeGrid,
+        ni: usize,
+        faults: Option<&'a CompiledFaults>,
+    ) -> Self {
+        FullResidents {
+            dx: DxResidents { store, grid, ni },
+            faults,
+        }
     }
 
     /// The packet's destination address.
     #[inline]
     pub fn dst(&self, i: usize) -> Coord {
-        self.0.store.dst(self.0.id(i))
+        self.dx.store.dst(self.dx.id(i))
+    }
+
+    /// The engine's own compiled fault plan; `None` when the run has no
+    /// plan or an empty one.
+    #[inline]
+    pub fn faults(&self) -> Option<&'a CompiledFaults> {
+        self.faults
     }
 }
 
@@ -161,7 +176,7 @@ impl<'a> Deref for FullResidents<'a> {
 
     #[inline]
     fn deref(&self) -> &DxResidents<'a> {
-        &self.0
+        &self.dx
     }
 }
 
@@ -177,15 +192,10 @@ pub struct DxArrivals<'a> {
 }
 
 impl<'a> DxArrivals<'a> {
-    #[inline]
-    fn mv(&self, i: usize) -> &'a ScheduledMove {
-        &self.schedule[self.group[i] as usize]
-    }
-
     /// The offered packet's identity.
     #[inline]
     pub fn id(&self, i: usize) -> PacketId {
-        self.mv(i).pkt
+        self.schedule[self.group[i] as usize].pkt
     }
 
     /// The offered packet's source address.
@@ -201,35 +211,42 @@ impl<'a> DxArrivals<'a> {
     }
 }
 
-/// [`DxArrivals`] plus destinations and senders: the handle of the
-/// unrestricted [`Router`](crate::Router) class.
+/// [`DxArrivals`] plus the destination column and the fault plan: the
+/// handle of the unrestricted [`Router`](crate::Router) class.
 #[derive(Clone, Copy)]
-pub struct FullArrivals<'a>(DxArrivals<'a>);
+pub struct FullArrivals<'a> {
+    dx: DxArrivals<'a>,
+    faults: Option<&'a CompiledFaults>,
+}
 
 impl<'a> FullArrivals<'a> {
     pub(crate) fn new(
         store: &'a PacketStore,
         schedule: &'a [ScheduledMove],
         group: &'a [u32],
+        faults: Option<&'a CompiledFaults>,
     ) -> Self {
-        FullArrivals(DxArrivals {
-            store,
-            schedule,
-            group,
-        })
+        FullArrivals {
+            dx: DxArrivals {
+                store,
+                schedule,
+                group,
+            },
+            faults,
+        }
     }
 
     /// The offered packet's destination address.
     #[inline]
     pub fn dst(&self, i: usize) -> Coord {
-        self.0.store.dst(self.0.id(i))
+        self.dx.store.dst(self.dx.id(i))
     }
 
-    /// The node the packet is coming from (§2 measures its profitable
-    /// outlinks there).
+    /// The engine's own compiled fault plan; `None` when the run has no
+    /// plan or an empty one.
     #[inline]
-    pub fn from(&self, i: usize) -> Coord {
-        self.0.mv(i).from
+    pub fn faults(&self) -> Option<&'a CompiledFaults> {
+        self.faults
     }
 }
 
@@ -238,6 +255,6 @@ impl<'a> Deref for FullArrivals<'a> {
 
     #[inline]
     fn deref(&self) -> &DxArrivals<'a> {
-        &self.0
+        &self.dx
     }
 }

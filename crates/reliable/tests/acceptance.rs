@@ -5,8 +5,6 @@
 //! layered over the *same* problem, plan, and router delivers every payload
 //! exactly once, verified by payload-id accounting.
 
-use std::sync::Arc;
-
 use mesh_engine::faults::FaultPlan;
 use mesh_engine::{Dx, Sim, SimConfig, SimError};
 use mesh_reliable::{BackoffPolicy, Transport};
@@ -38,15 +36,15 @@ fn raw_injection_loses_packets_and_reliable_delivers_exactly_once() {
         !plan.losses.is_empty(),
         "scenario needs lossy links; bump the density or reseed"
     );
-    let faults = Arc::new(plan.compile());
+    let faults = plan.compile();
 
     // ---- Raw dynamic injection over the faulty mesh. ----
     let mut raw = Sim::with_faults(
         &topo,
-        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
+        FaultAware::new(Dx::new(Theorem15::new(2))),
         &pb,
         config(),
-        (*faults).clone(),
+        faults.clone(),
     );
     let raw_err = raw
         .run(200_000)
@@ -66,10 +64,10 @@ fn raw_injection_loses_packets_and_reliable_delivers_exactly_once() {
     // ---- The reliable transport over the same problem, plan, and router. ----
     let mut sim = Sim::with_faults(
         &topo,
-        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
+        FaultAware::new(Dx::new(Theorem15::new(2))),
         &pb,
         config(),
-        (*faults).clone(),
+        faults,
     );
     let mut tp = Transport::new(&pb, BackoffPolicy::exponential(32, 256, 16), 7);
     let steps = sim

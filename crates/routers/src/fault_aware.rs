@@ -1,11 +1,13 @@
 //! Fault-tolerant wrapper: route around what is broken.
 //!
-//! [`FaultAware`] wraps any [`Router`] and masks outlinks that the shared
-//! [`CompiledFaults`] table says are down *right now* out of every packet
-//! descriptor the inner router sees. The inner algorithm needs no changes: to
-//! dimension order, west-first, or the Theorem 15 router, a faulted East
-//! link simply looks like East not being profitable, and their ordinary
-//! direction fallback does the rerouting.
+//! [`FaultAware`] wraps any [`Router`] and masks the outlinks that the
+//! run's fault plan says are down *right now* out of every resident
+//! descriptor the inner router sees. It holds no table of its own: it reads
+//! the engine's, through [`FullResidents::faults`], so what the router
+//! avoids and what the engine enforces are one plan by construction. The
+//! inner algorithm needs no changes: to dimension order, west-first, or the
+//! Theorem 15 router, a faulted East link simply looks like East not being
+//! profitable, and their ordinary direction fallback does the rerouting.
 //!
 //! Two properties make the mask sound:
 //!
@@ -22,53 +24,45 @@
 //! steer) loses the move but stays correct. Masking merely lets the router
 //! spend its step on a link that works.
 
+use mesh_engine::faults::CompiledFaults;
 use mesh_engine::{FullArrivals, FullResidents, PackedArrival, PackedView, QueueArch, Router};
-use mesh_faults::CompiledFaults;
-use mesh_topo::{Coord, DirSet};
-use std::sync::Arc;
+use mesh_topo::Coord;
 
 /// A [`Router`] adapter that hides faulted outlinks from the inner router.
 ///
-/// Share one compiled fault table between the wrapper and
-/// [`Sim::with_faults`](mesh_engine::Sim::with_faults) so the router's view
-/// of the network and the engine's enforcement always agree.
-///
 /// The mask is applied in place to the descriptors the engine hands over
 /// (its per-node scratch, rebuilt for every call), so wrapping copies
-/// nothing. With an empty table every method is a plain pass-through.
-/// Only what is handed over is masked: an inqueue policy sees its own
-/// residents as per-slot occupancy, which no mask applies to.
+/// nothing. In a run without faults every method is a plain pass-through.
+/// Only residents are masked: an inqueue policy sees its own residents as
+/// per-slot occupancy, and no shipped inqueue policy reads an arrival's
+/// profitable set, so masking arrivals would change nothing.
 pub struct FaultAware<R> {
     inner: R,
-    faults: Arc<CompiledFaults>,
 }
 
 impl<R> FaultAware<R> {
-    /// Wraps `inner`, masking against `faults`.
-    pub fn new(inner: R, faults: Arc<CompiledFaults>) -> FaultAware<R> {
-        FaultAware { inner, faults }
+    /// Wraps `inner`.
+    pub fn new(inner: R) -> FaultAware<R> {
+        FaultAware { inner }
     }
 
     /// The wrapped router.
     pub fn inner(&self) -> &R {
         &self.inner
     }
+}
 
-    /// `profitable` minus the outlinks of `node` that are down at `step`.
-    fn mask_at(&self, step: u64, node: Coord, mut profitable: DirSet) -> DirSet {
+/// Removes from each resident's profitable set the outlinks of `node` that
+/// are down at `step`.
+fn mask(faults: &CompiledFaults, step: u64, node: Coord, pkts: &mut [PackedView]) {
+    for p in pkts.iter_mut() {
+        let mut profitable = p.profitable();
         for d in profitable.iter() {
-            if self.faults.link_down(step, node, d) {
+            if faults.link_down(step, node, d) {
                 profitable.remove(d);
             }
         }
-        profitable
-    }
-
-    /// Masks every resident descriptor at the holding node.
-    fn mask_residents(&self, step: u64, node: Coord, pkts: &mut [PackedView]) {
-        for p in pkts.iter_mut() {
-            *p = p.with_profitable(self.mask_at(step, node, p.profitable()));
-        }
+        *p = p.with_profitable(profitable);
     }
 }
 
@@ -96,8 +90,8 @@ impl<R: Router> Router for FaultAware<R> {
         cold: &FullResidents<'_>,
         out: &mut [Option<usize>; 4],
     ) {
-        if !self.faults.is_empty() {
-            self.mask_residents(step, node, pkts);
+        if let Some(faults) = cold.faults() {
+            mask(faults, step, node, pkts);
         }
         // A nonminimal inner router may still pick a down link (the mask
         // only edits *profitable* sets); the engine drops that move.
@@ -114,20 +108,11 @@ impl<R: Router> Router for FaultAware<R> {
         cold: &FullArrivals<'_>,
         accept: &mut [bool],
     ) {
-        if self.faults.is_empty() {
-            return self
-                .inner
-                .inqueue(step, node, state, queue_lens, arrivals, cold, accept);
-        }
-        // An arrival is masked at the node it is coming *from* (§2 measures
-        // a scheduled packet's profitable outlinks from its sender). The
-        // sender is the schedule's, not `node - travel`: across a torus seam
-        // the two differ.
-        for (i, a) in arrivals.iter_mut().enumerate() {
-            *a = a.with_profitable(self.mask_at(step, cold.from(i), a.profitable()));
-        }
         self.inner
             .inqueue(step, node, state, queue_lens, arrivals, cold, accept);
+        if cold.faults().is_none() {
+            return;
+        }
         // Capacity guard: some acceptance rules assume fault-free progress
         // invariants (e.g. Theorem 15's vertical queues always accept
         // because a vertical packet always departs next step). Faults void
@@ -161,8 +146,8 @@ impl<R: Router> Router for FaultAware<R> {
         cold: &FullResidents<'_>,
         states: &mut [u64],
     ) {
-        if !self.faults.is_empty() {
-            self.mask_residents(step, node, pkts);
+        if let Some(faults) = cold.faults() {
+            mask(faults, step, node, pkts);
         }
         self.inner
             .end_of_step(step, node, state, pkts, cold, states);
@@ -179,13 +164,13 @@ impl<R: Router> Router for FaultAware<R> {
 mod tests {
     use super::*;
     use crate::DimOrder;
+    use mesh_engine::faults::FaultPlan;
     use mesh_engine::{Dx, Sim, SimConfig, SimError};
-    use mesh_faults::FaultPlan;
     use mesh_topo::{Dir, Mesh, Torus};
     use mesh_traffic::{workloads, RoutingProblem};
 
-    fn wrapped_dim_order(k: u32, faults: &Arc<CompiledFaults>) -> FaultAware<Dx<DimOrder>> {
-        FaultAware::new(Dx::new(DimOrder::new(k)), Arc::clone(faults))
+    fn wrapped_dim_order(k: u32) -> FaultAware<Dx<DimOrder>> {
+        FaultAware::new(Dx::new(DimOrder::new(k)))
     }
 
     /// With no faults the wrapper is a pure pass-through: identical steps
@@ -194,9 +179,8 @@ mod tests {
     fn no_faults_is_transparent() {
         let topo = Mesh::new(8);
         let pb = workloads::random_permutation(8, 4);
-        let faults = Arc::new(FaultPlan::none(8).compile());
         let mut plain = Sim::new(&topo, Dx::new(DimOrder::new(8)), &pb);
-        let mut wrapped = Sim::new(&topo, wrapped_dim_order(8, &faults), &pb);
+        let mut wrapped = Sim::new(&topo, wrapped_dim_order(8), &pb);
         let a = plain.run(100_000).unwrap();
         let b = wrapped.run(100_000).unwrap();
         assert_eq!(a, b);
@@ -209,17 +193,15 @@ mod tests {
     fn reroutes_around_a_cut_row() {
         let topo = Mesh::new(4);
         let pb = RoutingProblem::from_pairs(4, "one", [(Coord::new(0, 0), Coord::new(3, 2))]);
-        let faults = Arc::new(
-            FaultPlan::none(4)
-                .link_down(Coord::new(1, 0), Dir::East, 0, None)
-                .compile(),
-        );
+        let faults = FaultPlan::none(4)
+            .link_down(Coord::new(1, 0), Dir::East, 0, None)
+            .compile();
         let mut sim = Sim::with_faults(
             &topo,
-            wrapped_dim_order(4, &faults),
+            wrapped_dim_order(4),
             &pb,
             SimConfig::default(),
-            faults.as_ref().clone(),
+            faults,
         );
         let steps = sim.run(100).expect("fault-aware must deliver");
         // Path: E to (1,0), N (east is masked), E E along row 1, N to (3,2):
@@ -261,11 +243,9 @@ mod tests {
             }
         }
         let at = fault_at.expect("workload must admit a suitable fault");
-        let faults = Arc::new(
-            FaultPlan::none(n)
-                .link_down(at, Dir::East, 0, None)
-                .compile(),
-        );
+        let faults = FaultPlan::none(n)
+            .link_down(at, Dir::East, 0, None)
+            .compile();
         let config = SimConfig {
             watchdog: Some(200),
             ..SimConfig::default()
@@ -279,7 +259,7 @@ mod tests {
             Dx::new(DimOrder::new(n * n)),
             &pb,
             config,
-            faults.as_ref().clone(),
+            faults.clone(),
         );
         let err = plain.run(1_000_000).unwrap_err();
         assert!(
@@ -290,13 +270,7 @@ mod tests {
         assert_eq!(err.snapshot().active_faults.len(), 1);
 
         // Fault-aware wrapper over the same router, same faults: 100%.
-        let mut wrapped = Sim::with_faults(
-            &topo,
-            wrapped_dim_order(n * n, &faults),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
+        let mut wrapped = Sim::with_faults(&topo, wrapped_dim_order(n * n), &pb, config, faults);
         let steps = wrapped
             .run(1_000_000)
             .expect("fault-aware dimension order must deliver everything");
@@ -305,26 +279,25 @@ mod tests {
         assert!(steps < 1_000_000);
     }
 
-    /// An arrival across a torus seam is masked at the node it really
-    /// comes from. Deriving the sender as `node - travel` gave `u32::MAX`
-    /// there, and the fault-table lookup overflowed (debug builds) or
-    /// consulted a wrong link (release). Any non-empty table turns the
-    /// masking on; this one's link is nowhere near the packet.
+    /// A wrapped router delivers across a torus seam under a fault plan.
+    /// Arrivals were once masked at a sender derived as `node - travel`,
+    /// which is `u32::MAX` at the seam; arrivals are no longer masked, and
+    /// this keeps the seam delivery under live faults checked. Any
+    /// non-empty plan turns the wrapper on; this one's link is nowhere near
+    /// the packet.
     #[test]
     fn torus_seam_arrival_is_masked_at_its_sender() {
         let topo = Torus::new(8);
         let pb = RoutingProblem::from_pairs(8, "seam", [(Coord::new(6, 1), Coord::new(1, 1))]);
-        let faults = Arc::new(
-            FaultPlan::none(8)
-                .link_down(Coord::new(3, 5), Dir::North, 0, None)
-                .compile(),
-        );
+        let faults = FaultPlan::none(8)
+            .link_down(Coord::new(3, 5), Dir::North, 0, None)
+            .compile();
         let mut sim = Sim::with_faults(
             &topo,
-            wrapped_dim_order(4, &faults),
+            wrapped_dim_order(4),
             &pb,
             SimConfig::default(),
-            faults.as_ref().clone(),
+            faults,
         );
         let steps = sim.run(100).expect("delivers across the seam");
         assert_eq!(steps, 3, "6 → 7 → 0 → 1, eastward over the wrap-around");
@@ -333,8 +306,7 @@ mod tests {
     /// Wrapped name advertises the wrapper.
     #[test]
     fn name_reflects_wrapping() {
-        let faults = Arc::new(FaultPlan::none(4).compile());
-        let r = wrapped_dim_order(2, &faults);
+        let r = wrapped_dim_order(2);
         assert_eq!(r.name(), "fault-aware(dim-order-xy(k=2))");
     }
 }

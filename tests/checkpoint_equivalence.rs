@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use record::{Digest, Entry};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use support::{partial_permutation, workload};
 
 /// The per-step observable record of a run: each step's delivery and loss
@@ -146,12 +145,12 @@ proptest! {
         let n = 10u32;
         let topo = Mesh::new(n);
         let rate = rate_permille as f64 / 1000.0;
-        let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
+        let faults = FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile();
         check_raw_resume(
             &topo,
-            || FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
+            || FaultAware::new(Dx::new(Theorem15::new(2))),
             &pb,
-            Some(faults.as_ref().clone()),
+            Some(faults),
             cadence,
             kill_at,
         )?;
@@ -183,7 +182,7 @@ proptest! {
         };
         let mk_sim = |cfg| Sim::with_faults(
             &topo,
-            FaultAware::new(Dx::new(Theorem15::new(2)), Arc::new(faults.clone())),
+            FaultAware::new(Dx::new(Theorem15::new(2))),
             &pb,
             cfg,
             faults.clone(),
@@ -199,7 +198,7 @@ proptest! {
         let snap = Snapshot::from_json(&snap.to_json()).expect("snapshot JSON round-trip");
         let mut sim_b = Sim::restore(
             &topo,
-            FaultAware::new(Dx::new(Theorem15::new(2)), Arc::new(faults.clone())),
+            FaultAware::new(Dx::new(Theorem15::new(2))),
             SimConfig { watchdog: Some(512), ..SimConfig::default() },
             Some(faults.clone()),
             &snap,
@@ -902,7 +901,7 @@ fn transport_checkpoint() -> Snapshot {
         checkpoint_every: Some(8),
         ..SimConfig::default()
     };
-    let router = FaultAware::new(Dx::new(Theorem15::new(2)), Arc::new(faults.clone()));
+    let router = FaultAware::new(Dx::new(Theorem15::new(2)));
     let mut sim = Sim::with_faults(&topo, router, &pb, config, faults);
     let mut tp = Transport::new(&pb, BackoffPolicy::exponential(16, 128, 8), 5);
     let mut sink = MemorySink::default();

@@ -16,7 +16,6 @@ use counting::{allocs, Counting};
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
-use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -47,13 +46,12 @@ fn sweep(n: u32) -> Vec<(String, u64, u64)> {
     for i in 0..4 {
         plan = plan.link_down(Coord::new(5 + 6 * i, 3 + 7 * i), Dir::East, 0, Some(24));
     }
-    let faults = Arc::new(plan.compile());
     let faulted = Sim::with_faults(
         &topo,
-        FaultAware::new(alt_adaptive(K), Arc::clone(&faults)),
+        FaultAware::new(alt_adaptive(K)),
         &pb,
         SimConfig::default(),
-        faults.as_ref().clone(),
+        plan.compile(),
     );
     vec![
         run_allocs(Sim::new(&topo, dim_order(K), &pb)),

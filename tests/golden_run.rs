@@ -25,7 +25,6 @@ mod record;
 use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, hot_potato, BoundedDeflect};
 use record::{Digest, Entry, Fold};
-use std::sync::Arc;
 
 /// A non-default value of `SimConfig`'s three inert fields. The repo
 /// benchmark's `perm-tiled == perm-packed` cross-check relies on such a
@@ -129,13 +128,12 @@ fn check_faulty<R: Router>(scenario: &str, inner: impl Fn() -> R) {
         let n = 16;
         let topo = Mesh::new(n);
         let pb = workloads::random_partial_permutation(n, 0.5, 2024);
-        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
+        let faults = FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile();
         let config = SimConfig {
             watchdog: Some(8 * n as u64),
             ..config
         };
-        let router = FaultAware::new(inner(), Arc::clone(&faults));
-        let sim = &mut Sim::with_faults(&topo, router, &pb, config, faults.as_ref().clone());
+        let sim = &mut Sim::with_faults(&topo, FaultAware::new(inner()), &pb, config, faults);
         stepped(scenario, sim, 5_000)
     });
 }
@@ -224,13 +222,13 @@ fn golden_reliable() {
         let n = 16;
         let topo = Mesh::new(n);
         let pb = workloads::dynamic_bernoulli(n, 0.02, 4 * n as u64, 2024);
-        let faults = Arc::new(FaultPlan::random_outages(n, 0.12, 8 * n as u64, 40).compile());
+        let faults = FaultPlan::random_outages(n, 0.12, 8 * n as u64, 40).compile();
         let config = SimConfig {
             watchdog: Some(1024),
             ..config
         };
-        let router = FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults));
-        let mut sim = Sim::with_faults(&topo, router, &pb, config, faults.as_ref().clone());
+        let router = FaultAware::new(Dx::new(Theorem15::new(2)));
+        let mut sim = Sim::with_faults(&topo, router, &pb, config, faults);
         let inner = Transport::new(&pb, BackoffPolicy::exponential(64, 512, 16), 7);
         let mut recorder = Recording {
             inner,

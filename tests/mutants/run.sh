@@ -4,11 +4,12 @@
 # listed test target once per mutant, then runs each. Prints one line per
 # pair, `mutant target verdict`: killed (the target failed), survived (it
 # passed) or no-build (the mutant does not compile). A target is a test
-# target's name in any workspace package. CI's manual `mutants` job runs
-# it; the matrix it produced is in EXPERIMENTS.md.
+# target's name in any workspace package, or `PACKAGE:lib` for a package's
+# unit tests (`cargo test -p PACKAGE --lib`). CI's manual `mutants` job
+# runs it; the matrix it produced is in EXPERIMENTS.md.
 #
 #   tests/mutants/run.sh REV SCRATCH_DIR TARGET...
-#   tests/mutants/run.sh HEAD /tmp/mutants golden_run packed_equivalence construction
+#   tests/mutants/run.sh HEAD /tmp/mutants golden_run construction mesh-engine:lib
 set -eu
 here=$(cd "$(dirname "$0")" && pwd)
 rev=$1
@@ -22,15 +23,23 @@ mkdir -p "$tree"
 git -C "$here/../.." archive "$rev" | tar -x -m -C "$tree"
 export CARGO_TARGET_DIR="$scratch/target"
 cd "$tree"
-selected=""
-for t in "$@"; do
-    selected="$selected --test $t"
-done
-# Word splitting of $selected is intended: one `--test` flag per target.
-# shellcheck disable=SC2086
-build() { cargo test --offline -q --workspace --no-run $selected >/dev/null 2>&1; }
-run() { cargo test --offline -q --workspace --test "$1" >/dev/null 2>&1; }
-build || { echo "baseline does not build at $rev: no verdicts" >&2; exit 1; }
+# The cargo flags that select one target. Word splitting of their output is
+# intended: one flag per word.
+flags() {
+    case $1 in
+    *:lib) echo "-p ${1%:lib} --lib" ;;
+    *) echo "--workspace --test $1" ;;
+    esac
+}
+# shellcheck disable=SC2046
+build() {
+    for t in "$@"; do
+        cargo test --offline -q --no-run $(flags "$t") >/dev/null 2>&1 || return 1
+    done
+}
+# shellcheck disable=SC2046
+run() { cargo test --offline -q $(flags "$1") >/dev/null 2>&1; }
+build "$@" || { echo "baseline does not build at $rev: no verdicts" >&2; exit 1; }
 for t in "$@"; do
     run "$t" || { echo "baseline fails $t at $rev: no verdicts" >&2; exit 1; }
 done
@@ -38,7 +47,7 @@ for patch in "$here"/*.patch; do
     name=$(basename "$patch" .patch)
     patch -p1 -s <"$patch"
     built=yes
-    build || built=no
+    build "$@" || built=no
     for t in "$@"; do
         if [ "$built" = no ]; then
             verdict=no-build

@@ -28,7 +28,6 @@ use mesh_routing::prelude::*;
 use mesh_routing::routers::{alt_adaptive, dim_order, hot_potato, theorem15, BoundedDeflect};
 use proptest::prelude::*;
 use record::{Digest, Fold};
-use std::sync::Arc;
 use support::{partial_permutation, workload};
 
 /// How a case drives its router.
@@ -40,7 +39,7 @@ enum Shape<'a> {
     /// Property 3: behind `FaultAware` over the table the engine enforces,
     /// watchdog armed: stepped up to 1,000 steps, and a run still live after
     /// that is driven to its verdict.
-    Wrapped(&'a Arc<CompiledFaults>),
+    Wrapped(&'a CompiledFaults),
 }
 
 /// One case of a test that runs `cases` of them: a problem, how its router
@@ -78,8 +77,8 @@ impl<P: std::fmt::Debug> Case<'_, P> {
                     watchdog: Some(8 * pb.n as u64),
                     ..SimConfig::default()
                 };
-                let router = FaultAware::new(router, Arc::clone(faults));
-                let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.as_ref().clone());
+                let router = FaultAware::new(router);
+                let sim = &mut Sim::with_faults(&topo, router, pb, config, faults.clone());
                 fold.steps(sim, 1_000);
                 if !sim.done() {
                     fold.verdict(sim.run(20_000), sim);
@@ -191,7 +190,7 @@ proptest! {
         prop_assume!(!pb.is_empty());
         let n = 12u32;
         let rate = rate_permille as f64 / 1000.0;
-        let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
+        let faults = FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile();
         let (shape, params) = (Shape::Wrapped(&faults), (router, k, rate_permille, fault_seed));
         Case { cases: CASES, pb: &pb, shape, params }.check_router(router, k)?;
     }
@@ -204,7 +203,7 @@ proptest! {
 fn fault_aware_empty_table_is_a_pass_through_for_every_router() {
     let n = 12u32;
     let pb = workloads::random_permutation(n, 5);
-    let faults = Arc::new(FaultPlan::none(n).compile());
+    let faults = FaultPlan::none(n).compile();
     assert!(faults.is_empty());
     for router in 0..ROUTERS {
         let case = Case {

@@ -499,14 +499,13 @@ proptest! {
         let n = 12u32;
         let topo = Mesh::new(n);
         let rate = rate_permille as f64 / 1000.0;
-        let faults =
-            std::sync::Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
+        let faults = FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile();
         let mut sim = Sim::with_faults(
             &topo,
-            FaultAware::new(Dx::new(DimOrder::new(k)), std::sync::Arc::clone(&faults)),
+            FaultAware::new(Dx::new(DimOrder::new(k))),
             &pb,
             SimConfig::default(),
-            faults.as_ref().clone(),
+            faults,
         );
         for _ in 0..1_500 {
             let done = sim.step();
@@ -562,19 +561,17 @@ proptest! {
         let pb = workloads::random_partial_permutation(n, 0.4, seed);
         prop_assume!(!pb.is_empty());
         let topo = Mesh::new(n);
-        let faults = std::sync::Arc::new(
-            FaultPlan::random_outages(n, 0.2, 8 * n as u64, seed ^ 0x0dd).compile(),
-        );
+        let faults = FaultPlan::random_outages(n, 0.2, 8 * n as u64, seed ^ 0x0dd).compile();
         let config = SimConfig {
             watchdog: Some(2048),
             ..SimConfig::default()
         };
         let mut sim = Sim::with_faults(
             &topo,
-            FaultAware::new(Dx::new(Theorem15::new(2)), std::sync::Arc::clone(&faults)),
+            FaultAware::new(Dx::new(Theorem15::new(2))),
             &pb,
             config,
-            faults.as_ref().clone(),
+            faults,
         );
         let mut tp = Transport::new(&pb, BackoffPolicy::fixed(4), seed ^ 0xf00d);
         let steps = sim.run_with_protocol(500_000, &mut tp)
@@ -655,16 +652,9 @@ proptest! {
         // Degraded nodes clamp what their router accepted.
         let plan = FaultPlan::random(n, 0.3, 6 * n as u64, seed)
             .degrade(Coord::new(3, 4), 1, 0, Some(48));
-        let faults = std::sync::Arc::new(plan.compile());
-        let router = FaultAware::new(Dx::new(DimOrder::new(k)), std::sync::Arc::clone(&faults));
+        let router = FaultAware::new(Dx::new(DimOrder::new(k)));
         let pb = workloads::random_permutation(n, seed);
-        let mut sim = Sim::with_faults(
-            &topo,
-            router,
-            &pb,
-            SimConfig::default(),
-            faults.as_ref().clone(),
-        );
+        let mut sim = Sim::with_faults(&topo, router, &pb, SimConfig::default(), plan.compile());
         audit_matches_recomputed_loads(&mut sim, 300, &mut fresh())?;
         // An open run expiring stale packets in the network and at the edge.
         let config = SimConfig {
