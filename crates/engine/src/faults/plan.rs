@@ -41,8 +41,8 @@ pub struct QueueDegrade {
 /// Plans are plain data: build them field by field, with the fluent helpers,
 /// or from a seed with [`FaultPlan::random`] /
 /// [`FaultPlan::random_outages`]. Compile with [`FaultPlan::compile`] (or
-/// the non-panicking [`FaultPlan::try_compile`]) before handing to the
-/// engine or to `FaultAware`.
+/// the non-panicking [`FaultPlan::try_compile`]) before handing the plan to
+/// the engine, which is then the run's only holder of it.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     pub n: u32,
@@ -261,8 +261,8 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Validates, then compiles the plan into the interval-query structure
-    /// the engine and `FaultAware` consult.
+    /// Validates, then compiles the plan into the interval table the engine
+    /// enforces and `FaultAware` reads through the engine.
     pub fn try_compile(&self) -> Result<CompiledFaults, FaultPlanError> {
         self.validate()?;
         Ok(CompiledFaults::new(self))
