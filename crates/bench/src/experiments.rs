@@ -826,10 +826,10 @@ pub fn perf(full: bool) -> Experiment {
 }
 
 /// CHAOS — the robustness soak. Seeded random fault plans (transient cable
-/// cuts, node stalls, queue-slot degradations — see `mesh_engine::faults`) at
-/// increasing density are run against [`FaultAware`]-wrapped routers, with
-/// the raw (unwrapped) dimension-order router alongside for contrast, under
-/// the engine's livelock watchdog. Reported per cell: the watchdog verdict
+/// cuts, node stalls, queue-slot degradations — see
+/// `mesh_engine::faults`) at increasing density are run against
+/// [`FaultAware`]-wrapped routers, with the raw (unwrapped) dimension-order
+/// router alongside for contrast, under the engine's livelock watchdog. Reported per cell: the watchdog verdict
 /// (`completed`, or `deadlock`/`livelock`/`step-cap` — never a panic), the
 /// delivered fraction, and the stretch (link traversals per unit of L1
 /// distance, over delivered packets). Every cell is fully determined by the
@@ -977,14 +977,8 @@ impl Outage {
     }
 
     fn sim(&self, checkpoint_every: Option<u64>) -> Sim<'_, Mesh, FaultAware<Dx<Theorem15>>> {
-        let config = self.config(checkpoint_every);
-        Sim::with_faults(
-            &self.topo,
-            self.router(),
-            &self.pb,
-            config,
-            self.faults.clone(),
-        )
+        let (config, faults) = (self.config(checkpoint_every), self.faults.clone());
+        Sim::with_faults(&self.topo, self.router(), &self.pb, config, faults)
     }
 
     /// A crash's resume: `snap` restored into a fresh engine.
