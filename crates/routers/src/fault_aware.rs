@@ -279,12 +279,11 @@ mod tests {
         assert!(steps < 1_000_000);
     }
 
-    /// A wrapped router delivers across a torus seam under a fault plan.
-    /// Arrivals were once masked at a sender derived as `node - travel`,
-    /// which is `u32::MAX` at the seam; arrivals are no longer masked, and
-    /// this keeps the seam delivery under live faults checked. Any
-    /// non-empty plan turns the wrapper on; this one's link is nowhere near
-    /// the packet.
+    /// A wrapped router delivers across a torus seam under a fault plan:
+    /// the wrap-around hop lands on x = 0 from x = 7, where `node - travel`
+    /// is off the grid, so nothing on the wrapper's path may derive a
+    /// coordinate that way. Any non-empty plan turns the wrapper on; this
+    /// one's link is nowhere near the packet.
     #[test]
     fn torus_seam_arrival_is_masked_at_its_sender() {
         let topo = Torus::new(8);
