@@ -9,13 +9,16 @@
 //! Every `(experiment, cell, trial)` unit of the requested experiments runs
 //! on one pool of `--threads` workers (default: the available parallelism;
 //! see `mesh_bench::runner`). `BENCH_<id>.json` is byte-identical for any
-//! `--threads`; wall-clock goes to the `BENCH_<id>.timing.json` sidecar.
+//! `--threads`; wall-clock goes to the `BENCH_<id>.timing.json` sidecar. An
+//! experiment whose trial panicked prints an `EXPERIMENT FAILED` table in
+//! place of its own, writes no JSON, and makes the exit code 1 once every
+//! experiment has printed.
 
 use mesh_bench::experiments::{build, REGISTRY};
-use mesh_bench::runner::{run_suite, ExperimentRun, RunnerConfig};
+use mesh_bench::runner::{run_suite, RunnerConfig};
+use mesh_bench::table::emit;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Duration;
 
 fn known(id: &str) -> bool {
     REGISTRY.iter().any(|(known, _)| *known == id)
@@ -92,32 +95,11 @@ fn main() {
         .iter()
         .map(|id| build(id, full).expect("validated id"))
         .collect();
-    for result in run_suite(exps, &RunnerConfig { threads, trials }) {
-        let (doc, timing) = match result {
-            Ok(ExperimentRun { doc, timing }) => {
-                let elapsed = Duration::from_secs_f64(timing.elapsed_ms / 1e3);
-                eprintln!("[{} done in {elapsed:.1?}]", doc.experiment);
-                (doc, Some(timing))
-            }
-            Err(failed) => {
-                eprintln!("[{} FAILED after {:.1?}]", failed.id, failed.elapsed);
-                (failed.doc(), None)
-            }
-        };
-        println!("{}", doc.markdown());
-        if let Some(dir) = &csv_dir {
-            doc.write_csv(dir).expect("csv write");
-        }
-        if let (Some(dir), Some(timing)) = (&json_dir, timing) {
-            std::fs::create_dir_all(dir).expect("create --json-out directory");
-            let id = &doc.experiment;
-            let path = dir.join(format!("BENCH_{id}.json"));
-            let json = serde_json::to_string_pretty(&doc).expect("serialize BenchDoc");
-            std::fs::write(&path, json + "\n").expect("write BENCH json");
-            let json = serde_json::to_string_pretty(&timing).expect("serialize TimingDoc");
-            std::fs::write(dir.join(format!("BENCH_{id}.timing.json")), json + "\n")
-                .expect("write timing json");
-            eprintln!("[{id} json -> {}]", path.display());
-        }
+    let runs = run_suite(exps, &RunnerConfig { threads, trials });
+    let failed = emit(runs, csv_dir.as_deref(), json_dir.as_deref())
+        .unwrap_or_else(|e| panic!("cannot write the documents: {e}"));
+    if failed > 0 {
+        eprintln!("error: {failed} experiment(s) failed");
+        std::process::exit(1);
     }
 }

@@ -471,15 +471,21 @@ mod tests {
         let mut ragged = counting_experiment();
         ragged.doc.experiment = "ragged".into();
         ragged.fixed("wide", |_| TrialOutput::new(vec!["a".into(); 3]));
-        let mut runs = run_suite(vec![ragged, counting_experiment()], &RunnerConfig::serial());
-        assert!(runs.pop().unwrap().is_ok());
-        let failed = runs
-            .pop()
-            .unwrap()
+        let runs = run_suite(vec![ragged, counting_experiment()], &RunnerConfig::serial());
+        assert!(runs[1].is_ok());
+        let failed = runs[0]
+            .as_ref()
             .err()
             .expect("the ragged experiment failed");
         assert_eq!(failed.id, "ragged");
         assert!(failed.doc().markdown().contains("EXPERIMENT FAILED"));
+        // `experiments` exits 1 on the count `emit` returns; the failed
+        // experiment writes no JSON, the other one does.
+        let dir = std::env::temp_dir().join("mesh-bench-ragged");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(crate::table::emit(runs, None, Some(&dir)).unwrap(), 1);
+        assert!(!dir.join("BENCH_ragged.json").exists());
+        assert!(dir.join("BENCH_t.json").exists());
     }
 
     #[test]

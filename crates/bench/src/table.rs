@@ -1,10 +1,54 @@
 //! Result tables: the markdown and CSV renderings of a [`BenchDoc`], whose
-//! rows are trial 0 of every cell.
+//! rows are trial 0 of every cell, and [`emit`], which prints and writes a
+//! suite's documents.
 
-use crate::runner::BenchDoc;
+use crate::runner::{BenchDoc, ExperimentRun, FailedExperiment};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
+use std::time::Duration;
+
+/// Prints each experiment's table to stdout in suite order, and writes its
+/// CSV under `csv_dir` and its `BENCH_<id>.json` and timing sidecar under
+/// `json_dir`. A failed experiment prints its `EXPERIMENT FAILED` table and
+/// writes no JSON. Returns how many experiments failed: `experiments` exits
+/// 1 unless that is 0.
+pub fn emit(
+    runs: Vec<Result<ExperimentRun, FailedExperiment>>,
+    csv_dir: Option<&Path>,
+    json_dir: Option<&Path>,
+) -> std::io::Result<usize> {
+    let mut failures = 0;
+    for result in runs {
+        let (doc, timing) = match result {
+            Ok(ExperimentRun { doc, timing }) => {
+                let elapsed = Duration::from_secs_f64(timing.elapsed_ms / 1e3);
+                eprintln!("[{} done in {elapsed:.1?}]", doc.experiment);
+                (doc, Some(timing))
+            }
+            Err(failed) => {
+                failures += 1;
+                eprintln!("[{} FAILED after {:.1?}]", failed.id, failed.elapsed);
+                (failed.doc(), None)
+            }
+        };
+        println!("{}", doc.markdown());
+        if let Some(dir) = csv_dir {
+            doc.write_csv(dir)?;
+        }
+        if let (Some(dir), Some(timing)) = (json_dir, timing) {
+            std::fs::create_dir_all(dir)?;
+            let id = &doc.experiment;
+            let path = dir.join(format!("BENCH_{id}.json"));
+            let json = serde_json::to_string_pretty(&doc).expect("serialize BenchDoc");
+            std::fs::write(&path, json + "\n")?;
+            let json = serde_json::to_string_pretty(&timing).expect("serialize TimingDoc");
+            std::fs::write(dir.join(format!("BENCH_{id}.timing.json")), json + "\n")?;
+            eprintln!("[{id} json -> {}]", path.display());
+        }
+    }
+    Ok(failures)
+}
 
 impl BenchDoc {
     /// The table's rows: trial 0 of every cell, in cell order.

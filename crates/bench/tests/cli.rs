@@ -1,9 +1,13 @@
 //! The two binaries reject what they do not understand: an unknown flag or
 //! an unparseable value is one `error:` line naming the flag and exit
-//! code 2, never a silent default. A problem file the engine cannot run is
-//! one line naming the file and exit code 1.
+//! code 2, never a silent default. A problem file the engine cannot run, or
+//! a damaged checkpoint, is one line naming what is wrong and exit code 1.
+//! What they accept they run end to end: a killed run resumes byte for
+//! byte, and `--json-out` writes its documents. Scratch files go under
+//! `CARGO_TARGET_TMPDIR`.
 
-use std::path::PathBuf;
+use mesh_routing::engine::Snapshot;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn mesh(args: &[&str]) -> Output {
@@ -254,5 +258,178 @@ fn every_name_the_usage_lists_is_accepted() {
         // n = 8 so bit-reversal runs too.
         let out = mesh(&["workload", kind, "--n", "8"]);
         assert_eq!(out.status.code(), Some(0), "workload {kind}");
+    }
+}
+
+/// An empty scratch directory of this test binary's own.
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli_runs")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `mesh` with a whitespace-separated argument line plus `extra`; it must
+/// exit 0. Its stdout.
+fn mesh_ok(line: &str, extra: &[&str]) -> Vec<u8> {
+    let args: Vec<&str> = line
+        .split_whitespace()
+        .chain(extra.iter().copied())
+        .collect();
+    let out = mesh(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "mesh {args:?}: {stderr}");
+    out.stdout
+}
+
+/// Runs `route <algo> <flags>` with a checkpoint every `every` steps and a
+/// crash at step `halt`; the checkpoint written at the crash.
+fn halted_checkpoint(dir: &Path, algo: &str, flags: &str, every: u64, halt: u64) -> PathBuf {
+    let line = format!("route {algo} {flags} --checkpoint-every {every} --halt-at {halt}");
+    mesh_ok(&line, &["--checkpoint-dir", dir.to_str().unwrap()]);
+    let ckpt = dir.join(format!("ckpt_{halt}.json"));
+    assert!(ckpt.is_file(), "{line}: no {}", ckpt.display());
+    ckpt
+}
+
+const RANDOM_16: &str = "--workload random --n 16 --seed 7";
+/// A steady soak under deadline admission, the committed reference's run.
+const STEADY_REFERENCE: &str = "--lambda 0.3 --n 8 --seed 5 --admission deadline --deadline 32 \
+                                --warmup 16 --window 16 --windows 2";
+
+/// A run killed at a checkpoint and resumed from it prints the `--json` of
+/// the run that never stopped, byte for byte. The resume passes only the
+/// algorithm: the snapshot carries the run. One row per queue discipline
+/// (per-inlink minimal, non-minimal, central queue), and a steady soak
+/// killed mid-overload whose checkpoint's environment block supplies λ,
+/// the window schedule and the admission policy.
+#[test]
+fn a_resumed_run_prints_the_uninterrupted_json() {
+    let steady = "--lambda 0.4 --n 12 --seed 9 --admission deadline --deadline 48 --warmup 32 \
+                  --window 32 --windows 3";
+    let cases = [
+        ("theorem15 --k 2", RANDOM_16, 4, 16),
+        ("hot-potato", RANDOM_16, 4, 16),
+        ("dim-order --k 4", RANDOM_16, 4, 16),
+        ("theorem15 --k 2", steady, 8, 40),
+    ];
+    for (i, (algo, flags, every, halt)) in cases.into_iter().enumerate() {
+        let full = mesh_ok(&format!("route {algo} {flags} --json"), &[]);
+        let dir = scratch(&format!("resume_{i}"));
+        let ckpt = halted_checkpoint(&dir, algo, flags, every, halt);
+        let resume = format!("route {algo} --json --resume-from");
+        let resumed = mesh_ok(&resume, &[ckpt.to_str().unwrap()]);
+        assert!(full == resumed, "{algo} {flags}: the resumed run differs");
+    }
+}
+
+/// The steady soak's `--json` cannot drift from the committed reference.
+#[test]
+fn the_steady_reference_is_what_the_engine_prints() {
+    let printed = mesh_ok(
+        &format!("route theorem15 --k 2 {STEADY_REFERENCE} --json"),
+        &[],
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/steady_resumed_reference.json"
+    );
+    assert!(printed == std::fs::read(path).unwrap(), "{path} differs");
+}
+
+/// A damaged checkpoint is one `cannot …` line and exit 1, never a
+/// backtrace: a truncated file fails to parse; a flipped digit in a queue
+/// length fails the restore's structural pass, as do a steady checkpoint
+/// with an empty window schedule and one whose protocol slot is not the
+/// observer's state.
+#[test]
+fn a_damaged_checkpoint_is_refused_in_one_line() {
+    let dir = scratch("damaged");
+    let closed = halted_checkpoint(&dir.join("closed"), "theorem15 --k 2", RANDOM_16, 4, 16);
+    let steady = halted_checkpoint(
+        &dir.join("steady"),
+        "theorem15 --k 2",
+        STEADY_REFERENCE,
+        8,
+        24,
+    );
+    let text = |path: &Path| std::fs::read_to_string(path).unwrap();
+    let truncated = |path: &Path| {
+        let text = text(path);
+        text[..text.len() / 2].to_string()
+    };
+    let flip_lens_digit = |path: &Path| {
+        let text = text(path);
+        let lens = text.find("\"lens\"").unwrap();
+        let at = lens + text[lens..].find('1').unwrap();
+        let mut bytes = text.into_bytes();
+        bytes[at] ^= 2;
+        String::from_utf8(bytes).unwrap()
+    };
+    let edit = |path: &Path, change: fn(&mut Snapshot)| {
+        let mut snap = Snapshot::read_from(path).unwrap();
+        change(&mut snap);
+        snap.to_json()
+    };
+    let cases = [
+        ("truncated", truncated(&closed), "cannot load snapshot"),
+        ("flipped", flip_lens_digit(&closed), "cannot resume"),
+        (
+            "window0",
+            edit(&steady, |s| s.steady.as_mut().unwrap().config.window = 0),
+            "cannot resume",
+        ),
+        (
+            "protocol",
+            edit(&steady, |s| {
+                s.protocol = Some(serde_json::from_str(r#"{"bogus": 1}"#).unwrap())
+            }),
+            "cannot resume",
+        ),
+    ];
+    for (name, damaged, refusal) in cases {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, damaged).unwrap();
+        let out = mesh(&[
+            "route",
+            "theorem15",
+            "--k",
+            "2",
+            "--resume-from",
+            path.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        let refusals: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("cannot "))
+            .collect();
+        assert_eq!(refusals.len(), 1, "{name}: {stderr}");
+        assert!(refusals[0].starts_with(refusal), "{name}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+/// `--json-out DIR` writes each experiment's document and its timing
+/// sidecar.
+#[test]
+fn experiments_json_out_writes_the_doc_and_its_timing_sidecar() {
+    let dir = scratch("json_out");
+    let args = ["reliable", "--trials", "2", "--threads", "2", "--json-out"];
+    let out = experiments(&[&args[..], &[dir.to_str().unwrap()]].concat());
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for file in ["BENCH_reliable.json", "BENCH_reliable.timing.json"] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} is missing or empty");
     }
 }

@@ -1,6 +1,7 @@
 //! Regression test for the runner's core guarantee: for a fixed experiment
 //! and trial count, the aggregated `BENCH_*.json` document is byte-identical
-//! no matter how many worker threads execute the trials.
+//! no matter how many worker threads execute the trials; and the soaks'
+//! yes/NO cells all say yes.
 
 use mesh_bench::runner::{derive_seed, run_experiment, Experiment, RunnerConfig, TrialOutput};
 use mesh_routing::prelude::*;
@@ -103,25 +104,73 @@ fn bench_json_is_byte_identical_across_thread_counts() {
     );
 }
 
-#[test]
-fn reliable_experiment_json_is_byte_identical_across_thread_counts() {
-    // The shipped `reliable` experiment adds two sources of nondeterminism
-    // risk the mini fixture lacks: the transport's own seeded jitter RNG and
-    // protocol-spawned packets growing the simulation mid-run. The emitted
-    // JSON must still be a pure function of (experiment, trials).
+/// A shipped experiment's `BENCH_<id>.json` at `--trials 2`: the same
+/// bytes from one worker thread as from two.
+fn assert_thread_count_invisible(id: &str) {
     let render = |threads: usize| {
         let cfg = RunnerConfig { threads, trials: 2 };
-        let exp = mesh_bench::experiments::build("reliable", false).unwrap();
+        let exp = mesh_bench::experiments::build(id, false).unwrap();
         let run = run_experiment(exp, &cfg);
         serde_json::to_string_pretty(&run.doc).unwrap()
     };
-    let serial = render(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            serial,
-            render(threads),
-            "JSON diverged at {threads} threads"
+    assert!(render(1) == render(2), "{id}: JSON diverged at 2 threads");
+}
+
+/// One test per experiment that registers seeded cells through a workload
+/// axis or a shared run shape (a2 covers the ablation cells a1 shares).
+/// `reliable` adds the transport's own seeded jitter and protocol-spawned
+/// packets growing the simulation mid-run. The rows that take seconds
+/// even in release run only there: `cargo test --release -p mesh-bench
+/// --test determinism`.
+macro_rules! thread_count_invisible {
+    ($($(#[$attr:meta])* $test:ident: $id:literal,)*) => {$(
+        #[test]
+        $(#[$attr])*
+        fn $test() {
+            assert_thread_count_invisible($id);
+        }
+    )*};
+}
+
+thread_count_invisible! {
+    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+    e5_experiment_json_is_byte_identical_across_thread_counts: "e5",
+    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+    e6_experiment_json_is_byte_identical_across_thread_counts: "e6",
+    e7_experiment_json_is_byte_identical_across_thread_counts: "e7",
+    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+    e10_experiment_json_is_byte_identical_across_thread_counts: "e10",
+    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+    a2_experiment_json_is_byte_identical_across_thread_counts: "a2",
+    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+    a3_experiment_json_is_byte_identical_across_thread_counts: "a3",
+    chaos_experiment_json_is_byte_identical_across_thread_counts: "chaos",
+    reliable_experiment_json_is_byte_identical_across_thread_counts: "reliable",
+}
+
+/// CHAOS, RELIABLE and CRASHREC print `NO` only for a broken promise: a
+/// payload lost or delivered twice, or a resumed run that is not
+/// bit-identical to the run that never stopped.
+#[test]
+fn no_cell_of_the_soaks_says_no() {
+    for id in ["chaos", "reliable", "crashrec"] {
+        let exp = mesh_bench::experiments::build(id, false).unwrap();
+        let run = run_experiment(
+            exp,
+            &RunnerConfig {
+                threads: 2,
+                trials: 2,
+            },
         );
+        for cell in &run.doc.cells {
+            for row in &cell.rows {
+                assert!(
+                    !row.contains(&"NO".to_string()),
+                    "{id} {}: {row:?}",
+                    cell.label
+                );
+            }
+        }
     }
 }
 
