@@ -97,7 +97,7 @@ fn main() {
         .collect();
     let runs = run_suite(exps, &RunnerConfig { threads, trials });
     let failed = emit(runs, csv_dir.as_deref(), json_dir.as_deref())
-        .unwrap_or_else(|e| panic!("cannot write the documents: {e}"));
+        .expect("write the --csv/--json-out documents");
     if failed > 0 {
         eprintln!("error: {failed} experiment(s) failed");
         std::process::exit(1);
