@@ -5,8 +5,9 @@
 # pair, `mutant target verdict`: killed (the target failed), survived (it
 # passed) or no-build (the mutant does not compile). A target is a test
 # target's name in any workspace package, or `PACKAGE:lib` for a package's
-# unit tests (`cargo test -p PACKAGE --lib`). CI's manual `mutants` job
-# runs it; the matrix it produced is in EXPERIMENTS.md.
+# unit tests (`cargo test -p PACKAGE --lib`); a target that drives a
+# binary, such as `cli`, drives the one built from the mutated copy. CI's
+# manual `mutants` job runs it; the matrix it produced is in EXPERIMENTS.md.
 #
 #   tests/mutants/run.sh REV SCRATCH_DIR TARGET...
 #   tests/mutants/run.sh HEAD /tmp/mutants golden_run construction mesh-engine:lib
