@@ -1,11 +1,13 @@
 //! `mesh` — command-line front end to the reproduction: generate a
-//! workload, route it (closed-system, checkpointed, resumed, or as an
-//! open-system steady-state soak), or run an adversary construction. The
+//! workload, route it (closed-system or as an open-system steady-state
+//! soak, fresh or resumed from a checkpoint, all through
+//! `mesh_routing::drive`), or run an adversary construction. The
 //! subcommands, flags, workload kinds and algorithm names are listed once,
 //! in [`USAGE`].
 
 use mesh_routing::adversary::dimorder::DimOrderConstruction;
 use mesh_routing::adversary::farthest::FarthestFirstConstruction;
+use mesh_routing::engine::{Snapshot, SteadySnap};
 use mesh_routing::prelude::*;
 use std::collections::HashMap;
 use std::process::exit;
@@ -30,12 +32,12 @@ const USAGE: &str = "usage:
   mesh workload  <kind> --n N [--seed S] [--h H] [--load F] [-o FILE]
   mesh route     <algorithm> (--problem FILE | --workload KIND --n N | --resume-from CKPT) \\
                  [--k K] [--seed S] [--h H] [--load F] [--cap STEPS] [--json] [--latency] [--heatmap] \\
-                 [--checkpoint-every N [--checkpoint-dir DIR] [--halt-at S]]
-  mesh route     <algorithm> --lambda F --n N [--seed S] [--k K] [--json] \\
-                 [--admission defer|reject-new|drop-oldest|deadline] \\
+                 [--watchdog S] [--halt-at S] [--checkpoint-every N [--checkpoint-dir DIR]]
+  mesh route     <algorithm> (--lambda F --n N | --resume-from CKPT) [--seed S] [--k K] [--json] \\
+                 [--latency] [--heatmap] [--admission defer|reject-new|drop-oldest|deadline] \\
                  [--deadline TTL] [--max-deferred M] \\
-                 [--warmup S] [--window S] [--windows W] [--watchdog S] \\
-                 [--checkpoint-every N [--checkpoint-dir DIR] [--halt-at S] | --resume-from CKPT]
+                 [--warmup S] [--window S] [--windows W] [--watchdog S] [--halt-at S] \\
+                 [--checkpoint-every N [--checkpoint-dir DIR]]
   mesh construct <general|dimorder|farthest> --n N --k K [--victim ALGO] [--h H] [-o FILE] [--check]
 
 workloads:  random partial transpose bit-reversal rotation hotspot funnel random-dst hh
@@ -47,40 +49,23 @@ offers F packets per node per step for warmup + windows*window steps, the
 admission policy decides what happens to packets the edge cannot take, and
 each measurement window reports goodput and latency percentiles.
 
-Steady checkpoints record their environment (lambda, schedule, admission),
-so `mesh route <algorithm> --resume-from CKPT` alone resumes a steady soak;
-re-passed steady flags are cross-checked against the snapshot and refused
-on disagreement.";
+`--halt-at S` stops any run at step S, as a crash would; `--resume-from`
+a checkpoint of it finishes the run byte for byte, taking the problem (and
+a steady run's lambda, schedule and admission) from the snapshot; re-passed
+steady flags must match it.";
 
 /// The flags each subcommand accepts — the sets `USAGE` lists (`-o` is
-/// stored as `out`).
-const WORKLOAD_FLAGS: &[&str] = &["n", "seed", "h", "load", "out"];
-const ROUTE_FLAGS: &[&str] = &[
-    "problem",
-    "workload",
-    "n",
-    "resume-from",
-    "k",
-    "seed",
-    "h",
-    "load",
-    "cap",
-    "json",
-    "latency",
-    "heatmap",
-    "checkpoint-every",
-    "checkpoint-dir",
-    "halt-at",
-    "lambda",
-    "admission",
-    "deadline",
-    "max-deferred",
-    "warmup",
-    "window",
-    "windows",
-    "watchdog",
-];
-const CONSTRUCT_FLAGS: &[&str] = &["n", "k", "victim", "h", "out", "check"];
+/// stored as `out`). `mesh route` has two forms, closed and steady, and
+/// each refuses the flags only the other reads. A resume also refuses the
+/// flags that define a problem: it takes its problem from the snapshot.
+const WORKLOAD_FLAGS: &str = "n seed h load out";
+const CLOSED_FLAGS: &str = "problem workload n seed h load resume-from k cap json latency heatmap \
+                            watchdog halt-at checkpoint-every checkpoint-dir";
+const STEADY_FLAGS: &str = "lambda n seed resume-from k json latency heatmap admission deadline \
+                            max-deferred warmup window windows watchdog halt-at checkpoint-every \
+                            checkpoint-dir";
+const PROBLEM_FLAGS: &str = "problem workload n seed h load";
+const CONSTRUCT_FLAGS: &str = "n k victim h out check";
 
 struct Args {
     positional: Vec<String>,
@@ -116,12 +101,6 @@ impl Args {
                 .unwrap_or_else(|_| usage_error(&format!("--{name} needs a number (got '{v}')")))
         })
     }
-    fn u32_flag(&self, name: &str) -> Option<u32> {
-        self.num_flag(name)
-    }
-    fn u64_flag(&self, name: &str) -> Option<u64> {
-        self.num_flag(name)
-    }
     /// A size or count flag: a usage error when present but 0.
     fn positive_flag<N: std::str::FromStr + PartialEq + From<u8>>(&self, name: &str) -> Option<N> {
         let v: N = self.num_flag(name)?;
@@ -131,16 +110,17 @@ impl Args {
         Some(v)
     }
     /// Rejects any flag outside `allowed`, the subcommand's set.
-    fn reject_unknown(&self, subcommand: &str, allowed: &[&str]) {
-        let mut unknown: Vec<&String> = self
-            .flags
-            .keys()
-            .filter(|f| !allowed.contains(&f.as_str()))
-            .collect();
-        unknown.sort();
-        if let Some(flag) = unknown.first() {
+    fn reject_unknown(&self, subcommand: &str, allowed: &str) {
+        let known = |f: &&String| allowed.split_whitespace().any(|a| a == f.as_str());
+        if let Some(flag) = self.flags.keys().filter(|f| !known(f)).min() {
             usage_error(&format!("unknown flag '--{flag}' for 'mesh {subcommand}'"));
         }
+    }
+    /// The subcommand's object: a workload kind, algorithm or construction.
+    fn target(&self) -> &str {
+        self.positional
+            .get(1)
+            .map_or_else(|| usage(), String::as_str)
     }
     fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
@@ -152,7 +132,7 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
         eprintln!("--n is required");
         usage()
     });
-    let seed = args.u64_flag("seed").unwrap_or(1);
+    let seed = args.num_flag("seed").unwrap_or(1);
     match kind {
         "random" => workloads::random_permutation(n, seed),
         "partial" => {
@@ -180,7 +160,7 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
         }
         "funnel" => workloads::column_funnel(n),
         "random-dst" => workloads::random_destinations(n, seed),
-        "hh" => workloads::hh_random(n, args.u32_flag("h").unwrap_or(2), seed),
+        "hh" => workloads::hh_random(n, args.num_flag("h").unwrap_or(2), seed),
         other => {
             eprintln!("unknown workload '{other}'");
             usage()
@@ -228,11 +208,7 @@ fn save_json<T: serde::Serialize>(value: &T, path: &str) {
 }
 
 fn cmd_workload(args: &Args) {
-    let kind = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
+    let kind = args.target();
     let pb = make_workload(kind, args);
     eprintln!(
         "{}: {} packets, class {:?}, total work {}",
@@ -281,9 +257,9 @@ fn print_route(args: &Args, out: &RouteOutcome) {
 fn parse_admission(args: &Args) -> AdmissionPolicy {
     match args.flags.get("admission").map(String::as_str) {
         None | Some("defer") => {
-            if let Some(ttl) = args.u64_flag("deadline") {
+            if let Some(ttl) = args.num_flag("deadline") {
                 AdmissionPolicy::DeadlineExpiry { ttl }
-            } else if let Some(m) = args.u32_flag("max-deferred") {
+            } else if let Some(m) = args.num_flag("max-deferred") {
                 AdmissionPolicy::DropOldestDeferred { max_deferred: m }
             } else {
                 AdmissionPolicy::DeferIndefinitely
@@ -291,10 +267,10 @@ fn parse_admission(args: &Args) -> AdmissionPolicy {
         }
         Some("reject-new") => AdmissionPolicy::RejectNew,
         Some("drop-oldest") => AdmissionPolicy::DropOldestDeferred {
-            max_deferred: args.u32_flag("max-deferred").unwrap_or(16),
+            max_deferred: args.num_flag("max-deferred").unwrap_or(16),
         },
         Some("deadline") => AdmissionPolicy::DeadlineExpiry {
-            ttl: args.u64_flag("deadline").unwrap_or(64),
+            ttl: args.num_flag("deadline").unwrap_or(64),
         },
         Some(other) => {
             eprintln!("unknown admission policy '{other}'");
@@ -303,7 +279,7 @@ fn parse_admission(args: &Args) -> AdmissionPolicy {
     }
 }
 
-fn print_steady(args: &Args, out: &mesh_routing::SteadyOutcome) {
+fn print_steady(args: &Args, out: &SteadyOutcome) {
     if args.has("json") {
         println!("{}", serde_json::to_string_pretty(out).unwrap());
         return;
@@ -346,277 +322,203 @@ fn print_steady(args: &Args, out: &mesh_routing::SteadyOutcome) {
     );
 }
 
-/// `mesh route <algo> --lambda F`: the open-system steady-state harness.
-fn cmd_steady(args: &Args, algo: Algorithm) {
-    let lambda: f64 = args.num_flag("lambda").unwrap_or_else(|| usage());
-    if !(lambda >= 0.0 && lambda.is_finite()) {
-        usage_error(&format!(
-            "--lambda must be a finite number >= 0 (got {lambda})"
-        ));
-    }
-    let schedule = SteadyConfig {
-        warmup: args.u64_flag("warmup").unwrap_or(128),
-        window: args.u64_flag("window").unwrap_or(64),
-        windows: args.num_flag("windows").unwrap_or(4),
-    };
-    if let Err(e) = schedule.validate() {
-        usage_error(&format!("--warmup/--window/--windows: {e}"));
-    }
-    let config = steady_sim_config(args, parse_admission(args), schedule.window);
-    let dir = checkpoint_dir(args);
-    let halt_at = args.u64_flag("halt-at");
-
-    let n = args.positive_flag("n").unwrap_or_else(|| {
-        eprintln!("--n is required with --lambda");
-        usage()
-    });
-    let seed = args.u64_flag("seed").unwrap_or(1);
-    let pb = mesh_routing::traffic::workloads::open_bernoulli(n, lambda, schedule.horizon(), seed);
-    let result = mesh_routing::steady_route(
-        algo,
-        &pb,
-        lambda,
-        schedule,
-        config,
-        std::path::Path::new(dir),
-        halt_at,
-    );
-    report_steady(args, result, "steady run failed");
-}
-
-/// Resume of a steady checkpoint: the schedule, offered-load label, and
-/// admission policy come from the snapshot's own environment block, so
-/// `--resume-from` alone suffices. Any steady flag the user re-passes
-/// anyway is cross-checked against the recorded environment; a
-/// disagreement is refused up front instead of silently diverging.
-fn cmd_steady_resume(
-    args: &Args,
-    algo: Algorithm,
-    path: &str,
-    snap: mesh_routing::engine::Snapshot,
-) {
-    let Some(env) = snap.steady else {
-        fail(&format!(
-            "snapshot {path} records no steady-state environment (a closed-system run); re-run \
-             with the original steady flags or resume it as a plain route"
-        ));
-    };
-    let schedule = env.config;
-    let mut clashes = Vec::new();
-    if let Some(l) = args.flags.get("lambda") {
-        if l.parse::<f64>().ok() != Some(env.lambda) {
-            clashes.push(format!("lambda {l} (snapshot: {})", env.lambda));
-        }
-    }
-    for (flag, recorded) in [
-        ("warmup", schedule.warmup),
-        ("window", schedule.window),
-        ("windows", schedule.windows as u64),
-    ] {
-        if let Some(v) = args.u64_flag(flag) {
-            if v != recorded {
-                clashes.push(format!("{flag} {v} (snapshot: {recorded})"));
-            }
-        }
-    }
-    if !clashes.is_empty() {
-        fail(&format!(
-            "steady flags disagree with the environment recorded in {path}: {}",
-            clashes.join(", ")
-        ));
-    }
-    // The admission policy defaults to the snapshot's; an explicitly
-    // re-passed policy goes through as-is, and a mismatch is rejected by
-    // the restore with a typed error.
-    let admission = if args.has("admission") || args.has("deadline") || args.has("max-deferred") {
-        parse_admission(args)
-    } else {
-        snap.admission
-    };
-    let config = steady_sim_config(args, admission, schedule.window);
-    let dir = checkpoint_dir(args);
-    let halt_at = args.u64_flag("halt-at");
-    eprintln!("resuming from {path} at step {}", snap.step);
-    let result =
-        mesh_routing::resume_steady_route(algo, &snap, config, std::path::Path::new(dir), halt_at);
-    report_steady(args, result, "cannot resume");
-}
-
-/// The engine config of a steady run (fresh or resumed), from flags.
-fn steady_sim_config(args: &Args, admission: AdmissionPolicy, window: u64) -> SimConfig {
-    SimConfig {
-        admission,
-        watchdog: Some(
-            args.u64_flag("watchdog")
-                .unwrap_or(window.saturating_mul(2).max(256)),
-        ),
-        checkpoint_every: args.u64_flag("checkpoint-every"),
-        ..SimConfig::default()
-    }
-}
-
-fn checkpoint_dir(args: &Args) -> &str {
-    args.flags
-        .get("checkpoint-dir")
-        .map(String::as_str)
-        .unwrap_or("checkpoints")
-}
-
-fn load_snapshot(path: &str) -> mesh_routing::engine::Snapshot {
-    mesh_routing::engine::Snapshot::read_from(std::path::Path::new(path))
-        .unwrap_or_else(|e| fail(&format!("cannot load snapshot {path}: {e}")))
-}
-
-/// Prints a steady run's outcome, or `failed: <error>` and exits 1.
-fn report_steady(args: &Args, result: Result<mesh_routing::SteadyRun, String>, failed: &str) {
-    match result {
-        Ok((Some(out), last)) => {
-            if let Some(p) = last {
-                eprintln!("last checkpoint: {}", p.display());
-            }
-            print_steady(args, &out);
-        }
-        Ok((None, last)) => match last {
-            Some(p) => eprintln!("halted mid-soak; last checkpoint: {}", p.display()),
-            None => eprintln!("halted before the first checkpoint cadence point"),
+/// The steady environment: from flags for a fresh run; for a resume, the
+/// one its checkpoint `recorded`. Steady flags re-passed with a resume are
+/// checked against it, and a disagreement is refused up front instead of
+/// silently diverging.
+fn steady_env(args: &Args, recorded: Option<SteadySnap>) -> SteadySnap {
+    let base = recorded.map_or_else(SteadyConfig::default, |e| e.config);
+    let env = SteadySnap {
+        lambda: args
+            .num_flag("lambda")
+            .or(recorded.map(|e| e.lambda))
+            .unwrap_or_else(|| usage()),
+        config: SteadyConfig {
+            warmup: args.num_flag("warmup").unwrap_or(base.warmup),
+            window: args.num_flag("window").unwrap_or(base.window),
+            windows: args.num_flag("windows").unwrap_or(base.windows),
         },
-        Err(e) => fail(&format!("{failed}: {e}")),
-    }
-}
-
-/// `mesh_routing::route`'s step cap `64·n² + 4096`, saturating: a file may
-/// claim a side the engine refuses.
-fn default_cap(n: u32) -> u64 {
-    u64::from(n).pow(2).saturating_mul(64).saturating_add(4096)
-}
-
-fn cmd_route(args: &Args) {
-    let algo_name = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
-    let k = args.positive_flag("k").unwrap_or(4);
-    let algo = make_algorithm(algo_name, k);
-    let observers = SimConfig {
-        watchdog: args.u64_flag("watchdog"),
-        checkpoint_every: args.u64_flag("checkpoint-every"),
-        ..SimConfig::default()
     };
-    if let Err(e) = observers.check() {
-        usage_error(&format!("--watchdog/--checkpoint-every: {e}"));
-    }
-
-    // The extra reports read the live simulation of a plain closed-system
-    // run; the other run shapes hand back their outcome only.
-    let stats = args.has("latency") || args.has("heatmap");
-    if stats
-        && ["lambda", "resume-from", "checkpoint-every"]
-            .iter()
-            .any(|f| args.has(f))
-    {
-        usage_error(
-            "--latency/--heatmap need a plain closed-system run: not with --lambda, \
-             --checkpoint-every or --resume-from",
-        );
-    }
-
-    // Crash recovery: restore a checkpoint and drive it to completion. The
-    // problem is not re-read — the snapshot carries the full run state —
-    // and the result is byte-identical to the uninterrupted run's. A
-    // steady-state checkpoint carries its own environment block, so
-    // `--resume-from` alone routes back into the steady harness without
-    // re-passing --lambda or the window schedule.
-    if let Some(path) = args.flags.get("resume-from") {
-        let snap = load_snapshot(path);
-        if snap.steady.is_some() || args.has("lambda") {
-            cmd_steady_resume(args, algo, path, snap);
-            return;
+    match recorded {
+        Some(recorded) if env != recorded => fail(&format!(
+            "steady flags disagree with the environment the snapshot records: \
+             {env:?} (snapshot: {recorded:?})"
+        )),
+        // The restore checks what a snapshot records.
+        Some(_) => {}
+        None if !(env.lambda >= 0.0 && env.lambda.is_finite()) => usage_error(&format!(
+            "--lambda must be a finite number >= 0 (got {})",
+            env.lambda
+        )),
+        None => {
+            if let Err(e) = env.config.validate() {
+                usage_error(&format!("--warmup/--window/--windows: {e}"));
+            }
         }
-        let cap = args.u64_flag("cap").unwrap_or(default_cap(snap.n));
-        let out = mesh_routing::resume_route(algo, &snap, cap)
-            .unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
-        eprintln!("resumed from {path} at step {}", snap.step);
-        print_route(args, &out);
-        return;
     }
+    env
+}
 
-    // Open-system steady-state harness: --lambda switches the run shape
-    // entirely (continuous injection, windowed measurement, admission
-    // control at the edge).
-    if args.has("lambda") {
-        cmd_steady(args, algo);
-        return;
+/// The problem of a fresh run: an open Bernoulli source under `--lambda`,
+/// else a problem file or a generated workload.
+fn fresh_problem(args: &Args, env: Option<SteadySnap>) -> RoutingProblem {
+    if let Some(env) = env {
+        let n = args.positive_flag("n").unwrap_or_else(|| {
+            eprintln!("--n is required with --lambda");
+            usage()
+        });
+        let seed = args.num_flag("seed").unwrap_or(1);
+        return workloads::open_bernoulli(n, env.lambda, env.config.horizon(), seed);
     }
-
-    let pb = if let Some(path) = args.flags.get("problem") {
+    if let Some(path) = args.flags.get("problem") {
         load_problem(path)
     } else if let Some(kind) = args.flags.get("workload") {
         make_workload(kind, args)
     } else {
         eprintln!("route needs --problem FILE, --workload KIND --n N, or --resume-from CKPT");
         usage()
-    };
-    let cap = args.u64_flag("cap").unwrap_or(default_cap(pb.n));
-
-    // Checkpointed run: identical outcome, plus a ckpt_<step>.json stream
-    // in --checkpoint-dir. --halt-at simulates the crash by capping the
-    // run at that step; resume later with --resume-from.
-    if let Some(every) = args.u64_flag("checkpoint-every") {
-        let dir = checkpoint_dir(args);
-        let cap = args.u64_flag("halt-at").unwrap_or(cap);
-        let (out, last) =
-            mesh_routing::route_checkpointed(algo, &pb, cap, every, std::path::Path::new(dir))
-                .unwrap_or_else(|e| fail(&format!("checkpointed run failed: {e}")));
-        match last {
-            Some(p) => eprintln!("last checkpoint: {}", p.display()),
-            None => eprintln!("no checkpoint written (run ended before the first cadence point)"),
-        }
-        print_route(args, &out);
-        return;
     }
+}
 
-    // A plain run of an engine algorithm is made here, on the one router
-    // dispatch, so the extra reports come off the simulation that produced
-    // the route line.
-    let topo = Mesh::new(pb.n);
-    mesh_routing::with_engine_router!(algo, pb.n, |router| {
-        let mut sim = Sim::try_build(&topo, router(), &pb, SimConfig::default(), None)
-            .unwrap_or_else(|e| fail(&format!("cannot route: {e}")));
-        let _ = sim.run(cap);
-        print_route(args, &RouteOutcome::engine(algo, sim.report()));
-        if args.has("latency") {
-            let d = sim.latency_distribution();
-            println!(
-                "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
-                d.min, d.p50, d.p90, d.p99, d.max, d.mean
-            );
+/// `mesh route`: parse the run, hand it to `mesh_routing::drive`, print
+/// what it drove to. A resume restores a checkpoint instead of building
+/// the problem, and its result is byte-identical to the uninterrupted
+/// run's; `--lambda` (or a steady checkpoint) makes the run an open-system
+/// soak with admission control at the edge and windowed measurement.
+fn cmd_route(args: &Args) {
+    let resume = args.flags.get("resume-from").map(|path| {
+        if let Some(flag) = PROBLEM_FLAGS.split_whitespace().find(|f| args.has(f)) {
+            usage_error(&format!(
+                "--{flag} defines a problem: --resume-from takes it from the snapshot"
+            ));
         }
-        if args.has("heatmap") {
-            println!("{}", sim.congestion_map().ascii());
+        let snap = Snapshot::read_from(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(&format!("cannot load snapshot {path}: {e}")));
+        (path.as_str(), snap)
+    });
+    // A resume's form is its snapshot's.
+    let recorded = resume.as_ref().and_then(|(_, snap)| snap.steady);
+    let steady = recorded.is_some() || resume.is_none() && args.has("lambda");
+    if steady {
+        args.reject_unknown("route --lambda", STEADY_FLAGS);
+    } else {
+        args.reject_unknown("route", CLOSED_FLAGS);
+    }
+    let algo = make_algorithm(args.target(), args.positive_flag("k").unwrap_or(4));
+    let env = steady.then(|| steady_env(args, recorded));
+    // The admission policy defaults to the snapshot's; an explicitly
+    // re-passed policy goes through as-is, and the restore refuses a
+    // mismatch with a typed error.
+    let explicit = "admission deadline max-deferred"
+        .split_whitespace()
+        .any(|f| args.has(f));
+    let admission = match &resume {
+        Some((_, snap)) if !explicit => snap.admission,
+        _ => parse_admission(args),
+    };
+    let config = SimConfig {
+        admission,
+        watchdog: args
+            .num_flag("watchdog")
+            .or(env.map(|e| e.config.window.saturating_mul(2).max(256))),
+        checkpoint_every: args.num_flag("checkpoint-every"),
+        ..SimConfig::default()
+    };
+    if let Err(e) = config.check() {
+        usage_error(&format!("--watchdog/--checkpoint-every: {e}"));
+    }
+    let plan = Plan {
+        cap: args.num_flag("cap"),
+        halt_at: args.num_flag("halt-at"),
+        config,
+        steady: env,
+        checkpoint_dir: args
+            .flags
+            .get("checkpoint-dir")
+            .map_or("checkpoints", String::as_str)
+            .into(),
+    };
+
+    let problem;
+    let start = match &resume {
+        Some((_, snap)) => Start::Resume(snap),
+        None => {
+            problem = fresh_problem(args, env);
+            Start::Problem(&problem)
         }
-    }, section6 => {
-        // A problem file the §6 router refuses is the file's fault; a
-        // generated problem it refuses, the flags'.
-        let out = mesh_routing::try_route_with_cap(algo, &pb, cap).unwrap_or_else(|e| {
-            match args.flags.get("problem") {
-                Some(path) => fail(&format!("cannot route {path}: {e}")),
-                None => usage_error(&e),
-            }
+    };
+    // A refused resume is the snapshot's fault, a refused problem file the
+    // file's, and a refused generated problem the flags'.
+    let run =
+        drive(algo, start, &plan).unwrap_or_else(|e| match (&resume, args.flags.get("problem")) {
+            (Some(_), _) => fail(&format!("cannot resume: {e}")),
+            (None, Some(path)) => fail(&format!("cannot route {path}: {e}")),
+            (None, None) => usage_error(&e),
         });
-        print_route(args, &out);
-        if stats {
-            eprintln!("(--latency/--heatmap are engine-router features)");
+    let failed = match &resume {
+        Some((path, snap)) => {
+            let verb = if steady { "resuming" } else { "resumed" };
+            eprintln!("{verb} from {path} at step {}", snap.step);
+            "cannot resume"
         }
-    })
+        None => "steady run failed",
+    };
+    print_run(args, run, failed);
+}
+
+/// Prints what a run drove to: the outcome (or why a steady run has none,
+/// after `failed` if it failed), the watchdog's verdict and the last
+/// checkpoint on stderr, and the statistics of the simulation when asked.
+fn print_run(args: &Args, run: Run, failed: &str) {
+    let last = run.last_checkpoint.as_ref().map(|p| p.display());
+    let outcome = match (&run.outcome, run.stop) {
+        (Some(outcome), stop) => {
+            if let Some(e) = stop.filter(|e| !matches!(e, SimError::StepCap(_))) {
+                eprintln!("{e}");
+            }
+            outcome
+        }
+        (None, Some(SimError::StepCap(_))) => {
+            match last {
+                Some(p) => eprintln!("halted mid-soak; last checkpoint: {p}"),
+                None => eprintln!("halted before the first checkpoint cadence point"),
+            }
+            return;
+        }
+        (None, stop) => fail(&format!("{failed}: {}", stop.expect("a stopped run"))),
+    };
+    match (outcome, last) {
+        (_, Some(p)) => eprintln!("last checkpoint: {p}"),
+        (Outcome::Closed(_), None) if args.has("checkpoint-every") => {
+            eprintln!("no checkpoint written (run ended before the first cadence point)")
+        }
+        _ => {}
+    }
+    match outcome {
+        Outcome::Closed(out) => print_route(args, out),
+        Outcome::Steady(out) => print_steady(args, out),
+    }
+    match (&run.latency, &run.congestion) {
+        (Some(d), Some(map)) => {
+            if args.has("latency") {
+                println!(
+                    "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
+                    d.min, d.p50, d.p90, d.p99, d.max, d.mean
+                );
+            }
+            if args.has("heatmap") {
+                println!("{}", map.ascii());
+            }
+        }
+        _ if args.has("latency") || args.has("heatmap") => {
+            eprintln!("(--latency/--heatmap are engine-router features)")
+        }
+        _ => {}
+    }
 }
 
 fn cmd_construct(args: &Args) {
-    let kind = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or_else(|| usage());
+    let kind = args.target();
     let n = args.positive_flag("n").unwrap_or_else(|| usage());
     let k = args.positive_flag("k").unwrap_or(1);
     let check = args.has("check");
@@ -682,15 +584,17 @@ fn cmd_construct(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    let Some(subcommand) = args.positional.first().map(String::as_str) else {
-        usage()
-    };
-    let (allowed, run): (&[&str], fn(&Args)) = match subcommand {
-        "workload" => (WORKLOAD_FLAGS, cmd_workload),
-        "route" => (ROUTE_FLAGS, cmd_route),
-        "construct" => (CONSTRUCT_FLAGS, cmd_construct),
+    match args.positional.first().map(String::as_str) {
+        Some("workload") => {
+            args.reject_unknown("workload", WORKLOAD_FLAGS);
+            cmd_workload(&args);
+        }
+        // Its flags depend on its form, which `cmd_route` decides.
+        Some("route") => cmd_route(&args),
+        Some("construct") => {
+            args.reject_unknown("construct", CONSTRUCT_FLAGS);
+            cmd_construct(&args);
+        }
         _ => usage(),
-    };
-    args.reject_unknown(subcommand, allowed);
-    run(&args);
+    }
 }

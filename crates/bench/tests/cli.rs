@@ -55,6 +55,21 @@ fn mesh_rejects_unknown_flags() {
     // A flag of another subcommand is unknown here.
     let out = mesh(&["workload", "random", "--n", "8", "--k", "2"]);
     assert_usage_error(&out, "--k");
+    // So is a flag of the other form of `mesh route`: a steady run has no
+    // step cap, a closed one no measurement windows.
+    let steady = ["route", "theorem15", "--lambda", "0.1", "--n", "8"];
+    assert_usage_error(&mesh(&[&steady[..], &["--cap", "100"]].concat()), "--cap");
+    assert_usage_error(&mesh_route(&["--windows", "3"]), "--windows");
+    // A resume takes its problem from the snapshot.
+    let resume = [
+        "route",
+        "theorem15",
+        "--resume-from",
+        "ckpt_8.json",
+        "--n",
+        "8",
+    ];
+    assert_usage_error(&mesh(&resume), "--n");
 }
 
 #[test]
@@ -96,9 +111,14 @@ fn route_statistics_come_with_the_one_route_line() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("engine-router features"), "{stderr}");
 
-    // The statistics need the live run: refused, not silently dropped.
-    let out = mesh_route(&["--latency", "--checkpoint-every", "4"]);
-    assert_usage_error(&out, "--latency");
+    // Every engine run is the live run the statistics come from,
+    // checkpointed or not.
+    let dir = scratch("statistics");
+    let every = ["--latency", "--checkpoint-every", "4", "--checkpoint-dir"];
+    let out = mesh_route(&[&every[..], &[dir.to_str().unwrap()]].concat());
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout_lines(&out, "theorem15(k=4) on "), 1);
+    assert_eq!(stdout_lines(&out, "latency:"), 1);
 }
 
 #[test]
@@ -301,25 +321,32 @@ const STEADY_REFERENCE: &str = "--lambda 0.3 --n 8 --seed 5 --admission deadline
 
 /// A run killed at a checkpoint and resumed from it prints the `--json` of
 /// the run that never stopped, byte for byte. The resume passes only the
-/// algorithm: the snapshot carries the run. One row per queue discipline
-/// (per-inlink minimal, non-minimal, central queue), and a steady soak
-/// killed mid-overload whose checkpoint's environment block supplies λ,
-/// the window schedule and the admission policy.
+/// algorithm (and the watchdog, which a snapshot does not carry): the
+/// snapshot carries the run. One row per queue discipline (per-inlink
+/// minimal, non-minimal, central queue); a steady soak killed mid-overload
+/// whose checkpoint's environment block supplies λ, the window schedule and
+/// the admission policy; and a wedged run killed and resumed inside one
+/// watchdog window, so the restored timers decide the step of the verdict.
+/// Two rows also print the latency line and the congestion map, whose peak
+/// loads the snapshot carries across the kill.
 #[test]
 fn a_resumed_run_prints_the_uninterrupted_json() {
     let steady = "--lambda 0.4 --n 12 --seed 9 --admission deadline --deadline 48 --warmup 32 \
                   --window 32 --windows 3";
+    let stats = "--latency --heatmap";
     let cases = [
-        ("theorem15 --k 2", RANDOM_16, 4, 16),
-        ("hot-potato", RANDOM_16, 4, 16),
-        ("dim-order --k 4", RANDOM_16, 4, 16),
-        ("theorem15 --k 2", steady, 8, 40),
+        ("theorem15 --k 2", RANDOM_16, stats, 4, 16),
+        ("hot-potato", RANDOM_16, "", 4, 16),
+        ("dim-order --k 4", RANDOM_16, stats, 4, 16),
+        ("theorem15 --k 2", steady, "", 8, 40),
+        // Last activity at step 27, deadlock verdict at 35.
+        ("dim-order --k 2 --watchdog 8", RANDOM_16, "", 4, 32),
     ];
-    for (i, (algo, flags, every, halt)) in cases.into_iter().enumerate() {
-        let full = mesh_ok(&format!("route {algo} {flags} --json"), &[]);
+    for (i, (algo, flags, out, every, halt)) in cases.into_iter().enumerate() {
+        let full = mesh_ok(&format!("route {algo} {flags} {out} --json"), &[]);
         let dir = scratch(&format!("resume_{i}"));
         let ckpt = halted_checkpoint(&dir, algo, flags, every, halt);
-        let resume = format!("route {algo} --json --resume-from");
+        let resume = format!("route {algo} {out} --json --resume-from");
         let resumed = mesh_ok(&resume, &[ckpt.to_str().unwrap()]);
         assert!(full == resumed, "{algo} {flags}: the resumed run differs");
     }

@@ -2,13 +2,12 @@
 
 use crate::section6::{Section6Report, Section6Router};
 use mesh_engine::{
-    DirectorySink, Router, Sim, SimConfig, SimError, Snapshot, SnapshotError, SteadyConfig,
-    SteadyReport, SteadySnap,
+    DirectorySink, Distribution, NodeField, Sim, SimConfig, SimError, Snapshot, SnapshotError,
+    SteadyConfig, SteadyReport, SteadySnap,
 };
 use mesh_topo::Mesh;
 use mesh_traffic::RoutingProblem;
 use serde::{Deserialize, Serialize};
-use serde_json::RawValue;
 use std::path::{Path, PathBuf};
 
 /// The algorithms of the paper (and this reproduction).
@@ -184,14 +183,6 @@ macro_rules! with_engine_router {
     };
 }
 
-/// The error of every checkpoint/steady entry point for the §6 schedulers.
-fn not_an_engine_algorithm(algorithm: Algorithm) -> String {
-    format!(
-        "{} does not run through the engine; checkpoint/resume needs an engine algorithm",
-        algorithm.name()
-    )
-}
-
 /// The mesh a problem runs on, once the problem passes
 /// [`RoutingProblem::validate`] (a side-0 problem has none).
 fn mesh_of(problem: &RoutingProblem) -> Result<Mesh, String> {
@@ -199,20 +190,16 @@ fn mesh_of(problem: &RoutingProblem) -> Result<Mesh, String> {
     Ok(Mesh::new(problem.n))
 }
 
-/// The mesh a snapshot was taken on. No run has side 0, so a snapshot
-/// claiming it is corrupt.
-fn mesh_of_snapshot(snap: &Snapshot) -> Result<Mesh, String> {
-    if snap.n == 0 {
-        return Err(SnapshotError::Corrupt("side 0".into()).to_string());
-    }
-    Ok(Mesh::new(snap.n))
+/// The default step cap on a side-`n` grid, `64·n² + 4096`, saturating: a
+/// file may claim a side the engine refuses.
+fn default_cap(n: u32) -> u64 {
+    u64::from(n).pow(2).saturating_mul(64).saturating_add(4096)
 }
 
 /// Routes `problem` with `algorithm` on the mesh, with a generous default
 /// step cap of `64·n² + 4096`.
 pub fn route(algorithm: Algorithm, problem: &RoutingProblem) -> RouteOutcome {
-    let n = problem.n as u64;
-    route_with_cap(algorithm, problem, 64 * n * n + 4096)
+    route_with_cap(algorithm, problem, default_cap(problem.n))
 }
 
 /// [`route`] with an explicit step cap (ignored by §6, which always
@@ -260,61 +247,6 @@ pub fn try_route_with_cap(
     })
 }
 
-/// Closes a run's checkpoint sink: the first write error it met, else the
-/// path of the last checkpoint it wrote.
-fn last_checkpoint(sink: Option<DirectorySink>) -> Result<Option<PathBuf>, String> {
-    match sink {
-        Some(DirectorySink { error: Some(e), .. }) => Err(e.to_string()),
-        Some(sink) => Ok(sink.last_checkpoint().map(Path::to_path_buf)),
-        None => Ok(None),
-    }
-}
-
-/// [`route_with_cap`] writing a cadenced checkpoint stream (`ckpt_<step>.json`,
-/// plus `diag_<step>.json` on a watchdog trip) to `dir`. Checkpointing is a
-/// pure observer: the outcome is byte-identical to an uncheckpointed run.
-/// Returns the outcome and the path of the last checkpoint written, if any.
-/// Engine algorithms only — the §6 schedulers yield `Err`.
-pub fn route_checkpointed(
-    algorithm: Algorithm,
-    problem: &RoutingProblem,
-    cap: u64,
-    every: u64,
-    dir: &Path,
-) -> Result<(RouteOutcome, Option<PathBuf>), String> {
-    let config = SimConfig {
-        checkpoint_every: Some(every),
-        ..SimConfig::default()
-    };
-    with_engine_router!(algorithm, problem.n, |router| {
-        let topo = mesh_of(problem)?;
-        let mut sim = Sim::try_build(&topo, router(), problem, config, None)?;
-        let mut sink = Some(DirectorySink::new(dir).map_err(|e| e.to_string())?);
-        let _ = sim.run_checkpointed(cap, &mut sink);
-        let last = last_checkpoint(sink)?;
-        Ok((RouteOutcome::engine(algorithm, sim.report()), last))
-    }, section6 => Err(not_an_engine_algorithm(algorithm)))
-}
-
-/// Restores a run from `snap` and drives it to completion (or `cap`),
-/// producing the same [`RouteOutcome`] an uninterrupted [`route_with_cap`]
-/// of the whole problem would — bit-identical, per the engine's
-/// crash-recovery guarantee (DESIGN.md §11). The algorithm must match the
-/// one the snapshot was taken under.
-pub fn resume_route(
-    algorithm: Algorithm,
-    snap: &Snapshot,
-    cap: u64,
-) -> Result<RouteOutcome, String> {
-    let topo = mesh_of_snapshot(snap)?;
-    with_engine_router!(algorithm, snap.n, |router| {
-        let mut sim = Sim::restore(&topo, router(), SimConfig::default(), None, snap)
-            .map_err(|e| e.to_string())?;
-        let _ = sim.run(cap);
-        Ok(RouteOutcome::engine(algorithm, sim.report()))
-    }, section6 => Err(not_an_engine_algorithm(algorithm)))
-}
-
 /// Outcome of an open-system steady-state run (`mesh route --lambda`):
 /// the windowed measurement frames plus the final engine report, which
 /// carries the shed/expired admission-control totals.
@@ -331,109 +263,159 @@ pub struct SteadyOutcome {
     pub report: mesh_engine::SimReport,
 }
 
-/// What a steady entry point returns: the outcome (`None` when `halt_at`
-/// stopped the run first) and the last checkpoint written, if any.
-pub type SteadyRun = (Option<SteadyOutcome>, Option<PathBuf>);
-
-/// Drives `sim` through the remaining steady schedule of `env`, fresh
-/// (`state` = `None`) or restored. Checkpoints go to `sink_dir` when there
-/// is one; without, nothing is written.
-fn drive_steady<R: Router>(
-    algorithm: Algorithm,
-    mut sim: Sim<'_, Mesh, R>,
-    env: SteadySnap,
-    state: Option<&RawValue>,
-    sink_dir: Option<&Path>,
-    halt_at: Option<u64>,
-) -> Result<SteadyRun, String>
-where
-    R::NodeState: Serialize,
-{
-    let mut sink = match sink_dir {
-        Some(dir) => Some(DirectorySink::new(dir).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let res = sim.run_steady_checkpointed(env.config, env.lambda, state, &mut sink, halt_at);
-    let last = last_checkpoint(sink)?;
-    let steady = match res {
-        Ok(rep) => rep,
-        // A step-cap stop is the expected outcome of a `halt_at` crash
-        // simulation; any other failure is a real error.
-        Err(SimError::StepCap(_)) if halt_at.is_some() => return Ok((None, last)),
-        Err(e) => return Err(e.to_string()),
-    };
-    let report = sim.report();
-    let outcome = SteadyOutcome {
-        algorithm: algorithm.name(),
-        workload: report.workload.clone(),
-        n: report.n,
-        lambda: env.lambda,
-        schedule: env.config,
-        steady,
-        report,
-    };
-    Ok((Some(outcome), last))
+/// Where a [`drive`]n run starts.
+#[derive(Clone, Copy, Debug)]
+pub enum Start<'a> {
+    /// A fresh run of a problem, built with [`Sim::try_build`].
+    Problem(&'a RoutingProblem),
+    /// The run a checkpoint was taken of, rebuilt with [`Sim::restore`]: its
+    /// remaining steps are bit-identical to the uninterrupted run's
+    /// (DESIGN.md §11). A steady checkpoint carries its own environment.
+    Resume(&'a Snapshot),
 }
 
-/// Runs `problem` (typically an open Bernoulli source) under `algorithm`
-/// on the steady-state measurement `schedule`. Engine algorithms only.
+/// How a [`drive`]n run goes. Every field means the same for every run:
+/// fresh or resumed, closed or steady.
+#[derive(Clone, Debug, Default)]
+pub struct Plan {
+    /// Step cap of a closed run; `None` is [`route`]'s `64·n² + 4096`. A
+    /// steady run ends at its schedule's horizon.
+    pub cap: Option<u64>,
+    /// A simulated crash: the run stops at this step if it has not ended.
+    pub halt_at: Option<u64>,
+    /// The engine config: watchdog, checkpoint cadence, admission policy.
+    pub config: SimConfig,
+    /// The environment of a fresh steady run; `None` runs the problem
+    /// closed. A resumed run takes its environment from its snapshot and
+    /// does not read this.
+    pub steady: Option<SteadySnap>,
+    /// Where `ckpt_<step>.json` (and `diag_<step>.json` on a watchdog trip)
+    /// go when `config.checkpoint_every` is set; without a cadence nothing
+    /// is created.
+    pub checkpoint_dir: PathBuf,
+}
+
+/// What a run drove to.
+#[derive(Clone, Debug)]
+pub enum Outcome {
+    Closed(RouteOutcome),
+    Steady(SteadyOutcome),
+}
+
+/// What [`drive`] returns.
+pub struct Run {
+    /// `None` only for a steady run stopped before its schedule ended (by
+    /// `halt_at` or the watchdog): a steady report needs every window.
+    pub outcome: Option<Outcome>,
+    /// Why the engine stopped the run short, if it did: the step cap (a
+    /// closed run's cap, or `halt_at`) or the watchdog's verdict.
+    pub stop: Option<SimError>,
+    /// The last checkpoint written, if any.
+    pub last_checkpoint: Option<PathBuf>,
+    /// The delivery latencies of the simulation that made the outcome;
+    /// `None` for the §6 schedulers, which do not run through the engine.
+    pub latency: Option<Distribution>,
+    /// Its per-node peak occupancy; `None` for the §6 schedulers.
+    pub congestion: Option<NodeField>,
+}
+
+/// Runs `algorithm` from `start` as `plan` says: the one entry for every
+/// run of `mesh route`. A fresh run and a resumed one differ only in how
+/// the simulation is built; a run is steady when `plan.steady` (fresh) or
+/// the snapshot (resumed) gives it an environment, and closed otherwise.
+/// Checkpointing is a pure observer: the outcome is byte-identical to an
+/// uncheckpointed run's, and a resumed run's to the uninterrupted one's.
 ///
-/// When `config.checkpoint_every` is set, a cadenced checkpoint stream goes
-/// to `dir`; without a cadence `dir` is not touched. `halt_at` simulates a
-/// crash: the run stops there with `Ok((None, last_checkpoint))`; resume it
-/// with [`resume_steady_route`] for a byte-identical final outcome.
-pub fn steady_route(
-    algorithm: Algorithm,
-    problem: &RoutingProblem,
-    lambda: f64,
-    schedule: SteadyConfig,
-    config: SimConfig,
-    dir: &Path,
-    halt_at: Option<u64>,
-) -> Result<SteadyRun, String> {
-    let env = SteadySnap {
-        lambda,
-        config: schedule,
+/// `Err` is a run that cannot start (input the engine refuses, a snapshot
+/// that does not restore under `algorithm` and `plan.config`) or a failed
+/// checkpoint write. The §6 schedulers do not run through the engine: they
+/// take only a fresh, closed, uncheckpointed, unhalted run.
+pub fn drive(algorithm: Algorithm, start: Start<'_>, plan: &Plan) -> Result<Run, String> {
+    let (n, steady, state) = match start {
+        Start::Problem(pb) => (pb.n, plan.steady, None),
+        Start::Resume(snap) => (snap.n, snap.steady, snap.protocol.as_ref()),
     };
-    let sink_dir = config.checkpoint_every.map(|_| dir);
-    with_engine_router!(algorithm, problem.n, |router| {
-        let topo = mesh_of(problem)?;
-        let sim = Sim::try_build(&topo, router(), problem, config, None)?;
-        drive_steady(algorithm, sim, env, None, sink_dir, halt_at)
-    }, section6 => Err(not_an_engine_algorithm(algorithm)))
-}
-
-/// Restores a steady-state run from `snap` and drives the remaining
-/// schedule. The measurement schedule and offered-load label come from
-/// the snapshot's own `steady` environment block, so a resume re-passes
-/// nothing; a snapshot without one (a closed-system checkpoint) is
-/// rejected. The observer's windowed measurement state rides the
-/// snapshot's `protocol` slot, so frames and the final report are
-/// byte-identical to a run that never stopped. `config.admission` must
-/// match the policy the snapshot was taken under (the restore rejects a
-/// mismatch with a typed error). Checkpointing continues into `dir` when
-/// `config.checkpoint_every` is set.
-pub fn resume_steady_route(
-    algorithm: Algorithm,
-    snap: &Snapshot,
-    config: SimConfig,
-    dir: &Path,
-    halt_at: Option<u64>,
-) -> Result<SteadyRun, String> {
-    let Some(env) = snap.steady else {
-        return Err(
-            "snapshot records no steady-state environment (a closed-system run); \
-             resume it as a plain route or re-pass the steady flags"
-                .to_string(),
-        );
-    };
-    let topo = mesh_of_snapshot(snap)?;
-    let sink_dir = config.checkpoint_every.map(|_| dir);
-    with_engine_router!(algorithm, snap.n, |router| {
-        let sim =
-            Sim::restore(&topo, router(), config, None, snap).map_err(|e| e.to_string())?;
-        drive_steady(algorithm, sim, env, snap.protocol.as_ref(), sink_dir, halt_at)
-    }, section6 => Err(not_an_engine_algorithm(algorithm)))
+    let cap = plan.cap.unwrap_or_else(|| default_cap(n));
+    with_engine_router!(algorithm, n, |router| {
+        let topo;
+        let mut sim = match start {
+            Start::Problem(pb) => {
+                topo = mesh_of(pb)?;
+                Sim::try_build(&topo, router(), pb, plan.config, None)?
+            }
+            Start::Resume(snap) => {
+                // No run has side 0: a snapshot claiming it is corrupt.
+                if snap.n == 0 {
+                    return Err(SnapshotError::Corrupt("side 0".into()).to_string());
+                }
+                topo = Mesh::new(snap.n);
+                Sim::restore(&topo, router(), plan.config, None, snap)
+                    .map_err(|e| e.to_string())?
+            }
+        };
+        if let Some(env) = steady {
+            env.config.validate()?;
+        }
+        let dir = plan.config.checkpoint_every.map(|_| &plan.checkpoint_dir);
+        let mut sink = dir.map(DirectorySink::new).transpose().map_err(|e| e.to_string())?;
+        let (outcome, stop) = match steady {
+            None => {
+                let cap = plan.halt_at.map_or(cap, |h| h.min(cap));
+                let stop = sim.run_checkpointed(cap, &mut sink).err();
+                (Some(Outcome::Closed(RouteOutcome::engine(algorithm, sim.report()))), stop)
+            }
+            Some(env) => {
+                let (lambda, schedule, halt_at) = (env.lambda, env.config, plan.halt_at);
+                match sim.run_steady_checkpointed(schedule, lambda, state, &mut sink, halt_at) {
+                    Ok(steady) => {
+                        let report = sim.report();
+                        let out = SteadyOutcome {
+                            algorithm: algorithm.name(),
+                            workload: report.workload.clone(),
+                            n: report.n,
+                            lambda,
+                            schedule,
+                            steady,
+                            report,
+                        };
+                        (Some(Outcome::Steady(out)), None)
+                    }
+                    Err(e) => (None, Some(e)),
+                }
+            }
+        };
+        let last_checkpoint = match sink {
+            Some(DirectorySink { error: Some(e), .. }) => return Err(e.to_string()),
+            Some(sink) => sink.last_checkpoint().map(Path::to_path_buf),
+            None => None,
+        };
+        Ok(Run {
+            outcome,
+            stop,
+            last_checkpoint,
+            latency: Some(sim.latency_distribution()),
+            congestion: Some(sim.congestion_map()),
+        })
+    }, section6 => match start {
+        Start::Problem(pb)
+            if steady.is_none()
+                && plan.config.checkpoint_every.is_none()
+                && plan.halt_at.is_none() =>
+        {
+            Ok(Run {
+                outcome: Some(Outcome::Closed(try_route_with_cap(algorithm, pb, cap)?)),
+                stop: None,
+                last_checkpoint: None,
+                latency: None,
+                congestion: None,
+            })
+        }
+        _ => Err(format!(
+            "{} does not run through the engine; a checkpointed, halted, resumed or steady run \
+             needs an engine algorithm",
+            algorithm.name()
+        )),
+    })
 }
 
 #[cfg(test)]
@@ -463,6 +445,34 @@ mod tests {
         }
     }
 
+    /// A closed plan: the given cap, cadence and checkpoint directory.
+    fn closed(cap: u64, every: Option<u64>, dir: &Path) -> Plan {
+        Plan {
+            cap: Some(cap),
+            config: SimConfig {
+                checkpoint_every: every,
+                ..SimConfig::default()
+            },
+            checkpoint_dir: dir.to_path_buf(),
+            ..Plan::default()
+        }
+    }
+
+    fn closed_outcome(run: Run) -> RouteOutcome {
+        match run.outcome {
+            Some(Outcome::Closed(out)) => out,
+            other => panic!("expected a closed outcome, got {other:?}"),
+        }
+    }
+
+    fn steady_outcome(run: Run) -> Option<SteadyOutcome> {
+        match run.outcome {
+            Some(Outcome::Steady(out)) => Some(out),
+            None => None,
+            Some(other) => panic!("expected a steady outcome, got {other:?}"),
+        }
+    }
+
     #[test]
     fn every_engine_algorithm_resumes_to_the_uninterrupted_outcome() {
         let pb = workloads::random_permutation(16, 4);
@@ -471,7 +481,9 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let full = serde_json::to_string(&route_with_cap(algo, &pb, 10_000)).unwrap();
             // Crash at step 9, after the cadence-4 checkpoints of steps 4 and 8.
-            let (halted, last) = route_checkpointed(algo, &pb, 9, 4, &dir).unwrap();
+            let run = drive(algo, Start::Problem(&pb), &closed(9, Some(4), &dir)).unwrap();
+            let last = run.last_checkpoint.clone();
+            let halted = closed_outcome(run);
             assert!(
                 !halted.completed,
                 "{} finished before the halt",
@@ -479,7 +491,8 @@ mod tests {
             );
             let snap = Snapshot::read_from(&last.expect("a checkpoint at step 8")).unwrap();
             assert_eq!(snap.step, 8);
-            let resumed = resume_route(algo, &snap, 10_000).unwrap();
+            let resumed = drive(algo, Start::Resume(&snap), &closed(10_000, None, &dir)).unwrap();
+            let resumed = closed_outcome(resumed);
             assert_eq!(serde_json::to_string(&resumed).unwrap(), full);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -489,19 +502,24 @@ mod tests {
     fn section6_is_a_typed_error_at_every_engine_entry_point() {
         let pb = workloads::random_permutation(9, 1);
         let dir = std::env::temp_dir().join("mesh-api-s6-test");
-        let schedule = SteadyConfig::default();
+        let steady = Plan {
+            steady: Some(SteadySnap {
+                lambda: 0.1,
+                config: SteadyConfig::default(),
+            }),
+            ..Plan::default()
+        };
         let snap = {
             let topo = Mesh::new(9);
             Sim::new(&topo, crate::routers::theorem15(2), &pb).snapshot()
         };
         for algo in [Algorithm::Section6, Algorithm::Section6Improved] {
             let errors = [
-                route_checkpointed(algo, &pb, 100, 4, &dir).unwrap_err(),
-                resume_route(algo, &snap, 100).unwrap_err(),
-                steady_route(algo, &pb, 0.1, schedule, SimConfig::default(), &dir, None)
-                    .unwrap_err(),
+                drive(algo, Start::Problem(&pb), &closed(100, Some(4), &dir)),
+                drive(algo, Start::Resume(&snap), &closed(100, None, &dir)),
+                drive(algo, Start::Problem(&pb), &steady),
             ];
-            for err in errors {
+            for err in errors.map(|r| r.err().expect("refused")) {
                 assert!(err.contains("does not run through the engine"), "{err}");
             }
         }
@@ -526,14 +544,18 @@ mod tests {
 
         let pb = workloads::random_permutation(9, 1);
         let algo = Algorithm::Theorem15 { k: 2 };
-        let err = route_checkpointed(algo, &pb, 100, 0, &dir).unwrap_err();
+        let err = drive(algo, Start::Problem(&pb), &closed(100, Some(0), &dir))
+            .err()
+            .expect("cadence 0 is refused");
         assert!(err.contains("checkpoint_every"), "{err}");
         let mut snap = {
             let topo = Mesh::new(9);
             Sim::new(&topo, crate::routers::theorem15(2), &pb).snapshot()
         };
         snap.n = 0;
-        let err = resume_route(algo, &snap, 100).unwrap_err();
+        let err = drive(algo, Start::Resume(&snap), &closed(100, None, &dir))
+            .err()
+            .expect("side 0 is refused");
         assert!(err.contains("corrupt"), "{err}");
         assert!(!dir.exists(), "a refused run must not create its sink");
     }
@@ -555,29 +577,42 @@ mod tests {
             windows: 3,
         };
         let pb = workloads::open_bernoulli(8, 0.4, schedule.horizon(), 5);
-        let config = || SimConfig {
-            admission: mesh_engine::AdmissionPolicy::DeadlineExpiry { ttl: 24 },
-            checkpoint_every: Some(8),
-            watchdog: Some(64),
-            ..SimConfig::default()
-        };
         let algo = Algorithm::DimOrder { k: 4 };
         let dir = std::env::temp_dir().join("mesh-api-steady-test");
         let _ = std::fs::remove_dir_all(&dir);
+        let plan = |halt_at| Plan {
+            halt_at,
+            config: SimConfig {
+                admission: mesh_engine::AdmissionPolicy::DeadlineExpiry { ttl: 24 },
+                checkpoint_every: Some(8),
+                watchdog: Some(64),
+                ..SimConfig::default()
+            },
+            steady: Some(SteadySnap {
+                lambda: 0.4,
+                config: schedule,
+            }),
+            checkpoint_dir: dir.clone(),
+            ..Plan::default()
+        };
 
         // Uninterrupted reference run.
-        let uncadenced = SimConfig {
-            checkpoint_every: None,
-            ..config()
-        };
-        let (full, last) = steady_route(algo, &pb, 0.4, schedule, uncadenced, &dir, None).unwrap();
-        assert!(last.is_none() && !dir.exists(), "no cadence, no sink");
-        let full_json = serde_json::to_string(&full.expect("no halt")).unwrap();
+        let mut uncadenced = plan(None);
+        uncadenced.config.checkpoint_every = None;
+        let full = drive(algo, Start::Problem(&pb), &uncadenced).unwrap();
+        assert!(
+            full.last_checkpoint.is_none() && !dir.exists(),
+            "no cadence, no sink"
+        );
+        let full_json = serde_json::to_string(&steady_outcome(full).expect("no halt")).unwrap();
 
         // Crash mid-soak, then resume from the last checkpoint.
-        let (halted, last) =
-            steady_route(algo, &pb, 0.4, schedule, config(), &dir, Some(30)).unwrap();
-        assert!(halted.is_none(), "halt-at 30 must stop before the horizon");
+        let halted = drive(algo, Start::Problem(&pb), &plan(Some(30))).unwrap();
+        let last = halted.last_checkpoint.clone();
+        assert!(
+            steady_outcome(halted).is_none(),
+            "halt-at 30 must stop before the horizon"
+        );
         let last = last.expect("cadence 8 must leave a checkpoint behind");
         let snap = Snapshot::read_from(&last).unwrap();
         // The snapshot itself carries the steady environment: the resume
@@ -585,16 +620,20 @@ mod tests {
         let env = snap.steady.expect("steady checkpoints record their env");
         assert_eq!(env.lambda, 0.4);
         assert_eq!(env.config, schedule);
-        let (resumed, _) = resume_steady_route(algo, &snap, config(), &dir, None).unwrap();
-        let resumed = resumed.expect("resumed run must complete the schedule");
+        let resume = Plan {
+            steady: None,
+            ..plan(None)
+        };
+        let resumed = drive(algo, Start::Resume(&snap), &resume).unwrap();
+        let resumed = steady_outcome(resumed).expect("resumed run must complete the schedule");
         assert_eq!(serde_json::to_string(&resumed).unwrap(), full_json);
 
         // A mismatched admission policy is a typed refusal, not divergence.
-        let bad = SimConfig {
-            admission: mesh_engine::AdmissionPolicy::RejectNew,
-            ..config()
-        };
-        let err = resume_steady_route(algo, &snap, bad, &dir, None).unwrap_err();
+        let mut bad = resume.clone();
+        bad.config.admission = mesh_engine::AdmissionPolicy::RejectNew;
+        let err = drive(algo, Start::Resume(&snap), &bad)
+            .err()
+            .expect("a mismatched admission policy is refused");
         assert!(
             err.contains("admission policy"),
             "expected a typed admission mismatch, got: {err}"

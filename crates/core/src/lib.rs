@@ -9,8 +9,9 @@
 //!
 //! This crate is the facade: it re-exports the substrate crates and adds
 //! the §6 algorithm (which needs its own phased engine), a one-call
-//! [`route`] API, and [`with_engine_router!`] — the one place an
-//! [`Algorithm`] value becomes a concrete router type.
+//! [`route`] API, [`drive`] — the one entry for a run fresh or resumed,
+//! closed or steady, checkpointed or not — and [`with_engine_router!`], the
+//! one place an [`Algorithm`] value becomes a concrete router type.
 //!
 //! ```
 //! use mesh_routing::prelude::*;
@@ -27,8 +28,8 @@ pub mod api;
 pub mod section6;
 
 pub use api::{
-    resume_route, resume_steady_route, route, route_checkpointed, route_with_cap, steady_route,
-    try_route_with_cap, Algorithm, RouteOutcome, SteadyOutcome, SteadyRun,
+    drive, route, route_with_cap, try_route_with_cap, Algorithm, Outcome, Plan, RouteOutcome, Run,
+    Start, SteadyOutcome,
 };
 pub use section6::{Section6Config, Section6Error, Section6Report, Section6Router};
 
@@ -44,8 +45,8 @@ pub use mesh_traffic as traffic;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::api::{
-        resume_route, resume_steady_route, route, route_checkpointed, route_with_cap, steady_route,
-        Algorithm, RouteOutcome, SteadyOutcome,
+        drive, route, route_with_cap, Algorithm, Outcome, Plan, RouteOutcome, Run, Start,
+        SteadyOutcome,
     };
     pub use crate::section6::{Section6Report, Section6Router};
     pub use mesh_adversary::{

@@ -83,6 +83,11 @@ where
     let mut resumed = Sim::restore(topo, mk(), SimConfig::default(), faults, &snap)
         .expect("a snapshot the engine wrote must restore");
     prop_assert_eq!(resumed.steps(), snap.step);
+    // The last step's events are state too: `last_step_deliveries` and
+    // `last_step_losses` report them until the next step.
+    let (delivered, lost) = &streams[snap.step as usize - 1];
+    prop_assert_eq!(resumed.last_step_deliveries(), delivered.as_slice());
+    prop_assert_eq!(resumed.last_step_losses(), lost.as_slice());
     let mut i = snap.step as usize;
     while i < streams.len() {
         let done = resumed.step();
