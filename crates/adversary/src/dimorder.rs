@@ -122,13 +122,13 @@ impl ExchangeRule for DimOrderConstruction {
     /// Entering the N_i-column from outside it.
     fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
         let col = self.n_col(line.index());
-        m.to.x == col && m.from.x != col
+        m.to().x == col && m.from().x != col
     }
 
     /// While `t ≤ i·dn` no N_j (j > i) enters the N_i-column; the partner is
     /// an N_i-packet of the (i−1)-box not scheduled to enter it.
     fn violation(&self, t: u64, m: &ScheduledMove, cls: Class) -> Option<Demand> {
-        let i = self.column_at(m.to.x)?;
+        let i = self.column_at(m.to().x)?;
         let line = Class::N(i);
         (self.enters(m, line) && cls.index() > i && t <= i as u64 * self.params.dn as u64)
             .then_some(Demand {

@@ -150,8 +150,8 @@ impl<X: ExchangeRule> StepHook for Exchanger<'_, X> {
         }
         self.move_of.fill(UNSCHEDULED);
         for (mi, m) in ctx.moves.iter().enumerate() {
-            debug_assert_eq!(self.move_of[m.pkt.index()], UNSCHEDULED);
-            self.move_of[m.pkt.index()] = mi as u32;
+            debug_assert_eq!(self.move_of[m.pkt().index()], UNSCHEDULED);
+            self.move_of[m.pkt().index()] = mi as u32;
         }
         // Exchanging with a partner that is itself scheduled can create a new
         // violation on an earlier move, so iterate the whole schedule to a
@@ -166,7 +166,7 @@ impl<X: ExchangeRule> StepHook for Exchanger<'_, X> {
                 // exchange until it is clean.
                 while let Some(d) = self
                     .classes
-                    .class_of(m.pkt)
+                    .class_of(m.pkt())
                     .and_then(|cls| self.rule.violation(ctx.t, &m, cls))
                 {
                     let Some(partner) = self.find_partner(ctx, d) else {
@@ -176,8 +176,8 @@ impl<X: ExchangeRule> StepHook for Exchanger<'_, X> {
                         });
                         return;
                     };
-                    ctx.exchange(m.pkt, partner);
-                    self.classes.record_exchange(m.pkt, partner);
+                    ctx.exchange(m.pkt(), partner);
+                    self.classes.record_exchange(m.pkt(), partner);
                 }
             }
             if ctx.exchange_count() == before {

@@ -120,7 +120,7 @@ impl ExchangeRule for FarthestFirstConstruction {
     /// Entering the N_i-column from outside it.
     fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
         let col = self.n_col(line.index());
-        m.to.x == col && m.from.x != col
+        m.to().x == col && m.from().x != col
     }
 
     /// No N_j (j ≥ 2) enters its *own* column while some i < j is still

@@ -202,10 +202,10 @@ impl ExchangeRule for GeneralConstruction {
     /// The N_i-column south of the E_i-row, the E_i-row west of the
     /// N_i-column.
     fn enters(&self, m: &ScheduledMove, line: Class) -> bool {
-        let g = &self.geom;
+        let (g, to) = (&self.geom, m.to());
         match line {
-            Class::N(i) => m.to.x == g.n_col(i) && m.to.y < g.e_row(i),
-            Class::E(i) => m.to.y == g.e_row(i) && m.to.x < g.n_col(i),
+            Class::N(i) => to.x == g.n_col(i) && to.y < g.e_row(i),
+            Class::E(i) => to.y == g.e_row(i) && to.x < g.n_col(i),
         }
     }
 
@@ -230,9 +230,10 @@ impl ExchangeRule for GeneralConstruction {
                 },
             )
         };
-        self.line_at(m.to.x)
+        let to = m.to();
+        self.line_at(to.x)
             .and_then(|i| protected(Class::N(i)))
-            .or_else(|| self.line_at(m.to.y).and_then(|i| protected(Class::E(i))))
+            .or_else(|| self.line_at(to.y).and_then(|i| protected(Class::E(i))))
     }
 
     fn constructed_label(&self) -> String {

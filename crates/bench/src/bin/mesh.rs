@@ -457,8 +457,7 @@ fn cmd_route(args: &Args) {
         });
     let failed = match &resume {
         Some((path, snap)) => {
-            let verb = if steady { "resuming" } else { "resumed" };
-            eprintln!("{verb} from {path} at step {}", snap.step);
+            eprintln!("resumed from {path} at step {}", snap.step);
             "cannot resume"
         }
         None => "steady run failed",

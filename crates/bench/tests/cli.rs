@@ -193,11 +193,12 @@ fn problem_file(name: &str, n: u32, id: u32, src: (u32, u32), dst: (u32, u32)) -
 /// A problem the engine cannot run is refused by `RoutingProblem::validate`
 /// before any grid is built: one line naming the file, exit 1. Without it an
 /// off-grid endpoint panics, or (a source, in release) routes to a wrong
-/// answer; side 0 panics; sparse ids are routed as if dense. The §6 router
-/// refuses a side past its limit the same way.
+/// answer; side 0 panics; sparse ids are routed as if dense. Under §6 the
+/// same files fail the same way, and so does a side past its limit.
 #[test]
 fn mesh_refuses_problems_the_engine_cannot_run() {
     let engine = ["theorem15", "dim-order"];
+    let both = ["theorem15", "section6"];
     let cases = [
         (
             problem_file("dst_off_grid", 4, 0, (0, 0), (1, 9)),
@@ -207,10 +208,14 @@ fn mesh_refuses_problems_the_engine_cannot_run() {
             problem_file("src_off_grid", 4, 0, (9, 0), (1, 1)),
             &engine[..],
         ),
-        (problem_file("side_zero", 0, 0, (0, 0), (0, 0)), &engine[..]),
+        (problem_file("side_zero", 0, 0, (0, 0), (0, 0)), &both[..]),
         (
             problem_file("sparse_ids", 4, 5, (0, 0), (1, 1)),
             &engine[..],
+        ),
+        (
+            problem_file("s6_sparse_ids", 9, 5, (0, 0), (1, 1)),
+            &both[..],
         ),
         (
             problem_file("s6_dst", 9, 0, (0, 0), (1, 12)),

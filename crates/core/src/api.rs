@@ -183,11 +183,13 @@ macro_rules! with_engine_router {
     };
 }
 
-/// The mesh a problem runs on, once the problem passes
-/// [`RoutingProblem::validate`] (a side-0 problem has none).
+/// The mesh a problem runs on. A side-0 problem has none; the rest of
+/// [`RoutingProblem::validate`] is [`Sim::try_build`]'s to apply.
 fn mesh_of(problem: &RoutingProblem) -> Result<Mesh, String> {
-    problem.validate()?;
-    Ok(Mesh::new(problem.n))
+    match problem.n {
+        0 => Err("problem side must be at least 1".into()),
+        n => Ok(Mesh::new(n)),
+    }
 }
 
 /// The default step cap on a side-`n` grid, `64·n² + 4096`, saturating: a

@@ -919,7 +919,7 @@ mod chaos_tests {
             let mut seen = std::collections::HashSet::new();
             for m in ctx.moves {
                 assert!(
-                    seen.insert((m.from, m.travel)),
+                    seen.insert((m.from(), m.travel())),
                     "two packets scheduled on one link"
                 );
                 for d in ALL_DIRS {

@@ -7,18 +7,89 @@
 //! [`HookCtx`], full omniscient access — the adversary is *not* bound by the
 //! destination-exchangeable restriction; only the algorithm is.
 
-use crate::storage::{Loc, PacketStore};
+use crate::storage::{pack, unpack, Loc, PacketStore};
 use mesh_topo::{Coord, Dir};
 use mesh_traffic::PacketId;
 
-/// One scheduled transmission: the outqueue policy of the node at `from`
-/// chose packet `pkt` for its `travel` outlink, toward `to`.
-#[derive(Clone, Copy, Debug)]
+/// One scheduled transmission, an *offer*: the outqueue policy of the node
+/// at [`from`](Self::from) chose packet [`pkt`](Self::pkt) for its
+/// [`travel`](Self::travel) outlink, toward [`to`](Self::to).
+///
+/// A 16-byte record: the id, both endpoints packed `x | y << 16` like the
+/// packet table's, the direction, and in a spare byte the target's accept
+/// decision (engine-private: a hook runs before acceptance and always sees
+/// it unset). The schedule of a dense step holds one per moving packet, so
+/// its size is the step loop's largest scratch cost.
+#[derive(Clone, Copy)]
 pub struct ScheduledMove {
-    pub pkt: PacketId,
-    pub from: Coord,
-    pub to: Coord,
-    pub travel: Dir,
+    pkt: PacketId,
+    from: u32,
+    to: u32,
+    travel: Dir,
+    accepted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<ScheduledMove>() <= 16);
+
+impl ScheduledMove {
+    /// An offer not yet accepted.
+    #[inline]
+    pub(crate) fn new(pkt: PacketId, from: Coord, to: Coord, travel: Dir) -> ScheduledMove {
+        ScheduledMove {
+            pkt,
+            from: pack(from),
+            to: pack(to),
+            travel,
+            accepted: false,
+        }
+    }
+
+    /// The packet offered.
+    #[inline]
+    pub fn pkt(&self) -> PacketId {
+        self.pkt
+    }
+
+    /// The sending node, where the packet still sits.
+    #[inline]
+    pub fn from(&self) -> Coord {
+        unpack(self.from)
+    }
+
+    /// The target node: `from`'s neighbor across [`travel`](Self::travel).
+    #[inline]
+    pub fn to(&self) -> Coord {
+        unpack(self.to)
+    }
+
+    /// The outlink the packet leaves `from` by.
+    #[inline]
+    pub fn travel(&self) -> Dir {
+        self.travel
+    }
+
+    /// Whether the target's inqueue policy accepted the offer this step.
+    #[inline]
+    pub(crate) fn accepted(&self) -> bool {
+        self.accepted
+    }
+
+    /// Records the target's decision.
+    #[inline]
+    pub(crate) fn decide(&mut self, accepted: bool) {
+        self.accepted = accepted;
+    }
+}
+
+impl std::fmt::Debug for ScheduledMove {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScheduledMove")
+            .field("pkt", &self.pkt)
+            .field("from", &self.from())
+            .field("to", &self.to())
+            .field("travel", &self.travel)
+            .finish()
+    }
 }
 
 /// Omniscient, mutating view of the network between steps (a) and (c).

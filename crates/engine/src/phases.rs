@@ -182,10 +182,13 @@ pub(crate) struct Progress {
 
 /// Workhorse buffers reused across steps (perf-book guidance: zero
 /// allocation in the hot loop), plus the audit's record of what gained.
+/// The buffers a step fills in proportion to the mesh are reserved to
+/// their proven bounds by [`StepBufs::size`] at the first route.
 #[derive(Default)]
 pub(crate) struct StepBufs {
+    /// This step's offers, in schedule order; each carries its target's
+    /// accept decision once `accept` has run.
     pub(crate) schedule: Vec<ScheduledMove>,
-    pub(crate) accepted: Vec<bool>,
     pub(crate) states: Vec<u64>,
     pub(crate) lost_moves: Vec<ScheduledMove>,
     /// The active-node snapshot the route phase drains from the grid.
@@ -212,6 +215,36 @@ pub(crate) struct StepBufs {
     /// Whether an audit has swept every active node since this `Sim` was
     /// built or restored; until one has, gains go unrecorded.
     pub(crate) swept: bool,
+}
+
+impl StepBufs {
+    /// Reserves the per-step buffers to what a step can hold, given the
+    /// packets the run has ever had: a packet is offered at most once per
+    /// step and a node offers at most four (`schedule`, `next`); an active
+    /// node holds or stages a packet (`snapshot`, and the grid's active
+    /// list it swaps with); `heads` has a cell per node. Run before every
+    /// route, it allocates on the first one only, unless [`Sim::spawn`]
+    /// raised the packet count since, and then by amortized growth.
+    ///
+    /// [`Sim::spawn`]: crate::Sim::spawn
+    fn size(&mut self, grid: &mut NodeGrid, packets: usize) {
+        let nodes = grid.nodes();
+        reserve_to(&mut self.schedule, packets.min(4 * nodes));
+        reserve_to(&mut self.next, packets.min(4 * nodes));
+        reserve_to(&mut self.snapshot, packets.min(nodes));
+        grid.reserve_active(packets.min(nodes));
+        if self.heads.len() < nodes {
+            self.heads.resize(nodes, 0);
+        }
+    }
+}
+
+/// Grows `v`'s capacity to at least `bound` — exactly on the first call,
+/// amortized after.
+pub(crate) fn reserve_to<T>(v: &mut Vec<T>, bound: usize) {
+    if v.capacity() < bound {
+        v.reserve(bound - v.len());
+    }
 }
 
 /// Everything one step needs, as split borrows of the simulation's parts:
@@ -499,12 +532,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
                     router.name()
                 );
             }
-            schedule.push(ScheduledMove {
-                pkt,
-                from: node,
-                to,
-                travel: d,
-            });
+            schedule.push(ScheduledMove::new(pkt, node, to, d));
         }
     }
 }
@@ -516,6 +544,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
 /// visits it, so transmit can rebuild the list.
 pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     ctx.bufs.schedule.clear();
+    ctx.bufs.size(ctx.grid, ctx.store.len());
     ctx.bufs.lost_moves.clear();
     ctx.grid.take_active(&mut ctx.bufs.snapshot);
     for idx in 0..ctx.bufs.snapshot.len() {
@@ -536,10 +565,10 @@ pub(crate) fn enforce_faults<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T
     let t0 = ctx.t0;
     let lost_moves = &mut ctx.bufs.lost_moves;
     ctx.bufs.schedule.retain(|m| {
-        if f.link_down(t0, m.from, m.travel) {
+        if f.link_down(t0, m.from(), m.travel()) {
             return false;
         }
-        if f.link_lossy(t0, m.from, m.travel) {
+        if f.link_lossy(t0, m.from(), m.travel()) {
             lost_moves.push(*m);
             return false;
         }
@@ -571,14 +600,12 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
 /// §2 (c) for one target node: the inqueue policy of the (unstalled)
 /// target of the offers `group` (schedule indices, in schedule order)
 /// accepts or rejects each; degraded nodes are clamped to their reduced
-/// capacity. Decisions land in `bufs.accepted`, indexed like the schedule.
+/// capacity. Each offer's decision lands in its own schedule record.
 fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: &[u32]) {
     let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
     let (store, grid) = (&*ctx.store, &*ctx.grid);
-    let StepBufs {
-        schedule, accepted, ..
-    } = &mut *ctx.bufs;
-    let target = schedule[group[0] as usize].to;
+    let schedule = &mut ctx.bufs.schedule;
+    let target = schedule[group[0] as usize].to();
     let ni = grid.node_index(target);
     // A stalled node accepts nothing: the whole arrival group stays
     // rejected and its router never observes the offered packets.
@@ -599,7 +626,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
         // §2: profitable outlinks of scheduled packets are measured from
         // the node they are coming from — which is exactly where the
         // packet still sits, so its cached mask is that set.
-        *a = PackedArrival::new(store.profitable(topo, m.pkt), m.travel);
+        *a = PackedArrival::new(store.profitable(topo, m.pkt()), m.travel());
     }
     let cold = FullArrivals::new(store, schedule, group, ctx.faults);
     let state = &mut ctx.node_state[ni];
@@ -621,10 +648,10 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
             }
             for (a, &i) in accept.iter_mut().zip(group) {
                 let m = schedule[i as usize];
-                if !*a || store.dst(m.pkt) == target {
+                if !*a || store.dst(m.pkt()) == target {
                     continue;
                 }
-                let s = grid.arch().arrival_queue(m.travel).slot();
+                let s = grid.arch().arrival_queue(m.travel()).slot();
                 if room[s] > 0 {
                     room[s] -= 1;
                 } else {
@@ -634,7 +661,7 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
         }
     }
     for (&i, &a) in group.iter().zip(accept.iter()) {
-        accepted[i as usize] = a;
+        schedule[i as usize].decide(a);
     }
 }
 
@@ -654,16 +681,13 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
 pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let bufs = &mut *ctx.bufs;
     let (grid, len) = (&*ctx.grid, bufs.schedule.len());
-    bufs.heads.resize(grid.nodes(), 0);
     bufs.next.resize(len, 0);
-    bufs.accepted.clear();
-    bufs.accepted.resize(len, false);
     for (i, m) in bufs.schedule.iter().enumerate().rev() {
-        let head = &mut bufs.heads[grid.node_index(m.to)];
+        let head = &mut bufs.heads[grid.node_index(m.to())];
         bufs.next[i] = std::mem::replace(head, i as u32 + 1);
     }
     for i in 0..len {
-        let t = ctx.grid.node_index(ctx.bufs.schedule[i].to);
+        let t = ctx.grid.node_index(ctx.bufs.schedule[i].to());
         if ctx.bufs.heads[t] != i as u32 + 1 {
             continue;
         }
@@ -678,24 +702,25 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     }
 }
 
-/// §2 (d) for one transmission: the packet departs `m.from` and what
+/// §2 (d) for one transmission: the packet departs `m.from()` and what
 /// happens next is the link's doing — a lossy link destroys it (its
 /// inqueue policy never saw it offered, so there is no acceptance
 /// bookkeeping to undo), its destination delivers it, any other node
 /// queues it.
 #[inline]
 fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMove, lossy: bool) {
-    ctx.store.depart(ctx.grid, ctx.progress, m.pkt, m.from);
+    let (pkt, to) = (m.pkt(), m.to());
+    ctx.store.depart(ctx.grid, ctx.progress, pkt, m.from());
     let t = ctx.t0 + 1;
     if lossy {
         ctx.store
-            .retire(ctx.progress, ctx.events, m.pkt, Loc::Lost, t);
-    } else if ctx.store.dst(m.pkt) == m.to {
+            .retire(ctx.progress, ctx.events, pkt, Loc::Lost, t);
+    } else if ctx.store.dst(pkt) == to {
         ctx.store
-            .retire(ctx.progress, ctx.events, m.pkt, Loc::Delivered, t);
+            .retire(ctx.progress, ctx.events, pkt, Loc::Delivered, t);
     } else {
-        let kind = ctx.grid.arch().arrival_queue(m.travel);
-        ctx.store.enter(ctx.topo, ctx.grid, m.pkt, m.to, kind);
+        let kind = ctx.grid.arch().arrival_queue(m.travel());
+        ctx.store.enter(ctx.topo, ctx.grid, pkt, to, kind);
     }
 }
 
@@ -707,8 +732,9 @@ fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMo
 /// already marked the targets.
 pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     for mi in 0..ctx.bufs.schedule.len() {
-        if ctx.bufs.accepted[mi] {
-            carry(ctx, ctx.bufs.schedule[mi], false);
+        let m = ctx.bufs.schedule[mi];
+        if m.accepted() {
+            carry(ctx, m, false);
         }
     }
     for li in 0..ctx.bufs.lost_moves.len() {

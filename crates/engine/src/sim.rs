@@ -587,7 +587,9 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
 
     /// Summary of the run so far.
     pub fn report(&self) -> SimReport {
-        let lat: Vec<u64> = self.latencies();
+        let (count, sum, max) = self
+            .latencies()
+            .fold((0u64, 0u64, 0u64), |(c, s, m), l| (c + 1, s + l, m.max(l)));
         SimReport {
             algorithm: self.router.name(),
             workload: self.workload.clone(),
@@ -605,21 +607,20 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             max_node_load: self.progress.max_node_load,
             total_moves: self.progress.total_moves,
             exchanges: self.progress.exchanges,
-            avg_latency: if lat.is_empty() {
+            avg_latency: if count == 0 {
                 0.0
             } else {
-                lat.iter().sum::<u64>() as f64 / lat.len() as f64
+                sum as f64 / count as f64
             },
-            max_latency: lat.iter().copied().max().unwrap_or(0),
+            max_latency: max,
         }
     }
 
     /// Per-packet latencies (delivery step minus injection step) over
     /// delivered packets.
-    fn latencies(&self) -> Vec<u64> {
+    fn latencies(&self) -> impl Iterator<Item = u64> + '_ {
         self.delivery_steps()
             .map(|(p, d)| d.saturating_sub(self.store.inject_at(p)))
-            .collect()
     }
 
     /// Delivered packets with their delivery steps, in id order.
@@ -632,7 +633,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// Latency distribution over delivered packets (delivery step minus
     /// injection step).
     pub fn latency_distribution(&self) -> crate::stats::Distribution {
-        crate::stats::Distribution::of(&self.latencies())
+        crate::stats::Distribution::of_in_place(&mut self.latencies().collect::<Vec<_>>())
     }
 
     /// Per-node peak occupancy over the whole run (congestion map).

@@ -21,6 +21,11 @@ pub struct Distribution {
 impl Distribution {
     /// Computes the distribution of a sample set (empty ⇒ all zeros).
     pub fn of(samples: &[u64]) -> Distribution {
+        Distribution::of_in_place(&mut samples.to_vec())
+    }
+
+    /// [`Distribution::of`] without the copy: sorts `samples` in place.
+    pub fn of_in_place(samples: &mut [u64]) -> Distribution {
         if samples.is_empty() {
             return Distribution {
                 count: 0,
@@ -33,8 +38,8 @@ impl Distribution {
                 p999: 0,
             };
         }
-        let mut v = samples.to_vec();
-        v.sort_unstable();
+        samples.sort_unstable();
+        let v = &*samples;
         let pct = |p: f64| -> u64 {
             // Nearest-rank percentile.
             let rank = ((p / 100.0) * v.len() as f64).ceil().max(1.0) as usize;

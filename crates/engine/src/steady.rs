@@ -209,7 +209,10 @@ impl SteadyObserver {
             .expect("measurement window closed without a counter base");
         let now = CounterBase::sample(sim);
         let span = end_step.saturating_sub(start_step - 1).max(1);
-        let lat = std::mem::take(&mut self.st.cur_lat);
+        // Pooled in delivery order, as a checkpoint records it; the frame's
+        // sort then reorders only the window's own buffer, which is kept.
+        self.st.pooled.extend_from_slice(&self.st.cur_lat);
+        let lat = &mut self.st.cur_lat;
         self.st.frames.push(WindowFrame {
             index,
             start_step,
@@ -220,16 +223,16 @@ impl SteadyObserver {
             expired: now.expired - base.expired,
             lost: now.lost - base.lost,
             goodput: (now.delivered - base.delivered) as f64 / span as f64,
-            latency: Distribution::of(&lat),
             samples: lat.len(),
+            latency: Distribution::of_in_place(lat),
         });
-        self.st.pooled.extend(lat);
+        lat.clear();
         self.st.base = Some(now);
     }
 
-    fn into_report(self) -> SteadyReport {
+    fn into_report(mut self) -> SteadyReport {
         SteadyReport {
-            latency: Distribution::of(&self.st.pooled),
+            latency: Distribution::of_in_place(&mut self.st.pooled),
             frames: self.st.frames,
         }
     }

@@ -50,12 +50,12 @@ const NOT_DELIVERED: u64 = u64::MAX;
 pub(crate) const MAX_SIDE: u32 = u16::MAX as u32;
 
 #[inline]
-fn pack(c: Coord) -> u32 {
+pub(crate) fn pack(c: Coord) -> u32 {
     c.x | c.y << 16
 }
 
 #[inline]
-fn unpack(w: u32) -> Coord {
+pub(crate) fn unpack(w: u32) -> Coord {
     Coord::new(w & 0xFFFF, w >> 16)
 }
 
@@ -768,6 +768,11 @@ impl NodeGrid {
             self.active.push(ni as u32);
         }
         fresh
+    }
+
+    /// Grows the active worklist's capacity to at least `bound` nodes.
+    pub(crate) fn reserve_active(&mut self, bound: usize) {
+        crate::phases::reserve_to(&mut self.active, bound);
     }
 
     /// Moves the active worklist into `out`, emptying it; its nodes stay marked.

@@ -195,7 +195,7 @@ impl<'a> DxArrivals<'a> {
     /// The offered packet's identity.
     #[inline]
     pub fn id(&self, i: usize) -> PacketId {
-        self.schedule[self.group[i] as usize].pkt
+        self.schedule[self.group[i] as usize].pkt()
     }
 
     /// The offered packet's source address.

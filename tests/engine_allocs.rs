@@ -1,11 +1,16 @@
 //! Allocation-budget tripwire for the step loop: every shipped router's
 //! policies run on the engine's reused scratch and on fixed arrays, so a
-//! completed `Sim::run` makes a small constant number of allocations
-//! (buffers growing to their high-water mark) that does not scale with the
-//! mesh or the moves made. A policy that builds a `Vec` per node again
-//! fails here by four orders of magnitude, and a step buffer that is not
-//! reused (the accept chains, say) fails the sparse replay's second half,
-//! which may not allocate at all.
+//! completed `Sim::run` makes a small constant number of allocations that
+//! does not scale with the mesh or the moves made. The four step buffers
+//! a step fills in proportion to the mesh (schedule, chain links, chain
+//! heads, route snapshot) are reserved once to their bounds at the first
+//! step; what else allocates is a handful of growths to a high-water mark
+//! (the step's delivery list, one node's descriptors, the queue slab when a
+//! queue first outgrows its inline cells). Growing the four by doubling
+//! instead makes about thirty at these sizes, and a policy that builds a
+//! `Vec` per node fails by four orders of magnitude. A step buffer
+//! that is not reused (the accept chains, say) fails the sparse replay's
+//! second half, which may not allocate at all.
 //!
 //! This file holds exactly one test (see `support/alloc.rs`).
 
@@ -23,6 +28,10 @@ static GLOBAL: Counting = Counting;
 /// Central queues of 8, the benchmark sweep's choice: no router wedges on
 /// a random permutation, so no error diagnostic is ever built.
 const K: u32 = 8;
+
+/// Allocations and reallocations a completed closed run may make, at
+/// n = 32 and at n = 64 alike (10 to 15 for the shipped routers).
+const CLOSED_RUN_ALLOCS: u64 = 16;
 
 /// `(router name, allocations and reallocations, moves)` of a completed
 /// `Sim::run`.
@@ -127,10 +136,9 @@ fn run_allocations_do_not_scale_with_moves() {
     let large = sweep(64);
     for ((name, a32, m32), (_, a64, m64)) in small.iter().zip(&large) {
         println!("{name}: n=32 {a32} allocations / {m32} moves, n=64 {a64} / {m64}");
-        assert!(*a32 <= 256, "{name} n=32: {a32} allocations");
         assert!(
-            *a64 <= 2 * a32,
-            "{name}: allocations grew with the problem ({a32} at n=32, {a64} at n=64)"
+            *a32 <= CLOSED_RUN_ALLOCS && *a64 <= CLOSED_RUN_ALLOCS,
+            "{name}: {a32} allocations at n=32, {a64} at n=64, over {CLOSED_RUN_ALLOCS}"
         );
     }
 }
