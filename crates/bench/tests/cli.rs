@@ -199,6 +199,7 @@ fn problem_file(name: &str, n: u32, id: u32, src: (u32, u32), dst: (u32, u32)) -
 fn mesh_refuses_problems_the_engine_cannot_run() {
     let engine = ["theorem15", "dim-order"];
     let both = ["theorem15", "section6"];
+    let all = ["theorem15", "dim-order", "section6"];
     let cases = [
         (
             problem_file("dst_off_grid", 4, 0, (0, 0), (1, 9)),
@@ -208,7 +209,7 @@ fn mesh_refuses_problems_the_engine_cannot_run() {
             problem_file("src_off_grid", 4, 0, (9, 0), (1, 1)),
             &engine[..],
         ),
-        (problem_file("side_zero", 0, 0, (0, 0), (0, 0)), &both[..]),
+        (problem_file("side_zero", 0, 0, (0, 0), (0, 0)), &all[..]),
         (
             problem_file("sparse_ids", 4, 5, (0, 0), (1, 1)),
             &engine[..],

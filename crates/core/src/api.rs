@@ -183,13 +183,12 @@ macro_rules! with_engine_router {
     };
 }
 
-/// The mesh a problem runs on. A side-0 problem has none; the rest of
-/// [`RoutingProblem::validate`] is [`Sim::try_build`]'s to apply.
+/// The mesh a problem runs on, once it passes
+/// [`RoutingProblem::validate_side`] (a side-0 problem has none); the rest
+/// of [`RoutingProblem::validate`] is [`Sim::try_build`]'s to apply.
 fn mesh_of(problem: &RoutingProblem) -> Result<Mesh, String> {
-    match problem.n {
-        0 => Err("problem side must be at least 1".into()),
-        n => Ok(Mesh::new(n)),
-    }
+    problem.validate_side()?;
+    Ok(Mesh::new(problem.n))
 }
 
 /// The default step cap on a side-`n` grid, `64·n² + 4096`, saturating: a

@@ -18,15 +18,25 @@ use mesh_traffic::PacketId;
 /// A 16-byte record: the id, both endpoints packed `x | y << 16` like the
 /// packet table's, the direction, and in a spare byte the target's accept
 /// decision (engine-private: a hook runs before acceptance and always sees
-/// it unset). The schedule of a dense step holds one per moving packet, so
-/// its size is the step loop's largest scratch cost.
+/// it pending). The schedule of a dense step holds one per moving packet,
+/// so its size is the step loop's largest scratch cost.
 #[derive(Clone, Copy)]
 pub struct ScheduledMove {
     pkt: PacketId,
     from: u32,
     to: u32,
     travel: Dir,
-    accepted: bool,
+    decision: Decision,
+}
+
+/// What the target's inqueue policy made of an offer. `Pending` until the
+/// offer's arrival group is decided, which is how the accept phase finds
+/// the first offer of a group it has not visited yet.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    Pending,
+    Rejected,
+    Accepted,
 }
 
 const _: () = assert!(std::mem::size_of::<ScheduledMove>() <= 16);
@@ -40,7 +50,7 @@ impl ScheduledMove {
             from: pack(from),
             to: pack(to),
             travel,
-            accepted: false,
+            decision: Decision::Pending,
         }
     }
 
@@ -71,13 +81,23 @@ impl ScheduledMove {
     /// Whether the target's inqueue policy accepted the offer this step.
     #[inline]
     pub(crate) fn accepted(&self) -> bool {
-        self.accepted
+        self.decision == Decision::Accepted
+    }
+
+    /// Whether the offer's arrival group has been decided this step.
+    #[inline]
+    pub(crate) fn decided(&self) -> bool {
+        self.decision != Decision::Pending
     }
 
     /// Records the target's decision.
     #[inline]
     pub(crate) fn decide(&mut self, accepted: bool) {
-        self.accepted = accepted;
+        self.decision = if accepted {
+            Decision::Accepted
+        } else {
+            Decision::Rejected
+        };
     }
 }
 

@@ -600,17 +600,24 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
 /// §2 (c) for one target node: the inqueue policy of the (unstalled)
 /// target of the offers `group` (schedule indices, in schedule order)
 /// accepts or rejects each; degraded nodes are clamped to their reduced
-/// capacity. Each offer's decision lands in its own schedule record.
+/// capacity. Each offer's decision lands in its own schedule record, and
+/// the target's chain head is cleared for the next step.
 fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: &[u32]) {
     let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
     let (store, grid) = (&*ctx.store, &*ctx.grid);
-    let schedule = &mut ctx.bufs.schedule;
+    let StepBufs {
+        schedule, heads, ..
+    } = &mut *ctx.bufs;
     let target = schedule[group[0] as usize].to();
     let ni = grid.node_index(target);
-    // A stalled node accepts nothing: the whole arrival group stays
-    // rejected and its router never observes the offered packets.
+    heads[ni] = 0;
+    // A stalled node accepts nothing: the whole arrival group is rejected
+    // and its router never observes the offered packets.
     if let Some(f) = ctx.faults {
         if f.node_stalled(t0, target) {
+            for &i in group {
+                schedule[i as usize].decide(false);
+            }
             return;
         }
     }
@@ -673,11 +680,12 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
 ///
 /// Offers are grouped by target without a sort: a backward pass threads
 /// each target's offers onto a chain in schedule order (`heads`, `next`),
-/// and a forward pass accepts each group at its target's first offer.
-/// Targets are visited in first-touch order, which nothing can observe:
-/// every policy call is a deterministic function of its own arguments
-/// (the [`Router`] contract), and it writes only its target's node state
-/// and its own offers' flags. Each pass costs one step per offer.
+/// and a forward pass accepts each group at its first offer, the first one
+/// it meets still pending. Targets are visited in first-touch order, which
+/// nothing can observe: every policy call is a deterministic function of
+/// its own arguments (the [`Router`] contract), and it writes only its
+/// target's node state and its own offers' decisions. The backward pass
+/// looks up one node per offer, the forward pass one per target.
 pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     let bufs = &mut *ctx.bufs;
     let (grid, len) = (&*ctx.grid, bufs.schedule.len());
@@ -687,11 +695,9 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
         bufs.next[i] = std::mem::replace(head, i as u32 + 1);
     }
     for i in 0..len {
-        let t = ctx.grid.node_index(ctx.bufs.schedule[i].to());
-        if ctx.bufs.heads[t] != i as u32 + 1 {
+        if ctx.bufs.schedule[i].decided() {
             continue;
         }
-        ctx.bufs.heads[t] = 0;
         let (mut group, mut size, mut link) = ([0u32; 4], 0, i as u32 + 1);
         while link != 0 {
             group[size] = link - 1;

@@ -73,10 +73,8 @@ impl RoutingProblem {
     /// the grid. `Sim` construction, the §6 router and `mesh --problem` call
     /// it before they build a grid. One pass; it allocates only for the error.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_side()?;
         let n = self.n;
-        if n == 0 {
-            return Err("problem side must be at least 1".into());
-        }
         for (i, p) in self.packets.iter().enumerate() {
             if p.id != PacketId(i as u32) {
                 return Err(format!(
@@ -92,6 +90,15 @@ impl RoutingProblem {
             }
         }
         Ok(())
+    }
+
+    /// The part of [`validate`](Self::validate) a mesh needs before it can
+    /// be built: a side of at least 1. O(1).
+    pub fn validate_side(&self) -> Result<(), String> {
+        match self.n {
+            0 => Err("problem side must be at least 1".into()),
+            _ => Ok(()),
+        }
     }
 
     fn valid(self) -> RoutingProblem {
