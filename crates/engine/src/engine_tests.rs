@@ -1284,6 +1284,84 @@ mod steady_tests {
         assert!(sim.shed() > 0, "1.5x saturation must evict oldest");
     }
 
+    /// Each node's backlog leaves the edge in one order, whether or not a
+    /// fault plan is present: oldest first — no packet enters its origin
+    /// queue while an earlier-due packet of its node is still staged, or
+    /// shed in the same step — except under `DeadlineExpiry`, where the
+    /// freshest enters first. Checked after every step on every node whose
+    /// due packets both entered and stayed behind (staged, shed or expired).
+    #[test]
+    fn each_backlog_leaves_the_edge_in_policy_order() {
+        let n = 6u32;
+        let topo = Mesh::new(n);
+        // Past saturation, but before the mesh wedges: queues free up
+        // while backlogs wait, and some nodes see two packets due at once.
+        let pb = workloads::open_bernoulli(n, 1.2, 96, 5);
+        let plan = crate::faults::FaultPlan::none(n)
+            .stall(Coord::new(2, 2), 10, Some(30))
+            .degrade(Coord::new(4, 1), 1, 0, Some(60));
+        let policies = [
+            AdmissionPolicy::DeferIndefinitely,
+            AdmissionPolicy::RejectNew,
+            AdmissionPolicy::DropOldestDeferred { max_deferred: 3 },
+            AdmissionPolicy::DeadlineExpiry { ttl: 16 },
+        ];
+        for admission in policies {
+            for faults in [None, Some(plan.compile())] {
+                let faulted = faults.is_some();
+                let router = Dx::new(tests::Greedy { k: 2 });
+                let mut sim =
+                    Sim::try_build(&topo, router, &pb, config(admission), faults).unwrap();
+                let mut was_pending: Vec<bool> = pb
+                    .packets
+                    .iter()
+                    .map(|p| sim.loc(p.id) == Loc::Pending)
+                    .collect();
+                let mut contested = 0;
+                for t0 in 0..96 {
+                    sim.step();
+                    // Per node, the due-order keys of the packets that
+                    // entered this step and of those that stayed behind.
+                    let mut entered = vec![Vec::new(); (n * n) as usize];
+                    let mut behind = vec![Vec::new(); (n * n) as usize];
+                    for p in pb.packets.iter().filter(|p| p.src != p.dst) {
+                        let (ni, now) = ((p.src.y * n + p.src.x) as usize, sim.loc(p.id));
+                        let key = (p.inject_at, p.id.0);
+                        if now == Loc::Pending && p.inject_at <= t0
+                            || was_pending[p.id.index()] && matches!(now, Loc::Shed | Loc::Expired)
+                        {
+                            behind[ni].push(key);
+                        } else if was_pending[p.id.index()] && now != Loc::Pending {
+                            entered[ni].push(key);
+                        }
+                        was_pending[p.id.index()] = now == Loc::Pending;
+                    }
+                    for (e, b) in entered.iter().zip(&behind) {
+                        let (Some(e_min), Some(e_max)) = (e.iter().min(), e.iter().max()) else {
+                            continue;
+                        };
+                        let (Some(b_min), Some(b_max)) = (b.iter().min(), b.iter().max()) else {
+                            continue;
+                        };
+                        contested += 1;
+                        let ordered = match admission {
+                            AdmissionPolicy::DeadlineExpiry { .. } => e_min > b_max,
+                            _ => e_max < b_min,
+                        };
+                        assert!(
+                            ordered,
+                            "{admission:?} (faulted: {faulted}) step {t0}: entered {e:?}, behind {b:?}"
+                        );
+                    }
+                }
+                assert!(
+                    contested > 0,
+                    "{admission:?} (faulted: {faulted}): no contested drain"
+                );
+            }
+        }
+    }
+
     #[test]
     fn diagnostics_surface_overload_counters() {
         let topo = Mesh::new(6);
@@ -1482,7 +1560,7 @@ mod storage_tests {
     use crate::phases::Progress;
     use crate::queue::QueueArch;
     use crate::snapshot::EventsSnap;
-    use crate::storage::{Loc, NodeGrid, PacketStore};
+    use crate::storage::{is_staged, Loc, NodeGrid, PacketStore, Staged};
     use mesh_topo::{Coord, Mesh, Topology};
     use mesh_traffic::{PacketId, RoutingProblem};
 
@@ -1541,7 +1619,7 @@ mod storage_tests {
                 for &ni in &worklist {
                     grid.leave_active(ni as usize);
                 }
-                let staged: Vec<u32> = grid.pending.keys().copied().collect();
+                let staged: Vec<usize> = (0..grid.staged.len()).collect();
                 let queued: Vec<PacketId> = (0..grid.nodes())
                     .flat_map(|ni| grid.packets_at(grid.coord_of(ni)))
                     .collect();
@@ -1557,20 +1635,30 @@ mod storage_tests {
                         } else if room(&grid, ni, origin) && !lcg(&mut rng).is_multiple_of(4) {
                             store.enter(&topo, &mut grid, pid, src, origin);
                         } else {
-                            grid.stage(ni as u32, pid);
+                            let seq = store.offered() as u32 - 1;
+                            grid.staged.push(Staged {
+                                node: ni as u32,
+                                seq,
+                                pid,
+                            });
+                            grid.staged.sort_unstable_by_key(Staged::key);
                             grid.mark_active(ni);
                         }
                     }
-                    // A staged packet is admitted, or (faulted) shed/expired.
+                    // A staged packet is shed or expired (faulted), or
+                    // admitted: the oldest of its node's run.
                     1 if !staged.is_empty() => {
-                        let ni = staged[lcg(&mut rng) as usize % staged.len()];
-                        let c = grid.coord_of(ni as usize);
+                        let mut i = staged[lcg(&mut rng) as usize % staged.len()];
+                        let ni = grid.staged[i].node as usize;
                         if faulted && lcg(&mut rng).is_multiple_of(2) {
-                            let pid = grid.pop_pending(ni, true).unwrap();
+                            let pid = grid.staged.remove(i).pid;
                             let end = [Loc::Shed, Loc::Expired][lcg(&mut rng) as usize % 2];
                             store.retire(&mut progress, &mut events, pid, end, t);
-                        } else if room(&grid, ni as usize, origin) {
-                            let pid = grid.pop_pending(ni, false).unwrap();
+                        } else if room(&grid, ni, origin) {
+                            while i > 0 && grid.staged[i - 1].node as usize == ni {
+                                i -= 1;
+                            }
+                            let (pid, c) = (grid.staged.remove(i).pid, grid.coord_of(ni));
                             store.enter(&topo, &mut grid, pid, c, origin);
                         }
                     }
@@ -1604,7 +1692,7 @@ mod storage_tests {
                 }
                 // The transmit phase's worklist rebuild, then the step ends.
                 for &ni in &worklist {
-                    if grid.node_load(ni as usize) > 0 || grid.pending.contains_key(&ni) {
+                    if grid.node_load(ni as usize) > 0 || is_staged(&grid.staged, ni as usize) {
                         grid.mark_active(ni as usize);
                     }
                 }

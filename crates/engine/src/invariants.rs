@@ -11,12 +11,12 @@
 //! verify every other reference they follow.
 
 use crate::phases::Progress;
-use crate::storage::{Loc, NodeGrid, PacketStore};
+use crate::storage::{is_staged, Loc, NodeGrid, PacketStore, Staged};
 
 /// Capacity per bounded slot; every queued id known, queued once and
-/// pointed back at by its packet record; staged packets consistent with
-/// their bucket; the active worklist exactly the nodes holding or awaiting
-/// packets. The queue lengths are the only count of what a node holds, so
+/// pointed back at by its packet record; every staged id known, staged
+/// once, `Pending` and at its own source; the active worklist exactly the
+/// nodes holding or awaiting packets. The queue lengths are the only count of what a node holds, so
 /// there is no second count to hold them against.
 pub(crate) fn check_queues(
     store: &PacketStore,
@@ -73,34 +73,31 @@ pub(crate) fn check_queues(
              (occupancy/slot-sum mismatch)"
         ));
     }
-    for (&ni, bucket) in &grid.pending {
-        if bucket.is_empty() {
-            // A bucket is dropped the moment it drains.
-            return Err(format!("empty pending bucket at node {ni}"));
+    for &Staged { node: ni, pid, .. } in &grid.staged {
+        let Some(seen) = queued.get_mut(pid.index()) else {
+            return Err(format!("pending bucket {ni} holds unknown packet {pid:?}"));
+        };
+        if store.loc(pid) != Loc::Pending {
+            return Err(format!(
+                "packet {pid:?} staged at node {ni} but its location says {:?}",
+                store.loc(pid)
+            ));
         }
-        for &pid in bucket {
-            if pid.index() >= store.len() {
-                return Err(format!("pending bucket {ni} holds unknown packet {pid:?}"));
-            }
-            if store.loc(pid) != Loc::Pending {
-                return Err(format!(
-                    "packet {pid:?} staged at node {ni} but its location says {:?}",
-                    store.loc(pid)
-                ));
-            }
-            let src = store.src(pid);
-            if grid.node_index(src) as u32 != ni {
-                return Err(format!(
-                    "packet {pid:?} staged at node {ni} but originates at {src}"
-                ));
-            }
+        if std::mem::replace(seen, true) {
+            return Err(format!("packet {pid:?} is staged twice"));
+        }
+        let src = store.src(pid);
+        if grid.node_index(src) as u32 != ni {
+            return Err(format!(
+                "packet {pid:?} staged at node {ni} but originates at {src}"
+            ));
         }
     }
     // The worklist's *set* is determined (its order is history). A node
     // the list lacks would never be routed again. A node it should not
     // have is inert, and only construction can leave one: it lists every
-    // node it staged at, and admission may shed the whole bucket in the
-    // same call; each step's transmit phase rebuilds the list exactly.
+    // node it staged at, and admission may shed that node's whole backlog
+    // in the same call; each step's transmit phase rebuilds the list exactly.
     let mut listed = vec![false; grid.nodes()];
     for &ni in grid.active() {
         if std::mem::replace(&mut listed[ni as usize], true) {
@@ -108,7 +105,7 @@ pub(crate) fn check_queues(
         }
     }
     for (ni, &listed) in listed.iter().enumerate() {
-        let pending = grid.pending.contains_key(&(ni as u32));
+        let pending = is_staged(&grid.staged, ni);
         let expect = grid.node_load(ni) > 0 || pending;
         let inert_extra = listed && !expect && progress.steps == 0;
         if listed != expect && !inert_extra {
@@ -191,7 +188,7 @@ pub(crate) fn check_conservation(
             ));
         }
     }
-    let staged = grid.staged_total();
+    let staged = grid.staged.len();
     let future = store.len() - store.offered();
     if pending != staged + future {
         return Err(format!(

@@ -25,9 +25,9 @@ use crate::faults::CompiledFaults;
 use crate::hook::{HookCtx, ScheduledMove, StepHook};
 use crate::router::Router;
 use crate::snapshot::EventsSnap;
-use crate::storage::{Loc, NodeGrid, PacketStore};
+use crate::storage::{is_staged, Loc, NodeGrid, PacketStore, Staged};
 use crate::view::{FullArrivals, FullResidents, PackedArrival, PackedView};
-use mesh_topo::{Dir, DirSet, Topology, ALL_DIRS};
+use mesh_topo::{Coord, Dir, DirSet, Topology, ALL_DIRS};
 use mesh_traffic::PacketId;
 
 /// One named phase of the step pipeline.
@@ -193,8 +193,6 @@ pub(crate) struct StepBufs {
     pub(crate) lost_moves: Vec<ScheduledMove>,
     /// The active-node snapshot the route phase drains from the grid.
     pub(crate) snapshot: Vec<u32>,
-    /// Scratch for the inject phase's pending-node sweep.
-    pub(crate) inject_nodes: Vec<u32>,
     /// Bit-packed resident descriptors of the node being routed or updated.
     pub(crate) masks: Vec<PackedView>,
     /// Per-target chain heads for `accept`: one cell per node, holding 1 +
@@ -287,24 +285,66 @@ fn build_packed<T: Topology>(
     }
 }
 
-/// Moves packets whose injection time has come into their origin queues,
-/// capacity (and faults) permitting. Returns whether any packet entered
-/// the network.
+/// How many more packets node `ni`, at `c`, may admit into its origin
+/// queue now: the injection edge's one room rule, read by direct entry and
+/// the drain alike. A stalled node admits nothing, a degraded node only up
+/// to its reduced capacity. Open-system runs keep one slot of a bounded
+/// origin queue *shared with transit* (the Central arch) for arrivals: the
+/// inject phase runs before accept, so without the reserve sustained
+/// injection refills every freed slot first and transit starves — the
+/// whole mesh gridlocks at a trickle no matter what the edge sheds. The
+/// closed-system default keeps the paper's drain-when-room semantics.
+fn room<T: Topology, R: Router>(ctx: &StepCtx<'_, '_, T, R>, ni: usize, c: Coord) -> usize {
+    let (t, arch) = (ctx.t0, ctx.grid.arch());
+    if ctx.faults.is_some_and(|f| f.node_stalled(t, c)) {
+        return 0;
+    }
+    let Some(cap) = arch.capacity(arch.origin_queue()) else {
+        return usize::MAX;
+    };
+    let reserve = u32::from(ctx.admission != AdmissionPolicy::DeferIndefinitely);
+    let lost = ctx.faults.map_or(0, |f| f.degraded_slots(t, c));
+    let cap = cap.saturating_sub(reserve).saturating_sub(lost) as usize;
+    cap.saturating_sub(ctx.grid.queue_len(ni, arch.origin_queue().slot()))
+}
+
+/// Enters `pid` into the origin queue of node `ni`, at `c`.
+fn admit<T: Topology, R: Router>(
+    ctx: &mut StepCtx<'_, '_, T, R>,
+    pid: PacketId,
+    ni: usize,
+    c: Coord,
+) {
+    let origin = ctx.grid.arch().origin_queue();
+    ctx.store.enter(ctx.topo, ctx.grid, pid, c, origin);
+    if ctx.bufs.swept {
+        ctx.bufs.admitted.push(ni as u32);
+    }
+}
+
+/// Moves packets whose injection time has come into their origin queues
+/// while [`room`] lasts; the rest wait staged outside the network, in the
+/// node-ordered list `NodeGrid::staged`, where admission control decides
+/// their fate. Returns whether any packet entered the network.
+///
+/// A due packet enters at once only when its node has nothing staged and
+/// the room rule admits it. That is what staging it and draining FIFO
+/// would do, because room only shrinks within the phase: a packet the rule
+/// refused leaves none for the later packets of its node. `DeadlineExpiry`
+/// stages every due packet, since its edge expiry and its freshest-first
+/// drain act on the list.
 pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) -> bool {
     let t = ctx.t0;
+    let ttl = match ctx.admission {
+        AdmissionPolicy::DeadlineExpiry { ttl } => Some(ttl),
+        _ => None,
+    };
+    let stale = |store: &PacketStore, pid: PacketId| {
+        ttl.is_some_and(|ttl| t >= store.inject_at(pid).saturating_add(ttl))
+    };
     let mut injected = false;
-    // Closed-system fast path: under `DeferIndefinitely` with no fault
-    // plan, a due packet whose origin queue has room enters it directly —
-    // the stage-into-bucket/drain-in-sorted-order dance below would admit
-    // exactly these packets into exactly these (per-node independent)
-    // queues in exactly this order, so skipping the bucket is free of
-    // observable effect and saves a HashMap + VecDeque round trip per
-    // packet. Anything that cannot enter falls back to the bucket.
-    let direct_entry =
-        ctx.faults.is_none() && matches!(ctx.admission, AdmissionPolicy::DeferIndefinitely);
-    let origin_kind = ctx.grid.arch().origin_queue();
-    let origin_cap = ctx.grid.arch().capacity(origin_kind);
-    // Stage newly due packets into per-node pending queues.
+    let mut staged = std::mem::take(&mut ctx.grid.staged);
+    let settled = staged.len();
     while let Some(pid) = ctx.store.next_due(t) {
         let src = ctx.store.src(pid);
         if src == ctx.store.dst(pid) {
@@ -314,132 +354,91 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
             continue;
         }
         let ni = ctx.grid.node_index(src);
-        if direct_entry
-            && origin_cap.is_none_or(|cv| ctx.grid.queue_len(ni, origin_kind.slot()) < cv as usize)
-        {
-            ctx.store.enter(ctx.topo, ctx.grid, pid, src, origin_kind);
-            if ctx.bufs.swept {
-                ctx.bufs.admitted.push(ni as u32);
-            }
+        if ttl.is_none() && !is_staged(&staged[..settled], ni) && room(ctx, ni, src) > 0 {
+            admit(ctx, pid, ni, src);
             injected = true;
             continue;
         }
-        ctx.grid.stage(ni as u32, pid);
+        let seq = ctx.store.offered() as u32 - 1;
+        staged.push(Staged {
+            node: ni as u32,
+            seq,
+            pid,
+        });
         ctx.grid.mark_active(ni);
+    }
+    if staged.len() > settled {
+        staged.sort_unstable_by_key(Staged::key);
     }
     // `DeadlineExpiry` acts before the drain, and inside the network as
     // well as at the edge: a stale packet clogging a bounded queue is
     // dropped wherever it sits, freeing capacity for live traffic.
     // Edge-only shedding cannot un-fill internal queues, so without the
     // in-network sweep central-queue routers congestion-collapse past
-    // saturation instead of degrading to a goodput plateau. Sorted node
-    // order, like the drain below, keeps HashMap iteration order out of
-    // the engine.
-    if let AdmissionPolicy::DeadlineExpiry { ttl } = ctx.admission {
+    // saturation instead of degrading to a goodput plateau.
+    if ttl.is_some() {
         let (store, progress, events) = (&mut *ctx.store, &mut *ctx.progress, &mut *ctx.events);
-        let mut expire = |pid: PacketId| {
-            let stale = t >= store.inject_at(pid).saturating_add(ttl);
-            if stale {
+        ctx.grid.expire_queued(|pid| {
+            let gone = stale(store, pid);
+            if gone {
                 store.retire(progress, events, pid, Loc::Expired, t);
             }
-            stale
-        };
-        ctx.grid.expire_queued(&mut expire);
-        let nodes = &mut ctx.bufs.inject_nodes;
-        nodes.clear();
-        nodes.extend(ctx.grid.pending.keys().copied());
-        nodes.sort_unstable();
-        for &ni in nodes.iter() {
-            let Some(q) = ctx.grid.pending.get_mut(&ni) else {
-                continue;
-            };
-            q.retain(|&pid| !expire(pid));
-            if q.is_empty() {
-                ctx.grid.close_pending(ni);
+            gone
+        });
+    }
+    // One pass over the list, node by node: a node's run loses its stale
+    // packets, drains into the origin queue while room lasts — oldest
+    // first, or freshest first under deadlines (a FIFO edge under overload
+    // admits only packets whose deadline budget is already spent waiting)
+    // — and is trimmed oldest-first to the edge budget. Survivors are
+    // compacted in place, so the list stays node-ordered.
+    let budget = match ctx.admission {
+        AdmissionPolicy::RejectNew => 0,
+        AdmissionPolicy::DropOldestDeferred { max_deferred } => max_deferred as usize,
+        AdmissionPolicy::DeferIndefinitely | AdmissionPolicy::DeadlineExpiry { .. } => usize::MAX,
+    };
+    let (mut r, mut w) = (0, 0);
+    while r < staged.len() {
+        let ni = staged[r].node as usize;
+        let end = r + staged[r..].partition_point(|s| s.node as usize == ni);
+        let (mut lo, mut hi) = (w, w);
+        for i in r..end {
+            let s = staged[i];
+            if stale(ctx.store, s.pid) {
+                ctx.store
+                    .retire(ctx.progress, ctx.events, s.pid, Loc::Expired, t);
+            } else {
+                staged[hi] = s;
+                hi += 1;
             }
         }
-    }
-    if !ctx.grid.has_pending() {
-        return injected;
-    }
-    // Drain pending into origin queues while capacity lasts. A stalled
-    // node injects nothing; a degraded node only up to its reduced
-    // capacity. Sorted node order: behaviorally inert (every pending node
-    // is already active and per-node draining is independent), but it
-    // keeps the engine independent of HashMap iteration order by
-    // construction.
-    // Open-system injection throttling: when the origin queue is a
-    // bounded queue *shared with transit* (the Central arch), reserve one
-    // slot for arrivals. The inject phase runs before accept, so without
-    // the reserve sustained injection refills every freed slot first and
-    // transit starves — the whole mesh gridlocks at a trickle no matter
-    // what the edge sheds. The closed-system default keeps the paper's
-    // drain-when-room semantics untouched.
-    let cap = match (origin_cap, ctx.admission) {
-        (Some(cv), AdmissionPolicy::DeferIndefinitely) => Some(cv),
-        (Some(cv), _) => Some(cv.saturating_sub(1)),
-        (None, _) => None,
-    };
-    // Deadline runs drain freshest-first (see `pop_pending`); every
-    // other policy drains in injection order.
-    let freshest_first = matches!(ctx.admission, AdmissionPolicy::DeadlineExpiry { .. });
-    let nodes = &mut ctx.bufs.inject_nodes;
-    nodes.clear();
-    nodes.extend(ctx.grid.pending.keys().copied());
-    nodes.sort_unstable();
-    for &ni in nodes.iter() {
-        let c = ctx.grid.coord_of(ni as usize);
-        let cap = match ctx.faults {
-            Some(f) if f.node_stalled(t, c) => {
-                ctx.grid.mark_active(ni as usize);
-                continue;
-            }
-            Some(f) => cap.map(|k| k.saturating_sub(f.degraded_slots(t, c))),
-            None => cap,
-        };
-        while cap.is_none_or(|cv| ctx.grid.queue_len(ni as usize, origin_kind.slot()) < cv as usize)
-        {
-            let Some(pid) = ctx.grid.pop_pending(ni, freshest_first) else {
-                break;
+        let c = ctx.grid.coord_of(ni);
+        for _ in 0..room(ctx, ni, c).min(hi - lo) {
+            let s = if ttl.is_some() {
+                hi -= 1;
+                staged[hi]
+            } else {
+                lo += 1;
+                staged[lo - 1]
             };
-            ctx.store.enter(ctx.topo, ctx.grid, pid, c, origin_kind);
-            if ctx.bufs.swept {
-                ctx.bufs.admitted.push(ni);
-            }
+            admit(ctx, s.pid, ni, c);
             injected = true;
         }
-        ctx.grid.mark_active(ni as usize);
-    }
-    // Post-drain shedding: whatever could not enter this step either
-    // waits (DeferIndefinitely / DeadlineExpiry) or is trimmed
-    // oldest-first to the per-origin edge budget — `max_deferred`
-    // (DropOldestDeferred) or nothing at all (RejectNew). The sorted node
-    // list from the drain is reused, so shedding order is deterministic
-    // as well; buckets the drain already emptied come back `None`.
-    let budget = match ctx.admission {
-        AdmissionPolicy::RejectNew => Some(0),
-        AdmissionPolicy::DropOldestDeferred { max_deferred } => Some(max_deferred as usize),
-        AdmissionPolicy::DeferIndefinitely | AdmissionPolicy::DeadlineExpiry { .. } => None,
-    };
-    if let Some(budget) = budget {
-        for &ni in nodes.iter() {
-            let Some(q) = ctx.grid.pending.get_mut(&ni) else {
-                continue;
-            };
-            while q.len() > budget {
-                let pid = q.pop_front().expect("length checked above");
-                ctx.store
-                    .retire(ctx.progress, ctx.events, pid, Loc::Shed, t);
-            }
-            if q.is_empty() {
-                ctx.grid.close_pending(ni);
-            }
+        while hi - lo > budget {
+            ctx.store
+                .retire(ctx.progress, ctx.events, staged[lo].pid, Loc::Shed, t);
+            lo += 1;
         }
+        staged.copy_within(lo..hi, w);
+        w += hi - lo;
+        r = end;
     }
+    staged.truncate(w);
     // Whatever is still staged was deferred by admission control this
-    // step: the origin queue is full (or the node stalled), so the
-    // packet waits outside the network instead of overflowing.
-    ctx.progress.deferred_injections += ctx.grid.staged_total() as u64;
+    // step: the origin queue is full (or the node stalled), so the packet
+    // waits outside the network instead of overflowing.
+    ctx.progress.deferred_injections += staged.len() as u64;
+    ctx.grid.staged = staged;
     injected
 }
 
@@ -734,7 +733,7 @@ fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMo
 /// (arriving at their destination) or enter their target queue; lossy
 /// transmissions count as a move and a hop but destroy the packet. Then
 /// the active worklist is rebuilt: previously active nodes that still
-/// hold packets (or have pending injections) stay active; transmission
+/// hold or stage packets stay active; transmission
 /// already marked the targets.
 pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     for mi in 0..ctx.bufs.schedule.len() {
@@ -749,16 +748,10 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
     // Route emptied the list, and only `enter` has refilled it since: the
     // nodes on it now are exactly those a packet arrived at this step.
     ctx.bufs.arrived = ctx.grid.active().len();
-    // Rebuild the active worklist from the route snapshot. The pending
-    // lookup is hoisted behind an emptiness check: closed-system runs
-    // (and any open-system step whose edge backlog is clear) skip the
-    // per-node hash probe entirely.
-    let has_pending = ctx.grid.has_pending();
+    // Rebuild the active worklist from the route snapshot.
     for idx in 0..ctx.bufs.snapshot.len() {
         let ni = ctx.bufs.snapshot[idx] as usize;
-        if ctx.grid.node_load(ni) > 0
-            || (has_pending && ctx.grid.pending.contains_key(&(ni as u32)))
-        {
+        if ctx.grid.node_load(ni) > 0 || is_staged(&ctx.grid.staged, ni) {
             ctx.grid.mark_active(ni);
         }
     }

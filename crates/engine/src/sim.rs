@@ -462,7 +462,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// false, outside input can still change the network, so a watchdog
     /// must not declare a wedge on quietness alone.
     pub fn injections_exhausted(&self) -> bool {
-        self.store.cursor_exhausted() && !self.grid.has_pending()
+        self.store.cursor_exhausted() && self.grid.staged.is_empty()
     }
 
     /// The last step at which a *transient* fault transitions — the
@@ -493,7 +493,7 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// counter [`SimReport::deferred_injections`], this is the
     /// instantaneous backlog, queryable mid-run.
     pub fn pending_injections(&self) -> usize {
-        self.grid.staged_total()
+        self.grid.staged.len()
     }
 
     /// Packets rejected at the injection edge by admission control so far

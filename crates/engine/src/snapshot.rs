@@ -38,7 +38,7 @@ use crate::queue::{QueueArch, QueueKind};
 use crate::router::Router;
 use crate::sim::{check_env, Sim, SimConfig};
 use crate::steady::{self, SteadyConfig};
-use crate::storage::{Loc, NodeGrid, PacketStore, STEP_LIMIT};
+use crate::storage::{Loc, NodeGrid, PacketStore, Staged, STEP_LIMIT};
 use crate::watchdog::Timers;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
@@ -164,7 +164,9 @@ pub struct GridSnap {
     pub slab: Vec<PacketId>,
     /// Per-(node, slot) queue lengths, node-major slot-minor.
     pub lens: Vec<u32>,
-    /// Admission-deferred injections per node, sorted by node index.
+    /// Admission-deferred injections, one bucket per node that has any,
+    /// oldest first. Written in node order; read in any order, but a node
+    /// may not have two buckets, nor an empty one.
     pub pending: Vec<(u32, Vec<PacketId>)>,
     /// The active-node worklist **in order** (route-schedule order next
     /// step — reordering it would break bit-identical resumption).
@@ -308,13 +310,10 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     where
         R::NodeState: Serialize,
     {
-        let mut pending: Vec<(u32, Vec<PacketId>)> = self
-            .grid
-            .pending
-            .iter()
-            .map(|(&ni, q)| (ni, q.iter().copied().collect()))
+        let pending = (self.grid.staged)
+            .chunk_by(|a, b| a.node == b.node)
+            .map(|run| (run[0].node, run.iter().map(|s| s.pid).collect()))
             .collect();
-        pending.sort_unstable_by_key(|&(ni, _)| ni);
         Snapshot {
             format_version: SNAPSHOT_FORMAT_VERSION,
             step: self.progress.steps,
@@ -418,16 +417,22 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
                 grid.push(c, kind, pid);
             }
         }
-        for (ni, pids) in &snap.grid.pending {
-            if grid
-                .pending
-                .insert(*ni, pids.iter().copied().collect())
-                .is_some()
-            {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate pending bucket for node {ni}"
-                )));
-            }
+        // Each bucket is a node's backlog, oldest first: its packets take
+        // their listing order as `seq`, and the sort makes the list
+        // node-ordered whatever order the buckets came in.
+        let buckets = snap.grid.pending.iter();
+        let listed = buckets.flat_map(|(ni, pids)| pids.iter().map(move |&pid| (*ni, pid)));
+        for (seq, (node, pid)) in listed.enumerate() {
+            let seq = seq as u32;
+            grid.staged.push(Staged { node, seq, pid });
+        }
+        grid.staged.sort_unstable_by_key(Staged::key);
+        let nodes_staged = grid.staged.chunk_by(|a, b| a.node == b.node).count();
+        if nodes_staged != snap.grid.pending.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "duplicate pending bucket: {} buckets for {nodes_staged} nodes",
+                snap.grid.pending.len()
+            )));
         }
         for &ni in &snap.grid.active {
             if !grid.mark_active(ni as usize) {
@@ -563,6 +568,9 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
     }
     if let Some((ni, _)) = g.pending.iter().find(|(ni, _)| *ni as usize >= nodes) {
         return Err(format!("pending bucket for out-of-grid node {ni}"));
+    }
+    if let Some((ni, _)) = g.pending.iter().find(|(_, pids)| pids.is_empty()) {
+        return Err(format!("empty pending bucket at node {ni}"));
     }
     if let Some(ni) = g.active.iter().find(|&&ni| ni as usize >= nodes) {
         return Err(format!("active worklist names out-of-grid node {ni}"));

@@ -17,7 +17,6 @@ use crate::snapshot::{EventsSnap, PacketsSnap};
 use mesh_topo::{Coord, Dir, DirSet, Topology};
 use mesh_traffic::{PacketId, RoutingProblem};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 
 /// Where a packet currently is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -244,9 +243,8 @@ impl PacketStore {
         &self.inject_order[self.inject_cursor..]
     }
 
-    /// True when every scheduled injection has been staged (packets may
-    /// still wait in per-node pending queues — see
-    /// [`NodeGrid::has_pending`]).
+    /// True when every scheduled injection has come due (packets may
+    /// still wait staged at the edge — see `NodeGrid::staged`).
     pub(crate) fn cursor_exhausted(&self) -> bool {
         self.inject_cursor >= self.inject_order.len()
     }
@@ -474,6 +472,32 @@ impl PacketStore {
     }
 }
 
+/// A packet staged at its origin's injection edge: due, but held outside
+/// the network by admission control. `seq` orders one node's backlog by
+/// when each packet became due (its injection-cursor position, or on
+/// restore its place in the snapshot's listing).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Staged {
+    pub(crate) node: u32,
+    pub(crate) seq: u32,
+    pub(crate) pid: PacketId,
+}
+
+impl Staged {
+    /// The list's order: by node, then by `seq`.
+    pub(crate) fn key(&self) -> u64 {
+        (self.node as u64) << 32 | self.seq as u64
+    }
+}
+
+/// Whether a node-ordered staged list holds a packet of node `ni`.
+#[inline]
+pub(crate) fn is_staged(staged: &[Staged], ni: usize) -> bool {
+    staged
+        .binary_search_by_key(&(ni as u32), |s| s.node)
+        .is_ok()
+}
+
 /// Filler id for unused arena cells; written on construction and after
 /// compaction shifts, never read back.
 const EMPTY_CELL: PacketId = PacketId(u32::MAX);
@@ -485,7 +509,7 @@ const EMPTY_CELL: PacketId = PacketId(u32::MAX);
 /// chasing. Alongside the slab the grid keeps per-(node, slot) lengths —
 /// the one record of what a node holds; its load and its occupied slots
 /// are read off that row — plus the staging and bookkeeping the step
-/// pipeline needs: pending (admission-controlled) injections, the
+/// pipeline needs: staged (admission-deferred) injections, the
 /// active-node worklist, and the peak-load congestion map.
 pub(crate) struct NodeGrid {
     n: u32,
@@ -510,13 +534,11 @@ pub(crate) struct NodeGrid {
     slot_off: [u32; 5],
     /// Cells per node: `caps[..slots]` summed.
     stride: u32,
-    /// Packets staged for injection at a node, held outside the network by
-    /// admission control until the origin queue has room.
-    pub(crate) pending: HashMap<u32, VecDeque<PacketId>>,
-    /// Drained pending buckets awaiting reuse. Not simulated state: it
-    /// only saves the allocator a round trip, so it is neither
-    /// snapshotted nor restored.
-    spare: Vec<VecDeque<PacketId>>,
+    /// Packets due but held outside the network by admission control until
+    /// their origin queue has room, ordered by (origin node, the order they
+    /// became due): each node's backlog is one run, oldest first. Between
+    /// steps it is sorted; the inject phase appends and re-sorts.
+    pub(crate) staged: Vec<Staged>,
     /// Worklist of nodes that may hold or receive packets this step.
     active: Vec<u32>,
     in_active: Vec<bool>,
@@ -554,8 +576,7 @@ impl NodeGrid {
             caps,
             slot_off,
             stride,
-            pending: HashMap::new(),
-            spare: Vec::new(),
+            staged: Vec::new(),
             active: Vec::new(),
             in_active: vec![false; nodes],
             peak_load: vec![0; nodes],
@@ -710,7 +731,7 @@ impl NodeGrid {
         }
     }
 
-    /// Total packets currently in the node's queues (excluding pending):
+    /// Total packets currently in the node's queues (excluding staged):
     /// the sum of its row of queue lengths. A central queue's row is one
     /// word and is read as such: route and the transmit rebuild ask this of
     /// every listed node every step, and the summing loop cost the
@@ -792,56 +813,6 @@ impl NodeGrid {
     #[inline]
     pub(crate) fn active(&self) -> &[u32] {
         &self.active
-    }
-
-    /// Stages a due packet at its origin node's injection edge, opening
-    /// the node's bucket if it has none.
-    pub(crate) fn stage(&mut self, ni: u32, pid: PacketId) {
-        self.pending
-            .entry(ni)
-            .or_insert_with(|| self.spare.pop().unwrap_or_default())
-            .push_back(pid);
-    }
-
-    /// Drops a node's pending bucket, keeping its storage for the next
-    /// [`stage`](Self::stage): under an unbounded injection queue a bucket
-    /// opens and drains within one step, once per offered packet.
-    pub(crate) fn close_pending(&mut self, ni: u32) {
-        if let Some(mut q) = self.pending.remove(&ni) {
-            q.clear();
-            self.spare.push(q);
-        }
-    }
-
-    /// Pops a pending (admission-deferred) packet of a node, closing the
-    /// bucket once drained; `None` means nothing is staged there. Oldest
-    /// first (injection order), or — `freshest`, the `DeadlineExpiry`
-    /// drain — newest first: under sustained overload a FIFO edge admits
-    /// only packets whose deadline budget is already spent waiting, so
-    /// everything expires mid-flight, while the freshest packet still has
-    /// its full TTL to cross the mesh and stale backlog expires at the edge.
-    pub(crate) fn pop_pending(&mut self, ni: u32, freshest: bool) -> Option<PacketId> {
-        let q = self.pending.get_mut(&ni)?;
-        let pid = if freshest {
-            q.pop_back()
-        } else {
-            q.pop_front()
-        };
-        if q.is_empty() {
-            self.close_pending(ni);
-        }
-        pid
-    }
-
-    #[inline]
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Packets currently staged at injection edges (admission-deferred),
-    /// over all nodes.
-    pub(crate) fn staged_total(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
     }
 
     /// Records a node's end-of-step load into the congestion map.
