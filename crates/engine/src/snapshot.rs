@@ -418,13 +418,13 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
             }
         }
         // Each bucket is a node's backlog, oldest first: its packets take
-        // their listing order as `seq`, and the sort makes the list
+        // their place in the listing as `seq`, and the sort makes the list
         // node-ordered whatever order the buckets came in.
-        let buckets = snap.grid.pending.iter();
-        let listed = buckets.flat_map(|(ni, pids)| pids.iter().map(move |&pid| (*ni, pid)));
-        for (seq, (node, pid)) in listed.enumerate() {
-            let seq = seq as u32;
-            grid.staged.push(Staged { node, seq, pid });
+        for &(node, ref pids) in &snap.grid.pending {
+            for &pid in pids {
+                let seq = grid.staged.len() as u32;
+                grid.staged.push(Staged { node, seq, pid });
+            }
         }
         grid.staged.sort_unstable_by_key(Staged::key);
         let nodes_staged = grid.staged.chunk_by(|a, b| a.node == b.node).count();

@@ -166,3 +166,37 @@ fn section6_handles_partial_and_skewed_permutations() {
         assert!(r.scheduled_steps <= 972 * 81);
     }
 }
+
+/// A fault plan whose only fault is never active changes nothing: every
+/// packet is delivered at the step of the fault-free run. Three packets
+/// leave (0,0) eastward at step 0 through its one-packet queue, so two
+/// wait staged; a fourth from (0,0), due at step 1, waits behind them
+/// rather than taking the room the first one left.
+#[test]
+fn a_fault_that_never_fires_leaves_injection_order_alone() {
+    let n = 4;
+    let (origin, east, north) = (Coord::new(0, 0), Coord::new(3, 0), Coord::new(0, 3));
+    let packets = vec![
+        Packet::injected_at(0, origin, east, 0),
+        Packet::injected_at(1, origin, east, 0),
+        Packet::injected_at(2, origin, east, 0),
+        Packet::injected_at(3, origin, north, 1),
+    ];
+    let pb = RoutingProblem::from_packets(n, "backlog", packets);
+    let topo = Mesh::new(n);
+    let late = FaultPlan::none(n).link_down(Coord::new(3, 3), Dir::West, 1000, Some(1001));
+    let dim_order = mesh_routing::routers::dim_order;
+    let plain = &mut Sim::new(&topo, dim_order(1), &pb);
+    let config = SimConfig::default();
+    let faulted = &mut Sim::with_faults(&topo, dim_order(1), &pb, config, late.compile());
+    let mut delivered = Vec::new();
+    for sim in [plain, faulted] {
+        sim.run(100).expect("four packets on an idle mesh");
+        let steps: Vec<u64> = (0..4)
+            .map(|i| sim.delivered_step(PacketId(i)).unwrap())
+            .collect();
+        delivered.push(steps);
+    }
+    assert_eq!(delivered[0], [3, 5, 7, 8], "fault-free");
+    assert_eq!(delivered[1], delivered[0], "under a fault that never fires");
+}
