@@ -33,6 +33,12 @@ const K: u32 = 8;
 /// n = 32 and at n = 64 alike (10 to 15 for the shipped routers).
 const CLOSED_RUN_ALLOCS: u64 = 16;
 
+/// Allocations and reallocations the steady soak below may make over its
+/// ~20 k offered packets. The staged list grows by doubling to the most
+/// packets one step stages, a handful of them; staging that allocates per
+/// packet, or per node it opens, makes thousands.
+const STEADY_RUN_ALLOCS: u64 = 37;
+
 /// `(router name, allocations and reallocations, moves)` of a completed
 /// `Sim::run`.
 fn run_allocs<R: Router>(mut sim: Sim<'_, Mesh, R>) -> (String, u64, u64) {
@@ -76,9 +82,9 @@ fn sweep(n: u32) -> Vec<(String, u64, u64)> {
 
 /// `(allocations and reallocations, packets offered)` of an open-system
 /// `run_steady` under deadline expiry, counted from after construction.
-/// Theorem 15's injection queue is unbounded, so every offered packet is
-/// staged and admitted within one step: its pending bucket opens and
-/// drains once per packet.
+/// Theorem 15's injection queue is unbounded, and deadline expiry stages
+/// every due packet, so each offered packet is staged and admitted within
+/// one step.
 fn steady_allocs() -> (u64, u64) {
     let (n, schedule) = (32, SteadyConfig::default());
     let topo = Mesh::new(n);
@@ -129,8 +135,9 @@ fn run_allocations_do_not_scale_with_moves() {
     let (made, offered) = steady_allocs();
     println!("steady: {made} allocations / {offered} offered packets");
     assert!(
-        offered >= 10_000 && made * 100 < offered,
-        "staging allocates per offered packet: {made} allocations for {offered} packets"
+        offered >= 10_000 && made <= STEADY_RUN_ALLOCS,
+        "staging allocates per offered packet: {made} allocations for {offered} packets, \
+         over {STEADY_RUN_ALLOCS}"
     );
     let small = sweep(32);
     let large = sweep(64);
