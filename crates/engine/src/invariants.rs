@@ -16,8 +16,8 @@ use crate::storage::{is_staged, Loc, NodeGrid, PacketStore, Staged};
 /// Capacity per bounded slot; every queued id known, queued once and
 /// pointed back at by its packet record; every staged id known, staged
 /// once, `Pending` and at its own source; the active worklist exactly the
-/// nodes holding or awaiting packets. The queue lengths are the only count of what a node holds, so
-/// there is no second count to hold them against.
+/// nodes holding or awaiting packets. The queue lengths are the only count
+/// of what a node holds, so there is no second count to hold them against.
 pub(crate) fn check_queues(
     store: &PacketStore,
     grid: &NodeGrid,
