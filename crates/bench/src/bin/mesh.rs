@@ -10,6 +10,7 @@ use mesh_routing::adversary::farthest::FarthestFirstConstruction;
 use mesh_routing::engine::{Snapshot, SteadySnap};
 use mesh_routing::prelude::*;
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -201,10 +202,27 @@ fn load_problem(path: &str) -> RoutingProblem {
     pb
 }
 
+/// Writes `value` to `path` as compact JSON, streamed rather than
+/// rendered whole.
 fn save_json<T: serde::Serialize>(value: &T, path: &str) {
-    let data = serde_json::to_string(value).expect("serialize");
-    std::fs::write(path, data).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+    let written = std::fs::File::create(path)
+        .map_err(|e| e.to_string())
+        .and_then(|file| serde_json::to_writer(file, value).map_err(|e| e.to_string()));
+    if let Err(e) = written {
+        fail(&format!("cannot write {path}: {e}"));
+    }
     eprintln!("wrote {path}");
+}
+
+/// Prints `value` as pretty JSON and a newline, streamed to stdout.
+fn print_json<T: serde::Serialize>(value: &T) {
+    let mut out = std::io::stdout().lock();
+    let written = serde_json::to_writer_pretty(&mut out, value)
+        .map_err(|e| e.to_string())
+        .and_then(|()| writeln!(out).map_err(|e| e.to_string()));
+    if let Err(e) = written {
+        fail(&format!("cannot write to stdout: {e}"));
+    }
 }
 
 fn cmd_workload(args: &Args) {
@@ -225,7 +243,7 @@ fn cmd_workload(args: &Args) {
 
 fn print_route(args: &Args, out: &RouteOutcome) {
     if args.has("json") {
-        println!("{}", serde_json::to_string_pretty(out).unwrap());
+        print_json(out);
     } else {
         println!(
             "{} on {}: steps={}{} max_queue={} moves={} delivered={}/{}",
@@ -281,7 +299,7 @@ fn parse_admission(args: &Args) -> AdmissionPolicy {
 
 fn print_steady(args: &Args, out: &SteadyOutcome) {
     if args.has("json") {
-        println!("{}", serde_json::to_string_pretty(out).unwrap());
+        print_json(out);
         return;
     }
     println!(

@@ -40,14 +40,20 @@ pub fn emit(
             std::fs::create_dir_all(dir)?;
             let id = &doc.experiment;
             let path = dir.join(format!("BENCH_{id}.json"));
-            let json = serde_json::to_string_pretty(&doc).expect("serialize BenchDoc");
-            std::fs::write(&path, json + "\n")?;
-            let json = serde_json::to_string_pretty(&timing).expect("serialize TimingDoc");
-            std::fs::write(dir.join(format!("BENCH_{id}.timing.json")), json + "\n")?;
+            write_pretty(&path, &doc)?;
+            write_pretty(&dir.join(format!("BENCH_{id}.timing.json")), &timing)?;
             eprintln!("[{id} json -> {}]", path.display());
         }
     }
     Ok(failures)
+}
+
+/// Writes `value` to `path` as pretty JSON with a trailing newline,
+/// streamed rather than rendered whole.
+fn write_pretty<T: serde::Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    serde_json::to_writer_pretty(&mut file, value).map_err(std::io::Error::other)?;
+    file.write_all(b"\n")
 }
 
 impl BenchDoc {

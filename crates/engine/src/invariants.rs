@@ -11,7 +11,26 @@
 //! verify every other reference they follow.
 
 use crate::phases::Progress;
+use crate::queue::{QueueArch, QueueKind};
 use crate::storage::{is_staged, Loc, NodeGrid, PacketStore, Staged};
+use mesh_topo::Coord;
+
+/// A queue of `kind` at `c` holds at most its architecture's bound.
+/// [`Sim::restore`](crate::sim::Sim::restore) asks this before it replays
+/// a queue, since the arena never grows a bounded slot past its bound.
+pub(crate) fn check_capacity(
+    arch: QueueArch,
+    kind: QueueKind,
+    c: Coord,
+    len: usize,
+) -> Result<(), String> {
+    match arch.capacity(kind) {
+        Some(cap) if len > cap as usize => Err(format!(
+            "queue {kind:?} of node {c} holds {len} > capacity {cap}"
+        )),
+        _ => Ok(()),
+    }
+}
 
 /// Capacity per bounded slot; every queued id known, queued once and
 /// pointed back at by its packet record; every staged id known, staged
@@ -30,14 +49,7 @@ pub(crate) fn check_queues(
         for slot in 0..grid.slots() {
             let kind = grid.slot_kind(slot);
             let q = grid.queue(ni, slot);
-            if let Some(cap) = grid.arch().capacity(kind) {
-                if q.len() > cap as usize {
-                    return Err(format!(
-                        "queue {kind:?} of node {c} holds {} > capacity {cap}",
-                        q.len()
-                    ));
-                }
-            }
+            check_capacity(grid.arch(), kind, c, q.len())?;
             for &pid in q {
                 let Some(seen) = queued.get_mut(pid.index()) else {
                     return Err(format!(

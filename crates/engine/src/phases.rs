@@ -707,43 +707,40 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     }
 }
 
-/// §2 (d) for one transmission: the packet departs `m.from()` and what
-/// happens next is the link's doing — a lossy link destroys it (its
-/// inqueue policy never saw it offered, so there is no acceptance
-/// bookkeeping to undo), its destination delivers it, any other node
-/// queues it.
-#[inline]
-fn carry<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, m: ScheduledMove, lossy: bool) {
-    let (pkt, to) = (m.pkt(), m.to());
-    ctx.store.depart(ctx.grid, ctx.progress, pkt, m.from());
-    let t = ctx.t0 + 1;
-    if lossy {
-        ctx.store
-            .retire(ctx.progress, ctx.events, pkt, Loc::Lost, t);
-    } else if ctx.store.dst(pkt) == to {
-        ctx.store
-            .retire(ctx.progress, ctx.events, pkt, Loc::Delivered, t);
-    } else {
-        let kind = ctx.grid.arch().arrival_queue(m.travel());
-        ctx.store.enter(ctx.topo, ctx.grid, pkt, to, kind);
-    }
-}
-
-/// §2 (d): accepted packets leave their source queues and either deliver
-/// (arriving at their destination) or enter their target queue; lossy
-/// transmissions count as a move and a hop but destroy the packet. Then
-/// the active worklist is rebuilt: previously active nodes that still
-/// hold or stage packets stay active; transmission
-/// already marked the targets.
+/// §2 (d): accepted and lossy transmissions each count a move and a hop,
+/// then accepted packets deliver (arriving at their destination) or enter
+/// their target queue, in schedule order, and lossy ones are destroyed
+/// (their inqueue policy never saw them offered, so there is no acceptance
+/// bookkeeping to undo). Every packet departs before any arrives, so a
+/// bound-`k` slot holds at most `k` packets even within the step and the
+/// slab never grows for an arrival that replaces a resident. Appending at
+/// a queue's tail commutes with removing another packet from it, so the
+/// queues, the active list `enter` builds and the events are those of
+/// moving each packet in turn. Then the active worklist is rebuilt:
+/// previously active nodes that still hold or stage packets stay active;
+/// transmission already marked the targets.
 pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    for mi in 0..ctx.bufs.schedule.len() {
-        let m = ctx.bufs.schedule[mi];
-        if m.accepted() {
-            carry(ctx, m, false);
+    let accepted = |m: &&ScheduledMove| m.accepted();
+    for m in ctx.bufs.schedule.iter().filter(accepted) {
+        ctx.store.depart(ctx.grid, ctx.progress, m.pkt(), m.from());
+    }
+    for m in &ctx.bufs.lost_moves {
+        ctx.store.depart(ctx.grid, ctx.progress, m.pkt(), m.from());
+    }
+    let t = ctx.t0 + 1;
+    for m in ctx.bufs.schedule.iter().filter(accepted) {
+        let (pkt, to) = (m.pkt(), m.to());
+        if ctx.store.dst(pkt) == to {
+            ctx.store
+                .retire(ctx.progress, ctx.events, pkt, Loc::Delivered, t);
+        } else {
+            let kind = ctx.grid.arch().arrival_queue(m.travel());
+            ctx.store.enter(ctx.topo, ctx.grid, pkt, to, kind);
         }
     }
-    for li in 0..ctx.bufs.lost_moves.len() {
-        carry(ctx, ctx.bufs.lost_moves[li], true);
+    for m in &ctx.bufs.lost_moves {
+        ctx.store
+            .retire(ctx.progress, ctx.events, m.pkt(), Loc::Lost, t);
     }
     // Route emptied the list, and only `enter` has refilled it since: the
     // nodes on it now are exactly those a packet arrived at this step.

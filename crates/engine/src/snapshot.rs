@@ -258,33 +258,16 @@ impl Snapshot {
         serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt(e.to_string()))
     }
 
-    /// Writes the snapshot to `path` atomically and durably: the text goes
-    /// to a temp file beside it, which is synced to disk and then renamed
-    /// over `path`, and the rename is synced through the directory. A crash
-    /// of the process or of the OS therefore leaves at `path` either the
+    /// Writes the snapshot to `path` atomically and durably: the bytes of
+    /// [`to_json`](Self::to_json) stream through a fixed buffer into a temp
+    /// file beside it, which is synced to disk and then renamed over
+    /// `path`, and the rename is synced through the directory. A crash of
+    /// the process or of the OS therefore leaves at `path` either the
     /// complete new checkpoint or whatever was there before, never a
     /// truncated or empty one; once this returns `Ok`, the new checkpoint
     /// survives an OS crash too.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = path.with_extension("json.tmp");
-        let io = |e: std::io::Error| SnapshotError::Io(format!("write {}: {e}", tmp.display()));
-        let mut file = std::fs::File::create(&tmp).map_err(io)?;
-        file.write_all(self.to_json().as_bytes()).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| SnapshotError::Io(format!("rename to {}: {e}", path.display())))?;
-        // A directory is synced through a handle opened on it, which Unix
-        // allows and Windows does not.
-        #[cfg(unix)]
-        {
-            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-            let dir = dir.unwrap_or(Path::new("."));
-            std::fs::File::open(dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| SnapshotError::Io(format!("sync {}: {e}", dir.display())))?;
-        }
-        Ok(())
+        write_json_file(path, self)
     }
 
     /// Reads and parses a snapshot file.
@@ -293,6 +276,34 @@ impl Snapshot {
             .map_err(|e| SnapshotError::Io(format!("read {}: {e}", path.display())))?;
         Snapshot::from_json(&text)
     }
+}
+
+/// Writes `value` to `path` as pretty JSON with a trailing newline, with
+/// the guarantee [`Snapshot::write_to`] states: temp file, sync, rename,
+/// directory sync. Checkpoints and diagnostic files are both written here,
+/// so neither can be left truncated, and memory stays at the writer's
+/// buffer whatever the file's size.
+fn write_json_file<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), SnapshotError> {
+    let tmp = path.with_extension("json.tmp");
+    let io = |e: std::io::Error| SnapshotError::Io(format!("write {}: {e}", tmp.display()));
+    let mut file = std::fs::File::create(&tmp).map_err(io)?;
+    serde_json::to_writer_pretty(&mut file, value).map_err(|e| io(std::io::Error::other(e)))?;
+    file.write_all(b"\n").map_err(io)?;
+    file.sync_all().map_err(io)?;
+    drop(file);
+    std::fs::rename(&tmp, path)
+        .map_err(|e| SnapshotError::Io(format!("rename to {}: {e}", path.display())))?;
+    // A directory is synced through a handle opened on it, which Unix
+    // allows and Windows does not.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| SnapshotError::Io(format!("sync {}: {e}", dir.display())))?;
+    }
+    Ok(())
 }
 
 /// The one field [`Snapshot::from_json`] reads before trusting the rest
@@ -406,13 +417,15 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
         let store = PacketStore::import(topo, &snap.packets).map_err(SnapshotError::Corrupt)?;
         // Replay the grid through the code a live run fills it with: the
         // slab layout and the per-slot lengths have one writer, `push`. An
-        // over-capacity queue still loads (`push` grows the slot);
-        // `check_queues` reports it.
+        // over-capacity queue is refused before it is pushed: `push` never
+        // grows a bounded slot past its bound.
         let mut grid = NodeGrid::new(n, snap.arch);
         let mut slab = snap.grid.slab.iter();
         for (qi, &len) in snap.grid.lens.iter().enumerate() {
             let c = grid.coord_of(qi / grid.slots());
             let kind = grid.slot_kind(qi % grid.slots());
+            invariants::check_capacity(snap.arch, kind, c, len as usize)
+                .map_err(SnapshotError::Corrupt)?;
             for &pid in slab.by_ref().take(len as usize) {
                 grid.push(c, kind, pid);
             }
@@ -686,13 +699,7 @@ impl CheckpointSink for DirectorySink {
 
     fn on_failure(&mut self, step: u64, diag: &DiagnosticSnapshot) {
         let path = self.dir.join(format!("diag_{step}.json"));
-        let mut text = match serde_json::to_string_pretty(diag) {
-            Ok(t) => t,
-            Err(_) => return,
-        };
-        text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
-            let e = SnapshotError::Io(format!("write {}: {e}", path.display()));
+        if let Err(e) = write_json_file(&path, diag) {
             self.error.get_or_insert(e);
         }
     }

@@ -593,8 +593,18 @@ impl NodeGrid {
     /// injection slot under open-system staging, or a bounded slot whose
     /// `k` exceeds its inline cells the first time a node fills them.
     /// Doubling makes the rebuild cost amortized O(1) per pushed packet.
+    /// A bounded slot never holds more than `k`, even within a step
+    /// (transmit departs before it arrives), so it grows only while its
+    /// cells are fewer than `k`.
     #[cold]
     fn grow_slot(&mut self, slot: usize) {
+        debug_assert!(
+            self.arch
+                .capacity(self.slot_kind(slot))
+                .is_none_or(|k| self.caps[slot] < k),
+            "bounded slot {slot} overflowed: its {} cells already hold its bound",
+            self.caps[slot]
+        );
         let mut caps = self.caps;
         caps[slot] = (caps[slot] * 2).max(1);
         let (slot_off, stride) = geometry(&caps, self.slots);
@@ -888,15 +898,19 @@ mod arena_tests {
 
     /// Op-level differential: a random push/remove/expire stream against
     /// the reference grid, for both queue architectures. Pushes past a
-    /// slot's inline capacity force `grow_slot` rebuilds mid-stream; the
-    /// shadow must survive every one of them. Every pushed-to node stays
-    /// on the active list, which the expiry sweep walks in list order.
+    /// slot's inline capacity force `grow_slot` rebuilds mid-stream (of
+    /// the injection slot, and of the central slot whose `k` = 6 exceeds
+    /// its four inline cells); the shadow must survive every one of them.
+    /// A push into a bounded slot already holding `k` is skipped, as
+    /// accept refuses it. Every pushed-to node stays on the active list,
+    /// which the expiry sweep walks in list order.
     #[test]
     fn arena_matches_reference_under_random_ops() {
         for (arch, seed) in [
             (QueueArch::Central { k: 2 }, 11u64),
             (QueueArch::PerInlink { k: 1 }, 12),
             (QueueArch::PerInlink { k: 3 }, 13),
+            (QueueArch::Central { k: 6 }, 14),
         ] {
             let n = 4u32;
             let mut grid = NodeGrid::new(n, arch);
@@ -909,9 +923,14 @@ mod arena_tests {
                     0..=5 => {
                         let ni = (lcg(&mut rng) as usize) % grid.nodes();
                         let s = (lcg(&mut rng) as usize) % slots;
+                        let kind = grid.slot_kind(s);
+                        let full = arch.capacity(kind).map(|k| k as usize);
+                        if full == Some(shadow[ni * slots + s].len()) {
+                            continue;
+                        }
                         let pid = PacketId(inject_at.len() as u32);
                         inject_at.push(t);
-                        grid.push(grid.coord_of(ni), grid.slot_kind(s), pid);
+                        grid.push(grid.coord_of(ni), kind, pid);
                         grid.mark_active(ni);
                         shadow[ni * slots + s].push(pid);
                     }

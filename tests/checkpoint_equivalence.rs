@@ -14,7 +14,7 @@ mod support;
 
 use mesh_routing::engine::snapshot::CheckpointSink;
 use mesh_routing::engine::{
-    Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook, SteadySnap,
+    DirectorySink, Loc, MemorySink, QueueKind, Snapshot, SnapshotError, SnapshotHook, SteadySnap,
 };
 use mesh_routing::prelude::*;
 use proptest::prelude::*;
@@ -797,7 +797,7 @@ fn directory_sink_persists_checkpoints_and_failure_diagnostics() {
         ..SimConfig::default()
     };
     let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-    let mut sink = mesh_routing::engine::DirectorySink::new(&dir).unwrap();
+    let mut sink = DirectorySink::new(&dir).unwrap();
     // Cap the run well short of the 14 steps the packet needs: the run
     // fails with StepCap and the sink must write the post-mortem.
     let err = sim.run_checkpointed(8, &mut sink).unwrap_err();
@@ -805,7 +805,12 @@ fn directory_sink_persists_checkpoints_and_failure_diagnostics() {
     assert!(sink.error.is_none(), "{:?}", sink.error);
     assert!(dir.join("ckpt_4.json").is_file());
     assert!(dir.join("ckpt_8.json").is_file());
-    assert!(dir.join("diag_8.json").is_file(), "failure post-mortem");
+    let diag = std::fs::read_to_string(dir.join("diag_8.json")).expect("failure post-mortem");
+    assert_eq!(
+        diag,
+        serde_json::to_string_pretty(err.snapshot()).unwrap() + "\n"
+    );
+    assert!(!dir.join("diag_8.json.tmp").exists(), "renamed into place");
     assert_eq!(
         sink.last_checkpoint().unwrap(),
         dir.join("ckpt_8.json").as_path()
@@ -917,10 +922,14 @@ fn transport_checkpoint() -> Snapshot {
 
 /// Checkpoint bytes are recorded: each case of [`recorded_checkpoints`]
 /// files the length and digest of its `to_json` text
-/// (`tests/fixtures/checkpoint_equivalence.txt`), and the text reads back
-/// to itself.
+/// (`tests/fixtures/checkpoint_equivalence.txt`), the text reads back to
+/// itself, and the file a [`DirectorySink`] streams to disk holds exactly
+/// that text (four of the five cross the writer's 64 KiB buffer).
 #[test]
 fn checkpoint_bytes_match_recording() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("checkpoint_bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sink = DirectorySink::new(&dir).unwrap();
     let cases = recorded_checkpoints();
     for (name, snap) in &cases {
         let text = snap.to_json();
@@ -929,6 +938,10 @@ fn checkpoint_bytes_match_recording() {
             back.to_json() == text,
             "{name} does not read back to itself"
         );
+        sink.on_checkpoint(snap);
+        assert!(sink.error.is_none(), "{name}: {:?}", sink.error);
+        let file = std::fs::read(sink.last_checkpoint().unwrap()).unwrap();
+        assert!(file == text.as_bytes(), "{name}: the file is not to_json");
         let entry = Entry::new(name)
             .with("step", snap.step)
             .with("bytes", text.len())
