@@ -359,7 +359,7 @@ pub fn e7(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e7",
         "§1.1 greedy dimension order (farthest-first, unbounded queues)",
-        "steps ≤ 2n−2 on every permutation; max queue grows ≈ n/4 on the column funnel (the Θ(n) queue requirement) but stays ≤ ~4 on random destinations (Leighton's average case)",
+        "steps ≤ 2n−2 on every permutation; max queue is exactly n/2 on the column funnel (the Θ(n) queue requirement) but stays ≤ 8 on random destinations (Leighton's average case)",
         &["n", "workload", "steps", "2n-2", "max queue", "queue/n"],
     );
     let mut sizes = vec![32u32, 64, 128];
