@@ -12,6 +12,11 @@
 //! so the recorded tables stay byte-for-byte reproducible). Deterministic
 //! cells (the adversary constructions, fixed workloads) run exactly once.
 //!
+//! A cell states the paper's claims about what it measures as `assert!`s
+//! on its own values (E1–E9, RELIABLE, CRASHREC), so a false claim panics
+//! its trial and fails the experiment; the `expectation` prose says the
+//! same in words.
+//!
 //! A run shape that several experiments share is written once: the §3
 //! construct-and-replay cell (E1, E2, E8, E9, E11, E12), the §5 replay cell
 //! (E3, E4), the §6 sweep (E6, A3), the ablation pair (A1, A2) and the
@@ -36,6 +41,15 @@ type Attack<'a> = Option<(&'a ConstructionOutcome, &'a LowerBoundReport)>;
 
 /// The panic of a row that certifies a bound the construction must reach.
 const BREAKDOWN: &str = "the construction broke down";
+
+/// The claims of one replay of a construction: packets remain undelivered
+/// at the bound (Theorem 13, Corollary 9), and, where `exact`, the replay
+/// reaches the construction's configuration (Lemma 12). A false one
+/// panics the row's trial, which fails its experiment.
+fn certify(rep: &LowerBoundReport, exact: bool) {
+    assert!(rep.undelivered_at_bound > 0, "all delivered by the bound");
+    assert!(rep.replay_matches_construction || !exact, "inexact replay");
+}
 
 impl Experiment {
     /// The E1/E2/E8/E9/E11/E12 cell: runs the §3 construction of `params`
@@ -75,14 +89,17 @@ impl Experiment {
 }
 
 /// The E3/E4 cell: replays a §5 dimension-order construction's `outcome`
-/// under a fresh `victim` and sets the forced bound against `n²/k`.
+/// under a fresh `victim`, [`certify`]s the replay (`exact` as there) and
+/// sets the forced bound against `n²/k`.
 fn section5_cell<R: Router>(
     params: DimOrderParams,
     topo: &Mesh,
     outcome: &ConstructionOutcome,
     victim: R,
+    exact: bool,
 ) -> TrialOutput {
     let rep = verify_lower_bound(topo, victim, outcome, None);
+    certify(&rep, exact);
     let nf = params.n as f64;
     let row = cells!(
         params.n,
@@ -127,6 +144,15 @@ pub fn e1(full: bool) -> Experiment {
             let label = format!("n={n} k={k} {victim}");
             e.attack(label, &params, Mesh::new(n), algo, false, move |p, run| {
                 let (o, rep) = run.expect(BREAKDOWN);
+                certify(rep, true);
+                let pb = &o.constructed;
+                assert!(pb.is_partial_permutation(), "not a partial permutation");
+                assert_eq!(pb.len() as u64, p.total_packets(), "packets constructed");
+                // Comfortably past the 24(k+2)² threshold, the Ω(n²/k²)
+                // bound overtakes the 2n−2 diameter bound.
+                if n >= 48 * (k + 2) * (k + 2) {
+                    assert!(p.bound_steps() > (2 * n - 2) as u64, "bound within 2n-2");
+                }
                 let nf = n as f64;
                 let kf = k as f64;
                 cells!(
@@ -179,21 +205,14 @@ pub fn e2(full: bool) -> Experiment {
         }
         let params = GeneralParams::new(n, k);
         for (victim, algo) in victims {
-            // The checked construction panics if any lemma fails; reaching
-            // the end is the PASS certificate.
+            // The checked construction panics if any lemma fails, and
+            // `certify` if Lemma 12 or Corollary 9 does; reaching the row
+            // is the PASS certificate.
             let label = format!("n={n} k={k} {victim}");
             e.attack(label, &params, Mesh::new(n), algo, true, move |_, run| {
                 let (o, rep) = run.expect(BREAKDOWN);
-                let pass = |ok: bool| if ok { "PASS" } else { "FAIL" };
-                cells!(
-                    n,
-                    k,
-                    victim,
-                    o.bound_steps,
-                    "PASS",
-                    pass(rep.replay_matches_construction),
-                    pass(rep.undelivered_at_bound > 0)
-                )
+                certify(rep, true);
+                cells!(n, k, victim, o.bound_steps, "PASS", "PASS", "PASS")
             });
         }
     }
@@ -218,7 +237,14 @@ pub fn e3(full: bool) -> Experiment {
             let topo = Mesh::new(n);
             let victim = || mesh_routing::routers::dim_order(k);
             let outcome = DimOrderConstruction::new(params).run(&topo, victim());
-            section5_cell(params, &topo, &outcome, victim())
+            // The stronger geometry forces at least the general bound.
+            if let Ok(general) = GeneralParams::new(n, k) {
+                assert!(
+                    params.bound_steps() >= general.bound_steps(),
+                    "below §3's bound"
+                );
+            }
+            section5_cell(params, &topo, &outcome, victim(), true)
         });
     }
     e
@@ -242,7 +268,7 @@ pub fn e4(full: bool) -> Experiment {
             let params = DimOrderParams::farthest_first(n, k).unwrap();
             let topo = Mesh::new(n);
             let outcome = FarthestFirstConstruction::new(params).run(&topo, FarthestFirst::new(k));
-            section5_cell(params, &topo, &outcome, FarthestFirst::new(k))
+            section5_cell(params, &topo, &outcome, FarthestFirst::new(k), k == 1)
         });
     }
     e
@@ -262,11 +288,18 @@ pub fn e5(full: bool) -> Experiment {
     if full {
         grid.extend([(432, 1), (432, 2), (432, 4), (432, 8), (432, 16)]);
     }
-    let route_cell = |n: u32, k: u32, pb: RoutingProblem| -> TrialOutput {
+    // Theorem 15 on one instance: the run completes within a tenth of
+    // n²/k + n steps, with no queue past k, and takes at least the `forced`
+    // steps the instance's construction certified (0 for a workload).
+    let route_cell = |n: u32, k: u32, pb: RoutingProblem, forced: u64| -> TrialOutput {
         let denom = (n as u64 * n as u64) / k as u64 + n as u64;
         let out = route_with_cap(Algorithm::Theorem15 { k }, &pb, 32 * denom);
         let label = short_label(&pb);
-        assert!(out.completed, "theorem15 must complete on {label}");
+        let at = format!("n={n} k={k} {label}");
+        assert!(out.completed, "theorem15 must complete on {at}");
+        assert!(10 * out.steps < denom, "{at}: steps ≥ (n²/k+n)/10");
+        assert!(out.max_queue <= k, "{at}: a queue past k");
+        assert!(out.steps >= forced, "{at}: under the forced bound");
         let row = cells!(
             n,
             k,
@@ -280,7 +313,7 @@ pub fn e5(full: bool) -> Experiment {
     for (n, k) in grid {
         for w in [TRANSPOSE, random_permutation(1), COLUMN_FUNNEL] {
             let label = format!("n={n} k={k} {}", w.name);
-            e.over(label, w, n, move |pb| route_cell(n, k, pb));
+            e.over(label, w, n, move |pb| route_cell(n, k, pb, 0));
         }
         // Hard instance built against this very router (with the §5 "Other
         // Queue Types" adjustment: four inlink queues of k behave like a
@@ -289,7 +322,7 @@ pub fn e5(full: bool) -> Experiment {
             e.fixed(format!("n={n} k={k} hard-instance"), move |_| {
                 let cons = DimOrderConstruction::new(params);
                 let hard = cons.run(&Mesh::new(n), mesh_routing::routers::theorem15(k));
-                route_cell(n, k, hard.constructed)
+                route_cell(n, k, hard.constructed, params.bound_steps())
             });
         }
     }
@@ -331,8 +364,10 @@ pub fn e6(full: bool) -> Experiment {
 
 /// The E6/A3 sweep: per side in `sizes`, a random permutation (historical
 /// seed `seed`) and the transpose, each routed by the §6 router at the base
-/// `q = 408` and the improved `q = 102`, labelled by `tags`. `row` renders
-/// a cell from its side, problem, tag and report.
+/// `q = 408` and the improved `q = 102`, labelled by `tags`. Every route
+/// must meet Theorem 34: at most 972n scheduled steps (564n improved), at
+/// most 834 packets at a node, and one move per unit of work (minimal
+/// paths). `row` renders a cell from its side, problem, tag and report.
 fn section6_cells(
     e: &mut Experiment,
     sizes: Vec<u32>,
@@ -345,6 +380,11 @@ fn section6_cells(
             for (improved, tag) in [false, true].into_iter().zip(tags) {
                 e.over(format!("n={n} {} {tag}", w.name), w, n, move |pb| {
                     let r = section6_router(improved).route(&pb);
+                    let per_n = if improved { 564 } else { 972 };
+                    let at = format!("n={n} {} {tag}", short_label(&pb));
+                    assert!(r.scheduled_steps <= per_n * n as u64, "{at}: past {per_n}n");
+                    assert!(r.max_node_load <= 834, "{at}: a node past 834 packets");
+                    assert_eq!(r.total_moves, pb.total_work(), "{at}: a nonminimal move");
                     TrialOutput::new(row(n, &pb, tag, &r))
                 });
             }
@@ -366,12 +406,24 @@ pub fn e7(full: bool) -> Experiment {
     if full {
         sizes.extend([256, 512]);
     }
+    // §1.1's dichotomy on one instance: a permutation routes within 2n−2,
+    // the column funnel queues n/2 packets at a node, random destinations
+    // at most 8.
     let greedy_cell = |n: u32, pb: RoutingProblem| -> TrialOutput {
         let out = route_with_cap(Algorithm::GreedyUnbounded, &pb, 100 * n as u64);
+        let label = short_label(&pb);
         assert!(out.completed, "greedy completes");
+        if pb.is_partial_permutation() {
+            assert!(out.steps <= 2 * n as u64 - 2, "n={n} {label}: past 2n-2");
+        }
+        match label.as_str() {
+            "column-funnel" => assert_eq!(out.max_queue, n / 2, "n={n} funnel queue"),
+            "random-dst" => assert!(out.max_queue <= 8, "n={n} random-dst queue"),
+            _ => {}
+        }
         let row = cells!(
             n,
-            short_label(&pb),
+            label,
             out.steps,
             2 * n - 2,
             out.max_queue,
@@ -410,7 +462,9 @@ pub fn e8(full: bool) -> Experiment {
         let params = GeneralParams::hh(n, k, h);
         let algo = Algorithm::DimOrder { k };
         e.attack(label, &params, Mesh::new(n), algo, false, move |p, run| {
-            let (_, rep) = run.expect(BREAKDOWN);
+            let (o, rep) = run.expect(BREAKDOWN);
+            certify(rep, true);
+            assert!(o.constructed.is_hh(h), "not an {h}-{h} problem");
             let nf = n as f64;
             let denom = (h as f64).powi(3) * nf * nf / ((k + h) as f64).powi(2);
             cells!(
@@ -449,6 +503,7 @@ pub fn e9(full: bool) -> Experiment {
         let label = format!("m={m} k={k}");
         e.attack(label, &params, Torus::new(n), algo, false, move |p, run| {
             let (_, rep) = run.expect(BREAKDOWN);
+            certify(rep, true);
             cells!(
                 n,
                 m,
@@ -1050,6 +1105,12 @@ pub fn reliable(full: bool) -> Experiment {
                     Some(tp) => (tp.goodput, tp.latency.mean),
                 };
                 let tp = tp.as_ref();
+                if let Some(tp) = tp {
+                    assert!(
+                        tp.exactly_once,
+                        "density={density} {backoff}: not exactly once"
+                    );
+                }
                 let rep = sim.report();
                 let row = cells!(
                     n,
@@ -1058,7 +1119,7 @@ pub fn reliable(full: bool) -> Experiment {
                     backoff,
                     outcome_tag(&res),
                     format!("{}/{}", sim.delivered(), sim.num_packets()),
-                    or_dash(tp.map(|tp| if tp.exactly_once { "yes" } else { "NO" })),
+                    or_dash(tp.map(|_| "yes")),
                     or_dash(tp.map(|tp| tp.retransmits)),
                     or_dash(tp.map(|tp| tp.duplicate_deliveries)),
                     rep.lost,
@@ -1079,9 +1140,9 @@ pub fn reliable(full: bool) -> Experiment {
 /// checkpoint: the snapshot is round-tripped through its JSON wire format,
 /// restored into a fresh engine (and, on the reliable layer, a fresh
 /// [`Transport`] rehydrated from the
-/// protocol slot), and run to completion. A row passes only if **every**
-/// resumed run reproduces the uninterrupted run byte-for-byte — same
-/// outcome, same rendered report, same per-packet trajectories.
+/// protocol slot), and run to completion. **Every** resumed run must
+/// reproduce the uninterrupted run byte-for-byte — same outcome, same
+/// rendered report, same per-packet trajectories — or the trial panics.
 pub fn crashrec(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "crashrec",
@@ -1125,8 +1186,6 @@ pub fn crashrec(full: bool) -> Experiment {
                     };
                     let want = serde_json::to_string(&sim.report()).unwrap();
                     let want_tp = tp_json(&tp, sim.steps());
-                    let mut resumes = 0u64;
-                    let mut identical = true;
                     for ckpt in &sink.checkpoints {
                         let snap = Snapshot::from_json(&ckpt.to_json())
                             .expect("engine-written snapshot must round-trip");
@@ -1140,11 +1199,15 @@ pub fn crashrec(full: bool) -> Experiment {
                             }
                             None => sim_b.run(200_000),
                         };
-                        resumes += 1;
-                        identical &= res_b == res
-                            && serde_json::to_string(&sim_b.report()).unwrap() == want
-                            && tp_json(&tp_b, sim_b.steps()) == want_tp
-                            && sim_b.packet_snapshot() == sim.packet_snapshot();
+                        assert!(
+                            res_b == res
+                                && serde_json::to_string(&sim_b.report()).unwrap() == want
+                                && tp_json(&tp_b, sim_b.steps()) == want_tp
+                                && sim_b.packet_snapshot() == sim.packet_snapshot(),
+                            "density={density} {layer} ck={cadence}: the resume from step {} \
+                             is not the uninterrupted run",
+                            snap.step
+                        );
                     }
                     let row = cells!(
                         n,
@@ -1154,8 +1217,8 @@ pub fn crashrec(full: bool) -> Experiment {
                         outcome_tag(&res),
                         sim.steps(),
                         sink.checkpoints.len(),
-                        resumes,
-                        if identical { "yes" } else { "NO" }
+                        sink.checkpoints.len(),
+                        "yes"
                     );
                     TrialOutput::with_report(row, sim.report())
                 });

@@ -1,10 +1,18 @@
 //! Regression test for the runner's core guarantee: for a fixed experiment
 //! and trial count, the aggregated `BENCH_*.json` document is byte-identical
-//! no matter how many worker threads execute the trials; and the soaks'
-//! yes/NO cells all say yes.
+//! no matter how many worker threads execute the trials, and the whole
+//! suite's documents are the recorded bytes. The paper's claims, asserted
+//! in the experiments' own cells, hold on the instances tier 1 can afford.
 
-use mesh_bench::runner::{derive_seed, run_experiment, Experiment, RunnerConfig, TrialOutput};
+#[path = "../../../tests/support/record.rs"]
+mod record;
+
+use mesh_bench::experiments::{build, REGISTRY};
+use mesh_bench::runner::{
+    derive_seed, run_cells, run_experiment, run_suite, Experiment, RunnerConfig, TrialOutput,
+};
 use mesh_routing::prelude::*;
+use record::{Digest, Entry};
 
 /// A miniature but real experiment: seeded random permutations routed by
 /// two different engines, plus one deterministic cell — the same shape as
@@ -109,8 +117,7 @@ fn bench_json_is_byte_identical_across_thread_counts() {
 fn assert_thread_count_invisible(id: &str) {
     let render = |threads: usize| {
         let cfg = RunnerConfig { threads, trials: 2 };
-        let exp = mesh_bench::experiments::build(id, false).unwrap();
-        let run = run_experiment(exp, &cfg);
+        let run = run_experiment(build(id, false).unwrap(), &cfg);
         serde_json::to_string_pretty(&run.doc).unwrap()
     };
     assert!(render(1) == render(2), "{id}: JSON diverged at 2 threads");
@@ -148,29 +155,81 @@ thread_count_invisible! {
     reliable_experiment_json_is_byte_identical_across_thread_counts: "reliable",
 }
 
-/// CHAOS, RELIABLE and CRASHREC print `NO` only for a broken promise: a
-/// payload lost or delivered twice, or a resumed run that is not
-/// bit-identical to the run that never stopped.
+/// The cells that carry the paper's claims within tier 1's time: per
+/// experiment, the label prefixes of the cells that run (`""` is all).
+const CLAIM_CELLS: &[(&str, &[&str])] = &[
+    ("e1", &["n=216 k=1 ", "n=432 k=1 "]),
+    ("e3", &["n=216 k=1"]),
+    ("e4", &["n=216 k=1"]),
+    (
+        "e5",
+        &[
+            "n=216 k=1 transpose",
+            "n=216 k=1 hard-instance",
+            "n=216 k=2 transpose",
+            "n=216 k=2 hard-instance",
+            "n=216 k=4 transpose",
+            "n=216 k=4 hard-instance",
+        ],
+    ),
+    ("e6", &[""]),
+    ("e7", &[""]),
+    ("e8", &["n=600 k=4 h=2"]),
+    ("e9", &[""]),
+    ("crashrec", &[""]),
+];
+
+/// Theorems 13–15 and 34, §1.1's greedy dichotomy, §5's torus and h-h
+/// extensions, and CRASHREC's bit-identical resumes, on the
+/// [`CLAIM_CELLS`] instances: a cell whose claim is false panics, and its
+/// message is printed above the failure. Two trials run the seeded cells
+/// on a second seed too.
 #[test]
-fn no_cell_of_the_soaks_says_no() {
-    for id in ["chaos", "reliable", "crashrec"] {
-        let exp = mesh_bench::experiments::build(id, false).unwrap();
-        let run = run_experiment(
-            exp,
-            &RunnerConfig {
-                threads: 2,
-                trials: 2,
-            },
-        );
-        for cell in &run.doc.cells {
-            for row in &cell.rows {
-                assert!(
-                    !row.contains(&"NO".to_string()),
-                    "{id} {}: {row:?}",
-                    cell.label
-                );
+fn the_paper_claims_hold_in_the_experiments_cells() {
+    let mut cells = Vec::new();
+    for &(id, prefixes) in CLAIM_CELLS {
+        let exp = build(id, false).unwrap();
+        for p in prefixes {
+            let found = exp.cells.iter().any(|cell| cell.label.starts_with(p));
+            assert!(found, "{id} has no cell {p:?}");
+        }
+        for mut cell in exp.cells {
+            if prefixes.iter().any(|p| cell.label.starts_with(p)) {
+                cell.label = format!("{id} {}", cell.label);
+                cells.push(cell);
             }
         }
+    }
+    let config = RunnerConfig {
+        threads: 2,
+        trials: 2,
+    };
+    let results = run_cells(cells, &config);
+    let failed: Vec<_> = results
+        .iter()
+        .filter(|c| c.failed)
+        .map(|c| &c.label)
+        .collect();
+    assert!(failed.is_empty(), "a claim is false in {failed:?}");
+}
+
+/// The suite as `experiments all --threads 2 --json-out` runs it: each
+/// `BENCH_<id>.json`'s digest against `tests/fixtures/determinism.txt`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
+fn the_suite_documents_are_the_recorded_bytes() {
+    let exps = REGISTRY.iter().map(|(_, build)| build(false)).collect();
+    let config = RunnerConfig {
+        threads: 2,
+        trials: 1,
+    };
+    for ((id, _), run) in REGISTRY.iter().zip(run_suite(exps, &config)) {
+        let Ok(run) = run else { panic!("{id} failed") };
+        let json = serde_json::to_string_pretty(&run.doc).unwrap() + "\n";
+        let entry = Entry::new(id)
+            .with("cells", run.doc.cells.len())
+            .with("json", Digest::of(json).hex());
+        record::check(REGISTRY.len(), entry).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -1,7 +1,7 @@
 //! The one recording harness. `golden_run`, `section6_golden`,
-//! `packed_equivalence`, `checkpoint_equivalence` and `mesh-adversary`'s
-//! `construction` include this file with `#[path]`; it is the only place a
-//! run is recorded or compared.
+//! `packed_equivalence`, `checkpoint_equivalence`, `mesh-adversary`'s
+//! `construction` and `mesh-bench`'s `determinism` include this file with
+//! `#[path]`; it is the only place a run is recorded or compared.
 //!
 //! - [`Digest`] is 64-bit FNV-1a, over a case's inputs or what its run showed.
 //! - [`Fold`] is the step-stream fold. Per step it folds the done flag, the
@@ -21,12 +21,13 @@
 //! `GOLDEN_RECORD=1` writes the section of every test that runs instead of
 //! checking it, so nothing checks what it writes: record only an intended
 //! change, in a commit that changes nothing else. One command records all
-//! five batteries:
+//! six batteries:
 //!
 //! ```sh
 //! GOLDEN_RECORD=1 cargo test --release -p mesh-routing -p mesh-adversary \
-//!     --test golden_run --test section6_golden --test packed_equivalence \
-//!     --test checkpoint_equivalence --test construction
+//!     -p mesh-bench --test golden_run --test section6_golden \
+//!     --test packed_equivalence --test checkpoint_equivalence \
+//!     --test construction --test determinism
 //! ```
 #![allow(dead_code)] // each battery uses part of the harness
 
@@ -237,7 +238,7 @@ impl Entry {
 /// Recorded cases by test, each test's in case order.
 type Fixture = BTreeMap<String, Vec<Entry>>;
 
-/// This test binary's fixture. Both including crates sit two levels below
+/// This test binary's fixture. Every including crate sits two levels below
 /// the workspace root.
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
