@@ -126,7 +126,9 @@ fn assert_thread_count_invisible(id: &str) {
 /// One test per experiment that registers seeded cells through a workload
 /// axis or a shared run shape (a2 covers the ablation cells a1 shares).
 /// `reliable` adds the transport's own seeded jitter and protocol-spawned
-/// packets growing the simulation mid-run. The rows that take seconds
+/// packets growing the simulation mid-run. Running a soak's cells also
+/// checks their claims: RELIABLE's exactly-once delivery and CRASHREC's
+/// bit-identical resumes panic their cell when false. The rows that take seconds
 /// even in release run only there: `cargo test --release -p mesh-bench
 /// --test determinism`.
 macro_rules! thread_count_invisible {
@@ -153,6 +155,7 @@ thread_count_invisible! {
     a3_experiment_json_is_byte_identical_across_thread_counts: "a3",
     chaos_experiment_json_is_byte_identical_across_thread_counts: "chaos",
     reliable_experiment_json_is_byte_identical_across_thread_counts: "reliable",
+    crashrec_experiment_json_is_byte_identical_across_thread_counts: "crashrec",
 }
 
 /// The cells that carry the paper's claims within tier 1's time: per
@@ -176,14 +179,11 @@ const CLAIM_CELLS: &[(&str, &[&str])] = &[
     ("e7", &[""]),
     ("e8", &["n=600 k=4 h=2"]),
     ("e9", &[""]),
-    ("crashrec", &[""]),
 ];
 
-/// Theorems 13–15 and 34, §1.1's greedy dichotomy, §5's torus and h-h
-/// extensions, and CRASHREC's bit-identical resumes, on the
-/// [`CLAIM_CELLS`] instances: a cell whose claim is false panics, and its
-/// message is printed above the failure. Two trials run the seeded cells
-/// on a second seed too.
+/// Theorems 13–15 and 34, §1.1's greedy dichotomy, and §5's torus and h-h
+/// extensions, on the [`CLAIM_CELLS`] instances: a cell whose claim is
+/// false panics, and its message is printed above the failure.
 #[test]
 fn the_paper_claims_hold_in_the_experiments_cells() {
     let mut cells = Vec::new();
@@ -202,7 +202,7 @@ fn the_paper_claims_hold_in_the_experiments_cells() {
     }
     let config = RunnerConfig {
         threads: 2,
-        trials: 2,
+        trials: 1,
     };
     let results = run_cells(cells, &config);
     let failed: Vec<_> = results
