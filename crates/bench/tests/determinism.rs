@@ -1,15 +1,14 @@
 //! Regression test for the runner's core guarantee: for a fixed experiment
 //! and trial count, the aggregated `BENCH_*.json` document is byte-identical
 //! no matter how many worker threads execute the trials, and the whole
-//! suite's documents are the recorded bytes. The paper's claims, asserted
-//! in the experiments' own cells, hold on the instances tier 1 can afford.
+//! suite's documents are the recorded bytes.
 
 #[path = "../../../tests/support/record.rs"]
 mod record;
 
 use mesh_bench::experiments::{build, REGISTRY};
 use mesh_bench::runner::{
-    derive_seed, run_cells, run_experiment, run_suite, Experiment, RunnerConfig, TrialOutput,
+    derive_seed, run_experiment, run_suite, Experiment, RunnerConfig, TrialOutput,
 };
 use mesh_routing::prelude::*;
 use record::{Digest, Entry};
@@ -156,62 +155,6 @@ thread_count_invisible! {
     chaos_experiment_json_is_byte_identical_across_thread_counts: "chaos",
     reliable_experiment_json_is_byte_identical_across_thread_counts: "reliable",
     crashrec_experiment_json_is_byte_identical_across_thread_counts: "crashrec",
-}
-
-/// The cells that carry the paper's claims within tier 1's time: per
-/// experiment, the label prefixes of the cells that run (`""` is all).
-/// The costliest come first, so the two workers finish together.
-const CLAIM_CELLS: &[(&str, &[&str])] = &[
-    ("e3", &["n=216 k=1"]),
-    ("e4", &["n=216 k=1"]),
-    ("e1", &["n=216 k=1 ", "n=432 k=1 "]),
-    (
-        "e5",
-        &[
-            "n=216 k=1 transpose",
-            "n=216 k=1 hard-instance",
-            "n=216 k=2 transpose",
-            "n=216 k=2 hard-instance",
-            "n=216 k=4 transpose",
-            "n=216 k=4 hard-instance",
-        ],
-    ),
-    ("e6", &[""]),
-    ("e8", &["n=600 k=4 h=2"]),
-    ("e7", &[""]),
-    ("e9", &[""]),
-];
-
-/// Theorems 13–15 and 34, §1.1's greedy dichotomy, and §5's torus and h-h
-/// extensions, on the [`CLAIM_CELLS`] instances: a cell whose claim is
-/// false panics, and its message is printed above the failure.
-#[test]
-fn the_paper_claims_hold_in_the_experiments_cells() {
-    let mut cells = Vec::new();
-    for &(id, prefixes) in CLAIM_CELLS {
-        let exp = build(id, false).unwrap();
-        for p in prefixes {
-            let found = exp.cells.iter().any(|cell| cell.label.starts_with(p));
-            assert!(found, "{id} has no cell {p:?}");
-        }
-        for mut cell in exp.cells {
-            if prefixes.iter().any(|p| cell.label.starts_with(p)) {
-                cell.label = format!("{id} {}", cell.label);
-                cells.push(cell);
-            }
-        }
-    }
-    let config = RunnerConfig {
-        threads: 2,
-        trials: 1,
-    };
-    let results = run_cells(cells, &config);
-    let failed: Vec<_> = results
-        .iter()
-        .filter(|c| c.failed)
-        .map(|c| &c.label)
-        .collect();
-    assert!(failed.is_empty(), "a claim is false in {failed:?}");
 }
 
 /// The suite as `experiments all --threads 2 --json-out` runs it: each
