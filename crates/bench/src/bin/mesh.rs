@@ -455,6 +455,10 @@ fn cmd_route(args: &Args) {
             .get("checkpoint-dir")
             .map_or("checkpoints", String::as_str)
             .into(),
+        stats: Stats {
+            latency: args.has("latency"),
+            congestion: args.has("heatmap"),
+        },
     };
 
     let problem;
@@ -515,22 +519,21 @@ fn print_run(args: &Args, run: Run, failed: &str) {
         Outcome::Closed(out) => print_route(args, out),
         Outcome::Steady(out) => print_steady(args, out),
     }
-    match (&run.latency, &run.congestion) {
-        (Some(d), Some(map)) => {
-            if args.has("latency") {
-                println!(
-                    "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
-                    d.min, d.p50, d.p90, d.p99, d.max, d.mean
-                );
-            }
-            if args.has("heatmap") {
-                println!("{}", map.ascii());
-            }
-        }
-        _ if args.has("latency") || args.has("heatmap") => {
-            eprintln!("(--latency/--heatmap are engine-router features)")
-        }
-        _ => {}
+    if let Some(d) = &run.latency {
+        println!(
+            "latency: min={} p50={} p90={} p99={} max={} mean={:.1}",
+            d.min, d.p50, d.p90, d.p99, d.max, d.mean
+        );
+    }
+    if let Some(map) = &run.congestion {
+        println!("{}", map.ascii());
+    }
+    // An engine run computes what the flags ask for; the §6 schedulers
+    // have neither.
+    if args.has("latency") && run.latency.is_none()
+        || args.has("heatmap") && run.congestion.is_none()
+    {
+        eprintln!("(--latency/--heatmap are engine-router features)")
     }
 }
 

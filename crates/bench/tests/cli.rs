@@ -358,6 +358,38 @@ fn a_resumed_run_prints_the_uninterrupted_json() {
     }
 }
 
+/// A halt is a simulated crash, not a failure: it keeps its checkpoints
+/// and writes no post-mortem, closed or steady. A run the step cap stops
+/// still leaves its `diag_<step>.json` beside its checkpoints.
+#[test]
+fn a_halt_leaves_checkpoints_and_no_post_mortem() {
+    let dir = scratch("halt");
+    let files = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let closed = dir.join("closed");
+    halted_checkpoint(&closed, "theorem15 --k 2", RANDOM_16, 4, 16);
+    let ckpts = ["ckpt_12.json", "ckpt_16.json", "ckpt_4.json", "ckpt_8.json"];
+    assert_eq!(files(&closed), ckpts);
+    let steady = dir.join("steady");
+    halted_checkpoint(&steady, "theorem15 --k 2", STEADY_REFERENCE, 8, 24);
+    assert_eq!(
+        files(&steady),
+        ["ckpt_16.json", "ckpt_24.json", "ckpt_8.json"]
+    );
+    let capped = dir.join("capped");
+    let line = format!("route theorem15 --k 2 {RANDOM_16} --checkpoint-every 4 --cap 16");
+    mesh_ok(&line, &["--checkpoint-dir", capped.to_str().unwrap()]);
+    let mut with_diag = ckpts.to_vec();
+    with_diag.push("diag_16.json");
+    assert_eq!(files(&capped), with_diag);
+}
+
 /// The steady soak's `--json` cannot drift from the committed reference.
 #[test]
 fn the_steady_reference_is_what_the_engine_prints() {

@@ -2,8 +2,8 @@
 
 use crate::section6::{Section6Report, Section6Router};
 use mesh_engine::{
-    DirectorySink, Distribution, NodeField, Sim, SimConfig, SimError, Snapshot, SnapshotError,
-    SteadyConfig, SteadyReport, SteadySnap,
+    CheckpointSink, DirectorySink, Distribution, NodeField, Sim, SimConfig, SimError, Snapshot,
+    SnapshotError, SteadyConfig, SteadyReport, SteadySnap,
 };
 use mesh_topo::Mesh;
 use mesh_traffic::RoutingProblem;
@@ -282,7 +282,9 @@ pub struct Plan {
     /// Step cap of a closed run; `None` is [`route`]'s `64·n² + 4096`. A
     /// steady run ends at its schedule's horizon.
     pub cap: Option<u64>,
-    /// A simulated crash: the run stops at this step if it has not ended.
+    /// A simulated crash: the run stops at this step if it has not ended,
+    /// keeping its checkpoints. A halt is not a failure: it leaves no
+    /// `diag_<step>.json`.
     pub halt_at: Option<u64>,
     /// The engine config: watchdog, checkpoint cadence, admission policy.
     pub config: SimConfig,
@@ -290,10 +292,23 @@ pub struct Plan {
     /// closed. A resumed run takes its environment from its snapshot and
     /// does not read this.
     pub steady: Option<SteadySnap>,
-    /// Where `ckpt_<step>.json` (and `diag_<step>.json` on a watchdog trip)
-    /// go when `config.checkpoint_every` is set; without a cadence nothing
-    /// is created.
+    /// Where `ckpt_<step>.json` (and `diag_<step>.json` when the step cap
+    /// or the watchdog stops the run) go when `config.checkpoint_every` is
+    /// set; without a cadence nothing is created.
     pub checkpoint_dir: PathBuf,
+    /// The statistics of the simulation [`Run`] carries.
+    pub stats: Stats,
+}
+
+/// Which statistics of the simulation a [`drive`]n run returns. Each is a
+/// pass over every delivered packet or every node, so a run computes only
+/// the ones asked for.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stats {
+    /// The delivery latencies, [`Run::latency`].
+    pub latency: bool,
+    /// The per-node peak occupancy, [`Run::congestion`].
+    pub congestion: bool,
 }
 
 /// What a run drove to.
@@ -313,10 +328,12 @@ pub struct Run {
     pub stop: Option<SimError>,
     /// The last checkpoint written, if any.
     pub last_checkpoint: Option<PathBuf>,
-    /// The delivery latencies of the simulation that made the outcome;
-    /// `None` for the §6 schedulers, which do not run through the engine.
+    /// The delivery latencies of the simulation that made the outcome,
+    /// when [`Stats::latency`] asks for them; always `None` for the §6
+    /// schedulers, which do not run through the engine.
     pub latency: Option<Distribution>,
-    /// Its per-node peak occupancy; `None` for the §6 schedulers.
+    /// Its per-node peak occupancy, when [`Stats::congestion`] asks for
+    /// it; always `None` for the §6 schedulers.
     pub congestion: Option<NodeField>,
 }
 
@@ -326,6 +343,10 @@ pub struct Run {
 /// the snapshot (resumed) gives it an environment, and closed otherwise.
 /// Checkpointing is a pure observer: the outcome is byte-identical to an
 /// uncheckpointed run's, and a resumed run's to the uninterrupted one's.
+///
+/// A run the step cap or the watchdog stops leaves its post-mortem,
+/// `diag_<step>.json`, beside its checkpoints; a run stopped by
+/// `plan.halt_at` leaves only the checkpoints.
 ///
 /// `Err` is a run that cannot start (input the engine refuses, a snapshot
 /// that does not restore under `algorithm` and `plan.config`) or a failed
@@ -359,15 +380,17 @@ pub fn drive(algorithm: Algorithm, start: Start<'_>, plan: &Plan) -> Result<Run,
         }
         let dir = plan.config.checkpoint_every.map(|_| &plan.checkpoint_dir);
         let mut sink = dir.map(DirectorySink::new).transpose().map_err(|e| e.to_string())?;
+        let mut checkpoints = Checkpoints(&mut sink);
         let (outcome, stop) = match steady {
             None => {
                 let cap = plan.halt_at.map_or(cap, |h| h.min(cap));
-                let stop = sim.run_checkpointed(cap, &mut sink).err();
+                let stop = sim.run_checkpointed(cap, &mut checkpoints).err();
                 (Some(Outcome::Closed(RouteOutcome::engine(algorithm, sim.report()))), stop)
             }
             Some(env) => {
                 let (lambda, schedule, halt_at) = (env.lambda, env.config, plan.halt_at);
-                match sim.run_steady_checkpointed(schedule, lambda, state, &mut sink, halt_at) {
+                match sim.run_steady_checkpointed(schedule, lambda, state, &mut checkpoints, halt_at)
+                {
                     Ok(steady) => {
                         let report = sim.report();
                         let out = SteadyOutcome {
@@ -385,6 +408,12 @@ pub fn drive(algorithm: Algorithm, start: Start<'_>, plan: &Plan) -> Result<Run,
                 }
             }
         };
+        let halted = |e: &SimError| {
+            matches!(e, SimError::StepCap(_)) && plan.halt_at == Some(e.snapshot().step)
+        };
+        if let Some(e) = stop.as_ref().filter(|e| !halted(e)) {
+            sink.on_failure(e.snapshot().step, e.snapshot());
+        }
         let last_checkpoint = match sink {
             Some(DirectorySink { error: Some(e), .. }) => return Err(e.to_string()),
             Some(sink) => sink.last_checkpoint().map(Path::to_path_buf),
@@ -394,8 +423,8 @@ pub fn drive(algorithm: Algorithm, start: Start<'_>, plan: &Plan) -> Result<Run,
             outcome,
             stop,
             last_checkpoint,
-            latency: Some(sim.latency_distribution()),
-            congestion: Some(sim.congestion_map()),
+            latency: plan.stats.latency.then(|| sim.latency_distribution()),
+            congestion: plan.stats.congestion.then(|| sim.congestion_map()),
         })
     }, section6 => match start {
         Start::Problem(pb)
@@ -417,6 +446,17 @@ pub fn drive(algorithm: Algorithm, start: Start<'_>, plan: &Plan) -> Result<Run,
             algorithm.name()
         )),
     })
+}
+
+/// The sink a [`drive`]n run hands the engine: checkpoints pass through
+/// to the run's sink, the failure report does not. `drive` files the
+/// post-mortem itself, once it knows the stop was not the halt.
+struct Checkpoints<'s, S>(&'s mut S);
+
+impl<S: CheckpointSink> CheckpointSink for Checkpoints<'_, S> {
+    fn on_checkpoint(&mut self, snap: &Snapshot) {
+        self.0.on_checkpoint(snap);
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod section6;
 
 pub use api::{
     drive, route, route_with_cap, try_route_with_cap, Algorithm, Outcome, Plan, RouteOutcome, Run,
-    Start, SteadyOutcome,
+    Start, Stats, SteadyOutcome,
 };
 pub use section6::{Section6Config, Section6Error, Section6Report, Section6Router};
 
@@ -45,7 +45,7 @@ pub use mesh_traffic as traffic;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::api::{
-        drive, route, route_with_cap, Algorithm, Outcome, Plan, RouteOutcome, Run, Start,
+        drive, route, route_with_cap, Algorithm, Outcome, Plan, RouteOutcome, Run, Start, Stats,
         SteadyOutcome,
     };
     pub use crate::section6::{Section6Report, Section6Router};

@@ -24,11 +24,12 @@
 //! - the step scratch buffers, which every step refills before reading.
 //!
 //! The format is self-describing JSON with a leading
-//! `format_version` field; [`Snapshot::from_json`] checks the version
-//! before touching any other field and every load error is a typed
-//! [`SnapshotError`] — truncated files, occupancy mismatches, permuted
-//! injection orders, and unknown versions all surface as rich errors,
-//! never panics.
+//! `format_version` field. [`Snapshot::read_from`] streams a file through
+//! a fixed buffer and [`Snapshot::from_json`] reads a text, both in one
+//! pass that checks the version as it reaches that key; every load error
+//! is a typed [`SnapshotError`] — truncated files, occupancy mismatches,
+//! permuted injection orders, and unknown versions all surface as rich
+//! errors, never panics.
 
 use crate::diag::DiagnosticSnapshot;
 use crate::faults::CompiledFaults;
@@ -42,8 +43,9 @@ use crate::storage::{Loc, NodeGrid, PacketStore, Staged, STEP_LIMIT};
 use crate::watchdog::Timers;
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::PacketId;
-use serde::{Deserialize, Serialize, Value};
-use serde_json::RawValue;
+use serde::{Category, Deserialize, Kind, Serialize, Source, Value};
+use serde_json::{Input, RawValue, Reader};
+use std::borrow::Cow;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -230,32 +232,18 @@ impl Snapshot {
         s
     }
 
-    /// Parses a snapshot in three passes over the text, none of which
-    /// builds a `Value` tree: a syntax check that allocates nothing (any
-    /// failure is [`SnapshotError::Parse`]), then `format_version` alone
-    /// ([`SnapshotError::UnknownVersion`] unless it is this build's), then
-    /// the typed read ([`SnapshotError::Corrupt`]). So a truncated or
-    /// future-format file never reaches the typed read.
+    /// Parses a snapshot in one pass over the text: the typed read, then on
+    /// to the end of the text, building no `Value` tree. The read checks
+    /// `format_version` when it reaches that key and stops there on a
+    /// version this build does not read; after any failure the lexer still
+    /// reads the rest. What is wrong is reported in this order: any syntax
+    /// error, truncation included ([`SnapshotError::Parse`]); a missing or
+    /// non-integer version (`Parse` too) or another build's
+    /// ([`SnapshotError::UnknownVersion`]); then the typed read's error
+    /// ([`SnapshotError::Corrupt`]). So a truncated or future-format file
+    /// never reads as corrupt.
     pub fn from_json(text: &str) -> Result<Snapshot, SnapshotError> {
-        let parse = |e: serde::Error| SnapshotError::Parse(e.to_string());
-        serde_json::from_str::<serde::IgnoredAny>(text).map_err(parse)?;
-        let header: Header = serde_json::from_str(text).map_err(parse)?;
-        let found = match header.format_version {
-            Value::U64(x) => x,
-            other => {
-                return Err(SnapshotError::Parse(format!(
-                    "format_version must be an integer, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        if found != SNAPSHOT_FORMAT_VERSION as u64 {
-            return Err(SnapshotError::UnknownVersion {
-                found,
-                supported: SNAPSHOT_FORMAT_VERSION,
-            });
-        }
-        serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+        read_snapshot(Reader::from_text(text))
     }
 
     /// Writes the snapshot to `path` atomically and durably: the bytes of
@@ -270,11 +258,20 @@ impl Snapshot {
         write_json_file(path, self)
     }
 
-    /// Reads and parses a snapshot file.
+    /// Reads and parses a snapshot file in the one pass of
+    /// [`from_json`](Self::from_json), streamed through the JSON reader's
+    /// fixed buffer (`serde_json::READ_BUF`): memory holds the snapshot and
+    /// that buffer, never the file's text. A file that cannot be read, or
+    /// that holds bytes that are not UTF-8 anywhere, is
+    /// [`SnapshotError::Io`], ahead of every other error.
     pub fn read_from(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SnapshotError::Io(format!("read {}: {e}", path.display())))?;
-        Snapshot::from_json(&text)
+        let io =
+            |e: &dyn std::fmt::Display| SnapshotError::Io(format!("read {}: {e}", path.display()));
+        let file = std::fs::File::open(path).map_err(|e| io(&e))?;
+        read_snapshot(Reader::from_reader(file)).map_err(|e| match e {
+            SnapshotError::Io(e) => io(&e),
+            e => e,
+        })
     }
 }
 
@@ -306,11 +303,153 @@ fn write_json_file<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), 
     Ok(())
 }
 
-/// The one field [`Snapshot::from_json`] reads before trusting the rest
-/// of the layout; every other key is skipped.
-#[derive(Deserialize)]
-struct Header {
-    format_version: Value,
+/// The one pass of [`Snapshot::from_json`] and [`Snapshot::read_from`]:
+/// the typed read through [`Versioned`], then, if it failed before the
+/// root object's `format_version`, on through the root to that key, then
+/// to the end of the input. The first I/O error comes first (the reader
+/// reads every byte, so one that is not UTF-8 is found wherever it is),
+/// then the first syntax error, then the version, then the typed read.
+fn read_snapshot<I: Input>(mut reader: Reader<I>) -> Result<Snapshot, SnapshotError> {
+    let root = reader.peek();
+    let mut src = Versioned {
+        reader: &mut reader,
+        at_version: false,
+        verdict: None,
+    };
+    let read = Snapshot::deserialize_from(&mut src);
+    if read.is_err() && src.verdict.is_none() && root == Ok(Kind::Object) {
+        // A syntax error on the way is the reader's first, which `end`
+        // returns.
+        let _ = version_further_on(&mut src);
+    }
+    let verdict = src.verdict;
+    if let Err(e) = reader.end() {
+        return Err(match e.classify() {
+            Category::Io => SnapshotError::Io(e.to_string()),
+            _ => SnapshotError::Parse(e.to_string()),
+        });
+    }
+    match verdict {
+        Some(Err(e)) => Err(e),
+        Some(Ok(())) => read.map_err(|e| SnapshotError::Corrupt(e.to_string())),
+        // No `format_version` was read: the root has none, or is no object.
+        None => match root.map_err(|e| SnapshotError::Parse(e.to_string()))? {
+            Kind::Object => Err(not_an_integer("null")),
+            kind => Err(SnapshotError::Parse(format!(
+                "expected object with field `format_version`, found {}",
+                kind.name()
+            ))),
+        },
+    }
+}
+
+/// Reads on through a root object whose typed read failed to its first
+/// `format_version`, which [`Versioned`] then judges; a root without one
+/// leaves no verdict.
+fn version_further_on<I: Input>(src: &mut Versioned<'_, I>) -> Result<(), serde::Error> {
+    if src.reader.depth() == 0 {
+        return Ok(());
+    }
+    src.reader.unwind(1)?;
+    while src.next_key()?.is_some() {
+        if src.at_version {
+            return u32::deserialize_from(src).map(drop);
+        }
+        src.skip()?;
+    }
+    Ok(())
+}
+
+/// The verdict on a scalar `format_version`: this build's, another
+/// build's, or not an integer.
+fn version(value: &Value) -> Result<(), SnapshotError> {
+    match *value {
+        Value::U64(found) if found == SNAPSHOT_FORMAT_VERSION as u64 => Ok(()),
+        Value::U64(found) => Err(SnapshotError::UnknownVersion {
+            found,
+            supported: SNAPSHOT_FORMAT_VERSION,
+        }),
+        ref other => Err(not_an_integer(other.kind())),
+    }
+}
+
+fn not_an_integer(kind: &str) -> SnapshotError {
+    SnapshotError::Parse(format!("format_version must be an integer, found {kind}"))
+}
+
+/// The typed read's view of the reader: every call passes through, and the
+/// root object's first `format_version` is judged as the read reaches it.
+/// A version this build does not read stops the read there.
+struct Versioned<'r, I> {
+    reader: &'r mut Reader<I>,
+    /// The root's first `format_version` is the next value.
+    at_version: bool,
+    /// The verdict on that value, once it is read.
+    verdict: Option<Result<(), SnapshotError>>,
+}
+
+impl<I: Input> Versioned<'_, I> {
+    /// Keeps the verdict; a refusal stops the typed read.
+    fn judge(&mut self, verdict: Result<(), SnapshotError>) -> Result<(), serde::Error> {
+        self.at_version = false;
+        let refused = verdict.is_err();
+        self.verdict = Some(verdict);
+        if refused {
+            Err(serde::Error::custom("format_version refused"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl<I: Input> Source for Versioned<'_, I> {
+    fn peek(&mut self) -> Result<Kind, serde::Error> {
+        let kind = self.reader.peek()?;
+        if self.at_version && !matches!(kind, Kind::Null | Kind::Bool | Kind::Number) {
+            self.judge(Err(not_an_integer(kind.name())))?;
+        }
+        Ok(kind)
+    }
+
+    fn scalar(&mut self) -> Result<Value, serde::Error> {
+        let value = self.reader.scalar()?;
+        if self.at_version {
+            self.judge(version(&value))?;
+        }
+        Ok(value)
+    }
+
+    fn string(&mut self) -> Result<Cow<'_, str>, serde::Error> {
+        self.reader.string()
+    }
+
+    fn begin_array(&mut self) -> Result<(), serde::Error> {
+        self.reader.begin_array()
+    }
+
+    fn next_element(&mut self) -> Result<bool, serde::Error> {
+        self.reader.next_element()
+    }
+
+    fn begin_object(&mut self) -> Result<(), serde::Error> {
+        self.reader.begin_object()
+    }
+
+    fn next_key(&mut self) -> Result<Option<Cow<'_, str>>, serde::Error> {
+        let root = self.reader.depth() == 1;
+        let key = self.reader.next_key()?;
+        self.at_version =
+            root && self.verdict.is_none() && key.as_deref() == Some("format_version");
+        Ok(key)
+    }
+
+    fn skip(&mut self) -> Result<(), serde::Error> {
+        self.reader.skip()
+    }
+
+    fn span(&mut self) -> usize {
+        self.reader.span()
+    }
 }
 
 impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
