@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! experiments [--full] [--csv DIR] [--threads N] [--trials N]
-//!             [--json-out [DIR]] [all | e1 e2 … a3]
+//!             [--json-out [DIR]] [all | e1 … e13 a1 a2 perf chaos reliable crashrec overload]
 //! ```
 //!
 //! Every `(experiment, cell, trial)` unit of the requested experiments runs
@@ -85,7 +85,8 @@ fn main() {
     if ids.is_empty() {
         eprintln!(
             "usage: experiments [--full] [--csv DIR] [--threads N] [--trials N] \
-             [--json-out [DIR]] [all | e1 … a3]"
+             [--json-out [DIR]] \
+             [all | e1 … e13 a1 a2 perf chaos reliable crashrec overload]"
         );
         std::process::exit(2);
     }

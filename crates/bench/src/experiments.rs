@@ -19,8 +19,8 @@
 //!
 //! A run shape that several experiments share is written once: the §3
 //! construct-and-replay cell (E1, E2, E8, E9, E11, E12), the §5 replay cell
-//! (E3, E4), the §6 sweep (E6, A3), the ablation pair (A1, A2) and the
-//! outage set-up (RELIABLE, CRASHREC).
+//! (E3, E4), the ablation pair (A1, A2) and the outage set-up (RELIABLE,
+//! CRASHREC).
 
 use crate::cells;
 use crate::runner::{derive_seed, Experiment, TrialOutput};
@@ -182,8 +182,8 @@ pub fn e2(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e2",
         "Construction validity: Lemmas 1-8 checked per step; Lemma 12 replay equivalence",
-        "all rows PASS: the invariants of §4.1 hold throughout, and replaying the constructed permutation reproduces the construction's exact final configuration",
-        &["n", "k", "victim", "steps checked", "lemmas 1-8", "lemma 12", "corollary 9"],
+        "every row is a construction whose every step met Lemmas 1-8, and whose replay left packets undelivered at the bound (Corollary 9) in the construction's exact final configuration (Lemma 12); a failing lemma fails the experiment",
+        &["n", "k", "victim", "steps checked"],
     );
     let mut grid = vec![(216u32, 1u32), (384, 2)];
     if full {
@@ -206,13 +206,13 @@ pub fn e2(full: bool) -> Experiment {
         let params = GeneralParams::new(n, k);
         for (victim, algo) in victims {
             // The checked construction panics if any lemma fails, and
-            // `certify` if Lemma 12 or Corollary 9 does; reaching the row
-            // is the PASS certificate.
+            // `certify` if Lemma 12 or Corollary 9 does: a row is the
+            // certificate.
             let label = format!("n={n} k={k} {victim}");
             e.attack(label, &params, Mesh::new(n), algo, true, move |_, run| {
                 let (o, rep) = run.expect(BREAKDOWN);
                 certify(rep, true);
-                cells!(n, k, victim, o.bound_steps, "PASS", "PASS", "PASS")
+                cells!(n, k, victim, o.bound_steps)
             });
         }
     }
@@ -345,51 +345,37 @@ pub fn e6(full: bool) -> Experiment {
     if full {
         sizes.push(729);
     }
-    let tags = ["q=408", "q=102 (improved)"];
-    section6_cells(&mut e, sizes, 11, tags, |n, pb, tag, r| {
-        cells!(
-            n,
-            short_label(pb),
-            tag,
-            r.scheduled_steps,
-            format!("{:.1}", r.steps_per_n()),
-            r.quiescent_steps,
-            per_n(r.quiescent_steps, n),
-            r.max_node_load,
-            r.total_moves == pb.total_work()
-        )
-    });
-    e
-}
-
-/// The E6/A3 sweep: per side in `sizes`, a random permutation (historical
-/// seed `seed`) and the transpose, each routed by the §6 router at the base
-/// `q = 408` and the improved `q = 102`, labelled by `tags`. Every route
-/// must meet Theorem 34: at most 972n scheduled steps (564n improved), at
-/// most 834 packets at a node, and one move per unit of work (minimal
-/// paths). `row` renders a cell from its side, problem, tag and report.
-fn section6_cells(
-    e: &mut Experiment,
-    sizes: Vec<u32>,
-    seed: u64,
-    tags: [&'static str; 2],
-    row: fn(u32, &RoutingProblem, &str, &Section6Report) -> Vec<String>,
-) {
+    // Per side, a random permutation (historical seed 11) and the
+    // transpose, each routed at the base q = 408 and the improved q = 102.
+    // Every route must meet Theorem 34: at most 972n scheduled steps (564n
+    // improved), at most 834 packets at a node, and one move per unit of
+    // work (minimal paths).
     for n in sizes {
-        for w in [random_permutation(seed), TRANSPOSE] {
-            for (improved, tag) in [false, true].into_iter().zip(tags) {
+        for w in [random_permutation(11), TRANSPOSE] {
+            for (improved, tag) in [(false, "q=408"), (true, "q=102 (improved)")] {
                 e.over(format!("n={n} {} {tag}", w.name), w, n, move |pb| {
                     let r = section6_router(improved).route(&pb);
-                    let per_n = if improved { 564 } else { 972 };
+                    let c = if improved { 564 } else { 972 };
                     let at = format!("n={n} {} {tag}", short_label(&pb));
-                    assert!(r.scheduled_steps <= per_n * n as u64, "{at}: past {per_n}n");
+                    assert!(r.scheduled_steps <= c * n as u64, "{at}: past {c}n");
                     assert!(r.max_node_load <= 834, "{at}: a node past 834 packets");
                     assert_eq!(r.total_moves, pb.total_work(), "{at}: a nonminimal move");
-                    TrialOutput::new(row(n, &pb, tag, &r))
+                    TrialOutput::new(cells!(
+                        n,
+                        short_label(&pb),
+                        tag,
+                        r.scheduled_steps,
+                        format!("{:.1}", r.steps_per_n()),
+                        r.quiescent_steps,
+                        per_n(r.quiescent_steps, n),
+                        r.max_node_load,
+                        r.total_moves == pb.total_work()
+                    ))
                 });
             }
         }
     }
+    e
 }
 
 /// E7 — §1.1 context results for the classic greedy router: `2n − 2` steps
@@ -626,32 +612,6 @@ pub fn a2(full: bool) -> Experiment {
     let n = if full { 128 } else { 64 };
     ablation_cells(&mut e, n, &[1, 2, 4], 9, |k| {
         (Algorithm::DimOrder { k: 4 * k }, Algorithm::Theorem15 { k })
-    });
-    e
-}
-
-/// A3 — ablation: the §6.4 improved `q = 102` vs the base `q = 408`.
-pub fn a3(full: bool) -> Experiment {
-    let mut e = Experiment::new(
-        "a3",
-        "Ablation: §6 node bound q = 408 vs improved q = 102 for iterations j ≥ 1",
-        "the improved constants cut the scheduled bound by ≈ 35-45% (toward 564n) with identical delivery, identical quiescent time, and the same measured queue loads — the q refinement only tightens the worst-case schedule",
-        &["n", "workload", "q", "scheduled", "sched/n", "quiescent", "max load"],
-    );
-    let mut sizes = vec![81u32, 243];
-    if full {
-        sizes.push(729);
-    }
-    section6_cells(&mut e, sizes, 13, ["q=408", "q=102"], |n, pb, tag, r| {
-        cells!(
-            n,
-            short_label(pb),
-            tag.trim_start_matches("q="),
-            r.scheduled_steps,
-            format!("{:.1}", r.steps_per_n()),
-            r.quiescent_steps,
-            r.max_node_load
-        )
     });
     e
 }
@@ -1061,10 +1021,10 @@ pub fn reliable(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "reliable",
         "Reliable transport: raw injection vs ACK+retransmission under lossy-link outages",
-        "density-0 rows complete with zero losses and zero retransmits in both layers; at positive density the raw layer strands exactly its lost packets (outcome deadlock/livelock, exactly-once '-'), while every reliable row reports exactly-once yes with retx > 0 covering the losses — exponential backoff needs no more retransmissions than the fixed timeout at equal delivery, and goodput degrades gracefully with density",
+        "density-0 rows complete with zero losses and zero retransmits in both layers; at positive density the raw layer strands exactly its lost packets (outcome deadlock/livelock), while every reliable row delivers every payload exactly once (a row that does not fails the experiment) with retx > 0 covering the losses — exponential backoff needs no more retransmissions than the fixed timeout at equal delivery, and goodput degrades gracefully with density",
         &[
-            "n", "density", "layer", "backoff", "outcome", "delivered", "exactly-once", "retx",
-            "dup-drops", "lost", "steps", "goodput", "mean lat",
+            "n", "density", "layer", "backoff", "outcome", "delivered", "retx", "dup-drops",
+            "lost", "steps", "goodput", "mean lat",
         ],
     );
     let n: u32 = if full { 24 } else { 16 };
@@ -1119,7 +1079,6 @@ pub fn reliable(full: bool) -> Experiment {
                     backoff,
                     outcome_tag(&res),
                     format!("{}/{}", sim.delivered(), sim.num_packets()),
-                    or_dash(tp.map(|_| "yes")),
                     or_dash(tp.map(|tp| tp.retransmits)),
                     or_dash(tp.map(|tp| tp.duplicate_deliveries)),
                     rep.lost,
@@ -1147,11 +1106,8 @@ pub fn crashrec(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "crashrec",
         "Crash recovery soak: kill at every checkpoint, resume, byte-compare vs the uninterrupted run",
-        "every row reports identical=yes with resumes == ckpts: a run killed at any checkpoint and resumed from the snapshot's JSON wire form replays the remaining steps bit-identically — same outcome, report, and packet trajectories — on both the raw and the ACK+retransmission layer, at every cadence and fault density",
-        &[
-            "n", "density", "layer", "cadence", "outcome", "steps", "ckpts", "resumes",
-            "identical",
-        ],
+        "a run killed at any of a row's ckpts checkpoints and resumed from the snapshot's JSON wire form replays the remaining steps bit-identically — same outcome, report, and packet trajectories — on both the raw and the ACK+retransmission layer, at every cadence and fault density; a resume that differs fails the experiment",
+        &["n", "density", "layer", "cadence", "outcome", "steps", "ckpts"],
     );
     let n: u32 = if full { 16 } else { 12 };
     let densities: &[f64] = if full {
@@ -1216,9 +1172,7 @@ pub fn crashrec(full: bool) -> Experiment {
                         cadence,
                         outcome_tag(&res),
                         sim.steps(),
-                        sink.checkpoints.len(),
-                        sink.checkpoints.len(),
-                        "yes"
+                        sink.checkpoints.len()
                     );
                     TrialOutput::with_report(row, sim.report())
                 });
@@ -1419,7 +1373,6 @@ pub const REGISTRY: &[(&str, Builder)] = &[
     ("e13", e13),
     ("a1", a1),
     ("a2", a2),
-    ("a3", a3),
     ("perf", perf),
     ("chaos", chaos),
     ("reliable", reliable),

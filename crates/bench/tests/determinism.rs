@@ -150,8 +150,6 @@ thread_count_invisible! {
     e10_experiment_json_is_byte_identical_across_thread_counts: "e10",
     #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
     a2_experiment_json_is_byte_identical_across_thread_counts: "a2",
-    #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
-    a3_experiment_json_is_byte_identical_across_thread_counts: "a3",
     chaos_experiment_json_is_byte_identical_across_thread_counts: "chaos",
     reliable_experiment_json_is_byte_identical_across_thread_counts: "reliable",
     crashrec_experiment_json_is_byte_identical_across_thread_counts: "crashrec",

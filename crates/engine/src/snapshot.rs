@@ -669,7 +669,7 @@ fn check_structure(snap: &Snapshot, nodes: usize, slots: usize) -> Result<(), St
         ));
     }
     if let Some(env) = &snap.steady {
-        steady::check_snapshot(env, snap.protocol.as_ref())?;
+        steady::check_snapshot(snap, env)?;
     }
     if let Some(c) = p.src.iter().chain(&p.dst).find(|c| !c.on_grid(snap.n)) {
         return Err(format!("endpoint {c} lies off the {0}x{0} grid", snap.n));

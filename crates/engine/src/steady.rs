@@ -28,7 +28,7 @@ use crate::driver::{run_checkpointed, run_driver, RunObserver, Verdict};
 use crate::hook::NoHook;
 use crate::router::Router;
 use crate::sim::{Sim, SimError};
-use crate::snapshot::{CheckpointSink, SteadySnap};
+use crate::snapshot::{CheckpointSink, Snapshot, SteadySnap};
 use crate::stats::Distribution;
 use crate::watchdog::WatchdogMode;
 use mesh_topo::Topology;
@@ -145,6 +145,15 @@ struct CounterBase {
 }
 
 impl CounterBase {
+    /// No counter of `self` lies above its counterpart in `now`.
+    fn within(&self, now: &CounterBase) -> bool {
+        self.offered <= now.offered
+            && self.delivered <= now.delivered
+            && self.shed <= now.shed
+            && self.expired <= now.expired
+            && self.lost <= now.lost
+    }
+
     fn sample<T: Topology, R: Router>(sim: &Sim<'_, T, R>) -> CounterBase {
         CounterBase {
             offered: sim.offered() as u64,
@@ -171,13 +180,36 @@ struct SteadyState {
 
 /// The steady rules of [`Sim::restore`]'s structural pass: a checkpoint's
 /// `steady` block must hold a schedule that can run
-/// ([`SteadyConfig::validate`]) and its `protocol` slot the measurement
-/// state, or resuming it would panic.
-pub(crate) fn check_snapshot(env: &SteadySnap, state: Option<&RawValue>) -> Result<(), String> {
+/// ([`SteadyConfig::validate`]), and its `protocol` slot a measurement
+/// state the run could have checkpointed: fewer frames than windows (a
+/// checkpoint is only taken while the run is in flight) and a counter base
+/// no counter of the snapshot lies below. Anything else would panic, or
+/// wrap into a garbage frame, when the resumed run closes a window.
+pub(crate) fn check_snapshot(snap: &Snapshot, env: &SteadySnap) -> Result<(), String> {
     env.config.validate()?;
-    match serde_json::from_str::<SteadyState>(state.map_or("null", RawValue::get)) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(format!("protocol slot is no steady measurement state: {e}")),
+    let slot = snap.protocol.as_ref().map_or("null", RawValue::get);
+    let st: SteadyState = serde_json::from_str(slot)
+        .map_err(|e| format!("protocol slot is no steady measurement state: {e}"))?;
+    if st.frames.len() >= env.config.windows as usize {
+        return Err(format!(
+            "steady state holds {} frames of a {}-window schedule",
+            st.frames.len(),
+            env.config.windows
+        ));
+    }
+    let p = &snap.progress;
+    let now = CounterBase {
+        offered: snap.packets.inject_cursor as u64,
+        delivered: p.delivered as u64,
+        shed: p.shed as u64,
+        expired: p.expired as u64,
+        lost: p.lost as u64,
+    };
+    match st.base {
+        Some(base) if !base.within(&now) => Err(format!(
+            "steady counter base {base:?} lies above the snapshot's counters {now:?}"
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -110,6 +110,44 @@ struct TransportState {
     acks_lost: u64,
 }
 
+impl TransportState {
+    /// What [`Transport::on_step`] indexes and counts down must agree with
+    /// the payload table: every payload id in range, the released payloads
+    /// exactly the release order's prefix, each in flight with an attempt
+    /// made, and `outstanding` and `acked` the table's own counts.
+    fn check_tallies(&self) -> Result<(), String> {
+        let payloads = self.payloads.len();
+        let mut ids = self
+            .release_order
+            .iter()
+            .chain(self.meta.iter().map(|m| match m {
+                PacketMeta::Data(y) | PacketMeta::Ack(y) => y,
+            }));
+        if let Some(y) = ids.find(|y| y.index() >= payloads) {
+            return Err(format!("checkpoint names payload {y:?} of {payloads}"));
+        }
+        for (i, y) in self.release_order.iter().enumerate() {
+            let p = &self.payloads[y.index()];
+            let released = p.state != PayloadState::Unreleased;
+            if released != (i < self.release_cursor) || (released && p.attempts == 0) {
+                return Err(format!(
+                    "payload {y:?} is {:?} after {} attempts at release position {i} of cursor {}",
+                    p.state, p.attempts, self.release_cursor
+                ));
+            }
+        }
+        let count = |s| self.payloads.iter().filter(|p| p.state == s).count();
+        let (outstanding, acked) = (count(PayloadState::InFlight), count(PayloadState::Acked));
+        if (self.outstanding, self.acked) != (outstanding, acked) {
+            return Err(format!(
+                "checkpoint counts {} outstanding and {} acked payloads, its table {outstanding} and {acked}",
+                self.outstanding, self.acked
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The backoff RNG, rendered as its raw generator state so the
 /// retransmission jitter stream resumes exactly where it stood.
 struct JitterRng(StdRng);
@@ -296,6 +334,7 @@ impl mesh_engine::SnapshotHook for Transport {
                 st.payloads.len()
             )));
         }
+        st.check_tallies().map_err(serde::Error::custom)?;
         self.state = st;
         Ok(())
     }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # The mutant x battery matrix. Applies each one-line mutant in this
 # directory, one at a time, to a scratch copy of commit REV; builds every
-# listed test target once per mutant, then runs each. Prints one line per
-# pair, `mutant target verdict`: killed (the target failed), survived (it
-# passed) or no-build (the mutant does not compile). A target is a test
+# listed test target once per mutant, then runs each. Prints the targets on
+# one line, then one line per mutant: a mark per target, in that order, and
+# the mutant's name. The mark is K (killed: the target failed), . (survived:
+# it passed) or B (no-build: the mutant does not compile). A target is a test
 # target's name in any workspace package, or `PACKAGE:lib` for a package's
 # unit tests (`cargo test -p PACKAGE --lib`); a target that drives a
 # binary, such as `cli`, drives the one built from the mutated copy. CI's
@@ -44,20 +45,17 @@ build "$@" || { echo "baseline does not build at $rev: no verdicts" >&2; exit 1;
 for t in "$@"; do
     run "$t" || { echo "baseline fails $t at $rev: no verdicts" >&2; exit 1; }
 done
+echo "$*"
 for patch in "$here"/*.patch; do
-    name=$(basename "$patch" .patch)
     patch -p1 -s <"$patch"
-    built=yes
-    build "$@" || built=no
-    for t in "$@"; do
-        if [ "$built" = no ]; then
-            verdict=no-build
-        elif run "$t"; then
-            verdict=survived
-        else
-            verdict=killed
-        fi
-        echo "$name $t $verdict"
-    done
+    marks=
+    if build "$@"; then
+        for t in "$@"; do
+            if run "$t"; then marks="$marks."; else marks="${marks}K"; fi
+        done
+    else
+        for t in "$@"; do marks="${marks}B"; done
+    fi
+    echo "$marks $(basename "$patch" .patch)"
     patch -p1 -R -s <"$patch"
 done

@@ -195,7 +195,9 @@ fn protocol_slot(text: &str) -> Range<usize> {
 /// an overloaded soak's measurement state, and the ARQ transport's over
 /// lossy links. Only the `protocol` slot is mutated; `Sim::restore` checks
 /// a steady slot itself, and the transport checks its own
-/// (`SnapshotHook::restore_state`).
+/// (`SnapshotHook::restore_state`). What either accepts then runs to its
+/// end: the soak through its remaining windows, the transport until every
+/// payload is acknowledged or the run stops with a typed error.
 #[test]
 fn mutated_protocol_slots_are_refused_typed_never_panic() {
     let n = 4;
@@ -224,9 +226,18 @@ fn mutated_protocol_slots_are_refused_typed_never_panic() {
             ..SimConfig::default()
         };
         let router = Dx::new(DimOrder::new(2));
-        Sim::restore(&topo, router, config, None, snap)
-            .map(drop)
-            .map_err(|e| e.to_string())
+        let mut sim = Sim::restore(&topo, router, config, None, snap).map_err(|e| e.to_string())?;
+        let env = snap.steady.as_ref().ok_or("no steady block")?;
+        let slot = snap.protocol.as_ref();
+        (sim.run_steady_checkpointed(
+            env.config,
+            env.lambda,
+            slot,
+            &mut MemorySink::default(),
+            None,
+        ))
+        .map(drop)
+        .map_err(|e| e.to_string())
     });
 
     let (n, topo) = (6, Mesh::new(6));
@@ -253,7 +264,12 @@ fn mutated_protocol_slots_are_refused_typed_never_panic() {
             let slot = snap.protocol.as_ref().ok_or("no protocol slot")?;
             let mut tp = Transport::new(&pb, policy, 5);
             tp.restore_state(slot).map_err(|e| e.to_string())?;
-            restore_and_run(&topo, router(), Some(faults.clone()), snap)
+            let faults = Some(faults.clone());
+            let mut sim =
+                Sim::restore(&topo, router(), config, faults, snap).map_err(|e| e.to_string())?;
+            (sim.run_with_protocol(20_000, &mut tp))
+                .map(drop)
+                .map_err(|e| e.to_string())
         },
     );
 }
