@@ -1,7 +1,7 @@
 //! Regression test for the runner's core guarantee: for a fixed experiment
 //! and trial count, the aggregated `BENCH_*.json` document is byte-identical
 //! no matter how many worker threads execute the trials, and the whole
-//! suite's documents are the recorded bytes.
+//! suite's documents are the recorded bytes and EXPERIMENTS.md's tables.
 
 #[path = "../../../tests/support/record.rs"]
 mod record;
@@ -12,6 +12,7 @@ use mesh_bench::runner::{
 };
 use mesh_routing::prelude::*;
 use record::{Digest, Entry};
+use std::path::Path;
 
 /// A miniature but real experiment: seeded random permutations routed by
 /// two different engines, plus one deterministic cell — the same shape as
@@ -156,7 +157,8 @@ thread_count_invisible! {
 }
 
 /// The suite as `experiments all --threads 2 --json-out` runs it: each
-/// `BENCH_<id>.json`'s digest against `tests/fixtures/determinism.txt`.
+/// document's table is its block of EXPERIMENTS.md, and each
+/// `BENCH_<id>.json`'s digest is the one in `tests/fixtures/determinism.txt`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: CI runs it")]
 fn the_suite_documents_are_the_recorded_bytes() {
@@ -165,8 +167,15 @@ fn the_suite_documents_are_the_recorded_bytes() {
         threads: 2,
         trials: 1,
     };
-    for ((id, _), run) in REGISTRY.iter().zip(run_suite(exps, &config)) {
-        let Ok(run) = run else { panic!("{id} failed") };
+    let runs: Vec<_> = (REGISTRY.iter().zip(run_suite(exps, &config)))
+        .map(|((id, _), run)| run.unwrap_or_else(|_| panic!("{id} failed")))
+        .collect();
+    let tables: Vec<_> = (REGISTRY.iter().zip(&runs))
+        .map(|((id, _), run)| (*id, run.doc.markdown()))
+        .collect();
+    let experiments_md = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    record::check_rendered(&experiments_md, &tables).unwrap_or_else(|e| panic!("{e}"));
+    for ((id, _), run) in REGISTRY.iter().zip(runs) {
         let json = serde_json::to_string_pretty(&run.doc).unwrap() + "\n";
         let entry = Entry::new(id)
             .with("cells", run.doc.cells.len())

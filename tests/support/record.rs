@@ -20,8 +20,13 @@
 //! the one recorded at its position all fail as "unrecorded case".
 //! `GOLDEN_RECORD=1` writes the section of every test that runs instead of
 //! checking it, so nothing checks what it writes: record only an intended
-//! change, in a commit that changes nothing else. One command records all
-//! six batteries:
+//! change, in a commit that changes nothing else.
+//!
+//! [`check_rendered`] holds a document file's rendered blocks, the lines
+//! between `<!-- experiments ID -->` and `<!-- end ID -->`, to what a run
+//! renders; `determinism` holds EXPERIMENTS.md's blocks to the suite's
+//! tables this way, and under `GOLDEN_RECORD=1` rewrites them too. One
+//! command records all six batteries:
 //!
 //! ```sh
 //! GOLDEN_RECORD=1 cargo test --release -p mesh-routing -p mesh-adversary \
@@ -37,7 +42,7 @@ use mesh_traffic::PacketId;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 /// 64-bit FNV-1a.
@@ -318,6 +323,65 @@ pub fn check(cases: usize, entry: Entry) -> Result<(), String> {
         return Err(format!(
             "{test}: case {key} diverged from its recorded run{at}\n  recorded: {was}\n  now:      {now}"
         ));
+    }
+    Ok(())
+}
+
+/// Holds each rendered block of the file at `path` to its document: `docs`
+/// pairs an id with the text its block must hold, the lines between a line
+/// `<!-- experiments ID -->` and the next `<!-- end ID -->`. A document without a
+/// block, a block without a document and a block that differs from its
+/// document all fail, naming the id. Under `GOLDEN_RECORD` every block is
+/// rewritten to its document instead of being compared.
+pub fn check_rendered(path: &Path, docs: &[(&str, String)]) -> Result<(), String> {
+    let file = path.display();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {file}: {e}"))?;
+    let record = std::env::var_os("GOLDEN_RECORD").is_some();
+    let (mut rewritten, mut rest, mut seen) = (String::new(), text.as_str(), Vec::new());
+    while let Some(at) = rest.find("\n<!-- experiments ").map(|at| at + 1) {
+        let head = &rest[at..];
+        let line = head.find('\n').map_or(head, |end| &head[..=end]);
+        let id = line
+            .strip_prefix("<!-- experiments ")
+            .and_then(|l| l.strip_suffix(" -->\n"))
+            .ok_or_else(|| format!("{file}: malformed block marker {line:?}"))?;
+        let end = format!("<!-- end {id} -->");
+        let body = &head[line.len()..];
+        let body = &body[..body
+            .find(&end)
+            .ok_or_else(|| format!("{file}: block {id} has no `{end}` line"))?];
+        if seen.contains(&id) {
+            return Err(format!("{file}: block {id} appears twice"));
+        }
+        seen.push(id);
+        let (_, doc) = (docs.iter().find(|(d, _)| *d == id))
+            .ok_or_else(|| format!("{file}: block {id} renders no document of the run"))?;
+        if !record && body != doc {
+            let n = body
+                .lines()
+                .zip(doc.lines())
+                .take_while(|(a, b)| a == b)
+                .count();
+            let line = |text: &str| text.lines().nth(n).unwrap_or("<end of block>").to_owned();
+            return Err(format!(
+                "{file}: block {id} is not what the run renders, first at its line {}\n  \
+                 file: {}\n  run:  {}",
+                n + 1,
+                line(body),
+                line(doc)
+            ));
+        }
+        let body_at = at + line.len();
+        rewritten += &rest[..body_at];
+        rewritten += doc;
+        rest = &rest[body_at + body.len()..];
+    }
+    rewritten += rest;
+    if let Some((id, _)) = docs.iter().find(|(id, _)| !seen.contains(id)) {
+        return Err(format!("{file}: the run's {id} document has no block"));
+    }
+    if record {
+        std::fs::write(path, rewritten).map_err(|e| format!("write {file}: {e}"))?;
     }
     Ok(())
 }
