@@ -117,10 +117,8 @@ fn section5_cell<R: Router>(
 }
 
 /// E1 — Theorem 14: `Ω(n²/k²)` for destination-exchangeable minimal
-/// adaptive algorithms, via the §3 construction. For each `(n, k)` the
-/// adversary attacks the dimension-order and alternating-adaptive routers;
-/// we report the forced bound, its ratio to `n²/k²`, and how many packets
-/// remain undelivered at the bound during the replay.
+/// adaptive algorithms: the §3 construction against dimension order and
+/// alternating-adaptive routing.
 pub fn e1(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e1",
@@ -616,13 +614,9 @@ pub fn a2(full: bool) -> Experiment {
     e
 }
 
-/// E11 — §5's nonminimal escape: hot-potato routing is destination-
-/// exchangeable but nonminimal, so Theorem 14 does not apply to it. Two
-/// demonstrations: (a) the hard instance built against dimension order is
-/// *easy* for hot potato; (b) aiming the adversary at hot potato itself
-/// breaks the construction's invariants (packets deflect out of the boxes),
-/// so the adversary cannot even run to completion — exactly why the paper's
-/// bound needs minimality.
+/// E11 — §5's nonminimal escape: hot potato is destination-exchangeable
+/// but nonminimal, so Theorem 14 does not apply to it: dimension order's
+/// hard instance is easy for it, and the adversary aimed at it breaks down.
 pub fn e11(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e11",
@@ -685,14 +679,8 @@ pub fn e11(full: bool) -> Experiment {
     e
 }
 
-/// E12 — §5's nonminimal-extensions sweep: the δ-bounded deflection class.
-/// The unmodified §3 adversary is aimed at a `BoundedDeflect(δ)` victim for
-/// growing δ. At δ = 0 (minimal) the bound certifies exactly as in E1; for
-/// δ ≥ 1 the paper's sketch requires scaling p by (δ+1) and widening the
-/// protected bands — the unmodified adversary progressively loses its grip
-/// (fewer undelivered packets at the bound, or outright invariant
-/// breakdown), quantifying how deviation erodes the lower bound toward the
-/// predicted Ω(n²/(δ+1)³k²).
+/// E12 — §5's δ-bounded deflection class: the unmodified §3 adversary
+/// against a `BoundedDeflect(δ)` victim for growing δ.
 pub fn e12(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e12",
@@ -725,11 +713,8 @@ pub fn e12(full: bool) -> Experiment {
     e
 }
 
-/// E13 — the §5 dynamic setting: Bernoulli injection at rate λ per node per
-/// step with uniform destinations. Sweeps λ to locate each router's
-/// saturation knee (latency blow-up); the paper's lower bound applies to
-/// dynamic problems too, as long as injection timing is
-/// destination-independent (ours is).
+/// E13 — the §5 dynamic setting: Bernoulli injection (timing independent
+/// of destinations, as §5 requires) swept across each router's knee.
 pub fn e13(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "e13",
@@ -778,31 +763,16 @@ pub fn e13(full: bool) -> Experiment {
     e
 }
 
-/// PERF — fixed routing workloads with deterministic rows. Every cell is a
-/// fixed (unseeded) workload routed under a fixed step cap, so the
-/// deterministic document is a pure function of the experiment id. The
-/// quick tier ends at n = 256; `--full` adds the n = 512 and 1024 rows.
-/// Wall-clock per cell goes to the timing sidecar, but speed claims are
-/// made by the repo benchmark (`BENCHMARK.json`), not from here.
-///
-/// Small-n cells finish in single-digit milliseconds cold: each cell
-/// repeats its (identical, deterministic) run `reps = max(256/n, 1)` times
-/// so the sidecar times a warm loop. At n >= 256 `reps` is 1.
+/// PERF — fixed (unseeded) workloads under a fixed step cap, so the
+/// document is a pure function of the experiment id. Each cell repeats its
+/// run `reps = max(256/n, 1)` times so the timing sidecar times a warm loop.
 pub fn perf(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "perf",
         "Engine workloads: fixed routing problems under a 16n step cap",
         "rows are a pure function of the experiment id (steps, deliveries, moves and max queue per router and n); wall-clock per cell lives in the timing sidecar, and speed claims come from the repo benchmark (BENCHMARK.json), not from this table",
         &[
-            "n",
-            "router",
-            "workload",
-            "reps",
-            "steps",
-            "delivered",
-            "moves",
-            "max queue",
-            "done",
+            "n", "router", "workload", "reps", "steps", "delivered", "moves", "max queue", "done",
         ],
     );
     let mut sizes = vec![16u32, 64, 256];
@@ -840,15 +810,10 @@ pub fn perf(full: bool) -> Experiment {
     e
 }
 
-/// CHAOS — the robustness soak. Seeded random fault plans (transient cable
-/// cuts, node stalls, queue-slot degradations — see
-/// `mesh_engine::faults`) at increasing density are run against
-/// [`FaultAware`]-wrapped routers, with the raw (unwrapped) dimension-order
-/// router alongside for contrast, under the engine's livelock watchdog. Reported per cell: the watchdog verdict
-/// (`completed`, or `deadlock`/`livelock`/`step-cap` — never a panic), the
-/// delivered fraction, and the stretch (link traversals per unit of L1
-/// distance, over delivered packets). Every cell is fully determined by the
-/// trial seed, so the table is byte-identical across `--threads` settings.
+/// CHAOS — the robustness soak: seeded random fault plans at increasing
+/// density against [`FaultAware`]-wrapped routers (and raw dimension order
+/// for contrast) under the livelock watchdog. `stretch` is link traversals
+/// per unit of L1 distance over the delivered packets.
 pub fn chaos(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "chaos",
@@ -1008,15 +973,9 @@ impl Outage {
     }
 }
 
-/// RELIABLE — end-to-end reliable delivery over transient outages. Seeded
-/// plans of lossy-link windows plus short cable cuts
-/// ([`FaultPlan::random_outages`]) destroy packets in flight; raw dynamic
-/// injection rows lose them for good (the watchdog flags the incompletable
-/// run), while the [`Transport`] rows —
-/// same problem, same plan, same fault-aware Theorem 15 router — recover
-/// every payload exactly once via ACKs and deterministic retransmission,
-/// sweeping the backoff policy. Every cell is a pure function of the trial
-/// seed, so the table is byte-identical across `--threads` settings.
+/// RELIABLE — raw dynamic injection against the [`Transport`] over the same
+/// [`Outage`], sweeping the backoff policy: an exactly-once failure of a
+/// transport row panics its cell.
 pub fn reliable(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "reliable",
@@ -1093,15 +1052,10 @@ pub fn reliable(full: bool) -> Experiment {
     e
 }
 
-/// CRASHREC — crash-recovery soak over the checkpoint/restore subsystem
-/// (DESIGN.md §11). Each trial runs a faulty workload to completion while
-/// writing cadenced checkpoints, then simulates a crash at every recorded
-/// checkpoint: the snapshot is round-tripped through its JSON wire format,
-/// restored into a fresh engine (and, on the reliable layer, a fresh
-/// [`Transport`] rehydrated from the
-/// protocol slot), and run to completion. **Every** resumed run must
-/// reproduce the uninterrupted run byte-for-byte — same outcome, same
-/// rendered report, same per-packet trajectories — or the trial panics.
+/// CRASHREC — crash-recovery soak (DESIGN.md §11): an [`Outage`] run writes
+/// cadenced checkpoints, and a resume from each one's JSON (with the
+/// [`Transport`] restored from its protocol slot on the reliable layer)
+/// must reproduce the uninterrupted run byte for byte, or the cell panics.
 pub fn crashrec(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "crashrec",
@@ -1251,13 +1205,9 @@ fn saturation_lambda(router: OverloadRouter, n: u32, schedule: SteadyConfig, see
     lo.max(1.0 / 128.0)
 }
 
-/// OVERLOAD — open-system saturation and graceful degradation (the
-/// robustness layer over the paper's closed-system model). Per router the
-/// cell binary-searches the saturation point λ* (sustained =
-/// delivered/offered ≥ 0.9 under `DeferIndefinitely`), then measures a
-/// throughput–latency point at `x·λ*` under a shedding admission policy;
-/// `vs-l*` is the goodput ratio against the same policy's run at λ*
-/// itself, so degradation past saturation is read directly off the row.
+/// OVERLOAD — open-system saturation: per router the cell finds λ*
+/// ([`saturation_lambda`]), then measures `x·λ*` under a shedding admission
+/// policy; `vs-l*` is the goodput ratio against that policy's run at λ*.
 pub fn overload(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "overload",
@@ -1401,15 +1351,9 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for (id, _) in REGISTRY {
             assert!(seen.insert(id), "duplicate experiment id {id}");
-            assert!(
-                id.starts_with('e')
-                    || id.starts_with('a')
-                    || *id == "perf"
-                    || *id == "chaos"
-                    || *id == "reliable"
-                    || *id == "crashrec"
-                    || *id == "overload"
-            );
+            assert!(id
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()));
         }
     }
 

@@ -6,6 +6,7 @@
 #[path = "../../../tests/support/record.rs"]
 mod record;
 
+use mesh_bench::cells;
 use mesh_bench::experiments::{build, REGISTRY};
 use mesh_bench::runner::{
     derive_seed, run_experiment, run_suite, Experiment, RunnerConfig, TrialOutput,
@@ -25,49 +26,26 @@ fn mini_experiment() -> Experiment {
         "json identical across thread counts",
         &["cell", "steps", "moves"],
     );
-    e.seeded("theorem15 random-perm", move |trial| {
-        let pb = workloads::random_permutation(n, derive_seed(21, trial));
-        let topo = Mesh::new(n);
-        let mut sim = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
+    fn cell<R: Router>(name: &str, pb: RoutingProblem, router: R) -> TrialOutput {
+        let topo = Mesh::new(pb.n);
+        let mut sim = Sim::new(&topo, router, &pb);
         sim.run(100_000).unwrap();
         let r = sim.report();
-        TrialOutput::with_report(
-            vec![
-                "theorem15".into(),
-                r.steps.to_string(),
-                r.total_moves.to_string(),
-            ],
-            r,
-        )
+        TrialOutput::with_report(cells!(name, r.steps, r.total_moves), r)
+    }
+    e.seeded("theorem15 random-perm", move |trial| {
+        let pb = workloads::random_permutation(n, derive_seed(21, trial));
+        cell("theorem15", pb, Dx::new(Theorem15::new(2)))
     });
     e.seeded("greedy random-perm", move |trial| {
         let pb = workloads::random_permutation(n, derive_seed(22, trial));
-        let topo = Mesh::new(n);
-        let mut sim = Sim::new(&topo, FarthestFirst::unbounded(n), &pb);
-        sim.run(100_000).unwrap();
-        let r = sim.report();
-        TrialOutput::with_report(
-            vec![
-                "greedy".into(),
-                r.steps.to_string(),
-                r.total_moves.to_string(),
-            ],
-            r,
-        )
+        cell("greedy", pb, FarthestFirst::unbounded(n))
     });
     e.fixed("greedy transpose", move |_| {
-        let pb = workloads::transpose(n);
-        let topo = Mesh::new(n);
-        let mut sim = Sim::new(&topo, FarthestFirst::unbounded(n), &pb);
-        sim.run(100_000).unwrap();
-        let r = sim.report();
-        TrialOutput::with_report(
-            vec![
-                "transpose".into(),
-                r.steps.to_string(),
-                r.total_moves.to_string(),
-            ],
-            r,
+        cell(
+            "transpose",
+            workloads::transpose(n),
+            FarthestFirst::unbounded(n),
         )
     });
     e

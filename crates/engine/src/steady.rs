@@ -145,15 +145,6 @@ struct CounterBase {
 }
 
 impl CounterBase {
-    /// No counter of `self` lies above its counterpart in `now`.
-    fn within(&self, now: &CounterBase) -> bool {
-        self.offered <= now.offered
-            && self.delivered <= now.delivered
-            && self.shed <= now.shed
-            && self.expired <= now.expired
-            && self.lost <= now.lost
-    }
-
     fn sample<T: Topology, R: Router>(sim: &Sim<'_, T, R>) -> CounterBase {
         CounterBase {
             offered: sim.offered() as u64,
@@ -190,24 +181,24 @@ pub(crate) fn check_snapshot(snap: &Snapshot, env: &SteadySnap) -> Result<(), St
     let slot = snap.protocol.as_ref().map_or("null", RawValue::get);
     let st: SteadyState = serde_json::from_str(slot)
         .map_err(|e| format!("protocol slot is no steady measurement state: {e}"))?;
-    if st.frames.len() >= env.config.windows as usize {
+    let (frames, windows) = (st.frames.len(), env.config.windows);
+    if frames >= windows as usize {
         return Err(format!(
-            "steady state holds {} frames of a {}-window schedule",
-            st.frames.len(),
-            env.config.windows
+            "steady state holds {frames} frames of {windows} windows"
         ));
     }
     let p = &snap.progress;
-    let now = CounterBase {
-        offered: snap.packets.inject_cursor as u64,
-        delivered: p.delivered as u64,
-        shed: p.shed as u64,
-        expired: p.expired as u64,
-        lost: p.lost as u64,
-    };
-    match st.base {
-        Some(base) if !base.within(&now) => Err(format!(
-            "steady counter base {base:?} lies above the snapshot's counters {now:?}"
+    let now = [
+        snap.packets.inject_cursor,
+        p.delivered,
+        p.shed,
+        p.expired,
+        p.lost,
+    ];
+    let base = (st.base).map(|b| [b.offered, b.delivered, b.shed, b.expired, b.lost]);
+    match base {
+        Some(b) if b.iter().zip(now).any(|(&b, c)| b > c as u64) => Err(format!(
+            "steady counter base {b:?} lies above the snapshot's counters {now:?}"
         )),
         _ => Ok(()),
     }

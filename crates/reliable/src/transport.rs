@@ -112,37 +112,30 @@ struct TransportState {
 
 impl TransportState {
     /// What [`Transport::on_step`] indexes and counts down must agree with
-    /// the payload table: every payload id in range, the released payloads
-    /// exactly the release order's prefix, each in flight with an attempt
-    /// made, and `outstanding` and `acked` the table's own counts.
+    /// the payload table: every payload id in range, an attempt made for
+    /// each payload in flight, and `outstanding` and `acked` the table's
+    /// own counts.
     fn check_tallies(&self) -> Result<(), String> {
-        let payloads = self.payloads.len();
-        let mut ids = self
-            .release_order
+        let (payloads, in_flight) = (self.payloads.len(), PayloadState::InFlight);
+        let meta = self
+            .meta
             .iter()
-            .chain(self.meta.iter().map(|m| match m {
-                PacketMeta::Data(y) | PacketMeta::Ack(y) => y,
-            }));
-        if let Some(y) = ids.find(|y| y.index() >= payloads) {
+            .map(|(PacketMeta::Data(y) | PacketMeta::Ack(y))| y);
+        if let Some(y) = meta
+            .chain(&self.release_order)
+            .find(|y| y.index() >= payloads)
+        {
             return Err(format!("checkpoint names payload {y:?} of {payloads}"));
         }
-        for (i, y) in self.release_order.iter().enumerate() {
-            let p = &self.payloads[y.index()];
-            let released = p.state != PayloadState::Unreleased;
-            if released != (i < self.release_cursor) || (released && p.attempts == 0) {
-                return Err(format!(
-                    "payload {y:?} is {:?} after {} attempts at release position {i} of cursor {}",
-                    p.state, p.attempts, self.release_cursor
-                ));
-            }
-        }
         let count = |s| self.payloads.iter().filter(|p| p.state == s).count();
-        let (outstanding, acked) = (count(PayloadState::InFlight), count(PayloadState::Acked));
-        if (self.outstanding, self.acked) != (outstanding, acked) {
-            return Err(format!(
-                "checkpoint counts {} outstanding and {} acked payloads, its table {outstanding} and {acked}",
-                self.outstanding, self.acked
-            ));
+        let counts = (count(in_flight), count(PayloadState::Acked));
+        let unsent = self
+            .payloads
+            .iter()
+            .any(|p| p.state == in_flight && p.attempts == 0);
+        if (self.outstanding, self.acked) != counts || unsent {
+            let (o, a) = (self.outstanding, self.acked);
+            return Err(format!("checkpoint counts {o} outstanding and {a} acked payloads, its table {counts:?}, unsent in flight: {unsent}"));
         }
         Ok(())
     }

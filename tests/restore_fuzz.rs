@@ -229,15 +229,9 @@ fn mutated_protocol_slots_are_refused_typed_never_panic() {
         let mut sim = Sim::restore(&topo, router, config, None, snap).map_err(|e| e.to_string())?;
         let env = snap.steady.as_ref().ok_or("no steady block")?;
         let slot = snap.protocol.as_ref();
-        (sim.run_steady_checkpointed(
-            env.config,
-            env.lambda,
-            slot,
-            &mut MemorySink::default(),
-            None,
-        ))
-        .map(drop)
-        .map_err(|e| e.to_string())
+        let mut sink = MemorySink::default();
+        let run = sim.run_steady_checkpointed(env.config, env.lambda, slot, &mut sink, None);
+        run.map(drop).map_err(|e| e.to_string())
     });
 
     let (n, topo) = (6, Mesh::new(6));
@@ -267,9 +261,8 @@ fn mutated_protocol_slots_are_refused_typed_never_panic() {
             let faults = Some(faults.clone());
             let mut sim =
                 Sim::restore(&topo, router(), config, faults, snap).map_err(|e| e.to_string())?;
-            (sim.run_with_protocol(20_000, &mut tp))
-                .map(drop)
-                .map_err(|e| e.to_string())
+            let run = sim.run_with_protocol(20_000, &mut tp);
+            run.map(drop).map_err(|e| e.to_string())
         },
     );
 }

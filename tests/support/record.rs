@@ -329,54 +329,43 @@ pub fn check(cases: usize, entry: Entry) -> Result<(), String> {
 
 /// Holds each rendered block of the file at `path` to its document: `docs`
 /// pairs an id with the text its block must hold, the lines between a line
-/// `<!-- experiments ID -->` and the next `<!-- end ID -->`. A document without a
-/// block, a block without a document and a block that differs from its
-/// document all fail, naming the id. Under `GOLDEN_RECORD` every block is
-/// rewritten to its document instead of being compared.
+/// `<!-- experiments ID -->` and the next `<!-- end ID -->`. A document
+/// without a block (or without its end line), a block without a document
+/// and a block that differs from its document all fail, naming the id. Under `GOLDEN_RECORD` every
+/// block is rewritten to its document instead of being compared.
 pub fn check_rendered(path: &Path, docs: &[(&str, String)]) -> Result<(), String> {
     let file = path.display();
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {file}: {e}"))?;
     let record = std::env::var_os("GOLDEN_RECORD").is_some();
-    let (mut rewritten, mut rest, mut seen) = (String::new(), text.as_str(), Vec::new());
-    while let Some(at) = rest.find("\n<!-- experiments ").map(|at| at + 1) {
-        let head = &rest[at..];
-        let line = head.find('\n').map_or(head, |end| &head[..=end]);
-        let id = line
-            .strip_prefix("<!-- experiments ")
-            .and_then(|l| l.strip_suffix(" -->\n"))
-            .ok_or_else(|| format!("{file}: malformed block marker {line:?}"))?;
-        let end = format!("<!-- end {id} -->");
-        let body = &head[line.len()..];
-        let body = &body[..body
-            .find(&end)
-            .ok_or_else(|| format!("{file}: block {id} has no `{end}` line"))?];
-        if seen.contains(&id) {
-            return Err(format!("{file}: block {id} appears twice"));
+    let (mut rewritten, mut seen) = (String::new(), Vec::new());
+    let mut block: Option<(&str, String)> = None;
+    for line in text.split_inclusive('\n') {
+        let marker = |open: &str| line.strip_prefix(open)?.strip_suffix(" -->\n");
+        match (block.take(), marker("<!-- end ")) {
+            (Some((id, body)), Some(end)) if end == id => {
+                let (_, doc) = (docs.iter().find(|(d, _)| *d == id))
+                    .ok_or_else(|| format!("{file}: block {id} renders no document of the run"))?;
+                if !record && body != *doc {
+                    let same = body.lines().zip(doc.lines()).take_while(|(a, b)| a == b);
+                    let at = same.count();
+                    let line = |text: &str| text.lines().nth(at).unwrap_or("(end)").to_owned();
+                    let (was, now) = (line(&body), line(doc));
+                    return Err(format!(
+                        "{file}: block {id} is not what the run renders, first at its line {}\n  \
+                         file: {was}\n  run:  {now}",
+                        at + 1
+                    ));
+                }
+                rewritten += doc;
+                seen.push(id);
+            }
+            (Some((id, body)), _) => block = Some((id, body + line)),
+            (None, _) => block = marker("<!-- experiments ").map(|id| (id, String::new())),
         }
-        seen.push(id);
-        let (_, doc) = (docs.iter().find(|(d, _)| *d == id))
-            .ok_or_else(|| format!("{file}: block {id} renders no document of the run"))?;
-        if !record && body != doc {
-            let n = body
-                .lines()
-                .zip(doc.lines())
-                .take_while(|(a, b)| a == b)
-                .count();
-            let line = |text: &str| text.lines().nth(n).unwrap_or("<end of block>").to_owned();
-            return Err(format!(
-                "{file}: block {id} is not what the run renders, first at its line {}\n  \
-                 file: {}\n  run:  {}",
-                n + 1,
-                line(body),
-                line(doc)
-            ));
+        if block.as_ref().is_none_or(|(_, body)| body.is_empty()) {
+            rewritten += line;
         }
-        let body_at = at + line.len();
-        rewritten += &rest[..body_at];
-        rewritten += doc;
-        rest = &rest[body_at + body.len()..];
     }
-    rewritten += rest;
     if let Some((id, _)) = docs.iter().find(|(id, _)| !seen.contains(id)) {
         return Err(format!("{file}: the run's {id} document has no block"));
     }
