@@ -974,7 +974,7 @@ impl Outage {
 }
 
 /// RELIABLE — raw dynamic injection against the [`Transport`] over the same
-/// [`Outage`], sweeping the backoff policy: an exactly-once failure of a
+/// `Outage`, sweeping the backoff policy: an exactly-once failure of a
 /// transport row panics its cell.
 pub fn reliable(full: bool) -> Experiment {
     let mut e = Experiment::new(
@@ -1052,7 +1052,7 @@ pub fn reliable(full: bool) -> Experiment {
     e
 }
 
-/// CRASHREC — crash-recovery soak (DESIGN.md §11): an [`Outage`] run writes
+/// CRASHREC — crash-recovery soak (DESIGN.md §11): an `Outage` run writes
 /// cadenced checkpoints, and a resume from each one's JSON (with the
 /// [`Transport`] restored from its protocol slot on the reliable layer)
 /// must reproduce the uninterrupted run byte for byte, or the cell panics.
@@ -1206,7 +1206,7 @@ fn saturation_lambda(router: OverloadRouter, n: u32, schedule: SteadyConfig, see
 }
 
 /// OVERLOAD — open-system saturation: per router the cell finds λ*
-/// ([`saturation_lambda`]), then measures `x·λ*` under a shedding admission
+/// (`saturation_lambda`), then measures `x·λ*` under a shedding admission
 /// policy; `vs-l*` is the goodput ratio against that policy's run at λ*.
 pub fn overload(full: bool) -> Experiment {
     let mut e = Experiment::new(
