@@ -150,6 +150,7 @@ impl ExchangeRule for DimOrderConstruction {
 mod tests {
     use super::*;
     use crate::constants::DimOrderParams;
+    use crate::driver::construct_counted;
 
     fn cons(n: u32, k: u32) -> DimOrderConstruction {
         DimOrderConstruction::new(DimOrderParams::new(n, k).unwrap())
@@ -179,6 +180,41 @@ mod tests {
         assert!(c.in_box(Coord::new(edge - 1, 35), 0));
         // Above row cn-1: outside every box.
         assert!(!c.in_box(Coord::new(0, 36), 1));
+    }
+
+    /// At k = 1 nearly every offer is refused, and the step loop proves
+    /// most answers instead of asking the router: a load-1 node re-emits
+    /// its memoised offer, and a full target refuses its offers without its
+    /// inqueue. The parent engine decided every offer, 7.4 per move in the
+    /// replay; the construction, under the exchange hook, gets the same
+    /// rules, so the offers decided must fall there too.
+    #[test]
+    fn construction_and_replay_decide_about_one_offer_per_move() {
+        let (n, c) = (72, cons(72, 1));
+        let topo = mesh_topo::Mesh::new(n);
+        let (outcome, built) = construct_counted(&c, &topo, mesh_routers::dim_order(1), None);
+        let outcome = outcome.unwrap();
+        let mut replay =
+            mesh_engine::Sim::new(&topo, mesh_routers::dim_order(1), &outcome.constructed);
+        replay.run(outcome.bound_steps + 64 * n as u64).unwrap();
+        let per_move = |calls: u64, sim_moves: u64| calls as f64 / sim_moves as f64;
+        let moves = replay.report().total_moves;
+        let calls = replay.policy_calls();
+        let offers = calls.inqueue_offers + calls.refused_full;
+        assert!(
+            per_move(offers, moves) > 7.0,
+            "{calls:?} over {moves} moves"
+        );
+        assert!(
+            per_move(calls.inqueue_offers, moves) <= 1.1,
+            "{calls:?} over {moves} moves"
+        );
+        assert!(
+            per_move(calls.outqueue, moves) <= 1.1,
+            "{calls:?} over {moves} moves"
+        );
+        assert!(built.memo_hits > built.outqueue, "{built:?}");
+        assert!(built.refused_full > built.inqueue_offers, "{built:?}");
     }
 
     #[test]

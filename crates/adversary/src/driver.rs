@@ -13,7 +13,7 @@
 
 use crate::classify::{Class, ClassMap};
 use crate::invariants::InvariantChecker;
-use mesh_engine::{HookCtx, Loc, Router, ScheduledMove, Sim, StepHook};
+use mesh_engine::{HookCtx, Loc, PolicyCalls, Router, ScheduledMove, Sim, StepHook};
 use mesh_topo::{Coord, Topology};
 use mesh_traffic::{PacketId, RoutingProblem};
 
@@ -200,8 +200,21 @@ pub(crate) fn construct<T: Topology, R: Router, X: ExchangeRule>(
     rule: &X,
     topo: &T,
     router: R,
-    mut checker: Option<InvariantChecker>,
+    checker: Option<InvariantChecker>,
 ) -> Result<ConstructionOutcome, ConstructionBreakdown> {
+    construct_counted(rule, topo, router, checker).0
+}
+
+/// [`construct`], with the policy calls its `Sim` made and skipped.
+pub(crate) fn construct_counted<T: Topology, R: Router, X: ExchangeRule>(
+    rule: &X,
+    topo: &T,
+    router: R,
+    mut checker: Option<InvariantChecker>,
+) -> (
+    Result<ConstructionOutcome, ConstructionBreakdown>,
+    PolicyCalls,
+) {
     let pb = rule.initial_problem();
     assert_eq!(topo.side(), pb.n);
     let mut sim = Sim::new(topo, router, &pb);
@@ -219,18 +232,19 @@ pub(crate) fn construct<T: Topology, R: Router, X: ExchangeRule>(
     for t in 1..=bound {
         sim.step_with_hook(&mut hook);
         if let Some(breakdown) = hook.breakdown {
-            return Err(breakdown);
+            return (Err(breakdown), sim.policy_calls());
         }
         if let Some(ch) = checker.as_mut() {
             ch.check_after_step(t, &hook.classes, |p| sim.loc(p))
                 .unwrap_or_else(|e| panic!("invariant violated at step {t}: {e}"));
         }
     }
-    Ok(ConstructionOutcome {
+    let outcome = ConstructionOutcome {
         constructed: sim.current_problem(rule.constructed_label()),
         final_snapshot: sim.packet_snapshot(),
         exchanges: sim.report().exchanges,
         undelivered_at_bound: sim.num_packets() - sim.delivered(),
         bound_steps: bound,
-    })
+    };
+    (Ok(outcome), sim.policy_calls())
 }

@@ -68,6 +68,14 @@ mod tests {
             let room = self.k.saturating_sub(queue_lens[0]) as usize;
             accept.iter_mut().take(room).for_each(|a| *a = true);
         }
+
+        fn outqueue_reads_only_descriptors(&self) -> bool {
+            true
+        }
+
+        fn refuse_if_full(&self, _state: &mut (), queue_lens: &[u32]) -> bool {
+            queue_lens[0] >= self.k
+        }
     }
 
     fn greedy(k: u32) -> Dx<Greedy> {
@@ -190,6 +198,42 @@ mod tests {
         assert_eq!(sim.dst(PacketId(0)), Coord::new(3, 1));
         assert_eq!(sim.dst(PacketId(1)), Coord::new(3, 0));
         assert_eq!(sim.report().exchanges, 1);
+    }
+
+    /// A resident whose destination the adversary exchanges gets a fresh
+    /// outqueue decision: its memoised offer into a full node is stale.
+    /// Four packets hold a 2×2 cycle at k = 1, each refused by the next
+    /// forever; A, at (0, 0), offers East into the cycle and is refused
+    /// too, until the step-1 exchange gives it Z's destination due North.
+    #[test]
+    fn an_exchange_forgets_the_route_memo() {
+        let topo = Mesh::new(4);
+        let c = Coord::new;
+        let pb = RoutingProblem::from_pairs(
+            4,
+            "memo",
+            [
+                (c(1, 0), c(1, 1)),
+                (c(1, 1), c(2, 1)),
+                (c(2, 1), c(2, 0)),
+                (c(2, 0), c(1, 0)),
+                (c(0, 0), c(2, 0)),
+                (c(3, 3), c(0, 2)),
+            ],
+        );
+        let (a, z) = (PacketId(4), PacketId(5));
+        let mut sim = Sim::new(&topo, greedy(1), &pb);
+        let mut hook = |ctx: &mut HookCtx<'_>| {
+            if ctx.t == 1 {
+                ctx.exchange(a, z);
+            }
+        };
+        for _ in 0..4 {
+            sim.step_with_hook(&mut hook);
+        }
+        assert_eq!(sim.delivered_step(a), Some(3), "{:?}", sim.loc(a));
+        let calls = sim.policy_calls();
+        assert!(calls.memo_hits > 0 && calls.refused_full > 0, "{calls:?}");
     }
 
     #[test]

@@ -84,7 +84,7 @@ mod plan;
 pub use diag::{DiagnosticSnapshot, NodeOccupancy, StuckPacket};
 pub use hook::{HookCtx, NoHook, ScheduledMove, StepHook};
 pub use metrics::{ReportAggregate, SimReport};
-pub use phases::AdmissionPolicy;
+pub use phases::{AdmissionPolicy, PolicyCalls};
 pub use phases::{Phase, STEP_PIPELINE};
 pub use protocol::{ProtocolControl, ProtocolHook, StepEvents};
 pub use queue::{QueueArch, QueueKind};

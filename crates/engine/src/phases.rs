@@ -213,6 +213,25 @@ pub(crate) struct StepBufs {
     /// Whether an audit has swept every active node since this `Sim` was
     /// built or restored; until one has, gains go unrecorded.
     pub(crate) swept: bool,
+    /// Policy calls made and skipped since this `Sim` was built or restored.
+    pub(crate) calls: PolicyCalls,
+}
+
+/// How often the step loop asked the router, and how often it knew the
+/// answer without asking: a route memo hit re-emits a node's last offers,
+/// a full-target refusal decides a target's offers without its `inqueue`
+/// (DESIGN.md §10). Diagnostics, counted since the `Sim` was built or
+/// restored; no report, document or snapshot records them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PolicyCalls {
+    /// Full `outqueue` calls.
+    pub outqueue: u64,
+    /// Nodes whose offers the route memo re-emitted.
+    pub memo_hits: u64,
+    /// Offers decided by an `inqueue` call.
+    pub inqueue_offers: u64,
+    /// Offers refused by the full-target rule ([`Router::refuse_if_full`]).
+    pub refused_full: u64,
 }
 
 impl StepBufs {
@@ -442,14 +461,75 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
     injected
 }
 
+/// The slot of a load-1 node's lone resident: the one non-zero entry of
+/// its length row (a central queue's row has one entry, so no search).
+fn lone_slot(grid: &NodeGrid, ni: usize) -> usize {
+    if grid.slots() == 1 {
+        return 0;
+    }
+    grid.queue_lens_of(ni)
+        .iter()
+        .position(|&l| l > 0)
+        .expect("a node of load 1 has a non-empty queue")
+}
+
+/// Re-emits node `ni`'s memoised offer if it has one, and says whether it
+/// did. A memo is made only at load 1, by a full outqueue call of a router
+/// whose outqueue reads nothing but descriptors, and every change to the
+/// node's queues or to a resident's destination clears it: the call would
+/// make the same offer again.
+fn reoffer<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) -> bool {
+    let Some(offer) = ctx.grid.route_memo(ni) else {
+        return false;
+    };
+    let (grid, bufs) = (&*ctx.grid, &mut *ctx.bufs);
+    bufs.calls.memo_hits += 1;
+    let node = grid.coord_of(ni);
+    let slot = lone_slot(grid, ni);
+    let pid = grid.queue(ni, slot)[0];
+    #[cfg(debug_assertions)]
+    {
+        let (store, router) = (&*ctx.store, ctx.router);
+        assert_eq!(grid.node_load(ni), 1, "a memo outlived load 1 at {node}");
+        bufs.masks.clear();
+        bufs.masks
+            .push(PackedView::new(store.profitable(ctx.topo, pid), slot, 0));
+        let cold = FullResidents::new(store, grid, ni, ctx.faults);
+        let (mut out, mut state) = ([None; 4], ctx.node_state[ni].clone());
+        router.outqueue(ctx.t0, node, &mut state, &mut bufs.masks, &cold, &mut out);
+        let mut memo = [None; 4];
+        if let Some(d) = offer {
+            memo[d.index()] = Some(0);
+        }
+        assert!(
+            out == memo && state == ctx.node_state[ni],
+            "{}: memoised offer {offer:?} of {node} is not what outqueue does at step {}",
+            router.name(),
+            ctx.t0
+        );
+    }
+    if let Some(d) = offer {
+        let to = ctx
+            .topo
+            .neighbor(node, d)
+            .expect("a memoised offer has its link");
+        bufs.schedule.push(ScheduledMove::new(pid, node, to, d));
+    }
+    true
+}
+
 /// §2 (a) for a single node: a loaded, unstalled node's outqueue policy
 /// schedules at most one packet per outlink; its moves go onto
-/// `bufs.schedule` in [`ALL_DIRS`] order.
-fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) {
+/// `bufs.schedule` in [`ALL_DIRS`] order. With `memoise`, a load-1 node's
+/// offer is remembered for [`reoffer`].
+fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize, memoise: bool) {
     let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
-    let (store, grid) = (&*ctx.store, &*ctx.grid);
+    let (store, grid) = (&*ctx.store, &mut *ctx.grid);
     let StepBufs {
-        schedule, masks, ..
+        schedule,
+        masks,
+        calls,
+        ..
     } = &mut *ctx.bufs;
     let load = grid.node_load(ni);
     if load == 0 {
@@ -471,18 +551,10 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     if load == 1 {
         // Small-node fast path — the overwhelmingly common case once a
         // run spreads out: the lone resident's descriptor comes straight
-        // off the one non-zero entry of the length row (a central queue's
-        // row has one entry, so no search), skipping the per-slot
-        // enumerate. The router policy still runs (node state must advance
-        // identically); only descriptor-building machinery is bypassed.
-        let slot = if grid.slots() == 1 {
-            0
-        } else {
-            grid.queue_lens_of(ni)
-                .iter()
-                .position(|&l| l > 0)
-                .expect("a node of load 1 has a non-empty queue")
-        };
+        // off its slot, skipping the per-slot enumerate. The router policy
+        // still runs (node state must advance identically); only
+        // descriptor-building machinery is bypassed.
+        let slot = lone_slot(grid, ni);
         let pid = grid.queue(ni, slot)[0];
         masks.clear();
         masks.push(PackedView::new(store.profitable(topo, pid), slot, 0));
@@ -492,6 +564,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
     }
     let cold = FullResidents::new(store, grid, ni, ctx.faults);
     router.outqueue(t0, node, &mut ctx.node_state[ni], masks, &cold, &mut out);
+    calls.outqueue += 1;
     let len = masks.len();
     #[allow(clippy::needless_range_loop)]
     for a in 0..4 {
@@ -534,6 +607,9 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
             schedule.push(ScheduledMove::new(pkt, node, to, d));
         }
     }
+    if memoise && load == 1 {
+        grid.set_route_memo(ni, ALL_DIRS.into_iter().find(|d| out[d.index()].is_some()));
+    }
 }
 
 /// §2 (a): every loaded, unstalled node's outqueue policy schedules at
@@ -546,10 +622,13 @@ pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
     ctx.bufs.size(ctx.grid, ctx.store.len());
     ctx.bufs.lost_moves.clear();
     ctx.grid.take_active(&mut ctx.bufs.snapshot);
+    let memoise = ctx.faults.is_none() && ctx.router.outqueue_reads_only_descriptors();
     for idx in 0..ctx.bufs.snapshot.len() {
         let ni = ctx.bufs.snapshot[idx] as usize;
         ctx.grid.leave_active(ni);
-        route_node(ctx, ni);
+        if !(memoise && reoffer(ctx, ni)) {
+            route_node(ctx, ni, memoise);
+        }
     }
 }
 
@@ -593,39 +672,21 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
     hook.on_scheduled(&mut hctx);
     for &pid in &ctx.bufs.exchanged {
         ctx.store.refresh_mask(ctx.topo, pid);
+        // A resident's descriptor changed: its node's memoised offer is stale.
+        if let Loc::At(c) = ctx.store.loc(pid) {
+            ctx.grid.forget_route(ctx.grid.node_index(c));
+        }
     }
 }
 
-/// §2 (c) for one target node: the inqueue policy of the (unstalled)
-/// target of the offers `group` (schedule indices, in schedule order)
-/// accepts or rejects each; degraded nodes are clamped to their reduced
-/// capacity. Each offer's decision lands in its own schedule record, and
-/// the target's chain head is cleared for the next step.
-fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: &[u32]) {
-    let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
-    let (store, grid) = (&*ctx.store, &*ctx.grid);
-    let StepBufs {
-        schedule, heads, ..
-    } = &mut *ctx.bufs;
-    let target = schedule[group[0] as usize].to();
-    let ni = grid.node_index(target);
-    heads[ni] = 0;
-    // A stalled node accepts nothing: the whole arrival group is rejected
-    // and its router never observes the offered packets.
-    if let Some(f) = ctx.faults {
-        if f.node_stalled(t0, target) {
-            for &i in group {
-                schedule[i as usize].decide(false);
-            }
-            return;
-        }
-    }
-    // Residents collapse to the arena's own per-slot length row (handed to
-    // the policy as-is, no copy) and each arrival to one byte; a node has
-    // four inlinks, so a group has at most four offers.
-    let queue_lens = grid.queue_lens_of(ni);
-    let mut accept = [false; 4];
-    let accept = &mut accept[..group.len()];
+/// The packed descriptors of the offers `group` (schedule indices), in
+/// order, in the first `group.len()` entries.
+fn arrivals_of<T: Topology>(
+    topo: &T,
+    store: &PacketStore,
+    schedule: &[ScheduledMove],
+    group: &[u32],
+) -> [PackedArrival; 4] {
     let mut arrivals = [PackedArrival::new(DirSet::EMPTY, Dir::North); 4];
     for (a, &i) in arrivals.iter_mut().zip(group) {
         let m = schedule[i as usize];
@@ -634,9 +695,69 @@ fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: 
         // packet still sits, so its cached mask is that set.
         *a = PackedArrival::new(store.profitable(topo, m.pkt()), m.travel());
     }
+    arrivals
+}
+
+/// §2 (c) for one target node: the inqueue policy of the (unstalled)
+/// target of the offers `group` (schedule indices, in schedule order)
+/// accepts or rejects each; degraded nodes are clamped to their reduced
+/// capacity. A target whose router refuses every offer for want of room
+/// ([`Router::refuse_if_full`]) decides them without its inqueue. Each
+/// offer's decision lands in its own schedule record, and the target's
+/// chain head is cleared for the next step.
+fn accept_group<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, group: &[u32]) {
+    let (t0, topo, router) = (ctx.t0, ctx.topo, ctx.router);
+    let (store, grid) = (&*ctx.store, &*ctx.grid);
+    let StepBufs {
+        schedule,
+        heads,
+        calls,
+        ..
+    } = &mut *ctx.bufs;
+    let target = schedule[group[0] as usize].to();
+    let ni = grid.node_index(target);
+    heads[ni] = 0;
+    // Residents collapse to the arena's own per-slot length row (handed to
+    // the policy as-is, no copy) and each arrival to one byte; a node has
+    // four inlinks, so a group has at most four offers.
+    let queue_lens = grid.queue_lens_of(ni);
+    let size = group.len();
+    // A stalled node accepts nothing: the whole arrival group is rejected
+    // and its router never observes the offered packets.
+    let stalled = ctx.faults.is_some_and(|f| f.node_stalled(t0, target));
+    #[cfg(debug_assertions)]
+    let before = ctx.node_state[ni].clone();
+    let refused = !stalled && router.refuse_if_full(&mut ctx.node_state[ni], queue_lens);
+    if refused {
+        calls.refused_full += size as u64;
+        // The inqueue call the refusal stands for must refuse every offer
+        // and leave the same node state.
+        #[cfg(debug_assertions)]
+        {
+            let (mut state, mut accept) = (before, [false; 4]);
+            let mut arrivals = arrivals_of(topo, store, schedule, group);
+            let cold = FullArrivals::new(store, schedule, group, ctx.faults);
+            let (arrivals, accept) = (&mut arrivals[..size], &mut accept[..size]);
+            router.inqueue(t0, target, &mut state, queue_lens, arrivals, &cold, accept);
+            assert!(
+                !accept.contains(&true) && state == ctx.node_state[ni],
+                "{}: full-target refusal at {target} is not what inqueue does at step {t0}",
+                router.name()
+            );
+        }
+    }
+    if stalled || refused {
+        for &i in group {
+            schedule[i as usize].decide(false);
+        }
+        return;
+    }
+    calls.inqueue_offers += size as u64;
+    let mut arrivals = arrivals_of(topo, store, schedule, group);
+    let mut accept = [false; 4];
+    let (arrivals, accept) = (&mut arrivals[..size], &mut accept[..size]);
     let cold = FullArrivals::new(store, schedule, group, ctx.faults);
     let state = &mut ctx.node_state[ni];
-    let arrivals = &mut arrivals[..group.len()];
     router.inqueue(t0, target, state, queue_lens, arrivals, &cold, accept);
     // Queue degradation: clamp what a (degradation-unaware) router
     // accepted down to the reduced capacity, read off the schedule and the

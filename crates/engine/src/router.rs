@@ -32,8 +32,10 @@ use mesh_topo::Coord;
 /// reads them back — its minimality check consults the packet table's own
 /// mask column — so an edit can mislead only the policy it is passed to.
 pub trait Router {
-    /// Per-node algorithm state (the paper's "state of a node").
-    type NodeState: Clone + Default;
+    /// Per-node algorithm state (the paper's "state of a node"). Comparable,
+    /// so that debug builds can check a skipped policy call against the
+    /// state the call would have left.
+    type NodeState: Clone + Default + PartialEq;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;
@@ -105,6 +107,29 @@ pub trait Router {
     fn uses_end_of_step(&self) -> bool {
         true
     }
+
+    /// Whether `outqueue` is a function of `pkts` alone: it reads neither
+    /// the step, the node, the node state nor the cold columns, and writes
+    /// nothing but `out`. A router that says so lets the engine re-emit a
+    /// load-1 node's last offer, without calling `outqueue`, for as long as
+    /// the node's queues are unchanged (DESIGN.md §10). A policy that
+    /// rotates with the step (west-first) or reads packet states
+    /// (alt-adaptive, bounded deflection) must not. Conservative default:
+    /// `false`.
+    fn outqueue_reads_only_descriptors(&self) -> bool {
+        false
+    }
+
+    /// Step (c) decided without the offers: when the policy would refuse
+    /// every arrival whatever they are, because `queue_lens` leaves no room,
+    /// this applies to `state` exactly what `inqueue` refusing them all
+    /// would, and returns `true`; the engine then neither describes the
+    /// arrivals nor calls `inqueue`. Otherwise it leaves `state` alone and
+    /// returns `false`, the default.
+    fn refuse_if_full(&self, state: &mut Self::NodeState, queue_lens: &[u32]) -> bool {
+        let _ = (state, queue_lens);
+        false
+    }
 }
 
 /// A deterministic **destination-exchangeable** routing algorithm (§2): its
@@ -117,7 +142,7 @@ pub trait Router {
 /// Run a `DxRouter` by wrapping it: `Dx::new(MyRouter)`.
 pub trait DxRouter {
     /// Per-node algorithm state.
-    type NodeState: Clone + Default;
+    type NodeState: Clone + Default + PartialEq;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;
@@ -176,6 +201,17 @@ pub trait DxRouter {
     /// See [`Router::uses_end_of_step`].
     fn uses_end_of_step(&self) -> bool {
         true
+    }
+
+    /// See [`Router::outqueue_reads_only_descriptors`].
+    fn outqueue_reads_only_descriptors(&self) -> bool {
+        false
+    }
+
+    /// See [`Router::refuse_if_full`].
+    fn refuse_if_full(&self, state: &mut Self::NodeState, queue_lens: &[u32]) -> bool {
+        let _ = (state, queue_lens);
+        false
     }
 }
 
@@ -250,5 +286,13 @@ impl<R: DxRouter> Router for Dx<R> {
 
     fn uses_end_of_step(&self) -> bool {
         self.inner.uses_end_of_step()
+    }
+
+    fn outqueue_reads_only_descriptors(&self) -> bool {
+        self.inner.outqueue_reads_only_descriptors()
+    }
+
+    fn refuse_if_full(&self, state: &mut Self::NodeState, queue_lens: &[u32]) -> bool {
+        self.inner.refuse_if_full(state, queue_lens)
     }
 }

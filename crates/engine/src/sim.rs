@@ -13,7 +13,7 @@ use crate::driver::{self, HookRunner, ProtocolRunner};
 use crate::hook::{NoHook, StepHook};
 use crate::invariants;
 use crate::metrics::SimReport;
-use crate::phases::{self, Phase, Progress, StepBufs, StepCtx, STEP_PIPELINE};
+use crate::phases::{self, Phase, PolicyCalls, Progress, StepBufs, StepCtx, STEP_PIPELINE};
 
 use crate::faults::CompiledFaults;
 pub use crate::phases::AdmissionPolicy;
@@ -455,6 +455,12 @@ impl<'t, T: Topology, R: Router> Sim<'t, T, R> {
     /// Packets destroyed by lossy links during the most recent step.
     pub fn last_step_losses(&self) -> &[PacketId] {
         &self.events.lost
+    }
+
+    /// Router policy calls made and skipped since this `Sim` was built or
+    /// restored — diagnostics that no report or snapshot records.
+    pub fn policy_calls(&self) -> PolicyCalls {
+        self.bufs.calls
     }
 
     /// True when no future or deferred injection remains: the cursor is

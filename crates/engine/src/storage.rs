@@ -498,6 +498,13 @@ pub(crate) fn is_staged(staged: &[Staged], ni: usize) -> bool {
         .is_ok()
 }
 
+/// [`NodeGrid`]'s per-node flag bits: on the active worklist; route memo
+/// valid; and above them the memoised offer's direction, 1 + its index, or
+/// 0 for no offer.
+const ACTIVE: u8 = 1;
+const MEMO: u8 = 2;
+const MEMO_DIR_SHIFT: u32 = 2;
+
 /// Filler id for unused arena cells; written on construction and after
 /// compaction shifts, never read back.
 const EMPTY_CELL: PacketId = PacketId(u32::MAX);
@@ -541,7 +548,13 @@ pub(crate) struct NodeGrid {
     pub(crate) staged: Vec<Staged>,
     /// Worklist of nodes that may hold or receive packets this step.
     active: Vec<u32>,
-    in_active: Vec<bool>,
+    /// One byte per node: [`ACTIVE`] while the node is on `active`, and the
+    /// route memo — [`MEMO`] plus the memoised direction — while the node's
+    /// queues are as they were at its last full outqueue call. Every change
+    /// to a node's queues goes through `push`, `remove` or `expire_queued`,
+    /// and each clears the memo; an adversary exchange clears it through
+    /// [`forget_route`](Self::forget_route).
+    flags: Vec<u8>,
     /// Per-node all-time peak occupancy (congestion map). A `u32`, like
     /// the load it records: an unbounded injection queue can hold more
     /// than 65,535 packets.
@@ -578,7 +591,7 @@ impl NodeGrid {
             stride,
             staged: Vec::new(),
             active: Vec::new(),
-            in_active: vec![false; nodes],
+            flags: vec![0; nodes],
             peak_load: vec![0; nodes],
         }
     }
@@ -690,6 +703,7 @@ impl NodeGrid {
         let base = self.cell_base(ni, s);
         self.slab[base + len as usize] = pid;
         self.lens[ni * self.slots + s] = len + 1;
+        self.forget_route(ni);
     }
 
     /// Removes a packet from slot `s` of a node (position scan — queues
@@ -708,6 +722,7 @@ impl NodeGrid {
         region.copy_within(pos + 1.., pos);
         region[len - 1] = EMPTY_CELL;
         self.lens[ni * self.slots + s] = (len - 1) as u32;
+        self.forget_route(ni);
     }
 
     /// Removes every queued packet `stale` says yes to, asking node by
@@ -736,6 +751,7 @@ impl NodeGrid {
                 if w < len {
                     self.slab[base + w..base + len].fill(EMPTY_CELL);
                     self.lens[ni * slots + s] = w as u32;
+                    self.forget_route(ni);
                 }
             }
         }
@@ -793,9 +809,9 @@ impl NodeGrid {
 
     /// Puts a node on the worklist unless it is there; says whether it did.
     pub(crate) fn mark_active(&mut self, ni: usize) -> bool {
-        let fresh = !self.in_active[ni];
+        let fresh = self.flags[ni] & ACTIVE == 0;
         if fresh {
-            self.in_active[ni] = true;
+            self.flags[ni] |= ACTIVE;
             self.active.push(ni as u32);
         }
         fresh
@@ -815,7 +831,32 @@ impl NodeGrid {
     /// Unmarks a node [`take_active`](Self::take_active) took: once per node.
     #[inline]
     pub(crate) fn leave_active(&mut self, ni: usize) {
-        self.in_active[ni] = false;
+        self.flags[ni] &= !ACTIVE;
+    }
+
+    /// The offer a load-1 node's last full outqueue call made — `Some(d)`
+    /// for its lone resident on outlink `d`, `None` for no offer — if the
+    /// node's queues have not changed since.
+    #[inline]
+    pub(crate) fn route_memo(&self, ni: usize) -> Option<Option<Dir>> {
+        let f = self.flags[ni];
+        (f & MEMO != 0).then(|| match f >> MEMO_DIR_SHIFT {
+            0 => None,
+            d => Some(Dir::from_index(d as usize - 1)),
+        })
+    }
+
+    /// Records the offer a load-1 node's full outqueue call just made.
+    #[inline]
+    pub(crate) fn set_route_memo(&mut self, ni: usize, offer: Option<Dir>) {
+        let dir = offer.map_or(0, |d| d.index() as u8 + 1);
+        self.flags[ni] = self.flags[ni] & ACTIVE | MEMO | dir << MEMO_DIR_SHIFT;
+    }
+
+    /// Invalidates a node's route memo.
+    #[inline]
+    pub(crate) fn forget_route(&mut self, ni: usize) {
+        self.flags[ni] &= ACTIVE;
     }
 
     /// The active worklist, in the order the route phase will walk it.
@@ -903,7 +944,9 @@ mod arena_tests {
     /// its four inline cells); the shadow must survive every one of them.
     /// A push into a bounded slot already holding `k` is skipped, as
     /// accept refuses it. Every pushed-to node stays on the active list,
-    /// which the expiry sweep walks in list order.
+    /// which the expiry sweep walks in list order. Route memos are set on
+    /// random load-1 nodes, and each op that changes a node's queues must
+    /// forget its memo and leave its place on the active list alone.
     #[test]
     fn arena_matches_reference_under_random_ops() {
         for (arch, seed) in [
@@ -917,8 +960,17 @@ mod arena_tests {
             let slots = grid.slots();
             let mut shadow: Vec<Vec<PacketId>> = vec![Vec::new(); grid.nodes() * slots];
             let mut inject_at: Vec<u64> = Vec::new();
+            let mut memos: Vec<Option<Option<Dir>>> = vec![None; grid.nodes()];
             let mut rng = seed;
             for t in 0..4_000u64 {
+                let ni = (lcg(&mut rng) as usize) % grid.nodes();
+                if grid.node_load(ni) == 1 {
+                    let offer = (1..=4)
+                        .contains(&(t % 5))
+                        .then(|| Dir::from_index(t as usize % 5 - 1));
+                    grid.set_route_memo(ni, offer);
+                    memos[ni] = Some(offer);
+                }
                 match lcg(&mut rng) % 10 {
                     0..=5 => {
                         let ni = (lcg(&mut rng) as usize) % grid.nodes();
@@ -933,6 +985,7 @@ mod arena_tests {
                         grid.push(grid.coord_of(ni), kind, pid);
                         grid.mark_active(ni);
                         shadow[ni * slots + s].push(pid);
+                        memos[ni] = None;
                     }
                     6..=8 => {
                         let occupied: Vec<usize> = (0..shadow.len())
@@ -945,12 +998,14 @@ mod arena_tests {
                         let pos = (lcg(&mut rng) as usize) % shadow[qi].len();
                         let pid = shadow[qi].remove(pos);
                         grid.remove(grid.coord_of(qi / slots), qi % slots, pid);
+                        memos[qi / slots] = None;
                     }
                     _ => {
                         let ttl = 1 + lcg(&mut rng) % 16;
                         let mut expected = Vec::new();
                         for &ni in grid.active() {
                             let node = &mut shadow[ni as usize * slots..][..slots];
+                            let before = expected.len();
                             for q in node.iter_mut() {
                                 q.retain(|&pid| {
                                     let gone = t >= inject_at[pid.index()].saturating_add(ttl);
@@ -959,6 +1014,9 @@ mod arena_tests {
                                     }
                                     !gone
                                 });
+                            }
+                            if expected.len() > before {
+                                memos[ni as usize] = None;
                             }
                         }
                         let mut got = Vec::new();
@@ -973,6 +1031,17 @@ mod arena_tests {
                     }
                 }
                 assert_matches(&grid, &shadow);
+                for (ni, &memo) in memos.iter().enumerate() {
+                    assert_eq!(
+                        grid.route_memo(ni),
+                        memo,
+                        "memo of node {ni} ({arch:?}, t={t})"
+                    );
+                }
+                let listed = grid.active().to_vec();
+                for ni in 0..grid.nodes() {
+                    assert_eq!(grid.flags[ni] & ACTIVE != 0, listed.contains(&(ni as u32)));
+                }
             }
         }
     }

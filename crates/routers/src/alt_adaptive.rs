@@ -11,7 +11,7 @@
 //! own identity in state updates — doing so never lets a policy distinguish
 //! exchanged packets, which is all destination-exchangeability requires).
 
-use crate::common::{round_robin_accept, Axis, RoundRobin};
+use crate::common::{round_robin_accept, round_robin_refuse_if_full, Axis, RoundRobin};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet};
 
@@ -100,6 +100,10 @@ impl DxRouter for AltAdaptive {
         accept: &mut [bool],
     ) {
         round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn refuse_if_full(&self, state: &mut RoundRobin, queue_lens: &[u32]) -> bool {
+        round_robin_refuse_if_full(self.k, queue_lens[0], state)
     }
 
     fn end_of_step(

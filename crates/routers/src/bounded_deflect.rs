@@ -20,7 +20,9 @@
 //!
 //! [`AltAdaptive`]: crate::AltAdaptive
 
-use crate::common::{mesh_link_exists, round_robin_accept, Axis, RoundRobin};
+use crate::common::{
+    mesh_link_exists, round_robin_accept, round_robin_refuse_if_full, Axis, RoundRobin,
+};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -230,6 +232,10 @@ impl DxRouter for BoundedDeflect {
         accept: &mut [bool],
     ) {
         round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn refuse_if_full(&self, state: &mut RoundRobin, queue_lens: &[u32]) -> bool {
+        round_robin_refuse_if_full(self.k, queue_lens[0], state)
     }
 
     fn end_of_step(

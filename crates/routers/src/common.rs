@@ -55,7 +55,7 @@ pub fn mesh_link_exists(n: u32, node: Coord, d: Dir) -> bool {
 /// A round-robin arbitration pointer over the four inlink sides: the
 /// "round-robin inqueue policy" example of §2. Stored in node state;
 /// serializable so checkpoints can carry it.
-#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RoundRobin {
     next: u8,
 }
@@ -131,6 +131,18 @@ pub fn round_robin_accept(
         }
     }
     state.advance();
+}
+
+/// [`round_robin_accept`]'s verdict when it needs no arrivals: with the
+/// central queue full it refuses every one and only advances the pointer.
+/// Does that and says so, or leaves `state` alone. The round-robin routers'
+/// [`refuse_if_full`](mesh_engine::Router::refuse_if_full).
+pub fn round_robin_refuse_if_full(k: u32, occupied: u32, state: &mut RoundRobin) -> bool {
+    let full = occupied >= k;
+    if full {
+        state.advance();
+    }
+    full
 }
 
 #[cfg(test)]

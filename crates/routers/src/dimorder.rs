@@ -7,7 +7,9 @@
 //! destination-exchangeable algorithm (§2) and the target of the §5
 //! `Ω(n²/k)` dimension-order lower bound.
 
-use crate::common::{dim_order_dir, round_robin_accept, Axis, RoundRobin};
+use crate::common::{
+    dim_order_dir, round_robin_accept, round_robin_refuse_if_full, Axis, RoundRobin,
+};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::Coord;
 
@@ -91,8 +93,17 @@ impl DxRouter for DimOrder {
         round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
     }
 
+    fn refuse_if_full(&self, state: &mut RoundRobin, queue_lens: &[u32]) -> bool {
+        round_robin_refuse_if_full(self.k, queue_lens[0], state)
+    }
+
     fn uses_end_of_step(&self) -> bool {
         false
+    }
+
+    /// FIFO choice over profitable sets: nothing but the descriptors.
+    fn outqueue_reads_only_descriptors(&self) -> bool {
+        true
     }
 }
 

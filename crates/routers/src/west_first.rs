@@ -16,7 +16,7 @@
 //! same practical stalls) — it exists to show the bound's universality
 //! across the §2-cited adaptive family.
 
-use crate::common::{round_robin_accept, RoundRobin};
+use crate::common::{round_robin_accept, round_robin_refuse_if_full, RoundRobin};
 use mesh_engine::{DxArrivals, DxResidents, DxRouter, PackedArrival, PackedView, QueueArch};
 use mesh_topo::{Coord, Dir, DirSet, ALL_DIRS};
 
@@ -104,6 +104,10 @@ impl DxRouter for WestFirst {
         accept: &mut [bool],
     ) {
         round_robin_accept(self.k, queue_lens[0], state, arrivals, accept);
+    }
+
+    fn refuse_if_full(&self, state: &mut RoundRobin, queue_lens: &[u32]) -> bool {
+        round_robin_refuse_if_full(self.k, queue_lens[0], state)
     }
 
     fn uses_end_of_step(&self) -> bool {
