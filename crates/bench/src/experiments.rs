@@ -1212,7 +1212,7 @@ pub fn overload(full: bool) -> Experiment {
     let mut e = Experiment::new(
         "overload",
         "Open-system overload: saturation point lambda* per router, throughput-latency curves, graceful degradation under admission control",
-        "below lambda* goodput tracks offered load with low p99; past lambda* the response splits by queue architecture — per-inlink routers (theorem15, hot-potato) plateau under every shedding policy (vs-l* ~>= 0.95 at x=2.0) because injection has its own queue, while the shared-central-queue dim-order router buffer-gridlocks under edge-only shedding (reject-new / drop-oldest collapse to vs-l* < 0.01: in-network wait cycles survive any edge decision) and only deadline's in-network TTL expiry keeps it progressing (goodput an order of magnitude above the edge-only policies, p99 capped by the TTL); under faults the same expiry is what holds theorem15's plateau (vs-l* ~1.1 at x=2.0 vs ~0.15 edge-only)",
+        "below lambda* goodput tracks offered load with low p99; past lambda* the response splits by queue architecture — theorem15's per-inlink queues plateau under both policies (vs-l* ~>= 0.95 at x=2) because injection has its own queue, while the shared-central-queue dim-order router buffer-gridlocks under reject-new (vs-l* < 0.05 at x=2: in-network wait cycles survive any edge decision) and only deadline's in-network TTL expiry keeps it progressing (goodput an order of magnitude above reject-new's, p99 capped by the TTL)",
         &[
             "router", "policy", "l*", "x", "lambda", "outcome", "offered", "delivered", "shed",
             "expired", "goodput", "vs-l*", "p50", "p99", "p999",
