@@ -486,7 +486,7 @@ fn reoffer<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize) -
     bufs.calls.memo_hits += 1;
     let node = grid.coord_of(ni);
     let slot = lone_slot(grid, ni);
-    let pid = grid.queue(ni, slot)[0];
+    let pid = grid.oldest(ni, slot);
     #[cfg(debug_assertions)]
     {
         let (store, router) = (&*ctx.store, ctx.router);
@@ -555,7 +555,7 @@ fn route_node<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>, ni: usize
         // still runs (node state must advance identically); only
         // descriptor-building machinery is bypassed.
         let slot = lone_slot(grid, ni);
-        let pid = grid.queue(ni, slot)[0];
+        let pid = grid.oldest(ni, slot);
         masks.clear();
         masks.push(PackedView::new(store.profitable(topo, pid), slot, 0));
         single = Some(pid);

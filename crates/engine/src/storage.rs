@@ -678,6 +678,12 @@ impl NodeGrid {
         &self.slab[base..base + self.lens[ni * self.slots + slot] as usize]
     }
 
+    /// The oldest packet of a non-empty queue, read without its length.
+    #[inline]
+    pub(crate) fn oldest(&self, ni: usize, slot: usize) -> PacketId {
+        self.slab[self.cell_base(ni, slot)]
+    }
+
     #[inline]
     pub(crate) fn queue_len(&self, ni: usize, slot: usize) -> usize {
         self.lens[ni * self.slots + slot] as usize
